@@ -4,7 +4,7 @@ A d-simplex with vertices p_1..p_{d+1} is written as the (d+1)x(d+1) matrix
 whose columns are the vertices embedded in the hyperplane x_{d+1} = 1.  The
 affine map carrying one simplex onto another is then A = Q P^{-1}; dropping
 its last row and column leaves the d x d linear part used by every spectral
-criterion in this package.
+criterion in this package, and all of it broadcasts over stacks of simplices.
 """
 
 from __future__ import annotations
@@ -19,52 +19,63 @@ DET_TOL = 1e-12
 
 
 def homogeneous(vertices: np.ndarray) -> np.ndarray:
-    """Column matrix [[p_1 .. p_{d+1}], [1 .. 1]] of a vertex array (d+1, d)."""
+    """Column matrices [[p_1 .. p_{d+1}], [1 .. 1]] of vertex arrays (..., d+1, d)."""
     v = np.asarray(vertices, dtype=float)
-    return np.vstack([v.T, np.ones(v.shape[0])])
+    ones = np.ones(v.shape[:-2] + (1, v.shape[-2]))
+    return np.concatenate([np.swapaxes(v, -1, -2), ones], axis=-2)
+
+
+def degenerate(vertices: np.ndarray) -> np.ndarray:
+    """Per simplex of a (..., d+1, d) stack: |det| <= DET_TOL * max(1, max |coord|)^d."""
+    v = np.asarray(vertices, dtype=float)
+    scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
+    return np.abs(np.linalg.det(homogeneous(v))) <= DET_TOL * scale ** v.shape[-1]
 
 
 @dataclass(frozen=True)
 class AffineCorrespondence:
-    """Affine map between two d-simplices given by vertex correspondence."""
+    """Affine map between two d-simplices given by vertex correspondence;
+    the arrays may carry leading stack axes, and indexing picks one map."""
 
-    source: np.ndarray  # (d+1, d) rows are vertices
+    source: np.ndarray  # (..., d+1, d) rows are vertices
     target: np.ndarray
-    matrix: np.ndarray  # (d+1, d+1) homogeneous map, last row (0,..,0,1)
-    linear: np.ndarray  # (d, d) reduced matrix
+    matrix: np.ndarray  # (..., d+1, d+1) homogeneous map, last row (0,..,0,1)
+    linear: np.ndarray  # (..., d, d) reduced matrix
 
     @property
     def dimension(self) -> int:
-        return self.source.shape[1]
+        return self.source.shape[-1]
+
+    def __getitem__(self, i) -> AffineCorrespondence:
+        return AffineCorrespondence(self.source[i], self.target[i], self.matrix[i],
+                                    self.linear[i])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         xh = np.append(np.asarray(x, dtype=float), 1.0)
-        return (self.matrix @ xh)[:-1]
+        return (self.matrix @ xh)[..., :-1]
 
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of linear^T linear, ascending (squared singular values)."""
-        return np.linalg.eigvalsh(self.linear.T @ self.linear)
+        return np.linalg.eigvalsh(np.swapaxes(self.linear, -1, -2) @ self.linear)
 
 
 def affine_correspondence(source, target) -> AffineCorrespondence:
-    """Build the affine map taking the source simplex onto the target.
+    """Affine maps taking each source simplex of a (..., d+1, d) stack onto its target.
 
-    Raises ``SingularSimplex`` when the source simplex is affinely
-    degenerate (|det| below 1e-12 at coordinate scale).
+    Raises ``SingularSimplex`` when a source simplex is affinely degenerate
+    (|det| below 1e-12 at coordinate scale); ``index`` names the first.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
-    if src.shape != tgt.shape or src.shape[0] != src.shape[1] + 1:
+    if src.shape != tgt.shape or src.ndim < 2 or src.shape[-2] != src.shape[-1] + 1:
         raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
-    d = src.shape[1]
-    p = homogeneous(src)
-    q = homogeneous(tgt)
-    scale = max(1.0, float(np.abs(src).max()))
-    if abs(np.linalg.det(p)) <= DET_TOL * scale**d:
-        raise SingularSimplex("source simplex is affinely degenerate")
-    matrix = np.linalg.solve(p.T, q.T).T
-    return AffineCorrespondence(source=src, target=tgt, matrix=matrix,
-                                linear=matrix[:d, :d].copy())
+    bad = np.flatnonzero(degenerate(src))
+    if bad.size:
+        raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
+    d = src.shape[-1]
+    p = np.swapaxes(homogeneous(src), -1, -2)
+    matrix = np.swapaxes(np.linalg.solve(p, np.swapaxes(homogeneous(tgt), -1, -2)), -1, -2)
+    return AffineCorrespondence(src, tgt, matrix, np.ascontiguousarray(matrix[..., :d, :d]))
 
 
 def restricted_singular_values(source, target) -> np.ndarray:

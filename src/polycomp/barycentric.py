@@ -10,11 +10,12 @@ map given by the vertex correspondence is used directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .affine import AffineCorrespondence, affine_correspondence
+from .affine import AffineCorrespondence, affine_correspondence, homogeneous
 from .errors import DegenerateSimplex, PointOutside, PolytopeMismatch, SingularSimplex
 from .polytopes import CombinatorialPolytope, Shape
 
@@ -36,17 +37,23 @@ class BarycentricComplex:
     polytope: CombinatorialPolytope
     chains: tuple[tuple[int, ...], ...]  # face indices, dimensions 0..d
     adjacency: tuple[tuple[int, int], ...]
+    # Read-only: ``chains`` as a (t, d+1) array, and the 0/1 face-by-vertex
+    # incidence matrix of ``polytope.faces``.
+    chain_faces: np.ndarray = field(compare=False, repr=False)
+    incidence: np.ndarray = field(compare=False, repr=False)
 
     @property
     def simplex_count(self) -> int:
         return len(self.chains)
 
 
+@lru_cache(maxsize=32)
 def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
     """Enumerate all maximal chains of the face lattice, deterministically.
 
     Chains are emitted in lexicographic order of their face-index tuples.
-    Adjacent chains differ in exactly one face.
+    Adjacent chains differ in exactly one face.  The result is cached per
+    polytope (equal polytopes share it), so its arrays are read-only.
     """
     d = polytope.dimension
     by_dim = [[] for _ in range(d + 1)]
@@ -80,49 +87,66 @@ def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
                 adjacency.append((seen[(pos, key)], ci))
             else:
                 seen[(pos, key)] = ci
-    return BarycentricComplex(polytope, tuple(chains), tuple(sorted(adjacency)))
+    chain_faces = np.array(chains, dtype=np.intp)
+    n = polytope.vertex_count
+    incidence = np.array([np.isin(np.arange(n), f) for f in polytope.faces], dtype=float)
+    for a in (chain_faces, incidence):
+        a.setflags(write=False)
+    return BarycentricComplex(polytope, tuple(chains), tuple(sorted(adjacency)),
+                              chain_faces, incidence)
 
 
 @dataclass(frozen=True)
 class InducedMap:
-    """The piecewise-linear map f: P -> Q with its per-simplex affine pieces.
+    """The piecewise-linear map f: P -> Q as stacks of per-simplex affine pieces.
 
     ``kind`` records the domain decomposition: "simplex" for the single
     affine map of a simplex polytope, "barycentric" for chain simplices of
     the subdivision, "triangulation" for a user-supplied vertex
-    triangulation.
+    triangulation.  ``maps`` holds the pieces as one stack, entry i on
+    simplex i.
     """
 
     source: Shape
     target: Shape
     kind: str
-    correspondences: tuple[AffineCorrespondence, ...]
+    maps: AffineCorrespondence  # arrays (t, d+1, d), (t, d+1, d+1), (t, d, d)
     complex: BarycentricComplex | None = None
     simplices: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def simplex_count(self) -> int:
-        return len(self.correspondences)
+        return len(self.maps.linear)
 
     @property
     def dimension(self) -> int:
         return self.source.polytope.dimension
 
+    @cached_property
+    def correspondences(self) -> tuple[AffineCorrespondence, ...]:
+        return tuple(self.maps[i] for i in range(self.simplex_count))
 
-def _require_same_polytope(p: Shape, q: Shape) -> None:
+
+def require_same_polytope(p: Shape, q: Shape) -> None:
+    """Raise ``PolytopeMismatch`` unless P and Q realize the same polytope."""
     if p.polytope != q.polytope:
         raise PolytopeMismatch("shapes realize different combinatorial polytopes")
 
 
 def chain_simplex_coords(complex_: BarycentricComplex, shape: Shape) -> np.ndarray:
     """Vertex coordinates of every chain simplex: array (t, d+1, d)."""
-    faces = complex_.polytope.faces
-    out = np.empty((len(complex_.chains), complex_.polytope.dimension + 1,
-                    complex_.polytope.dimension))
-    for i, chain in enumerate(complex_.chains):
-        for j, fi in enumerate(chain):
-            out[i, j] = barycentre(faces[fi], shape)
-    return out
+    inc = complex_.incidence
+    # einsum adds a face's vertices in index order, as ``barycentre`` does.
+    sums = np.einsum("fn,nd->fd", inc, shape.coords)
+    return (sums / inc.sum(axis=1, keepdims=True))[complex_.chain_faces]
+
+
+def _stacked_map(p: Shape, q: Shape, kind: str, src: np.ndarray, tgt: np.ndarray,
+                 describe, **parts) -> InducedMap:
+    try:
+        return InducedMap(p, q, kind, affine_correspondence(src, tgt), **parts)
+    except SingularSimplex as exc:
+        raise DegenerateSimplex(describe(exc)) from exc
 
 
 def induced_map(p: Shape, q: Shape) -> InducedMap:
@@ -132,54 +156,41 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
     target simplex vertices are the barycentres of corresponding faces.
     Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.
     """
-    _require_same_polytope(p, q)
+    require_same_polytope(p, q)
     if p.polytope.is_simplex:
-        try:
-            corr = affine_correspondence(p.coords, q.coords)
-        except SingularSimplex as exc:
-            raise DegenerateSimplex(str(exc)) from exc
-        return InducedMap(p, q, "simplex", (corr,),
-                          simplices=(tuple(range(p.polytope.vertex_count)),))
+        return _stacked_map(p, q, "simplex", p.coords[None], q.coords[None], str,
+                            simplices=(tuple(range(p.polytope.vertex_count)),))
     complex_ = barycentric_complex(p.polytope)
-    src = chain_simplex_coords(complex_, p)
-    tgt = chain_simplex_coords(complex_, q)
-    corrs = []
-    for i in range(len(complex_.chains)):
-        try:
-            corrs.append(affine_correspondence(src[i], tgt[i]))
-        except SingularSimplex as exc:
-            raise DegenerateSimplex(f"chain {i} is degenerate in the source") from exc
-    return InducedMap(p, q, "barycentric", tuple(corrs), complex=complex_)
+    return _stacked_map(p, q, "barycentric", chain_simplex_coords(complex_, p),
+                        chain_simplex_coords(complex_, q),
+                        lambda exc: f"chain {exc.index} is degenerate in the source",
+                        complex=complex_)
 
 
 def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
     """Per-simplex affine map over a vertex triangulation instead of B(P)."""
-    _require_same_polytope(p, q)
-    corrs = []
+    require_same_polytope(p, q)
     simps = tuple(tuple(s) for s in simplices)
-    for s in simps:
-        idx = list(s)
-        try:
-            corrs.append(affine_correspondence(p.coords[idx], q.coords[idx]))
-        except SingularSimplex as exc:
-            raise DegenerateSimplex(f"simplex {s} is degenerate in the source") from exc
-    return InducedMap(p, q, "triangulation", tuple(corrs), simplices=simps)
+    idx = np.array(simps, dtype=np.intp)
+    return _stacked_map(p, q, "triangulation", p.coords[idx], q.coords[idx],
+                        lambda exc: f"simplex {simps[exc.index]} is degenerate in the source",
+                        simplices=simps)
 
 
 def evaluate_map(m: InducedMap, x, tol: float = BARY_TOL) -> np.ndarray:
     """Evaluate f at a point of P by locating a containing simplex.
 
-    Linear scan in simplex order; a simplex accepts the point when all its
-    barycentric coordinates are >= -tol (they are then clamped and
-    renormalized, so results on shared faces do not depend on the winner).
-    Raises ``PointOutside`` when no simplex contains the point.
+    The lowest-index simplex wins whose barycentric coordinates are all
+    >= -tol (they are then clamped and renormalized, so results on shared
+    faces do not depend on the winner).  Raises ``PointOutside`` when no
+    simplex contains the point.
     """
     x = np.asarray(x, dtype=float)
-    for corr in m.correspondences:
-        p = np.vstack([corr.source.T, np.ones(corr.source.shape[0])])
-        lam = np.linalg.solve(p, np.append(x, 1.0))
-        if lam.min() >= -tol:
-            lam = np.clip(lam, 0.0, None)
-            lam = lam / lam.sum()
-            return corr.target.T @ lam
-    raise PointOutside(f"point {x.tolist()} lies in no simplex of the domain")
+    ph = homogeneous(m.maps.source)
+    xh = np.broadcast_to(np.append(x, 1.0)[:, None], ph.shape[:-1] + (1,))
+    lam = np.linalg.solve(ph, xh)[..., 0]
+    inside = np.flatnonzero(lam.min(axis=1) >= -tol)
+    if not inside.size:
+        raise PointOutside(f"point {x.tolist()} lies in no simplex of the domain")
+    lam = np.clip(lam[inside[0]], 0.0, None)
+    return m.maps.target[inside[0]].T @ (lam / lam.sum())

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io
-from .barycentric import barycentre, barycentric_complex, induced_map
+from .barycentric import barycentre, barycentric_complex, induced_map, require_same_polytope
 from .errors import (
     DegenerateSimplex,
     DegenerateSpan,
@@ -33,6 +33,7 @@ from .errors import (
     SingularSimplex,
 )
 from .lifting import (
+    isometry_residual,
     lift_simplex,
     orthogonal_completion,
     pleat_validity,
@@ -40,7 +41,7 @@ from .lifting import (
     projection_chain,
 )
 from .metric import delta_polytope, per_chain_deltas, sequence_report
-from .polytopes import Shape, fan_triangulation, validate_shape
+from .polytopes import Shape, fan_triangulation, is_tree, validate_shape
 from .spectral import (
     PointOnShape,
     classify,
@@ -122,17 +123,6 @@ def cmd_subdivide(args):
     faces = shape.polytope.faces
     vertices = [barycentre(f, shape).tolist() for f in faces]
     t = complex_.simplex_count
-    adjacency = {i: [] for i in range(t)}
-    for i, j in complex_.adjacency:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen, stack = {0}, [0]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    is_tree = len(seen) == t and len(complex_.adjacency) == t - 1
     payload = {
         "command": "subdivide",
         "dimension": shape.polytope.dimension,
@@ -141,7 +131,7 @@ def cmd_subdivide(args):
         "vertices": vertices,
         "simplices": [list(c) for c in complex_.chains],
         "adjacency": [list(e) for e in complex_.adjacency],
-        "face_pairing_is_tree": is_tree,
+        "face_pairing_is_tree": is_tree(t, complex_.adjacency),
     }
     summary = f"{t} chain simplices over {len(faces)} faces"
     return payload, summary, EXIT_OK
@@ -300,11 +290,10 @@ def cmd_lift(args):
     q = _checked_shape(args.target, "Q")
     if not p.polytope.is_simplex:
         raise MalformedInput("lift applies to simplex shapes; use pleat for polytopes")
-    if p.polytope != q.polytope:
-        raise PolytopeMismatch("shapes realize different combinatorial polytopes")
+    require_same_polytope(p, q)
     lifted = lift_simplex(p, q)
     d = p.polytope.dimension
-    iso = _isometry_residual(lifted, p.coords)
+    iso = isometry_residual(lifted, p.coords)
     proj = float(np.abs(lifted[:, :d] - q.coords).max())
     payload = {
         "command": "lift",
@@ -314,15 +303,6 @@ def cmd_lift(args):
     }
     summary = f"lifted to R^{2 * d}; isometry residual {iso:.3g}"
     return payload, summary, EXIT_OK
-
-
-def _isometry_residual(lifted, source):
-    res = 0.0
-    for i in range(len(source)):
-        for j in range(i + 1, len(source)):
-            res = max(res, abs(np.linalg.norm(lifted[i] - lifted[j])
-                               - np.linalg.norm(source[i] - source[j])))
-    return float(res)
 
 
 def cmd_pleat(args):

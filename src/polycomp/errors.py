@@ -30,7 +30,11 @@ class DegenerateSimplex(PolycompError):
 
 
 class SingularSimplex(PolycompError):
-    """A simplex vertex matrix is numerically singular."""
+    """A simplex vertex matrix is numerically singular; ``index`` is its place in a stack."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class PointOutside(PolycompError):

@@ -18,6 +18,7 @@ Schema errors raise ``MalformedInput`` naming the offending file and field.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,11 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
     if len(vertices) != n:
         raise MalformedInput(f"{path}: field 'vertices' must have {n} rows")
     for i, row in enumerate(vertices):
+        # NaN fails every comparison; Infinity and huge integers exceed the bound.
         if (not isinstance(row, list) or len(row) != d
-                or any(not isinstance(x, (int, float)) for x in row)):
-            raise MalformedInput(f"{path}: field 'vertices[{i}]' must be {d} numbers")
+                or any(not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max
+                       for x in row)):
+            raise MalformedInput(f"{path}: field 'vertices[{i}]' must be {d} finite numbers")
     polytope = build_polytope(d, n, facets)
     return Shape(polytope, np.array(vertices, dtype=float), mode=mode, name=name)
 

@@ -155,9 +155,9 @@ class PleatedEmbedding:
 
 
 def _simplex_volume(coords: np.ndarray) -> float:
-    d = coords.shape[1]
-    e = coords[1:] - coords[0]
-    return abs(np.linalg.det(e)) / math.factorial(d)
+    """Total volume of a (..., d+1, d) stack of simplices."""
+    e = coords[..., 1:, :] - coords[..., :1, :]
+    return float(np.abs(np.linalg.det(e)).sum()) / math.factorial(coords.shape[-1])
 
 
 def _shape_volume(shape: Shape) -> float:
@@ -166,9 +166,7 @@ def _shape_volume(shape: Shape) -> float:
 
     if shape.polytope.is_simplex:
         return _simplex_volume(shape.coords)
-    complex_ = barycentric_complex(shape.polytope)
-    sims = chain_simplex_coords(complex_, shape)
-    return float(sum(_simplex_volume(s) for s in sims))
+    return _simplex_volume(chain_simplex_coords(barycentric_complex(shape.polytope), shape))
 
 
 def _bfs_order(tri: Triangulation) -> list[tuple[int, int | None]]:
@@ -211,7 +209,7 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
     if not tri.is_tree:
         raise NotTree("face-pairing graph of the triangulation is not a tree")
     m = triangulation_map(p, q, tri.simplices)
-    vol = sum(_simplex_volume(p.coords[list(s)]) for s in tri.simplices)
+    vol = _simplex_volume(m.maps.source)
     vol_p = _shape_volume(p)
     if abs(vol - vol_p) > 1e-9 * max(1.0, vol_p):
         raise InconsistentLattice("simplices do not tile the source shape")
@@ -275,6 +273,16 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
                             triangulation=tri, source=p, target=q)
 
 
+def isometry_residual(lifted: np.ndarray, source: np.ndarray) -> float:
+    """Largest change of a pairwise distance between corresponding points."""
+    res = 0.0
+    for i in range(len(source)):
+        for j in range(i + 1, len(source)):
+            res = max(res, abs(np.linalg.norm(lifted[i] - lifted[j])
+                               - np.linalg.norm(source[i] - source[j])))
+    return float(res)
+
+
 def _perp_to_face(points: np.ndarray, base: np.ndarray, apex: np.ndarray) -> np.ndarray:
     """Component of (apex - base) orthogonal to the span of (points - base)."""
     r = apex - base
@@ -326,17 +334,8 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
     d = p.polytope.dimension
     tri = pe.triangulation
 
-    residuals = []
-    for s in tri.simplices:
-        idx = list(s)
-        lifted = pe.coords[idx]
-        src = p.coords[idx]
-        res = 0.0
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                res = max(res, abs(np.linalg.norm(lifted[i] - lifted[j])
-                                   - np.linalg.norm(src[i] - src[j])))
-        residuals.append(res)
+    residuals = [isometry_residual(pe.coords[list(s)], p.coords[list(s)])
+                 for s in tri.simplices]
 
     projection_residual = float(np.abs(pe.coords[:, :d] - q.coords).max())
 
@@ -435,16 +434,11 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
                 float(restricted_singular_values(prev[s], cur[s]).max() ** 2)
                 for s in simplices
             ])
-        if source is not None:
-            alphas_src = np.array([
-                float(restricted_singular_values(source.coords[s], cur[s]).max() ** 2)
-                for s in simplices
-            ])
-        else:
-            alphas_src = np.array([
-                float(restricted_singular_values(coords[s], cur[s]).max() ** 2)
-                for s in simplices
-            ])
+        base = coords if source is None else source.coords
+        alphas_src = np.array([
+            float(restricted_singular_values(base[s], cur[s]).max() ** 2)
+            for s in simplices
+        ])
         stages.append(ProjectionStage(
             ambient_dimension=dim,
             coords=cur,

@@ -14,45 +14,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import affine_correspondence, homogeneous
-from .barycentric import barycentric_complex, chain_simplex_coords
-from .errors import DegenerateSimplex, PolytopeMismatch, SingularSimplex
+from .affine import affine_correspondence, degenerate
+from .barycentric import barycentric_complex, chain_simplex_coords, require_same_polytope
+from .errors import DegenerateSimplex, SingularSimplex
 from .generators import random_rotation
 from .polytopes import Shape
 
 
-def _delta_from_arrays(src: np.ndarray, tgt: np.ndarray) -> float:
-    d = src.shape[1]
-    scale = max(1.0, float(np.abs(tgt).max()))
-    if abs(np.linalg.det(homogeneous(tgt))) <= 1e-12 * scale**d:
-        raise SingularSimplex("target simplex is affinely degenerate")
+def _deltas(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Simplex distances over (t, d+1, d) stacks; ``SingularSimplex`` names
+    the first simplex degenerate in the target or, failing that, the source."""
+    bad_tgt = degenerate(tgt)
+    bad = np.flatnonzero(bad_tgt | degenerate(src))
+    if bad.size:
+        side = "target" if bad_tgt[bad[0]] else "source"
+        raise SingularSimplex(f"{side} simplex is affinely degenerate", int(bad[0]))
     alphas = affine_correspondence(src, tgt).gram_eigenvalues()
-    return float(np.log(alphas[-1] / alphas[0]))
+    return np.log(alphas[:, -1] / alphas[:, 0])
 
 
 def delta_simplex(p: Shape, q: Shape) -> float:
     """Compression distance between two simplex shapes."""
     if not p.polytope.is_simplex or not q.polytope.is_simplex:
         raise ValueError("delta_simplex applies to simplex shapes")
-    if p.polytope != q.polytope:
-        raise PolytopeMismatch("shapes realize different combinatorial polytopes")
-    return _delta_from_arrays(p.coords, q.coords)
+    require_same_polytope(p, q)
+    return float(_deltas(p.coords[None], q.coords[None])[0])
 
 
 def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
     """Simplex distances over corresponding barycentric chain simplices."""
-    if p.polytope != q.polytope:
-        raise PolytopeMismatch("shapes realize different combinatorial polytopes")
+    require_same_polytope(p, q)
     complex_ = barycentric_complex(p.polytope)
-    src = chain_simplex_coords(complex_, p)
-    tgt = chain_simplex_coords(complex_, q)
-    out = np.empty(len(complex_.chains))
-    for i in range(len(complex_.chains)):
-        try:
-            out[i] = _delta_from_arrays(src[i], tgt[i])
-        except SingularSimplex as exc:
-            raise DegenerateSimplex(f"chain {i} is degenerate") from exc
-    return out
+    try:
+        return _deltas(chain_simplex_coords(complex_, p), chain_simplex_coords(complex_, q))
+    except SingularSimplex as exc:
+        raise DegenerateSimplex(f"chain {exc.index} is degenerate") from exc
 
 
 def delta_polytope(p: Shape, q: Shape) -> float:
@@ -62,11 +58,10 @@ def delta_polytope(p: Shape, q: Shape) -> float:
     the barycentric chains of a simplex all inherit that same map, so the
     two computations agree.
     """
-    if p.polytope != q.polytope:
-        raise PolytopeMismatch("shapes realize different combinatorial polytopes")
+    require_same_polytope(p, q)
     if p.polytope.is_simplex:
         try:
-            return _delta_from_arrays(p.coords, q.coords)
+            return float(_deltas(p.coords[None], q.coords[None])[0])
         except SingularSimplex as exc:
             raise DegenerateSimplex(str(exc)) from exc
     return float(per_chain_deltas(p, q).max())
@@ -166,20 +161,29 @@ class CauchyResult:
     first_violation: tuple[int, int] | None
 
 
+def _cauchy_scan(n: int, window: int, eps: float, delta) -> CauchyResult:
+    """First pair i < j, both >= window, with delta(i, j) >= eps, in row order."""
+    for i in range(window, n):
+        for j in range(i + 1, n):
+            if delta(i, j) >= eps:
+                return CauchyResult(False, (i, j))
+    return CauchyResult(True, None)
+
+
 def is_cauchy(shapes, window: int, eps: float) -> CauchyResult:
     """All pairs with both indices >= window must satisfy delta < eps."""
     shapes = list(shapes)
-    for i in range(window, len(shapes)):
-        for j in range(i + 1, len(shapes)):
-            if delta_polytope(shapes[i], shapes[j]) >= eps:
-                return CauchyResult(False, (i, j))
-    return CauchyResult(True, None)
+    return _cauchy_scan(len(shapes), window, eps,
+                        lambda i, j: delta_polytope(shapes[i], shapes[j]))
 
 
 def converges_to(shapes, limit: Shape, eps: float, slack: float = 1e-9) -> bool:
     """Distances to the limit must fall below eps and trend monotonically
     down over the trailing quarter of the sequence."""
-    dists = [delta_polytope(s, limit) for s in shapes]
+    return _tail_converges([delta_polytope(s, limit) for s in shapes], eps, slack)
+
+
+def _tail_converges(dists, eps: float, slack: float = 1e-9) -> bool:
     m = max(2, len(dists) // 4)
     tail = dists[-m:]
     if any(t >= eps for t in tail):
@@ -208,19 +212,12 @@ def sequence_report(shapes, window: int, eps: float,
     for i in range(n):
         for j in range(i + 1, n):
             delta[i, j] = delta[j, i] = delta_polytope(shapes[i], shapes[j])
-    cauchy = CauchyResult(True, None)
-    for i in range(window, n):
-        for j in range(i + 1, n):
-            if delta[i, j] >= eps:
-                cauchy = CauchyResult(False, (i, j))
-                break
-        if not cauchy.cauchy:
-            break
+    cauchy = _cauchy_scan(n, window, eps, lambda i, j: delta[i, j])
     limit_deltas = None
     conv = None
     if limit is not None:
         limit_deltas = np.array([delta_polytope(s, limit) for s in shapes])
-        conv = converges_to(shapes, limit, eps)
+        conv = _tail_converges(limit_deltas, eps)
     return SequenceReport(delta_matrix=delta, window=window, eps=eps,
                           cauchy=cauchy.cauchy,
                           first_violation=cauchy.first_violation,

@@ -400,7 +400,11 @@ def _pairing_graph(d: int, simplices) -> tuple[tuple[tuple[int, int], ...], bool
         for j in range(i + 1, t):
             if len(sets[i] & sets[j]) == d:
                 edges.append((i, j))
-    # tree <=> connected and |E| = |V| - 1
+    return tuple(edges), is_tree(t, edges)
+
+
+def is_tree(t: int, edges) -> bool:
+    """Is the graph on nodes 0..t-1 a tree, i.e. connected with t - 1 edges?"""
     adjacency = {i: [] for i in range(t)}
     for i, j in edges:
         adjacency[i].append(j)
@@ -408,13 +412,11 @@ def _pairing_graph(d: int, simplices) -> tuple[tuple[tuple[int, int], ...], bool
     seen = {0} if t else set()
     stack = [0] if t else []
     while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
+        for v in adjacency[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    is_tree = (len(seen) == t) and (len(edges) == t - 1)
-    return tuple(edges), is_tree
+    return len(seen) == t and len(edges) == t - 1
 
 
 def triangulation(polytope: CombinatorialPolytope, simplices) -> Triangulation:
@@ -441,8 +443,7 @@ def triangulation(polytope: CombinatorialPolytope, simplices) -> Triangulation:
             f"a triangulated n-gon has n-2 triangles, got {len(simps)}"
         )
     simps = tuple(sorted(simps))
-    edges, is_tree = _pairing_graph(d, simps)
-    return Triangulation(polytope, simps, edges, is_tree)
+    return Triangulation(polytope, simps, *_pairing_graph(d, simps))
 
 
 def _polygon_cycle(polytope: CombinatorialPolytope, start: int) -> list[int]:

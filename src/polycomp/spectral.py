@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import homogeneous
+from .affine import degenerate, homogeneous
 from .barycentric import InducedMap, induced_map
 from .errors import SingularSimplex
 from .polytopes import Shape
@@ -38,7 +38,7 @@ class SpectralSummary:
 
 
 def spectral_summary(m: InducedMap) -> SpectralSummary:
-    alphas = np.stack([c.gram_eigenvalues() for c in m.correspondences])
+    alphas = m.maps.gram_eigenvalues()
     tops = alphas[:, -1]
     return SpectralSummary(
         per_simplex=alphas,
@@ -113,7 +113,7 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
     sqrt(alpha_max).
     """
     s = summary if summary is not None else spectral_summary(m)
-    corr = m.correspondences[s.argmax_simplex]
+    corr = m.maps[s.argmax_simplex]
     d = corr.dimension
     _, _, vh = np.linalg.svd(corr.linear)
     u = vh[0]
@@ -248,10 +248,9 @@ def perturbation_classify(p: Shape | np.ndarray, velocities,
     d = coords.shape[1]
     if coords.shape[0] != d + 1:
         raise ValueError("perturbation analysis applies to simplex shapes")
-    ph = homogeneous(coords)
-    scale = max(1.0, float(np.abs(coords).max()))
-    if abs(np.linalg.det(ph)) <= 1e-12 * scale**d:
+    if degenerate(coords):
         raise SingularSimplex("simplex shape is affinely degenerate")
+    ph = homogeneous(coords)
     vh = np.vstack([vel.T, np.zeros(d + 1)])
     w = np.linalg.solve(ph.T, vh.T).T  # V P^{-1}
     wbar = w[:d, :d]

@@ -71,6 +71,20 @@ def test_malformed_input_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_coordinate_is_malformed(tmp_path, literal):
+    doc = square_doc()
+    doc["vertices"][2][1] = float(literal)
+    bad = write_json(tmp_path / "bad.json", doc)  # json writes NaN / Infinity
+    assert literal in (tmp_path / "bad.json").read_text(encoding="utf-8")
+    proc = run_cli("classify", bad, write_json(tmp_path / "good.json", square_doc()))
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "MalformedInput"
+    assert "vertices[2]" in payload["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_schema_error_names_field(tmp_path):
     doc = square_doc()
     del doc["facets"]

@@ -86,15 +86,21 @@ class ValidationFailure(PolycompError):
         self.payload = payload
 
 
-def _checked_shape(path, label) -> Shape:
-    shape = io.load_shape(path)
+def _require_valid(shape: Shape, label) -> Shape:
     report = validate_shape(shape.polytope, shape.coords, shape.mode)
-    ok = report.is_strict if shape.mode == "strict" else report.is_weak
-    if not ok:
+    if not report.passes(shape.mode):
         raise ValidationFailure(
-            f"{label} ({path}) fails {shape.mode} validation: {report.verdict}",
+            f"{label} fails {shape.mode} validation: {report.verdict}",
             payload=report.to_dict())
     return shape
+
+
+def _checked_shape(path, label) -> Shape:
+    return _require_valid(io.load_shape(path), f"{label} ({path})")
+
+
+def _checked_pair(args) -> tuple[Shape, Shape]:
+    return _checked_shape(args.source, "P"), _checked_shape(args.target, "Q")
 
 
 def _witness_dict(w) -> dict:
@@ -112,9 +118,8 @@ def cmd_validate(args):
     mode = "weak" if args.weak else shape.mode
     report = validate_shape(shape.polytope, shape.coords, mode)
     payload = {"command": "validate", "mode": mode, **report.to_dict()}
-    ok = report.is_strict if mode == "strict" else report.is_weak
     summary = f"{args.shape}: {report.verdict} (mode={mode})"
-    return payload, summary, EXIT_OK if ok else EXIT_VALIDATION
+    return payload, summary, EXIT_OK if report.passes(mode) else EXIT_VALIDATION
 
 
 def cmd_subdivide(args):
@@ -138,8 +143,7 @@ def cmd_subdivide(args):
 
 
 def cmd_classify(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
+    p, q = _checked_pair(args)
     result = classify(induced_map(p, q), tol=args.tol)
     payload = {
         "command": "classify",
@@ -157,8 +161,7 @@ def cmd_classify(args):
 
 
 def cmd_edges(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
+    p, q = _checked_pair(args)
     report = edge_contraction_check(p, q)
     payload = {
         "command": "edges",
@@ -175,22 +178,19 @@ def cmd_edges(args):
 
 
 def cmd_distance(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
-    delta = delta_polytope(p, q)
-    payload = {"command": "distance", "delta": delta}
+    p, q = _checked_pair(args)
     if p.polytope.is_simplex:
-        payload["method"] = "simplex"
-    else:
-        payload["method"] = "barycentric"
-        payload["per_chain"] = per_chain_deltas(p, q).tolist()
-    summary = f"delta = {delta:.12g}"
+        payload = {"command": "distance", "delta": delta_polytope(p, q), "method": "simplex"}
+    else:  # the max over chains is delta_polytope's value, without a second pass
+        per_chain = per_chain_deltas(p, q)
+        payload = {"command": "distance", "delta": float(per_chain.max()),
+                   "method": "barycentric", "per_chain": per_chain.tolist()}
+    summary = f"delta = {payload['delta']:.12g}"
     return payload, summary, EXIT_OK
 
 
 def cmd_order(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
+    p, q = _checked_pair(args)
     result = compare_order(p, q, tol=args.tol)
     payload = {
         "command": "order",
@@ -204,8 +204,7 @@ def cmd_order(args):
 
 
 def cmd_scale(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
+    p, q = _checked_pair(args)
     result = scale_critical(p, q)
     payload = {
         "command": "scale",
@@ -286,8 +285,7 @@ def cmd_complete(args):
 
 
 def cmd_lift(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
+    p, q = _checked_pair(args)
     if not p.polytope.is_simplex:
         raise MalformedInput("lift applies to simplex shapes; use pleat for polytopes")
     require_same_polytope(p, q)
@@ -306,8 +304,7 @@ def cmd_lift(args):
 
 
 def cmd_pleat(args):
-    p = _checked_shape(args.source, "P")
-    q = _checked_shape(args.target, "Q")
+    p, q = _checked_pair(args)
     spec = args.triangulation
     if spec.startswith("fan:"):
         try:
@@ -374,12 +371,7 @@ def cmd_sequence(args):
     if len(shapes) < 2:
         raise MalformedInput("sequence needs at least two shapes")
     for i, s in enumerate(shapes):
-        report = validate_shape(s.polytope, s.coords, s.mode)
-        ok = report.is_strict if s.mode == "strict" else report.is_weak
-        if not ok:
-            raise ValidationFailure(
-                f"shape {i} fails {s.mode} validation: {report.verdict}",
-                payload=report.to_dict())
+        _require_valid(s, f"shape {i}")
     window = len(shapes) // 2
     limit = _checked_shape(args.limit, "limit") if args.limit else None
     report = sequence_report(shapes, window=window, eps=args.eps, limit=limit)

@@ -47,6 +47,14 @@ def _require(doc: dict, path, field: str, kind=None):
     return value
 
 
+def _finite_numbers(row, length: int) -> bool:
+    """Is ``row`` a list of ``length`` finite JSON numbers?"""
+    # NaN fails every comparison; Infinity and huge integers exceed the bound.
+    return (isinstance(row, list) and len(row) == length
+            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+                    for x in row))
+
+
 def shape_from_dict(doc: dict, path="<shape>") -> Shape:
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: shape document must be a JSON object")
@@ -68,10 +76,7 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
     if len(vertices) != n:
         raise MalformedInput(f"{path}: field 'vertices' must have {n} rows")
     for i, row in enumerate(vertices):
-        # NaN fails every comparison; Infinity and huge integers exceed the bound.
-        if (not isinstance(row, list) or len(row) != d
-                or any(not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max
-                       for x in row)):
+        if not _finite_numbers(row, d):
             raise MalformedInput(f"{path}: field 'vertices[{i}]' must be {d} finite numbers")
     polytope = build_polytope(d, n, facets)
     return Shape(polytope, np.array(vertices, dtype=float), mode=mode, name=name)
@@ -125,9 +130,9 @@ def load_matrix(path) -> np.ndarray:
     data = _require(doc, path, "data", list)
     if rows < 1 or cols < 1:
         raise MalformedInput(f"{path}: 'rows' and 'cols' must be positive")
-    if len(data) != rows * cols or any(not isinstance(x, (int, float)) for x in data):
-        raise MalformedInput(f"{path}: field 'data' must hold {rows * cols} numbers "
-                             "in row-major order")
+    if not _finite_numbers(data, rows * cols):
+        raise MalformedInput(f"{path}: field 'data' must hold {rows * cols} finite "
+                             "numbers in row-major order")
     return np.array(data, dtype=float).reshape(rows, cols)
 
 
@@ -154,9 +159,9 @@ def load_embedding(path) -> tuple[int, np.ndarray, list[list[int]]]:
                              "(needed to classify projection stages)")
     simplices = doc["simplices"]
     for i, row in enumerate(vertices):
-        if not isinstance(row, list) or len(row) != big_d:
+        if not _finite_numbers(row, big_d):
             raise MalformedInput(f"{path}: field 'vertices[{i}]' must be "
-                                 f"{big_d} numbers")
+                                 f"{big_d} finite numbers")
     n = len(vertices)
     for i, s in enumerate(simplices):
         if (not isinstance(s, list)

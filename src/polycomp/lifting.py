@@ -28,7 +28,7 @@ from .errors import (
     NotPSD,
     NotTree,
 )
-from .polytopes import Shape, Triangulation
+from .polytopes import Shape, Triangulation, bfs_order
 from .spectral import NOT_WEAK_COMPRESSION, classify
 
 PSD_CLAMP = 1e-8
@@ -169,24 +169,6 @@ def _shape_volume(shape: Shape) -> float:
     return _simplex_volume(chain_simplex_coords(barycentric_complex(shape.polytope), shape))
 
 
-def _bfs_order(tri: Triangulation) -> list[tuple[int, int | None]]:
-    adjacency = {i: [] for i in range(len(tri.simplices))}
-    for i, j in tri.pairing_edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    order = [(0, None)]
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adjacency[u]):
-            if v not in seen:
-                seen.add(v)
-                order.append((v, u))
-                queue.append(v)
-    return order
-
-
 def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
                       tol: float = CONTRACTION_TOL) -> PleatedEmbedding:
     """Pleated embedding of P in R^{d(t+1)} projecting onto Q.
@@ -223,7 +205,7 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
     coords = np.zeros((n, big_d))
     placed = np.zeros(n, dtype=bool)
 
-    order = _bfs_order(tri)
+    order = bfs_order(len(tri.simplices), tri.pairing_edges)
     root = tri.simplices[order[0][0]]
     root_idx = list(root)
     lifted = lift_simplex(p.coords[root_idx], q.coords[root_idx])

@@ -13,9 +13,9 @@ adjacent facets may flatten to a common hyperplane).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateSpan,
@@ -61,7 +61,8 @@ class CombinatorialPolytope:
     def edges(self) -> list[tuple[int, ...]]:
         return self.faces_of_dim(1)
 
-    def facet_pairs_sharing_ridge(self) -> list[tuple[int, int]]:
+    @lru_cache(maxsize=32)
+    def facet_pairs_sharing_ridge(self) -> tuple[tuple[int, int], ...]:
         """Pairs of facet indices whose intersection is a (d-2)-face."""
         face_set = {f: d for f, d in zip(self.faces, self.face_dims)}
         pairs = []
@@ -70,7 +71,7 @@ class CombinatorialPolytope:
                 common = tuple(sorted(set(self.facets[i]) & set(self.facets[j])))
                 if common and face_set.get(common) == self.dimension - 2:
                     pairs.append((i, j))
-        return pairs
+        return tuple(pairs)
 
 
 def _intersection_closure(facet_sets: list[frozenset], body: frozenset) -> set[frozenset]:
@@ -242,6 +243,10 @@ class ValidationReport:
     def is_weak(self) -> bool:
         return self.verdict in ("strictly-convex", "weakly-convex")
 
+    def passes(self, mode: str) -> bool:
+        """Does the shape pass validation in ``mode`` ("strict" or "weak")?"""
+        return self.is_strict if mode == "strict" else self.is_weak
+
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -275,15 +280,54 @@ def _facet_hyperplane(points: np.ndarray):
     return normal, c, residual
 
 
-def _vertex_is_extreme(coords: np.ndarray, i: int) -> bool:
-    """LP feasibility: is vertex i a convex combination of the others?"""
-    others = np.delete(coords, i, axis=0)
-    k = len(others)
-    a_eq = np.vstack([others.T, np.ones(k)])
-    b_eq = np.concatenate([coords[i], [1.0]])
-    res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * k,
-                  method="highs")
-    return not res.success
+def _certified_extreme(centered: np.ndarray, vertex_normals: np.ndarray,
+                       tol: float) -> np.ndarray:
+    """Vertices proven extreme by a Farkas certificate, all at once.
+
+    With ``u`` the normals summed at v and ``top`` the largest ``u . c_w``
+    over w != v, ``(u, -top)`` is nonpositive on every other ``[c_w, 1]``, so
+    ``[c_v, 1]`` lies at least ``(u . c_v - top) / |(u, -top)|`` from their cone.
+    """
+    proj = vertex_normals @ centered.T
+    own = proj.diagonal().copy()
+    np.fill_diagonal(proj, -np.inf)
+    top = proj.max(axis=1)
+    return own - top > tol * np.sqrt((vertex_normals ** 2).sum(axis=1) + top ** 2)
+
+
+def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int) -> float:
+    """Distance from ``lifted[v]`` to the cone of the other rows: Lawson-Hanson
+    NNLS, passive sets solved through the Gram matrix.  The iterate stays
+    nonnegative, so the residual is an upper bound even if the loop ends early."""
+    n = len(lifted)
+    b, lam, passive = lifted[v], np.zeros(n), np.zeros(n, dtype=bool)
+    grad_tol = 1e-12 * n * gram.diagonal().max()
+    try:
+        for _ in range(3 * n):
+            grad = lifted @ (b - lam @ lifted)
+            grad[passive] = -np.inf
+            grad[v] = -np.inf
+            j = int(np.argmax(grad))
+            if grad[j] <= grad_tol:
+                break
+            passive[j] = True
+            while True:
+                idx = np.flatnonzero(passive)
+                s = np.linalg.solve(gram[np.ix_(idx, idx)], gram[idx, v])
+                if (s > 0).all():
+                    lam[idx] = s
+                    break
+                # Step toward s until the first coordinate hits zero; free it.
+                cur, neg = lam[idx], np.flatnonzero(s <= 0)
+                ratios = cur[neg] / (cur[neg] - s[neg])
+                k = int(np.argmin(ratios))
+                lam[idx] = cur + ratios[k] * (s - cur)
+                lam[idx[neg[k]]] = 0.0
+                passive[idx[lam[idx] <= 0]] = False
+                lam[~passive] = 0.0
+    except np.linalg.LinAlgError:
+        pass
+    return float(np.linalg.norm(b - lam @ lifted))
 
 
 def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict",
@@ -303,9 +347,10 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
         raise ValueError(f"coords must be {n} x {d}")
     if mode not in ("strict", "weak"):
         raise ValueError("mode must be 'strict' or 'weak'")
+    if not np.isfinite(coords).all():
+        raise ValueError("coords must be finite")
 
-    diffs = coords[:, None, :] - coords[None, :, :]
-    dist = np.linalg.norm(diffs, axis=-1)
+    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
     if dist.min() <= tol:
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
@@ -318,10 +363,11 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
     messages = []
     facet_reports = []
     normals = []
+    vertex_normals = np.zeros((n, d))
     valid = True
     for facet in polytope.facets:
-        pts = coords[list(facet)]
-        normal, c, residual = _facet_hyperplane(pts)
+        idx = list(facet)
+        normal, c, residual = _facet_hyperplane(coords[idx])
         rest = [v for v in range(n) if v not in facet]
         signed = (coords[rest] - c) @ normal if rest else np.array([0.0])
         # Orient the normal outward: non-facet vertices on the negative side.
@@ -340,8 +386,16 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
             messages.append(f"vertices on both sides of facet {facet}")
         facet_reports.append(FacetReport(facet, float(residual), margin))
         normals.append(normal)
+        vertex_normals[idx] += normal
 
-    vertex_extreme = tuple(_vertex_is_extreme(coords, i) for i in range(n))
+    # Extreme iff [c_v, 1] is farther than tol from the cone of the other
+    # lifted points; the certificate settles most vertices, NNLS the rest.
+    extreme = _certified_extreme(centered, vertex_normals, tol)
+    lifted = np.hstack([centered, np.ones((n, 1))])
+    gram = lifted @ lifted.T
+    for v in np.flatnonzero(~extreme):
+        extreme[v] = _cone_residual(lifted, gram, v) > tol
+    vertex_extreme = tuple(bool(e) for e in extreme)
 
     flat_pairs = []
     if valid and d >= 2:
@@ -403,20 +457,25 @@ def _pairing_graph(d: int, simplices) -> tuple[tuple[tuple[int, int], ...], bool
     return tuple(edges), is_tree(t, edges)
 
 
-def is_tree(t: int, edges) -> bool:
-    """Is the graph on nodes 0..t-1 a tree, i.e. connected with t - 1 edges?"""
+def bfs_order(t: int, edges) -> list[tuple[int, int | None]]:
+    """Breadth-first (node, parent) pairs from node 0, children in index order."""
     adjacency = {i: [] for i in range(t)}
     for i, j in edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
-    seen = {0} if t else set()
-    stack = [0] if t else []
-    while stack:
-        for v in adjacency[stack.pop()]:
+    order = [(0, None)] if t else []
+    seen = {0}
+    for u, _ in order:  # the list grows while it is read: a FIFO queue
+        for v in sorted(adjacency[u]):
             if v not in seen:
                 seen.add(v)
-                stack.append(v)
-    return len(seen) == t and len(edges) == t - 1
+                order.append((v, u))
+    return order
+
+
+def is_tree(t: int, edges) -> bool:
+    """Is the graph on nodes 0..t-1 a tree, i.e. connected with t - 1 edges?"""
+    return len(edges) == t - 1 and len(bfs_order(t, edges)) == t
 
 
 def triangulation(polytope: CombinatorialPolytope, simplices) -> Triangulation:

@@ -85,6 +85,27 @@ def test_non_finite_coordinate_is_malformed(tmp_path, literal):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["complete", "chain"])
+def test_non_finite_matrix_or_embedding_is_malformed(tmp_path, command, literal):
+    bad = float(literal)
+    if command == "complete":
+        args = [write_json(tmp_path / "M.json",
+                           {"rows": 2, "cols": 2, "data": [0.5, 0.0, bad, 0.5]})]
+        field = "data"
+    else:
+        doc = {"ambient_dimension": 3, "simplices": [[0, 1, 2]],
+               "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, bad, 0.5]]}
+        args = [write_json(tmp_path / "E.json", doc), "--base-dim", "2"]
+        field = "vertices[2]"
+    proc = run_cli(command, *args)
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "MalformedInput"
+    assert field in payload["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_schema_error_names_field(tmp_path):
     doc = square_doc()
     del doc["facets"]

@@ -1,6 +1,8 @@
 """Face lattices, shape validation, fans and face-pairing graphs."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from polycomp import (
     validate_shape,
 )
 from polycomp.generators import random_convex_polygon
+from polycomp.polytopes import _certified_extreme, _cone_residual
 
 
 def brute_force_lattice(n, facets):
@@ -199,3 +202,144 @@ def test_triangulation_must_cover_vertices():
     poly = ngon_polytope(4)
     with pytest.raises(InconsistentLattice):
         triangulation(poly, [[0, 1, 2], [0, 1, 2]])
+
+
+# --- extreme-vertex test: Farkas certificate plus Lawson-Hanson NNLS --------
+
+def cube_polytope(d):
+    verts = list(itertools.product((0, 1), repeat=d))
+    facets = [[i for i, v in enumerate(verts) if v[k] == side]
+              for k in range(d) for side in (0, 1)]
+    return build_polytope(d, 2**d, facets), np.array(verts, dtype=float) - 0.5
+
+
+def ngon_of_class(rng, n, cls):
+    """Convex n-gon; "weak" puts vertex k on its neighbours' chord, "reflex"
+    pulls it inside the hull.  Returns coords and k (None for "strict")."""
+    pts = random_convex_polygon(rng, n)
+    if cls == "strict":
+        return pts, None
+    k = int(rng.integers(n))
+    prev, nxt = pts[k - 1], pts[(k + 1) % n]
+    if cls == "weak":
+        pts[k] = prev + rng.uniform(0.3, 0.7) * (nxt - prev)
+    else:
+        mid = (prev + nxt) / 2.0
+        pts[k] = mid + rng.uniform(0.2, 0.4) * (pts.mean(axis=0) - mid)
+    return pts, k
+
+
+def hull_test_cases(seed=11):
+    """(polytope, coords, on-boundary vertex) triples: n-gons of every class,
+    perturbed 3- and 4-cubes and random point clouds on both lattices."""
+    rng = np.random.default_rng(seed)
+    for cls in ("strict", "weak", "reflex"):
+        for n in (5, 8, 13, 21):
+            coords, k = ngon_of_class(rng, n, cls)
+            yield ngon_polytope(n), coords, k if cls == "weak" else None
+    for d in (3, 4):
+        poly, x = cube_polytope(d)
+        for scale in (0.02, 0.3):
+            yield poly, x + scale * rng.standard_normal(x.shape), None
+    for n in (4, 7, 12):
+        yield ngon_polytope(n), rng.standard_normal((n, 2)), None
+    poly, _ = cube_polytope(3)
+    for _ in range(4):
+        yield poly, rng.standard_normal((8, 3)), None
+
+
+def clear_of_hull_boundary(coords, skip=None, gap=1e-6) -> bool:
+    """Is every vertex but ``skip`` farther than ``gap`` from the boundary of
+    the hull of the others?  (The signed facet-plane distances bound it.)"""
+    hull = pytest.importorskip("scipy.spatial").ConvexHull
+    for v in range(len(coords)):
+        if v == skip:
+            continue
+        eq = hull(np.delete(coords, v, axis=0)).equations
+        if abs((eq[:, :-1] @ coords[v] + eq[:, -1]).max()) <= gap:
+            return False
+    return True
+
+
+def lp_extreme(coords) -> tuple[bool, ...]:
+    """Oracle: vertex i is extreme iff no convex combination of the others hits it."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    flags = []
+    for i in range(len(coords)):
+        others = np.delete(coords, i, axis=0)
+        res = linprog(np.zeros(len(others)),
+                      A_eq=np.vstack([others.T, np.ones(len(others))]),
+                      b_eq=np.append(coords[i], 1.0), bounds=(0, None), method="highs")
+        flags.append(not res.success)
+    return tuple(flags)
+
+
+def test_vertex_extreme_matches_lp_oracle():
+    checked = 0
+    for poly, coords, skip in hull_test_cases():
+        if not clear_of_hull_boundary(coords, skip):
+            continue
+        report = validate_shape(poly, coords, "weak")
+        assert report.vertex_extreme == lp_extreme(coords)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("offset, extreme", [(1e-6, True), (1e-12, False), (-1e-12, False)])
+def test_vertex_extreme_near_chord(offset, extreme):
+    n = 6
+    coords = np.array([[np.cos(2 * np.pi * k / n), np.sin(2 * np.pi * k / n)]
+                       for k in range(n)])
+    outward = (coords[0] + coords[2]) / np.linalg.norm(coords[0] + coords[2])
+    coords[1] = (coords[0] + coords[2]) / 2 + offset * outward
+    report = validate_shape(ngon_polytope(n), coords, "weak")
+    assert report.vertex_extreme == (True, extreme, True, True, True, True)
+
+
+def test_certificate_implies_nnls_extreme():
+    rng = np.random.default_rng(12)
+    tol = 1e-9
+    certified = 0
+    for poly, coords, _ in hull_test_cases(seed=13):
+        n, d = coords.shape
+        centered = coords - coords.mean(axis=0)
+        lifted = np.hstack([centered, np.ones((n, 1))])
+        gram = lifted @ lifted.T
+        # With the facet normals validate_shape uses: same flags as NNLS alone.
+        nnls = tuple(_cone_residual(lifted, gram, v) > tol for v in range(n))
+        assert validate_shape(poly, coords, "weak").vertex_extreme == nnls
+        # Any direction yields a valid certificate; try radial and random ones.
+        for normals in (centered, rng.standard_normal((n, d))):
+            proven = _certified_extreme(centered, normals, tol)
+            for v in np.flatnonzero(proven):
+                assert _cone_residual(lifted, gram, v) > tol
+            certified += int(proven.sum())
+    assert certified > 100
+
+
+def test_vertex_extreme_translation_invariant():
+    for poly, coords, _ in hull_test_cases(seed=14):
+        report = validate_shape(poly, coords, "weak")
+        moved = validate_shape(poly, coords + 1e3, "weak")
+        assert moved.vertex_extreme == report.vertex_extreme
+
+
+def test_validate_rejects_non_finite(unit_square):
+    coords = unit_square.coords.copy()
+    coords[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        validate_shape(unit_square.polytope, coords)
+
+
+def test_passes_follows_mode():
+    poly = ngon_polytope(5)
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 2.0], [-1.0, 2.0]])
+    report = validate_shape(poly, coords, "weak")
+    assert report.passes("weak") and not report.passes("strict")
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, polycomp, polycomp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

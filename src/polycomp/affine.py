@@ -79,21 +79,23 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
 
 
 def restricted_singular_values(source, target) -> np.ndarray:
-    """Singular values of the affine map between simplices in mixed dimensions.
+    """Singular values of the affine maps between k-simplices in mixed dimensions.
 
-    The source simplex may live in a higher-dimensional space than its own
+    Source and target are (..., k+1, D_s) and (..., k+1, D_t) stacks.  Each
+    source simplex may live in a higher-dimensional space than its own
     affine hull; the map is measured relative to the intrinsic (isometric)
     coordinates of that hull.  Used to certify that dropping coordinates is
-    a per-simplex weak compression.
+    a per-simplex weak compression.  Raises ``SingularSimplex`` when a
+    source simplex is affinely degenerate; ``index`` names the first.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
-    e_src = (src[1:] - src[0]).T  # (D_s, d)
-    e_tgt = (tgt[1:] - tgt[0]).T
+    e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
+    e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
     _, r = np.linalg.qr(e_src)
-    d = e_src.shape[1]
-    cond = np.abs(np.diag(r))
-    if cond.min() <= DET_TOL * max(1.0, cond.max()):
-        raise SingularSimplex("source simplex is affinely degenerate")
-    m = np.linalg.solve(r.T, e_tgt.T).T  # target edges in intrinsic coordinates
-    return np.linalg.svd(m, compute_uv=False)
+    cond = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    bad = np.flatnonzero(cond.min(axis=-1) <= DET_TOL * np.maximum(1.0, cond.max(axis=-1)))
+    if bad.size:
+        raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
+    m = np.linalg.solve(np.swapaxes(r, -1, -2), e_tgt)  # target edges, intrinsic coords
+    return np.linalg.svd(np.swapaxes(m, -1, -2), compute_uv=False)

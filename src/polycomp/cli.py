@@ -72,6 +72,7 @@ file formats (JSON, UTF-8):
   matrix         {"rows": r, "cols": c, "data": [row-major floats]}
   embedding      {"ambient_dimension": D, "vertices": [[float, ...], ...],
                   "simplices": [[int, ...], ...], "stages": optional}
+                  (each simplex lists base-dim + 1 vertex indices)
   sequence       JSON array of shape objects
 exit codes: 0 success, 1 validation failure, 2 numerical failure
 (singular simplex, not a contraction, infeasible apex), 3 malformed input.
@@ -229,9 +230,9 @@ def _parse_point(text, label) -> PointOnShape:
         raise MalformedInput(f"--pair {label}: 'face' must list vertex indices")
     weights = doc.get("weights")
     if weights is not None:
-        if (not isinstance(weights, list) or len(weights) != len(face)
-                or any(not isinstance(x, (int, float)) for x in weights)):
-            raise MalformedInput(f"--pair {label}: 'weights' must match 'face'")
+        if not io._finite_numbers(weights, len(face)):
+            raise MalformedInput(f"--pair {label}: 'weights' must be finite numbers "
+                                 "matching 'face'")
         weights = tuple(float(x) for x in weights)
     return PointOnShape(face=tuple(face), weights=weights)
 
@@ -342,6 +343,9 @@ def cmd_chain(args):
     d = args.base_dim
     if not 1 <= d <= big_d:
         raise MalformedInput("--base-dim must be between 1 and the ambient dimension")
+    if any(len(s) != d + 1 for s in simplices):
+        raise MalformedInput(f"{args.embedding}: every simplex must list base-dim + 1 "
+                             f"= {d + 1} vertex indices")
     chain = projection_chain(coords, d, simplices)
     alphas = [s.alpha_max_vs_prev for s in chain.stages if s.alpha_max_vs_prev is not None]
     payload = {

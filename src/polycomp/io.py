@@ -154,10 +154,10 @@ def load_embedding(path) -> tuple[int, np.ndarray, list[list[int]]]:
         raise MalformedInput(f"{path}: embedding document must be a JSON object")
     big_d = _require(doc, path, "ambient_dimension", int)
     vertices = _require(doc, path, "vertices", list)
-    if "simplices" not in doc:
-        raise MalformedInput(f"{path}: missing field 'simplices' "
+    simplices = doc.get("simplices")
+    if not isinstance(simplices, list) or not simplices:
+        raise MalformedInput(f"{path}: field 'simplices' must be a nonempty list "
                              "(needed to classify projection stages)")
-    simplices = doc["simplices"]
     for i, row in enumerate(vertices):
         if not _finite_numbers(row, big_d):
             raise MalformedInput(f"{path}: field 'vertices[{i}]' must be "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import affine_correspondence, restricted_singular_values
-from .barycentric import triangulation_map
+from .barycentric import barycentric_complex, chain_simplex_coords, triangulation_map
 from .errors import (
     InconsistentLattice,
     InfeasibleApex,
@@ -162,8 +162,6 @@ def _simplex_volume(coords: np.ndarray) -> float:
 
 def _shape_volume(shape: Shape) -> float:
     """Volume of the realization, summed over barycentric chain simplices."""
-    from .barycentric import barycentric_complex, chain_simplex_coords
-
     if shape.polytope.is_simplex:
         return _simplex_volume(shape.coords)
     return _simplex_volume(chain_simplex_coords(barycentric_complex(shape.polytope), shape))
@@ -203,14 +201,12 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
     n = p.polytope.vertex_count
     big_d = d * (t + 1)
     coords = np.zeros((n, big_d))
-    placed = np.zeros(n, dtype=bool)
 
     order = bfs_order(len(tri.simplices), tri.pairing_edges)
     root = tri.simplices[order[0][0]]
     root_idx = list(root)
     lifted = lift_simplex(p.coords[root_idx], q.coords[root_idx])
     coords[root_idx, : 2 * d] = lifted
-    placed[root_idx] = True
 
     next_col = 2 * d
     for simp_index, parent_index in order[1:]:
@@ -249,30 +245,35 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
         coords[apex, :d] = qa
         coords[apex, d:z0] = w
         coords[apex, z0] = np.sqrt(max(s, 0.0))
-        placed[apex] = True
 
     return PleatedEmbedding(ambient_dimension=big_d, coords=coords,
                             triangulation=tri, source=p, target=q)
 
 
-def isometry_residual(lifted: np.ndarray, source: np.ndarray) -> float:
-    """Largest change of a pairwise distance between corresponding points."""
-    res = 0.0
-    for i in range(len(source)):
-        for j in range(i + 1, len(source)):
-            res = max(res, abs(np.linalg.norm(lifted[i] - lifted[j])
-                               - np.linalg.norm(source[i] - source[j])))
-    return float(res)
+def isometry_residual(lifted, source) -> float | np.ndarray:
+    """Largest change of a pairwise distance between corresponding points, per
+    point set of a (..., k+1, D) stack; a float for a single set."""
+    lifted = np.asarray(lifted, dtype=float)
+    source = np.asarray(source, dtype=float)
+    i, j = np.triu_indices(source.shape[-2], 1)
+    res = np.abs(np.linalg.norm(lifted[..., i, :] - lifted[..., j, :], axis=-1)
+                 - np.linalg.norm(source[..., i, :] - source[..., j, :], axis=-1)
+                 ).max(axis=-1, initial=0.0)
+    return float(res) if res.ndim == 0 else res
 
 
-def _perp_to_face(points: np.ndarray, base: np.ndarray, apex: np.ndarray) -> np.ndarray:
-    """Component of (apex - base) orthogonal to the span of (points - base)."""
-    r = apex - base
-    if len(points):
-        dirs = points - base
-        qmat, _ = np.linalg.qr(dirs.T)
-        r = r - qmat @ (qmat.T @ r)
-    return r
+def _fold_angle(coords: np.ndarray, face, a: int, b: int) -> float:
+    """Angle at ``face`` between vertices a and b, orthogonal to its span (pi = flat)."""
+    base = coords[face[0]]
+    ra = coords[a] - base
+    rb = coords[b] - base
+    if len(face) > 1:
+        qmat, _ = np.linalg.qr((coords[list(face[1:])] - base).T)
+        ra = ra - qmat @ (qmat.T @ ra)
+        rb = rb - qmat @ (qmat.T @ rb)
+    cosang = float(np.clip(np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb)),
+                           -1.0, 1.0))
+    return float(np.arccos(cosang))
 
 
 @dataclass(frozen=True)
@@ -316,9 +317,6 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
     d = p.polytope.dimension
     tri = pe.triangulation
 
-    residuals = [isometry_residual(pe.coords[list(s)], p.coords[list(s)])
-                 for s in tri.simplices]
-
     projection_residual = float(np.abs(pe.coords[:, :d] - q.coords).max())
 
     folds = []
@@ -326,14 +324,8 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
         shared = sorted(set(tri.simplices[i]) & set(tri.simplices[j]))
         apex_i = next(v for v in tri.simplices[i] if v not in shared)
         apex_j = next(v for v in tri.simplices[j] if v not in shared)
-        base = pe.coords[shared[0]]
-        span_pts = pe.coords[shared[1:]] if len(shared) > 1 else np.empty((0, pe.ambient_dimension))
-        ri = _perp_to_face(span_pts, base, pe.coords[apex_i])
-        rj = _perp_to_face(span_pts, base, pe.coords[apex_j])
-        cosang = float(np.clip(np.dot(ri, rj) / (np.linalg.norm(ri) * np.linalg.norm(rj)),
-                               -1.0, 1.0))
         folds.append(FacetFold(simplices=(i, j), shared_vertices=tuple(shared),
-                               dihedral=float(np.arccos(cosang))))
+                               dihedral=_fold_angle(pe.coords, shared, apex_i, apex_j)))
 
     ridges = {}
     if d >= 2:
@@ -341,16 +333,8 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
             for drop in range(d + 1):
                 for drop2 in range(drop + 1, d + 1):
                     tau = tuple(v for k, v in enumerate(s) if k not in (drop, drop2))
-                    a, b = s[drop], s[drop2]
-                    base = pe.coords[tau[0]]
-                    span_pts = (pe.coords[list(tau[1:])] if len(tau) > 1
-                                else np.empty((0, pe.ambient_dimension)))
-                    ra = _perp_to_face(span_pts, base, pe.coords[a])
-                    rb = _perp_to_face(span_pts, base, pe.coords[b])
-                    cosang = float(np.clip(
-                        np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb)),
-                        -1.0, 1.0))
-                    ridges.setdefault(tau, []).append((si, float(np.arccos(cosang))))
+                    angle = _fold_angle(pe.coords, tau, s[drop], s[drop2])
+                    ridges.setdefault(tau, []).append((si, angle))
 
     ridge_reports = []
     for tau in sorted(ridges):
@@ -365,8 +349,9 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
             strictly_below_pi=bool(total < np.pi - 1e-9),
         ))
 
+    idx = np.array(tri.simplices)
     return PleatValidityReport(
-        isometry_residuals=np.array(residuals),
+        isometry_residuals=isometry_residual(pe.coords[idx], p.coords[idx]),
         projection_residual=projection_residual,
         facet_folds=tuple(folds),
         ridge_angle_sums=tuple(ridge_reports),
@@ -405,29 +390,17 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
-    simplices = [list(s) for s in simplices]
+    idx = np.array(simplices, dtype=int)  # (t, k+1)
+    stack = coords[idx]
+    base = stack if source is None else source.coords[idx]
     stages = []
-    prev = None
     for dim in range(big_d, d - 1, -1):
-        cur = coords[:, :dim]
+        cur = stack[..., :dim]
         alphas_prev = None
-        if prev is not None:
-            alphas_prev = np.array([
-                float(restricted_singular_values(prev[s], cur[s]).max() ** 2)
-                for s in simplices
-            ])
-        base = coords if source is None else source.coords
-        alphas_src = np.array([
-            float(restricted_singular_values(base[s], cur[s]).max() ** 2)
-            for s in simplices
-        ])
-        stages.append(ProjectionStage(
-            ambient_dimension=dim,
-            coords=cur,
-            per_simplex_alpha_vs_prev=alphas_prev,
-            per_simplex_alpha_vs_source=alphas_src,
-        ))
-        prev = cur
+        if dim < big_d:
+            alphas_prev = restricted_singular_values(stack[..., :dim + 1], cur).max(axis=-1) ** 2
+        alphas_src = restricted_singular_values(base, cur).max(axis=-1) ** 2
+        stages.append(ProjectionStage(dim, coords[:, :dim], alphas_prev, alphas_src))
     final_residual = 0.0
     if target is not None:
         final_residual = float(np.abs(stages[-1].coords - target.coords).max())

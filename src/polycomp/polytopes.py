@@ -196,6 +196,8 @@ class Shape:
             )
         if self.mode not in ("strict", "weak"):
             raise ValueError("mode must be 'strict' or 'weak'")
+        if not np.isfinite(coords).all():
+            raise ValueError("coords must be finite")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 

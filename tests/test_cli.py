@@ -262,6 +262,48 @@ def test_perturb_with_pair(tmp_path):
     assert payload["pair_derivative"] == pytest.approx(-4 / np.sqrt(9.25), abs=1e-5)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_perturb_non_finite_weights_are_malformed(tmp_path, literal):
+    p = write_json(tmp_path / "square.json", square_doc())
+    v = write_json(tmp_path / "V.json", {"rows": 4, "cols": 2, "data": [0.0] * 8})
+    proc = run_cli("perturb", p, v, "--pair",
+                   f'{{"face": [0, 1], "weights": [{literal}, 0.5]}}', '{"face": [2]}')
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "MalformedInput"
+    assert "weights" in payload["message"]
+
+
+POINTS_3D = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("simplices,field", [
+    (5, "'simplices'"),
+    ([], "'simplices'"),
+    ([[]], "base-dim + 1"),
+    ([[0]], "base-dim + 1"),
+    ([[0, 1, 2, 3, 4]], "base-dim + 1"),
+    ([[0, 1, 2], [0, 1, 2, 3]], "base-dim + 1"),
+], ids=["int", "empty", "empty-simplex", "one-vertex", "five-vertices", "mixed-sizes"])
+def test_chain_rejects_malformed_simplices(tmp_path, simplices, field):
+    doc = {"ambient_dimension": 3, "vertices": POINTS_3D, "simplices": simplices}
+    proc = run_cli("chain", write_json(tmp_path / "E.json", doc), "--base-dim", "2")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)  # exactly one JSON document
+    assert payload["error"] == "MalformedInput"
+    assert field in payload["message"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_chain_repeated_vertex_is_singular(tmp_path):
+    doc = {"ambient_dimension": 3, "vertices": POINTS_3D, "simplices": [[0, 1, 2], [3, 3, 4]]}
+    proc = run_cli("chain", write_json(tmp_path / "E.json", doc), "--base-dim", "2")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": "SingularSimplex",
+                                       "message": "source simplex is affinely degenerate"}
+
+
 def test_perturb_simplex_verdict(tmp_path):
     tri_doc = {
         "dimension": 2, "vertex_count": 3,

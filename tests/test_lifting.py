@@ -10,6 +10,7 @@ from polycomp import (
     NotPSD,
     NotTree,
     Shape,
+    SingularSimplex,
     Triangulation,
     fan_triangulation,
     lift_simplex,
@@ -20,6 +21,7 @@ from polycomp import (
     pleated_projection_chain,
     projection_chain,
     projection_is_compression,
+    restricted_singular_values,
     scale_critical,
     simplex_polytope,
     symmetric_sqrt,
@@ -29,6 +31,7 @@ from polycomp.generators import (
     random_convex_polygon,
     random_simplex_coords,
 )
+from polycomp.lifting import isometry_residual
 
 
 def pairwise_distance_residual(lifted, source):
@@ -254,3 +257,114 @@ def test_projection_chain_matches_single_lift(rng):
     assert [s.ambient_dimension for s in chain.stages] == [4, 3, 2]
     for stage in chain.stages[1:]:
         assert stage.alpha_max_vs_prev <= 1.0 + 1e-9
+
+
+# Stacked kernels against per-simplex loop references ----------------------
+
+
+def reference_restricted_svals(src, tgt):
+    """One simplex: target edges in an orthonormal frame of the source hull."""
+    _, r = np.linalg.qr((src[1:] - src[0]).T)
+    return np.linalg.svd(np.linalg.solve(r.T, tgt[1:] - tgt[0]).T, compute_uv=False)
+
+
+def reference_perp_to_face(points, base, apex):
+    """Component of (apex - base) orthogonal to the span of (points - base)."""
+    r = apex - base
+    if len(points):
+        qmat, _ = np.linalg.qr((points - base).T)
+        r = r - qmat @ (qmat.T @ r)
+    return r
+
+
+def reference_angle(coords, face, a, b):
+    base = coords[face[0]]
+    span = coords[list(face[1:])]
+    ra = reference_perp_to_face(span, base, coords[a])
+    rb = reference_perp_to_face(span, base, coords[b])
+    return float(np.arccos(np.clip(
+        np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb)), -1.0, 1.0)))
+
+
+def pleated_polygon(rng, n=9, apex=2):
+    poly = ngon_polytope(n)
+    coords = random_convex_polygon(rng, n)
+    p = Shape(poly, coords)
+    q = Shape(poly, coords @ random_contraction(rng, 2, sigma_range=(0.3, 0.95)).T)
+    return pleated_embedding(p, q, fan_triangulation(poly, apex))
+
+
+def test_stacked_restricted_svals_match_loop_on_pleat(rng):
+    pe = pleated_polygon(rng)
+    idx = np.array(pe.triangulation.simplices)
+    chain = pleated_projection_chain(pe)
+    for stage, prev in zip(chain.stages, (None,) + chain.stages[:-1]):
+        cur = stage.coords[idx]
+        src = pe.source.coords[idx]
+        want = [reference_restricted_svals(s, t).max() ** 2 for s, t in zip(src, cur)]
+        np.testing.assert_allclose(stage.per_simplex_alpha_vs_source, want, rtol=1e-12)
+        if prev is not None:
+            want = [reference_restricted_svals(s, t).max() ** 2
+                    for s, t in zip(prev.coords[idx], cur)]
+            np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, want, rtol=1e-12)
+    stacked = restricted_singular_values(pe.coords[idx], pe.source.coords[idx])
+    assert stacked.shape == (len(idx), 2)
+    for got, s, t in zip(stacked, pe.coords[idx], pe.source.coords[idx]):
+        np.testing.assert_allclose(got, reference_restricted_svals(s, t), rtol=1e-12)
+
+
+def test_stacked_restricted_svals_mixed_dimensions(rng):
+    src = rng.standard_normal((4, 5, 3, 6))  # triangles in R^6
+    tgt = rng.standard_normal((4, 5, 3, 2))  # onto triangles in R^2
+    got = restricted_singular_values(src, tgt)
+    assert got.shape == (4, 5, 2)
+    for i, j in np.ndindex(4, 5):
+        np.testing.assert_allclose(got[i, j], reference_restricted_svals(src[i, j], tgt[i, j]),
+                                   rtol=1e-12)
+
+
+def test_restricted_svals_name_first_degenerate_simplex(rng):
+    src = rng.standard_normal((6, 3, 4))
+    src[4, 2] = src[4, 0]  # repeated vertex
+    src[2, 2] = 0.5 * (src[2, 0] + src[2, 1])  # collinear
+    with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+        restricted_singular_values(src, src[..., :2])
+    assert exc.value.index == 2
+    with pytest.raises(SingularSimplex) as exc:
+        restricted_singular_values(src[3:], src[3:])
+    assert exc.value.index == 1
+
+
+def test_stacked_isometry_residual_matches_double_loop(rng):
+    lifted = rng.standard_normal((7, 4, 5))
+    source = rng.standard_normal((7, 4, 3))
+    got = isometry_residual(lifted, source)
+    want = [pairwise_distance_residual(a, b) for a, b in zip(lifted, source)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    single = isometry_residual(lifted[0], source[0])
+    assert isinstance(single, float)
+    assert single == pytest.approx(want[0], rel=1e-12)
+
+
+def test_fold_and_ridge_angles_match_perp_formula(rng):
+    pe = pleated_polygon(rng)
+    report = pleat_validity(pe)
+    tri = pe.triangulation
+    assert len(report.facet_folds) == len(tri.pairing_edges)
+    for fold in report.facet_folds:
+        i, j = fold.simplices
+        (a,) = set(tri.simplices[i]) - set(fold.shared_vertices)
+        (b,) = set(tri.simplices[j]) - set(fold.shared_vertices)
+        want = reference_angle(pe.coords, fold.shared_vertices, a, b)
+        assert fold.dihedral == pytest.approx(want, abs=1e-12)
+    assert report.ridge_angle_sums
+    for ridge in report.ridge_angle_sums:
+        want = 0.0
+        for si in ridge.simplices:
+            a, b = sorted(set(tri.simplices[si]) - set(ridge.vertices))
+            want += reference_angle(pe.coords, ridge.vertices, a, b)
+        assert ridge.angle_sum == pytest.approx(want, abs=1e-12)
+    np.testing.assert_allclose(
+        report.isometry_residuals,
+        [pairwise_distance_residual(pe.simplex_coords(k), pe.source.coords[list(s)])
+         for k, s in enumerate(tri.simplices)], rtol=1e-12, atol=1e-15)

@@ -14,6 +14,7 @@ from polycomp import (
     DuplicateVertex,
     InconsistentLattice,
     NotSimple,
+    Shape,
     build_polytope,
     face_pairing_graph,
     fan_triangulation,
@@ -329,6 +330,12 @@ def test_validate_rejects_non_finite(unit_square):
     coords[2, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         validate_shape(unit_square.polytope, coords)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shape_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="^coords must be finite$"):
+        Shape(ngon_polytope(3), [[0.0, 0.0], [1.0, bad], [0.0, 1.0]])
 
 
 def test_passes_follows_mode():

@@ -90,6 +90,8 @@ def restricted_singular_values(source, target) -> np.ndarray:
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
+    if src.shape[-2] > src.shape[-1] + 1:  # more than D+1 points are affinely dependent
+        raise SingularSimplex("source simplex is affinely degenerate", 0)
     e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
     e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
     _, r = np.linalg.qr(e_src)

@@ -390,6 +390,8 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
+    if len({len(s) for s in simplices}) > 1:
+        raise ValueError("every simplex must list the same number of vertices")
     idx = np.array(simplices, dtype=int)  # (t, k+1)
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]

@@ -25,8 +25,8 @@ def _deltas(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Simplex distances over (t, d+1, d) stacks; ``SingularSimplex`` names
     the first simplex degenerate in the target or, failing that, the source."""
     bad_tgt = degenerate(tgt)
-    bad = np.flatnonzero(bad_tgt | degenerate(src))
-    if bad.size:
+    if bad_tgt.any():  # else affine_correspondence names the first degenerate source
+        bad = np.flatnonzero(bad_tgt | degenerate(src))
         side = "target" if bad_tgt[bad[0]] else "source"
         raise SingularSimplex(f"{side} simplex is affinely degenerate", int(bad[0]))
     alphas = affine_correspondence(src, tgt).gram_eigenvalues()

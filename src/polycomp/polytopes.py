@@ -12,8 +12,9 @@ adjacent facets may flatten to a common hyperplane).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class CombinatorialPolytope:
     def edges(self) -> list[tuple[int, ...]]:
         return self.faces_of_dim(1)
 
-    @lru_cache(maxsize=32)
     def facet_pairs_sharing_ridge(self) -> tuple[tuple[int, int], ...]:
         """Pairs of facet indices whose intersection is a (d-2)-face."""
         face_set = {f: d for f, d in zip(self.faces, self.face_dims)}
@@ -73,19 +73,29 @@ class CombinatorialPolytope:
                     pairs.append((i, j))
         return tuple(pairs)
 
+    @cached_property
+    def facet_arrays(self) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """Read-only arrays for batched facet work: the (F, n) facet-vertex
+        incidence mask, ``(rows, vertices)`` groups of the facets with equal
+        vertex counts (facet indices ``(m,)`` and their vertices ``(m, size)``)
+        and the ``(P, 2)`` facet pairs sharing a ridge."""
+        on_facet = np.array([[v in f for v in range(self.vertex_count)] for f in self.facets])
+        sizes = on_facet.sum(axis=1)
+        # sorted(set()), not np.unique, which imports numpy.ma: slow in a cold CLI call
+        rows = [np.flatnonzero(sizes == s) for s in sorted(set(sizes.tolist()))]
+        groups = tuple((r, np.array([self.facets[i] for i in r])) for r in rows)
+        ridge_pairs = np.array(self.facet_pairs_sharing_ridge(), dtype=int).reshape(-1, 2)
+        for a in (on_facet, ridge_pairs, *(a for g in groups for a in g)):
+            a.setflags(write=False)
+        return on_facet, groups, ridge_pairs
+
 
 def _intersection_closure(facet_sets: list[frozenset], body: frozenset) -> set[frozenset]:
     faces = {body} | set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
-        new = set()
-        for f in frontier:
-            for g in faces:
-                h = f & g
-                if h and h not in faces and h not in new:
-                    new.add(h)
-        faces |= new
-        frontier = new
+        frontier = {f & g for f in frontier for g in faces} - faces - {frozenset()}
+        faces |= frontier
     return faces
 
 
@@ -95,8 +105,15 @@ def build_polytope(d: int, n: int, facets) -> CombinatorialPolytope:
     The face lattice is the intersection closure of the facet vertex sets;
     face dimension is ``d`` minus the number of facets containing the face.
     Raises ``NotSimple`` if some vertex is not in exactly ``d`` facets and
-    ``InconsistentLattice`` if the incidence data admits no lattice.
+    ``InconsistentLattice`` if the incidence data admits no lattice.  The
+    result is frozen, so it is cached and shared: equal facets (lists, tuples
+    or numpy rows) give one polytope.  Errors are not cached.
     """
+    return _build_polytope(d, n, tuple(tuple(map(operator.index, f)) for f in facets))
+
+
+@lru_cache(maxsize=32)
+def _build_polytope(d: int, n: int, facets: tuple) -> CombinatorialPolytope:
     if d < 1:
         raise ValueError("dimension must be positive")
     if n < d + 1:
@@ -104,9 +121,8 @@ def build_polytope(d: int, n: int, facets) -> CombinatorialPolytope:
     facet_sets = [frozenset(f) for f in facets]
     if any(not f for f in facet_sets):
         raise ValueError("facets must be nonempty")
-    for f in facet_sets:
-        if any(v < 0 or v >= n for v in f):
-            raise ValueError("facet vertex index out of range")
+    if any(v < 0 or v >= n for f in facet_sets for v in f):
+        raise ValueError("facet vertex index out of range")
     if len(set(facet_sets)) != len(facet_sets):
         raise InconsistentLattice("facets are not distinct")
     if len(facet_sets) < d + 1:
@@ -262,26 +278,6 @@ class ValidationReport:
         }
 
 
-def _facet_hyperplane(points: np.ndarray):
-    """Best-fit hyperplane of a facet: (unit normal, centroid, fit residual).
-
-    Returns residual = inf when the facet's own span is deficient, which
-    makes the realization invalid.
-    """
-    c = points.mean(axis=0)
-    d = points.shape[1]
-    if d == 1:
-        return np.array([1.0]), c, 0.0
-    centered = points - c
-    _, sv, vh = np.linalg.svd(centered, full_matrices=True)
-    normal = vh[-1]
-    sv = np.concatenate([sv, np.zeros(d - len(sv))])
-    if d >= 2 and len(points) >= d and sv[d - 2] <= COORD_TOL:
-        return normal, c, np.inf
-    residual = float(np.abs(centered @ normal).max()) if len(points) else 0.0
-    return normal, c, residual
-
-
 def _certified_extreme(centered: np.ndarray, vertex_normals: np.ndarray,
                        tol: float) -> np.ndarray:
     """Vertices proven extreme by a Farkas certificate, all at once.
@@ -362,55 +358,64 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
     if np.linalg.matrix_rank(centered, tol=1e-8 * max(1.0, np.abs(coords).max())) < d:
         raise DegenerateSpan("affine span of the vertices is below d")
 
+    # Fit every facet hyperplane: one SVD per group of facets of equal size.
+    on_facet, groups, ridge_pairs = polytope.facet_arrays
+    centroids = np.empty((len(on_facet), d))
+    normals = np.ones((len(on_facet), d))
+    deficient = np.zeros(len(on_facet), dtype=bool)
+    for rows, idx in groups:
+        points = coords[idx]
+        c = centroids[rows] = points.mean(axis=1)
+        if d > 1:
+            _, sv, vh = np.linalg.svd(points - c[:, None], full_matrices=True)
+            normals[rows] = vh[:, -1]
+            if idx.shape[1] >= d:
+                deficient[rows] = sv[:, d - 2] <= COORD_TOL
+
+    # Signed distances of every vertex from every facet hyperplane, (F, n);
+    # orient each normal outward, with the non-facet vertices on the negative side.
+    signed = ((coords - centroids[:, None]) @ normals[:, :, None])[..., 0]
+    flip = np.where(on_facet, 0.0, signed).sum(axis=1) > 0
+    normals[flip] *= -1
+    signed[flip] *= -1
+    margins = -np.where(on_facet, -np.inf, signed).max(axis=1)
+    residuals = np.where(on_facet & (d > 1), np.abs(signed), 0.0).max(axis=1)
+    residuals[deficient] = np.inf
+    facet_reports = tuple(FacetReport(f, r, m) for f, r, m in
+                          zip(polytope.facets, residuals.tolist(), margins.tolist()))
+    bad = (residuals > tol) | (margins < -tol)
+    valid = not bad.any()
+
     messages = []
-    facet_reports = []
-    normals = []
-    vertex_normals = np.zeros((n, d))
-    valid = True
-    for facet in polytope.facets:
-        idx = list(facet)
-        normal, c, residual = _facet_hyperplane(coords[idx])
-        rest = [v for v in range(n) if v not in facet]
-        signed = (coords[rest] - c) @ normal if rest else np.array([0.0])
-        # Orient the normal outward: non-facet vertices on the negative side.
-        if signed.sum() > 0:
-            normal, signed = -normal, -signed
-        margin = float(-signed.max()) if rest else np.inf
-        if not np.isfinite(residual):
-            valid = False
+    for k in np.flatnonzero(bad):
+        facet = polytope.facets[k]
+        if deficient[k]:
             messages.append(f"facet {facet} has deficient affine span")
-            residual = float("inf")
-        elif residual > tol:
-            valid = False
+        elif residuals[k] > tol:
             messages.append(f"facet {facet} vertices are not coplanar")
-        if margin < -tol:
-            valid = False
+        if margins[k] < -tol:
             messages.append(f"vertices on both sides of facet {facet}")
-        facet_reports.append(FacetReport(facet, float(residual), margin))
-        normals.append(normal)
-        vertex_normals[idx] += normal
 
     # Extreme iff [c_v, 1] is farther than tol from the cone of the other
     # lifted points; the certificate settles most vertices, NNLS the rest.
-    extreme = _certified_extreme(centered, vertex_normals, tol)
+    extreme = _certified_extreme(centered, on_facet.T @ normals, tol)
     lifted = np.hstack([centered, np.ones((n, 1))])
     gram = lifted @ lifted.T
     for v in np.flatnonzero(~extreme):
         extreme[v] = _cone_residual(lifted, gram, v) > tol
     vertex_extreme = tuple(bool(e) for e in extreme)
 
-    flat_pairs = []
+    flat_pairs = ()
     if valid and d >= 2:
-        for i, j in polytope.facet_pairs_sharing_ridge():
-            cosang = float(np.clip(np.dot(normals[i], normals[j]), -1.0, 1.0))
-            dihedral = np.pi - np.arccos(cosang)
-            if abs(np.pi - dihedral) <= FLAT_ANGLE_TOL:
-                flat_pairs.append((i, j))
+        i, j = ridge_pairs.T
+        cosang = np.clip((normals[i] * normals[j]).sum(axis=1), -1.0, 1.0)
+        dihedral = np.pi - np.arccos(cosang)
+        flat = np.abs(np.pi - dihedral) <= FLAT_ANGLE_TOL
+        flat_pairs = tuple(map(tuple, ridge_pairs[flat].tolist()))
 
     if not valid:
         verdict = "invalid"
-    elif (all(r.margin > tol for r in facet_reports)
-          and all(vertex_extreme)):
+    elif (margins > tol).all() and all(vertex_extreme):
         verdict = "strictly-convex"
     else:
         verdict = "weakly-convex"
@@ -420,9 +425,9 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
 
     return ValidationReport(
         verdict=verdict,
-        facet_reports=tuple(facet_reports),
+        facet_reports=facet_reports,
         vertex_extreme=vertex_extreme,
-        flat_facet_pairs=tuple(flat_pairs),
+        flat_facet_pairs=flat_pairs,
         messages=tuple(messages),
     )
 

@@ -132,6 +132,20 @@ def test_degenerate_chain_index_matches_loop():
             per_chain_deltas(p, q)
 
 
+def test_deltas_name_first_degenerate_side():
+    good = Shape(ngon_polytope(4), SQUARE * [2.0, 1.0])
+    late = collapsed_square(2, 1)
+    early = collapsed_square(3, 0)
+    complex_ = barycentric_complex(good.polytope)
+    # The source of (early, late) is degenerate at a lower chain index than its target.
+    for p, q, side in ((early, late, "source"), (late, early, "target"),
+                       (early, good, "source"), (good, late, "target")):
+        want = first_degenerate(*reference_simplices(p, q), check_target=True)
+        with pytest.raises(SingularSimplex, match=f"^{side} simplex") as exc:
+            _deltas(chain_simplex_coords(complex_, p), chain_simplex_coords(complex_, q))
+        assert exc.value.index == want
+
+
 def test_degenerate_triangulation_simplex_is_named():
     p = collapsed_square(2, 1)
     with pytest.raises(DegenerateSimplex, match=r"^simplex \(1, 2, 3\) is degenerate"):

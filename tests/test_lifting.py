@@ -335,6 +335,19 @@ def test_restricted_svals_name_first_degenerate_simplex(rng):
     assert exc.value.index == 1
 
 
+def test_restricted_svals_reject_too_many_points(rng):
+    # More than D + 1 points are always affinely dependent.
+    with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+        restricted_singular_values(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    assert exc.value.index == 0
+
+
+def test_projection_chain_rejects_ragged_simplices(rng):
+    coords = rng.standard_normal((5, 3))
+    with pytest.raises(ValueError, match="^every simplex must list the same number of vertices$"):
+        projection_chain(coords, 2, [[0, 1, 2], [1, 2, 3, 4]])
+
+
 def test_stacked_isometry_residual_matches_double_loop(rng):
     lifted = rng.standard_normal((7, 4, 5))
     source = rng.standard_normal((7, 4, 3))

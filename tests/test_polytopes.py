@@ -24,7 +24,7 @@ from polycomp import (
     validate_shape,
 )
 from polycomp.generators import random_convex_polygon
-from polycomp.polytopes import _certified_extreme, _cone_residual
+from polycomp.polytopes import COORD_TOL, FLAT_ANGLE_TOL, _certified_extreme, _cone_residual
 
 
 def brute_force_lattice(n, facets):
@@ -343,6 +343,135 @@ def test_passes_follows_mode():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 2.0], [-1.0, 2.0]])
     report = validate_shape(poly, coords, "weak")
     assert report.passes("weak") and not report.passes("strict")
+
+
+# --- batched facet fits against the per-facet loop ---------------------------
+
+def reference_validate(poly, coords, mode, tol=COORD_TOL):
+    """The per-facet loop that validate_shape batches: one SVD fit per facet,
+    vertex_extreme from NNLS alone.  Returns (verdict, vertex_extreme,
+    flat_facet_pairs, messages, residuals, margins)."""
+    n, d = coords.shape
+    residuals, margins, normals, messages = [], [], [], []
+    for facet in poly.facets:
+        points = coords[list(facet)]
+        c = points.mean(axis=0)
+        normal, residual = np.array([1.0]), 0.0
+        if d > 1:
+            _, sv, vh = np.linalg.svd(points - c, full_matrices=True)
+            normal = vh[-1]
+            residual = float(np.abs((points - c) @ normal).max())
+            if len(points) >= d and sv[d - 2] <= COORD_TOL:
+                residual = np.inf
+        rest = [v for v in range(n) if v not in facet]
+        signed = (coords[rest] - c) @ normal
+        if signed.sum() > 0:
+            normal, signed = -normal, -signed
+        margin = float(-signed.max())
+        if residual == np.inf:
+            messages.append(f"facet {facet} has deficient affine span")
+        elif residual > tol:
+            messages.append(f"facet {facet} vertices are not coplanar")
+        if margin < -tol:
+            messages.append(f"vertices on both sides of facet {facet}")
+        residuals.append(residual)
+        margins.append(margin)
+        normals.append(normal)
+    valid = not messages
+    centered = coords - coords.mean(axis=0)
+    lifted = np.hstack([centered, np.ones((n, 1))])
+    gram = lifted @ lifted.T
+    extreme = tuple(_cone_residual(lifted, gram, v) > tol for v in range(n))
+    flat = []
+    if valid and d >= 2:
+        for i, j in poly.facet_pairs_sharing_ridge():
+            cosang = float(np.clip(np.dot(normals[i], normals[j]), -1.0, 1.0))
+            if abs(np.pi - (np.pi - np.arccos(cosang))) <= FLAT_ANGLE_TOL:
+                flat.append((i, j))
+    if not valid:
+        verdict = "invalid"
+    elif min(margins) > tol and all(extreme):
+        verdict = "strictly-convex"
+    else:
+        verdict = "weakly-convex"
+        if mode == "strict":
+            messages.append("shape is only weakly convex")
+    return verdict, extreme, tuple(flat), tuple(messages), residuals, margins
+
+
+def batched_validation_cases(seed=21):
+    """(label, polytope, coords): n-gons of every class and random clouds;
+    3- and 4-cubes exact, with two adjacent facets flattened, perturbed off
+    coplanar, with a facet squashed onto a line, and random; a tetrahedron
+    and a segment; each at three coordinate scales."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for cls in ("strict", "weak", "reflex"):
+        for n in (5, 8, 13):
+            cases.append((f"{cls}-{n}-gon", ngon_polytope(n), ngon_of_class(rng, n, cls)[0]))
+    for n in (4, 7):
+        cases.append((f"cloud-{n}-gon", ngon_polytope(n), rng.standard_normal((n, 2))))
+    for d in (3, 4):
+        poly, x = cube_polytope(d)
+        flat = x.copy()
+        flat[(x[:, 0] > 0) & (x[:, 1] > 0), :2] = 0.0  # facets x0=+, x1=+ on x0+x1=0
+        squashed = x.copy()
+        on = np.flatnonzero(x[:, 0] > 0)
+        squashed[on, 1:] = np.linspace(-0.6, 0.6, len(on))[:, None]
+        cases += [(f"{d}-cube", poly, x), (f"flat-{d}-cube", poly, flat),
+                  (f"bent-{d}-cube", poly, x + 0.02 * rng.standard_normal(x.shape)),
+                  (f"squashed-{d}-cube", poly, squashed),
+                  (f"cloud-{d}-cube", poly, rng.standard_normal(x.shape))]
+    cases.append(("tetrahedron", simplex_polytope(3), rng.standard_normal((4, 3))))
+    cases.append(("segment", simplex_polytope(1), np.array([[2.0], [-1.0]])))
+    return [(f"{label}-x{scale:g}", poly, coords * scale)
+            for label, poly, coords in cases for scale in (1e-3, 1.0, 1e3)]
+
+
+@pytest.mark.parametrize("label,poly,coords", batched_validation_cases(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_batched_validate_matches_per_facet_loop(label, poly, coords):
+    for mode in ("strict", "weak"):
+        report = validate_shape(poly, coords, mode)
+        verdict, extreme, flat, messages, residuals, margins = reference_validate(
+            poly, coords, mode)
+        assert (report.verdict, report.vertex_extreme, report.flat_facet_pairs,
+                report.messages) == (verdict, extreme, flat, messages)
+        atol = 1e-12 * np.abs(coords).max()
+        np.testing.assert_allclose([r.residual for r in report.facet_reports], residuals,
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose([r.margin for r in report.facet_reports], margins,
+                                   rtol=0, atol=atol)
+
+
+def test_batched_validation_cases_cover_every_outcome():
+    seen = set()
+    for _, poly, coords in batched_validation_cases():
+        report = validate_shape(poly, coords, "strict")
+        seen.add(report.verdict)
+        seen.update(m.split(") ", 1)[-1] for m in report.messages)
+        seen.add("flat" if report.flat_facet_pairs else "no flat")
+    assert seen >= {"strictly-convex", "weakly-convex", "invalid", "flat", "no flat",
+                    "has deficient affine span", "vertices are not coplanar",
+                    "shape is only weakly convex"}
+    assert any(m.startswith("vertices on both sides") for m in seen)
+
+
+def test_build_polytope_shares_one_lattice_per_incidence():
+    facets = [[3, 4], [0, 1], [4, 0], [1, 2], [2, 3]]
+    from_rows = build_polytope(2, 5, np.array(facets))
+    assert build_polytope(2, 5, facets) is from_rows
+    assert build_polytope(2, 5, tuple(tuple(f) for f in facets)) is from_rows
+    assert all(type(v) is int for f in from_rows.facets for v in f)
+    assert ngon_polytope(8) is ngon_polytope(8)
+
+
+def test_build_polytope_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(NotSimple):
+            build_polytope(2, 5, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]])
+        with pytest.raises(InconsistentLattice):
+            build_polytope(2, 4, [[0, 1], [0, 1, 2], [2, 3], [3, 0]])
 
 
 def test_import_does_not_load_scipy():

@@ -90,6 +90,8 @@ def restricted_singular_values(source, target) -> np.ndarray:
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
+    if src.ndim < 2 or tgt.ndim < 2:
+        raise ValueError("simplices must be (..., k+1, D) vertex arrays")
     if src.shape[-2] > src.shape[-1] + 1:  # more than D+1 points are affinely dependent
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)

@@ -393,6 +393,10 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     if len({len(s) for s in simplices}) > 1:
         raise ValueError("every simplex must list the same number of vertices")
     idx = np.array(simplices, dtype=int)  # (t, k+1)
+    if idx.ndim != 2 or not idx.size:
+        raise ValueError("simplices must list at least one simplex")
+    if idx.min() < 0 or idx.max() >= len(coords):
+        raise ValueError(f"simplex vertex index out of range for {len(coords)} vertices")
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
     stages = []

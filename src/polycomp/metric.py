@@ -11,12 +11,13 @@ completion behaviour of the metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .affine import affine_correspondence, degenerate
-from .barycentric import barycentric_complex, chain_simplex_coords, require_same_polytope
-from .errors import DegenerateSimplex, SingularSimplex
+from .barycentric import barycentric_complex, chain_simplex_coords
+from .errors import DegenerateSimplex, PolytopeMismatch, SingularSimplex
 from .generators import random_rotation
 from .polytopes import Shape
 
@@ -33,22 +34,58 @@ def _deltas(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return np.log(alphas[:, -1] / alphas[:, 0])
 
 
+_BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long requests
+
+
+def _pair_deltas(shapes, pairs, *, chains: bool = False) -> np.ndarray:
+    """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs`` (with
+    ``chains``, the (len(pairs), t) chain deltas; a simplex polytope otherwise
+    has one chain, its vertex map), from chain stacks built once per shape and
+    solved in blocks of about ``_BLOCK`` simplices.  Every shape a pair names
+    must realize the first pair's polytope: the first pair naming one that
+    does not raises ``PolytopeMismatch`` once the pairs before it are solved.
+    A degenerate chain raises as a per-pair ``delta_polytope`` loop would."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
+        return np.zeros(0)
+    poly = shapes[pairs[0, 0]].polytope
+    same = np.array([s.polytope == poly for s in shapes])
+    mismatched = np.flatnonzero(~same[pairs].all(axis=1))
+    rows = (np.cumsum(same) - 1)[pairs[:mismatched[0]] if mismatched.size else pairs]
+    one_chain = poly.is_simplex and not chains
+    coords = ((lambda s: s.coords[None]) if one_chain
+              else partial(chain_simplex_coords, barycentric_complex(poly)))
+    x = np.stack([coords(s) for s, ok in zip(shapes, same) if ok])  # (S, t, d+1, d)
+    t = x.shape[1]
+    step = max(1, _BLOCK // t)
+    out = []
+    for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+        try:
+            d = _deltas(*(x[block[:, side]].reshape(-1, *x.shape[2:]) for side in (0, 1)))
+        except SingularSimplex as exc:
+            exc.index %= t  # the chain within its pair
+            raise DegenerateSimplex(str(exc) if one_chain
+                                    else f"chain {exc.index} is degenerate") from exc
+        d = d.reshape(-1, t)
+        out.append(d if chains else d.max(axis=1))
+    if mismatched.size:
+        raise PolytopeMismatch("shapes realize different combinatorial polytopes")
+    return np.concatenate(out)
+
+
 def delta_simplex(p: Shape, q: Shape) -> float:
     """Compression distance between two simplex shapes."""
     if not p.polytope.is_simplex or not q.polytope.is_simplex:
         raise ValueError("delta_simplex applies to simplex shapes")
-    require_same_polytope(p, q)
-    return float(_deltas(p.coords[None], q.coords[None])[0])
+    try:
+        return delta_polytope(p, q)
+    except DegenerateSimplex as exc:
+        raise exc.__cause__ from None
 
 
 def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
     """Simplex distances over corresponding barycentric chain simplices."""
-    require_same_polytope(p, q)
-    complex_ = barycentric_complex(p.polytope)
-    try:
-        return _deltas(chain_simplex_coords(complex_, p), chain_simplex_coords(complex_, q))
-    except SingularSimplex as exc:
-        raise DegenerateSimplex(f"chain {exc.index} is degenerate") from exc
+    return _pair_deltas((p, q), [(0, 1)], chains=True)[0]
 
 
 def delta_polytope(p: Shape, q: Shape) -> float:
@@ -58,13 +95,7 @@ def delta_polytope(p: Shape, q: Shape) -> float:
     the barycentric chains of a simplex all inherit that same map, so the
     two computations agree.
     """
-    require_same_polytope(p, q)
-    if p.polytope.is_simplex:
-        try:
-            return float(_deltas(p.coords[None], q.coords[None])[0])
-        except SingularSimplex as exc:
-            raise DegenerateSimplex(str(exc)) from exc
-    return float(per_chain_deltas(p, q).max())
+    return float(_pair_deltas((p, q), [(0, 1)])[0])
 
 
 def is_homothetic(p: Shape, q: Shape, tol: float = 1e-9) -> bool:
@@ -105,27 +136,21 @@ def metric_axiom_suite(shapes, *, seed: int = 0, tol_sym: float = 1e-12,
         raise ValueError("need at least three shapes")
     n = len(shapes)
     delta = np.zeros((n, n))
-    sym_viol = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                delta[i, j] = delta_polytope(shapes[i], shapes[j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(delta[i, j] - delta[j, i]) > tol_sym:
-                sym_viol.append((i, j, abs(delta[i, j] - delta[j, i])))
+    off = ~np.eye(n, dtype=bool)
+    delta[off] = _pair_deltas(shapes, np.argwhere(off))
+    asym = np.abs(delta - delta.T)
+    sym_viol = [(int(i), int(j), asym[i, j]) for i, j in np.argwhere(np.triu(asym > tol_sym, 1))]
 
     rng = np.random.default_rng(seed)
-    id_viol = []
     d = shapes[0].polytope.dimension
-    for i, s in enumerate(shapes):
+    moved = []
+    for s in shapes:
         lam = rng.uniform(0.1, 10.0)
         rot = random_rotation(rng, d)
         t = rng.uniform(-1.0, 1.0, d)
-        moved = s.scaled(lam).transformed(rotation=rot, translation=t)
-        dd = delta_polytope(s, moved)
-        if dd > tol_id:
-            id_viol.append((i, dd))
+        moved.append(s.scaled(lam).transformed(rotation=rot, translation=t))
+    id_deltas = _pair_deltas(shapes + moved, np.c_[np.arange(n), np.arange(n, 2 * n)])
+    id_viol = [(i, dd) for i, dd in enumerate(id_deltas.tolist()) if dd > tol_id]
 
     pos_viol = []
     for i in range(n):
@@ -136,14 +161,11 @@ def metric_axiom_suite(shapes, *, seed: int = 0, tol_sym: float = 1e-12,
             if not homothetic and delta[i, j] <= tol_pos:
                 pos_viol.append((i, j, delta[i, j], "distinct classes but delta ~ 0"))
 
-    tri_viol = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) == 3:
-                    excess = delta[i, k] - delta[i, j] - delta[j, k]
-                    if excess > tol_tri:
-                        tri_viol.append((i, j, k, excess))
+    # excess[i, j, k] = delta[i, k] - delta[i, j] - delta[j, k] over distinct i, j, k
+    excess = delta[:, None, :] - delta[:, :, None] - delta[None, :, :]
+    distinct = off[:, :, None] & off[None, :, :] & off[:, None, :]
+    tri_viol = [(int(i), int(j), int(k), excess[i, j, k])
+                for i, j, k in np.argwhere((excess > tol_tri) & distinct)]
 
     return MetricAxiomReport(
         count=n,
@@ -180,7 +202,10 @@ def is_cauchy(shapes, window: int, eps: float) -> CauchyResult:
 def converges_to(shapes, limit: Shape, eps: float, slack: float = 1e-9) -> bool:
     """Distances to the limit must fall below eps and trend monotonically
     down over the trailing quarter of the sequence."""
-    return _tail_converges([delta_polytope(s, limit) for s in shapes], eps, slack)
+    shapes = list(shapes)
+    n = len(shapes)
+    dists = _pair_deltas(shapes + [limit], np.c_[np.arange(n), np.full(n, n)])
+    return _tail_converges(dists, eps, slack)
 
 
 def _tail_converges(dists, eps: float, slack: float = 1e-9) -> bool:
@@ -208,16 +233,17 @@ def sequence_report(shapes, window: int, eps: float,
                     limit: Shape | None = None) -> SequenceReport:
     shapes = list(shapes)
     n = len(shapes)
+    iu = np.triu_indices(n, k=1)
+    pairs = np.column_stack(iu)
+    if limit is not None:  # the limit pairs ride in the same stacked solve
+        pairs = np.r_[pairs, np.c_[np.arange(n), np.full(n, n)]]
+        shapes = shapes + [limit]
+    deltas = _pair_deltas(shapes, pairs)
     delta = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            delta[i, j] = delta[j, i] = delta_polytope(shapes[i], shapes[j])
+    delta[iu] = delta[iu[::-1]] = deltas[:len(iu[0])]
     cauchy = _cauchy_scan(n, window, eps, lambda i, j: delta[i, j])
-    limit_deltas = None
-    conv = None
-    if limit is not None:
-        limit_deltas = np.array([delta_polytope(s, limit) for s in shapes])
-        conv = _tail_converges(limit_deltas, eps)
+    limit_deltas = None if limit is None else deltas[len(iu[0]):]
+    conv = None if limit is None else _tail_converges(limit_deltas, eps)
     return SequenceReport(delta_matrix=delta, window=window, eps=eps,
                           cauchy=cauchy.cauchy,
                           first_violation=cauchy.first_violation,

@@ -48,19 +48,9 @@ class CombinatorialPolytope:
     def faces_of_dim(self, k: int) -> list[tuple[int, ...]]:
         return [f for f, dk in zip(self.faces, self.face_dims) if dk == k]
 
-    def face_index(self, vertices) -> int:
-        return self.faces.index(tuple(sorted(vertices)))
-
-    def face_dim(self, vertices) -> int:
-        return self.face_dims[self.face_index(vertices)]
-
     @property
     def is_simplex(self) -> bool:
         return self.vertex_count == self.dimension + 1
-
-    @property
-    def edges(self) -> list[tuple[int, ...]]:
-        return self.faces_of_dim(1)
 
     def facet_pairs_sharing_ridge(self) -> tuple[tuple[int, int], ...]:
         """Pairs of facet indices whose intersection is a (d-2)-face."""
@@ -88,6 +78,14 @@ class CombinatorialPolytope:
         for a in (on_facet, ridge_pairs, *(a for g in groups for a in g)):
             a.setflags(write=False)
         return on_facet, groups, ridge_pairs
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only (E, 2) end vertices of the 1-faces, in face order (a 1-face
+        of a polytope has exactly two vertices)."""
+        edges = np.array([(f[0], f[-1]) for f in self.faces_of_dim(1)], dtype=np.intp)
+        edges.setflags(write=False)
+        return edges
 
 
 def _intersection_closure(facet_sets: list[frozenset], body: frozenset) -> set[frozenset]:
@@ -230,11 +228,6 @@ class Shape:
             c = c @ np.asarray(rotation, float).T
         if translation is not None:
             c = c + np.asarray(translation, float)
-        return Shape(self.polytope, c, self.mode, self.name)
-
-    def with_vertex(self, index: int, point) -> "Shape":
-        c = self.coords.copy()
-        c[index] = point
         return Shape(self.polytope, c, self.mode, self.name)
 
 

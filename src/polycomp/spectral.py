@@ -83,18 +83,12 @@ class Classification:
 def edge_contraction_check(p: Shape, q: Shape,
                            tol: float = DEFAULT_TOL) -> EdgeContractionReport:
     """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j}."""
-    edges = []
-    for face in p.polytope.faces_of_dim(1):
-        verts = sorted(face)
-        # 1-faces of an n-gon are its 2-vertex facets; higher faces of
-        # dimension 1 always have exactly two vertices in a polytope.
-        edges.append((verts[0], verts[-1]))
-    edges = tuple(edges)
-    src = np.array([np.linalg.norm(p.coords[i] - p.coords[j]) for i, j in edges])
-    tgt = np.array([np.linalg.norm(q.coords[i] - q.coords[j]) for i, j in edges])
+    edges = p.polytope.edge_array
+    diffs = [c[edges[:, 0]] - c[edges[:, 1]] for c in (p.coords, q.coords)]
+    src, tgt = (np.sqrt(np.vecdot(e, e)) for e in diffs)  # per-edge linalg.norm, bit for bit
     ratios = tgt / src
     return EdgeContractionReport(
-        edges=edges,
+        edges=tuple(map(tuple, edges.tolist())),
         source_lengths=src,
         target_lengths=tgt,
         ratios=ratios,

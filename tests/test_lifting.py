@@ -348,6 +348,24 @@ def test_projection_chain_rejects_ragged_simplices(rng):
         projection_chain(coords, 2, [[0, 1, 2], [1, 2, 3, 4]])
 
 
+@pytest.mark.parametrize("simplices,message", [
+    ([[0, 1, 2], [1, 2, 5]], "^simplex vertex index out of range for 5 vertices$"),
+    ([[0, 1, 2], [-1, 2, 3]], "^simplex vertex index out of range for 5 vertices$"),
+    ([], "^simplices must list at least one simplex$"),
+    ([[]], "^simplices must list at least one simplex$"),
+])
+def test_projection_chain_rejects_bad_simplices(rng, simplices, message):
+    with pytest.raises(ValueError, match=message):
+        projection_chain(rng.standard_normal((5, 3)), 2, simplices)
+
+
+def test_restricted_svals_reject_flat_arrays(rng):
+    with pytest.raises(ValueError, match=r"^simplices must be \(\.\.\., k\+1, D\) vertex arrays$"):
+        restricted_singular_values(rng.standard_normal(3), rng.standard_normal(3))
+    with pytest.raises(ValueError, match="^simplices must be"):
+        restricted_singular_values(rng.standard_normal((3, 2)), rng.standard_normal(2))
+
+
 def test_stacked_isometry_residual_matches_double_loop(rng):
     lifted = rng.standard_normal((7, 4, 5))
     source = rng.standard_normal((7, 4, 3))

@@ -1,5 +1,8 @@
 """Compression metric: axioms, invariances, Cauchy sequences, completion."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,11 @@ from hypothesis import strategies as st
 
 from polycomp import (
     DegenerateSimplex,
+    PolycompError,
+    PolytopeMismatch,
     Shape,
+    SingularSimplex,
+    build_polytope,
     converges_to,
     delta_polytope,
     delta_simplex,
@@ -16,10 +23,13 @@ from polycomp import (
     is_homothetic,
     metric_axiom_suite,
     ngon_polytope,
+    per_chain_deltas,
+    sequence_report,
     simplex_polytope,
     spectral_summary,
     validate_shape,
 )
+from polycomp import metric
 from polycomp.generators import random_polygon_shape, random_rotation, random_simplex_shape
 
 LN4 = 1.3862943611198906  # frozen: per-chain SVD oracle on square vs 2x1 rectangle
@@ -224,3 +234,223 @@ def test_delta_rejects_degenerate_limit():
         delta_polytope(good, bad)
     with pytest.raises(DegenerateSimplex):
         delta_polytope(bad, good)
+
+
+# --- stacked requests against a per-pair delta_polytope loop ---------------
+
+def loop_sequence(shapes, limit=None):
+    """Delta matrix and limit deltas, one delta_polytope call per pair."""
+    n = len(shapes)
+    delta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            delta[i, j] = delta[j, i] = delta_polytope(shapes[i], shapes[j])
+    if limit is None:
+        return delta, None
+    return delta, np.array([delta_polytope(s, limit) for s in shapes])
+
+
+def loop_axiom_suite(shapes, seed=0, tol_sym=1e-12, tol_id=1e-10, tol_tri=1e-9):
+    """Delta matrix and symmetry, identity and triangle violations, per pair and triple."""
+    n = len(shapes)
+    delta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                delta[i, j] = delta_polytope(shapes[i], shapes[j])
+    sym = [(i, j, abs(delta[i, j] - delta[j, i])) for i in range(n) for j in range(i + 1, n)
+           if abs(delta[i, j] - delta[j, i]) > tol_sym]
+    rng = np.random.default_rng(seed)
+    ident = []
+    d = shapes[0].polytope.dimension
+    for i, s in enumerate(shapes):
+        lam = rng.uniform(0.1, 10.0)
+        rot = random_rotation(rng, d)
+        t = rng.uniform(-1.0, 1.0, d)
+        dd = delta_polytope(s, s.scaled(lam).transformed(rotation=rot, translation=t))
+        if dd > tol_id:
+            ident.append((i, dd))
+    tri = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                excess = delta[i, k] - delta[i, j] - delta[j, k]
+                if len({i, j, k}) == 3 and excess > tol_tri:
+                    tri.append((i, j, k, excess))
+    return delta, tuple(sym), tuple(ident), tuple(tri)
+
+
+def octagon_family(rng, size, converging=True):
+    """Octagons whose vertex k moves onto its neighbours' chord, plus the weak limit."""
+    poly = ngon_polytope(8)
+    base = random_polygon_shape(rng, 8).coords
+    k = int(rng.integers(8))
+    flat = 0.5 * (base[k - 1] + base[(k + 1) % 8])
+    taus = [0.5 ** i if converging else 0.3 + 0.5 * (i % 2) for i in range(1, size + 1)]
+
+    def member(tau):
+        c = base.copy()
+        c[k] = flat + tau * (base[k] - flat)
+        return c
+
+    return [Shape(poly, member(t)) for t in taus], Shape(poly, member(0.0), mode="weak")
+
+
+def cube_sequence(size):
+    verts = np.array(list(itertools.product((0, 1), repeat=3)), dtype=float)
+    poly = build_polytope(3, 8, [[i for i, v in enumerate(verts) if v[k] == side]
+                                 for k in range(3) for side in (0, 1)])
+    seq = [Shape(poly, verts @ np.diag([1 + 1 / n, 1.0, 1 + 0.5 / n])) for n in range(1, size + 1)]
+    return seq, Shape(poly, verts)
+
+
+def simplex_sequence(rng, size):
+    p0 = random_simplex_shape(rng, 3)
+    return ([Shape(p0.polytope, p0.coords @ np.diag([1 + 1 / n, 1.0, 1 - 0.3 / n]))
+             for n in range(1, size + 1)], p0)
+
+
+def sequence_cases():
+    rng = np.random.default_rng(20240611)
+    for i in range(6):
+        yield f"octagon-{i}", *octagon_family(rng, 8, converging=i % 2 == 0)
+    yield "octagon-40", *octagon_family(rng, 40)
+    yield "3-cube", *cube_sequence(10)
+    yield "simplex", *simplex_sequence(rng, 12)
+
+
+@pytest.mark.parametrize("name,seq,limit", list(sequence_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_stacked_requests_match_per_pair_loop(name, seq, limit):
+    want, want_limit = loop_sequence(seq, limit)
+    report = sequence_report(seq, window=len(seq) // 2, eps=0.1, limit=limit)
+    assert (report.delta_matrix == want).all()
+    assert (report.limit_deltas == want_limit).all()
+    assert (sequence_report(seq, window=2, eps=0.1).delta_matrix == want).all()
+    m = max(2, len(seq) // 4)
+    tail = want_limit[-m:]
+    for eps in (1e-3, 0.1, 10.0):
+        expected = (tail < eps).all() and (np.diff(tail) <= 1e-9).all()
+        assert converges_to(seq, limit, eps) == expected
+    shapes = seq[:7] + [limit]
+    suite = metric_axiom_suite(shapes, seed=3, tol_tri=-0.05)
+    delta, sym, ident, tri = loop_axiom_suite(shapes, seed=3, tol_tri=-0.05)
+    assert (suite.delta_matrix == delta).all()
+    assert (suite.symmetry_violations, suite.identity_violations,
+            suite.triangle_violations) == (sym, ident, tri)
+    assert suite.triangle_violations  # the negative tolerance makes some
+
+
+def test_stacked_requests_on_empty_and_single_sequences(unit_square):
+    assert sequence_report([], window=0, eps=0.1).delta_matrix.shape == (0, 0)
+    report = sequence_report([unit_square], window=0, eps=0.1, limit=unit_square)
+    assert report.delta_matrix.shape == (1, 1) and report.limit_deltas.tolist() == [0.0]
+    assert converges_to([], unit_square, eps=0.1)
+
+
+def outcome(f, *args, **kwargs):
+    """Value, or the error's type, message and the chain index of its cause."""
+    try:
+        return f(*args, **kwargs)
+    except PolycompError as exc:
+        return type(exc), str(exc), getattr(exc.__cause__, "index", None)
+
+
+def collapsed(shape, gone, onto):
+    c = shape.coords.copy()
+    c[gone] = c[onto]
+    return Shape(shape.polytope, c, mode="weak")
+
+
+def assert_same_error(seq, limit, expected_type):
+    """Every stacked request raises what its per-pair loop raises first."""
+    want = outcome(loop_sequence, seq, limit)
+    assert isinstance(want, tuple) and want[0] is expected_type
+    assert outcome(sequence_report, seq, window=2, eps=0.1, limit=limit) == want
+    assert outcome(converges_to, seq, limit, 0.1) == outcome(
+        lambda: [delta_polytope(s, limit) for s in seq])
+    want_suite = outcome(loop_axiom_suite, seq + [limit])
+    assert want_suite[0] is expected_type
+    assert outcome(metric_axiom_suite, seq + [limit]) == want_suite
+    return want
+
+
+@pytest.mark.parametrize("pos", [0, 4, 7])
+@pytest.mark.parametrize("gone,onto", [(1, 0), (5, 4), (7, 6)])
+def test_degenerate_member_is_named_as_by_the_loop(pos, gone, onto):
+    seq, limit = octagon_family(np.random.default_rng(5), 8)
+    seq[pos] = collapsed(seq[pos], gone, onto)
+    assert_same_error(seq, limit, DegenerateSimplex)
+
+
+@pytest.mark.parametrize("gone", [0, 3, 7])
+def test_degenerate_limit_is_named_as_by_the_loop(gone):
+    seq, limit = octagon_family(np.random.default_rng(6), 8)
+    _, message, _ = assert_same_error(seq, collapsed(limit, gone, (gone + 1) % 8),
+                                      DegenerateSimplex)
+    assert message.startswith("chain ")
+
+
+def test_first_of_two_degenerate_members_is_named():
+    seq, limit = octagon_family(np.random.default_rng(7), 8)
+    early, late = collapsed(seq[2], 6, 5), collapsed(seq[5], 1, 0)
+    seq[2], seq[5] = early, late
+    _, message, chain = assert_same_error(seq, limit, DegenerateSimplex)
+    # member 2 fails first, in pair (0, 2), at a chain where member 5 is fine
+    assert outcome(delta_polytope, seq[0], early)[1:] == (message, chain)
+    assert outcome(delta_polytope, seq[0], late)[1] != message
+
+
+def test_mismatch_after_degenerate_pair_raises_the_degenerate_chain():
+    seq, limit = octagon_family(np.random.default_rng(8), 8)
+    hexagon = Shape(ngon_polytope(6), random_polygon_shape(np.random.default_rng(1), 6).coords)
+    bad = collapsed(seq[1], 3, 2)
+    assert_same_error([seq[0], bad] + seq[2:4] + [hexagon] + seq[5:], limit, DegenerateSimplex)
+    assert_same_error(seq[:3] + [hexagon, bad] + seq[5:], limit, PolytopeMismatch)
+    assert_same_error(seq, hexagon, PolytopeMismatch)
+    assert_same_error(seq[:6] + [collapsed(seq[6], 3, 2)], hexagon, DegenerateSimplex)
+
+
+def test_simplex_polytope_errors_name_the_side(triangle_pair):
+    p, q = triangle_pair
+    flat = Shape(p.polytope, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], mode="weak")
+    for seq, side in (([p, flat, q], "target"), ([flat, p, q], "source")):
+        _, message, chain = assert_same_error(seq, q, DegenerateSimplex)
+        assert (message, chain) == (f"{side} simplex is affinely degenerate", 0)
+    assert assert_same_error([p, q], flat, DegenerateSimplex)[1].startswith("target")
+    # delta_simplex raises the bare SingularSimplex; per_chain_deltas names a chain
+    with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$"):
+        delta_simplex(flat, p)
+    with pytest.raises(DegenerateSimplex, match=r"^chain \d+ is degenerate$"):
+        per_chain_deltas(flat, p)
+
+
+@pytest.mark.parametrize("block", [1, 64, 100])
+def test_blocked_solve_matches_per_pair_loop(monkeypatch, block):
+    """Pairs split over several _deltas calls keep the values and the first error."""
+    monkeypatch.setattr(metric, "_BLOCK", block)  # 1 or 2 octagon pairs (32 chains) per call
+    seq, limit = octagon_family(np.random.default_rng(9), 8)
+    want, want_limit = loop_sequence(seq, limit)
+    report = sequence_report(seq, window=4, eps=0.1, limit=limit)
+    assert (report.delta_matrix == want).all() and (report.limit_deltas == want_limit).all()
+    assert_same_error(seq[:5] + [collapsed(seq[5], 2, 1)] + seq[6:], limit, DegenerateSimplex)
+    hexagon = Shape(ngon_polytope(6), random_polygon_shape(np.random.default_rng(2), 6).coords)
+    assert_same_error(seq[:6] + [hexagon, seq[7]], limit, PolytopeMismatch)
+
+
+def test_blocked_solve_bounds_peak_memory():
+    """Peak memory of a long request stays far below that of one stacked call."""
+    seq, limit = octagon_family(np.random.default_rng(10), 60)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            sequence_report(seq, window=2, eps=0.1, limit=limit)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_BLOCK", 10**9)
+        assert blocked < peak() / 3

@@ -1,5 +1,7 @@
 """Classification, extremal pairs, rescaling, order and perturbations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from polycomp import (
     Shape,
     SingularSimplex,
     affine_correspondence,
+    build_polytope,
     classify,
     compare_order,
     distance_derivative,
@@ -124,6 +127,29 @@ def test_edge_contraction_identity(unit_square):
     report = edge_contraction_check(unit_square, unit_square)
     assert np.allclose(report.ratios, 1.0)
     assert not report.all_contracting
+
+
+def cube_polytope(d):
+    verts = list(itertools.product((0, 1), repeat=d))
+    return build_polytope(d, 2**d, [[i for i, v in enumerate(verts) if v[k] == side]
+                                    for k in range(d) for side in (0, 1)])
+
+
+def test_edge_lengths_match_per_edge_norm(rng):
+    # The stacked lengths equal np.linalg.norm of each edge vector bit for bit.
+    for poly in (ngon_polytope(7), simplex_polytope(3), cube_polytope(3), cube_polytope(4)):
+        d, n = poly.dimension, poly.vertex_count
+        p = Shape(poly, rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3), mode="weak")
+        q = Shape(poly, rng.standard_normal((n, d)), mode="weak")
+        report = edge_contraction_check(p, q)
+        want = [(f[0], f[-1]) for f in poly.faces_of_dim(1)]
+        assert report.edges == tuple(want)
+        assert all(type(v) is int for e in report.edges for v in e)
+        for shape, got in ((p, report.source_lengths), (q, report.target_lengths)):
+            ref = np.array([np.linalg.norm(shape.coords[i] - shape.coords[j]) for i, j in want])
+            assert (got == ref).all()
+    assert not poly.edge_array.flags.writeable
+    assert poly.edge_array is poly.edge_array
 
 
 def test_extremal_pair_identity_and_diag(unit_square):

@@ -72,6 +72,11 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
     bad = np.flatnonzero(degenerate(src))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
+    return solve_correspondence(src, tgt)
+
+
+def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorrespondence:
+    """``affine_correspondence`` on float stacks already known to be nondegenerate."""
     d = src.shape[-1]
     p = np.swapaxes(homogeneous(src), -1, -2)
     matrix = np.swapaxes(np.linalg.solve(p, np.swapaxes(homogeneous(tgt), -1, -2)), -1, -2)

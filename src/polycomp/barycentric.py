@@ -96,7 +96,7 @@ def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
                               chain_faces, incidence)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedMap:
     """The piecewise-linear map f: P -> Q as stacks of per-simplex affine pieces.
 
@@ -104,7 +104,7 @@ class InducedMap:
     affine map of a simplex polytope, "barycentric" for chain simplices of
     the subdivision, "triangulation" for a user-supplied vertex
     triangulation.  ``maps`` holds the pieces as one stack, entry i on
-    simplex i.
+    simplex i; its arrays are read-only.  Maps compare and hash by identity.
     """
 
     source: Shape
@@ -121,6 +121,13 @@ class InducedMap:
     @property
     def dimension(self) -> int:
         return self.source.polytope.dimension
+
+    @cached_property
+    def alphas(self) -> np.ndarray:
+        """Eigenvalues of Abar^T Abar per simplex, (t, d) ascending; computed once, read-only."""
+        alphas = self.maps.gram_eigenvalues()
+        alphas.setflags(write=False)
+        return alphas
 
     @cached_property
     def correspondences(self) -> tuple[AffineCorrespondence, ...]:
@@ -144,17 +151,23 @@ def chain_simplex_coords(complex_: BarycentricComplex, shape: Shape) -> np.ndarr
 def _stacked_map(p: Shape, q: Shape, kind: str, src: np.ndarray, tgt: np.ndarray,
                  describe, **parts) -> InducedMap:
     try:
-        return InducedMap(p, q, kind, affine_correspondence(src, tgt), **parts)
+        maps = affine_correspondence(src, tgt)
     except SingularSimplex as exc:
         raise DegenerateSimplex(describe(exc)) from exc
+    for a in (maps.source, maps.target, maps.matrix, maps.linear):
+        a.setflags(write=False)
+    return InducedMap(p, q, kind, maps, **parts)
 
 
+@lru_cache(maxsize=4)  # a request needs (P, Q), (Q, P) and (P, lambda Q)
 def induced_map(p: Shape, q: Shape) -> InducedMap:
     """Build the induced piecewise-linear map from P to Q.
 
     Barycentre naturality f(b(F)) = b(G) holds by construction: source and
     target simplex vertices are the barycentres of corresponding faces.
-    Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.
+    Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.  The last few maps
+    are memoised per (P, Q) (shapes key by identity), so the spectral and
+    metric entry points solve and diagonalise each pair once.
     """
     require_same_polytope(p, q)
     if p.polytope.is_simplex:

@@ -15,22 +15,23 @@ from functools import partial
 
 import numpy as np
 
-from .affine import affine_correspondence, degenerate
-from .barycentric import barycentric_complex, chain_simplex_coords
+from .affine import degenerate, solve_correspondence
+from .barycentric import barycentric_complex, chain_simplex_coords, induced_map
 from .errors import DegenerateSimplex, PolytopeMismatch, SingularSimplex
 from .generators import random_rotation
 from .polytopes import Shape
 
 
-def _deltas(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _deltas(src: np.ndarray, tgt: np.ndarray, flags=None) -> np.ndarray:
     """Simplex distances over (t, d+1, d) stacks; ``SingularSimplex`` names
-    the first simplex degenerate in the target or, failing that, the source."""
-    bad_tgt = degenerate(tgt)
-    if bad_tgt.any():  # else affine_correspondence names the first degenerate source
-        bad = np.flatnonzero(bad_tgt | degenerate(src))
+    the first simplex degenerate in either, the target winning a tie.
+    ``flags`` holds the ``degenerate`` flags of (src, tgt) if already known."""
+    bad_src, bad_tgt = (degenerate(src), degenerate(tgt)) if flags is None else flags
+    bad = np.flatnonzero(bad_tgt | bad_src)
+    if bad.size:
         side = "target" if bad_tgt[bad[0]] else "source"
         raise SingularSimplex(f"{side} simplex is affinely degenerate", int(bad[0]))
-    alphas = affine_correspondence(src, tgt).gram_eigenvalues()
+    alphas = solve_correspondence(src, tgt).gram_eigenvalues()
     return np.log(alphas[:, -1] / alphas[:, 0])
 
 
@@ -56,12 +57,14 @@ def _pair_deltas(shapes, pairs, *, chains: bool = False) -> np.ndarray:
     coords = ((lambda s: s.coords[None]) if one_chain
               else partial(chain_simplex_coords, barycentric_complex(poly)))
     x = np.stack([coords(s) for s, ok in zip(shapes, same) if ok])  # (S, t, d+1, d)
+    bad = degenerate(x)  # (S, t): each shape's chains tested once, gathered per pair
     t = x.shape[1]
     step = max(1, _BLOCK // t)
     out = []
     for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+        src, tgt = (x[block[:, side]].reshape(-1, *x.shape[2:]) for side in (0, 1))
         try:
-            d = _deltas(*(x[block[:, side]].reshape(-1, *x.shape[2:]) for side in (0, 1)))
+            d = _deltas(src, tgt, (bad[block[:, 0]].ravel(), bad[block[:, 1]].ravel()))
         except SingularSimplex as exc:
             exc.index %= t  # the chain within its pair
             raise DegenerateSimplex(str(exc) if one_chain
@@ -83,9 +86,22 @@ def delta_simplex(p: Shape, q: Shape) -> float:
         raise exc.__cause__ from None
 
 
+def _map_deltas(p: Shape, q: Shape, chains: bool) -> np.ndarray:
+    """Deltas of the pieces of the memoised ``induced_map(p, q)`` (with ``chains``
+    on a simplex polytope, of its barycentric chains instead); a degenerate
+    piece in either shape raises through ``_pair_deltas``, as in a request."""
+    try:
+        m = None if chains and p.polytope.is_simplex else induced_map(p, q)
+    except DegenerateSimplex:
+        m = None
+    if m is None or degenerate(m.maps.target).any():
+        return _pair_deltas((p, q), [(0, 1)], chains=chains)[0]
+    return np.log(m.alphas[:, -1] / m.alphas[:, 0])
+
+
 def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
     """Simplex distances over corresponding barycentric chain simplices."""
-    return _pair_deltas((p, q), [(0, 1)], chains=True)[0]
+    return _map_deltas(p, q, chains=True)
 
 
 def delta_polytope(p: Shape, q: Shape) -> float:
@@ -95,7 +111,7 @@ def delta_polytope(p: Shape, q: Shape) -> float:
     the barycentric chains of a simplex all inherit that same map, so the
     two computations agree.
     """
-    return float(_pair_deltas((p, q), [(0, 1)])[0])
+    return float(np.max(_map_deltas(p, q, chains=False)))
 
 
 def is_homothetic(p: Shape, q: Shape, tol: float = 1e-9) -> bool:

@@ -192,9 +192,9 @@ def ngon_polytope(n: int) -> CombinatorialPolytope:
     return build_polytope(2, n, [[i, (i + 1) % n] for i in range(n)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shape:
-    """Coordinates of a realization of a combinatorial polytope in R^d."""
+    """Coordinates of a realization of a combinatorial polytope in R^d; compares by identity."""
 
     polytope: CombinatorialPolytope
     coords: np.ndarray

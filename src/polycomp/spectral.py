@@ -12,11 +12,12 @@ of simplex shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .affine import degenerate, homogeneous
-from .barycentric import InducedMap, induced_map
+from .barycentric import InducedMap, induced_map, require_same_polytope
 from .errors import SingularSimplex
 from .polytopes import Shape
 
@@ -38,7 +39,7 @@ class SpectralSummary:
 
 
 def spectral_summary(m: InducedMap) -> SpectralSummary:
-    alphas = m.maps.gram_eigenvalues()
+    alphas = m.alphas
     tops = alphas[:, -1]
     return SpectralSummary(
         per_simplex=alphas,
@@ -82,7 +83,8 @@ class Classification:
 
 def edge_contraction_check(p: Shape, q: Shape,
                            tol: float = DEFAULT_TOL) -> EdgeContractionReport:
-    """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j}."""
+    """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j} of the shared polytope."""
+    require_same_polytope(p, q)
     edges = p.polytope.edge_array
     diffs = [c[edges[:, 0]] - c[edges[:, 1]] for c in (p.coords, q.coords)]
     src, tgt = (np.sqrt(np.vecdot(e, e)) for e in diffs)  # per-edge linalg.norm, bit for bit
@@ -111,11 +113,12 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
     d = corr.dimension
     _, _, vh = np.linalg.svd(corr.linear)
     u = vh[0]
-    p = homogeneous(corr.source)
+    # Barycentric velocity along u; along -u it is the exact negation.
+    lam_u = np.linalg.solve(homogeneous(corr.source), np.append(u, 0.0))
 
     for k in range(d + 1):
         for sign in (1.0, -1.0):
-            lam_dot = np.linalg.solve(p, np.append(sign * u, 0.0))
+            lam_dot = sign * lam_u
             others = np.delete(lam_dot, k)
             if others.min() < -1e-12:
                 continue
@@ -132,15 +135,24 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
     # No vertex cone contains +-u: take the maximal chord through the centre.
     centre = corr.source.mean(axis=0)
     lam_c = np.full(d + 1, 1.0 / (d + 1))
-    lam_dot = np.linalg.solve(p, np.append(u, 0.0))
-    lo = max(-lam_c[i] / lam_dot[i] for i in range(d + 1) if lam_dot[i] > 0)
-    hi = min(-lam_c[i] / lam_dot[i] for i in range(d + 1) if lam_dot[i] < 0)
+    lo = max(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] > 0)
+    hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
     x = centre + lo * u
     y = centre + hi * u
     ratio = float(np.linalg.norm(corr.apply(x) - corr.apply(y))
                   / np.linalg.norm(x - y))
     return ExtremalPair(x=x, y=y, ratio=ratio,
                         simplex_index=s.argmax_simplex, anchor_vertex=None)
+
+
+@lru_cache(maxsize=4)  # keyed by map identity, like ``induced_map``
+def _summary_and_witness(m: InducedMap) -> tuple[SpectralSummary, ExtremalPair]:
+    """The tol-free parts of ``classify``, computed once per map; read-only."""
+    s = spectral_summary(m)
+    witness = extremal_pair(m, s)
+    for a in (witness.x, witness.y):
+        a.setflags(write=False)
+    return s, witness
 
 
 def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
@@ -150,7 +162,7 @@ def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
     strict) when every alpha_max <= 1 + tol with some simplex in the band,
     otherwise not a weak compression.
     """
-    s = spectral_summary(m)
+    s, witness = _summary_and_witness(m)
     per_simplex_max = s.per_simplex[:, -1]
     if (per_simplex_max < 1.0 - tol).all():
         verdict = COMPRESSION
@@ -162,7 +174,7 @@ def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
     return Classification(
         verdict=verdict,
         edge_contracting=edges.all_contracting,
-        witness=extremal_pair(m, s),
+        witness=witness,
         summary=s,
     )
 

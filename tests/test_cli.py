@@ -350,3 +350,18 @@ def test_help_mentions_schemas():
     assert proc.returncode == 0
     assert "vertex_count" in proc.stdout
     assert "exit codes" in proc.stdout
+
+
+def test_edges_rejects_different_polytopes(tmp_path):
+    angles = 2 * np.pi * np.arange(5) / 5
+    pentagon = {"dimension": 2, "vertex_count": 5,
+                "facets": [[i, (i + 1) % 5] for i in range(5)],
+                "vertices": np.c_[np.cos(angles), np.sin(angles)].tolist()}
+    square = write_json(tmp_path / "square.json", square_doc())
+    pent = write_json(tmp_path / "pentagon.json", pentagon)
+    for p, q in ((square, pent), (pent, square)):
+        proc = run_cli("edges", p, q)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {
+            "error": "PolytopeMismatch",
+            "message": "shapes realize different combinatorial polytopes"}

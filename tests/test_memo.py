@@ -1,0 +1,185 @@
+"""The memoised induced map: one solve per (P, Q) pair, shared by the
+spectral and metric entry points, with the same values and errors as
+uncached calls."""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from polycomp import (
+    DegenerateSimplex,
+    Shape,
+    classify,
+    compare_order,
+    delta_polytope,
+    extremal_pair,
+    induced_map,
+    ngon_polytope,
+    per_chain_deltas,
+    scale_critical,
+    spectral_summary,
+)
+from polycomp import barycentric, metric, spectral
+from polycomp.affine import homogeneous
+from polycomp.io import load_shape
+from test_chain_kernel import SQUARE, projective_cube
+
+DATA = Path(__file__).parent / "data"
+
+ENTRY_POINTS = (
+    lambda p, q: classify(induced_map(p, q)),
+    compare_order,
+    scale_critical,
+    delta_polytope,
+    per_chain_deltas,
+)
+
+
+def clear_memo():
+    barycentric.induced_map.cache_clear()
+    spectral._summary_and_witness.cache_clear()
+
+
+def canon(v):
+    """Exact, hashable form of an output: array bytes and float bit patterns."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    if isinstance(v, Shape):
+        return canon(v.coords), v.mode, v.name
+    if dataclasses.is_dataclass(v):
+        return tuple(canon(getattr(v, f.name)) for f in dataclasses.fields(v))
+    if isinstance(v, (list, tuple)):
+        return tuple(canon(x) for x in v)
+    return v
+
+
+def pair_cases():
+    rng = np.random.default_rng(20240611)
+    yield "4-cube", projective_cube(rng, 4), projective_cube(rng, 4)
+    yield "golden", load_shape(DATA / "P.json"), load_shape(DATA / "Q.json")
+
+
+@pytest.mark.parametrize("name,p,q", list(pair_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_warm_results_equal_cold_ones(name, p, q):
+    cold = []
+    for f in ENTRY_POINTS:
+        clear_memo()
+        cold.append(canon(f(p, q)))
+    clear_memo()
+    first = [canon(f(p, q)) for f in ENTRY_POINTS]
+    again = [canon(f(p, q)) for f in ENTRY_POINTS]
+    assert first == cold and again == cold
+
+
+def test_memoised_arrays_are_read_only():
+    rng = np.random.default_rng(5)
+    p, q = projective_cube(rng, 3), projective_cube(rng, 3)
+    m = induced_map(p, q)
+    c = classify(m)
+    arrays = (m.maps.source, m.maps.target, m.maps.matrix, m.maps.linear, m.alphas,
+              c.summary.per_simplex, c.witness.x, c.witness.y)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+    assert induced_map(p, q) is m and classify(m).witness is c.witness
+
+
+def test_memo_stays_bounded():
+    clear_memo()
+    rng = np.random.default_rng(6)
+    poly = ngon_polytope(4)
+    for _ in range(20):
+        p, q = (Shape(poly, SQUARE + 0.1 * rng.standard_normal((4, 2))) for _ in range(2))
+        classify(induced_map(p, q))
+        delta_polytope(p, q)
+    assert barycentric.induced_map.cache_info().currsize <= 4
+    assert spectral._summary_and_witness.cache_info().currsize <= 4
+
+
+def test_degenerate_pairs_raise_on_every_call():
+    poly = ngon_polytope(4)
+    good = Shape(poly, SQUARE * [2.0, 1.0])
+    flat = SQUARE.copy()
+    flat[2] = flat[1]
+    flat = Shape(poly, flat, mode="weak")
+    for _ in range(2):
+        with pytest.raises(DegenerateSimplex, match="in the source$"):
+            induced_map(flat, good)
+    assert induced_map(good, flat).target is flat  # a degenerate target still maps
+    for p, q in ((flat, good), (good, flat)):
+        with pytest.raises(DegenerateSimplex) as want:
+            metric._pair_deltas((p, q), [(0, 1)], chains=True)
+        for f in (delta_polytope, per_chain_deltas, delta_polytope, per_chain_deltas):
+            with pytest.raises(DegenerateSimplex) as got:
+                f(p, q)
+            assert str(got.value) == str(want.value)
+            assert got.value.__cause__.index == want.value.__cause__.index
+
+
+def test_one_job_solves_each_pair_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    p, q = projective_cube(rng, 4), projective_cube(rng, 4)
+    clear_memo()
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(barycentric, "affine_correspondence",
+                        counted("affine", barycentric.affine_correspondence))
+    monkeypatch.setattr(metric, "solve_correspondence",
+                        counted("metric", metric.solve_correspondence))
+    for f in ENTRY_POINTS:
+        f(p, q)
+    assert calls == ["affine"] * 3  # (P, Q), (Q, P) and (P, lambda Q)
+
+
+def test_shapes_compare_and_hash_by_identity(unit_square):
+    twin = Shape(unit_square.polytope, unit_square.coords)
+    assert unit_square == unit_square and unit_square != twin
+    assert hash(twin) == object.__hash__(twin)
+    assert len({unit_square, twin, unit_square}) == 2
+
+
+def reference_extremal_pair(m):
+    """(x, y, anchor) from one solve per vertex and sign, then one for the chord."""
+    s = spectral_summary(m)
+    corr = m.maps[s.argmax_simplex]
+    d = corr.dimension
+    u = np.linalg.svd(corr.linear)[2][0]
+    p = homogeneous(corr.source)
+    for k in range(d + 1):
+        for sign in (1.0, -1.0):
+            lam_dot = np.linalg.solve(p, np.append(sign * u, 0.0))
+            if np.delete(lam_dot, k).min() < -1e-12 or lam_dot[k] >= 0:
+                continue
+            x = corr.source[k]
+            return x, x + 1.0 / (-lam_dot[k]) * sign * u, k
+    lam_c = np.full(d + 1, 1.0 / (d + 1))
+    lam_dot = np.linalg.solve(p, np.append(u, 0.0))
+    lo = max(-lam_c[i] / lam_dot[i] for i in range(d + 1) if lam_dot[i] > 0)
+    hi = min(-lam_c[i] / lam_dot[i] for i in range(d + 1) if lam_dot[i] < 0)
+    centre = corr.source.mean(axis=0)
+    return centre + lo * u, centre + hi * u, None
+
+
+def test_extremal_pair_matches_per_sign_solves(triangle_pair):
+    rng = np.random.default_rng(8)
+    maps = [induced_map(*triangle_pair)]
+    maps += [induced_map(projective_cube(rng, d), projective_cube(rng, d))
+             for d in (2, 3, 4) for _ in range(6)]
+    kinds = set()
+    for m in maps:
+        got, (x, y, k) = extremal_pair(m), reference_extremal_pair(m)
+        assert (got.x.tobytes(), got.y.tobytes(), got.anchor_vertex) == (
+            x.tobytes(), y.tobytes(), k)
+        kinds.add(k is None)
+    assert kinds == {True, False}  # both the anchored pair and the chord are covered

@@ -30,6 +30,7 @@ from polycomp import (
     validate_shape,
 )
 from polycomp import metric
+from polycomp.affine import degenerate
 from polycomp.generators import random_polygon_shape, random_rotation, random_simplex_shape
 
 LN4 = 1.3862943611198906  # frozen: per-chain SVD oracle on square vs 2x1 rectangle
@@ -454,3 +455,22 @@ def test_blocked_solve_bounds_peak_memory():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_BLOCK", 10**9)
         assert blocked < peak() / 3
+
+
+def test_gathered_degeneracy_flags_equal_per_pair_ones(monkeypatch):
+    """Flags computed once per shape and gathered per pair match a per-pair test."""
+    seq, limit = octagon_family(np.random.default_rng(11), 8)
+    seq[3], seq[6] = collapsed(seq[3], 2, 1), collapsed(seq[6], 5, 4)
+    seen = []
+
+    def checked(src, tgt, flags):
+        for got, stack in zip(flags, (src, tgt)):
+            assert (got == degenerate(stack)).all()
+        seen.append(np.concatenate(flags))
+        return real(src, tgt, flags)
+
+    real = metric._deltas
+    monkeypatch.setattr(metric, "_deltas", checked)
+    monkeypatch.setattr(metric, "_BLOCK", 32)  # one pair per call
+    assert_same_error(seq, limit, DegenerateSimplex)
+    assert any(f.any() for f in seen) and not all(f.any() for f in seen)

@@ -126,6 +126,30 @@ def test_golden_counterexample_pipeline(name):
     assert again.stdout == proc.stdout
 
 
+# Argument lists of the subcommands the P/Q pipeline above does not reach; a
+# ``.json`` argument names a file in tests/data.  ``chain`` reads the pleat golden.
+GOLDEN_RUNS = {
+    "validate": ["P.json"],
+    "subdivide": ["square.json"],
+    "order": ["square.json", "square_half.json"],
+    "lift": ["P.json", "P_small.json"],
+    "pleat": ["square.json", "square_half.json", "--triangulation", "fan:0"],
+    "chain": ["golden_pleat.json", "--base-dim", "2"],
+    "complete": ["M.json"],
+    "perturb": ["P.json", "V.json", "--pair", '{"face": [0]}',
+                '{"face": [1, 2], "weights": [0.25, 0.75]}'],
+    "sequence": ["hexagons.json", "--limit", "hexagon_flat.json", "--eps", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_subcommand(name):
+    args = [str(DATA / a) if a.endswith(".json") else a for a in GOLDEN_RUNS[name]]
+    proc = run_cli(name, *args)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
+
+
 def test_classify_verdict_payload():
     proc = run_cli("classify", str(DATA / "P.json"), str(DATA / "Q.json"))
     payload = json.loads(proc.stdout)

@@ -42,7 +42,6 @@ from .lifting import (
     pleated_embedding,
     pleated_projection_chain,
     projection_chain,
-    projection_is_compression,
     symmetric_sqrt,
 )
 from .metric import (
@@ -63,7 +62,6 @@ from .polytopes import (
     Triangulation,
     ValidationReport,
     build_polytope,
-    face_pairing_graph,
     fan_triangulation,
     ngon_polytope,
     simplex_polytope,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .affine import AffineCorrespondence, affine_correspondence, homogeneous
 from .errors import DegenerateSimplex, PointOutside, PolytopeMismatch, SingularSimplex
-from .polytopes import CombinatorialPolytope, Shape
+from .polytopes import CombinatorialPolytope, Shape, facet_adjacency
 
 BARY_TOL = 1e-9
 
@@ -78,21 +78,12 @@ def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
     for i in by_dim[0]:
         extend([i], 1)
 
-    adjacency = []
-    seen = {}
-    for ci, chain in enumerate(chains):
-        for pos in range(d + 1):
-            key = chain[:pos] + chain[pos + 1:]
-            if (pos, key) in seen:
-                adjacency.append((seen[(pos, key)], ci))
-            else:
-                seen[(pos, key)] = ci
     chain_faces = np.array(chains, dtype=np.intp)
     n = polytope.vertex_count
     incidence = np.array([np.isin(np.arange(n), f) for f in polytope.faces], dtype=float)
     for a in (chain_faces, incidence):
         a.setflags(write=False)
-    return BarycentricComplex(polytope, tuple(chains), tuple(sorted(adjacency)),
+    return BarycentricComplex(polytope, tuple(chains), facet_adjacency(chains),
                               chain_faces, incidence)
 
 
@@ -128,10 +119,6 @@ class InducedMap:
         alphas = self.maps.gram_eigenvalues()
         alphas.setflags(write=False)
         return alphas
-
-    @cached_property
-    def correspondences(self) -> tuple[AffineCorrespondence, ...]:
-        return tuple(self.maps[i] for i in range(self.simplex_count))
 
 
 def require_same_polytope(p: Shape, q: Shape) -> None:

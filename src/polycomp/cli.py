@@ -2,8 +2,9 @@
 
 Every subcommand prints exactly one JSON document on stdout (keys sorted,
 floats in shortest round-trip form, no timestamps) and a short human
-summary on stderr.  Exit codes: 0 success, 1 validation failure,
-2 numerical failure, 3 malformed input.
+summary on stderr.  Exit codes: 0 success, otherwise the ``exit_code`` of
+the error raised: 1 validation failure, 2 numerical failure, 3 malformed
+input or usage error.
 """
 
 from __future__ import annotations
@@ -16,22 +17,7 @@ import numpy as np
 
 from . import io
 from .barycentric import barycentre, barycentric_complex, induced_map, require_same_polytope
-from .errors import (
-    DegenerateSimplex,
-    DegenerateSpan,
-    DuplicateVertex,
-    InconsistentLattice,
-    InfeasibleApex,
-    MalformedInput,
-    NotContraction,
-    NotPSD,
-    NotSimple,
-    NotTree,
-    PointOutside,
-    PolycompError,
-    PolytopeMismatch,
-    SingularSimplex,
-)
+from .errors import MalformedInput, PolycompError
 from .lifting import (
     isometry_residual,
     lift_simplex,
@@ -52,16 +38,6 @@ from .spectral import (
     scale_critical,
 )
 
-VALIDATION_ERRORS = (NotSimple, InconsistentLattice, DegenerateSpan,
-                     DuplicateVertex, PolytopeMismatch, NotTree, PointOutside)
-NUMERICAL_ERRORS = (SingularSimplex, DegenerateSimplex, NotContraction,
-                    NotPSD, InfeasibleApex)
-
-EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_NUMERICAL = 2
-EXIT_MALFORMED = 3
-
 FILE_FORMATS = """\
 file formats (JSON, UTF-8):
   shape          {"dimension": d, "vertex_count": N,
@@ -80,9 +56,9 @@ exit codes: 0 success, 1 validation failure, 2 numerical failure
 
 
 class ValidationFailure(PolycompError):
-    """A shape failed the validation its command requires."""
+    """A shape failed the validation its command requires; ``payload`` is the report."""
 
-    def __init__(self, message, payload=None):
+    def __init__(self, message, payload):
         super().__init__(message)
         self.payload = payload
 
@@ -118,9 +94,9 @@ def cmd_validate(args):
     shape = io.load_shape(args.shape)
     mode = "weak" if args.weak else shape.mode
     report = validate_shape(shape.polytope, shape.coords, mode)
-    payload = {"command": "validate", "mode": mode, **report.to_dict()}
+    payload = {"mode": mode, **report.to_dict()}
     summary = f"{args.shape}: {report.verdict} (mode={mode})"
-    return payload, summary, EXIT_OK if report.passes(mode) else EXIT_VALIDATION
+    return payload, summary, 0 if report.passes(mode) else 1
 
 
 def cmd_subdivide(args):
@@ -130,7 +106,6 @@ def cmd_subdivide(args):
     vertices = [barycentre(f, shape).tolist() for f in faces]
     t = complex_.simplex_count
     payload = {
-        "command": "subdivide",
         "dimension": shape.polytope.dimension,
         "chain_count": t,
         "faces": [list(f) for f in faces],
@@ -140,14 +115,13 @@ def cmd_subdivide(args):
         "face_pairing_is_tree": is_tree(t, complex_.adjacency),
     }
     summary = f"{t} chain simplices over {len(faces)} faces"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_classify(args):
     p, q = _checked_pair(args)
     result = classify(induced_map(p, q), tol=args.tol)
     payload = {
-        "command": "classify",
         "verdict": result.verdict,
         "edge_contracting": result.edge_contracting,
         "alpha_min": result.summary.alpha_min,
@@ -158,14 +132,13 @@ def cmd_classify(args):
     }
     summary = (f"{result.verdict} (alpha_max={result.summary.alpha_max:.6g}, "
                f"edge_contracting={result.edge_contracting})")
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_edges(args):
     p, q = _checked_pair(args)
     report = edge_contraction_check(p, q)
     payload = {
-        "command": "edges",
         "edges": [
             {"edge": list(e), "source_length": float(sl),
              "target_length": float(tl), "ratio": float(r)}
@@ -175,50 +148,48 @@ def cmd_edges(args):
         "all_contracting": report.all_contracting,
     }
     summary = f"{len(report.edges)} edges, all_contracting={report.all_contracting}"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_distance(args):
     p, q = _checked_pair(args)
     if p.polytope.is_simplex:
-        payload = {"command": "distance", "delta": delta_polytope(p, q), "method": "simplex"}
+        payload = {"delta": delta_polytope(p, q), "method": "simplex"}
     else:  # the max over chains is delta_polytope's value, without a second pass
         per_chain = per_chain_deltas(p, q)
-        payload = {"command": "distance", "delta": float(per_chain.max()),
+        payload = {"delta": float(per_chain.max()),
                    "method": "barycentric", "per_chain": per_chain.tolist()}
     summary = f"delta = {payload['delta']:.12g}"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_order(args):
     p, q = _checked_pair(args)
     result = compare_order(p, q, tol=args.tol)
     payload = {
-        "command": "order",
         "relation": result.relation,
         "forward_verdict": result.forward.verdict,
         "backward_verdict": result.backward.verdict,
         "forward_alpha_max": result.forward.summary.alpha_max,
         "backward_alpha_max": result.backward.summary.alpha_max,
     }
-    return payload, result.relation, EXIT_OK
+    return payload, result.relation, 0
 
 
 def cmd_scale(args):
     p, q = _checked_pair(args)
     result = scale_critical(p, q)
     payload = {
-        "command": "scale",
         "lambda": result.lam,
         "verdict_after": result.classification.verdict,
         "alpha_max_after": result.classification.summary.alpha_max,
         "witness": _witness_dict(result.classification.witness),
     }
     summary = f"lambda = {result.lam:.12g} -> {result.classification.verdict}"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
-def _parse_point(text, label) -> PointOnShape:
+def _parse_point(text, label, n: int) -> PointOnShape:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -228,6 +199,8 @@ def _parse_point(text, label) -> PointOnShape:
     face = doc["face"]
     if not isinstance(face, list) or any(not isinstance(v, int) for v in face):
         raise MalformedInput(f"--pair {label}: 'face' must list vertex indices")
+    if not face or any(not 0 <= v < n for v in face):
+        raise MalformedInput(f"--pair {label}: 'face' must list vertex indices in [0, {n})")
     weights = doc.get("weights")
     if weights is not None:
         if not io._finite_numbers(weights, len(face)):
@@ -244,7 +217,7 @@ def cmd_perturb(args):
         raise MalformedInput(
             f"{args.direction}: matrix must be {p.coords.shape[0]} x "
             f"{p.coords.shape[1]} (one velocity row per vertex)")
-    payload = {"command": "perturb"}
+    payload = {}
     summary_parts = []
     if p.polytope.is_simplex:
         result = perturbation_classify(p, v)
@@ -256,14 +229,14 @@ def cmd_perturb(args):
         summary_parts.append(
             f"infinitesimal weak compression: {result.infinitesimal_weak_compression}")
     if args.pair:
-        x = _parse_point(args.pair[0], "first point")
-        y = _parse_point(args.pair[1], "second point")
+        x = _parse_point(args.pair[0], "first point", p.polytope.vertex_count)
+        y = _parse_point(args.pair[1], "second point", p.polytope.vertex_count)
         deriv = distance_derivative(p, v, x, y)
         payload["pair_derivative"] = deriv
         summary_parts.append(f"d/dt distance = {deriv:.9g}")
-    if len(payload) == 1:
+    if not payload:
         raise MalformedInput("perturb on a non-simplex shape needs --pair")
-    return payload, "; ".join(summary_parts), EXIT_OK
+    return payload, "; ".join(summary_parts), 0
 
 
 def cmd_complete(args):
@@ -273,7 +246,6 @@ def cmd_complete(args):
     comp = orthogonal_completion(m)
     residual = float(np.abs(comp.U.T @ comp.U - np.eye(2 * m.shape[0])).max())
     payload = {
-        "command": "complete",
         "dimension": m.shape[0],
         "M": comp.M.tolist(),
         "A": comp.A.tolist(),
@@ -282,7 +254,7 @@ def cmd_complete(args):
         "U": comp.U.tolist(),
         "orthogonality_residual": residual,
     }
-    return payload, f"orthogonality residual {residual:.3g}", EXIT_OK
+    return payload, f"orthogonality residual {residual:.3g}", 0
 
 
 def cmd_lift(args):
@@ -295,13 +267,12 @@ def cmd_lift(args):
     iso = isometry_residual(lifted, p.coords)
     proj = float(np.abs(lifted[:, :d] - q.coords).max())
     payload = {
-        "command": "lift",
         **io.embedding_to_dict(2 * d, lifted, [list(range(d + 1))]),
         "isometry_residual": iso,
         "projection_residual": proj,
     }
     summary = f"lifted to R^{2 * d}; isometry residual {iso:.3g}"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_pleat(args):
@@ -312,13 +283,15 @@ def cmd_pleat(args):
             apex = int(spec[4:])
         except ValueError as exc:
             raise MalformedInput(f"--triangulation: bad fan apex in '{spec}'") from exc
+        n = p.polytope.vertex_count
+        if p.polytope.dimension != 2 or not 0 <= apex < n:
+            raise MalformedInput(f"--triangulation: '{spec}' needs an n-gon apex in [0, {n})")
         tri = fan_triangulation(p.polytope, apex)
     else:
         tri = io.load_triangulation(spec, p.polytope)
     pe = pleated_embedding(p, q, tri)
     report = pleat_validity(pe)
     payload = {
-        "command": "pleat",
         **io.embedding_to_dict(pe.ambient_dimension, pe.coords, tri.simplices),
         "isometry_residual": report.max_isometry_residual,
         "projection_residual": report.projection_residual,
@@ -335,7 +308,7 @@ def cmd_pleat(args):
     }
     summary = (f"pleated into R^{pe.ambient_dimension}; isometry residual "
                f"{report.max_isometry_residual:.3g}")
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_chain(args):
@@ -349,7 +322,6 @@ def cmd_chain(args):
     chain = projection_chain(coords, d, simplices)
     alphas = [s.alpha_max_vs_prev for s in chain.stages if s.alpha_max_vs_prev is not None]
     payload = {
-        "command": "chain",
         "base_dimension": d,
         "stages": [
             {"ambient_dimension": s.ambient_dimension,
@@ -360,7 +332,7 @@ def cmd_chain(args):
         "max_alpha_vs_prev": max(alphas) if alphas else None,
     }
     summary = f"{len(chain.stages)} stages down to R^{d}"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
 
 
 def cmd_sequence(args):
@@ -380,7 +352,6 @@ def cmd_sequence(args):
     limit = _checked_shape(args.limit, "limit") if args.limit else None
     report = sequence_report(shapes, window=window, eps=args.eps, limit=limit)
     payload = {
-        "command": "sequence",
         "count": len(shapes),
         "window": window,
         "eps": args.eps,
@@ -394,11 +365,31 @@ def cmd_sequence(args):
     summary = f"cauchy={report.cauchy}"
     if report.converges is not None:
         summary += f", converges={report.converges}"
-    return payload, summary, EXIT_OK
+    return payload, summary, 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``MalformedInput``, so they exit 3 with one JSON document."""
+
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _float_type(accept, requirement: str):
+    """argparse ``type``: a float that ``accept`` admits (NaN fails every comparison)."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {requirement}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polycomp",
         description="Compression analysis for convex realizations of polytopes.",
         epilog=FILE_FORMATS,
@@ -426,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("source")
         sp.add_argument("target")
         if extra_tol:
-            sp.add_argument("--tol", type=float, default=1e-9,
-                            help="strictness band around 1 (default 1e-9)")
+            sp.add_argument("--tol", default=1e-9, help="strictness band around 1 (default 1e-9)",
+                            type=_float_type(lambda t: 0 <= t < np.inf, "a finite number >= 0"))
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("perturb", help="first-order analysis of a vertex velocity field")
@@ -458,31 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("shapes", nargs="+",
                     help="shape files, or a single JSON array of shapes")
     sp.add_argument("--limit", help="candidate limit shape file")
-    sp.add_argument("--eps", type=float, default=1e-3)
+    sp.add_argument("--eps", default=1e-3,
+                    type=_float_type(lambda e: 0 < e < np.inf, "a finite number > 0"))
     sp.set_defaults(func=cmd_sequence)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, summary, code = args.func(args)
-    except ValidationFailure as exc:
-        payload = {"error": "ValidationFailure", "message": str(exc)}
-        if exc.payload:
+        payload["command"] = args.command
+    except PolycompError as exc:
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ValidationFailure):
             payload["report"] = exc.payload
-        summary, code = str(exc), EXIT_VALIDATION
-    except VALIDATION_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        summary, code = str(exc), EXIT_VALIDATION
-    except NUMERICAL_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        summary, code = str(exc), EXIT_NUMERICAL
-    except MalformedInput as exc:
-        payload = {"error": "MalformedInput", "message": str(exc)}
-        summary, code = str(exc), EXIT_MALFORMED
+        summary, code = str(exc), exc.exit_code
     print(json.dumps(payload, sort_keys=True))
     print(summary, file=sys.stderr)
     return code

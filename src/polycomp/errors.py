@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI ``exit_code``:
+1 validation failure (the default), 2 numerical failure, 3 malformed input."""
 
 
 class PolycompError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 1
 
 
 class NotSimple(PolycompError):
@@ -28,9 +31,13 @@ class PolytopeMismatch(PolycompError):
 class DegenerateSimplex(PolycompError):
     """A subdivision simplex is affinely degenerate."""
 
+    exit_code = 2
+
 
 class SingularSimplex(PolycompError):
     """A simplex vertex matrix is numerically singular; ``index`` is its place in a stack."""
+
+    exit_code = 2
 
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)
@@ -44,9 +51,13 @@ class PointOutside(PolycompError):
 class NotPSD(PolycompError):
     """Matrix has an eigenvalue below the positive-semidefinite tolerance."""
 
+    exit_code = 2
+
 
 class NotContraction(PolycompError):
     """Operator norm exceeds one; the map is not a weak compression."""
+
+    exit_code = 2
 
 
 class NotTree(PolycompError):
@@ -56,6 +67,10 @@ class NotTree(PolycompError):
 class InfeasibleApex(PolycompError):
     """Apex placement system is inconsistent or has negative residual budget."""
 
+    exit_code = 2
+
 
 class MalformedInput(PolycompError):
     """An input file does not match its documented schema."""
+
+    exit_code = 3

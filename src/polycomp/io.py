@@ -68,6 +68,8 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
         raise MalformedInput(f"{path}: field 'mode' must be 'strict' or 'weak'")
     if d < 1 or n < 1:
         raise MalformedInput(f"{path}: 'dimension' and 'vertex_count' must be positive")
+    if n < d + 1:
+        raise MalformedInput(f"{path}: field 'vertex_count' must be at least dimension + 1")
     for i, f in enumerate(facets):
         if (not isinstance(f, list) or not f
                 or any(not isinstance(v, int) or v < 0 or v >= n for v in f)):
@@ -136,16 +138,12 @@ def load_matrix(path) -> np.ndarray:
     return np.array(data, dtype=float).reshape(rows, cols)
 
 
-def embedding_to_dict(ambient_dimension: int, vertices: np.ndarray,
-                      simplices, stages=None) -> dict:
-    doc = {
+def embedding_to_dict(ambient_dimension: int, vertices: np.ndarray, simplices) -> dict:
+    return {
         "ambient_dimension": int(ambient_dimension),
         "vertices": np.asarray(vertices, dtype=float).tolist(),
         "simplices": [list(map(int, s)) for s in simplices],
     }
-    if stages is not None:
-        doc["stages"] = stages
-    return doc
 
 
 def load_embedding(path) -> tuple[int, np.ndarray, list[list[int]]]:

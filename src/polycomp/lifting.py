@@ -122,24 +122,6 @@ def lift_simplex(p, q) -> np.ndarray:
     return np.hstack([tgt, edges @ comp.A.T])
 
 
-def projection_is_compression(lifted, d: int) -> bool:
-    """Does dropping to the first d coordinates strictly compress the set?
-
-    True iff the projection restricted to the linear span of the lifted
-    point set has every singular value below 1 - 1e-9, i.e. no direction in
-    the span is horizontal.
-    """
-    x = np.asarray(lifted, dtype=float)
-    centered = x - x.mean(axis=0)
-    _, sv, vh = np.linalg.svd(centered, full_matrices=False)
-    if len(sv) == 0 or sv[0] <= 1e-12:
-        return True
-    rank = int((sv > 1e-12 * sv[0]).sum())
-    basis = vh[:rank].T  # (D, rank), orthonormal columns spanning the set
-    svals = np.linalg.svd(basis[:d, :], compute_uv=False)
-    return bool((svals < 1.0 - 1e-9).all())
-
-
 @dataclass(frozen=True)
 class PleatedEmbedding:
     """Piecewise-isometric embedding of P projecting orthogonally onto Q."""

@@ -178,8 +178,6 @@ def _build_polytope(d: int, n: int, facets: tuple) -> CombinatorialPolytope:
 
 def simplex_polytope(d: int) -> CombinatorialPolytope:
     """Canonical labeled d-simplex: facets are all d-subsets of the vertices."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
     verts = range(d + 1)
     facets = [[v for v in verts if v != i] for i in verts]
     return build_polytope(d, d + 1, facets)
@@ -187,8 +185,6 @@ def simplex_polytope(d: int) -> CombinatorialPolytope:
 
 def ngon_polytope(n: int) -> CombinatorialPolytope:
     """Cyclic n-gon with edges {i, i+1 mod n}."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
     return build_polytope(2, n, [[i, (i + 1) % n] for i in range(n)])
 
 
@@ -331,15 +327,9 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
     span of the vertices is below d and ``DuplicateVertex`` if two vertex
     points coincide within tolerance.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords = Shape(polytope, coords, mode).coords  # shape, mode and finiteness checks
     d = polytope.dimension
     n = polytope.vertex_count
-    if coords.shape != (n, d):
-        raise ValueError(f"coords must be {n} x {d}")
-    if mode not in ("strict", "weak"):
-        raise ValueError("mode must be 'strict' or 'weak'")
-    if not np.isfinite(coords).all():
-        raise ValueError("coords must be finite")
 
     dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
@@ -439,22 +429,19 @@ class Triangulation:
     is_tree: bool
 
 
-@dataclass(frozen=True)
-class GraphSummary:
-    nodes: int
-    edges: tuple[tuple[int, int], ...]
-    is_tree: bool
+def facet_adjacency(cells) -> tuple[tuple[int, int], ...]:
+    """Sorted pairs (i, j), i < j, of cells that agree in all entries but one.
 
-
-def _pairing_graph(d: int, simplices) -> tuple[tuple[tuple[int, int], ...], bool]:
-    t = len(simplices)
-    sets = [set(s) for s in simplices]
-    edges = []
-    for i in range(t):
-        for j in range(i + 1, t):
-            if len(sets[i] & sets[j]) == d:
-                edges.append((i, j))
-    return tuple(edges), is_tree(t, edges)
+    Each cell (a tuple in a canonical entry order) is keyed on itself minus
+    one entry and joined to every earlier cell with that key.
+    """
+    earlier, edges = {}, []
+    for j, cell in enumerate(cells):
+        for k in range(len(cell)):
+            group = earlier.setdefault(cell[:k] + cell[k + 1:], [])
+            edges.extend((i, j) for i in group)
+            group.append(j)
+    return tuple(sorted(edges))
 
 
 def bfs_order(t: int, edges) -> list[tuple[int, int | None]]:
@@ -502,7 +489,8 @@ def triangulation(polytope: CombinatorialPolytope, simplices) -> Triangulation:
             f"a triangulated n-gon has n-2 triangles, got {len(simps)}"
         )
     simps = tuple(sorted(simps))
-    return Triangulation(polytope, simps, *_pairing_graph(d, simps))
+    edges = facet_adjacency(simps)
+    return Triangulation(polytope, simps, edges, is_tree(len(simps), edges))
 
 
 def _polygon_cycle(polytope: CombinatorialPolytope, start: int) -> list[int]:
@@ -533,7 +521,3 @@ def fan_triangulation(polytope_or_shape, apex: int) -> Triangulation:
     simps = [(apex, cycle[i], cycle[i + 1]) for i in range(1, len(cycle) - 1)]
     return triangulation(polytope, simps)
 
-
-def face_pairing_graph(tri: Triangulation) -> GraphSummary:
-    return GraphSummary(nodes=len(tri.simplices), edges=tri.pairing_edges,
-                        is_tree=tri.is_tree)

@@ -208,7 +208,7 @@ def test_criterion_5_critical_rescaling():
             witness = result.classification.witness
             assert witness.anchor_vertex is not None  # vertex-anchored in 2d
             anchored = induced_map(p, result.scaled_target) \
-                .correspondences[witness.simplex_index].source[witness.anchor_vertex]
+                .maps[witness.simplex_index].source[witness.anchor_vertex]
             assert np.array_equal(witness.x, anchored)
             assert witness.ratio == pytest.approx(1.0, abs=1e-9)
 

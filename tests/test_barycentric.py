@@ -72,7 +72,8 @@ def test_chain_structure():
 def test_induced_map_identity(unit_square):
     m = induced_map(unit_square, unit_square)
     assert m.kind == "barycentric"
-    for corr in m.correspondences:
+    for i in range(m.simplex_count):
+        corr = m.maps[i]
         assert np.allclose(corr.linear, np.eye(2), atol=1e-12)
         sv = np.linalg.svd(corr.linear, compute_uv=False)
         assert np.abs(sv - 1.0).max() <= 1e-12
@@ -80,7 +81,8 @@ def test_induced_map_identity(unit_square):
 
 def test_induced_map_homothety(unit_square):
     m = induced_map(unit_square, unit_square.scaled(2.0))
-    for corr in m.correspondences:
+    for i in range(m.simplex_count):
+        corr = m.maps[i]
         assert np.allclose(corr.linear, 2.0 * np.eye(2), atol=1e-12)
 
 
@@ -107,7 +109,7 @@ def test_induced_map_degenerate_source():
 
 def test_affine_invariants(triangle_pair):
     p, q = triangle_pair
-    corr = induced_map(p, q).correspondences[0]
+    corr = induced_map(p, q).maps[0]
     assert np.abs(corr.matrix[-1] - np.array([0.0, 0.0, 1.0])).max() <= 1e-10
     phom = np.vstack([corr.source.T, np.ones(3)])
     qhom = np.vstack([corr.target.T, np.ones(3)])
@@ -169,6 +171,6 @@ def test_continuity_on_shared_facets(rng):
         w = rng.dirichlet(np.ones(len(shared)), size=samples_per_pair)
         xs = w @ pts
         for x in xs:
-            yi = m.correspondences[i].apply(x)
-            yj = m.correspondences[j].apply(x)
+            yi = m.maps[i].apply(x)
+            yj = m.maps[j].apply(x)
             assert np.linalg.norm(yi - yj) <= 1e-10

@@ -103,7 +103,8 @@ def test_stacked_kernel_matches_per_simplex_loop(name, p, q, simplices):
               else _deltas(m.maps.source, m.maps.target))
     np.testing.assert_allclose(deltas, want_deltas, rtol=1e-12)
     src, tgt = reference_simplices(p, q, simplices)
-    for corr, s, t in zip(m.correspondences, src, tgt):
+    for i, (s, t) in enumerate(zip(src, tgt)):
+        corr = m.maps[i]
         np.testing.assert_allclose(corr.source, s, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(corr.target, t, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(corr.linear, affine_correspondence(s, t).linear,
@@ -153,7 +154,8 @@ def test_degenerate_triangulation_simplex_is_named():
 
 
 def reference_evaluate(m, x, tol=1e-9):
-    for corr in m.correspondences:
+    for i in range(m.simplex_count):
+        corr = m.maps[i]
         lam = np.linalg.solve(np.vstack([corr.source.T, np.ones(len(corr.source))]),
                               np.append(x, 1.0))
         if lam.min() >= -tol:

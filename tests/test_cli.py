@@ -374,6 +374,9 @@ def test_help_mentions_schemas():
     assert proc.returncode == 0
     assert "vertex_count" in proc.stdout
     assert "exit codes" in proc.stdout
+    proc = run_cli("classify", "--help")
+    assert proc.returncode == 0
+    assert "--tol" in proc.stdout
 
 
 def test_edges_rejects_different_polytopes(tmp_path):
@@ -389,3 +392,97 @@ def test_edges_rejects_different_polytopes(tmp_path):
         assert json.loads(proc.stdout) == {
             "error": "PolytopeMismatch",
             "message": "shapes realize different combinatorial polytopes"}
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in stdout")
+
+
+def cube_doc(scale):
+    facets = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7]]
+    vertices = [[scale * x, scale * y, scale * z] for z in (0, 1) for y in (0, 1) for x in (0, 1)]
+    return {"dimension": 3, "vertex_count": 8, "facets": facets, "vertices": vertices}
+
+
+SQ, HALF, P_, V_ = (str(DATA / f) for f in ("square.json", "square_half.json", "P.json", "V.json"))
+
+# Inputs that used to exit 2 with empty stdout, print NaN, give a wrong answer or
+# end in a traceback: (argv, a piece of the message naming the bad field).
+BAD_INPUTS = {
+    "no-command": ([], "required: command"),
+    "unknown-command": (["bogus"], "invalid choice"),
+    "missing-argument": (["classify", P_], "required: target"),
+    "unknown-option": (["validate", P_, "--bogus"], "unrecognized arguments"),
+    "missing-base-dim": (["chain", str(DATA / "golden_pleat.json")], "--base-dim"),
+    "bad-base-dim": (["chain", str(DATA / "golden_pleat.json"), "--base-dim", "two"],
+                     "--base-dim"),
+    "bad-tol": (["classify", SQ, HALF, "--tol", "abc"], "--tol"),
+    "nan-tol": (["classify", SQ, HALF, "--tol", "nan"], "--tol"),
+    "inf-tol": (["classify", SQ, HALF, "--tol", "inf"], "--tol"),
+    "negative-tol": (["classify", SQ, HALF, "--tol", "-1e-9"], "--tol"),
+    "nan-tol-order": (["order", SQ, HALF, "--tol", "nan"], "--tol"),
+    "nan-eps": (["sequence", str(DATA / "hexagons.json"), "--eps", "nan"], "--eps"),
+    "inf-eps": (["sequence", str(DATA / "hexagons.json"), "--eps", "inf"], "--eps"),
+    "zero-eps": (["sequence", str(DATA / "hexagons.json"), "--eps", "0"], "--eps"),
+    "negative-eps": (["sequence", str(DATA / "hexagons.json"), "--eps", "-1"], "--eps"),
+    "too-few-vertices": (["validate", "few.json"], "'vertex_count'"),
+    "fan-apex-high": (["pleat", SQ, HALF, "--triangulation", "fan:7"], "--triangulation"),
+    "fan-apex-negative": (["pleat", SQ, HALF, "--triangulation", "fan:-1"], "--triangulation"),
+    "fan-on-cube": (["pleat", "cube.json", "cube_half.json", "--triangulation", "fan:0"],
+                    "--triangulation"),
+    "face-out-of-range": (["perturb", P_, V_, "--pair", '{"face": [9]}', '{"face": [0]}'],
+                          "'face'"),
+    "face-negative": (["perturb", P_, V_, "--pair", '{"face": [0]}', '{"face": [-1]}'],
+                      "'face'"),
+    "face-empty": (["perturb", P_, V_, "--pair", '{"face": []}', '{"face": [0]}'], "'face'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_3_with_one_json_document(tmp_path, capsys, case):
+    from polycomp import cli
+
+    write_json(tmp_path / "few.json", {"dimension": 3, "vertex_count": 3,
+                                       "facets": [[0, 1], [1, 2], [0, 2]],
+                                       "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]})
+    write_json(tmp_path / "cube.json", cube_doc(1.0))
+    write_json(tmp_path / "cube_half.json", cube_doc(0.5))
+    argv, field = BAD_INPUTS[case]
+    argv = [str(tmp_path / a) if a in ("few.json", "cube.json", "cube_half.json") else a
+            for a in argv]
+    assert cli.main(argv) == 3
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert payload["error"] == "MalformedInput"
+    assert field in payload["message"]
+
+
+def test_every_error_reaches_the_cli_with_its_exit_code(monkeypatch, capsys):
+    from polycomp import cli, errors
+
+    # The exit-code mapping the CLI used to spell out as tuples of classes.
+    expected = {
+        "NotSimple": 1, "InconsistentLattice": 1, "DegenerateSpan": 1, "DuplicateVertex": 1,
+        "PolytopeMismatch": 1, "NotTree": 1, "PointOutside": 1, "ValidationFailure": 1,
+        "SingularSimplex": 2, "DegenerateSimplex": 2, "NotContraction": 2, "NotPSD": 2,
+        "InfeasibleApex": 2, "MalformedInput": 3,
+    }
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.PolycompError)
+               and c is not errors.PolycompError] + [cli.ValidationFailure]
+    assert sorted(c.__name__ for c in classes) == sorted(expected)
+    for cls in classes:
+        assert cls.exit_code == expected[cls.__name__]
+
+        want = {"error": cls.__name__, "message": "boom"}
+        if cls is cli.ValidationFailure:  # carries the validation report
+            want["report"] = {"verdict": "invalid"}
+            exc = cls("boom", want["report"])
+        else:
+            exc = cls("boom")
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_complete", fail)
+        assert cli.main(["complete", "M.json"]) == expected[cls.__name__]
+        assert json.loads(capsys.readouterr().out) == want

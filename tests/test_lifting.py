@@ -20,7 +20,6 @@ from polycomp import (
     pleated_embedding,
     pleated_projection_chain,
     projection_chain,
-    projection_is_compression,
     restricted_singular_values,
     scale_critical,
     simplex_polytope,
@@ -139,11 +138,14 @@ def test_lift_rejects_expanding_pair(triangle_pair):
 
 
 def test_projection_is_compression_cases(rng):
+    def projection_compresses(lifted, d):
+        return restricted_singular_values(lifted, lifted[:, :d]).max() < 1 - 1e-9
+
     src = random_simplex_coords(rng, 2)
-    assert not projection_is_compression(lift_simplex(src, src), 2)
-    assert projection_is_compression(lift_simplex(src, 0.5 * src), 2)
+    assert not projection_compresses(lift_simplex(src, src), 2)
+    assert projection_compresses(lift_simplex(src, 0.5 * src), 2)
     partial = src @ np.diag([1.0, 0.5]).T
-    assert not projection_is_compression(lift_simplex(src, partial), 2)
+    assert not projection_compresses(lift_simplex(src, partial), 2)
 
 
 def square_pair(scale=0.8):

@@ -15,8 +15,8 @@ from polycomp import (
     InconsistentLattice,
     NotSimple,
     Shape,
+    barycentric_complex,
     build_polytope,
-    face_pairing_graph,
     fan_triangulation,
     ngon_polytope,
     simplex_polytope,
@@ -24,7 +24,13 @@ from polycomp import (
     validate_shape,
 )
 from polycomp.generators import random_convex_polygon
-from polycomp.polytopes import COORD_TOL, FLAT_ANGLE_TOL, _certified_extreme, _cone_residual
+from polycomp.polytopes import (
+    COORD_TOL,
+    FLAT_ANGLE_TOL,
+    _certified_extreme,
+    _cone_residual,
+    facet_adjacency,
+)
 
 
 def brute_force_lattice(n, facets):
@@ -163,17 +169,15 @@ def test_fan_triangulation_square(unit_square):
     tri = fan_triangulation(unit_square.polytope, 0)
     assert tri.simplices == ((0, 1, 2), (0, 2, 3))
     assert tri.is_tree
-    g = face_pairing_graph(tri)
-    assert g.nodes == 2 and len(g.edges) == 1 and g.is_tree
+    assert len(tri.simplices) == 2 and len(tri.pairing_edges) == 1
 
 
 def test_fan_triangulation_hexagon():
     tri = fan_triangulation(ngon_polytope(6), 0)
     assert len(tri.simplices) == 4
-    g = face_pairing_graph(tri)
-    assert g.nodes == 4 and len(g.edges) == 3 and g.is_tree
+    assert len(tri.pairing_edges) == 3 and tri.is_tree
     degrees = {}
-    for i, j in g.edges:
+    for i, j in tri.pairing_edges:
         degrees[i] = degrees.get(i, 0) + 1
         degrees[j] = degrees.get(j, 0) + 1
     assert sorted(degrees.values()) == [1, 1, 2, 2]  # a path
@@ -183,7 +187,63 @@ def test_fan_triangulation_triangle():
     tri = fan_triangulation(simplex_polytope(2), 0)
     assert tri.simplices == ((0, 1, 2),)
     assert tri.is_tree
-    assert face_pairing_graph(tri).nodes == 1
+    assert tri.pairing_edges == ()
+
+
+def cube_polytope(d):
+    verts = list(itertools.product((0, 1), repeat=d))
+    return build_polytope(d, 2**d, [[i for i, v in enumerate(verts) if v[k] == side]
+                                    for k in range(d) for side in (0, 1)])
+
+
+def first_key_adjacency(cells):
+    """Chain adjacency as ``barycentric_complex`` used to build it: each
+    (position, rest) key joins later cells to the first cell with it."""
+    seen, edges = {}, []
+    for ci, cell in enumerate(cells):
+        for pos in range(len(cell)):
+            key = (pos, cell[:pos] + cell[pos + 1:])
+            if key in seen:
+                edges.append((seen[key], ci))
+            else:
+                seen[key] = ci
+    return tuple(sorted(edges))
+
+
+def shared_entry_adjacency(cells):
+    """Pairing graph as ``triangulation`` used to build it: every pair of
+    cells sharing all entries but one, by set intersection."""
+    return tuple((i, j) for i, j in itertools.combinations(range(len(cells)), 2)
+                 if len(set(cells[i]) & set(cells[j])) == len(cells[i]) - 1)
+
+
+def adjacency_cases():
+    polytopes = ([(f"simplex{d}", simplex_polytope(d)) for d in range(1, 5)]
+                 + [(f"{n}-gon", ngon_polytope(n)) for n in range(3, 21)]
+                 + [(f"cube{d}", cube_polytope(d)) for d in range(2, 5)])
+    for name, poly in polytopes:
+        yield f"chains-{name}", barycentric_complex(poly).chains
+    for n in range(3, 21):
+        for apex in sorted({0, n // 2}):
+            yield f"fan-{n}-gon-{apex}", fan_triangulation(ngon_polytope(n), apex).simplices
+    yield "three-on-one-edge", ((0, 1, 2), (0, 1, 3), (0, 1, 4))
+
+
+@pytest.mark.parametrize("name,cells", list(adjacency_cases()),
+                         ids=[name for name, _ in adjacency_cases()])
+def test_facet_adjacency_matches_both_former_graphs(name, cells):
+    edges = facet_adjacency(cells)
+    assert edges == shared_entry_adjacency(cells)
+    # A chain's entry at position k is a k-face, so the position is implied,
+    # and at most two chains share a key: the former chain graph agrees.
+    if name.startswith("chains"):
+        assert edges == first_key_adjacency(cells)
+
+
+def test_three_triangles_on_one_edge_pair_each_other():
+    tri = triangulation(ngon_polytope(5), [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert tri.pairing_edges == ((0, 1), (0, 2), (1, 2))
+    assert not tri.is_tree
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8])

@@ -187,7 +187,7 @@ def test_extremal_ratio_matches_alpha_max(rng):
                 assert w.anchor_vertex is not None
             if w.anchor_vertex is not None:
                 assert np.array_equal(
-                    w.x, m.correspondences[w.simplex_index].source[w.anchor_vertex])
+                    w.x, m.maps[w.simplex_index].source[w.anchor_vertex])
 
 
 def test_extremal_pair_interior_chord_fallback():

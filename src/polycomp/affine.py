@@ -83,15 +83,15 @@ def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorresponden
     return AffineCorrespondence(src, tgt, matrix, np.ascontiguousarray(matrix[..., :d, :d]))
 
 
-def restricted_singular_values(source, target) -> np.ndarray:
-    """Singular values of the affine maps between k-simplices in mixed dimensions.
+def intrinsic_map(source, target) -> np.ndarray:
+    """Affine maps between k-simplices in mixed dimensions, in intrinsic coordinates.
 
     Source and target are (..., k+1, D_s) and (..., k+1, D_t) stacks.  Each
     source simplex may live in a higher-dimensional space than its own
-    affine hull; the map is measured relative to the intrinsic (isometric)
-    coordinates of that hull.  Used to certify that dropping coordinates is
-    a per-simplex weak compression.  Raises ``SingularSimplex`` when a
-    source simplex is affinely degenerate; ``index`` names the first.
+    affine hull; row i of the returned (..., k, D_t) map is the image of the
+    i-th vector of an orthonormal frame of that hull (from the QR of the
+    source edges).  Raises ``SingularSimplex`` when a source simplex is
+    affinely degenerate; ``index`` names the first.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
@@ -101,10 +101,23 @@ def restricted_singular_values(source, target) -> np.ndarray:
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
     e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
-    _, r = np.linalg.qr(e_src)
+    r = np.linalg.qr(e_src, mode="r")
     cond = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     bad = np.flatnonzero(cond.min(axis=-1) <= DET_TOL * np.maximum(1.0, cond.max(axis=-1)))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
-    m = np.linalg.solve(np.swapaxes(r, -1, -2), e_tgt)  # target edges, intrinsic coords
-    return np.linalg.svd(np.swapaxes(m, -1, -2), compute_uv=False)
+    return np.linalg.solve(np.swapaxes(r, -1, -2), e_tgt)
+
+
+def singular_values(maps: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a (..., k, D_t) stack of ``intrinsic_map`` maps."""
+    return np.linalg.svd(np.swapaxes(maps, -1, -2), compute_uv=False)
+
+
+def restricted_singular_values(source, target) -> np.ndarray:
+    """Singular values of ``intrinsic_map(source, target)``.
+
+    Used to certify that dropping coordinates is a per-simplex weak
+    compression.  Raises ``SingularSimplex`` as ``intrinsic_map`` does.
+    """
+    return singular_values(intrinsic_map(source, target))

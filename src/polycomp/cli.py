@@ -16,7 +16,13 @@ import sys
 import numpy as np
 
 from . import io
-from .barycentric import barycentre, barycentric_complex, induced_map, require_same_polytope
+from .barycentric import (
+    BARY_TOL,
+    barycentre,
+    barycentric_complex,
+    induced_map,
+    require_same_polytope,
+)
 from .errors import MalformedInput, PolycompError
 from .lifting import (
     isometry_residual,
@@ -207,6 +213,9 @@ def _parse_point(text, label, n: int) -> PointOnShape:
             raise MalformedInput(f"--pair {label}: 'weights' must be finite numbers "
                                  "matching 'face'")
         weights = tuple(float(x) for x in weights)
+        if min(weights) < -BARY_TOL or abs(sum(weights) - 1.0) > BARY_TOL:
+            raise MalformedInput(f"--pair {label}: 'weights' must be nonnegative and sum "
+                                 f"to 1 (within {BARY_TOL:g})")
     return PointOnShape(face=tuple(face), weights=weights)
 
 
@@ -338,10 +347,7 @@ def cmd_chain(args):
 def cmd_sequence(args):
     paths = args.shapes
     if len(paths) == 1:
-        try:
-            shapes = io.load_sequence(paths[0])
-        except MalformedInput:
-            shapes = [io.load_shape(paths[0])]
+        shapes = io.load_shapes(paths[0])
     else:
         shapes = [io.load_shape(pth) for pth in paths]
     if len(shapes) < 2:

@@ -101,10 +101,11 @@ def shape_to_dict(shape: Shape) -> dict:
     return doc
 
 
-def load_sequence(path) -> list[Shape]:
+def load_shapes(path) -> list[Shape]:
+    """The shapes of a sequence file (a JSON array), or the one shape of a shape file."""
     doc = _load_json(path)
     if not isinstance(doc, list):
-        raise MalformedInput(f"{path}: sequence file must be a JSON array of shapes")
+        return [shape_from_dict(doc, path)]
     return [shape_from_dict(item, f"{path}[{i}]") for i, item in enumerate(doc)]
 
 

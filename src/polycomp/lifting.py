@@ -14,12 +14,18 @@ embedding and the flat target, one dimension at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import affine_correspondence, restricted_singular_values
+from .affine import (
+    affine_correspondence,
+    intrinsic_map,
+    restricted_singular_values,
+    singular_values,
+)
 from .barycentric import barycentric_complex, chain_simplex_coords, triangulation_map
 from .errors import (
     InconsistentLattice,
@@ -27,6 +33,7 @@ from .errors import (
     NotContraction,
     NotPSD,
     NotTree,
+    SingularSimplex,
 )
 from .polytopes import Shape, Triangulation, bfs_order
 from .spectral import NOT_WEAK_COMPRESSION, classify
@@ -34,6 +41,7 @@ from .spectral import NOT_WEAK_COMPRESSION, classify
 PSD_CLAMP = 1e-8
 CONTRACTION_TOL = 1e-9
 DEPENDENT_TOL = 1e-8
+_CHAIN_BLOCK = 1 << 17  # floats per stage block of projection_chain: bounds its peak memory
 
 
 def symmetric_sqrt(s: np.ndarray) -> np.ndarray:
@@ -244,18 +252,24 @@ def isometry_residual(lifted, source) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
 
-def _fold_angle(coords: np.ndarray, face, a: int, b: int) -> float:
-    """Angle at ``face`` between vertices a and b, orthogonal to its span (pi = flat)."""
-    base = coords[face[0]]
-    ra = coords[a] - base
-    rb = coords[b] - base
-    if len(face) > 1:
-        qmat, _ = np.linalg.qr((coords[list(face[1:])] - base).T)
-        ra = ra - qmat @ (qmat.T @ ra)
-        rb = rb - qmat @ (qmat.T @ rb)
-    cosang = float(np.clip(np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb)),
-                           -1.0, 1.0))
-    return float(np.arccos(cosang))
+def _fold_angles(coords: np.ndarray, triples) -> np.ndarray:
+    """Per ``(face, a, b)`` triple, the angle at the face between vertices a and
+    b, orthogonal to the face's span (pi = flat); one stacked QR per face size."""
+    angles = np.empty(len(triples))
+    by_size = {}
+    for i, (face, _, _) in enumerate(triples):
+        by_size.setdefault(len(face), []).append(i)
+    for size, rows in by_size.items():
+        faces = np.array([triples[i][0] for i in rows])  # (g, size)
+        base = coords[faces[:, :1]]  # (g, 1, D)
+        r = coords[np.array([triples[i][1:] for i in rows])] - base  # (g, 2, D): ra, rb
+        if size > 1:
+            qmat = np.linalg.qr(np.swapaxes(coords[faces[:, 1:]] - base, -1, -2))[0]
+            r = r - (r @ qmat) @ np.swapaxes(qmat, -1, -2)
+        norms = np.linalg.norm(r, axis=-1)
+        cosang = (r[:, 0] * r[:, 1]).sum(axis=-1) / (norms[:, 0] * norms[:, 1])
+        angles[rows] = np.arccos(np.clip(cosang, -1.0, 1.0))
+    return angles
 
 
 @dataclass(frozen=True)
@@ -301,22 +315,25 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
 
     projection_residual = float(np.abs(pe.coords[:, :d] - q.coords).max())
 
-    folds = []
+    triples = []
     for i, j in tri.pairing_edges:
-        shared = sorted(set(tri.simplices[i]) & set(tri.simplices[j]))
+        shared = tuple(sorted(set(tri.simplices[i]) & set(tri.simplices[j])))
         apex_i = next(v for v in tri.simplices[i] if v not in shared)
         apex_j = next(v for v in tri.simplices[j] if v not in shared)
-        folds.append(FacetFold(simplices=(i, j), shared_vertices=tuple(shared),
-                               dihedral=_fold_angle(pe.coords, shared, apex_i, apex_j)))
-
-    ridges = {}
+        triples.append((shared, apex_i, apex_j))
+    owners = []  # simplex of each ridge triple
     if d >= 2:
         for si, s in enumerate(tri.simplices):
-            for drop in range(d + 1):
-                for drop2 in range(drop + 1, d + 1):
-                    tau = tuple(v for k, v in enumerate(s) if k not in (drop, drop2))
-                    angle = _fold_angle(pe.coords, tau, s[drop], s[drop2])
-                    ridges.setdefault(tau, []).append((si, angle))
+            for a, b in itertools.combinations(s, 2):
+                triples.append((tuple(v for v in s if v not in (a, b)), a, b))
+                owners.append(si)
+    angles = _fold_angles(pe.coords, triples).tolist()
+    n_folds = len(tri.pairing_edges)
+    folds = [FacetFold(simplices=(i, j), shared_vertices=shared, dihedral=angle)
+             for (i, j), (shared, _, _), angle in zip(tri.pairing_edges, triples, angles)]
+    ridges = {}
+    for si, (tau, _, _), angle in zip(owners, triples[n_folds:], angles[n_folds:]):
+        ridges.setdefault(tau, []).append((si, angle))
 
     ridge_reports = []
     for tau in sorted(ridges):
@@ -360,6 +377,16 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
+def _prefixes(a: np.ndarray, dims: np.ndarray, width) -> np.ndarray:
+    """``a[..., :width]`` once per entry of ``dims``, with the columns at or past it zeroed.
+
+    Zero columns change neither the R of a QR nor any singular value, so
+    one call over the stack stands for one call per prefix ``a[..., :dim]``.
+    """
+    kept = np.arange(width) < dims[:, None, None, None]
+    return np.where(kept, a[..., :width], 0.0)
+
+
 def projection_chain(coords: np.ndarray, d: int, simplices,
                      source: Shape | None = None,
                      target: Shape | None = None) -> ProjectionChain:
@@ -368,7 +395,10 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     Every stage records, per simplex, the top squared singular value of the
     affine map from the previous stage (an orthogonal projection restricted
     to the simplex, hence always a weak compression) and from the original
-    source shape when given.
+    source shape when given.  The source is solved once; consecutive stages
+    share one call per block of about ``_CHAIN_BLOCK`` floats, which bounds
+    the peak memory.  Raises ``SingularSimplex`` for a degenerate source
+    simplex first, then for the first stage's; ``index`` names the simplex.
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
@@ -381,14 +411,25 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         raise ValueError(f"simplex vertex index out of range for {len(coords)} vertices")
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
+    src_map = intrinsic_map(base, stack)  # (t, k, D); a stage keeps its first dim columns
+    dims = np.arange(big_d, d - 1, -1)
+    step = max(1, _CHAIN_BLOCK // stack.size)
     stages = []
-    for dim in range(big_d, d - 1, -1):
-        cur = stack[..., :dim]
-        alphas_prev = None
-        if dim < big_d:
-            alphas_prev = restricted_singular_values(stack[..., :dim + 1], cur).max(axis=-1) ** 2
-        alphas_src = restricted_singular_values(base, cur).max(axis=-1) ** 2
-        stages.append(ProjectionStage(dim, coords[:, :dim], alphas_prev, alphas_src))
+    for lo in range(0, len(dims), step):
+        block = dims[lo:lo + step]  # consecutive stages, highest dimension first
+        alphas_src = singular_values(_prefixes(src_map, block, block[0])).max(axis=-1) ** 2
+        low = block[block < big_d]  # stages with a previous stage
+        alphas_prev = [None] * (len(block) - len(low))
+        if low.size:
+            try:
+                svals = restricted_singular_values(_prefixes(stack, low + 1, low[0] + 1),
+                                                   _prefixes(stack, low, low[0]))
+            except SingularSimplex as exc:
+                exc.index %= len(idx)  # the simplex, not its (stage, simplex) slot
+                raise
+            alphas_prev += list(svals.max(axis=-1) ** 2)
+        stages += [ProjectionStage(int(dim), coords[:, :dim], prev, src)
+                   for dim, prev, src in zip(block, alphas_prev, alphas_src)]
     final_residual = 0.0
     if target is not None:
         final_residual = float(np.abs(stages[-1].coords - target.coords).max())

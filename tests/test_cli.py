@@ -286,6 +286,21 @@ def test_perturb_with_pair(tmp_path):
     assert payload["pair_derivative"] == pytest.approx(-4 / np.sqrt(9.25), abs=1e-5)
 
 
+def test_perturb_accepts_barycentric_weights(capsys):
+    from polycomp import cli
+
+    def derivative(first):
+        assert cli.main(["perturb", P_, V_, "--pair", first, '{"face": [2]}']) == 0
+        return json.loads(capsys.readouterr().out)["pair_derivative"]
+
+    midpoint = derivative('{"face": [0, 1]}')
+    assert derivative('{"face": [0, 1], "weights": [0.5, 0.5]}') == midpoint
+    # Within the 1e-9 tolerance: a vertex given with rounding noise.
+    vertex = derivative('{"face": [0]}')
+    assert derivative('{"face": [0, 1], "weights": [1.0000000005, -5e-10]}') == pytest.approx(
+        vertex, abs=1e-6)
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
 def test_perturb_non_finite_weights_are_malformed(tmp_path, literal):
     p = write_json(tmp_path / "square.json", square_doc())
@@ -435,6 +450,16 @@ BAD_INPUTS = {
     "face-negative": (["perturb", P_, V_, "--pair", '{"face": [0]}', '{"face": [-1]}'],
                       "'face'"),
     "face-empty": (["perturb", P_, V_, "--pair", '{"face": []}', '{"face": [0]}'], "'face'"),
+    "weights-outside-face": (["perturb", str(DATA / "P_small.json"), V_, "--pair",
+                              '{"face": [0, 1], "weights": [5, -4]}', '{"face": [2]}'],
+                             "first point: 'weights' must be nonnegative and sum to 1"),
+    "weights-zero": (["perturb", str(DATA / "P_small.json"), V_, "--pair",
+                      '{"face": [0, 1], "weights": [0, 0]}', '{"face": [2]}'],
+                     "first point: 'weights' must be nonnegative and sum to 1"),
+    "weights-second-point": (["perturb", str(DATA / "P_small.json"), V_, "--pair",
+                              '{"face": [2]}', '{"face": [0, 1], "weights": [0.5, 0.6]}'],
+                             "second point: 'weights'"),
+    "sequence-bad-member": (["sequence", "bad_member.json"], "[2]: field 'vertices[0]'"),
 }
 
 
@@ -447,9 +472,11 @@ def test_bad_input_exits_3_with_one_json_document(tmp_path, capsys, case):
                                        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]})
     write_json(tmp_path / "cube.json", cube_doc(1.0))
     write_json(tmp_path / "cube_half.json", cube_doc(0.5))
+    members = json.loads((DATA / "hexagons.json").read_text(encoding="utf-8"))
+    members[2]["vertices"][0] = [0.0]
+    write_json(tmp_path / "bad_member.json", members)
     argv, field = BAD_INPUTS[case]
-    argv = [str(tmp_path / a) if a in ("few.json", "cube.json", "cube_half.json") else a
-            for a in argv]
+    argv = [str(tmp_path / a) if a.endswith(".json") and "/" not in a else a for a in argv]
     assert cli.main(argv) == 3
     payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert payload["error"] == "MalformedInput"

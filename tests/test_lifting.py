@@ -1,5 +1,8 @@
 """Orthogonal completions, simplex lifts, pleated embeddings, chains."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from polycomp import (
     Shape,
     SingularSimplex,
     Triangulation,
+    build_polytope,
     fan_triangulation,
     lift_simplex,
     ngon_polytope,
@@ -24,12 +28,15 @@ from polycomp import (
     scale_critical,
     simplex_polytope,
     symmetric_sqrt,
+    triangulation,
 )
 from polycomp.generators import (
     random_contraction,
     random_convex_polygon,
+    random_rotation,
     random_simplex_coords,
 )
+from polycomp import lifting
 from polycomp.lifting import isometry_residual
 
 
@@ -401,3 +408,163 @@ def test_fold_and_ridge_angles_match_perp_formula(rng):
         report.isometry_residuals,
         [pairwise_distance_residual(pe.simplex_coords(k), pe.source.coords[list(s)])
          for k, s in enumerate(tri.simplices)], rtol=1e-12, atol=1e-15)
+
+
+# Stacked projection chain and batched fold angles against the per-call loops
+
+
+def reference_chain(coords, d, simplices, source=None):
+    """Per-stage loop: one restricted-SVD call against the previous stage and one
+    against the source at every stage, as (dim, alphas_prev, alphas_src)."""
+    stack = coords[np.array(simplices)]
+    base = stack if source is None else source.coords[np.array(simplices)]
+    big_d = coords.shape[1]
+    out = []
+    for dim in range(big_d, d - 1, -1):
+        cur = stack[..., :dim]
+        prev = None
+        if dim < big_d:
+            prev = restricted_singular_values(stack[..., :dim + 1], cur).max(axis=-1) ** 2
+        out.append((dim, prev, restricted_singular_values(base, cur).max(axis=-1) ** 2))
+    return out
+
+
+def reference_fold_angle(coords, face, a, b):
+    """One (face, a, b) triple: the angle at the face between a and b, orthogonal to it."""
+    base = coords[face[0]]
+    ra = coords[a] - base
+    rb = coords[b] - base
+    if len(face) > 1:
+        qmat, _ = np.linalg.qr((coords[list(face[1:])] - base).T)
+        ra = ra - qmat @ (qmat.T @ ra)
+        rb = rb - qmat @ (qmat.T @ rb)
+    return float(np.arccos(np.clip(
+        np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb)), -1.0, 1.0)))
+
+
+def pleated_prism(rng):
+    """A skewed triangular prism (vertices 0-2 bottom, 3-5 top) under a random
+    contraction, on its staircase of three tetrahedra, a path of face pairings."""
+    poly = build_polytope(3, 6, [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [0, 2, 5, 3]])
+    bottom = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.8, 0.0]])
+    coords = np.vstack([bottom, bottom + [0.2, 0.1, 1.0]]) @ random_rotation(rng, 3).T
+    p = Shape(poly, coords)
+    q = Shape(poly, coords @ random_contraction(rng, 3, sigma_range=(0.3, 0.95)).T)
+    tri = triangulation(poly, [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]])
+    assert tri.is_tree
+    return pleated_embedding(p, q, tri)
+
+
+def stages_per_block(monkeypatch, coords, simplices, stages):
+    """Make projection_chain stack ``stages`` stages per call (None: the default)."""
+    if stages is not None:
+        size = np.array(simplices).size * coords.shape[1]
+        monkeypatch.setattr(lifting, "_CHAIN_BLOCK", stages * size)
+
+
+def assert_chain_matches_loop(coords, d, simplices, source=None):
+    chain = projection_chain(coords, d, simplices, source=source)
+    want = reference_chain(coords, d, simplices, source)
+    assert [s.ambient_dimension for s in chain.stages] == [dim for dim, _, _ in want]
+    for stage, (dim, prev, src) in zip(chain.stages, want):
+        np.testing.assert_array_equal(stage.coords, coords[:, :dim])
+        np.testing.assert_allclose(stage.per_simplex_alpha_vs_source, src, rtol=0, atol=1e-12)
+        if prev is None:
+            assert stage.per_simplex_alpha_vs_prev is None
+        else:
+            np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, prev, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stages", [None, 1, 4])
+def test_stacked_chain_matches_stage_loop_on_fans(rng, monkeypatch, stages):
+    for n, apex in [(5, 0), (9, 2), (12, 7)]:
+        pe = pleated_polygon(rng, n, apex)
+        simplices = pe.triangulation.simplices
+        stages_per_block(monkeypatch, pe.coords, simplices, stages)
+        assert_chain_matches_loop(pe.coords, 2, simplices, pe.source)
+        assert_chain_matches_loop(pe.coords, 2, simplices)
+
+
+@pytest.mark.parametrize("stages", [None, 1, 3])
+def test_stacked_chain_matches_stage_loop_on_prism(rng, monkeypatch, stages):
+    pe = pleated_prism(rng)
+    assert pe.ambient_dimension == 12
+    simplices = pe.triangulation.simplices
+    stages_per_block(monkeypatch, pe.coords, simplices, stages)
+    assert_chain_matches_loop(pe.coords, 3, simplices, pe.source)
+    assert_chain_matches_loop(pe.coords, 3, simplices)
+
+
+@pytest.mark.parametrize("stages", [None, 1, 2])
+def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch, stages):
+    # Triangles in R^5 down to R^2.  Triangle 1 spans a plane only through
+    # coordinate 4, so its previous stage is degenerate from the R^3 stage on
+    # (source R^4); triangle 3 only through coordinate 3 (from the R^2 stage
+    # on).  The first failing stage decides, and the error names the
+    # simplex, not its (stage, simplex) slot in a stacked call.
+    coords = rng.standard_normal((12, 5))
+    coords[4] = coords[3] + [1.0, 0.0, 0.0, 0.0, 1.0]
+    coords[5] = coords[3] + [2.0, 0.0, 0.0, 0.0, 0.5]
+    coords[10] = coords[9] + [0.0, 1.0, 0.0, 1.0, 0.0]
+    coords[11] = coords[9] + [0.0, 3.0, 0.0, 0.0, 0.0]
+    simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    stages_per_block(monkeypatch, coords, simplices, stages)
+    for chain in (projection_chain, reference_chain):
+        with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+            chain(coords, 2, simplices)
+        assert exc.value.index == 1
+    # Without triangle 1, triangle 3 fails one stage later.
+    for chain in (projection_chain, reference_chain):
+        with pytest.raises(SingularSimplex) as exc:
+            chain(coords, 2, [simplices[0], simplices[2], simplices[3]])
+        assert exc.value.index == 2
+    # A degenerate source simplex is named before any stage's.
+    flat = rng.standard_normal((12, 2))
+    flat[8] = 0.5 * (flat[6] + flat[7])
+    for chain in (projection_chain, reference_chain):
+        with pytest.raises(SingularSimplex) as exc:
+            chain(coords, 2, simplices, source=Shape(ngon_polytope(12), flat))
+        assert exc.value.index == 2
+
+
+def fold_triples(pe):
+    """Every (face, a, b) triple of a pleat: each facet across its pairing edge,
+    then each simplex's faces of size d-1 with the two vertices off them."""
+    tri = pe.triangulation
+    triples = []
+    for i, j in tri.pairing_edges:
+        shared = tuple(sorted(set(tri.simplices[i]) & set(tri.simplices[j])))
+        (a,) = set(tri.simplices[i]) - set(shared)
+        (b,) = set(tri.simplices[j]) - set(shared)
+        triples.append((shared, a, b))
+    for s in tri.simplices:
+        for a, b in itertools.combinations(s, 2):
+            triples.append((tuple(v for v in s if v not in (a, b)), a, b))
+    return triples
+
+
+def test_batched_fold_angles_match_single_face_loop(rng):
+    for pe, sizes in [(pleated_polygon(rng, 11, 4), {1, 2}), (pleated_prism(rng), {2, 3})]:
+        triples = fold_triples(pe)
+        assert {len(face) for face, _, _ in triples} == sizes
+        got = lifting._fold_angles(pe.coords, triples)
+        want = [reference_fold_angle(pe.coords, *triple) for triple in triples]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (got > 0.0).all()  # the pleats fold: no angle collapses to zero
+    assert lifting._fold_angles(pe.coords, []).shape == (0,)
+
+
+def test_chain_peak_memory_is_bounded_on_128gon(rng):
+    # One stacked call over all 253 stages of this fan would allocate hundreds of MB.
+    poly = ngon_polytope(128)
+    coords = random_convex_polygon(rng, 128)
+    pe = pleated_embedding(Shape(poly, coords), Shape(poly, 0.7 * coords),
+                           fan_triangulation(poly, 0))
+    tracemalloc.start()
+    try:
+        chain = pleated_projection_chain(pe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chain.stages) == 253
+    assert peak < 12e6

@@ -429,19 +429,6 @@ def reference_chain(coords, d, simplices, source=None):
     return out
 
 
-def reference_fold_angle(coords, face, a, b):
-    """One (face, a, b) triple: the angle at the face between a and b, orthogonal to it."""
-    base = coords[face[0]]
-    ra = coords[a] - base
-    rb = coords[b] - base
-    if len(face) > 1:
-        qmat, _ = np.linalg.qr((coords[list(face[1:])] - base).T)
-        ra = ra - qmat @ (qmat.T @ ra)
-        rb = rb - qmat @ (qmat.T @ rb)
-    return float(np.arccos(np.clip(
-        np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb)), -1.0, 1.0)))
-
-
 def pleated_prism(rng):
     """A skewed triangular prism (vertices 0-2 bottom, 3-5 top) under a random
     contraction, on its staircase of three tetrahedra, a path of face pairings."""
@@ -548,7 +535,7 @@ def test_batched_fold_angles_match_single_face_loop(rng):
         triples = fold_triples(pe)
         assert {len(face) for face, _, _ in triples} == sizes
         got = lifting._fold_angles(pe.coords, triples)
-        want = [reference_fold_angle(pe.coords, *triple) for triple in triples]
+        want = [reference_angle(pe.coords, *triple) for triple in triples]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (got > 0.0).all()  # the pleats fold: no angle collapses to zero
     assert lifting._fold_angles(pe.coords, []).shape == (0,)

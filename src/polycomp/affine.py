@@ -109,15 +109,10 @@ def intrinsic_map(source, target) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(r, -1, -2), e_tgt)
 
 
-def singular_values(maps: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of a (..., k, D_t) stack of ``intrinsic_map`` maps."""
-    return np.linalg.svd(np.swapaxes(maps, -1, -2), compute_uv=False)
-
-
 def restricted_singular_values(source, target) -> np.ndarray:
-    """Singular values of ``intrinsic_map(source, target)``.
+    """Singular values, descending, of ``intrinsic_map(source, target)``.
 
     Used to certify that dropping coordinates is a per-simplex weak
     compression.  Raises ``SingularSimplex`` as ``intrinsic_map`` does.
     """
-    return singular_values(intrinsic_map(source, target))
+    return np.linalg.svd(np.swapaxes(intrinsic_map(source, target), -1, -2), compute_uv=False)

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import (
-    affine_correspondence,
-    intrinsic_map,
-    restricted_singular_values,
-    singular_values,
-)
+from .affine import affine_correspondence, intrinsic_map, restricted_singular_values
 from .barycentric import barycentric_complex, chain_simplex_coords, triangulation_map
 from .errors import (
     InconsistentLattice,
@@ -36,7 +31,6 @@ from .errors import (
     SingularSimplex,
 )
 from .polytopes import Shape, Triangulation, bfs_order
-from .spectral import NOT_WEAK_COMPRESSION, classify
 
 PSD_CLAMP = 1e-8
 CONTRACTION_TOL = 1e-9
@@ -183,7 +177,7 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
     vol_p = _shape_volume(p)
     if abs(vol - vol_p) > 1e-9 * max(1.0, vol_p):
         raise InconsistentLattice("simplices do not tile the source shape")
-    if classify(m, tol).verdict == NOT_WEAK_COMPRESSION:
+    if not (m.alphas[:, -1] <= 1.0 + tol).all():
         raise NotContraction("the map defined by the triangulation expands a pair")
 
     d = p.polytope.dimension
@@ -377,16 +371,6 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
-def _prefixes(a: np.ndarray, dims: np.ndarray, width) -> np.ndarray:
-    """``a[..., :width]`` once per entry of ``dims``, with the columns at or past it zeroed.
-
-    Zero columns change neither the R of a QR nor any singular value, so
-    one call over the stack stands for one call per prefix ``a[..., :dim]``.
-    """
-    kept = np.arange(width) < dims[:, None, None, None]
-    return np.where(kept, a[..., :width], 0.0)
-
-
 def projection_chain(coords: np.ndarray, d: int, simplices,
                      source: Shape | None = None,
                      target: Shape | None = None) -> ProjectionChain:
@@ -395,13 +379,20 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     Every stage records, per simplex, the top squared singular value of the
     affine map from the previous stage (an orthogonal projection restricted
     to the simplex, hence always a weak compression) and from the original
-    source shape when given.  The source is solved once; consecutive stages
-    share one call per block of about ``_CHAIN_BLOCK`` floats, which bounds
-    the peak memory.  Raises ``SingularSimplex`` for a degenerate source
-    simplex first, then for the first stage's; ``index`` names the simplex.
+    source shape when given.  The source is solved once; a stage's source
+    alphas are the top eigenvalues of the Gram matrices of that map's column
+    prefix.  A simplex whose edges are zero past column c sees the same data,
+    up to zero padding, at every stage above c, so its previous-stage map is
+    computed once for all of them; the computed (stage, simplex) pairs go in
+    calls of about ``_CHAIN_BLOCK`` floats, which bounds the peak memory.
+    Raises ``ValueError`` unless 1 <= d <= the ambient dimension, and
+    ``SingularSimplex`` for a degenerate source simplex first, then for the
+    first stage's; ``index`` names the simplex.
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
+    if not 1 <= d <= big_d:
+        raise ValueError(f"base dimension must be between 1 and the ambient dimension {big_d}")
     if len({len(s) for s in simplices}) > 1:
         raise ValueError("every simplex must list the same number of vertices")
     idx = np.array(simplices, dtype=int)  # (t, k+1)
@@ -412,28 +403,44 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
     src_map = intrinsic_map(base, stack)  # (t, k, D); a stage keeps its first dim columns
-    dims = np.arange(big_d, d - 1, -1)
-    step = max(1, _CHAIN_BLOCK // stack.size)
-    stages = []
-    for lo in range(0, len(dims), step):
-        block = dims[lo:lo + step]  # consecutive stages, highest dimension first
-        alphas_src = singular_values(_prefixes(src_map, block, block[0])).max(axis=-1) ** 2
-        low = block[block < big_d]  # stages with a previous stage
-        alphas_prev = [None] * (len(block) - len(low))
-        if low.size:
-            try:
-                svals = restricted_singular_values(_prefixes(stack, low + 1, low[0] + 1),
-                                                   _prefixes(stack, low, low[0]))
-            except SingularSimplex as exc:
-                exc.index %= len(idx)  # the simplex, not its (stage, simplex) slot
-                raise
-            alphas_prev += list(svals.max(axis=-1) ** 2)
-        stages += [ProjectionStage(int(dim), coords[:, :dim], prev, src)
-                   for dim, prev, src in zip(block, alphas_prev, alphas_src)]
+    gram = np.cumsum(np.einsum("tic,tjc->tcij", src_map, src_map), axis=1)  # (t, D, k, k)
+    alphas_src = np.linalg.eigvalsh(gram[:, d - 1:])[..., -1].T[::-1]  # (stages, t)
+
+    # Row s compares stage dims[s] with the stage above.  Simplex i's stages at
+    # or above rep[i] all take row 0's pair, at min(D - 1, rep[i]); the pairs
+    # run row by row, so the first one that fails is the per-stage loop's.
+    dims = np.arange(big_d - 1, d - 1, -1)
+    used = (stack != stack[:, :1]).any(axis=1)  # (t, D): columns the edges use
+    rep = np.maximum((used * np.arange(1, big_d + 1)).max(axis=1), d)
+    computed = dims[:, None] < rep
+    computed[:1] = True
+    rows, simp = np.nonzero(computed)
+    pair_dims = np.minimum(dims[rows], rep[simp])
+    alphas = np.empty(len(simp))
+    lo = 0
+    while lo < len(simp):  # a block's widths are at most its first row's dim + 1
+        hi = lo + max(1, _CHAIN_BLOCK // (idx.shape[1] * (dims[rows[lo]] + 1)))
+        block = pair_dims[lo:hi, None, None]
+        width = block.max()
+        part = stack[simp[lo:hi], :, :width + 1]
+        cols = np.arange(width + 1)
+        try:
+            svals = restricted_singular_values(np.where(cols <= block, part, 0.0),
+                                               np.where(cols[:-1] < block, part[..., :-1], 0.0))
+        except SingularSimplex as exc:
+            exc.index = int(simp[lo + exc.index])  # the simplex, not its pair slot
+            raise
+        alphas[lo:hi] = svals.max(axis=-1) ** 2
+        lo = hi
+    alphas_prev = np.empty(computed.shape)
+    alphas_prev[computed] = alphas
+    alphas_prev = np.where(computed, alphas_prev, alphas_prev[:1])
+    stages = tuple(ProjectionStage(dim, coords[:, :dim], prev, src) for dim, prev, src
+                   in zip(range(big_d, d - 1, -1), [None, *alphas_prev], alphas_src))
     final_residual = 0.0
     if target is not None:
         final_residual = float(np.abs(stages[-1].coords - target.coords).max())
-    return ProjectionChain(stages=tuple(stages), final_residual=final_residual)
+    return ProjectionChain(stages=stages, final_residual=final_residual)
 
 
 def pleated_projection_chain(pe: PleatedEmbedding) -> ProjectionChain:

@@ -368,6 +368,16 @@ def test_projection_chain_rejects_bad_simplices(rng, simplices, message):
         projection_chain(rng.standard_normal((5, 3)), 2, simplices)
 
 
+@pytest.mark.parametrize("d", [0, -1, 4, 7])
+def test_projection_chain_rejects_base_dimension_out_of_range(rng, d):
+    coords = rng.standard_normal((5, 3))
+    target = Shape(ngon_polytope(5), rng.standard_normal((5, 2)))
+    for kwargs in ({}, {"target": target}):
+        with pytest.raises(ValueError, match="^base dimension must be between 1 and "
+                                             "the ambient dimension 3$"):
+            projection_chain(coords, d, [[0, 1, 2]], **kwargs)
+
+
 def test_restricted_svals_reject_flat_arrays(rng):
     with pytest.raises(ValueError, match=r"^simplices must be \(\.\.\., k\+1, D\) vertex arrays$"):
         restricted_singular_values(rng.standard_normal(3), rng.standard_normal(3))
@@ -512,6 +522,84 @@ def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch,
         with pytest.raises(SingularSimplex) as exc:
             chain(coords, 2, simplices, source=Shape(ngon_polytope(12), flat))
         assert exc.value.index == 2
+
+
+def pairs_per_block(monkeypatch, simplices, d, pairs):
+    """Make projection_chain compute 1 to ``pairs`` (stage, simplex) pairs per call."""
+    monkeypatch.setattr(lifting, "_CHAIN_BLOCK", pairs * len(simplices[0]) * (d + 1))
+
+
+def computed_pairs(monkeypatch):
+    """Count the (stage, simplex) pairs projection_chain hands to the restricted SVD."""
+    counted = []
+
+    def counting(source, target):
+        counted.append(len(source))
+        return restricted_singular_values(source, target)
+
+    monkeypatch.setattr(lifting, "restricted_singular_values", counting)
+    return counted
+
+
+def zero_tail_embedding(rng, size):
+    """Four simplices of ``size`` vertices in R^7: simplex 0 is dense, 1 is
+    constant in column 2 and past column 3, 2 past column 2, 3 past column 1."""
+    coords = rng.standard_normal((4 * size, 7))
+    rows = [slice(i * size, (i + 1) * size) for i in range(4)]
+    coords[rows[1], 2] = 0.25
+    coords[rows[1], 4:] = coords[size, 4:]
+    coords[rows[2], 3:] = 0.0
+    coords[rows[3], 2:] = coords[3 * size, 2:]
+    return coords, np.arange(4 * size).reshape(4, size).tolist()
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_chain_reuse_matches_stage_loop(rng, monkeypatch, pairs):
+    source = Shape(ngon_polytope(12), rng.standard_normal((12, 2)))
+    counted = computed_pairs(monkeypatch)
+    # Dense: every (stage, simplex) pair is computed.
+    dense = rng.standard_normal((12, 6))
+    simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    pairs_per_block(monkeypatch, simplices, 2, pairs)
+    assert_chain_matches_loop(dense, 2, simplices, source)
+    assert sum(counted) == 4 * 4 and max(counted) <= pairs
+    # Zero tails: simplex 1 computes one pair for stage 4 and up, simplex 2 for
+    # stage 3 and up, simplex 3 for stage max(2, d) and up.  A triangle's
+    # previous-stage alphas are all about 1; a segment's are not.
+    for size, d, count in ((3, 2, 5 + 3 + 2 + 1), (2, 1, 6 + 4 + 3 + 2)):
+        coords, simplices = zero_tail_embedding(rng, size)
+        pairs_per_block(monkeypatch, simplices, d, pairs)
+        for base in (None, Shape(ngon_polytope(4 * size), rng.standard_normal((4 * size, 2)))):
+            counted.clear()
+            assert_chain_matches_loop(coords, d, simplices, base)
+            assert sum(counted) == count and max(counted) <= pairs
+    # d == D: one stage and no previous-stage alphas.
+    chain = projection_chain(coords, 7, simplices)
+    assert [s.ambient_dimension for s in chain.stages] == [7]
+    assert chain.stages[0].per_simplex_alpha_vs_prev is None
+    assert_chain_matches_loop(coords, 7, simplices)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_chain_reuse_names_the_loops_simplex(rng, monkeypatch, pairs):
+    # Triangles in R^7 down to R^2 over a nondegenerate planar source.
+    # Triangle 2 is collinear and uses only columns 0-2, so its one computed
+    # pair (stage 3) stands for every stage from 6 down and fails first.
+    # Triangle 1 spans its plane only through column 5 and fails at stage 4,
+    # which a pair order by stage alone would reach first.
+    coords = rng.standard_normal((9, 7))
+    coords[4] = coords[3] + [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    coords[5] = coords[3] + [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    coords[7] = coords[6] + [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    coords[8] = coords[6] + [2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    source = Shape(ngon_polytope(9), random_convex_polygon(rng, 9))
+    simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    pairs_per_block(monkeypatch, simplices, 2, pairs)
+    for got_simplices, index in ((simplices, 2), (simplices[:2], 1)):
+        for chain in (projection_chain, reference_chain):
+            with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+                chain(coords, 2, got_simplices, source=source)
+            assert exc.value.index == index
 
 
 def fold_triples(pe):

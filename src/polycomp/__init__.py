@@ -45,14 +45,11 @@ from .lifting import (
     symmetric_sqrt,
 )
 from .metric import (
-    MetricAxiomReport,
     SequenceReport,
     converges_to,
     delta_polytope,
     delta_simplex,
     is_cauchy,
-    is_homothetic,
-    metric_axiom_suite,
     per_chain_deltas,
     sequence_report,
 )

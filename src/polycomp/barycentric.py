@@ -109,10 +109,6 @@ class InducedMap:
     def simplex_count(self) -> int:
         return len(self.maps.linear)
 
-    @property
-    def dimension(self) -> int:
-        return self.source.polytope.dimension
-
     @cached_property
     def alphas(self) -> np.ndarray:
         """Eigenvalues of Abar^T Abar per simplex, (t, d) ascending; computed once, read-only."""
@@ -177,11 +173,11 @@ def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
                         simplices=simps)
 
 
-def evaluate_map(m: InducedMap, x, tol: float = BARY_TOL) -> np.ndarray:
+def evaluate_map(m: InducedMap, x) -> np.ndarray:
     """Evaluate f at a point of P by locating a containing simplex.
 
     The lowest-index simplex wins whose barycentric coordinates are all
-    >= -tol (they are then clamped and renormalized, so results on shared
+    >= -BARY_TOL (they are then clamped and renormalized, so results on shared
     faces do not depend on the winner).  Raises ``PointOutside`` when no
     simplex contains the point.
     """
@@ -189,7 +185,7 @@ def evaluate_map(m: InducedMap, x, tol: float = BARY_TOL) -> np.ndarray:
     ph = homogeneous(m.maps.source)
     xh = np.broadcast_to(np.append(x, 1.0)[:, None], ph.shape[:-1] + (1,))
     lam = np.linalg.solve(ph, xh)[..., 0]
-    inside = np.flatnonzero(lam.min(axis=1) >= -tol)
+    inside = np.flatnonzero(lam.min(axis=1) >= -BARY_TOL)
     if not inside.size:
         raise PointOutside(f"point {x.tolist()} lies in no simplex of the domain")
     lam = np.clip(lam[inside[0]], 0.0, None)

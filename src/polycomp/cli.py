@@ -44,18 +44,7 @@ from .spectral import (
     scale_critical,
 )
 
-FILE_FORMATS = """\
-file formats (JSON, UTF-8):
-  shape          {"dimension": d, "vertex_count": N,
-                  "facets": [[int, ...], ...],
-                  "vertices": [[float, ...], ...],
-                  "mode": "strict"|"weak", "name": optional string}
-  triangulation  {"simplices": [[int, ...], ...]}   (polytope vertex indices)
-  matrix         {"rows": r, "cols": c, "data": [row-major floats]}
-  embedding      {"ambient_dimension": D, "vertices": [[float, ...], ...],
-                  "simplices": [[int, ...], ...], "stages": optional}
-                  (each simplex lists base-dim + 1 vertex indices)
-  sequence       JSON array of shape objects
+EXIT_CODES = """\
 exit codes: 0 success, 1 validation failure, 2 numerical failure
 (singular simplex, not a contraction, infeasible apex), 3 malformed input.
 """
@@ -203,7 +192,7 @@ def _parse_point(text, label, n: int) -> PointOnShape:
     if not isinstance(doc, dict) or "face" not in doc:
         raise MalformedInput(f"--pair {label}: expected an object with 'face'")
     face = doc["face"]
-    if not isinstance(face, list) or any(not isinstance(v, int) for v in face):
+    if not isinstance(face, list) or any(not io._is_int(v) for v in face):
         raise MalformedInput(f"--pair {label}: 'face' must list vertex indices")
     if not face or any(not 0 <= v < n for v in face):
         raise MalformedInput(f"--pair {label}: 'face' must list vertex indices in [0, {n})")
@@ -398,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="polycomp",
         description="Compression analysis for convex realizations of polytopes.",
-        epilog=FILE_FORMATS,
+        epilog=(io.__doc__ or "") + EXIT_CODES,  # io's docstring lists the file formats
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

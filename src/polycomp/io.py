@@ -1,18 +1,16 @@
-"""JSON file formats: shapes, triangulations, matrices, embeddings, sequences.
-
-Shape file:
-    {"dimension": d, "vertex_count": N, "facets": [[int, ...], ...],
-     "vertices": [[float, ...], ...], "mode": "strict"|"weak",
-     "name": optional string}
-Triangulation file:
-    {"simplices": [[int, ...], ...]}
-Matrix file:
-    {"rows": r, "cols": c, "data": [row-major floats]}
-Embedding file:
-    {"ambient_dimension": D, "vertices": [[float, ...], ...],
-     "simplices": [[int, ...], ...], "stages": optional list of embeddings}
-
-Schema errors raise ``MalformedInput`` naming the offending file and field.
+"""file formats (JSON, UTF-8):
+  shape          {"dimension": d, "vertex_count": N,
+                  "facets": [[int, ...], ...],
+                  "vertices": [[float, ...], ...],
+                  "mode": "strict"|"weak", "name": optional string}
+  triangulation  {"simplices": [[int, ...], ...]}   (polytope vertex indices)
+  matrix         {"rows": r, "cols": c, "data": [row-major floats]}
+  embedding      {"ambient_dimension": D, "vertices": [[float, ...], ...],
+                  "simplices": [[int, ...], ...], "stages": optional}
+                  (each simplex lists base-dim + 1 vertex indices)
+  sequence       JSON array of shape objects
+An int field takes no true or false; schema errors raise MalformedInput
+naming the offending file and field.
 """
 
 from __future__ import annotations
@@ -38,11 +36,16 @@ def _load_json(path) -> object:
         raise MalformedInput(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _is_int(value) -> bool:
+    """Is ``value`` a JSON integer?  ``bool`` subclasses ``int``, so true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, path, field: str, kind=None):
     if field not in doc:
         raise MalformedInput(f"{path}: missing field '{field}'")
     value = doc[field]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise MalformedInput(f"{path}: field '{field}' has the wrong type")
     return value
 
@@ -51,7 +54,7 @@ def _finite_numbers(row, length: int) -> bool:
     """Is ``row`` a list of ``length`` finite JSON numbers?"""
     # NaN fails every comparison; Infinity and huge integers exceed the bound.
     return (isinstance(row, list) and len(row) == length
-            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+            and all((_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
                     for x in row))
 
 
@@ -72,7 +75,7 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
         raise MalformedInput(f"{path}: field 'vertex_count' must be at least dimension + 1")
     for i, f in enumerate(facets):
         if (not isinstance(f, list) or not f
-                or any(not isinstance(v, int) or v < 0 or v >= n for v in f)):
+                or any(not _is_int(v) or v < 0 or v >= n for v in f)):
             raise MalformedInput(f"{path}: field 'facets[{i}]' must list vertex "
                                  f"indices in [0, {n})")
     if len(vertices) != n:
@@ -86,19 +89,6 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
 
 def load_shape(path) -> Shape:
     return shape_from_dict(_load_json(path), path)
-
-
-def shape_to_dict(shape: Shape) -> dict:
-    doc = {
-        "dimension": shape.polytope.dimension,
-        "vertex_count": shape.polytope.vertex_count,
-        "facets": [list(f) for f in shape.polytope.facets],
-        "vertices": shape.coords.tolist(),
-        "mode": shape.mode,
-    }
-    if shape.name is not None:
-        doc["name"] = shape.name
-    return doc
 
 
 def load_shapes(path) -> list[Shape]:
@@ -115,7 +105,7 @@ def load_triangulation(path, polytope: CombinatorialPolytope) -> Triangulation:
         raise MalformedInput(f"{path}: triangulation document must be a JSON object")
     simplices = _require(doc, path, "simplices", list)
     for i, s in enumerate(simplices):
-        if not isinstance(s, list) or any(not isinstance(v, int) for v in s):
+        if not isinstance(s, list) or any(not _is_int(v) for v in s):
             raise MalformedInput(f"{path}: field 'simplices[{i}]' must list integers")
         if any(v < 0 or v >= polytope.vertex_count for v in s):
             raise MalformedInput(
@@ -164,7 +154,7 @@ def load_embedding(path) -> tuple[int, np.ndarray, list[list[int]]]:
     n = len(vertices)
     for i, s in enumerate(simplices):
         if (not isinstance(s, list)
-                or any(not isinstance(v, int) or v < 0 or v >= n for v in s)):
+                or any(not _is_int(v) or v < 0 or v >= n for v in s)):
             raise MalformedInput(f"{path}: field 'simplices[{i}]' must list vertex "
                                  f"indices in [0, {n})")
     return big_d, np.array(vertices, dtype=float), [list(s) for s in simplices]

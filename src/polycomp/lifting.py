@@ -151,8 +151,7 @@ def _shape_volume(shape: Shape) -> float:
     return _simplex_volume(chain_simplex_coords(barycentric_complex(shape.polytope), shape))
 
 
-def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
-                      tol: float = CONTRACTION_TOL) -> PleatedEmbedding:
+def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbedding:
     """Pleated embedding of P in R^{d(t+1)} projecting onto Q.
 
     The root simplex is placed by ``lift_simplex`` in the first 2d
@@ -177,7 +176,7 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation,
     vol_p = _shape_volume(p)
     if abs(vol - vol_p) > 1e-9 * max(1.0, vol_p):
         raise InconsistentLattice("simplices do not tile the source shape")
-    if not (m.alphas[:, -1] <= 1.0 + tol).all():
+    if not (m.alphas[:, -1] <= 1.0 + CONTRACTION_TOL).all():
         raise NotContraction("the map defined by the triangulation expands a pair")
 
     d = p.polytope.dimension
@@ -371,6 +370,22 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
+def _prefix_gram_tops(m: np.ndarray, first: int) -> np.ndarray:
+    """Top eigenvalue of the Gram matrix of each column prefix of a (t, k, D)
+    stack, from ``first`` + 1 columns up: (D - first, t).  The Grams are
+    cumulative sums over column blocks of about ``_CHAIN_BLOCK`` floats, each
+    led by the running total, so every sum adds in column order."""
+    t, k, big_d = m.shape
+    step = max(1, _CHAIN_BLOCK // (t * k * k))
+    gram, tops = np.empty((t, 0, k, k)), []
+    for lo in range(0, big_d, step):
+        cols = m[..., lo:lo + step]
+        gram = np.cumsum(np.concatenate([gram[:, -1:], np.einsum("tic,tjc->tcij", cols, cols)],
+                                        axis=1), axis=1)[:, -cols.shape[-1]:]
+        tops.append(np.linalg.eigvalsh(gram[:, max(0, first - lo):])[..., -1])
+    return np.concatenate(tops, axis=1).T
+
+
 def projection_chain(coords: np.ndarray, d: int, simplices,
                      source: Shape | None = None,
                      target: Shape | None = None) -> ProjectionChain:
@@ -383,8 +398,9 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     alphas are the top eigenvalues of the Gram matrices of that map's column
     prefix.  A simplex whose edges are zero past column c sees the same data,
     up to zero padding, at every stage above c, so its previous-stage map is
-    computed once for all of them; the computed (stage, simplex) pairs go in
-    calls of about ``_CHAIN_BLOCK`` floats, which bounds the peak memory.
+    computed once for all of them.  The source Grams and the computed
+    (stage, simplex) pairs go in blocks of about ``_CHAIN_BLOCK`` floats,
+    which bounds the peak memory.
     Raises ``ValueError`` unless 1 <= d <= the ambient dimension, and
     ``SingularSimplex`` for a degenerate source simplex first, then for the
     first stage's; ``index`` names the simplex.
@@ -403,8 +419,7 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
     src_map = intrinsic_map(base, stack)  # (t, k, D); a stage keeps its first dim columns
-    gram = np.cumsum(np.einsum("tic,tjc->tcij", src_map, src_map), axis=1)  # (t, D, k, k)
-    alphas_src = np.linalg.eigvalsh(gram[:, d - 1:])[..., -1].T[::-1]  # (stages, t)
+    alphas_src = _prefix_gram_tops(src_map, d - 1)[::-1]  # (stages, t)
 
     # Row s compares stage dims[s] with the stage above.  Simplex i's stages at
     # or above rep[i] all take row 0's pair, at min(D - 1, rep[i]); the pairs

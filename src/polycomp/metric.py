@@ -18,7 +18,6 @@ import numpy as np
 from .affine import degenerate, solve_correspondence
 from .barycentric import barycentric_complex, chain_simplex_coords, induced_map
 from .errors import DegenerateSimplex, PolytopeMismatch, SingularSimplex
-from .generators import random_rotation
 from .polytopes import Shape
 
 
@@ -114,85 +113,6 @@ def delta_polytope(p: Shape, q: Shape) -> float:
     return float(np.max(_map_deltas(p, q, chains=False)))
 
 
-def is_homothetic(p: Shape, q: Shape, tol: float = 1e-9) -> bool:
-    """Do the two shapes differ by an isometry and a uniform scale?
-
-    Checked on pairwise vertex distances: all ratios equal within tol.
-    """
-    n = p.coords.shape[0]
-    iu = np.triu_indices(n, k=1)
-    dp = np.linalg.norm(p.coords[iu[0]] - p.coords[iu[1]], axis=1)
-    dq = np.linalg.norm(q.coords[iu[0]] - q.coords[iu[1]], axis=1)
-    ratios = dq / dp
-    return bool(ratios.max() - ratios.min() <= tol * max(1.0, ratios.max()))
-
-
-@dataclass(frozen=True)
-class MetricAxiomReport:
-    count: int
-    delta_matrix: np.ndarray
-    symmetry_violations: tuple
-    identity_violations: tuple
-    positivity_violations: tuple
-    triangle_violations: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not (self.symmetry_violations or self.identity_violations
-                    or self.positivity_violations or self.triangle_violations)
-
-
-def metric_axiom_suite(shapes, *, seed: int = 0, tol_sym: float = 1e-12,
-                       tol_id: float = 1e-10, tol_tri: float = 1e-9,
-                       tol_pos: float = 1e-10) -> MetricAxiomReport:
-    """Check symmetry, identity under homothety/isometry, positivity and the
-    triangle inequality on all pairs and triples of the given shapes."""
-    shapes = list(shapes)
-    if len(shapes) < 3:
-        raise ValueError("need at least three shapes")
-    n = len(shapes)
-    delta = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool)
-    delta[off] = _pair_deltas(shapes, np.argwhere(off))
-    asym = np.abs(delta - delta.T)
-    sym_viol = [(int(i), int(j), asym[i, j]) for i, j in np.argwhere(np.triu(asym > tol_sym, 1))]
-
-    rng = np.random.default_rng(seed)
-    d = shapes[0].polytope.dimension
-    moved = []
-    for s in shapes:
-        lam = rng.uniform(0.1, 10.0)
-        rot = random_rotation(rng, d)
-        t = rng.uniform(-1.0, 1.0, d)
-        moved.append(s.scaled(lam).transformed(rotation=rot, translation=t))
-    id_deltas = _pair_deltas(shapes + moved, np.c_[np.arange(n), np.arange(n, 2 * n)])
-    id_viol = [(i, dd) for i, dd in enumerate(id_deltas.tolist()) if dd > tol_id]
-
-    pos_viol = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            homothetic = is_homothetic(shapes[i], shapes[j])
-            if homothetic and delta[i, j] > tol_id:
-                pos_viol.append((i, j, delta[i, j], "homothetic but delta > 0"))
-            if not homothetic and delta[i, j] <= tol_pos:
-                pos_viol.append((i, j, delta[i, j], "distinct classes but delta ~ 0"))
-
-    # excess[i, j, k] = delta[i, k] - delta[i, j] - delta[j, k] over distinct i, j, k
-    excess = delta[:, None, :] - delta[:, :, None] - delta[None, :, :]
-    distinct = off[:, :, None] & off[None, :, :] & off[:, None, :]
-    tri_viol = [(int(i), int(j), int(k), excess[i, j, k])
-                for i, j, k in np.argwhere((excess > tol_tri) & distinct)]
-
-    return MetricAxiomReport(
-        count=n,
-        delta_matrix=delta,
-        symmetry_violations=tuple(sym_viol),
-        identity_violations=tuple(id_viol),
-        positivity_violations=tuple(pos_viol),
-        triangle_violations=tuple(tri_viol),
-    )
-
-
 @dataclass(frozen=True)
 class CauchyResult:
     cauchy: bool
@@ -215,21 +135,21 @@ def is_cauchy(shapes, window: int, eps: float) -> CauchyResult:
                         lambda i, j: delta_polytope(shapes[i], shapes[j]))
 
 
-def converges_to(shapes, limit: Shape, eps: float, slack: float = 1e-9) -> bool:
+def converges_to(shapes, limit: Shape, eps: float) -> bool:
     """Distances to the limit must fall below eps and trend monotonically
     down over the trailing quarter of the sequence."""
     shapes = list(shapes)
     n = len(shapes)
     dists = _pair_deltas(shapes + [limit], np.c_[np.arange(n), np.full(n, n)])
-    return _tail_converges(dists, eps, slack)
+    return _tail_converges(dists, eps)
 
 
-def _tail_converges(dists, eps: float, slack: float = 1e-9) -> bool:
+def _tail_converges(dists, eps: float) -> bool:
     m = max(2, len(dists) // 4)
     tail = dists[-m:]
     if any(t >= eps for t in tail):
         return False
-    return all(tail[i + 1] <= tail[i] + slack for i in range(len(tail) - 1))
+    return all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
 
 
 @dataclass(frozen=True)

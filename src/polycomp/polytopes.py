@@ -211,10 +211,6 @@ class Shape:
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def dimension(self) -> int:
-        return self.polytope.dimension
-
     def scaled(self, factor: float) -> "Shape":
         return Shape(self.polytope, self.coords * factor, self.mode, self.name)
 
@@ -317,8 +313,8 @@ def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int) -> float:
     return float(np.linalg.norm(b - lam @ lifted))
 
 
-def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict",
-                   tol: float = COORD_TOL) -> ValidationReport:
+def validate_shape(polytope: CombinatorialPolytope, coords,
+                   mode: str = "strict") -> ValidationReport:
     """Check whether coordinates realize the polytope strictly or weakly.
 
     Per facet the report carries the supporting-hyperplane fit residual and
@@ -333,7 +329,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
 
     dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
-    if dist.min() <= tol:
+    if dist.min() <= COORD_TOL:
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
 
@@ -366,7 +362,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
     residuals[deficient] = np.inf
     facet_reports = tuple(FacetReport(f, r, m) for f, r, m in
                           zip(polytope.facets, residuals.tolist(), margins.tolist()))
-    bad = (residuals > tol) | (margins < -tol)
+    bad = (residuals > COORD_TOL) | (margins < -COORD_TOL)
     valid = not bad.any()
 
     messages = []
@@ -374,18 +370,18 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
         facet = polytope.facets[k]
         if deficient[k]:
             messages.append(f"facet {facet} has deficient affine span")
-        elif residuals[k] > tol:
+        elif residuals[k] > COORD_TOL:
             messages.append(f"facet {facet} vertices are not coplanar")
-        if margins[k] < -tol:
+        if margins[k] < -COORD_TOL:
             messages.append(f"vertices on both sides of facet {facet}")
 
-    # Extreme iff [c_v, 1] is farther than tol from the cone of the other
+    # Extreme iff [c_v, 1] is farther than COORD_TOL from the cone of the other
     # lifted points; the certificate settles most vertices, NNLS the rest.
-    extreme = _certified_extreme(centered, on_facet.T @ normals, tol)
+    extreme = _certified_extreme(centered, on_facet.T @ normals, COORD_TOL)
     lifted = np.hstack([centered, np.ones((n, 1))])
     gram = lifted @ lifted.T
     for v in np.flatnonzero(~extreme):
-        extreme[v] = _cone_residual(lifted, gram, v) > tol
+        extreme[v] = _cone_residual(lifted, gram, v) > COORD_TOL
     vertex_extreme = tuple(bool(e) for e in extreme)
 
     flat_pairs = ()
@@ -398,7 +394,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords, mode: str = "strict"
 
     if not valid:
         verdict = "invalid"
-    elif (margins > tol).all() and all(vertex_extreme):
+    elif (margins > COORD_TOL).all() and all(vertex_extreme):
         verdict = "strictly-convex"
     else:
         verdict = "weakly-convex"

@@ -239,8 +239,7 @@ class Perturbation:
     infinitesimal_weak_compression: bool
 
 
-def perturbation_classify(p: Shape | np.ndarray, velocities,
-                          tol: float = DEFAULT_TOL) -> Perturbation:
+def perturbation_classify(p: Shape | np.ndarray, velocities) -> Perturbation:
     """Is moving the vertices along ``velocities`` an infinitesimal weak compression?
 
     The criterion is that the symmetric part of the reduced matrix of
@@ -267,7 +266,7 @@ def perturbation_classify(p: Shape | np.ndarray, velocities,
         direction=vh,
         symmetric_part=sym,
         eigenvalues=eig,
-        infinitesimal_weak_compression=bool(eig[-1] <= tol),
+        infinitesimal_weak_compression=bool(eig[-1] <= DEFAULT_TOL),
     )
 
 
@@ -292,9 +291,8 @@ class PointOnShape:
         return w @ coords[idx]
 
 
-def distance_derivative(shape: Shape, velocities, x: PointOnShape, y: PointOnShape,
-                        h: float = 1e-6) -> float:
-    """Central finite difference of t -> ||x(t) - y(t)|| at t = 0."""
+def distance_derivative(shape: Shape, velocities, x: PointOnShape, y: PointOnShape) -> float:
+    """Central finite difference, step 1e-6, of t -> ||x(t) - y(t)|| at t = 0."""
     vel = np.asarray(velocities, dtype=float)
     if vel.shape != shape.coords.shape:
         raise ValueError("velocities must match the vertex coordinate layout")
@@ -303,4 +301,4 @@ def distance_derivative(shape: Shape, velocities, x: PointOnShape, y: PointOnSha
         coords = shape.coords + t * vel
         return float(np.linalg.norm(x.resolve(coords) - y.resolve(coords)))
 
-    return (gap(h) - gap(-h)) / (2.0 * h)
+    return (gap(1e-6) - gap(-1e-6)) / 2e-6

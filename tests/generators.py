@@ -1,14 +1,14 @@
-"""Deterministic random generators for experiments and tests.
+"""Deterministic random generators and shape helpers for the tests.
 
-Everything takes an explicit numpy Generator so that experiment scripts and
-property suites are reproducible from a single seed.
+Everything random takes an explicit numpy Generator so that property suites
+are reproducible from a single seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .polytopes import Shape, ngon_polytope, simplex_polytope
+from polycomp.polytopes import Shape, ngon_polytope, simplex_polytope
 
 
 def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -76,3 +76,16 @@ def random_convex_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_polygon_shape(rng: np.random.Generator, n: int) -> Shape:
     return Shape(ngon_polytope(n), random_convex_polygon(rng, n))
+
+
+def is_homothetic(p: Shape, q: Shape, tol: float = 1e-9) -> bool:
+    """Do the two shapes differ by an isometry and a uniform scale?
+
+    Checked on pairwise vertex distances: all ratios equal within tol.
+    """
+    n = p.coords.shape[0]
+    iu = np.triu_indices(n, k=1)
+    dp = np.linalg.norm(p.coords[iu[0]] - p.coords[iu[1]], axis=1)
+    dq = np.linalg.norm(q.coords[iu[0]] - q.coords[iu[1]], axis=1)
+    ratios = dq / dp
+    return bool(ratios.max() - ratios.min() <= tol * max(1.0, ratios.max()))

@@ -25,7 +25,6 @@ from polycomp import (
     fan_triangulation,
     induced_map,
     is_cauchy,
-    is_homothetic,
     lift_simplex,
     ngon_polytope,
     orthogonal_completion,
@@ -37,7 +36,8 @@ from polycomp import (
     spectral_summary,
     validate_shape,
 )
-from polycomp.generators import (
+from generators import (
+    is_homothetic,
     random_contraction,
     random_convex_polygon,
     random_rotation,

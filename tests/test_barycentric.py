@@ -145,7 +145,7 @@ def test_evaluate_map_outside(unit_square):
 
 def test_naturality(rng):
     # f(b(F)) = b(G) for every face, on a random pentagon pair
-    from polycomp.generators import random_polygon_shape
+    from generators import random_polygon_shape
 
     p = random_polygon_shape(rng, 5)
     q = random_polygon_shape(rng, 5)
@@ -157,7 +157,7 @@ def test_naturality(rng):
 
 def test_continuity_on_shared_facets(rng):
     # adjacent chain simplices agree on their shared face
-    from polycomp.generators import random_polygon_shape
+    from generators import random_polygon_shape
 
     p = random_polygon_shape(rng, 6)
     q = random_polygon_shape(rng, 6)

@@ -29,7 +29,7 @@ from polycomp import (
     triangulation_map,
 )
 from polycomp.barycentric import chain_simplex_coords
-from polycomp.generators import random_convex_polygon
+from generators import random_convex_polygon
 from polycomp.metric import _deltas
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

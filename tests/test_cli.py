@@ -389,6 +389,8 @@ def test_help_mentions_schemas():
     assert proc.returncode == 0
     assert "vertex_count" in proc.stdout
     assert "exit codes" in proc.stdout
+    for name in ("shape", "triangulation", "matrix", "embedding", "sequence"):
+        assert f"\n  {name} " in proc.stdout
     proc = run_cli("classify", "--help")
     assert proc.returncode == 0
     assert "--tol" in proc.stdout
@@ -460,6 +462,10 @@ BAD_INPUTS = {
                               '{"face": [2]}', '{"face": [0, 1], "weights": [0.5, 0.6]}'],
                              "second point: 'weights'"),
     "sequence-bad-member": (["sequence", "bad_member.json"], "[2]: field 'vertices[0]'"),
+    "bool-dimension": (["validate", "bool_dimension.json"], "'dimension'"),
+    "bool-rows": (["complete", "bool_rows.json"], "'rows'"),
+    "bool-face": (["perturb", P_, V_, "--pair", '{"face": [true]}', '{"face": [0]}'], "'face'"),
+    "bool-vertices": (["validate", "bool_vertices.json"], "'vertices[0]'"),
 }
 
 
@@ -475,6 +481,12 @@ def test_bad_input_exits_3_with_one_json_document(tmp_path, capsys, case):
     members = json.loads((DATA / "hexagons.json").read_text(encoding="utf-8"))
     members[2]["vertices"][0] = [0.0]
     write_json(tmp_path / "bad_member.json", members)
+    write_json(tmp_path / "bool_vertices.json", {
+        "dimension": 2, "vertex_count": 3, "facets": [[0, 1], [1, 2], [0, 2]],
+        "vertices": [[False, False], [True, False], [False, True]]})
+    write_json(tmp_path / "bool_dimension.json", {"dimension": True, "vertex_count": 2,
+                                                  "facets": [[0], [1]], "vertices": [[0], [1]]})
+    write_json(tmp_path / "bool_rows.json", {"rows": True, "cols": 1, "data": [0.5]})
     argv, field = BAD_INPUTS[case]
     argv = [str(tmp_path / a) if a.endswith(".json") and "/" not in a else a for a in argv]
     assert cli.main(argv) == 3

@@ -3,7 +3,7 @@
 import numpy as np
 
 from polycomp import validate_shape
-from polycomp.generators import (
+from generators import (
     random_contraction,
     random_convex_polygon,
     random_polygon_shape,

@@ -30,7 +30,7 @@ from polycomp import (
     symmetric_sqrt,
     triangulation,
 )
-from polycomp.generators import (
+from generators import (
     random_contraction,
     random_convex_polygon,
     random_rotation,
@@ -629,10 +629,12 @@ def test_batched_fold_angles_match_single_face_loop(rng):
     assert lifting._fold_angles(pe.coords, []).shape == (0,)
 
 
-def test_chain_peak_memory_is_bounded_on_128gon(rng):
-    # One stacked call over all 253 stages of this fan would allocate hundreds of MB.
-    poly = ngon_polytope(128)
-    coords = random_convex_polygon(rng, 128)
+@pytest.mark.parametrize("n", [128, 192])
+def test_chain_peak_memory_is_bounded_on_large_fans(rng, n):
+    # One stacked call over all 2n - 3 stages of this fan would allocate hundreds of
+    # MB; summing the source Grams block by block keeps n = 192 under the bound too.
+    poly = ngon_polytope(n)
+    coords = random_convex_polygon(rng, n)
     pe = pleated_embedding(Shape(poly, coords), Shape(poly, 0.7 * coords),
                            fan_triangulation(poly, 0))
     tracemalloc.start()
@@ -641,5 +643,18 @@ def test_chain_peak_memory_is_bounded_on_128gon(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chain.stages) == 253
+    assert len(chain.stages) == 2 * n - 3
     assert peak < 12e6
+
+
+@pytest.mark.parametrize("columns", [1, 2, 5])
+def test_source_gram_blocks_add_in_column_order(rng, monkeypatch, columns):
+    """Summing the source Grams over blocks of a few columns, running total
+    first, gives every stage's source alphas bit for bit."""
+    pe = pleated_polygon(rng, 9, 2)
+    want = pleated_projection_chain(pe)
+    t, k = len(pe.triangulation.simplices), 2
+    monkeypatch.setattr(lifting, "_CHAIN_BLOCK", columns * t * k * k)
+    for stage, expected in zip(pleated_projection_chain(pe).stages, want.stages):
+        np.testing.assert_array_equal(stage.per_simplex_alpha_vs_source,
+                                      expected.per_simplex_alpha_vs_source)

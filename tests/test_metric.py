@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from polycomp import (
     delta_simplex,
     induced_map,
     is_cauchy,
-    is_homothetic,
-    metric_axiom_suite,
     ngon_polytope,
     per_chain_deltas,
     sequence_report,
@@ -31,7 +30,7 @@ from polycomp import (
 )
 from polycomp import metric
 from polycomp.affine import degenerate
-from polycomp.generators import random_polygon_shape, random_rotation, random_simplex_shape
+from generators import is_homothetic, random_polygon_shape, random_rotation, random_simplex_shape
 
 LN4 = 1.3862943611198906  # frozen: per-chain SVD oracle on square vs 2x1 rectangle
 
@@ -134,25 +133,77 @@ def test_submultiplicativity_transfer(rng):
         assert sc.alpha_min >= sa.alpha_min * sb.alpha_min - 1e-9
 
 
+class AxiomReport(NamedTuple):
+    """Delta matrix and the violations of each metric axiom, per pair and triple."""
+
+    delta_matrix: np.ndarray
+    symmetry_violations: tuple
+    identity_violations: tuple
+    positivity_violations: tuple
+    triangle_violations: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not any(self[1:])
+
+
+def loop_axiom_suite(shapes, seed=0, tol_sym=1e-12, tol_id=1e-10, tol_tri=1e-9, tol_pos=1e-10):
+    """Symmetry, identity under homothety and isometry, positivity and the
+    triangle inequality, one delta_polytope call per ordered pair."""
+    n = len(shapes)
+    delta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                delta[i, j] = delta_polytope(shapes[i], shapes[j])
+    sym = [(i, j, abs(delta[i, j] - delta[j, i])) for i in range(n) for j in range(i + 1, n)
+           if abs(delta[i, j] - delta[j, i]) > tol_sym]
+    rng = np.random.default_rng(seed)
+    ident = []
+    d = shapes[0].polytope.dimension
+    for i, s in enumerate(shapes):
+        lam = rng.uniform(0.1, 10.0)
+        rot = random_rotation(rng, d)
+        t = rng.uniform(-1.0, 1.0, d)
+        dd = delta_polytope(s, s.scaled(lam).transformed(rotation=rot, translation=t))
+        if dd > tol_id:
+            ident.append((i, dd))
+    pos = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            homothetic = is_homothetic(shapes[i], shapes[j])
+            if homothetic and delta[i, j] > tol_id:
+                pos.append((i, j, delta[i, j], "homothetic but delta > 0"))
+            if not homothetic and delta[i, j] <= tol_pos:
+                pos.append((i, j, delta[i, j], "distinct classes but delta ~ 0"))
+    tri = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                excess = delta[i, k] - delta[i, j] - delta[j, k]
+                if len({i, j, k}) == 3 and excess > tol_tri:
+                    tri.append((i, j, k, excess))
+    return AxiomReport(delta, tuple(sym), tuple(ident), tuple(pos), tuple(tri))
+
+
 def test_metric_axiom_suite_homothetic_copies(rng):
     p = random_simplex_shape(rng, 2)
     shapes = [p, p.scaled(2.0), p.scaled(0.3)]
-    report = metric_axiom_suite(shapes)
+    report = loop_axiom_suite(shapes)
     assert report.passed
     assert np.abs(report.delta_matrix).max() <= 1e-10
 
 
 def test_metric_axiom_suite_random_triangles(rng):
     shapes = [random_simplex_shape(rng, 2) for _ in range(12)]
-    report = metric_axiom_suite(shapes)
-    assert report.passed, (report.symmetry_violations, report.identity_violations,
-                           report.positivity_violations, report.triangle_violations)
+    report = loop_axiom_suite(shapes)
+    assert report.passed, report
 
 
 def test_triangle_inequality_published(triangle_pair):
     p, q = triangle_pair
     unit = Shape(p.polytope, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    report = metric_axiom_suite([p, q, unit])
+    report = loop_axiom_suite([p, q, unit])
     assert not report.triangle_violations
 
 
@@ -251,36 +302,6 @@ def loop_sequence(shapes, limit=None):
     return delta, np.array([delta_polytope(s, limit) for s in shapes])
 
 
-def loop_axiom_suite(shapes, seed=0, tol_sym=1e-12, tol_id=1e-10, tol_tri=1e-9):
-    """Delta matrix and symmetry, identity and triangle violations, per pair and triple."""
-    n = len(shapes)
-    delta = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                delta[i, j] = delta_polytope(shapes[i], shapes[j])
-    sym = [(i, j, abs(delta[i, j] - delta[j, i])) for i in range(n) for j in range(i + 1, n)
-           if abs(delta[i, j] - delta[j, i]) > tol_sym]
-    rng = np.random.default_rng(seed)
-    ident = []
-    d = shapes[0].polytope.dimension
-    for i, s in enumerate(shapes):
-        lam = rng.uniform(0.1, 10.0)
-        rot = random_rotation(rng, d)
-        t = rng.uniform(-1.0, 1.0, d)
-        dd = delta_polytope(s, s.scaled(lam).transformed(rotation=rot, translation=t))
-        if dd > tol_id:
-            ident.append((i, dd))
-    tri = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                excess = delta[i, k] - delta[i, j] - delta[j, k]
-                if len({i, j, k}) == 3 and excess > tol_tri:
-                    tri.append((i, j, k, excess))
-    return delta, tuple(sym), tuple(ident), tuple(tri)
-
-
 def octagon_family(rng, size, converging=True):
     """Octagons whose vertex k moves onto its neighbours' chord, plus the weak limit."""
     poly = ngon_polytope(8)
@@ -333,13 +354,6 @@ def test_stacked_requests_match_per_pair_loop(name, seq, limit):
     for eps in (1e-3, 0.1, 10.0):
         expected = (tail < eps).all() and (np.diff(tail) <= 1e-9).all()
         assert converges_to(seq, limit, eps) == expected
-    shapes = seq[:7] + [limit]
-    suite = metric_axiom_suite(shapes, seed=3, tol_tri=-0.05)
-    delta, sym, ident, tri = loop_axiom_suite(shapes, seed=3, tol_tri=-0.05)
-    assert (suite.delta_matrix == delta).all()
-    assert (suite.symmetry_violations, suite.identity_violations,
-            suite.triangle_violations) == (sym, ident, tri)
-    assert suite.triangle_violations  # the negative tolerance makes some
 
 
 def test_stacked_requests_on_empty_and_single_sequences(unit_square):
@@ -370,9 +384,7 @@ def assert_same_error(seq, limit, expected_type):
     assert outcome(sequence_report, seq, window=2, eps=0.1, limit=limit) == want
     assert outcome(converges_to, seq, limit, 0.1) == outcome(
         lambda: [delta_polytope(s, limit) for s in seq])
-    want_suite = outcome(loop_axiom_suite, seq + [limit])
-    assert want_suite[0] is expected_type
-    assert outcome(metric_axiom_suite, seq + [limit]) == want_suite
+    assert outcome(loop_axiom_suite, seq + [limit])[0] is expected_type
     return want
 
 

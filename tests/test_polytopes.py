@@ -23,7 +23,7 @@ from polycomp import (
     triangulation,
     validate_shape,
 )
-from polycomp.generators import random_convex_polygon
+from generators import random_convex_polygon
 from polycomp.polytopes import (
     COORD_TOL,
     FLAT_ANGLE_TOL,

@@ -26,7 +26,7 @@ from polycomp import (
     simplex_polytope,
     spectral_summary,
 )
-from polycomp.generators import (
+from generators import (
     random_contraction,
     random_rotation,
     random_simplex_coords,

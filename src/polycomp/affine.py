@@ -26,10 +26,22 @@ def homogeneous(vertices: np.ndarray) -> np.ndarray:
 
 
 def degenerate(vertices: np.ndarray) -> np.ndarray:
-    """Per simplex of a (..., d+1, d) stack: |det| <= DET_TOL * max(1, max |coord|)^d."""
+    """Per simplex of a (..., d+1, d) stack: are its edges p_i - p_0 ``_flat``?
+    Free of position and scale."""
     v = np.asarray(vertices, dtype=float)
-    scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
-    return np.abs(np.linalg.det(homogeneous(v))) <= DET_TOL * scale ** v.shape[-1]
+    return _flat(v[..., 1:, :] - v[..., :1, :])
+
+
+@np.errstate(over="ignore")  # an overflowing length takes the rescaling branch
+def _flat(e: np.ndarray) -> np.ndarray:
+    """Per (..., d, d) edge matrix: is |det| <= DET_TOL once the rows are scaled
+    to a unit longest row?"""
+    long2 = np.vecdot(e, e).max(axis=-1)  # the longest row, squared
+    if not 1e-40 < long2.min() <= long2.max() < 1e40:  # else |det| could over- or underflow
+        size = np.abs(e).reshape(e.shape[:-2] + (-1,)).max(axis=-1)[..., None, None]
+        e = e / np.where(size > 0, size, 1.0)  # each matrix's largest |entry| becomes 1
+        long2 = np.vecdot(e, e).max(axis=-1)
+    return np.abs(np.linalg.det(e)) <= DET_TOL * long2 ** (e.shape[-1] / 2)
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,8 @@ class AffineCorrespondence:
 def affine_correspondence(source, target) -> AffineCorrespondence:
     """Affine maps taking each source simplex of a (..., d+1, d) stack onto its target.
 
-    Raises ``SingularSimplex`` when a source simplex is affinely degenerate
-    (|det| below 1e-12 at coordinate scale); ``index`` names the first.
+    Raises ``SingularSimplex`` when a source simplex is ``degenerate``;
+    ``index`` names the first.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
@@ -91,7 +103,7 @@ def intrinsic_map(source, target) -> np.ndarray:
     affine hull; row i of the returned (..., k, D_t) map is the image of the
     i-th vector of an orthonormal frame of that hull (from the QR of the
     source edges).  Raises ``SingularSimplex`` when a source simplex is
-    affinely degenerate; ``index`` names the first.
+    ``degenerate``, tested on its edges in that frame; ``index`` names the first.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
@@ -101,12 +113,11 @@ def intrinsic_map(source, target) -> np.ndarray:
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
     e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
-    r = np.linalg.qr(e_src, mode="r")
-    cond = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    bad = np.flatnonzero(cond.min(axis=-1) <= DET_TOL * np.maximum(1.0, cond.max(axis=-1)))
+    frame = np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2)  # row i: edge i in the frame
+    bad = np.flatnonzero(_flat(frame))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
-    return np.linalg.solve(np.swapaxes(r, -1, -2), e_tgt)
+    return np.linalg.solve(frame, e_tgt)
 
 
 def restricted_singular_values(source, target) -> np.ndarray:

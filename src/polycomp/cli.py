@@ -35,6 +35,7 @@ from .lifting import (
 from .metric import delta_polytope, per_chain_deltas, sequence_report
 from .polytopes import Shape, fan_triangulation, is_tree, validate_shape
 from .spectral import (
+    DEFAULT_TOL,
     PointOnShape,
     classify,
     compare_order,
@@ -45,8 +46,8 @@ from .spectral import (
 )
 
 EXIT_CODES = """\
-exit codes: 0 success, 1 validation failure, 2 numerical failure
-(singular simplex, not a contraction, infeasible apex), 3 malformed input.
+exit codes: 0 success, 1 validation failure, 2 numerical failure (singular
+simplex, not a contraction, infeasible apex, non-finite result), 3 malformed input.
 """
 
 
@@ -56,6 +57,11 @@ class ValidationFailure(PolycompError):
     def __init__(self, message, payload):
         super().__init__(message)
         self.payload = payload
+
+
+class NonFiniteResult(PolycompError):
+    """A result overflowed or underflowed to NaN or an infinity, which JSON cannot hold."""
+    exit_code = 2
 
 
 def _require_valid(shape: Shape, label) -> Shape:
@@ -412,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("source")
         sp.add_argument("target")
         if extra_tol:
-            sp.add_argument("--tol", default=1e-9, help="strictness band around 1 (default 1e-9)",
+            sp.add_argument("--tol", default=DEFAULT_TOL,
+                            help="strictness band around 1 (default %(default)s)",
                             type=_float_type(lambda t: 0 <= t < np.inf, "a finite number >= 0"))
         sp.set_defaults(func=func)
 
@@ -456,12 +463,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         payload, summary, code = args.func(args)
         payload["command"] = args.command
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # NaN and Infinity are not JSON
+            raise NonFiniteResult(f"{args.command}: a result is not a finite number") from exc
     except PolycompError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ValidationFailure):
             payload["report"] = exc.payload
         summary, code = str(exc), exc.exit_code
-    print(json.dumps(payload, sort_keys=True))
+        text = json.dumps(payload, sort_keys=True)
+    print(text)
     print(summary, file=sys.stderr)
     return code
 

@@ -30,11 +30,12 @@ from .errors import (
     NotTree,
     SingularSimplex,
 )
-from .polytopes import Shape, Triangulation, bfs_order
+from .polytopes import COORD_TOL, Shape, Triangulation, bfs_order
 
 PSD_CLAMP = 1e-8
 CONTRACTION_TOL = 1e-9
 DEPENDENT_TOL = 1e-8
+APEX_TOL = 1e-7  # spread of an apex's budget over its largest squared edge
 _CHAIN_BLOCK = 1 << 17  # floats per stage block of projection_chain: bounds its peak memory
 
 
@@ -151,6 +152,13 @@ def _shape_volume(shape: Shape) -> float:
     return _simplex_volume(chain_simplex_coords(barycentric_complex(shape.polytope), shape))
 
 
+def _exponent(*arrays) -> int:
+    """The k with every |entry| of the arrays below 2^k, the largest at least 2^(k-1).
+    Dividing by 2^k is exact, so a result computed on the quotients scales back
+    bit for bit, and no square of a length over- or underflows."""
+    return int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
+
+
 def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbedding:
     """Pleated embedding of P in R^{d(t+1)} projecting onto Q.
 
@@ -165,16 +173,21 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
     solution set (the closest point to the shared vertices' middle
     coordinates), so s < 0 only when the input is not a weak compression
     or the system is numerically inconsistent; both raise
-    ``InfeasibleApex``.
+    ``InfeasibleApex``.  It runs on P and Q divided by a power of two that
+    brings their coordinates to size about 1, which is exact, so no squared
+    length over- or underflows at any scale.
     """
     if tri.polytope != p.polytope:
         raise InconsistentLattice("triangulation belongs to a different polytope")
     if not tri.is_tree:
         raise NotTree("face-pairing graph of the triangulation is not a tree")
+    k = _exponent(p.coords, q.coords)
+    source, target = p, q  # the embedding keeps the given shapes
+    p, q = (Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in (p, q))
     m = triangulation_map(p, q, tri.simplices)
     vol = _simplex_volume(m.maps.source)
     vol_p = _shape_volume(p)
-    if abs(vol - vol_p) > 1e-9 * max(1.0, vol_p):
+    if abs(vol - vol_p) > COORD_TOL * vol_p:
         raise InconsistentLattice("simplices do not tile the source shape")
     if not (m.alphas[:, -1] <= 1.0 + CONTRACTION_TOL).all():
         raise NotContraction("the map defined by the triangulation expands a pair")
@@ -219,35 +232,38 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
         shift, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ mids[0], rcond=None)
         w = mids[0] + shift
         s_all = -(base - 2.0 * (mids @ w) + np.dot(w, w))
-        scale = max(1.0, float(lengths2.max()))
-        if s_all.max() - s_all.min() > 1e-7 * scale:
+        scale = float(lengths2.max())  # s and its spread are squared lengths
+        if s_all.max() - s_all.min() > APEX_TOL * scale:
             raise InfeasibleApex("distance system for the apex is inconsistent")
         s = float(s_all.mean())
-        if s < -CONTRACTION_TOL:
-            raise InfeasibleApex(f"negative residual budget {s}")
+        if s < -CONTRACTION_TOL * scale:
+            raise InfeasibleApex(f"negative residual budget, {s / scale:.3g} of the largest "
+                                 "squared edge")
         coords[apex, :d] = qa
         coords[apex, d:z0] = w
         coords[apex, z0] = np.sqrt(max(s, 0.0))
 
-    return PleatedEmbedding(ambient_dimension=big_d, coords=coords,
-                            triangulation=tri, source=p, target=q)
+    return PleatedEmbedding(ambient_dimension=big_d, coords=np.ldexp(coords, k),
+                            triangulation=tri, source=source, target=target)
 
 
 def isometry_residual(lifted, source) -> float | np.ndarray:
     """Largest change of a pairwise distance between corresponding points, per
     point set of a (..., k+1, D) stack; a float for a single set."""
-    lifted = np.asarray(lifted, dtype=float)
-    source = np.asarray(source, dtype=float)
+    k = _exponent(lifted, source)
+    lifted, source = np.ldexp(lifted, -k), np.ldexp(source, -k)  # exact
     i, j = np.triu_indices(source.shape[-2], 1)
     res = np.abs(np.linalg.norm(lifted[..., i, :] - lifted[..., j, :], axis=-1)
                  - np.linalg.norm(source[..., i, :] - source[..., j, :], axis=-1)
                  ).max(axis=-1, initial=0.0)
+    res = np.ldexp(res, k)
     return float(res) if res.ndim == 0 else res
 
 
 def _fold_angles(coords: np.ndarray, triples) -> np.ndarray:
     """Per ``(face, a, b)`` triple, the angle at the face between vertices a and
     b, orthogonal to the face's span (pi = flat); one stacked QR per face size."""
+    coords = np.ldexp(coords, -_exponent(coords))  # exact, and angles are scale-free
     angles = np.empty(len(triples))
     by_size = {}
     for i, (face, _, _) in enumerate(triples):

@@ -25,7 +25,7 @@ from .errors import (
     NotSimple,
 )
 
-# Geometric tolerances; coordinates are assumed O(1).
+# Dimensionless: lengths are divided by the shape's radius (see validate_shape).
 COORD_TOL = 1e-9
 FLAT_ANGLE_TOL = 1e-7
 
@@ -254,7 +254,8 @@ class ValidationReport:
         return {
             "verdict": self.verdict,
             "facets": [
-                {"facet": list(r.facet), "residual": r.residual, "margin": r.margin}
+                {"facet": list(r.facet), "margin": r.margin,
+                 "residual": None if r.residual == np.inf else r.residual}  # inf: deficient
                 for r in self.facet_reports
             ],
             "vertex_extreme": list(self.vertex_extreme),
@@ -321,20 +322,23 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     the side-consistency margin (minimum signed distance of the non-facet
     vertices, positive inward).  Raises ``DegenerateSpan`` if the affine
     span of the vertices is below d and ``DuplicateVertex`` if two vertex
-    points coincide within tolerance.
+    points coincide within tolerance.  Each test compares a length over the
+    radius r, the largest absolute centred coordinate, with ``COORD_TOL``.
     """
     coords = Shape(polytope, coords, mode).coords  # shape, mode and finiteness checks
     d = polytope.dimension
     n = polytope.vertex_count
+    centered = coords - coords.mean(axis=0)
+    r = np.abs(centered).max()
+    unit = centered / (r or 1.0)  # radius 1: nothing below over- or underflows
+    tol = COORD_TOL * r  # the same test on lengths in the input's units
 
-    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    dist = np.linalg.norm(unit[:, None, :] - unit[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
     if dist.min() <= COORD_TOL:
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
-
-    centered = coords - coords.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-8 * max(1.0, np.abs(coords).max())) < d:
+    if np.linalg.matrix_rank(unit, tol=COORD_TOL) < d:
         raise DegenerateSpan("affine span of the vertices is below d")
 
     # Fit every facet hyperplane: one SVD per group of facets of equal size.
@@ -349,7 +353,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
             _, sv, vh = np.linalg.svd(points - c[:, None], full_matrices=True)
             normals[rows] = vh[:, -1]
             if idx.shape[1] >= d:
-                deficient[rows] = sv[:, d - 2] <= COORD_TOL
+                deficient[rows] = sv[:, d - 2] <= tol
 
     # Signed distances of every vertex from every facet hyperplane, (F, n);
     # orient each normal outward, with the non-facet vertices on the negative side.
@@ -360,9 +364,9 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     margins = -np.where(on_facet, -np.inf, signed).max(axis=1)
     residuals = np.where(on_facet & (d > 1), np.abs(signed), 0.0).max(axis=1)
     residuals[deficient] = np.inf
-    facet_reports = tuple(FacetReport(f, r, m) for f, r, m in
+    facet_reports = tuple(FacetReport(f, res, m) for f, res, m in
                           zip(polytope.facets, residuals.tolist(), margins.tolist()))
-    bad = (residuals > COORD_TOL) | (margins < -COORD_TOL)
+    bad = (residuals > tol) | (margins < -tol)
     valid = not bad.any()
 
     messages = []
@@ -370,15 +374,15 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
         facet = polytope.facets[k]
         if deficient[k]:
             messages.append(f"facet {facet} has deficient affine span")
-        elif residuals[k] > COORD_TOL:
+        elif residuals[k] > tol:
             messages.append(f"facet {facet} vertices are not coplanar")
-        if margins[k] < -COORD_TOL:
+        if margins[k] < -tol:
             messages.append(f"vertices on both sides of facet {facet}")
 
-    # Extreme iff [c_v, 1] is farther than COORD_TOL from the cone of the other
-    # lifted points; the certificate settles most vertices, NNLS the rest.
-    extreme = _certified_extreme(centered, on_facet.T @ normals, COORD_TOL)
-    lifted = np.hstack([centered, np.ones((n, 1))])
+    # Extreme iff [u_v, 1] is farther than COORD_TOL from the cone of the other
+    # lifted unit-radius points; the certificate settles most vertices, NNLS the rest.
+    extreme = _certified_extreme(unit, on_facet.T @ normals, COORD_TOL)
+    lifted = np.hstack([unit, np.ones((n, 1))])
     gram = lifted @ lifted.T
     for v in np.flatnonzero(~extreme):
         extreme[v] = _cone_residual(lifted, gram, v) > COORD_TOL
@@ -388,13 +392,12 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     if valid and d >= 2:
         i, j = ridge_pairs.T
         cosang = np.clip((normals[i] * normals[j]).sum(axis=1), -1.0, 1.0)
-        dihedral = np.pi - np.arccos(cosang)
-        flat = np.abs(np.pi - dihedral) <= FLAT_ANGLE_TOL
+        flat = np.arccos(cosang) <= FLAT_ANGLE_TOL  # the normals' angle: pi minus the dihedral
         flat_pairs = tuple(map(tuple, ridge_pairs[flat].tolist()))
 
     if not valid:
         verdict = "invalid"
-    elif (margins > COORD_TOL).all() and all(vertex_extreme):
+    elif (margins > tol).all() and all(vertex_extreme):
         verdict = "strictly-convex"
     else:
         verdict = "weakly-convex"

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import degenerate, homogeneous
+from .affine import DET_TOL, degenerate, homogeneous
 from .barycentric import InducedMap, induced_map, require_same_polytope
 from .errors import SingularSimplex
 from .polytopes import Shape
@@ -26,6 +26,15 @@ DEFAULT_TOL = 1e-9
 COMPRESSION = "Compression"
 WEAK_COMPRESSION = "WeakCompressionNotStrict"
 NOT_WEAK_COMPRESSION = "NotWeakCompression"
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Row norms sqrt(v . v), to the bit wherever the squares neither over- nor
+    underflow, and finite at any scale: each row is first divided by the power
+    of two above its largest |entry|, which is exact."""
+    k = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
+    w = np.ldexp(v, -k)
+    return np.ldexp(np.sqrt(np.vecdot(w, w)), k[..., 0])
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,7 @@ def edge_contraction_check(p: Shape, q: Shape,
     """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j} of the shared polytope."""
     require_same_polytope(p, q)
     edges = p.polytope.edge_array
-    diffs = [c[edges[:, 0]] - c[edges[:, 1]] for c in (p.coords, q.coords)]
-    src, tgt = (np.sqrt(np.vecdot(e, e)) for e in diffs)  # per-edge linalg.norm, bit for bit
+    src, tgt = _lengths(np.stack([c[edges[:, 0]] - c[edges[:, 1]] for c in (p.coords, q.coords)]))
     ratios = tgt / src
     return EdgeContractionReport(
         edges=tuple(map(tuple, edges.tolist())),
@@ -113,22 +121,23 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
     d = corr.dimension
     _, _, vh = np.linalg.svd(corr.linear)
     u = vh[0]
-    # Barycentric velocity along u; along -u it is the exact negation.
+    # Barycentric velocity along u; along -u it is the exact negation.  In
+    # units of 1/length: an entry below DET_TOL of the largest counts as zero.
     lam_u = np.linalg.solve(homogeneous(corr.source), np.append(u, 0.0))
+    zero = DET_TOL * np.abs(lam_u).max()
 
     for k in range(d + 1):
         for sign in (1.0, -1.0):
             lam_dot = sign * lam_u
             others = np.delete(lam_dot, k)
-            if others.min() < -1e-12:
+            if others.min() < -zero:
                 continue
             if lam_dot[k] >= 0:
                 continue  # zero direction; cannot happen for unit u
             smax = 1.0 / (-lam_dot[k])
             x = corr.source[k]
             y = x + smax * sign * u
-            ratio = float(np.linalg.norm(corr.apply(x) - corr.apply(y))
-                          / np.linalg.norm(x - y))
+            ratio = float(_lengths(corr.apply(x) - corr.apply(y)) / _lengths(x - y))
             return ExtremalPair(x=x, y=y, ratio=ratio,
                                 simplex_index=s.argmax_simplex, anchor_vertex=k)
 
@@ -139,8 +148,7 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
     hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
     x = centre + lo * u
     y = centre + hi * u
-    ratio = float(np.linalg.norm(corr.apply(x) - corr.apply(y))
-                  / np.linalg.norm(x - y))
+    ratio = float(_lengths(corr.apply(x) - corr.apply(y)) / _lengths(x - y))
     return ExtremalPair(x=x, y=y, ratio=ratio,
                         simplex_index=s.argmax_simplex, anchor_vertex=None)
 
@@ -299,6 +307,6 @@ def distance_derivative(shape: Shape, velocities, x: PointOnShape, y: PointOnSha
 
     def gap(t: float) -> float:
         coords = shape.coords + t * vel
-        return float(np.linalg.norm(x.resolve(coords) - y.resolve(coords)))
+        return float(_lengths(x.resolve(coords) - y.resolve(coords)))
 
     return (gap(1e-6) - gap(-1e-6)) / 2e-6

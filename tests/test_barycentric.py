@@ -17,6 +17,7 @@ from polycomp import (
     ngon_polytope,
     simplex_polytope,
 )
+from polycomp.affine import degenerate
 
 
 def brute_force_chains(polytope):
@@ -105,6 +106,22 @@ def test_induced_map_degenerate_source():
     q = Shape(poly, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(DegenerateSimplex):
         induced_map(p, q)
+
+
+def test_degenerate_is_free_of_position_and_scale():
+    # Normalised |det| of the edge matrix: h for the first two, 0 for the last.
+    thin, flatter = ([[0.0, 0.0], [1.0, 0.0], [0.5, h]] for h in (1e-11, 1e-13))
+    line = [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]
+    want = [False, False, True, True]
+    for scale in (2.0**-900, 2.0**-40, 1.0, 2.0**40, 2.0**900):  # exact rescalings
+        stack = scale * np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], thin, flatter, line])
+        assert degenerate(stack).tolist() == want
+        moved = stack + scale * np.array([1e6, -1e6])  # far away, on the simplices' scale
+        assert degenerate(moved[[0, 3]]).tolist() == [False, True]
+    mixed = np.array([1e-200, 1e200])[:, None, None, None] * np.array([[[0.0, 0.0], [1.0, 0.0],
+                                                                    [0.0, 1.0]], line])
+    assert degenerate(mixed).tolist() == [[False, True], [False, True]]
+    assert degenerate(np.zeros((3, 2)))  # a simplex shrunk to a point
 
 
 def test_affine_invariants(triangle_pair):

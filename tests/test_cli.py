@@ -525,3 +525,68 @@ def test_every_error_reaches_the_cli_with_its_exit_code(monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_complete", fail)
         assert cli.main(["complete", "M.json"]) == expected[cls.__name__]
         assert json.loads(capsys.readouterr().out) == want
+
+
+def scaled_pair_files(tmp_path, name, scale):
+    """P, Q, a zero velocity matrix and a two-shape sequence, all scaled."""
+    if name == "square":
+        docs = [square_doc(scale), square_doc(0.5 * scale)]
+    else:
+        docs = json.loads((DATA / "hexagons.json").read_text(encoding="utf-8"))[:2]
+        for doc in docs:
+            doc["vertices"] = (scale * np.array(doc["vertices"])).tolist()
+    p, q = (write_json(tmp_path / f"{side}.json", doc) for side, doc in zip("PQ", docs))
+    n = len(docs[0]["vertices"])
+    v = write_json(tmp_path / "V.json", {"rows": n, "cols": 2, "data": [0.0] * (2 * n)})
+    return p, q, v, write_json(tmp_path / "seq.json", docs)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-12, 1e100, 1e300])
+@pytest.mark.parametrize("name", ["square", "hexagons"])
+def test_scaled_shapes_keep_the_cli_contract(tmp_path, capsys, name, scale):
+    from polycomp import cli
+
+    def run(argv):
+        code = cli.main(argv)
+        return code, json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+
+    (tmp_path / "one").mkdir()
+    p1, q1, _, _ = scaled_pair_files(tmp_path / "one", name, 1.0)
+    p, q, v, seq = scaled_pair_files(tmp_path, name, scale)
+    for argv in (["validate", p], ["subdivide", p], ["classify", p, q], ["edges", p, q],
+                 ["distance", p, q], ["order", p, q], ["scale", p, q], ["lift", p, q],
+                 ["pleat", p, q, "--triangulation", "fan:0"],
+                 ["perturb", p, v, "--pair", '{"face": [0]}', '{"face": [1]}'],
+                 ["sequence", seq, "--limit", p]):
+        code, payload = run(argv)
+        assert code in (0, 1, 2, 3), (argv[0], payload)
+        if argv[0] != "lift":  # lift takes simplices only, so it exits 3 here
+            assert "error" not in payload, (argv[0], payload)
+    assert run(["classify", p, q])[1]["verdict"] == run(["classify", p1, q1])[1]["verdict"]
+    folds, folds1 = (run(["pleat", a, b, "--triangulation", "fan:0"])[1]["facet_folds"]
+                     for a, b in ((p, q), (p1, q1)))
+    # Rounding the scaled input moves a flat fold (pi, where arccos has an
+    # infinite slope) by up to about sqrt(eps); every other angle far less.
+    assert [f["dihedral"] for f in folds] == pytest.approx([f["dihedral"] for f in folds1],
+                                                           rel=0, abs=1e-7)
+
+
+def test_non_finite_results_exit_2_with_one_json_document(tmp_path, capsys, monkeypatch):
+    from polycomp import cli
+
+    assert cli.NonFiniteResult("x").exit_code == 2
+    monkeypatch.setattr(cli, "cmd_complete", lambda args: ({"value": float("nan")}, "", 0))
+    assert cli.main(["complete", "M.json"]) == 2
+    assert json.loads(capsys.readouterr().out, parse_constant=reject_constant) == {
+        "error": "NonFiniteResult", "message": "complete: a result is not a finite number"}
+
+
+def test_deficient_facet_residual_prints_as_null(tmp_path, capsys):
+    from polycomp import cli
+
+    doc = cube_doc(1.0)
+    doc["vertices"][:4] = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.6, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    assert cli.main(["validate", write_json(tmp_path / "squashed.json", doc)]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert payload["facets"][0] == {"facet": [0, 1, 2, 3], "margin": 0.0, "residual": None}
+    assert payload["messages"][0] == "facet (0, 1, 2, 3) has deficient affine span"

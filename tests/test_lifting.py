@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycomp import (
+    InconsistentLattice,
     NotContraction,
     NotPSD,
     NotTree,
@@ -212,6 +213,17 @@ def test_pleated_rejects_expanding_map():
     tri = fan_triangulation(p.polytope, 0)
     with pytest.raises(NotContraction):
         pleated_embedding(p, grown, tri)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+def test_pleated_rejects_overlapping_simplices_at_any_scale(scale):
+    # Both triangles stand on edge {0, 1}: their areas add to 2, the quad's is 1.75.
+    quad = Shape(ngon_polytope(4), scale * np.array([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0],
+                                                     [0.0, 1.0]]))
+    tri = triangulation(quad.polytope, [(0, 1, 2), (0, 1, 3)])
+    assert tri.is_tree
+    with pytest.raises(InconsistentLattice, match="^simplices do not tile the source shape$"):
+        pleated_embedding(quad, quad, tri)
 
 
 def test_pleated_rejects_non_tree():

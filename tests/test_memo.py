@@ -159,7 +159,7 @@ def reference_extremal_pair(m):
     for k in range(d + 1):
         for sign in (1.0, -1.0):
             lam_dot = np.linalg.solve(p, np.append(sign * u, 0.0))
-            if np.delete(lam_dot, k).min() < -1e-12 or lam_dot[k] >= 0:
+            if np.delete(lam_dot, k).min() < -1e-12 * np.abs(lam_dot).max() or lam_dot[k] >= 0:
                 continue
             x = corr.source[k]
             return x, x + 1.0 / (-lam_dot[k]) * sign * u, k

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +31,10 @@ from polycomp import (
 )
 from polycomp import metric
 from polycomp.affine import degenerate
+from polycomp.io import load_shapes
 from generators import is_homothetic, random_polygon_shape, random_rotation, random_simplex_shape
 
+DATA = Path(__file__).parent / "data"
 LN4 = 1.3862943611198906  # frozen: per-chain SVD oracle on square vs 2x1 rectangle
 
 
@@ -118,6 +121,29 @@ def test_delta_projective_class_property(seed, lam):
     moved = p.scaled(lam).transformed(rotation=random_rotation(rng, 2),
                                       translation=rng.uniform(-3, 3, 2))
     assert delta_polytope(p, moved) <= 1e-10
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=-6.0, max_value=6.0))
+@settings(max_examples=40, deadline=None)
+def test_delta_invariant_under_homotheties(seed, log_a, log_b):
+    # Rescaling rounds each coordinate by 2^-53 relative; thin chain simplices
+    # amplify that to about 2e-11 (the worst of 300 seeds).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    p, q = random_polygon_shape(rng, n), random_polygon_shape(rng, n)
+    got = delta_polytope(p.scaled(10.0**log_a), q.scaled(10.0**log_b))
+    assert got == pytest.approx(delta_polytope(p, q), abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e8])
+def test_hexagon_deltas_keep_their_value_at_any_scale(scale):
+    shapes = load_shapes(DATA / "hexagons.json")
+    want = sequence_report(shapes, window=2, eps=1e-3).delta_matrix
+    got = sequence_report([s.scaled(scale) for s in shapes], window=2, eps=1e-3).delta_matrix
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert delta_polytope(*shapes[:2]) == pytest.approx(
+        delta_polytope(*(s.scaled(scale) for s in shapes[:2])), abs=1e-12)
 
 
 def test_submultiplicativity_transfer(rng):

@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from polycomp import (
     validate_shape,
 )
 from generators import random_convex_polygon
+from polycomp.io import load_shapes
 from polycomp.polytopes import (
     COORD_TOL,
     FLAT_ANGLE_TOL,
@@ -378,6 +380,27 @@ def test_certificate_implies_nnls_extreme():
     assert certified > 100
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["strict", "weak", "reflex"]), st.floats(min_value=-6.0, max_value=8.0))
+@settings(max_examples=60, deadline=None)
+def test_validate_verdict_invariant_under_homotheties(seed, cls, log_scale):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    coords, _ = ngon_of_class(rng, n, cls)
+    poly = ngon_polytope(n)
+    for mode in ("strict", "weak"):
+        report = validate_shape(poly, coords * 10.0**log_scale, mode)
+        assert report.verdict == validate_shape(poly, coords, mode).verdict
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e8, 1e200])
+def test_square_and_hexagons_validate_strictly_at_any_scale(unit_square, scale):
+    shapes = [unit_square, *load_shapes(Path(__file__).parent / "data" / "hexagons.json")]
+    for s in shapes:
+        report = validate_shape(s.polytope, s.coords * scale, "strict")
+        assert report.verdict == "strictly-convex", report.messages
+
+
 def test_vertex_extreme_translation_invariant():
     for poly, coords, _ in hull_test_cases(seed=14):
         report = validate_shape(poly, coords, "weak")
@@ -409,9 +432,11 @@ def test_passes_follows_mode():
 
 def reference_validate(poly, coords, mode, tol=COORD_TOL):
     """The per-facet loop that validate_shape batches: one SVD fit per facet,
-    vertex_extreme from NNLS alone.  Returns (verdict, vertex_extreme,
-    flat_facet_pairs, messages, residuals, margins)."""
+    vertex_extreme from NNLS alone, lengths over the radius r.  Returns
+    (verdict, vertex_extreme, flat_facet_pairs, messages, residuals, margins)."""
     n, d = coords.shape
+    centered = coords - coords.mean(axis=0)
+    r = np.abs(centered).max()
     residuals, margins, normals, messages = [], [], [], []
     for facet in poly.facets:
         points = coords[list(facet)]
@@ -421,7 +446,7 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
             _, sv, vh = np.linalg.svd(points - c, full_matrices=True)
             normal = vh[-1]
             residual = float(np.abs((points - c) @ normal).max())
-            if len(points) >= d and sv[d - 2] <= COORD_TOL:
+            if len(points) >= d and sv[d - 2] <= tol * r:
                 residual = np.inf
         rest = [v for v in range(n) if v not in facet]
         signed = (coords[rest] - c) @ normal
@@ -430,16 +455,15 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
         margin = float(-signed.max())
         if residual == np.inf:
             messages.append(f"facet {facet} has deficient affine span")
-        elif residual > tol:
+        elif residual > tol * r:
             messages.append(f"facet {facet} vertices are not coplanar")
-        if margin < -tol:
+        if margin < -tol * r:
             messages.append(f"vertices on both sides of facet {facet}")
         residuals.append(residual)
         margins.append(margin)
         normals.append(normal)
     valid = not messages
-    centered = coords - coords.mean(axis=0)
-    lifted = np.hstack([centered, np.ones((n, 1))])
+    lifted = np.hstack([centered / r, np.ones((n, 1))])
     gram = lifted @ lifted.T
     extreme = tuple(_cone_residual(lifted, gram, v) > tol for v in range(n))
     flat = []
@@ -450,7 +474,7 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
                 flat.append((i, j))
     if not valid:
         verdict = "invalid"
-    elif min(margins) > tol and all(extreme):
+    elif min(margins) > tol * r and all(extreme):
         verdict = "strictly-convex"
     else:
         verdict = "weakly-convex"

@@ -1,9 +1,12 @@
 """Classification, extremal pairs, rescaling, order and perturbations."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomp import (
     COMPRESSION,
@@ -26,8 +29,10 @@ from polycomp import (
     simplex_polytope,
     spectral_summary,
 )
+from polycomp.io import load_shapes
 from generators import (
     random_contraction,
+    random_polygon_shape,
     random_rotation,
     random_simplex_coords,
     random_simplex_shape,
@@ -95,6 +100,39 @@ def test_spectral_rotation_invariance(rng):
     rot_q = q.transformed(rotation=random_rotation(rng, 3), translation=rng.uniform(-1, 1, 3))
     s1 = spectral_summary(induced_map(rot_p, rot_q)).per_simplex
     assert np.abs(s0 - s1).max() <= 1e-10
+
+
+# Translating by up to 1e6 rounds each coordinate by up to about 1e-10, and thin
+# chain simplices amplify that (8e-9 relative on alpha_max over 300 seeds).
+MOTION_RTOL = 1e-6
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=0.0, max_value=6.0))
+@settings(max_examples=40, deadline=None)
+def test_classify_invariant_under_rigid_motions(seed, log_offset):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    p, q = random_polygon_shape(rng, n), random_polygon_shape(rng, n)
+    q = q.scaled(rng.uniform(0.7, 1.3) / np.sqrt(classify(induced_map(p, q)).summary.alpha_max))
+    rot, offset = random_rotation(rng, 2), 10.0**log_offset * rng.standard_normal(2)
+    base = classify(induced_map(p, q))
+    moved = classify(induced_map(p.transformed(rot, offset), q.transformed(rot, offset)))
+    assert moved.summary.alpha_max == pytest.approx(base.summary.alpha_max, rel=MOTION_RTOL)
+    if abs(base.summary.alpha_max - 1.0) > MOTION_RTOL:  # outside what rounding can cross
+        assert moved.verdict == base.verdict
+    if np.abs(edge_contraction_check(p, q).ratios - 1.0).min() > MOTION_RTOL:
+        assert moved.edge_contracting == base.edge_contracting
+
+
+@pytest.mark.parametrize("offset,scale", [(1e6, 1.0), (1e7, 1.0), (0.0, 1e-6), (0.0, 1e200)])
+def test_hexagons_keep_their_verdict_far_away_and_at_any_scale(offset, scale):
+    p, q = load_shapes(Path(__file__).parent / "data" / "hexagons.json")[:2]
+    base = classify(induced_map(p, q))
+    p, q = (s.scaled(scale).transformed(translation=[offset, -offset]) for s in (p, q))
+    moved = classify(induced_map(p, q))
+    assert (moved.verdict, moved.edge_contracting) == (base.verdict, base.edge_contracting)
+    assert moved.summary.alpha_max == pytest.approx(base.summary.alpha_max, rel=MOTION_RTOL)
+    assert moved.witness.ratio == pytest.approx(base.witness.ratio, rel=MOTION_RTOL)
 
 
 def test_classify_homothety_and_identity(unit_square):

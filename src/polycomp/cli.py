@@ -154,12 +154,9 @@ def cmd_edges(args):
 
 def cmd_distance(args):
     p, q = _checked_pair(args)
-    if p.polytope.is_simplex:
-        payload = {"delta": delta_polytope(p, q), "method": "simplex"}
-    else:  # the max over chains is delta_polytope's value, without a second pass
-        per_chain = per_chain_deltas(p, q)
-        payload = {"delta": float(per_chain.max()),
-                   "method": "barycentric", "per_chain": per_chain.tolist()}
+    payload = {"delta": delta_polytope(p, q), "method": "simplex"}
+    if not p.polytope.is_simplex:
+        payload.update(method="barycentric", per_chain=per_chain_deltas(p, q).tolist())
     summary = f"delta = {payload['delta']:.12g}"
     return payload, summary, 0
 

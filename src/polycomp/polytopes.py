@@ -223,17 +223,12 @@ class Shape:
         return Shape(self.polytope, c, self.mode, self.name)
 
 
-@dataclass(frozen=True)
-class FacetReport:
-    facet: tuple[int, ...]
-    residual: float
-    margin: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     verdict: str  # "strictly-convex" | "weakly-convex" | "invalid"
-    facet_reports: tuple[FacetReport, ...]
+    facets: tuple[tuple[int, ...], ...]
+    residuals: np.ndarray  # read-only, entry i on facets[i]; inf: deficient affine span
+    margins: np.ndarray  # read-only, entry i on facets[i]
     vertex_extreme: tuple[bool, ...]
     flat_facet_pairs: tuple[tuple[int, int], ...]
     messages: tuple[str, ...] = ()
@@ -254,9 +249,8 @@ class ValidationReport:
         return {
             "verdict": self.verdict,
             "facets": [
-                {"facet": list(r.facet), "margin": r.margin,
-                 "residual": None if r.residual == np.inf else r.residual}  # inf: deficient
-                for r in self.facet_reports
+                {"facet": list(f), "margin": m, "residual": None if r == np.inf else r}
+                for f, r, m in zip(self.facets, self.residuals.tolist(), self.margins.tolist())
             ],
             "vertex_extreme": list(self.vertex_extreme),
             "flat_facet_pairs": [list(p) for p in self.flat_facet_pairs],
@@ -364,8 +358,6 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     margins = -np.where(on_facet, -np.inf, signed).max(axis=1)
     residuals = np.where(on_facet & (d > 1), np.abs(signed), 0.0).max(axis=1)
     residuals[deficient] = np.inf
-    facet_reports = tuple(FacetReport(f, res, m) for f, res, m in
-                          zip(polytope.facets, residuals.tolist(), margins.tolist()))
     bad = (residuals > tol) | (margins < -tol)
     valid = not bad.any()
 
@@ -405,9 +397,13 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     if verdict == "weakly-convex" and mode == "strict":
         messages.append("shape is only weakly convex")
 
+    for a in (residuals, margins):
+        a.setflags(write=False)
     return ValidationReport(
         verdict=verdict,
-        facet_reports=facet_reports,
+        facets=polytope.facets,
+        residuals=residuals,
+        margins=margins,
         vertex_extreme=vertex_extreme,
         flat_facet_pairs=flat_pairs,
         messages=tuple(messages),

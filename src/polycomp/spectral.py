@@ -12,7 +12,7 @@ of simplex shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +82,16 @@ class EdgeContractionReport:
 class Classification:
     verdict: str
     edge_contracting: bool
-    witness: ExtremalPair
     summary: SpectralSummary
+    map: InducedMap
+
+    @cached_property
+    def witness(self) -> ExtremalPair:
+        """``extremal_pair`` of the map, computed on first read; its arrays are read-only."""
+        witness = extremal_pair(self.map)
+        for a in (witness.x, witness.y):
+            a.setflags(write=False)
+        return witness
 
     @property
     def is_weak_compression(self) -> bool:
@@ -106,7 +114,7 @@ def edge_contraction_check(p: Shape, q: Shape,
     )
 
 
-def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> ExtremalPair:
+def extremal_pair(m: InducedMap) -> ExtremalPair:
     """Maximal-ratio pair on the simplex attaining the global alpha_max.
 
     The pair is anchored at a simplex vertex whenever the top right-singular
@@ -116,13 +124,14 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
     barycentre is returned instead.  Either way the realized ratio equals
     sqrt(alpha_max).
     """
-    s = summary if summary is not None else spectral_summary(m)
+    s = spectral_summary(m)
     corr = m.maps[s.argmax_simplex]
     d = corr.dimension
     _, _, vh = np.linalg.svd(corr.linear)
     u = vh[0]
     # Barycentric velocity along u; along -u it is the exact negation.  In
     # units of 1/length: an entry below DET_TOL of the largest counts as zero.
+    # The entries sum to 0, so entry k is negative when no other is below -zero.
     lam_u = np.linalg.solve(homogeneous(corr.source), np.append(u, 0.0))
     zero = DET_TOL * np.abs(lam_u).max()
 
@@ -132,8 +141,6 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
             others = np.delete(lam_dot, k)
             if others.min() < -zero:
                 continue
-            if lam_dot[k] >= 0:
-                continue  # zero direction; cannot happen for unit u
             smax = 1.0 / (-lam_dot[k])
             x = corr.source[k]
             y = x + smax * sign * u
@@ -153,16 +160,6 @@ def extremal_pair(m: InducedMap, summary: SpectralSummary | None = None) -> Extr
                         simplex_index=s.argmax_simplex, anchor_vertex=None)
 
 
-@lru_cache(maxsize=4)  # keyed by map identity, like ``induced_map``
-def _summary_and_witness(m: InducedMap) -> tuple[SpectralSummary, ExtremalPair]:
-    """The tol-free parts of ``classify``, computed once per map; read-only."""
-    s = spectral_summary(m)
-    witness = extremal_pair(m, s)
-    for a in (witness.x, witness.y):
-        a.setflags(write=False)
-    return s, witness
-
-
 def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
     """Verdict from the global alpha_max over all simplices.
 
@@ -170,7 +167,7 @@ def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
     strict) when every alpha_max <= 1 + tol with some simplex in the band,
     otherwise not a weak compression.
     """
-    s, witness = _summary_and_witness(m)
+    s = spectral_summary(m)
     per_simplex_max = s.per_simplex[:, -1]
     if (per_simplex_max < 1.0 - tol).all():
         verdict = COMPRESSION
@@ -182,8 +179,8 @@ def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
     return Classification(
         verdict=verdict,
         edge_contracting=edges.all_contracting,
-        witness=witness,
         summary=s,
+        map=m,
     )
 
 

@@ -1,12 +1,17 @@
 """End-to-end CLI checks: JSON payloads, exit codes, golden outputs."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 DATA = Path(__file__).parent / "data"
 
@@ -590,3 +595,73 @@ def test_deficient_facet_residual_prints_as_null(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert payload["facets"][0] == {"facet": [0, 1, 2, 3], "margin": 0.0, "residual": None}
     assert payload["messages"][0] == "facet (0, 1, 2, 3) has deficient affine span"
+
+
+# Values a hand-edited or corrupted shape file may hold in place of any field.
+JUNK = (st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False, None, "x",
+                         10**400, -10**400, 1e-320, -1, 0, 7, 2.5])
+        | st.builds(list) | st.builds(dict))  # fresh containers: a row may grow later
+
+
+def json_paths(doc, prefix=()):
+    """Every position in a JSON document, the root included, as key tuples."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_docs(draw, name):
+    """A copy of tests/data/``name`` with one to three fields replaced by junk,
+    deleted (a missing field, a short row) or extended (a long row)."""
+    doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            doc = draw(JUNK)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "append" and isinstance(parent[path[-1]], list):
+            parent[path[-1]].append(draw(JUNK))
+        else:
+            parent[path[-1]] = draw(JUNK)
+    return doc
+
+
+@given(st.sampled_from(["square.json", "hexagons.json"]).flatmap(
+    lambda name: st.tuples(st.just(name), mutated_docs(name))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzzed_files_keep_the_cli_contract(case):
+    """Any damage to a shape file ends in one strict JSON document and exit 0-3.
+    A nonzero exit names its error, except validate's exit 1 on a shape that
+    loads but fails its mode: that document is the report."""
+    from polycomp import cli
+
+    name, doc = case
+    if name == "square.json":
+        half = json.loads((DATA / "square_half.json").read_text(encoding="utf-8"))
+        p, q, seq = doc, half, [doc, half]
+    else:  # the first two members; the whole document stands in for a missing one
+        members = (doc if isinstance(doc, list) else []) + [doc, doc]
+        p, q, seq = members[0], members[1], doc
+    with tempfile.TemporaryDirectory() as tmp:
+        p, q, seq = (write_json(Path(tmp) / f"{label}.json", d)
+                     for label, d in (("P", p), ("Q", q), ("seq", seq)))
+        for argv in (["validate", p], ["classify", p, q], ["distance", p, q], ["sequence", seq]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            text = out.getvalue()
+            payload = json.loads(text, parse_constant=reject_constant)
+            assert text.count("\n") == 1 and isinstance(payload, dict), (argv[0], text)
+            assert code in (0, 1, 2, 3), (argv[0], payload)
+            if code and "error" not in payload:
+                assert argv[0] == "validate" and code == 1, (argv[0], payload)
+                assert payload["verdict"] in ("invalid", "weakly-convex"), payload

@@ -1,6 +1,6 @@
 """The memoised induced map: one solve per (P, Q) pair, shared by the
 spectral and metric entry points, with the same values and errors as
-uncached calls."""
+uncached calls; the extremal pair is computed only when read."""
 
 import dataclasses
 from pathlib import Path
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from polycomp import (
+    Classification,
     DegenerateSimplex,
     Shape,
     classify,
@@ -39,7 +40,6 @@ ENTRY_POINTS = (
 
 def clear_memo():
     barycentric.induced_map.cache_clear()
-    spectral._summary_and_witness.cache_clear()
 
 
 def canon(v):
@@ -51,7 +51,9 @@ def canon(v):
     if isinstance(v, Shape):
         return canon(v.coords), v.mode, v.name
     if dataclasses.is_dataclass(v):
-        return tuple(canon(getattr(v, f.name)) for f in dataclasses.fields(v))
+        fields = tuple(canon(getattr(v, f.name)) for f in dataclasses.fields(v))
+        # The witness is a cached property, not a field.
+        return fields + (canon(v.witness),) if isinstance(v, Classification) else fields
     if isinstance(v, (list, tuple)):
         return tuple(canon(x) for x in v)
     return v
@@ -86,7 +88,7 @@ def test_memoised_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
-    assert induced_map(p, q) is m and classify(m).witness is c.witness
+    assert induced_map(p, q) is m
 
 
 def test_memo_stays_bounded():
@@ -98,7 +100,19 @@ def test_memo_stays_bounded():
         classify(induced_map(p, q))
         delta_polytope(p, q)
     assert barycentric.induced_map.cache_info().currsize <= 4
-    assert spectral._summary_and_witness.cache_info().currsize <= 4
+
+
+def test_witness_is_computed_once_and_only_when_read(monkeypatch):
+    rng = np.random.default_rng(9)
+    p, q = projective_cube(rng, 3), projective_cube(rng, 3)
+    calls = []
+    monkeypatch.setattr(spectral, "extremal_pair", lambda m: calls.append(m) or extremal_pair(m))
+    compare_order(p, q)
+    scale_critical(p, q)
+    c = classify(induced_map(p, q))
+    assert calls == []
+    assert c.witness is c.witness
+    assert calls == [c.map]
 
 
 def test_degenerate_pairs_raise_on_every_call():

@@ -112,8 +112,12 @@ def test_inconsistent_lattice():
 def test_validate_unit_square_strict(unit_square):
     report = validate_shape(unit_square.polytope, unit_square.coords, "strict")
     assert report.verdict == "strictly-convex"
-    assert all(r.margin > 0 for r in report.facet_reports)
+    assert (report.margins > 0).all()
     assert all(report.vertex_extreme)
+    assert report.facets == unit_square.polytope.facets
+    for a in (report.residuals, report.margins):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_validate_pentagon_with_flat_vertex():
@@ -522,10 +526,8 @@ def test_batched_validate_matches_per_facet_loop(label, poly, coords):
         assert (report.verdict, report.vertex_extreme, report.flat_facet_pairs,
                 report.messages) == (verdict, extreme, flat, messages)
         atol = 1e-12 * np.abs(coords).max()
-        np.testing.assert_allclose([r.residual for r in report.facet_reports], residuals,
-                                   rtol=0, atol=atol)
-        np.testing.assert_allclose([r.margin for r in report.facet_reports], margins,
-                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(report.residuals, residuals, rtol=0, atol=atol)
+        np.testing.assert_allclose(report.margins, margins, rtol=0, atol=atol)
 
 
 def test_batched_validation_cases_cover_every_outcome():

@@ -218,7 +218,7 @@ def test_extremal_ratio_matches_alpha_max(rng):
             q = random_simplex_shape(rng, d)
             m = induced_map(p, q)
             s = spectral_summary(m)
-            w = extremal_pair(m, s)
+            w = extremal_pair(m)
             assert w.ratio == pytest.approx(np.sqrt(s.alpha_max), abs=1e-9)
             if d <= 2:
                 # a polygon/segment/triangle simplex always anchors at a vertex

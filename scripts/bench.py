@@ -1,0 +1,251 @@
+#!/usr/bin/env python3
+"""Time the five pair entry points on projective d-cubes and count the
+kernel calls they make, for one checkout or several side by side.
+
+For each d of the ladder, a job builds a pair P, Q of projective images of
+the d-cube and runs ``classify(induced_map(P, Q))``, ``compare_order``,
+``scale_critical``, ``delta_polytope`` and ``per_chain_deltas`` on it, in
+that order, as one client would.  The script records, in microseconds:
+
+- the median of each entry point and of the whole job over ``--repeat``
+  jobs, each on a fresh pair;
+- the median of each kernel under them over ``--repeat`` calls on one
+  pair's chains: the chain build (``chain_simplex_coords``), the flatness
+  pass (``degenerate``), the solve (``solve_correspondence``) and the
+  eigenvalues (``gram_eigenvalues``, one ``eigvalsh`` of the Gram stack).
+
+One more job per d runs with ``chain_simplex_coords``, ``degenerate`` and
+``solve_correspondence`` wrapped wherever a module of the checkout holds
+them, and the calls the wrappers counted are recorded: counts, not formulas.
+
+Every ``--src`` checkout is imported into this one process under its own
+package name, and the checkouts take turns job by job and call by call, on
+the same inputs, with the first side alternating.  So a parent commit and a
+change are measured by the same script, and a host whose speed drifts slows
+every side alike.  BLAS runs on one thread, and the process on the
+highest-numbered CPU it may use.
+
+Usage:
+    python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5] [--repeat N]
+                             [--out FILE]
+
+Each checkout's numbers go to ``runs[LABEL]`` of the JSON file ``--out``
+(LABEL defaults to the directory's name; with no ``--src``, this checkout
+is timed as ``change``).  Example:
+
+    python3 scripts/bench.py --src parent=../parent --src change=. --out BENCH.json
+"""
+
+import argparse
+import gc
+import hashlib
+import importlib.util
+import itertools
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy starts its BLAS
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYOUT = "polycomp-bench/1"
+SEED = 14  # the inputs of d come from SEED + d, the same on every side and run
+ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
+                "per_chain_deltas")
+KERNELS = ("chain_simplex_coords", "degenerate", "solve_correspondence")
+
+
+def load_checkout(src: Path, index: int):
+    """The checkout's ``src/polycomp``, imported as the package ``polycomp_<index>``."""
+    name = f"polycomp_{index}"
+    init = src / "src" / "polycomp" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    pc = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pc
+    spec.loader.exec_module(pc)
+    return pc
+
+
+def cube_facets(d):
+    verts = list(itertools.product((0, 1), repeat=d))
+    return [[i for i, v in enumerate(verts) if v[k] == side]
+            for k in range(d) for side in (0, 1)]
+
+
+def projective_cube(pc, rng, d):
+    """A projective image of the centred unit d-cube whose hyperplane at
+    infinity misses it, so it is convex with the cube's face lattice."""
+    x = np.array(list(itertools.product((0, 1), repeat=d)), dtype=float) - 0.5
+    a = np.eye(d) + 0.2 * rng.standard_normal((d, d))
+    c = rng.uniform(-0.3, 0.3, d)
+    coords = (x @ a.T + rng.standard_normal(d)) / (1.0 + x @ c)[:, None]
+    return pc.Shape(pc.build_polytope(d, 2**d, cube_facets(d)), coords)
+
+
+def timed_us(f):
+    t0 = time.perf_counter_ns()
+    f()
+    return (time.perf_counter_ns() - t0) / 1e3
+
+
+def job(pc, p, q):
+    """Run the five entry points on (p, q); return each one's time in us."""
+    return [timed_us(f) for f in (lambda: pc.classify(pc.induced_map(p, q)),
+                                  lambda: pc.compare_order(p, q),
+                                  lambda: pc.scale_critical(p, q),
+                                  lambda: pc.delta_polytope(p, q),
+                                  lambda: pc.per_chain_deltas(p, q))]
+
+
+def counted_job(pc, p, q):
+    """Kernel call counts of one job, from wrappers on every module name of
+    the checkout that holds a kernel."""
+    counts = dict.fromkeys(KERNELS, 0)
+    patched = []
+    prefix = pc.__name__ + "."
+    for mod in [m for name, m in sys.modules.items() if name.startswith(prefix)]:
+        for name in KERNELS:
+            f = getattr(mod, name, None)
+            if f is None:
+                continue
+
+            def wrapper(*args, _f=f, _name=name, **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+
+            patched.append((mod, name, f))
+            setattr(mod, name, wrapper)
+    try:
+        job(pc, p, q)
+    finally:
+        for mod, name, f in patched:
+            setattr(mod, name, f)
+    return counts
+
+
+def kernel_calls(pc, p, q):
+    """The four kernels on the chains of (p, q), as calls with no arguments."""
+    chains = sys.modules[pc.__name__ + ".barycentric"].chain_simplex_coords
+    affine = sys.modules[pc.__name__ + ".affine"]
+    complex_ = pc.barycentric_complex(p.polytope)
+    src, tgt = chains(complex_, p), chains(complex_, q)
+    corr = affine.solve_correspondence(src, tgt)
+    return {"chain_build": lambda: chains(complex_, p),
+            "flatness": lambda: affine.degenerate(src),
+            "solve": lambda: affine.solve_correspondence(src, tgt),
+            "eigvalsh": corr.gram_eigenvalues}
+
+
+def in_turns(n_sides, repeat, step):
+    """``step(k, i)`` for every side k and i < repeat, the sides taking turns
+    for each i with the first side alternating; results per side, by i."""
+    out = [[] for _ in range(n_sides)]
+    for i in range(repeat):
+        for k in (range(n_sides) if i % 2 == 0 else reversed(range(n_sides))):
+            out[k].append(step(k, i))
+    return out
+
+
+def bench_cube(sides, d, repeat, seed):
+    """One d of the ladder for every side, on the same coordinates."""
+    pairs = []
+    for pc in sides:
+        rng = np.random.default_rng(seed)
+        pairs.append([(projective_cube(pc, rng, d), projective_cube(pc, rng, d))
+                      for _ in range(repeat + 2)])
+    for pc, side_pairs in zip(sides, pairs):
+        job(pc, *side_pairs[0])  # warm-up: builds the polytope, its chains and complex
+    counts = [counted_job(pc, *side_pairs[1]) for pc, side_pairs in zip(sides, pairs)]
+    gc.collect()
+    jobs = in_turns(len(sides), repeat, lambda k, i: job(sides[k], *pairs[k][i + 2]))
+    calls = [kernel_calls(pc, *side_pairs[2]) for pc, side_pairs in zip(sides, pairs)]
+    kernels = in_turns(len(sides), repeat,
+                       lambda k, i: {name: timed_us(f) for name, f in calls[k].items()})
+    out = []
+    for pc, side_pairs, side_jobs, side_kernels, count in zip(sides, pairs, jobs, kernels,
+                                                              counts):
+        side_jobs = np.array(side_jobs)
+        us = {name: float(np.median(col)) for name, col in zip(ENTRY_POINTS, side_jobs.T)}
+        us["job"] = float(np.median(side_jobs.sum(axis=1)))
+        us.update({name: float(np.median([r[name] for r in side_kernels]))
+                   for name in side_kernels[0]})
+        chains = pc.barycentric_complex(side_pairs[0][0].polytope).simplex_count
+        out.append({"chains": chains, "us": us, "calls": count})
+    return out
+
+
+def provenance(src):
+    digest = hashlib.sha256()
+    for path in sorted((src / "src" / "polycomp").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    try:
+        commit = subprocess.run(  # "-dirty" when the checkout has uncommitted edits
+            ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=12"],
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {"commit": commit, "src_digest": digest.hexdigest()[:16]}
+
+
+def machine():
+    try:
+        cpu = next((line.split(":", 1)[1].strip()
+                    for line in Path("/proc/cpuinfo").read_text().splitlines()
+                    if line.startswith("model name")), None)
+    except OSError:
+        cpu = None
+    pinned = max(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    return {"cpu": cpu or platform.processor() or None, "nproc": os.cpu_count(),
+            "pinned_cpu": pinned, "blas_threads": 1, "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
+def parse_src(text):
+    label, sep, path = text.rpartition("=")
+    src = Path(path).resolve()
+    if not (src / "src" / "polycomp" / "__init__.py").exists():
+        raise argparse.ArgumentTypeError(f"no src/polycomp under {path}")
+    return (label if sep else src.name), src
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    ap.add_argument("--src", type=parse_src, action="append", metavar="[LABEL=]DIR",
+                    help="checkout whose src/polycomp is timed, filed under LABEL "
+                         "(default: this checkout as 'change'); repeat to take turns")
+    ap.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5])
+    ap.add_argument("--repeat", type=int, default=30,
+                    help="timed jobs, and calls of each kernel, per d and checkout")
+    ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or any(d < 2 for d in args.dims):
+        ap.error("--repeat must be at least 1 and every --dims entry at least 2")
+    srcs = args.src or [("change", ROOT)]
+    labels = [label for label, _ in srcs]
+    if len(set(labels)) != len(labels):
+        ap.error("each --src needs its own label")
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+    sides = [load_checkout(src, k) for k, (_, src) in enumerate(srcs)]
+    cubes = {str(d): bench_cube(sides, d, args.repeat, SEED + d) for d in args.dims}
+    doc = {"layout": LAYOUT, "machine": machine(), "repeat": args.repeat, "seed": SEED,
+           "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()}}
+                    for k, (label, src) in enumerate(srcs)}}
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for label, run in doc["runs"].items():
+        for d, cube in run["cubes"].items():
+            print(f"{label} d={d} chains={cube['chains']} job={cube['us']['job']:.0f}us "
+                  + " ".join(f"{k}={v}" for k, v in cube["calls"].items()))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .affine import AffineCorrespondence, affine_correspondence, homogeneous
+from .affine import AffineCorrespondence, degenerate, homogeneous, solve_correspondence
 from .errors import DegenerateSimplex, PointOutside, PolytopeMismatch, SingularSimplex
 from .polytopes import CombinatorialPolytope, Shape, facet_adjacency
 
@@ -131,12 +131,34 @@ def chain_simplex_coords(complex_: BarycentricComplex, shape: Shape) -> np.ndarr
     return (sums / inc.sum(axis=1, keepdims=True))[complex_.chain_faces]
 
 
-def _stacked_map(p: Shape, q: Shape, kind: str, src: np.ndarray, tgt: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class ChainStack:
+    """A shape's read-only (t, d+1, d) pieces; ``degenerate`` flags them on first read."""
+
+    coords: np.ndarray
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        flags = degenerate(self.coords)
+        flags.setflags(write=False)
+        return flags
+
+
+@lru_cache(maxsize=4)  # a request needs P, Q and lambda Q
+def chain_stack(shape: Shape) -> ChainStack:
+    """A shape's chain simplices, or its vertex simplex for a simplex polytope."""
+    coords = (shape.coords[None] if shape.polytope.is_simplex
+              else chain_simplex_coords(barycentric_complex(shape.polytope), shape))
+    coords.setflags(write=False)
+    return ChainStack(coords)
+
+
+def _stacked_map(p: Shape, q: Shape, kind: str, src: ChainStack, tgt: np.ndarray,
                  describe, **parts) -> InducedMap:
-    try:
-        maps = affine_correspondence(src, tgt)
-    except SingularSimplex as exc:
+    if src.degenerate.any():
+        exc = SingularSimplex("source simplex is affinely degenerate", int(src.degenerate.argmax()))
         raise DegenerateSimplex(describe(exc)) from exc
+    maps = solve_correspondence(src.coords, tgt)
     for a in (maps.source, maps.target, maps.matrix, maps.linear):
         a.setflags(write=False)
     return InducedMap(p, q, kind, maps, **parts)
@@ -149,18 +171,18 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
     Barycentre naturality f(b(F)) = b(G) holds by construction: source and
     target simplex vertices are the barycentres of corresponding faces.
     Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.  The last few maps
-    are memoised per (P, Q) (shapes key by identity), so the spectral and
-    metric entry points solve and diagonalise each pair once.
+    are memoised per (P, Q) (shapes key by identity), and each shape's pieces
+    and their flatness flags per shape (``chain_stack``), so the spectral and
+    metric entry points build and test each shape and solve each pair once.
     """
     require_same_polytope(p, q)
+    src, tgt = chain_stack(p), chain_stack(q).coords
     if p.polytope.is_simplex:
-        return _stacked_map(p, q, "simplex", p.coords[None], q.coords[None], str,
+        return _stacked_map(p, q, "simplex", src, tgt, str,
                             simplices=(tuple(range(p.polytope.vertex_count)),))
-    complex_ = barycentric_complex(p.polytope)
-    return _stacked_map(p, q, "barycentric", chain_simplex_coords(complex_, p),
-                        chain_simplex_coords(complex_, q),
+    return _stacked_map(p, q, "barycentric", src, tgt,
                         lambda exc: f"chain {exc.index} is degenerate in the source",
-                        complex=complex_)
+                        complex=barycentric_complex(p.polytope))
 
 
 def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
@@ -168,7 +190,9 @@ def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
     require_same_polytope(p, q)
     simps = tuple(tuple(s) for s in simplices)
     idx = np.array(simps, dtype=np.intp)
-    return _stacked_map(p, q, "triangulation", p.coords[idx], q.coords[idx],
+    if idx.ndim != 2 or idx.shape[1] != p.polytope.dimension + 1:
+        raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
+    return _stacked_map(p, q, "triangulation", ChainStack(p.coords[idx]), q.coords[idx],
                         lambda exc: f"simplex {simps[exc.index]} is degenerate in the source",
                         simplices=simps)
 

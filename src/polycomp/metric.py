@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .affine import degenerate, solve_correspondence
-from .barycentric import barycentric_complex, chain_simplex_coords, induced_map
+from .barycentric import barycentric_complex, chain_simplex_coords, chain_stack, induced_map
 from .errors import DegenerateSimplex, PolytopeMismatch, SingularSimplex
 from .polytopes import Shape
 
@@ -89,13 +89,10 @@ def _map_deltas(p: Shape, q: Shape, chains: bool) -> np.ndarray:
     """Deltas of the pieces of the memoised ``induced_map(p, q)`` (with ``chains``
     on a simplex polytope, of its barycentric chains instead); a degenerate
     piece in either shape raises through ``_pair_deltas``, as in a request."""
-    try:
-        m = None if chains and p.polytope.is_simplex else induced_map(p, q)
-    except DegenerateSimplex:
-        m = None
-    if m is None or degenerate(m.maps.target).any():
+    if (chains and p.polytope.is_simplex) or any(chain_stack(s).degenerate.any() for s in (p, q)):
         return _pair_deltas((p, q), [(0, 1)], chains=chains)[0]
-    return np.log(m.alphas[:, -1] / m.alphas[:, 0])
+    alphas = induced_map(p, q).alphas
+    return np.log(alphas[:, -1] / alphas[:, 0])
 
 
 def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:

@@ -374,10 +374,11 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     # Extreme iff [u_v, 1] is farther than COORD_TOL from the cone of the other
     # lifted unit-radius points; the certificate settles most vertices, NNLS the rest.
     extreme = _certified_extreme(unit, on_facet.T @ normals, COORD_TOL)
-    lifted = np.hstack([unit, np.ones((n, 1))])
-    gram = lifted @ lifted.T
-    for v in np.flatnonzero(~extreme):
-        extreme[v] = _cone_residual(lifted, gram, v) > COORD_TOL
+    if not extreme.all():
+        lifted = np.hstack([unit, np.ones((n, 1))])
+        gram = lifted @ lifted.T
+        for v in np.flatnonzero(~extreme):
+            extreme[v] = _cone_residual(lifted, gram, v) > COORD_TOL
     vertex_extreme = tuple(bool(e) for e in extreme)
 
     flat_pairs = ()

@@ -135,29 +135,19 @@ def extremal_pair(m: InducedMap) -> ExtremalPair:
     lam_u = np.linalg.solve(homogeneous(corr.source), np.append(u, 0.0))
     zero = DET_TOL * np.abs(lam_u).max()
 
-    for k in range(d + 1):
-        for sign in (1.0, -1.0):
-            lam_dot = sign * lam_u
-            others = np.delete(lam_dot, k)
-            if others.min() < -zero:
-                continue
-            smax = 1.0 / (-lam_dot[k])
-            x = corr.source[k]
-            y = x + smax * sign * u
-            ratio = float(_lengths(corr.apply(x) - corr.apply(y)) / _lengths(x - y))
-            return ExtremalPair(x=x, y=y, ratio=ratio,
-                                simplex_index=s.argmax_simplex, anchor_vertex=k)
-
-    # No vertex cone contains +-u: take the maximal chord through the centre.
-    centre = corr.source.mean(axis=0)
-    lam_c = np.full(d + 1, 1.0 / (d + 1))
-    lo = max(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] > 0)
-    hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
-    x = centre + lo * u
-    y = centre + hi * u
+    k, sign = next(((k, sign) for k in range(d + 1) for sign in (1.0, -1.0)
+                    if not np.delete(sign * lam_u, k).min() < -zero), (None, None))
+    if k is not None:
+        x = corr.source[k]
+        y = x + 1.0 / (-sign * lam_u[k]) * sign * u
+    else:  # No vertex cone contains +-u: take the maximal chord through the centre.
+        centre = corr.source.mean(axis=0)
+        lam_c = np.full(d + 1, 1.0 / (d + 1))
+        lo = max(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] > 0)
+        hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
+        x, y = centre + lo * u, centre + hi * u
     ratio = float(_lengths(corr.apply(x) - corr.apply(y)) / _lengths(x - y))
-    return ExtremalPair(x=x, y=y, ratio=ratio,
-                        simplex_index=s.argmax_simplex, anchor_vertex=None)
+    return ExtremalPair(x=x, y=y, ratio=ratio, simplex_index=s.argmax_simplex, anchor_vertex=k)
 
 
 def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:

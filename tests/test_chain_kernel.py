@@ -151,6 +151,9 @@ def test_degenerate_triangulation_simplex_is_named():
     p = collapsed_square(2, 1)
     with pytest.raises(DegenerateSimplex, match=r"^simplex \(1, 2, 3\) is degenerate"):
         triangulation_map(p, Shape(p.polytope, SQUARE), [(0, 1, 3), (1, 2, 3)])
+    for simplices in ([(0, 1), (2, 3)], [(0, 1, 2, 3)], []):  # not d+1 vertices each
+        with pytest.raises(ValueError, match=r"^simplices must be \(d\+1\) x d vertex arrays"):
+            triangulation_map(p, Shape(p.polytope, SQUARE), simplices)
 
 
 def reference_evaluate(m, x, tol=1e-9):

@@ -1,6 +1,7 @@
-"""The memoised induced map: one solve per (P, Q) pair, shared by the
-spectral and metric entry points, with the same values and errors as
-uncached calls; the extremal pair is computed only when read."""
+"""The memoised induced map and chain stacks: one solve per (P, Q) pair and
+one chain build and flatness test per shape, shared by the spectral and
+metric entry points, with the same values and errors as uncached calls;
+the extremal pair is computed only when read."""
 
 import dataclasses
 from pathlib import Path
@@ -22,8 +23,9 @@ from polycomp import (
     scale_critical,
     spectral_summary,
 )
-from polycomp import barycentric, metric, spectral
-from polycomp.affine import homogeneous
+from polycomp import affine, barycentric, metric, spectral
+from polycomp.affine import degenerate, homogeneous
+from polycomp.barycentric import barycentric_complex, chain_simplex_coords, chain_stack
 from polycomp.io import load_shape
 from test_chain_kernel import SQUARE, projective_cube
 
@@ -40,6 +42,7 @@ ENTRY_POINTS = (
 
 def clear_memo():
     barycentric.induced_map.cache_clear()
+    barycentric.chain_stack.cache_clear()
 
 
 def canon(v):
@@ -85,10 +88,12 @@ def test_memoised_arrays_are_read_only():
     c = classify(m)
     arrays = (m.maps.source, m.maps.target, m.maps.matrix, m.maps.linear, m.alphas,
               c.summary.per_simplex, c.witness.x, c.witness.y)
+    arrays += tuple(a for s in (p, q) for a in (chain_stack(s).coords, chain_stack(s).degenerate))
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
     assert induced_map(p, q) is m
+    assert m.maps.source is chain_stack(p).coords and m.maps.target is chain_stack(q).coords
 
 
 def test_memo_stays_bounded():
@@ -100,6 +105,7 @@ def test_memo_stays_bounded():
         classify(induced_map(p, q))
         delta_polytope(p, q)
     assert barycentric.induced_map.cache_info().currsize <= 4
+    assert barycentric.chain_stack.cache_info().currsize <= 4
 
 
 def test_witness_is_computed_once_and_only_when_read(monkeypatch):
@@ -133,13 +139,35 @@ def test_degenerate_pairs_raise_on_every_call():
                 f(p, q)
             assert str(got.value) == str(want.value)
             assert got.value.__cause__.index == want.value.__cause__.index
+    # compare_order and scale_critical, each after another entry point warmed
+    # the memo, name the first flat chain, found here without the memo.
+    first = int(np.flatnonzero(degenerate(chain_simplex_coords(barycentric_complex(poly),
+                                                               flat)))[0])
+    clear_memo()
+    lam = scale_critical(good, flat).lam  # a flat target is rescaled, not rejected
+    for warm in ENTRY_POINTS:
+        for p, q in ((good, flat), (flat, good)):
+            try:
+                warm(p, q)
+            except DegenerateSimplex:
+                pass
+            for f in (compare_order, scale_critical):
+                for _ in range(2):
+                    if (f, p) == (scale_critical, good):
+                        assert f(p, q).lam == lam
+                        continue
+                    with pytest.raises(DegenerateSimplex) as got:
+                        f(p, q)
+                    assert str(got.value) == f"chain {first} is degenerate in the source"
+                    assert got.value.__cause__.index == first
+                    assert str(got.value.__cause__) == "source simplex is affinely degenerate"
 
 
 def test_one_job_solves_each_pair_once(monkeypatch):
     rng = np.random.default_rng(7)
     p, q = projective_cube(rng, 4), projective_cube(rng, 4)
     clear_memo()
-    calls = []
+    calls, tested = [], []
 
     def counted(name, f):
         def wrapper(*args):
@@ -147,13 +175,23 @@ def test_one_job_solves_each_pair_once(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(barycentric, "affine_correspondence",
-                        counted("affine", barycentric.affine_correspondence))
-    monkeypatch.setattr(metric, "solve_correspondence",
-                        counted("metric", metric.solve_correspondence))
+    def flatness(v):
+        tested.append(v)
+        return degenerate(v)
+
+    for mod in (barycentric, metric):
+        monkeypatch.setattr(mod, "solve_correspondence",
+                            counted("solve", mod.solve_correspondence))
+        monkeypatch.setattr(mod, "chain_simplex_coords",
+                            counted("chains", mod.chain_simplex_coords))
+    for mod in (affine, barycentric, metric):
+        monkeypatch.setattr(mod, "degenerate", counted("flat", flatness))
     for f in ENTRY_POINTS:
         f(p, q)
-    assert calls == ["affine"] * 3  # (P, Q), (Q, P) and (P, lambda Q)
+    # (P, Q), (Q, P) and (P, lambda Q): three solves over the chains of three
+    # shapes, and the flatness of the two sources, tested once each.
+    assert sorted(calls) == ["chains"] * 3 + ["flat"] * 2 + ["solve"] * 3
+    assert [v is chain_stack(s).coords for v, s in zip(tested, (p, q))] == [True, True]
 
 
 def test_shapes_compare_and_hash_by_identity(unit_square):

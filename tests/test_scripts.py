@@ -1,5 +1,6 @@
 """The experiment scripts run to completion and print their report."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,25 @@ def test_script_runs(name):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_bench_records_times_and_counted_calls(tmp_path):
+    out = tmp_path / "bench.json"
+    root = SCRIPTS.parent
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--dims", "3",
+                           "--repeat", "2", "--src", f"first={root}", "--src", f"second={root}",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["layout"] == "polycomp-bench/1" and sorted(doc["runs"]) == ["first", "second"]
+    for run in doc["runs"].values():
+        cube = run["cubes"]["3"]
+        assert cube["chains"] == 48  # 3! chains at each of the 3-cube's 8 vertices
+        assert sorted(cube["us"]) == sorted(
+            ["classify", "compare_order", "scale_critical", "delta_polytope",
+             "per_chain_deltas", "job", "chain_build", "flatness", "solve", "eigvalsh"])
+        assert all(v > 0 for v in cube["us"].values())
+        # The calls one job makes, as counted by the wrappers: three shapes
+        # built (P, Q, lambda Q), two sources tested and three pairs solved.
+        assert cube["calls"] == {"chain_simplex_coords": 3, "degenerate": 2,
+                                 "solve_correspondence": 3}

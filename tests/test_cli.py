@@ -155,6 +155,23 @@ def test_golden_subcommand(name):
     assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
 
 
+# ``validate`` runs beyond the convex P.json: the flat hexagon (weakly convex, one
+# non-extreme vertex settled by NNLS, flat pair [0, 2], margins at rounding level)
+# and a reflex pentagon (exit 1, with messages and a non-extreme vertex).
+VALIDATE_GOLDENS = {
+    "validate_flat": ("hexagon_flat.json", 0),
+    "validate_reflex": ("pentagon_reflex.json", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_GOLDENS))
+def test_golden_validate_paths(name):
+    shape, code = VALIDATE_GOLDENS[name]
+    proc = run_cli("validate", str(DATA / shape))
+    assert proc.returncode == code
+    assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
+
+
 def test_classify_verdict_payload():
     proc = run_cli("classify", str(DATA / "P.json"), str(DATA / "Q.json"))
     payload = json.loads(proc.stdout)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the five pair entry points on projective d-cubes and count the
-kernel calls they make, for one checkout or several side by side.
+"""Time the five pair entry points on projective d-cubes and the shape front
+end on n-gons, and count the kernel calls they make, for one checkout or
+several side by side.
 
 For each d of the ladder, a job builds a pair P, Q of projective images of
 the d-cube and runs ``classify(induced_map(P, Q))``, ``compare_order``,
@@ -18,6 +19,13 @@ One more job per d runs with ``chain_simplex_coords``, ``degenerate`` and
 ``solve_correspondence`` wrapped wherever a module of the checkout holds
 them, and the calls the wrappers counted are recorded: counts, not formulas.
 
+For each n of the n-gon ladder and each class (strictly convex; weakly
+convex, one vertex on its neighbours' chord; reflex, one vertex pulled inside
+the hull), a job loads a shape document with ``io.shape_from_dict`` and runs
+``validate_shape`` on it.  The script records the median us of each over
+``--repeat`` jobs, each on a fresh n-gon, and the ``_cone_residual`` (NNLS)
+calls that a wrapper counted over one more job.
+
 Every ``--src`` checkout is imported into this one process under its own
 package name, and the checkouts take turns job by job and call by call, on
 the same inputs, with the first side alternating.  So a parent commit and a
@@ -26,8 +34,8 @@ every side alike.  BLAS runs on one thread, and the process on the
 highest-numbered CPU it may use.
 
 Usage:
-    python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5] [--repeat N]
-                             [--out FILE]
+    python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5]
+                             [--ngons 8 32 128] [--repeat N] [--out FILE]
 
 Each checkout's numbers go to ``runs[LABEL]`` of the JSON file ``--out``
 (LABEL defaults to the directory's name; with no ``--src``, this checkout
@@ -60,10 +68,12 @@ SEED = 14  # the inputs of d come from SEED + d, the same on every side and run
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
 KERNELS = ("chain_simplex_coords", "degenerate", "solve_correspondence")
+NGON_CLASSES = ("strict", "weak", "reflex")
 
 
 def load_checkout(src: Path, index: int):
-    """The checkout's ``src/polycomp``, imported as the package ``polycomp_<index>``."""
+    """The checkout's ``src/polycomp``, imported as the package ``polycomp_<index>``
+    with its ``io`` module."""
     name = f"polycomp_{index}"
     init = src / "src" / "polycomp" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
@@ -71,6 +81,7 @@ def load_checkout(src: Path, index: int):
     pc = importlib.util.module_from_spec(spec)
     sys.modules[name] = pc
     spec.loader.exec_module(pc)
+    importlib.import_module(name + ".io")
     return pc
 
 
@@ -88,6 +99,68 @@ def projective_cube(pc, rng, d):
     c = rng.uniform(-0.3, 0.3, d)
     coords = (x @ a.T + rng.standard_normal(d)) / (1.0 + x @ c)[:, None]
     return pc.Shape(pc.build_polytope(d, 2**d, cube_facets(d)), coords)
+
+
+def ngon_doc(rng, n, cls):
+    """A shape document of an n-gon of class ``cls`` (see NGON_CLASSES): an
+    affine image of a polygon inscribed in the unit circle at jittered even
+    angles, with one vertex moved for "weak" and "reflex"."""
+    t = 2 * np.pi * (np.arange(n) + rng.uniform(0.2, 0.8, n)) / n
+    pts = np.column_stack([np.cos(t), np.sin(t)]) @ (np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 2)))
+    if cls != "strict":
+        k = int(rng.integers(n))
+        prev, nxt = pts[k - 1], pts[(k + 1) % n]
+        mid = prev + rng.uniform(0.3, 0.7) * (nxt - prev)  # on the chord
+        pts[k] = mid if cls == "weak" else mid + rng.uniform(0.2, 0.4) * (pts.mean(axis=0) - mid)
+    return {"dimension": 2, "vertex_count": n, "facets": [[i, (i + 1) % n] for i in range(n)],
+            "vertices": pts.tolist(), "mode": "weak" if cls == "weak" else "strict"}
+
+
+def front_end(pc, doc):
+    """Load and validate one shape document; return each step's time in us."""
+    load = sys.modules[pc.__name__ + ".io"].shape_from_dict
+    validate = sys.modules[pc.__name__ + ".polytopes"].validate_shape
+    t0 = time.perf_counter_ns()
+    shape = load(doc)
+    t1 = time.perf_counter_ns()
+    validate(shape.polytope, shape.coords, shape.mode)
+    return (t1 - t0) / 1e3, (time.perf_counter_ns() - t1) / 1e3
+
+
+def counted_nnls(pc, doc):
+    """``_cone_residual`` calls of one ``front_end`` job, from a wrapper."""
+    polytopes = sys.modules[pc.__name__ + ".polytopes"]
+    f, count = polytopes._cone_residual, [0]
+
+    def wrapper(*args):
+        count[0] += 1
+        return f(*args)
+
+    polytopes._cone_residual = wrapper
+    try:
+        front_end(pc, doc)
+    finally:
+        polytopes._cone_residual = f
+    return count[0]
+
+
+def bench_ngon(sides, n, repeat, seed):
+    """One n of the ladder for every side and class, on the same documents."""
+    out = [{} for _ in sides]
+    for c, cls in enumerate(NGON_CLASSES):
+        rng = np.random.default_rng([seed, c])
+        docs = [ngon_doc(rng, n, cls) for _ in range(repeat + 1)]
+        for k, pc in enumerate(sides):
+            front_end(pc, docs[0])  # warm-up: builds the polytope and its facet arrays
+            out[k][cls] = {"calls": {"_cone_residual": counted_nnls(pc, docs[0])}}
+        gc.collect()
+        jobs = in_turns(len(sides), repeat, lambda k, i: front_end(sides[k], docs[i + 1]))
+        for k, side_jobs in enumerate(jobs):
+            side_jobs = np.array(side_jobs)
+            out[k][cls]["us"] = {"shape_from_dict": float(np.median(side_jobs[:, 0])),
+                                 "validate_shape": float(np.median(side_jobs[:, 1])),
+                                 "job": float(np.median(side_jobs.sum(axis=1)))}
+    return out
 
 
 def timed_us(f):
@@ -222,12 +295,14 @@ def main(argv=None):
                     help="checkout whose src/polycomp is timed, filed under LABEL "
                          "(default: this checkout as 'change'); repeat to take turns")
     ap.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5])
+    ap.add_argument("--ngons", type=int, nargs="+", default=[8, 32, 128])
     ap.add_argument("--repeat", type=int, default=30,
                     help="timed jobs, and calls of each kernel, per d and checkout")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
-    if args.repeat < 1 or any(d < 2 for d in args.dims):
-        ap.error("--repeat must be at least 1 and every --dims entry at least 2")
+    if args.repeat < 1 or any(d < 2 for d in args.dims) or any(n < 4 for n in args.ngons):
+        ap.error("--repeat must be at least 1, every --dims entry at least 2 "
+                 "and every --ngons entry at least 4")
     srcs = args.src or [("change", ROOT)]
     labels = [label for label, _ in srcs]
     if len(set(labels)) != len(labels):
@@ -237,14 +312,21 @@ def main(argv=None):
 
     sides = [load_checkout(src, k) for k, (_, src) in enumerate(srcs)]
     cubes = {str(d): bench_cube(sides, d, args.repeat, SEED + d) for d in args.dims}
+    ngons = {str(n): bench_ngon(sides, n, args.repeat, SEED + n) for n in args.ngons}
     doc = {"layout": LAYOUT, "machine": machine(), "repeat": args.repeat, "seed": SEED,
-           "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()}}
+           "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()},
+                            "ngons": {n: g[k] for n, g in ngons.items()}}
                     for k, (label, src) in enumerate(srcs)}}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for label, run in doc["runs"].items():
         for d, cube in run["cubes"].items():
             print(f"{label} d={d} chains={cube['chains']} job={cube['us']['job']:.0f}us "
                   + " ".join(f"{k}={v}" for k, v in cube["calls"].items()))
+        for n, ngon in run["ngons"].items():
+            print(f"{label} n={n} " + " ".join(
+                f"{cls}: load={r['us']['shape_from_dict']:.0f}us "
+                f"validate={r['us']['validate_shape']:.0f}us nnls={r['calls']['_cone_residual']}"
+                for cls, r in ngon.items()))
 
 
 if __name__ == "__main__":

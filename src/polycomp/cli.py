@@ -195,7 +195,7 @@ def _parse_point(text, label, n: int) -> PointOnShape:
     if not isinstance(doc, dict) or "face" not in doc:
         raise MalformedInput(f"--pair {label}: expected an object with 'face'")
     face = doc["face"]
-    if not isinstance(face, list) or any(not io._is_int(v) for v in face):
+    if not isinstance(face, list) or any(type(v) is not int for v in face):
         raise MalformedInput(f"--pair {label}: 'face' must list vertex indices")
     if not face or any(not 0 <= v < n for v in face):
         raise MalformedInput(f"--pair {label}: 'face' must list vertex indices in [0, {n})")

@@ -9,8 +9,9 @@
                   "simplices": [[int, ...], ...], "stages": optional}
                   (each simplex lists base-dim + 1 vertex indices)
   sequence       JSON array of shape objects
-An int field takes no true or false; schema errors raise MalformedInput
-naming the offending file and field.
+An int field takes no true or false (fields are checked by exact type, and
+``bool`` subclasses ``int``); schema errors raise MalformedInput naming the
+offending file and field.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 from .errors import MalformedInput
 from .polytopes import CombinatorialPolytope, Shape, Triangulation, build_polytope, triangulation
 
+_MAX = sys.float_info.max
+
 
 def _load_json(path) -> object:
     try:
@@ -36,26 +39,21 @@ def _load_json(path) -> object:
         raise MalformedInput(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _is_int(value) -> bool:
-    """Is ``value`` a JSON integer?  ``bool`` subclasses ``int``, so true and false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(doc: dict, path, field: str, kind=None):
     if field not in doc:
         raise MalformedInput(f"{path}: missing field '{field}'")
     value = doc[field]
-    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
+    if kind is not None and not (type(value) is int if kind is int else isinstance(value, kind)):
         raise MalformedInput(f"{path}: field '{field}' has the wrong type")
     return value
 
 
 def _finite_numbers(row, length: int) -> bool:
     """Is ``row`` a list of ``length`` finite JSON numbers?"""
-    # NaN fails every comparison; Infinity and huge integers exceed the bound.
+    # A bool is neither type; NaN fails every comparison; Infinity and huge ints exceed _MAX.
     return (isinstance(row, list) and len(row) == length
-            and all((_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
-                    for x in row))
+            and all((type(x) is float or type(x) is int or isinstance(x, float))
+                    and -_MAX <= x <= _MAX for x in row))
 
 
 def shape_from_dict(doc: dict, path="<shape>") -> Shape:
@@ -74,8 +72,7 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
     if n < d + 1:
         raise MalformedInput(f"{path}: field 'vertex_count' must be at least dimension + 1")
     for i, f in enumerate(facets):
-        if (not isinstance(f, list) or not f
-                or any(not _is_int(v) or v < 0 or v >= n for v in f)):
+        if not (isinstance(f, list) and f and all(type(v) is int and 0 <= v < n for v in f)):
             raise MalformedInput(f"{path}: field 'facets[{i}]' must list vertex "
                                  f"indices in [0, {n})")
     if len(vertices) != n:
@@ -105,7 +102,7 @@ def load_triangulation(path, polytope: CombinatorialPolytope) -> Triangulation:
         raise MalformedInput(f"{path}: triangulation document must be a JSON object")
     simplices = _require(doc, path, "simplices", list)
     for i, s in enumerate(simplices):
-        if not isinstance(s, list) or any(not _is_int(v) for v in s):
+        if not isinstance(s, list) or any(type(v) is not int for v in s):
             raise MalformedInput(f"{path}: field 'simplices[{i}]' must list integers")
         if any(v < 0 or v >= polytope.vertex_count for v in s):
             raise MalformedInput(
@@ -153,8 +150,7 @@ def load_embedding(path) -> tuple[int, np.ndarray, list[list[int]]]:
                                  f"{big_d} finite numbers")
     n = len(vertices)
     for i, s in enumerate(simplices):
-        if (not isinstance(s, list)
-                or any(not _is_int(v) or v < 0 or v >= n for v in s)):
+        if not (isinstance(s, list) and all(type(v) is int and 0 <= v < n for v in s)):
             raise MalformedInput(f"{path}: field 'simplices[{i}]' must list vertex "
                                  f"indices in [0, {n})")
     return big_d, np.array(vertices, dtype=float), [list(s) for s in simplices]

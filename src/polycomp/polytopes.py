@@ -278,34 +278,33 @@ def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int) -> float:
     NNLS, passive sets solved through the Gram matrix.  The iterate stays
     nonnegative, so the residual is an upper bound even if the loop ends early."""
     n = len(lifted)
-    b, lam, passive = lifted[v], np.zeros(n), np.zeros(n, dtype=bool)
+    gv, lam, passive = gram[v], np.zeros(n), []
     grad_tol = 1e-12 * n * gram.diagonal().max()
     try:
         for _ in range(3 * n):
-            grad = lifted @ (b - lam @ lifted)
-            grad[passive] = -np.inf
-            grad[v] = -np.inf
-            j = int(np.argmax(grad))
+            grad = gv - lam @ gram  # lifted @ (lifted[v] - lam @ lifted)
+            grad[passive + [v]] = -np.inf
+            j = grad.argmax()
             if grad[j] <= grad_tol:
                 break
-            passive[j] = True
+            passive.append(j)
             while True:
-                idx = np.flatnonzero(passive)
-                s = np.linalg.solve(gram[np.ix_(idx, idx)], gram[idx, v])
-                if (s > 0).all():
+                idx = np.array(passive)
+                s = np.linalg.solve(gram[idx[:, None], idx], gv[idx])
+                if s.min() > 0:
                     lam[idx] = s
                     break
                 # Step toward s until the first coordinate hits zero; free it.
                 cur, neg = lam[idx], np.flatnonzero(s <= 0)
                 ratios = cur[neg] / (cur[neg] - s[neg])
                 k = int(np.argmin(ratios))
-                lam[idx] = cur + ratios[k] * (s - cur)
-                lam[idx[neg[k]]] = 0.0
-                passive[idx[lam[idx] <= 0]] = False
-                lam[~passive] = 0.0
+                step = cur + ratios[k] * (s - cur)
+                step[neg[k]] = 0.0
+                lam[idx] = np.maximum(step, 0.0)
+                passive = idx[step > 0].tolist()
     except np.linalg.LinAlgError:
         pass
-    return float(np.linalg.norm(b - lam @ lifted))
+    return float(np.linalg.norm(lifted[v] - lam @ lifted))
 
 
 def validate_shape(polytope: CombinatorialPolytope, coords,
@@ -327,12 +326,13 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     unit = centered / (r or 1.0)  # radius 1: nothing below over- or underflows
     tol = COORD_TOL * r  # the same test on lengths in the input's units
 
-    dist = np.linalg.norm(unit[:, None, :] - unit[None, :, :], axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() <= COORD_TOL:
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    diff = unit[:, None, :] - unit[None, :, :]
+    sq = (diff * diff).sum(axis=-1)  # what norm sums; sqrt is monotone, so the least root decides
+    np.fill_diagonal(sq, np.inf)
+    if np.sqrt(sq.min()) <= COORD_TOL:
+        i, j = np.unravel_index(np.argmin(np.sqrt(sq)), sq.shape)
         raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
-    if np.linalg.matrix_rank(unit, tol=COORD_TOL) < d:
+    if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:  # rank below d
         raise DegenerateSpan("affine span of the vertices is below d")
 
     # Fit every facet hyperplane: one SVD per group of facets of equal size.
@@ -352,9 +352,9 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     # Signed distances of every vertex from every facet hyperplane, (F, n);
     # orient each normal outward, with the non-facet vertices on the negative side.
     signed = ((coords - centroids[:, None]) @ normals[:, :, None])[..., 0]
-    flip = np.where(on_facet, 0.0, signed).sum(axis=1) > 0
-    normals[flip] *= -1
-    signed[flip] *= -1
+    outward = np.where(np.where(on_facet, 0.0, signed).sum(axis=1) > 0, -1.0, 1.0)[:, None]
+    normals *= outward
+    signed *= outward
     margins = -np.where(on_facet, -np.inf, signed).max(axis=1)
     residuals = np.where(on_facet & (d > 1), np.abs(signed), 0.0).max(axis=1)
     residuals[deficient] = np.inf
@@ -362,7 +362,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     valid = not bad.any()
 
     messages = []
-    for k in np.flatnonzero(bad):
+    for k in () if valid else np.flatnonzero(bad):
         facet = polytope.facets[k]
         if deficient[k]:
             messages.append(f"facet {facet} has deficient affine span")
@@ -379,7 +379,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
         gram = lifted @ lifted.T
         for v in np.flatnonzero(~extreme):
             extreme[v] = _cone_residual(lifted, gram, v) > COORD_TOL
-    vertex_extreme = tuple(bool(e) for e in extreme)
+    vertex_extreme = tuple(extreme.tolist())
 
     flat_pairs = ()
     if valid and d >= 2:

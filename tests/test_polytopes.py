@@ -363,6 +363,28 @@ def test_vertex_extreme_near_chord(offset, extreme):
     assert report.vertex_extreme == (True, extreme, True, True, True, True)
 
 
+def test_cone_residual_matches_scipy_nnls():
+    # The residual value, not only its threshold: lifted weak and reflex
+    # n-gons at n = 16..32 and random clouds, at the unit radius validate_shape uses.
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    rng = np.random.default_rng(15)
+    cases = [ngon_of_class(rng, n, cls) for cls in ("weak", "reflex") for n in (16, 24, 32)]
+    cases += [(rng.standard_normal((n, d)), None) for n, d in ((8, 2), (14, 2), (12, 3), (16, 4))]
+    checked = 0
+    for coords, k in cases:
+        n = len(coords)
+        centered = coords - coords.mean(axis=0)
+        lifted = np.hstack([centered / np.abs(centered).max(), np.ones((n, 1))])
+        gram = lifted @ lifted.T
+        got = np.array([_cone_residual(lifted, gram, v) for v in range(n)])
+        want = np.array([nnls(np.delete(lifted, v, axis=0).T, lifted[v])[1] for v in range(n)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if clear_of_hull_boundary(coords, k):
+            assert tuple((got > COORD_TOL).tolist()) == lp_extreme(coords)
+            checked += 1
+    assert checked >= 8
+
+
 def test_certificate_implies_nnls_extreme():
     rng = np.random.default_rng(12)
     tol = 1e-9

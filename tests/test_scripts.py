@@ -23,8 +23,9 @@ def test_bench_records_times_and_counted_calls(tmp_path):
     out = tmp_path / "bench.json"
     root = SCRIPTS.parent
     proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--dims", "3",
-                           "--repeat", "2", "--src", f"first={root}", "--src", f"second={root}",
-                           "--out", str(out)], capture_output=True, text=True)
+                           "--ngons", "8", "--repeat", "2", "--src", f"first={root}",
+                           "--src", f"second={root}", "--out", str(out)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["layout"] == "polycomp-bench/1" and sorted(doc["runs"]) == ["first", "second"]
@@ -39,3 +40,12 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         # built (P, Q, lambda Q), two sources tested and three pairs solved.
         assert cube["calls"] == {"chain_simplex_coords": 3, "degenerate": 2,
                                  "solve_correspondence": 3}
+        ngon = run["ngons"]["8"]
+        assert sorted(ngon) == ["reflex", "strict", "weak"]
+        for cls in ngon.values():
+            assert sorted(cls["us"]) == ["job", "shape_from_dict", "validate_shape"]
+            assert all(v > 0 for v in cls["us"].values())
+        # The Farkas certificate settles every vertex of the strict octagon and
+        # all but the moved one of the others, which NNLS decides.
+        assert {c: r["calls"]["_cone_residual"] for c, r in ngon.items()} == {
+            "strict": 0, "weak": 1, "reflex": 1}

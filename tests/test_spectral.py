@@ -29,6 +29,7 @@ from polycomp import (
     simplex_polytope,
     spectral_summary,
 )
+from polycomp import spectral
 from polycomp.io import load_shapes
 from generators import (
     random_contraction,
@@ -188,6 +189,19 @@ def test_edge_lengths_match_per_edge_norm(rng):
             assert (got == ref).all()
     assert not poly.edge_array.flags.writeable
     assert poly.edge_array is poly.edge_array
+
+
+def test_lengths_direct_branch_matches_the_rescale(rng):
+    # Where no square over- or underflows, sqrt(v . v) is already the bits of
+    # the power-of-two rescale.  The rows times 2^shift, with the largest |entry|
+    # lifted to 2^899, go through the rescale, which scales exactly.  Rows mix
+    # entries 30 decades apart.
+    for scale in 10.0 ** np.arange(-80, 101, 10):
+        v = rng.standard_normal((2, 40, 4)) * scale * 10.0 ** rng.uniform(-30, 0, (2, 40, 4))
+        assert np.abs(v).max() <= 2.0 ** 400 and np.vecdot(v, v).min() >= 2.0 ** -800
+        shift = 900 - int(np.frexp(np.abs(v).max())[1])
+        rescaled = np.ldexp(spectral._lengths(np.ldexp(v, shift)), -shift)
+        assert spectral._lengths(v).tobytes() == rescaled.tobytes()
 
 
 def test_extremal_pair_identity_and_diag(unit_square):

@@ -289,9 +289,9 @@ def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int) -> float:
                 break
             passive.append(j)
             while True:
-                idx = np.array(passive)
+                idx = np.array(passive, dtype=np.intp)
                 s = np.linalg.solve(gram[idx[:, None], idx], gv[idx])
-                if s.min() > 0:
+                if s.min(initial=np.inf) > 0:  # as all(): an emptied passive set is solved
                     lam[idx] = s
                     break
                 # Step toward s until the first coordinate hits zero; free it.

@@ -327,7 +327,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     tol = COORD_TOL * r  # the same test on lengths in the input's units
 
     diff = unit[:, None, :] - unit[None, :, :]
-    sq = (diff * diff).sum(axis=-1)  # what norm sums; sqrt is monotone, so the least root decides
+    sq = (diff * diff).sum(axis=-1)  # sqrt is monotone: the least square has the least root
     np.fill_diagonal(sq, np.inf)
     if np.sqrt(sq.min()) <= COORD_TOL:
         i, j = np.unravel_index(np.argmin(np.sqrt(sq)), sq.shape)

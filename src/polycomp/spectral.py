@@ -30,10 +30,10 @@ NOT_WEAK_COMPRESSION = "NotWeakCompression"
 
 def _lengths(v: np.ndarray) -> np.ndarray:
     """Row norms sqrt(v . v), to the bit wherever the squares neither over- nor
-    underflow, and finite at any scale: each row is first divided by the power
-    of two above its largest |entry|, which is exact.  With every |entry| at
-    most 2^400 and every sum of squares at least 2^-800, sqrt(v . v) already
-    has those bits: a square that underflows lies below its sum's last bit."""
+    underflow, and finite at any scale.  With every |entry| at most 2^400 and
+    every sum of squares at least 2^-800 that is sqrt(v . v) itself (a square
+    that underflows lies below its sum's last bit); otherwise each row is first
+    divided by the power of two above its largest |entry|, which is exact."""
     if np.abs(v).max() <= 2.0 ** 400 and (s := np.vecdot(v, v)).min() >= 2.0 ** -800:
         return np.sqrt(s)
     k = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]

@@ -26,6 +26,14 @@ the hull), a job loads a shape document with ``io.shape_from_dict`` and runs
 ``--repeat`` jobs, each on a fresh n-gon, and the ``_cone_residual`` (NNLS)
 calls that a wrapper counted over one more job.
 
+For each n of the pleat ladder, a job pleats a strictly convex n-gon P over
+its fan from vertex 0 onto a second one, Q, scaled so that the fan map has
+alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
+``pleated_projection_chain`` on the embedding.  The script records the median
+us of each over ``--repeat`` jobs, each on a fresh pair, and the (stage,
+simplex) pairs handed to ``restricted_singular_values`` that a wrapper
+counted over one more job.
+
 Every ``--src`` checkout is imported into this one process under its own
 package name, and the checkouts take turns job by job and call by call, on
 the same inputs, with the first side alternating.  So a parent commit and a
@@ -35,7 +43,8 @@ highest-numbered CPU it may use.
 
 Usage:
     python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5]
-                             [--ngons 8 32 128] [--repeat N] [--out FILE]
+                             [--ngons 8 32 128] [--pleats 8 32 128]
+                             [--repeat N] [--out FILE]
 
 Each checkout's numbers go to ``runs[LABEL]`` of the JSON file ``--out``
 (LABEL defaults to the directory's name; with no ``--src``, this checkout
@@ -64,11 +73,14 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYOUT = "polycomp-bench/1"
-SEED = 14  # the inputs of d come from SEED + d, the same on every side and run
+# The inputs of d come from SEED + d and those of a pleat n from SEED + 1000 + n,
+# the same on every side and run.
+SEED = 14
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
 KERNELS = ("chain_simplex_coords", "degenerate", "solve_correspondence")
 NGON_CLASSES = ("strict", "weak", "reflex")
+PLEAT_STEPS = ("pleated_embedding", "pleat_validity", "pleated_projection_chain")
 
 
 def load_checkout(src: Path, index: int):
@@ -101,12 +113,17 @@ def projective_cube(pc, rng, d):
     return pc.Shape(pc.build_polytope(d, 2**d, cube_facets(d)), coords)
 
 
-def ngon_doc(rng, n, cls):
-    """A shape document of an n-gon of class ``cls`` (see NGON_CLASSES): an
-    affine image of a polygon inscribed in the unit circle at jittered even
-    angles, with one vertex moved for "weak" and "reflex"."""
+def ngon_points(rng, n):
+    """A strictly convex n-gon: an affine image of a polygon inscribed in the
+    unit circle at jittered even angles."""
     t = 2 * np.pi * (np.arange(n) + rng.uniform(0.2, 0.8, n)) / n
-    pts = np.column_stack([np.cos(t), np.sin(t)]) @ (np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 2)))
+    return np.column_stack([np.cos(t), np.sin(t)]) @ (np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 2)))
+
+
+def ngon_doc(rng, n, cls):
+    """A shape document of an n-gon of class ``cls`` (see NGON_CLASSES): the
+    ``ngon_points``, with one vertex moved for "weak" and "reflex"."""
+    pts = ngon_points(rng, n)
     if cls != "strict":
         k = int(rng.integers(n))
         prev, nxt = pts[k - 1], pts[(k + 1) % n]
@@ -160,6 +177,65 @@ def bench_ngon(sides, n, repeat, seed):
             out[k][cls]["us"] = {"shape_from_dict": float(np.median(side_jobs[:, 0])),
                                  "validate_shape": float(np.median(side_jobs[:, 1])),
                                  "job": float(np.median(side_jobs.sum(axis=1)))}
+    return out
+
+
+def pleat_pair(pc, p_pts, q_pts):
+    """Shapes P and Q of the checkout and the fan of P from vertex 0, Q scaled
+    so that the fan map has alpha_max 0.81."""
+    poly = pc.ngon_polytope(len(p_pts))
+    p, q = pc.Shape(poly, p_pts), pc.Shape(poly, q_pts)
+    tri = pc.fan_triangulation(poly, 0)
+    alpha = pc.triangulation_map(p, q, tri.simplices).alphas.max()
+    return p, q.scaled(np.sqrt(0.81 / alpha)), tri
+
+
+def pleat_job(pc, p, q, tri):
+    """Pleat P onto Q over the fan and check it; return each step's time in us."""
+    t0 = time.perf_counter_ns()
+    pe = pc.pleated_embedding(p, q, tri)
+    t1 = time.perf_counter_ns()
+    pc.pleat_validity(pe)
+    t2 = time.perf_counter_ns()
+    pc.pleated_projection_chain(pe)
+    stamps = (t0, t1, t2, time.perf_counter_ns())
+    return {name: (hi - lo) / 1e3 for name, lo, hi in zip(PLEAT_STEPS, stamps, stamps[1:])}
+
+
+def counted_svd_pairs(pc, p, q, tri):
+    """The (stage, simplex) pairs one ``pleat_job`` hands to
+    ``restricted_singular_values``, from a wrapper: one per leading index of
+    its stacked source."""
+    lifting = sys.modules[pc.__name__ + ".lifting"]
+    f, count = lifting.restricted_singular_values, [0]
+
+    def wrapper(source, target):
+        count[0] += int(np.prod(np.shape(source)[:-2]))
+        return f(source, target)
+
+    lifting.restricted_singular_values = wrapper
+    try:
+        pleat_job(pc, p, q, tri)
+    finally:
+        lifting.restricted_singular_values = f
+    return count[0]
+
+
+def bench_pleat(sides, n, repeat, seed):
+    """One n of the pleat ladder for every side, on the same coordinates."""
+    rng = np.random.default_rng(seed)
+    points = [(ngon_points(rng, n), ngon_points(rng, n)) for _ in range(repeat + 1)]
+    pairs = [[pleat_pair(pc, *pts) for pts in points] for pc in sides]
+    out = []
+    for pc, side_pairs in zip(sides, pairs):
+        pleat_job(pc, *side_pairs[0])  # warm-up: builds the polytope and its complex
+        out.append({"calls": {"restricted_svd_pairs": counted_svd_pairs(pc, *side_pairs[0])}})
+    gc.collect()
+    jobs = in_turns(len(sides), repeat, lambda k, i: pleat_job(sides[k], *pairs[k][i + 1]))
+    for side_out, side_jobs in zip(out, jobs):
+        us = {name: float(np.median([j[name] for j in side_jobs])) for name in PLEAT_STEPS}
+        us["job"] = float(np.median([sum(j.values()) for j in side_jobs]))
+        side_out["us"] = us
     return out
 
 
@@ -296,13 +372,15 @@ def main(argv=None):
                          "(default: this checkout as 'change'); repeat to take turns")
     ap.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5])
     ap.add_argument("--ngons", type=int, nargs="+", default=[8, 32, 128])
+    ap.add_argument("--pleats", type=int, nargs="+", default=[8, 32, 128])
     ap.add_argument("--repeat", type=int, default=30,
                     help="timed jobs, and calls of each kernel, per d and checkout")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
-    if args.repeat < 1 or any(d < 2 for d in args.dims) or any(n < 4 for n in args.ngons):
+    if (args.repeat < 1 or any(d < 2 for d in args.dims)
+            or any(n < 4 for n in args.ngons + args.pleats)):
         ap.error("--repeat must be at least 1, every --dims entry at least 2 "
-                 "and every --ngons entry at least 4")
+                 "and every --ngons and --pleats entry at least 4")
     srcs = args.src or [("change", ROOT)]
     labels = [label for label, _ in srcs]
     if len(set(labels)) != len(labels):
@@ -313,9 +391,11 @@ def main(argv=None):
     sides = [load_checkout(src, k) for k, (_, src) in enumerate(srcs)]
     cubes = {str(d): bench_cube(sides, d, args.repeat, SEED + d) for d in args.dims}
     ngons = {str(n): bench_ngon(sides, n, args.repeat, SEED + n) for n in args.ngons}
+    pleats = {str(n): bench_pleat(sides, n, args.repeat, SEED + 1000 + n) for n in args.pleats}
     doc = {"layout": LAYOUT, "machine": machine(), "repeat": args.repeat, "seed": SEED,
            "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()},
-                            "ngons": {n: g[k] for n, g in ngons.items()}}
+                            "ngons": {n: g[k] for n, g in ngons.items()},
+                            "pleats": {n: g[k] for n, g in pleats.items()}}
                     for k, (label, src) in enumerate(srcs)}}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for label, run in doc["runs"].items():
@@ -327,6 +407,10 @@ def main(argv=None):
                 f"{cls}: load={r['us']['shape_from_dict']:.0f}us "
                 f"validate={r['us']['validate_shape']:.0f}us nnls={r['calls']['_cone_residual']}"
                 for cls, r in ngon.items()))
+        for n, pleat in run["pleats"].items():
+            print(f"{label} pleat n={n} "
+                  + " ".join(f"{k}={v:.0f}us" for k, v in pleat["us"].items())
+                  + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}")
 
 
 if __name__ == "__main__":

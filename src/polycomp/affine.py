@@ -33,15 +33,17 @@ def degenerate(vertices: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # an overflowing length takes the rescaling branch
-def _flat(e: np.ndarray) -> np.ndarray:
+def _flat(e: np.ndarray, triangular: bool = False) -> np.ndarray:
     """Per (..., d, d) edge matrix: is |det| <= DET_TOL once the rows are scaled
-    to a unit longest row?"""
+    to a unit longest row?  A ``triangular`` stack's determinant is read as the
+    product of its diagonal instead of an LU factorization."""
     long2 = np.vecdot(e, e).max(axis=-1)  # the longest row, squared
     if not 1e-40 < long2.min() <= long2.max() < 1e40:  # else |det| could over- or underflow
         size = np.abs(e).reshape(e.shape[:-2] + (-1,)).max(axis=-1)[..., None, None]
         e = e / np.where(size > 0, size, 1.0)  # each matrix's largest |entry| becomes 1
         long2 = np.vecdot(e, e).max(axis=-1)
-    return np.abs(np.linalg.det(e)) <= DET_TOL * long2 ** (e.shape[-1] / 2)
+    det = np.diagonal(e, 0, -2, -1).prod(axis=-1) if triangular else np.linalg.det(e)
+    return np.abs(det) <= DET_TOL * long2 ** (e.shape[-1] / 2)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def intrinsic_map(source, target) -> np.ndarray:
     e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
     e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
     frame = np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2)  # row i: edge i in the frame
-    bad = np.flatnonzero(_flat(frame))
+    bad = np.flatnonzero(_flat(frame, triangular=True))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
     return np.linalg.solve(frame, e_tgt)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedInput
-from .polytopes import CombinatorialPolytope, Shape, Triangulation, build_polytope, triangulation
+from .polytopes import CombinatorialPolytope, Shape, Triangulation, _build_polytope, triangulation
 
 _MAX = sys.float_info.max
 
@@ -80,7 +80,7 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
     for i, row in enumerate(vertices):
         if not _finite_numbers(row, d):
             raise MalformedInput(f"{path}: field 'vertices[{i}]' must be {d} finite numbers")
-    polytope = build_polytope(d, n, facets)
+    polytope = _build_polytope(d, n, tuple(map(tuple, facets)))  # entries are exact ints
     return Shape(polytope, np.array(vertices, dtype=float), mode=mode, name=name)
 
 

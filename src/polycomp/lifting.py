@@ -119,10 +119,12 @@ def lift_simplex(p, q) -> np.ndarray:
     """
     src = _simplex_coords(p)
     tgt = _simplex_coords(q)
-    corr = affine_correspondence(src, tgt)
-    comp = orthogonal_completion(corr.linear)
-    edges = src - src[0]
-    return np.hstack([tgt, edges @ comp.A.T])
+    return _lift_rows(src, tgt, orthogonal_completion(affine_correspondence(src, tgt).linear).A)
+
+
+def _lift_rows(src: np.ndarray, tgt: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Rows (q_i, A (p_i - p_0)) of a simplex lifted by the block A of its map."""
+    return np.hstack([tgt, (src - src[0]) @ a.T])
 
 
 @dataclass(frozen=True)
@@ -162,12 +164,13 @@ def _exponent(*arrays) -> int:
 def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbedding:
     """Pleated embedding of P in R^{d(t+1)} projecting onto Q.
 
-    The root simplex is placed by ``lift_simplex`` in the first 2d
-    coordinates.  Each subsequent simplex (breadth-first over the pairing
-    tree, children in index order) shares a facet that is already placed;
-    its apex takes Q's coordinates in the first block, the middle
-    coordinates solving the pairwise-difference system of the d distance
-    equations to the shared vertices, and the leftover budget
+    The root simplex takes the rows (q_i, A (p_i - p_0)) of ``lift_simplex``
+    in the first 2d coordinates, with A = sqrt(I - M^T M) from the map M that
+    the triangulation's solve already holds.  Each subsequent simplex
+    (breadth-first over the pairing tree, children in index order) shares a
+    facet that is already placed; its apex takes Q's coordinates in the first
+    block, the middle coordinates solving the pairwise-difference system of
+    the d distance equations to the shared vertices, and the leftover budget
     s = l^2 - |placed part|^2 as sqrt(s) in the first coordinate of the
     simplex's fresh block.  The middle solution maximizes s over the affine
     solution set (the closest point to the shared vertices' middle
@@ -193,38 +196,35 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
         raise NotContraction("the map defined by the triangulation expands a pair")
 
     d = p.polytope.dimension
-    t = len(tri.simplices)
-    n = p.polytope.vertex_count
-    big_d = d * (t + 1)
-    coords = np.zeros((n, big_d))
+    big_d = d * (len(tri.simplices) + 1)
+    coords = np.zeros((p.polytope.vertex_count, big_d))
 
     order = bfs_order(len(tri.simplices), tri.pairing_edges)
-    root = tri.simplices[order[0][0]]
-    root_idx = list(root)
-    lifted = lift_simplex(p.coords[root_idx], q.coords[root_idx])
-    coords[root_idx, : 2 * d] = lifted
+    root = list(tri.simplices[order[0][0]])
+    lin = m.maps.linear[order[0][0]]
+    a = symmetric_sqrt(np.eye(d) - lin.T @ lin)
+    coords[root, : 2 * d] = _lift_rows(p.coords[root], q.coords[root], a)
 
-    next_col = 2 * d
+    # What P, Q and the tree fix for every step: the shared facet and the apex,
+    # the apex's squared P edges and the Q part of its distance equations.
+    shared, apex = [], []
     for simp_index, parent_index in order[1:]:
         simp = tri.simplices[simp_index]
-        parent = tri.simplices[parent_index]
-        shared = sorted(set(simp) & set(parent))
-        apex = next(v for v in simp if v not in shared)
-        z0 = next_col
-        next_col += d
+        facet = set(simp) & set(tri.simplices[parent_index])
+        shared.append(sorted(facet))
+        apex.append(next(v for v in simp if v not in facet))
+    shared = np.array(shared, dtype=np.intp).reshape(-1, d)
+    p_edges = p.coords[apex, None] - p.coords[shared]
+    q_edges = q.coords[apex, None] - q.coords[shared]
+    lengths2 = np.vecdot(p_edges, p_edges)
+    scales = lengths2.max(axis=1).tolist()  # s and its spread are squared lengths
+    q_part = np.vecdot(q_edges, q_edges)
+    coords[apex, :d] = q.coords[apex]
 
-        qa = q.coords[apex]
-        shared_coords = coords[shared]
-        mids = shared_coords[:, d:z0]
-        lengths2 = np.array([
-            float(np.dot(p.coords[apex] - p.coords[v], p.coords[apex] - p.coords[v]))
-            for v in shared
-        ])
-        base = np.array([
-            float(np.dot(qa - shared_coords[j, :d], qa - shared_coords[j, :d])
-                  + np.dot(mids[j], mids[j])) - lengths2[j]
-            for j in range(len(shared))
-        ])
+    for z0, v, facet, l2, qq, scale in zip(range(2 * d, big_d, d), apex, shared, lengths2,
+                                           q_part, scales):
+        mids = coords[facet, d:z0]
+        base = (qq + np.vecdot(mids, mids)) - l2
         # Pairwise differences: 2 <w, mids_j - mids_0> = base_j - base_0.
         a_mat = 2.0 * (mids[1:] - mids[0])
         b_vec = base[1:] - base[0]
@@ -232,16 +232,14 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
         shift, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ mids[0], rcond=None)
         w = mids[0] + shift
         s_all = -(base - 2.0 * (mids @ w) + np.dot(w, w))
-        scale = float(lengths2.max())  # s and its spread are squared lengths
         if s_all.max() - s_all.min() > APEX_TOL * scale:
             raise InfeasibleApex("distance system for the apex is inconsistent")
-        s = float(s_all.mean())
+        s = float(s_all.sum()) / len(s_all)  # np.mean's arithmetic
         if s < -CONTRACTION_TOL * scale:
             raise InfeasibleApex(f"negative residual budget, {s / scale:.3g} of the largest "
                                  "squared edge")
-        coords[apex, :d] = qa
-        coords[apex, d:z0] = w
-        coords[apex, z0] = np.sqrt(max(s, 0.0))
+        coords[v, d:z0] = w
+        coords[v, z0] = math.sqrt(max(s, 0.0))
 
     return PleatedEmbedding(ambient_dimension=big_d, coords=np.ldexp(coords, k),
                             triangulation=tri, source=source, target=target)

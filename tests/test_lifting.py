@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polycomp import (
     InconsistentLattice,
+    InfeasibleApex,
     NotContraction,
     NotPSD,
     NotTree,
@@ -38,7 +39,11 @@ from generators import (
     random_simplex_coords,
 )
 from polycomp import lifting
+from polycomp import affine
+from polycomp.affine import DET_TOL, affine_correspondence, intrinsic_map
+from polycomp.barycentric import triangulation_map
 from polycomp.lifting import isometry_residual
+from polycomp.polytopes import COORD_TOL, bfs_order, facet_adjacency
 
 
 def pairwise_distance_residual(lifted, source):
@@ -235,6 +240,145 @@ def test_pleated_rejects_non_tree():
         pleated_embedding(p, q, fake)
 
 
+def reference_pleat(p, q, tri):
+    """The pleated coordinates as the apex loop computed them before its P and
+    Q data moved out of the loop: the root by a fresh solve and orthogonal
+    completion, then per apex the shared facet, its squared P edges and the
+    distance equations to the placed vertices."""
+    if tri.polytope != p.polytope:
+        raise InconsistentLattice("triangulation belongs to a different polytope")
+    if not tri.is_tree:
+        raise NotTree("face-pairing graph of the triangulation is not a tree")
+    k = lifting._exponent(p.coords, q.coords)
+    p, q = (Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in (p, q))
+    m = triangulation_map(p, q, tri.simplices)
+    vol = lifting._simplex_volume(m.maps.source)
+    vol_p = lifting._shape_volume(p)
+    if abs(vol - vol_p) > COORD_TOL * vol_p:
+        raise InconsistentLattice("simplices do not tile the source shape")
+    if not (m.alphas[:, -1] <= 1.0 + lifting.CONTRACTION_TOL).all():
+        raise NotContraction("the map defined by the triangulation expands a pair")
+    d = p.polytope.dimension
+    coords = np.zeros((p.polytope.vertex_count, d * (len(tri.simplices) + 1)))
+    order = bfs_order(len(tri.simplices), tri.pairing_edges)
+    root_idx = list(tri.simplices[order[0][0]])
+    src, tgt = p.coords[root_idx], q.coords[root_idx]
+    comp = orthogonal_completion(affine_correspondence(src, tgt).linear)
+    coords[root_idx, : 2 * d] = np.hstack([tgt, (src - src[0]) @ comp.A.T])
+    next_col = 2 * d
+    for simp_index, parent_index in order[1:]:
+        simp = tri.simplices[simp_index]
+        shared = sorted(set(simp) & set(tri.simplices[parent_index]))
+        apex = next(v for v in simp if v not in shared)
+        z0 = next_col
+        next_col += d
+        qa = q.coords[apex]
+        shared_coords = coords[shared]
+        mids = shared_coords[:, d:z0]
+        lengths2 = np.array([
+            float(np.dot(p.coords[apex] - p.coords[v], p.coords[apex] - p.coords[v]))
+            for v in shared
+        ])
+        base = np.array([
+            float(np.dot(qa - shared_coords[j, :d], qa - shared_coords[j, :d])
+                  + np.dot(mids[j], mids[j])) - lengths2[j]
+            for j in range(len(shared))
+        ])
+        a_mat = 2.0 * (mids[1:] - mids[0])
+        b_vec = base[1:] - base[0]
+        shift, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ mids[0], rcond=None)
+        w = mids[0] + shift
+        s_all = -(base - 2.0 * (mids @ w) + np.dot(w, w))
+        scale = float(lengths2.max())
+        if s_all.max() - s_all.min() > lifting.APEX_TOL * scale:
+            raise InfeasibleApex("distance system for the apex is inconsistent")
+        s = float(s_all.mean())
+        if s < -lifting.CONTRACTION_TOL * scale:
+            raise InfeasibleApex(f"negative residual budget, {s / scale:.3g} of the largest "
+                                 "squared edge")
+        coords[apex, :d] = qa
+        coords[apex, d:z0] = w
+        coords[apex, z0] = np.sqrt(max(s, 0.0))
+    return np.ldexp(coords, k)
+
+
+def fan_pair(rng, n):
+    """Independent random n-gons P and Q, Q scaled so that the fan map from a
+    random vertex has alpha_max 0.81, and that fan."""
+    poly = ngon_polytope(n)
+    p = Shape(poly, random_convex_polygon(rng, n))
+    q = Shape(poly, random_convex_polygon(rng, n))
+    tri = fan_triangulation(poly, int(rng.integers(n)))
+    q = q.scaled(np.sqrt(0.81 / triangulation_map(p, q, tri.simplices).alphas.max()))
+    return p, q, tri
+
+
+def star_hexagon_pair(rng):
+    """A hexagon on the star triangle (0, 2, 4) and its three ears, the star
+    first so the breadth-first order places the three ears as one layer."""
+    poly = ngon_polytope(6)
+    simplices = ((0, 2, 4), (0, 1, 2), (2, 3, 4), (0, 4, 5))
+    tri = Triangulation(polytope=poly, simplices=simplices,
+                        pairing_edges=facet_adjacency(simplices), is_tree=True)
+    assert bfs_order(4, tri.pairing_edges) == [(0, None), (1, 0), (2, 0), (3, 0)]
+    p = Shape(poly, random_convex_polygon(rng, 6))
+    q = Shape(poly, random_convex_polygon(rng, 6))
+    return p, q.scaled(np.sqrt(0.81 / triangulation_map(p, q, simplices).alphas.max())), tri
+
+
+def pleat_corpus(rng):
+    for n in range(4, 21):
+        for _ in range(3):
+            yield fan_pair(rng, n)
+    for _ in range(5):
+        yield star_hexagon_pair(rng)
+        yield prism_pair(rng)
+    p, q, tri = fan_pair(rng, 9)
+    yield p, p, tri  # the zero pleat
+    square, _ = square_pair()
+    yield square, square, fan_triangulation(square.polytope, 0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**40, 2.0**-40, 1e150, 1e-150])
+def test_pleat_coordinates_match_reference_loop_bit_for_bit(rng, scale):
+    count = 0
+    for p, q, tri in pleat_corpus(rng):
+        p, q = p.scaled(scale), q.scaled(scale)
+        pe = pleated_embedding(p, q, tri)
+        np.testing.assert_array_equal(pe.coords, reference_pleat(p, q, tri))
+        count += 1
+    assert count == 17 * 3 + 10 + 2
+
+
+def error_of(f, *args):
+    with pytest.raises((NotContraction, InfeasibleApex)) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def test_pleat_errors_match_reference_loop(monkeypatch):
+    p, q = square_pair(0.8)
+    tri = fan_triangulation(p.polytope, 0)
+    expanding = error_of(pleated_embedding, p, p.scaled(1.5), tri)
+    assert expanding == error_of(reference_pleat, p, p.scaled(1.5), tri)
+    assert expanding == (NotContraction, "the map defined by the triangulation expands a pair")
+    # On a weak compression both apex tests pass in exact arithmetic, so a solver
+    # that misses the solution stands in for a numerically failed system: on the
+    # pleated square the residuals then differ, and on the zero pleat they are
+    # equal and negative.
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, b, rcond: (np.full(a.shape[1], 10.0), *lstsq(a, b, rcond)[1:]))
+    inconsistent = error_of(pleated_embedding, p, q, tri)
+    assert inconsistent == error_of(reference_pleat, p, q, tri)
+    assert inconsistent == (InfeasibleApex, "distance system for the apex is inconsistent")
+    negative = error_of(pleated_embedding, p, p, tri)
+    assert negative == error_of(reference_pleat, p, p, tri)
+    # |w|^2 = 200 over a largest squared edge of 1/4: the prescaling halves the square.
+    assert negative == (InfeasibleApex,
+                        "negative residual budget, -800 of the largest squared edge")
+
+
 def test_projection_chain_square():
     p, q = square_pair(0.8)
     tri = fan_triangulation(p.polytope, 0)
@@ -356,6 +500,50 @@ def test_restricted_svals_name_first_degenerate_simplex(rng):
     assert exc.value.index == 1
 
 
+NEAR_RATIOS = [0.5, 1 - 1e-6, 1 + 1e-6, 2.0, 0.0]  # |det| over the flatness threshold
+
+
+def triangular_stacks(rng):
+    """Lower and upper triangular (g, k, k) stacks with the flags they should
+    get (None: not known): random ones, ones whose |det| sits at NEAR_RATIOS
+    times the flatness threshold, and all of them scaled by 1e+-200."""
+    for k in range(1, 5):
+        cases = [(np.tril(rng.standard_normal((60, k, k))), None)]
+        if k > 1:  # a 1 x 1 matrix is flat only at 0
+            e = np.tril(rng.standard_normal((60, k, k)))
+            e[:, -1, -1] = 0.0  # a last diagonal of about 1e-12 moves no row length
+            long2 = np.vecdot(e, e).max(axis=-1)
+            rest = np.prod(np.diagonal(e, 0, -2, -1)[:, :-1], axis=-1)
+            ratio = np.resize(NEAR_RATIOS, 60)
+            e[:, -1, -1] = ratio * DET_TOL * long2 ** (k / 2) / rest
+            cases.append((e, ratio <= 1.0))
+        for stack, want in cases:
+            for scale in (1.0, 1e200, 1e-200):
+                yield stack * scale, want
+                yield np.swapaxes(stack, -1, -2) * scale, None  # rows are now columns
+
+
+def test_triangular_flatness_matches_lu_determinant(rng):
+    for e, want in triangular_stacks(rng):
+        got = affine._flat(e, triangular=True)
+        np.testing.assert_array_equal(got, affine._flat(e))
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+
+
+def test_intrinsic_map_names_the_simplex_the_lu_test_names(rng):
+    src = rng.standard_normal((8, 3, 4))
+    src[5, 2] = src[5, 0] + 1e-7 * (src[5, 1] - src[5, 0])  # all but flat
+    src[3, 2] = 0.5 * (src[3, 0] + src[3, 1])  # collinear
+    for stack in (src, src[4:]):
+        e_src = np.swapaxes(stack[:, 1:] - stack[:, :1], -1, -2)
+        frames = np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2)
+        want = int(np.flatnonzero(affine._flat(frames))[0])
+        with pytest.raises(SingularSimplex) as exc:
+            intrinsic_map(stack, stack)
+        assert exc.value.index == want
+
+
 def test_restricted_svals_reject_too_many_points(rng):
     # More than D + 1 points are always affinely dependent.
     with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
@@ -451,9 +639,9 @@ def reference_chain(coords, d, simplices, source=None):
     return out
 
 
-def pleated_prism(rng):
-    """A skewed triangular prism (vertices 0-2 bottom, 3-5 top) under a random
-    contraction, on its staircase of three tetrahedra, a path of face pairings."""
+def prism_pair(rng):
+    """A skewed triangular prism (vertices 0-2 bottom, 3-5 top), its image under a
+    random contraction, and its staircase of three tetrahedra, a path of face pairings."""
     poly = build_polytope(3, 6, [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [0, 2, 5, 3]])
     bottom = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.8, 0.0]])
     coords = np.vstack([bottom, bottom + [0.2, 0.1, 1.0]]) @ random_rotation(rng, 3).T
@@ -461,7 +649,11 @@ def pleated_prism(rng):
     q = Shape(poly, coords @ random_contraction(rng, 3, sigma_range=(0.3, 0.95)).T)
     tri = triangulation(poly, [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]])
     assert tri.is_tree
-    return pleated_embedding(p, q, tri)
+    return p, q, tri
+
+
+def pleated_prism(rng):
+    return pleated_embedding(*prism_pair(rng))
 
 
 def stages_per_block(monkeypatch, coords, simplices, stages):

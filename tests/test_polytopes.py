@@ -25,7 +25,7 @@ from polycomp import (
     validate_shape,
 )
 from generators import random_convex_polygon
-from polycomp.io import load_shapes
+from polycomp.io import load_shapes, shape_from_dict
 from polycomp.polytopes import (
     COORD_TOL,
     FLAT_ANGLE_TOL,
@@ -572,6 +572,22 @@ def test_build_polytope_shares_one_lattice_per_incidence():
     assert build_polytope(2, 5, tuple(tuple(f) for f in facets)) is from_rows
     assert all(type(v) is int for f in from_rows.facets for v in f)
     assert ngon_polytope(8) is ngon_polytope(8)
+
+
+def test_shape_from_dict_shares_the_lattice_and_its_errors():
+    facets = [[3, 4], [0, 1], [4, 0], [1, 2], [2, 3]]
+    doc = {"dimension": 2, "vertex_count": 5, "facets": facets,
+           "vertices": [[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]]}
+    assert shape_from_dict(doc).polytope is build_polytope(2, 5, np.array(facets))
+    for bad, error in (([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]], NotSimple),
+                       ([[0, 1], [0, 1, 2], [2, 3], [3, 0]], InconsistentLattice)):
+        n = max(map(max, bad)) + 1
+        shape_doc = {**doc, "vertex_count": n, "facets": bad, "vertices": doc["vertices"][:n]}
+        with pytest.raises(error) as got:
+            shape_from_dict(shape_doc)
+        with pytest.raises(error) as want:
+            build_polytope(2, n, bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_build_polytope_raises_on_every_call():

@@ -23,8 +23,9 @@ def test_bench_records_times_and_counted_calls(tmp_path):
     out = tmp_path / "bench.json"
     root = SCRIPTS.parent
     proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--dims", "3",
-                           "--ngons", "8", "--repeat", "2", "--src", f"first={root}",
-                           "--src", f"second={root}", "--out", str(out)],
+                           "--ngons", "8", "--pleats", "8", "--repeat", "2",
+                           "--src", f"first={root}", "--src", f"second={root}",
+                           "--out", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
@@ -49,3 +50,10 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         # all but the moved one of the others, which NNLS decides.
         assert {c: r["calls"]["_cone_residual"] for c, r in ngon.items()} == {
             "strict": 0, "weak": 1, "reflex": 1}
+        pleat = run["pleats"]["8"]
+        assert sorted(pleat["us"]) == ["job", "pleat_validity", "pleated_embedding",
+                                       "pleated_projection_chain"]
+        assert all(v > 0 for v in pleat["us"].values())
+        # The 8-gon fan's 6 triangles over 13 stages: all 6 at the first drop, then
+        # one per triangle at each lower stage that its edges reach past.
+        assert pleat["calls"] == {"restricted_svd_pairs": 43}

@@ -32,7 +32,12 @@ alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
 ``pleated_projection_chain`` on the embedding.  The script records the median
 us of each over ``--repeat`` jobs, each on a fresh pair, and the (stage,
 simplex) pairs handed to ``restricted_singular_values`` that a wrapper
-counted over one more job.
+counted over one more job.  It also records, each as a median over
+``--repeat`` rounds that start with every ``lru_cache`` of the checkout
+emptied, as in a fresh process: ``fan_triangulation``'s first call and a
+repeat of it, and the first job (that first fan call and the three steps).
+And it records the ``tracemalloc`` peak of one ``pleated_projection_chain``
+call, in bytes.
 
 Every ``--src`` checkout is imported into this one process under its own
 package name, and the checkouts take turns job by job and call by call, on
@@ -64,6 +69,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -81,6 +87,7 @@ ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
 KERNELS = ("chain_simplex_coords", "degenerate", "solve_correspondence")
 NGON_CLASSES = ("strict", "weak", "reflex")
 PLEAT_STEPS = ("pleated_embedding", "pleat_validity", "pleated_projection_chain")
+COLD_STEPS = ("fan_first", "fan_repeat", "first_job")
 
 
 def load_checkout(src: Path, index: int):
@@ -221,6 +228,39 @@ def counted_svd_pairs(pc, p, q, tri):
     return count[0]
 
 
+def empty_caches(pc):
+    """Empty every ``lru_cache`` in the checkout's modules, as in a fresh process."""
+    prefix = pc.__name__ + "."
+    for mod in [m for name, m in sys.modules.items() if name.startswith(prefix)]:
+        for f in list(vars(mod).values()):
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+
+
+def cold_job(pc, p, q):
+    """Time ``fan_triangulation`` on a first call after ``empty_caches`` and on a
+    repeat, and the first job (that first call, then ``pleat_job``); us."""
+    empty_caches(pc)
+    t0 = time.perf_counter_ns()
+    tri = pc.fan_triangulation(p.polytope, 0)
+    t1 = time.perf_counter_ns()
+    pc.fan_triangulation(p.polytope, 0)
+    first = (t1 - t0) / 1e3
+    return {"fan_first": first, "fan_repeat": (time.perf_counter_ns() - t1) / 1e3,
+            "first_job": first + sum(pleat_job(pc, p, q, tri).values())}
+
+
+def chain_peak_bytes(pc, p, q, tri):
+    """The ``tracemalloc`` peak of one ``pleated_projection_chain`` call."""
+    pe = pc.pleated_embedding(p, q, tri)
+    tracemalloc.start()
+    try:
+        pc.pleated_projection_chain(pe)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def bench_pleat(sides, n, repeat, seed):
     """One n of the pleat ladder for every side, on the same coordinates."""
     rng = np.random.default_rng(seed)
@@ -229,12 +269,16 @@ def bench_pleat(sides, n, repeat, seed):
     out = []
     for pc, side_pairs in zip(sides, pairs):
         pleat_job(pc, *side_pairs[0])  # warm-up: builds the polytope and its complex
-        out.append({"calls": {"restricted_svd_pairs": counted_svd_pairs(pc, *side_pairs[0])}})
+        out.append({"calls": {"restricted_svd_pairs": counted_svd_pairs(pc, *side_pairs[0])},
+                    "peak_bytes": {"pleated_projection_chain":
+                                   chain_peak_bytes(pc, *side_pairs[0])}})
     gc.collect()
     jobs = in_turns(len(sides), repeat, lambda k, i: pleat_job(sides[k], *pairs[k][i + 1]))
-    for side_out, side_jobs in zip(out, jobs):
+    colds = in_turns(len(sides), repeat, lambda k, i: cold_job(sides[k], *pairs[k][i + 1][:2]))
+    for side_out, side_jobs, side_colds in zip(out, jobs, colds):
         us = {name: float(np.median([j[name] for j in side_jobs])) for name in PLEAT_STEPS}
         us["job"] = float(np.median([sum(j.values()) for j in side_jobs]))
+        us.update({name: float(np.median([c[name] for c in side_colds])) for name in COLD_STEPS})
         side_out["us"] = us
     return out
 
@@ -410,7 +454,8 @@ def main(argv=None):
         for n, pleat in run["pleats"].items():
             print(f"{label} pleat n={n} "
                   + " ".join(f"{k}={v:.0f}us" for k, v in pleat["us"].items())
-                  + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}")
+                  + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}"
+                  + f" chain_peak={pleat['peak_bytes']['pleated_projection_chain']}B")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ map given by the vertex correspondence is used directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -36,7 +37,6 @@ class BarycentricComplex:
 
     polytope: CombinatorialPolytope
     chains: tuple[tuple[int, ...], ...]  # face indices, dimensions 0..d
-    adjacency: tuple[tuple[int, int], ...]
     # Read-only: ``chains`` as a (t, d+1) array, and the 0/1 face-by-vertex
     # incidence matrix of ``polytope.faces``.
     chain_faces: np.ndarray = field(compare=False, repr=False)
@@ -45,6 +45,11 @@ class BarycentricComplex:
     @property
     def simplex_count(self) -> int:
         return len(self.chains)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, int], ...]:
+        """Pairs of chains that share d of their d+1 faces; built when first read."""
+        return facet_adjacency(self.chains)
 
 
 @lru_cache(maxsize=32)
@@ -79,12 +84,14 @@ def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
         extend([i], 1)
 
     chain_faces = np.array(chains, dtype=np.intp)
-    n = polytope.vertex_count
-    incidence = np.array([np.isin(np.arange(n), f) for f in polytope.faces], dtype=float)
+    faces = polytope.faces
+    sizes = [len(f) for f in faces]
+    incidence = np.zeros((len(faces), polytope.vertex_count))
+    incidence[np.repeat(np.arange(len(faces)), sizes),
+              np.fromiter(itertools.chain.from_iterable(faces), np.intp, sum(sizes))] = 1.0
     for a in (chain_faces, incidence):
         a.setflags(write=False)
-    return BarycentricComplex(polytope, tuple(chains), facet_adjacency(chains),
-                              chain_faces, incidence)
+    return BarycentricComplex(polytope, tuple(chains), chain_faces, incidence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +199,12 @@ def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
     idx = np.array(simps, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] != p.polytope.dimension + 1:
         raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
+    return _triangulation_map(p, q, simps, idx)
+
+
+def _triangulation_map(p: Shape, q: Shape, simps: tuple, idx: np.ndarray) -> InducedMap:
+    """``triangulation_map`` on checked simplices: ``simps`` as tuples and the
+    (t, d+1) array ``idx`` of the same vertices."""
     return _stacked_map(p, q, "triangulation", ChainStack(p.coords[idx]), q.coords[idx],
                         lambda exc: f"simplex {simps[exc.index]} is degenerate in the source",
                         simplices=simps)

@@ -81,7 +81,7 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
         if not _finite_numbers(row, d):
             raise MalformedInput(f"{path}: field 'vertices[{i}]' must be {d} finite numbers")
     polytope = _build_polytope(d, n, tuple(map(tuple, facets)))  # entries are exact ints
-    return Shape(polytope, np.array(vertices, dtype=float), mode=mode, name=name)
+    return Shape(polytope, vertices, mode=mode, name=name)  # one conversion, in Shape
 
 
 def load_shape(path) -> Shape:

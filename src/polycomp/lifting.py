@@ -17,11 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .affine import affine_correspondence, intrinsic_map, restricted_singular_values
-from .barycentric import barycentric_complex, chain_simplex_coords, triangulation_map
+from .barycentric import (
+    _triangulation_map,
+    barycentric_complex,
+    chain_simplex_coords,
+    require_same_polytope,
+)
 from .errors import (
     InconsistentLattice,
     InfeasibleApex,
@@ -161,6 +167,80 @@ def _exponent(*arrays) -> int:
     return int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
 
 
+@dataclass(frozen=True)
+class _PleatPlan:
+    """What the pleat path reads of a tree triangulation, which fixes all of it;
+    arrays are read-only.
+
+    ``simplices`` is the (t, d+1) vertex array; simplex 0 is the root.  Each
+    later breadth-first step places the ``apex`` (t-1,) of its simplex on the
+    ``shared`` (t-1, d) facet of its parent.  ``groups`` holds, as the
+    ``(rows, faces, ab)`` arrays of ``_fold_angles``, first the fold triples
+    (each pairing edge's facet, listed in ``fold_faces``, and the vertex off it
+    on either side), then for d >= 2 the ridge triples (each simplex's faces
+    of size d-1 with the two vertices off them).  ``ridges`` lists each ridge
+    face of two or more simplices, sorted, with those simplices and the rows
+    of their triples.
+    """
+
+    simplices: np.ndarray
+    shared: np.ndarray
+    apex: np.ndarray
+    fold_faces: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    ridges: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _fold_groups(triples) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """``(face, a, b)`` triples as ``(rows, faces, ab)`` arrays per face size:
+    the triples' indices, faces (g, size) and off-face vertices (g, 2)."""
+    by_size = {}
+    for i, (face, _, _) in enumerate(triples):
+        by_size.setdefault(len(face), []).append(i)
+    return tuple((np.array(rows, dtype=np.intp),
+                  np.array([triples[i][0] for i in rows], dtype=np.intp),
+                  np.array([triples[i][1:] for i in rows], dtype=np.intp))
+                 for rows in by_size.values())
+
+
+@lru_cache(maxsize=32)
+def _pleat_plan(tri: Triangulation) -> _PleatPlan:
+    """The plan of a tree triangulation, built on first use and shared by equal
+    triangulations (it is frozen)."""
+    simplices = tri.simplices
+    shared, apex = [], []
+    for simp_index, parent_index in bfs_order(len(simplices), tri.pairing_edges)[1:]:
+        simp = simplices[simp_index]
+        facet = set(simp) & set(simplices[parent_index])
+        shared.append(sorted(facet))
+        apex.append(next(v for v in simp if v not in facet))
+    d = tri.polytope.dimension
+    triples = []
+    for i, j in tri.pairing_edges:
+        facet = tuple(sorted(set(simplices[i]) & set(simplices[j])))
+        triples.append((facet, next(v for v in simplices[i] if v not in facet),
+                        next(v for v in simplices[j] if v not in facet)))
+    ridges = {}
+    if d >= 2:
+        for si, s in enumerate(simplices):
+            for a, b in itertools.combinations(s, 2):
+                tau = tuple(v for v in s if v not in (a, b))
+                ridges.setdefault(tau, []).append((si, len(triples)))
+                triples.append((tau, a, b))
+    arrays = (np.array(simplices, dtype=np.intp), np.array(shared, dtype=np.intp).reshape(-1, d),
+              np.array(apex, dtype=np.intp))
+    groups = _fold_groups(triples)
+    for a in (*arrays, *(a for g in groups for a in g)):
+        a.setflags(write=False)
+    return _PleatPlan(
+        *arrays,
+        fold_faces=tuple(face for face, _, _ in triples[:len(tri.pairing_edges)]),
+        groups=groups,
+        ridges=tuple((tau, tuple(si for si, _ in entries), tuple(row for _, row in entries))
+                     for tau, entries in sorted(ridges.items()) if len(entries) >= 2),
+    )
+
+
 def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbedding:
     """Pleated embedding of P in R^{d(t+1)} projecting onto Q.
 
@@ -178,16 +258,20 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
     or the system is numerically inconsistent; both raise
     ``InfeasibleApex``.  It runs on P and Q divided by a power of two that
     brings their coordinates to size about 1, which is exact, so no squared
-    length over- or underflows at any scale.
+    length over- or underflows at any scale.  The simplices, the order and
+    each step's shared facet and apex come from the triangulation's plan
+    (``_pleat_plan``), built on first use.
     """
     if tri.polytope != p.polytope:
         raise InconsistentLattice("triangulation belongs to a different polytope")
     if not tri.is_tree:
         raise NotTree("face-pairing graph of the triangulation is not a tree")
+    require_same_polytope(p, q)
+    plan = _pleat_plan(tri)
     k = _exponent(p.coords, q.coords)
     source, target = p, q  # the embedding keeps the given shapes
     p, q = (Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in (p, q))
-    m = triangulation_map(p, q, tri.simplices)
+    m = _triangulation_map(p, q, tri.simplices, plan.simplices)
     vol = _simplex_volume(m.maps.source)
     vol_p = _shape_volume(p)
     if abs(vol - vol_p) > COORD_TOL * vol_p:
@@ -199,21 +283,14 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
     big_d = d * (len(tri.simplices) + 1)
     coords = np.zeros((p.polytope.vertex_count, big_d))
 
-    order = bfs_order(len(tri.simplices), tri.pairing_edges)
-    root = list(tri.simplices[order[0][0]])
-    lin = m.maps.linear[order[0][0]]
+    root = plan.simplices[0]
+    lin = m.maps.linear[0]
     a = symmetric_sqrt(np.eye(d) - lin.T @ lin)
     coords[root, : 2 * d] = _lift_rows(p.coords[root], q.coords[root], a)
 
-    # What P, Q and the tree fix for every step: the shared facet and the apex,
-    # the apex's squared P edges and the Q part of its distance equations.
-    shared, apex = [], []
-    for simp_index, parent_index in order[1:]:
-        simp = tri.simplices[simp_index]
-        facet = set(simp) & set(tri.simplices[parent_index])
-        shared.append(sorted(facet))
-        apex.append(next(v for v in simp if v not in facet))
-    shared = np.array(shared, dtype=np.intp).reshape(-1, d)
+    # What P, Q and the tree fix for every step: the apex's squared P edges to
+    # the shared facet and the Q part of its distance equations.
+    shared, apex = plan.shared, plan.apex
     p_edges = p.coords[apex, None] - p.coords[shared]
     q_edges = q.coords[apex, None] - q.coords[shared]
     lengths2 = np.vecdot(p_edges, p_edges)
@@ -258,19 +335,16 @@ def isometry_residual(lifted, source) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
 
-def _fold_angles(coords: np.ndarray, triples) -> np.ndarray:
+def _fold_angles(coords: np.ndarray, groups) -> np.ndarray:
     """Per ``(face, a, b)`` triple, the angle at the face between vertices a and
-    b, orthogonal to the face's span (pi = flat); one stacked QR per face size."""
+    b, orthogonal to the face's span (pi = flat); one stacked QR per face size,
+    the triples given as ``_fold_groups``."""
     coords = np.ldexp(coords, -_exponent(coords))  # exact, and angles are scale-free
-    angles = np.empty(len(triples))
-    by_size = {}
-    for i, (face, _, _) in enumerate(triples):
-        by_size.setdefault(len(face), []).append(i)
-    for size, rows in by_size.items():
-        faces = np.array([triples[i][0] for i in rows])  # (g, size)
+    angles = np.empty(sum(len(rows) for rows, _, _ in groups))
+    for rows, faces, ab in groups:
         base = coords[faces[:, :1]]  # (g, 1, D)
-        r = coords[np.array([triples[i][1:] for i in rows])] - base  # (g, 2, D): ra, rb
-        if size > 1:
+        r = coords[ab] - base  # (g, 2, D): ra, rb
+        if faces.shape[1] > 1:
             qmat = np.linalg.qr(np.swapaxes(coords[faces[:, 1:]] - base, -1, -2))[0]
             r = r - (r @ qmat) @ np.swapaxes(qmat, -1, -2)
         norms = np.linalg.norm(r, axis=-1)
@@ -316,46 +390,25 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
     rejected.
     """
     p = pe.source
-    q = pe.target
     d = p.polytope.dimension
     tri = pe.triangulation
+    plan = _pleat_plan(tri)
 
-    projection_residual = float(np.abs(pe.coords[:, :d] - q.coords).max())
-
-    triples = []
-    for i, j in tri.pairing_edges:
-        shared = tuple(sorted(set(tri.simplices[i]) & set(tri.simplices[j])))
-        apex_i = next(v for v in tri.simplices[i] if v not in shared)
-        apex_j = next(v for v in tri.simplices[j] if v not in shared)
-        triples.append((shared, apex_i, apex_j))
-    owners = []  # simplex of each ridge triple
-    if d >= 2:
-        for si, s in enumerate(tri.simplices):
-            for a, b in itertools.combinations(s, 2):
-                triples.append((tuple(v for v in s if v not in (a, b)), a, b))
-                owners.append(si)
-    angles = _fold_angles(pe.coords, triples).tolist()
-    n_folds = len(tri.pairing_edges)
-    folds = [FacetFold(simplices=(i, j), shared_vertices=shared, dihedral=angle)
-             for (i, j), (shared, _, _), angle in zip(tri.pairing_edges, triples, angles)]
-    ridges = {}
-    for si, (tau, _, _), angle in zip(owners, triples[n_folds:], angles[n_folds:]):
-        ridges.setdefault(tau, []).append((si, angle))
-
+    projection_residual = float(np.abs(pe.coords[:, :d] - pe.target.coords).max())
+    angles = _fold_angles(pe.coords, plan.groups).tolist()
+    folds = [FacetFold(simplices=edge, shared_vertices=shared, dihedral=angle)
+             for edge, shared, angle in zip(tri.pairing_edges, plan.fold_faces, angles)]
     ridge_reports = []
-    for tau in sorted(ridges):
-        entries = ridges[tau]
-        if len(entries) < 2:
-            continue
-        total = sum(angle for _, angle in entries)
+    for tau, simplices, rows in plan.ridges:
+        total = sum(angles[row] for row in rows)
         ridge_reports.append(RidgeAngles(
             vertices=tau,
-            simplices=tuple(si for si, _ in entries),
+            simplices=simplices,
             angle_sum=float(total),
             strictly_below_pi=bool(total < np.pi - 1e-9),
         ))
 
-    idx = np.array(tri.simplices)
+    idx = plan.simplices
     return PleatValidityReport(
         isometry_residuals=isometry_residual(pe.coords[idx], p.coords[idx]),
         projection_residual=projection_residual,
@@ -430,6 +483,14 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         raise ValueError("simplices must list at least one simplex")
     if idx.min() < 0 or idx.max() >= len(coords):
         raise ValueError(f"simplex vertex index out of range for {len(coords)} vertices")
+    return _projection_chain(coords, d, idx, source, target)
+
+
+def _projection_chain(coords: np.ndarray, d: int, idx: np.ndarray, source: Shape | None,
+                      target: Shape | None) -> ProjectionChain:
+    """``projection_chain`` on checked input: a float (N, D) ``coords`` with
+    1 <= d <= D and a (t, k+1) array ``idx`` of vertex indices."""
+    big_d = coords.shape[1]
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
     src_map = intrinsic_map(base, stack)  # (t, k, D); a stage keeps its first dim columns
@@ -473,6 +534,5 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
 
 
 def pleated_projection_chain(pe: PleatedEmbedding) -> ProjectionChain:
-    return projection_chain(pe.coords, pe.source.polytope.dimension,
-                            pe.triangulation.simplices, source=pe.source,
-                            target=pe.target)
+    return _projection_chain(pe.coords, pe.source.polytope.dimension,
+                             _pleat_plan(pe.triangulation).simplices, pe.source, pe.target)

@@ -188,6 +188,21 @@ def ngon_polytope(n: int) -> CombinatorialPolytope:
     return build_polytope(2, n, [[i, (i + 1) % n] for i in range(n)])
 
 
+def _checked_coords(polytope: CombinatorialPolytope, coords: np.ndarray,
+                    mode: str) -> np.ndarray:
+    """``coords`` after the checks every shape passes, in this order: one row of
+    ``dimension`` entries per vertex, a known mode, finite entries."""
+    if coords.shape != (polytope.vertex_count, polytope.dimension):
+        raise ValueError(
+            f"coords must be {polytope.vertex_count} x {polytope.dimension}, got {coords.shape}"
+        )
+    if mode not in ("strict", "weak"):
+        raise ValueError("mode must be 'strict' or 'weak'")
+    if not np.isfinite(coords).all():
+        raise ValueError("coords must be finite")
+    return coords
+
+
 @dataclass(frozen=True, eq=False)
 class Shape:
     """Coordinates of a realization of a combinatorial polytope in R^d; compares by identity."""
@@ -198,16 +213,7 @@ class Shape:
     name: str | None = None
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        if coords.shape != (self.polytope.vertex_count, self.polytope.dimension):
-            raise ValueError(
-                f"coords must be {self.polytope.vertex_count} x "
-                f"{self.polytope.dimension}, got {coords.shape}"
-            )
-        if self.mode not in ("strict", "weak"):
-            raise ValueError("mode must be 'strict' or 'weak'")
-        if not np.isfinite(coords).all():
-            raise ValueError("coords must be finite")
+        coords = _checked_coords(self.polytope, np.array(self.coords, dtype=float), self.mode)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -318,7 +324,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     points coincide within tolerance.  Each test compares a length over the
     radius r, the largest absolute centred coordinate, with ``COORD_TOL``.
     """
-    coords = Shape(polytope, coords, mode).coords  # shape, mode and finiteness checks
+    coords = _checked_coords(polytope, np.asarray(coords, dtype=float), mode)  # read, not written
     d = polytope.dimension
     n = polytope.vertex_count
     centered = coords - coords.mean(axis=0)
@@ -509,10 +515,21 @@ def _polygon_cycle(polytope: CombinatorialPolytope, start: int) -> list[int]:
 
 
 def fan_triangulation(polytope_or_shape, apex: int) -> Triangulation:
-    """Fan a convex n-gon from one vertex: n-2 triangles, pairing graph a path."""
-    polytope = getattr(polytope_or_shape, "polytope", polytope_or_shape)
+    """Fan a convex n-gon from one vertex: n-2 triangles, pairing graph a path.
+
+    The result is frozen, so it is cached and shared per (polytope, apex), as
+    ``build_polytope``'s lattices are.  Errors are not cached.
+    """
+    return _fan_triangulation(getattr(polytope_or_shape, "polytope", polytope_or_shape),
+                              operator.index(apex))
+
+
+@lru_cache(maxsize=32)
+def _fan_triangulation(polytope: CombinatorialPolytope, apex: int) -> Triangulation:
     if polytope.dimension != 2:
         raise ValueError("fan triangulation is defined for n-gons")
+    if not 0 <= apex < polytope.vertex_count:
+        raise ValueError(f"fan apex must be a vertex in [0, {polytope.vertex_count})")
     cycle = _polygon_cycle(polytope, apex)
     simps = [(apex, cycle[i], cycle[i + 1]) for i in range(1, len(cycle) - 1)]
     return triangulation(polytope, simps)

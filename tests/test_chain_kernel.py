@@ -6,6 +6,7 @@ batched ``induced_map``, ``per_chain_deltas`` and ``evaluate_map`` are
 checked against the plain loop they must agree with.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,12 +26,14 @@ from polycomp import (
     induced_map,
     ngon_polytope,
     per_chain_deltas,
+    simplex_polytope,
     spectral_summary,
     triangulation_map,
 )
 from polycomp.barycentric import chain_simplex_coords
 from generators import random_convex_polygon
 from polycomp.metric import _deltas
+from polycomp.polytopes import facet_adjacency
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -197,3 +200,30 @@ def test_complex_is_cached_read_only_and_shared():
     shape = Shape(ngon_polytope(6), random_convex_polygon(np.random.default_rng(3), 6))
     want = np.array([[barycentre(a.polytope.faces[f], shape) for f in c] for c in a.chains])
     np.testing.assert_allclose(chain_simplex_coords(a, shape), want, rtol=1e-15, atol=1e-15)
+
+
+def isin_incidence(polytope):
+    """The face-by-vertex incidence as it was built: one ``np.isin`` per face."""
+    n = polytope.vertex_count
+    return np.array([np.isin(np.arange(n), f) for f in polytope.faces], dtype=float)
+
+
+@pytest.mark.parametrize("kind,size", [("simplex", d) for d in (1, 2, 3, 4)]
+                         + [("ngon", n) for n in (3, 5, 8)]
+                         + [("cube", d) for d in (2, 3, 4, 5)])
+def test_complex_adjacency_on_first_read_and_scattered_incidence(rng, kind, size):
+    if kind == "cube":
+        shape = projective_cube(rng, size)
+    elif kind == "ngon":
+        shape = Shape(ngon_polytope(size), random_convex_polygon(rng, size))
+    else:
+        shape = Shape(simplex_polytope(size), rng.standard_normal((size + 1, size)))
+    complex_ = barycentric_complex.__wrapped__(shape.polytope)  # a fresh, uncached build
+    assert "adjacency" not in vars(complex_)
+    assert complex_.adjacency == facet_adjacency(complex_.chains)
+    assert complex_.adjacency is complex_.adjacency
+    np.testing.assert_array_equal(complex_.incidence, isin_incidence(shape.polytope))
+    assert complex_.incidence.dtype == np.float64
+    old = dataclasses.replace(complex_, incidence=isin_incidence(shape.polytope))
+    np.testing.assert_array_equal(chain_simplex_coords(complex_, shape),
+                                  chain_simplex_coords(old, shape))

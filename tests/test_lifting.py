@@ -1,5 +1,6 @@
 """Orthogonal completions, simplex lifts, pleated embeddings, chains."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -42,7 +43,7 @@ from polycomp import lifting
 from polycomp import affine
 from polycomp.affine import DET_TOL, affine_correspondence, intrinsic_map
 from polycomp.barycentric import triangulation_map
-from polycomp.lifting import isometry_residual
+from polycomp.lifting import FacetFold, RidgeAngles, isometry_residual
 from polycomp.polytopes import COORD_TOL, bfs_order, facet_adjacency
 
 
@@ -348,6 +349,106 @@ def test_pleat_coordinates_match_reference_loop_bit_for_bit(rng, scale):
         np.testing.assert_array_equal(pe.coords, reference_pleat(p, q, tri))
         count += 1
     assert count == 17 * 3 + 10 + 2
+
+
+def reference_validity(pe):
+    """Fold and ridge reports as ``pleat_validity`` built them on every call
+    before the triangulation's plan: triples, size groups and ridge grouping
+    from the simplices."""
+    tri = pe.triangulation
+    triples = []
+    for i, j in tri.pairing_edges:
+        shared = tuple(sorted(set(tri.simplices[i]) & set(tri.simplices[j])))
+        triples.append((shared, next(v for v in tri.simplices[i] if v not in shared),
+                        next(v for v in tri.simplices[j] if v not in shared)))
+    owners = []
+    if pe.source.polytope.dimension >= 2:
+        for si, s in enumerate(tri.simplices):
+            for a, b in itertools.combinations(s, 2):
+                triples.append((tuple(v for v in s if v not in (a, b)), a, b))
+                owners.append(si)
+    angles = lifting._fold_angles(pe.coords, lifting._fold_groups(triples)).tolist()
+    n_folds = len(tri.pairing_edges)
+    folds = tuple(FacetFold((i, j), shared, angle)
+                  for (i, j), (shared, _, _), angle in zip(tri.pairing_edges, triples, angles))
+    ridges = {}
+    for si, (tau, _, _), angle in zip(owners, triples[n_folds:], angles[n_folds:]):
+        ridges.setdefault(tau, []).append((si, angle))
+    reports = []
+    for tau in sorted(ridges):
+        if len(ridges[tau]) >= 2:
+            total = sum(angle for _, angle in ridges[tau])
+            reports.append(RidgeAngles(tau, tuple(si for si, _ in ridges[tau]), float(total),
+                                       bool(total < np.pi - 1e-9)))
+    idx = np.array(tri.simplices)
+    return isometry_residual(pe.coords[idx], pe.source.coords[idx]), folds, tuple(reports)
+
+
+def pleat_outputs(p, q, tri):
+    pe = pleated_embedding(p, q, tri)
+    return pe, pleat_validity(pe), pleated_projection_chain(pe)
+
+
+def assert_same_pleat(got, want):
+    (pe, report, chain), (pe_want, report_want, chain_want) = got, want
+    np.testing.assert_array_equal(pe.coords, pe_want.coords)
+    np.testing.assert_array_equal(report.isometry_residuals, report_want.isometry_residuals)
+    assert report.projection_residual == report_want.projection_residual
+    assert report.facet_folds == report_want.facet_folds
+    assert report.ridge_angle_sums == report_want.ridge_angle_sums
+    assert chain.final_residual == chain_want.final_residual
+    assert len(chain.stages) == len(chain_want.stages)
+    for stage, other in zip(chain.stages, chain_want.stages):
+        np.testing.assert_array_equal(stage.coords, other.coords)
+        np.testing.assert_array_equal(stage.per_simplex_alpha_vs_source,
+                                      other.per_simplex_alpha_vs_source)
+        if stage.per_simplex_alpha_vs_prev is None:
+            assert other.per_simplex_alpha_vs_prev is None
+        else:
+            np.testing.assert_array_equal(stage.per_simplex_alpha_vs_prev,
+                                          other.per_simplex_alpha_vs_prev)
+
+
+def test_pleat_through_a_cached_plan_equals_a_fresh_one(rng):
+    """On the reference_pleat corpus (fans from random apexes, the star hexagon,
+    prisms), a pleat through a cached fan and plan, through a fresh copy of the
+    triangulation with the plan built again, and through the per-call
+    reference code all agree bit for bit."""
+    for p, q, tri in pleat_corpus(rng):
+        apexes = set.intersection(*map(set, tri.simplices)) if tri.polytope.dimension == 2 else ()
+        if apexes:  # a fan: the cache hands out the corpus's triangulation again
+            assert any(fan_triangulation(p.polytope, a) is tri for a in apexes)
+        pleat_outputs(p, q, tri)
+        cached = pleat_outputs(p, q, tri)
+        lifting._pleat_plan.cache_clear()
+        fresh_tri = (triangulation(tri.polytope, tri.simplices) if tri.simplices == tuple(
+            sorted(tri.simplices)) else dataclasses.replace(tri))
+        assert fresh_tri == tri and fresh_tri is not tri
+        fresh = pleat_outputs(p, q, fresh_tri)
+        assert_same_pleat(cached, fresh)
+        pe, report, chain = cached
+        residuals, folds, ridges = reference_validity(pe)
+        np.testing.assert_array_equal(report.isometry_residuals, residuals)
+        assert report.facet_folds == folds and report.ridge_angle_sums == ridges
+        d = p.polytope.dimension
+        want = projection_chain(pe.coords, d, tri.simplices, source=p, target=q)
+        assert_same_pleat((pe, report, chain), (pe, report, want))
+
+
+def test_plan_arrays_are_read_only_and_the_cache_is_bounded(rng):
+    pe = pleated_prism(rng)
+    plan = lifting._pleat_plan(pe.triangulation)
+    assert lifting._pleat_plan(pe.triangulation) is plan
+    arrays = [plan.simplices, plan.shared, plan.apex, *(a for g in plan.groups for a in g)]
+    assert plan.shared.shape == (2, 3) and plan.apex.shape == (2,)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 7
+    size = lifting._pleat_plan.cache_info().maxsize
+    for n in range(4, size + 12):
+        lifting._pleat_plan(fan_triangulation(ngon_polytope(n), 0))
+    assert lifting._pleat_plan.cache_info().currsize == size
 
 
 def error_of(f, *args):
@@ -826,11 +927,11 @@ def test_batched_fold_angles_match_single_face_loop(rng):
     for pe, sizes in [(pleated_polygon(rng, 11, 4), {1, 2}), (pleated_prism(rng), {2, 3})]:
         triples = fold_triples(pe)
         assert {len(face) for face, _, _ in triples} == sizes
-        got = lifting._fold_angles(pe.coords, triples)
+        got = lifting._fold_angles(pe.coords, lifting._fold_groups(triples))
         want = [reference_angle(pe.coords, *triple) for triple in triples]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (got > 0.0).all()  # the pleats fold: no angle collapses to zero
-    assert lifting._fold_angles(pe.coords, []).shape == (0,)
+    assert lifting._fold_angles(pe.coords, lifting._fold_groups([])).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [128, 192])

@@ -25,6 +25,7 @@ from polycomp import (
     validate_shape,
 )
 from generators import random_convex_polygon
+from polycomp import polytopes
 from polycomp.io import load_shapes, shape_from_dict
 from polycomp.polytopes import (
     COORD_TOL,
@@ -194,6 +195,38 @@ def test_fan_triangulation_triangle():
     assert tri.simplices == ((0, 1, 2),)
     assert tri.is_tree
     assert tri.pairing_edges == ()
+
+
+def test_fan_triangulation_is_shared_per_polytope_and_apex(rng):
+    poly = ngon_polytope(7)
+    for apex in (0, 3, 6):
+        tri = fan_triangulation(poly, apex)
+        assert fan_triangulation(poly, apex) is tri
+        assert fan_triangulation(Shape(poly, random_convex_polygon(rng, 7)), np.int64(apex)) is tri
+        assert tri == triangulation(poly, tri.simplices)
+    assert fan_triangulation(poly, 0) is not fan_triangulation(poly, 3)
+
+
+@pytest.mark.parametrize("poly,apex,message", [
+    (ngon_polytope(5), -1, r"^fan apex must be a vertex in \[0, 5\)$"),
+    (ngon_polytope(5), 5, r"^fan apex must be a vertex in \[0, 5\)$"),
+    (simplex_polytope(3), 0, "^fan triangulation is defined for n-gons$"),
+    (build_polytope(2, 6, [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]), 0,
+     "^facets do not form a single cycle$"),
+])
+def test_fan_triangulation_raises_on_every_call(poly, apex, message):
+    cached = polytopes._fan_triangulation.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            fan_triangulation(poly, apex)
+    assert polytopes._fan_triangulation.cache_info().currsize == cached
+
+
+def test_fan_cache_is_bounded():
+    size = polytopes._fan_triangulation.cache_info().maxsize
+    for n in range(4, size + 12):
+        fan_triangulation(ngon_polytope(n), 0)
+    assert polytopes._fan_triangulation.cache_info().currsize == size
 
 
 def cube_polytope(d):

@@ -51,9 +51,12 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         assert {c: r["calls"]["_cone_residual"] for c, r in ngon.items()} == {
             "strict": 0, "weak": 1, "reflex": 1}
         pleat = run["pleats"]["8"]
-        assert sorted(pleat["us"]) == ["job", "pleat_validity", "pleated_embedding",
+        assert sorted(pleat["us"]) == ["fan_first", "fan_repeat", "first_job", "job",
+                                       "pleat_validity", "pleated_embedding",
                                        "pleated_projection_chain"]
         assert all(v > 0 for v in pleat["us"].values())
+        assert pleat["us"]["first_job"] > pleat["us"]["fan_first"]
+        assert pleat["peak_bytes"]["pleated_projection_chain"] > 0
         # The 8-gon fan's 6 triangles over 13 stages: all 6 at the first drop, then
         # one per triangle at each lower stage that its edges reach past.
         assert pleat["calls"] == {"restricted_svd_pairs": 43}

@@ -24,6 +24,7 @@ from .errors import (
     InconsistentLattice,
     InfeasibleApex,
     MalformedInput,
+    NonFiniteResult,
     NotContraction,
     NotPSD,
     NotSimple,

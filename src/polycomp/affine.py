@@ -68,6 +68,7 @@ class AffineCorrespondence:
         xh = np.append(np.asarray(x, dtype=float), 1.0)
         return (self.matrix @ xh)[..., :-1]
 
+    @np.errstate(over="ignore")  # an overflowing Gram has NaN or inf eigenvalues
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of linear^T linear, ascending (squared singular values)."""
         return np.linalg.eigvalsh(np.swapaxes(self.linear, -1, -2) @ self.linear)

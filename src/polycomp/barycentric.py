@@ -17,7 +17,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .affine import AffineCorrespondence, degenerate, homogeneous, solve_correspondence
-from .errors import DegenerateSimplex, PointOutside, PolytopeMismatch, SingularSimplex
+from .errors import (
+    DegenerateSimplex,
+    NonFiniteResult,
+    PointOutside,
+    PolytopeMismatch,
+    SingularSimplex,
+)
 from .polytopes import CombinatorialPolytope, Shape, facet_adjacency
 
 BARY_TOL = 1e-9
@@ -110,7 +116,6 @@ class InducedMap:
     kind: str
     maps: AffineCorrespondence  # arrays (t, d+1, d), (t, d+1, d+1), (t, d, d)
     complex: BarycentricComplex | None = None
-    simplices: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def simplex_count(self) -> int:
@@ -161,14 +166,16 @@ def chain_stack(shape: Shape) -> ChainStack:
 
 
 def _stacked_map(p: Shape, q: Shape, kind: str, src: ChainStack, tgt: np.ndarray,
-                 describe, **parts) -> InducedMap:
+                 describe, complex_: BarycentricComplex | None = None) -> InducedMap:
     if src.degenerate.any():
         exc = SingularSimplex("source simplex is affinely degenerate", int(src.degenerate.argmax()))
         raise DegenerateSimplex(describe(exc)) from exc
     maps = solve_correspondence(src.coords, tgt)
+    if not np.isfinite(maps.linear).all():
+        raise NonFiniteResult("the map overflows: a piece's linear part is not finite")
     for a in (maps.source, maps.target, maps.matrix, maps.linear):
         a.setflags(write=False)
-    return InducedMap(p, q, kind, maps, **parts)
+    return InducedMap(p, q, kind, maps, complex_)
 
 
 @lru_cache(maxsize=4)  # a request needs (P, Q), (Q, P) and (P, lambda Q)
@@ -185,29 +192,23 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
     require_same_polytope(p, q)
     src, tgt = chain_stack(p), chain_stack(q).coords
     if p.polytope.is_simplex:
-        return _stacked_map(p, q, "simplex", src, tgt, str,
-                            simplices=(tuple(range(p.polytope.vertex_count)),))
+        return _stacked_map(p, q, "simplex", src, tgt, str)
     return _stacked_map(p, q, "barycentric", src, tgt,
                         lambda exc: f"chain {exc.index} is degenerate in the source",
-                        complex=barycentric_complex(p.polytope))
+                        barycentric_complex(p.polytope))
 
 
 def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
-    """Per-simplex affine map over a vertex triangulation instead of B(P)."""
+    """Per-simplex affine map over a vertex triangulation instead of B(P), from
+    any (t, d+1) array-like of vertex indices (a read-only array too); a
+    degenerate source simplex is named by its vertices, e.g. ``(0, 1, 2)``."""
     require_same_polytope(p, q)
-    simps = tuple(tuple(s) for s in simplices)
-    idx = np.array(simps, dtype=np.intp)
+    idx = np.asarray(simplices, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] != p.polytope.dimension + 1:
         raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
-    return _triangulation_map(p, q, simps, idx)
-
-
-def _triangulation_map(p: Shape, q: Shape, simps: tuple, idx: np.ndarray) -> InducedMap:
-    """``triangulation_map`` on checked simplices: ``simps`` as tuples and the
-    (t, d+1) array ``idx`` of the same vertices."""
     return _stacked_map(p, q, "triangulation", ChainStack(p.coords[idx]), q.coords[idx],
-                        lambda exc: f"simplex {simps[exc.index]} is degenerate in the source",
-                        simplices=simps)
+                        lambda exc: f"simplex {tuple(idx[exc.index].tolist())} is degenerate "
+                                    "in the source")
 
 
 def evaluate_map(m: InducedMap, x) -> np.ndarray:

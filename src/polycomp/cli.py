@@ -23,7 +23,7 @@ from .barycentric import (
     induced_map,
     require_same_polytope,
 )
-from .errors import MalformedInput, PolycompError
+from .errors import MalformedInput, NonFiniteResult, PolycompError
 from .lifting import (
     isometry_residual,
     lift_simplex,
@@ -57,11 +57,6 @@ class ValidationFailure(PolycompError):
     def __init__(self, message, payload):
         super().__init__(message)
         self.payload = payload
-
-
-class NonFiniteResult(PolycompError):
-    """A result overflowed or underflowed to NaN or an infinity, which JSON cannot hold."""
-    exit_code = 2
 
 
 def _require_valid(shape: Shape, label) -> Shape:

@@ -70,6 +70,12 @@ class InfeasibleApex(PolycompError):
     exit_code = 2
 
 
+class NonFiniteResult(PolycompError):
+    """A result over- or underflowed to NaN, an infinity or a zero that has no meaning."""
+
+    exit_code = 2
+
+
 class MalformedInput(PolycompError):
     """An input file does not match its documented schema."""
 

@@ -23,10 +23,9 @@ import numpy as np
 
 from .affine import affine_correspondence, intrinsic_map, restricted_singular_values
 from .barycentric import (
-    _triangulation_map,
     barycentric_complex,
     chain_simplex_coords,
-    require_same_polytope,
+    triangulation_map,
 )
 from .errors import (
     InconsistentLattice,
@@ -88,10 +87,11 @@ def orthogonal_completion(m: np.ndarray) -> OrthogonalCompletion:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     d = m.shape[0]
-    gram = m.T @ m
+    with np.errstate(over="ignore"):  # an overflowing Gram fails the test below
+        gram = m.T @ m
     alpha_max = float(np.linalg.eigvalsh(gram)[-1])
-    if alpha_max > 1.0 + CONTRACTION_TOL:
-        raise NotContraction(f"alpha_max = {alpha_max} exceeds 1")
+    if not alpha_max <= 1.0 + CONTRACTION_TOL:
+        raise NotContraction(f"alpha_max = {alpha_max} is not at most 1")
     a = symmetric_sqrt(np.eye(d) - gram)
     cols = [np.concatenate([m[:, i], a[:, i]]) for i in range(d)]
     basis = np.eye(2 * d)
@@ -174,33 +174,28 @@ class _PleatPlan:
 
     ``simplices`` is the (t, d+1) vertex array; simplex 0 is the root.  Each
     later breadth-first step places the ``apex`` (t-1,) of its simplex on the
-    ``shared`` (t-1, d) facet of its parent.  ``groups`` holds, as the
-    ``(rows, faces, ab)`` arrays of ``_fold_angles``, first the fold triples
-    (each pairing edge's facet, listed in ``fold_faces``, and the vertex off it
-    on either side), then for d >= 2 the ridge triples (each simplex's faces
-    of size d-1 with the two vertices off them).  ``ridges`` lists each ridge
-    face of two or more simplices, sorted, with those simplices and the rows
-    of their triples.
+    ``shared`` (t-1, d) facet of its parent.  As ``(faces, ab)`` arrays for
+    ``_fold_angles``, ``fold_triples`` holds each pairing edge's facet with the
+    vertex off it on either side, ``ridge_triples`` (empty for d = 1) each
+    simplex's faces of size d-1 with the two vertices off them.  ``ridges``
+    lists each ridge face of two or more simplices, sorted, with those
+    simplices and the rows of their triples among the folds, then ridges.
     """
 
     simplices: np.ndarray
     shared: np.ndarray
     apex: np.ndarray
-    fold_faces: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    fold_triples: tuple[np.ndarray, np.ndarray]
+    ridge_triples: tuple[np.ndarray, np.ndarray]
     ridges: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _fold_groups(triples) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """``(face, a, b)`` triples as ``(rows, faces, ab)`` arrays per face size:
-    the triples' indices, faces (g, size) and off-face vertices (g, 2)."""
-    by_size = {}
-    for i, (face, _, _) in enumerate(triples):
-        by_size.setdefault(len(face), []).append(i)
-    return tuple((np.array(rows, dtype=np.intp),
-                  np.array([triples[i][0] for i in rows], dtype=np.intp),
-                  np.array([triples[i][1:] for i in rows], dtype=np.intp))
-                 for rows in by_size.values())
+def _triple_arrays(triples, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(face, a, b)`` triples with faces of ``size`` vertices as the arrays
+    (g, size) of their faces and (g, 2) of their off-face vertices."""
+    g = len(triples)
+    return (np.array([face for face, _, _ in triples], dtype=np.intp).reshape(g, size),
+            np.array([triple[1:] for triple in triples], dtype=np.intp).reshape(g, 2))
 
 
 @lru_cache(maxsize=32)
@@ -215,27 +210,25 @@ def _pleat_plan(tri: Triangulation) -> _PleatPlan:
         shared.append(sorted(facet))
         apex.append(next(v for v in simp if v not in facet))
     d = tri.polytope.dimension
-    triples = []
+    folds = []
     for i, j in tri.pairing_edges:
         facet = tuple(sorted(set(simplices[i]) & set(simplices[j])))
-        triples.append((facet, next(v for v in simplices[i] if v not in facet),
-                        next(v for v in simplices[j] if v not in facet)))
-    ridges = {}
+        folds.append((facet, next(v for v in simplices[i] if v not in facet),
+                      next(v for v in simplices[j] if v not in facet)))
+    wedges, ridges = [], {}  # each simplex's wedges at its ridge faces
     if d >= 2:
         for si, s in enumerate(simplices):
             for a, b in itertools.combinations(s, 2):
                 tau = tuple(v for v in s if v not in (a, b))
-                ridges.setdefault(tau, []).append((si, len(triples)))
-                triples.append((tau, a, b))
+                ridges.setdefault(tau, []).append((si, len(folds) + len(wedges)))
+                wedges.append((tau, a, b))
     arrays = (np.array(simplices, dtype=np.intp), np.array(shared, dtype=np.intp).reshape(-1, d),
-              np.array(apex, dtype=np.intp))
-    groups = _fold_groups(triples)
-    for a in (*arrays, *(a for g in groups for a in g)):
+              np.array(apex, dtype=np.intp), _triple_arrays(folds, d),
+              _triple_arrays(wedges, d - 1))
+    for a in itertools.chain(arrays[:3], *arrays[3:]):
         a.setflags(write=False)
     return _PleatPlan(
         *arrays,
-        fold_faces=tuple(face for face, _, _ in triples[:len(tri.pairing_edges)]),
-        groups=groups,
         ridges=tuple((tau, tuple(si for si, _ in entries), tuple(row for _, row in entries))
                      for tau, entries in sorted(ridges.items()) if len(entries) >= 2),
     )
@@ -266,12 +259,11 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
         raise InconsistentLattice("triangulation belongs to a different polytope")
     if not tri.is_tree:
         raise NotTree("face-pairing graph of the triangulation is not a tree")
-    require_same_polytope(p, q)
     plan = _pleat_plan(tri)
     k = _exponent(p.coords, q.coords)
     source, target = p, q  # the embedding keeps the given shapes
     p, q = (Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in (p, q))
-    m = _triangulation_map(p, q, tri.simplices, plan.simplices)
+    m = triangulation_map(p, q, plan.simplices)
     vol = _simplex_volume(m.maps.source)
     vol_p = _shape_volume(p)
     if abs(vol - vol_p) > COORD_TOL * vol_p:
@@ -335,22 +327,20 @@ def isometry_residual(lifted, source) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
 
-def _fold_angles(coords: np.ndarray, groups) -> np.ndarray:
-    """Per ``(face, a, b)`` triple, the angle at the face between vertices a and
-    b, orthogonal to the face's span (pi = flat); one stacked QR per face size,
-    the triples given as ``_fold_groups``."""
-    coords = np.ldexp(coords, -_exponent(coords))  # exact, and angles are scale-free
-    angles = np.empty(sum(len(rows) for rows, _, _ in groups))
-    for rows, faces, ab in groups:
-        base = coords[faces[:, :1]]  # (g, 1, D)
-        r = coords[ab] - base  # (g, 2, D): ra, rb
-        if faces.shape[1] > 1:
-            qmat = np.linalg.qr(np.swapaxes(coords[faces[:, 1:]] - base, -1, -2))[0]
-            r = r - (r @ qmat) @ np.swapaxes(qmat, -1, -2)
-        norms = np.linalg.norm(r, axis=-1)
-        cosang = (r[:, 0] * r[:, 1]).sum(axis=-1) / (norms[:, 0] * norms[:, 1])
-        angles[rows] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return angles
+def _fold_angles(coords: np.ndarray, faces: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Per ``(face, a, b)`` triple, a row of the (g, size) ``faces`` and (g, 2)
+    ``ab``, the angle at the face between a and b orthogonal to its span (pi =
+    flat), on ``coords`` divided to size about 1; one stacked QR."""
+    if not len(faces):
+        return np.empty(0)
+    base = coords[faces[:, :1]]  # (g, 1, D)
+    r = coords[ab] - base  # (g, 2, D): ra, rb
+    if faces.shape[1] > 1:
+        qmat = np.linalg.qr(np.swapaxes(coords[faces[:, 1:]] - base, -1, -2))[0]
+        r = r - (r @ qmat) @ np.swapaxes(qmat, -1, -2)
+    norms = np.linalg.norm(r, axis=-1)
+    cosang = (r[:, 0] * r[:, 1]).sum(axis=-1) / (norms[:, 0] * norms[:, 1])
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -395,9 +385,12 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
     plan = _pleat_plan(tri)
 
     projection_residual = float(np.abs(pe.coords[:, :d] - pe.target.coords).max())
-    angles = _fold_angles(pe.coords, plan.groups).tolist()
-    folds = [FacetFold(simplices=edge, shared_vertices=shared, dihedral=angle)
-             for edge, shared, angle in zip(tri.pairing_edges, plan.fold_faces, angles)]
+    coords = np.ldexp(pe.coords, -_exponent(pe.coords))  # exact, and angles are scale-free
+    angles = np.concatenate([_fold_angles(coords, *plan.fold_triples),
+                             _fold_angles(coords, *plan.ridge_triples)]).tolist()
+    folds = [FacetFold(simplices=edge, shared_vertices=tuple(shared), dihedral=angle)
+             for edge, shared, angle in zip(tri.pairing_edges, plan.fold_triples[0].tolist(),
+                                            angles)]
     ridge_reports = []
     for tau, simplices, rows in plan.ridges:
         total = sum(angles[row] for row in rows)
@@ -467,10 +460,11 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     up to zero padding, at every stage above c, so its previous-stage map is
     computed once for all of them.  The source Grams and the computed
     (stage, simplex) pairs go in blocks of about ``_CHAIN_BLOCK`` floats,
-    which bounds the peak memory.
-    Raises ``ValueError`` unless 1 <= d <= the ambient dimension, and
-    ``SingularSimplex`` for a degenerate source simplex first, then for the
-    first stage's; ``index`` names the simplex.
+    which bounds the peak memory.  ``simplices`` is any (t, k+1) array-like
+    of vertex indices, a read-only array too.  Raises ``ValueError`` unless
+    1 <= d <= the ambient dimension and ``simplices`` is such an array of
+    indices into ``coords``, and ``SingularSimplex`` for a degenerate source
+    simplex first, then for the first stage's; ``index`` names the simplex.
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
@@ -478,19 +472,11 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         raise ValueError(f"base dimension must be between 1 and the ambient dimension {big_d}")
     if len({len(s) for s in simplices}) > 1:
         raise ValueError("every simplex must list the same number of vertices")
-    idx = np.array(simplices, dtype=int)  # (t, k+1)
+    idx = np.asarray(simplices, dtype=np.intp)  # (t, k+1)
     if idx.ndim != 2 or not idx.size:
         raise ValueError("simplices must list at least one simplex")
     if idx.min() < 0 or idx.max() >= len(coords):
         raise ValueError(f"simplex vertex index out of range for {len(coords)} vertices")
-    return _projection_chain(coords, d, idx, source, target)
-
-
-def _projection_chain(coords: np.ndarray, d: int, idx: np.ndarray, source: Shape | None,
-                      target: Shape | None) -> ProjectionChain:
-    """``projection_chain`` on checked input: a float (N, D) ``coords`` with
-    1 <= d <= D and a (t, k+1) array ``idx`` of vertex indices."""
-    big_d = coords.shape[1]
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
     src_map = intrinsic_map(base, stack)  # (t, k, D); a stage keeps its first dim columns
@@ -534,5 +520,5 @@ def _projection_chain(coords: np.ndarray, d: int, idx: np.ndarray, source: Shape
 
 
 def pleated_projection_chain(pe: PleatedEmbedding) -> ProjectionChain:
-    return _projection_chain(pe.coords, pe.source.polytope.dimension,
-                             _pleat_plan(pe.triangulation).simplices, pe.source, pe.target)
+    return projection_chain(pe.coords, pe.source.polytope.dimension,
+                            _pleat_plan(pe.triangulation).simplices, pe.source, pe.target)

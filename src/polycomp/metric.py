@@ -17,8 +17,15 @@ import numpy as np
 
 from .affine import degenerate, solve_correspondence
 from .barycentric import barycentric_complex, chain_simplex_coords, chain_stack, induced_map
-from .errors import DegenerateSimplex, PolytopeMismatch, SingularSimplex
+from .errors import DegenerateSimplex, NonFiniteResult, PolytopeMismatch, SingularSimplex
 from .polytopes import Shape
+
+
+def _log_spread(alphas: np.ndarray) -> np.ndarray:
+    """ln(alpha_max / alpha_min) per row; ``NonFiniteResult`` if an alpha left (0, inf)."""
+    if not 0.0 < alphas.min() <= alphas.max() < np.inf:
+        raise NonFiniteResult("an eigenvalue of the map over- or underflows")
+    return np.log(alphas[:, -1] / alphas[:, 0])
 
 
 def _deltas(src: np.ndarray, tgt: np.ndarray, flags=None) -> np.ndarray:
@@ -30,8 +37,7 @@ def _deltas(src: np.ndarray, tgt: np.ndarray, flags=None) -> np.ndarray:
     if bad.size:
         side = "target" if bad_tgt[bad[0]] else "source"
         raise SingularSimplex(f"{side} simplex is affinely degenerate", int(bad[0]))
-    alphas = solve_correspondence(src, tgt).gram_eigenvalues()
-    return np.log(alphas[:, -1] / alphas[:, 0])
+    return _log_spread(solve_correspondence(src, tgt).gram_eigenvalues())
 
 
 _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long requests
@@ -91,8 +97,7 @@ def _map_deltas(p: Shape, q: Shape, chains: bool) -> np.ndarray:
     piece in either shape raises through ``_pair_deltas``, as in a request."""
     if (chains and p.polytope.is_simplex) or any(chain_stack(s).degenerate.any() for s in (p, q)):
         return _pair_deltas((p, q), [(0, 1)], chains=chains)[0]
-    alphas = induced_map(p, q).alphas
-    return np.log(alphas[:, -1] / alphas[:, 0])
+    return _log_spread(induced_map(p, q).alphas)
 
 
 def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .affine import DET_TOL, degenerate, homogeneous
 from .barycentric import InducedMap, induced_map, require_same_polytope
-from .errors import SingularSimplex
+from .errors import NonFiniteResult, SingularSimplex
 from .polytopes import Shape
 
 DEFAULT_TOL = 1e-9
@@ -108,7 +108,8 @@ def edge_contraction_check(p: Shape, q: Shape,
     require_same_polytope(p, q)
     edges = p.polytope.edge_array
     src, tgt = _lengths(np.stack([c[edges[:, 0]] - c[edges[:, 1]] for c in (p.coords, q.coords)]))
-    ratios = tgt / src
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        ratios = tgt / src
     return EdgeContractionReport(
         edges=tuple(map(tuple, edges.tolist())),
         source_lengths=src,
@@ -189,9 +190,12 @@ def scale_critical(p: Shape, q: Shape) -> CriticalRescale:
     """Homothety factor making P -> lambda*Q a critical weak compression.
 
     lambda = 1/sqrt(global alpha_max), after which the rescaled map has
-    global alpha_max = 1 and an extremal pair of ratio 1.
+    global alpha_max = 1 and an extremal pair of ratio 1.  Raises
+    ``NonFiniteResult`` unless 0 < alpha_max < inf.
     """
     s = spectral_summary(induced_map(p, q))
+    if not 0.0 < s.alpha_max < np.inf:
+        raise NonFiniteResult(f"alpha_max = {s.alpha_max} has no finite critical rescaling")
     lam = 1.0 / np.sqrt(s.alpha_max)
     scaled = q.scaled(lam)
     return CriticalRescale(lam=float(lam),

@@ -159,6 +159,23 @@ def test_degenerate_triangulation_simplex_is_named():
             triangulation_map(p, Shape(p.polytope, SQUARE), simplices)
 
 
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("simplices", [
+    [[0, 1, 3], [1, 2, 3]],
+    ((0, 1, 3), (1, 2, 3)),
+    read_only(np.array([[0, 1, 3], [1, 2, 3]], dtype=np.intp)),
+], ids=["list", "tuple", "read-only-intp"])
+def test_degenerate_triangulation_simplex_is_named_by_plain_ints(simplices):
+    p = collapsed_square(2, 1)
+    with pytest.raises(DegenerateSimplex) as exc:
+        triangulation_map(p, Shape(p.polytope, SQUARE), simplices)
+    assert str(exc.value) == "simplex (1, 2, 3) is degenerate in the source"
+
+
 def reference_evaluate(m, x, tol=1e-9):
     for i in range(m.simplex_count):
         corr = m.maps[i]

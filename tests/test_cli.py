@@ -210,6 +210,16 @@ def test_complete_rejects_expansion(tmp_path):
     assert json.loads(proc.stdout)["error"] == "NotContraction"
 
 
+def test_complete_rejects_an_overflowing_gram(tmp_path):
+    # M^T M overflows to a NaN spectrum: a NotContraction, not a numpy error.
+    path = write_json(tmp_path / "m.json", {"rows": 2, "cols": 2, "data": [1e300, 0, 0, 1e-300]})
+    proc = run_cli("complete", path)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout, parse_constant=reject_constant) == {
+        "error": "NotContraction", "message": "alpha_max = nan is not at most 1"}
+    assert "Traceback" not in proc.stderr
+
+
 def test_classify_degenerate_exit_code(tmp_path):
     doc = square_doc()
     doc["mode"] = "weak"
@@ -525,7 +535,7 @@ def test_every_error_reaches_the_cli_with_its_exit_code(monkeypatch, capsys):
         "NotSimple": 1, "InconsistentLattice": 1, "DegenerateSpan": 1, "DuplicateVertex": 1,
         "PolytopeMismatch": 1, "NotTree": 1, "PointOutside": 1, "ValidationFailure": 1,
         "SingularSimplex": 2, "DegenerateSimplex": 2, "NotContraction": 2, "NotPSD": 2,
-        "InfeasibleApex": 2, "MalformedInput": 3,
+        "InfeasibleApex": 2, "NonFiniteResult": 2, "MalformedInput": 3,
     }
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.PolycompError)
@@ -591,6 +601,28 @@ def test_scaled_shapes_keep_the_cli_contract(tmp_path, capsys, name, scale):
     # infinite slope) by up to about sqrt(eps); every other angle far less.
     assert [f["dihedral"] for f in folds] == pytest.approx([f["dihedral"] for f in folds1],
                                                            rel=0, abs=1e-7)
+
+
+@pytest.mark.parametrize("p_scale,q_scale", [(1e-160, 1e160), (1e160, 1e-160), (1.0, 1e300),
+                                              (1e300, 1.0), (1.0, 1e-300), (1e-300, 1.0)])
+@pytest.mark.parametrize("name", ["square", "hexagons"])
+def test_unequal_scales_keep_the_cli_contract(tmp_path, capsys, name, p_scale, q_scale):
+    """P and Q about the float range apart: the map's alphas over- or underflow,
+    so only some results exist, but every command still prints one strict
+    JSON document and exits 0-3."""
+    from polycomp import cli
+
+    for side, scale in (("p", p_scale), ("q", q_scale)):
+        (tmp_path / side).mkdir()
+        scaled_pair_files(tmp_path / side, name, scale)
+    p, q = str(tmp_path / "p" / "P.json"), str(tmp_path / "q" / "Q.json")
+    for argv in (["classify", p, q], ["edges", p, q], ["distance", p, q], ["order", p, q],
+                 ["scale", p, q], ["pleat", p, q, "--triangulation", "fan:0"]):
+        code = cli.main(argv)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert code in (0, 1, 2, 3), (argv[0], payload)
+        if argv[0] == "scale" or (argv[0] == "classify" and q_scale > p_scale):
+            assert (code, payload["error"]) == (2, "NonFiniteResult"), (argv[0], payload)
 
 
 def test_non_finite_results_exit_2_with_one_json_document(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from polycomp import (
     NotContraction,
     NotPSD,
     NotTree,
+    PolytopeMismatch,
     Shape,
     SingularSimplex,
     Triangulation,
@@ -104,6 +105,12 @@ def test_completion_random_contractions(rng):
 def test_completion_rejects_expansion():
     with pytest.raises(NotContraction):
         orthogonal_completion(np.diag([1.5, 0.3]))
+
+
+def test_completion_rejects_an_overflowing_gram():
+    # M^T M overflows, so its eigenvalues are NaN, which no bound admits.
+    with pytest.raises(NotContraction, match="^alpha_max = nan is not at most 1$"):
+        orthogonal_completion(np.diag([1e300, 1e-300]))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -338,6 +345,7 @@ def pleat_corpus(rng):
     yield p, p, tri  # the zero pleat
     square, _ = square_pair()
     yield square, square, fan_triangulation(square.polytope, 0)
+    yield fan_pair(rng, 3)  # one simplex: no pairing edge, so no fold
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**40, 2.0**-40, 1e150, 1e-150])
@@ -348,31 +356,40 @@ def test_pleat_coordinates_match_reference_loop_bit_for_bit(rng, scale):
         pe = pleated_embedding(p, q, tri)
         np.testing.assert_array_equal(pe.coords, reference_pleat(p, q, tri))
         count += 1
-    assert count == 17 * 3 + 10 + 2
+    assert count == 17 * 3 + 10 + 3
+
+
+def triple_angles(coords, triples):
+    """``_fold_angles`` of a list of ``(face, a, b)`` triples whose faces have
+    one size, as a list."""
+    if not triples:
+        return []
+    faces = np.array([face for face, _, _ in triples], dtype=np.intp)
+    ab = np.array([(a, b) for _, a, b in triples], dtype=np.intp)
+    return lifting._fold_angles(coords, faces, ab).tolist()
 
 
 def reference_validity(pe):
     """Fold and ridge reports as ``pleat_validity`` built them on every call
-    before the triangulation's plan: triples, size groups and ridge grouping
-    from the simplices."""
+    before the triangulation's plan: triples and ridge grouping from the
+    simplices, angles per face size."""
     tri = pe.triangulation
     triples = []
     for i, j in tri.pairing_edges:
         shared = tuple(sorted(set(tri.simplices[i]) & set(tri.simplices[j])))
         triples.append((shared, next(v for v in tri.simplices[i] if v not in shared),
                         next(v for v in tri.simplices[j] if v not in shared)))
-    owners = []
+    wedges, owners = [], []
     if pe.source.polytope.dimension >= 2:
         for si, s in enumerate(tri.simplices):
             for a, b in itertools.combinations(s, 2):
-                triples.append((tuple(v for v in s if v not in (a, b)), a, b))
+                wedges.append((tuple(v for v in s if v not in (a, b)), a, b))
                 owners.append(si)
-    angles = lifting._fold_angles(pe.coords, lifting._fold_groups(triples)).tolist()
-    n_folds = len(tri.pairing_edges)
-    folds = tuple(FacetFold((i, j), shared, angle)
-                  for (i, j), (shared, _, _), angle in zip(tri.pairing_edges, triples, angles))
+    coords = np.ldexp(pe.coords, -lifting._exponent(pe.coords))
+    folds = tuple(FacetFold((i, j), shared, angle) for (i, j), (shared, _, _), angle
+                  in zip(tri.pairing_edges, triples, triple_angles(coords, triples)))
     ridges = {}
-    for si, (tau, _, _), angle in zip(owners, triples[n_folds:], angles[n_folds:]):
+    for si, (tau, _, _), angle in zip(owners, wedges, triple_angles(coords, wedges)):
         ridges.setdefault(tau, []).append((si, angle))
     reports = []
     for tau in sorted(ridges):
@@ -439,8 +456,10 @@ def test_plan_arrays_are_read_only_and_the_cache_is_bounded(rng):
     pe = pleated_prism(rng)
     plan = lifting._pleat_plan(pe.triangulation)
     assert lifting._pleat_plan(pe.triangulation) is plan
-    arrays = [plan.simplices, plan.shared, plan.apex, *(a for g in plan.groups for a in g)]
+    arrays = [plan.simplices, plan.shared, plan.apex, *plan.fold_triples, *plan.ridge_triples]
     assert plan.shared.shape == (2, 3) and plan.apex.shape == (2,)
+    assert [a.shape for a in (*plan.fold_triples, *plan.ridge_triples)] == [
+        (2, 3), (2, 2), (18, 2), (18, 2)]  # two pairing edges; 3 tetrahedra, 6 edges each
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -455,6 +474,14 @@ def error_of(f, *args):
     with pytest.raises((NotContraction, InfeasibleApex)) as info:
         f(*args)
     return type(info.value), str(info.value)
+
+
+def test_pleat_of_shapes_of_different_polytopes_is_a_mismatch(rng):
+    p, _ = square_pair()
+    q = Shape(ngon_polytope(5), random_convex_polygon(rng, 5))
+    with pytest.raises(PolytopeMismatch, match="^shapes realize different combinatorial "
+                                               "polytopes$"):
+        pleated_embedding(p, q, fan_triangulation(p.polytope, 0))
 
 
 def test_pleat_errors_match_reference_loop(monkeypatch):
@@ -923,15 +950,19 @@ def fold_triples(pe):
     return triples
 
 
-def test_batched_fold_angles_match_single_face_loop(rng):
+def test_batched_fold_angles_match_single_face_loop(rng, monkeypatch):
     for pe, sizes in [(pleated_polygon(rng, 11, 4), {1, 2}), (pleated_prism(rng), {2, 3})]:
         triples = fold_triples(pe)
         assert {len(face) for face, _, _ in triples} == sizes
-        got = lifting._fold_angles(pe.coords, lifting._fold_groups(triples))
-        want = [reference_angle(pe.coords, *triple) for triple in triples]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert (got > 0.0).all()  # the pleats fold: no angle collapses to zero
-    assert lifting._fold_angles(pe.coords, lifting._fold_groups([])).shape == (0,)
+        for size in sizes:
+            group = [triple for triple in triples if len(triple[0]) == size]
+            got = np.array(triple_angles(pe.coords, group))
+            want = [reference_angle(pe.coords, *triple) for triple in group]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert (got > 0.0).all()  # the pleats fold: no angle collapses to zero
+    empty = np.empty((0, 2), dtype=np.intp)
+    monkeypatch.setattr(np.linalg, "qr", None)  # an empty group makes no QR call
+    assert lifting._fold_angles(pe.coords, empty, empty).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [128, 192])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from polycomp import (
     DegenerateSimplex,
+    NonFiniteResult,
     PolycompError,
     PolytopeMismatch,
     Shape,
@@ -67,6 +68,18 @@ def test_delta_simplex_diagonal():
     p = Shape(tri, src)
     q = Shape(tri, src @ np.diag([2.0, 1.0]).T)
     assert delta_simplex(p, q) == pytest.approx(np.log(4.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_delta_of_an_alpha_past_the_float_range_raises(unit_square, scale):
+    # A homothety's delta is 0, but here its alphas over- or underflow; the
+    # memoised map and the stacked request path both say so.
+    q = unit_square.scaled(scale)
+    for delta in (lambda: delta_polytope(unit_square, q),
+                  lambda: metric._pair_deltas([unit_square, q], [(0, 1)])):
+        with pytest.raises(NonFiniteResult, match="^an eigenvalue of the map over- or "
+                                                  "underflows$"):
+            delta()
 
 
 def test_delta_polytope_matches_simplex(triangle_pair):

@@ -12,6 +12,7 @@ from polycomp import (
     COMPRESSION,
     NOT_WEAK_COMPRESSION,
     WEAK_COMPRESSION,
+    NonFiniteResult,
     PointOnShape,
     Shape,
     SingularSimplex,
@@ -268,6 +269,21 @@ def test_scale_critical_published(triangle_pair):
     assert r.lam < 1.0 / 1.012
     assert r.classification.verdict == WEAK_COMPRESSION
     assert abs(r.classification.summary.alpha_max - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("p_scale,q_scale", [(1e-160, 1e160), (1e160, 1e-160), (1.0, 1e300),
+                                              (1e300, 1.0), (1.0, 1e-300), (1e-300, 1.0)])
+def test_scale_critical_rejects_an_alpha_max_out_of_range(unit_square, p_scale, q_scale):
+    # alpha_max over- or underflows (to inf, NaN or 0), or the map itself does.
+    p, q = unit_square.scaled(p_scale), unit_square.scaled(q_scale)
+    with pytest.raises(NonFiniteResult):
+        scale_critical(p, q)
+
+
+def test_an_overflowing_map_raises_non_finite_result(unit_square):
+    with pytest.raises(NonFiniteResult, match="^the map overflows: a piece's linear part "
+                                              "is not finite$"):
+        classify(induced_map(unit_square.scaled(1e-160), unit_square.scaled(1e160)))
 
 
 def test_compare_order_homothety(unit_square):

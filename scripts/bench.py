@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the five pair entry points on projective d-cubes and the shape front
-end on n-gons, and count the kernel calls they make, for one checkout or
-several side by side.
+"""Time the five pair entry points on projective d-cubes, the shape front
+end on n-gons and the pleat path over n-gon fans, and count the kernel calls
+they make, for one checkout or several side by side.
 
 For each d of the ladder, a job builds a pair P, Q of projective images of
 the d-cube and runs ``classify(induced_map(P, Q))``, ``compare_order``,
@@ -13,31 +13,32 @@ that order, as one client would.  The script records, in microseconds:
 - the median of each kernel under them over ``--repeat`` calls on one
   pair's chains: the chain build (``chain_simplex_coords``), the flatness
   pass (``degenerate``), the solve (``solve_correspondence``) and the
-  eigenvalues (``gram_eigenvalues``, one ``eigvalsh`` of the Gram stack).
+  eigenvalues (``gram_eigenvalues``, one ``eigvalsh`` of the Gram stack);
 
-One more job per d runs with ``chain_simplex_coords``, ``degenerate`` and
-``solve_correspondence`` wrapped wherever a module of the checkout holds
-them, and the calls the wrappers counted are recorded: counts, not formulas.
+and the calls of ``chain_simplex_coords``, ``degenerate`` and
+``solve_correspondence``.
 
 For each n of the n-gon ladder and each class (strictly convex; weakly
 convex, one vertex on its neighbours' chord; reflex, one vertex pulled inside
 the hull), a job loads a shape document with ``io.shape_from_dict`` and runs
 ``validate_shape`` on it.  The script records the median us of each over
 ``--repeat`` jobs, each on a fresh n-gon, and the ``_cone_residual`` (NNLS)
-calls that a wrapper counted over one more job.
+calls.
 
 For each n of the pleat ladder, a job pleats a strictly convex n-gon P over
 its fan from vertex 0 onto a second one, Q, scaled so that the fan map has
 alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
 ``pleated_projection_chain`` on the embedding.  The script records the median
 us of each over ``--repeat`` jobs, each on a fresh pair, and the (stage,
-simplex) pairs handed to ``restricted_singular_values`` that a wrapper
-counted over one more job.  It also records, each as a median over
-``--repeat`` rounds that start with every ``lru_cache`` of the checkout
-emptied, as in a fresh process: ``fan_triangulation``'s first call and a
-repeat of it, and the first job (that first fan call and the three steps).
-And it records the ``tracemalloc`` peak of one ``pleated_projection_chain``
-call, in bytes.
+simplex) pairs handed to ``restricted_singular_values``.  It also records,
+each as a median over ``--repeat`` rounds that start with every ``lru_cache``
+of the checkout emptied, as in a fresh process: ``fan_triangulation``'s first
+call and a repeat of it, and the first job (that first fan call and the three
+steps).  And it records the ``tracemalloc`` peak of one
+``pleated_projection_chain`` call, in bytes.
+
+Calls are counted over one more job, with the functions wrapped wherever a
+module of the checkout holds them: counts, not formulas.
 
 Every ``--src`` checkout is imported into this one process under its own
 package name, and the checkouts take turns job by job and call by call, on
@@ -84,10 +85,7 @@ LAYOUT = "polycomp-bench/1"
 SEED = 14
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
-KERNELS = ("chain_simplex_coords", "degenerate", "solve_correspondence")
 NGON_CLASSES = ("strict", "weak", "reflex")
-PLEAT_STEPS = ("pleated_embedding", "pleat_validity", "pleated_projection_chain")
-COLD_STEPS = ("fan_first", "fan_repeat", "first_job")
 
 
 def load_checkout(src: Path, index: int):
@@ -102,6 +100,67 @@ def load_checkout(src: Path, index: int):
     spec.loader.exec_module(pc)
     importlib.import_module(name + ".io")
     return pc
+
+
+def modules(pc):
+    """The modules of the checkout imported so far."""
+    prefix = pc.__name__ + "."
+    return [m for name, m in sys.modules.items() if name.startswith(prefix)]
+
+
+def one(*args, **kwargs):  # the weight in ``counted`` of any call
+    return 1
+
+
+def counted(pc, run, weights):
+    """Call ``run()`` with each function named in ``weights`` wrapped wherever a
+    module of the checkout holds it; return the count of each, which a call
+    raises by ``weights[name](*args)``.  Every patched attribute is restored,
+    also when ``run`` raises."""
+    counts = dict.fromkeys(weights, 0)
+    patched = [(mod, name, getattr(mod, name)) for mod in modules(pc) for name in weights
+               if hasattr(mod, name)]
+    try:
+        for mod, name, f in patched:
+            def wrapper(*args, _f=f, _name=name, **kwargs):
+                counts[_name] += weights[_name](*args, **kwargs)
+                return _f(*args, **kwargs)
+
+            setattr(mod, name, wrapper)
+        run()
+    finally:
+        for mod, name, f in patched:
+            setattr(mod, name, f)
+    return counts
+
+
+def laps(steps):
+    """The us of each named step of a job, run in order: ``steps`` yields
+    each step's name as the step ends."""
+    out, t0 = {}, time.perf_counter_ns()
+    for name in steps:
+        out[name] = (time.perf_counter_ns() - t0) / 1e3
+        t0 = time.perf_counter_ns()
+    return out
+
+
+def medians(jobs, job=True):
+    """The median of each step's us over a side's ``jobs`` (``laps`` results)
+    and, unless ``job`` is false, the median of their sums as ``job``."""
+    out = {name: float(np.median([j[name] for j in jobs])) for name in jobs[0]}
+    if job:
+        out["job"] = float(np.median([sum(j.values()) for j in jobs]))
+    return out
+
+
+def in_turns(n_sides, repeat, step):
+    """``step(k, i)`` for every side k and i < repeat, the sides taking turns
+    for each i with the first side alternating; results per side, by i."""
+    out = [[] for _ in range(n_sides)]
+    for i in range(repeat):
+        for k in (range(n_sides) if i % 2 == 0 else reversed(range(n_sides))):
+            out[k].append(step(k, i))
+    return out
 
 
 def cube_facets(d):
@@ -141,31 +200,11 @@ def ngon_doc(rng, n, cls):
 
 
 def front_end(pc, doc):
-    """Load and validate one shape document; return each step's time in us."""
-    load = sys.modules[pc.__name__ + ".io"].shape_from_dict
-    validate = sys.modules[pc.__name__ + ".polytopes"].validate_shape
-    t0 = time.perf_counter_ns()
-    shape = load(doc)
-    t1 = time.perf_counter_ns()
-    validate(shape.polytope, shape.coords, shape.mode)
-    return (t1 - t0) / 1e3, (time.perf_counter_ns() - t1) / 1e3
-
-
-def counted_nnls(pc, doc):
-    """``_cone_residual`` calls of one ``front_end`` job, from a wrapper."""
-    polytopes = sys.modules[pc.__name__ + ".polytopes"]
-    f, count = polytopes._cone_residual, [0]
-
-    def wrapper(*args):
-        count[0] += 1
-        return f(*args)
-
-    polytopes._cone_residual = wrapper
-    try:
-        front_end(pc, doc)
-    finally:
-        polytopes._cone_residual = f
-    return count[0]
+    """Load and validate one shape document, one step each."""
+    shape = pc.io.shape_from_dict(doc)
+    yield "shape_from_dict"
+    pc.polytopes.validate_shape(shape.polytope, shape.coords, shape.mode)
+    yield "validate_shape"
 
 
 def bench_ngon(sides, n, repeat, seed):
@@ -175,15 +214,13 @@ def bench_ngon(sides, n, repeat, seed):
         rng = np.random.default_rng([seed, c])
         docs = [ngon_doc(rng, n, cls) for _ in range(repeat + 1)]
         for k, pc in enumerate(sides):
-            front_end(pc, docs[0])  # warm-up: builds the polytope and its facet arrays
-            out[k][cls] = {"calls": {"_cone_residual": counted_nnls(pc, docs[0])}}
+            laps(front_end(pc, docs[0]))  # warm-up: builds the polytope and its facet arrays
+            out[k][cls] = {"calls": counted(pc, lambda: laps(front_end(pc, docs[0])),
+                                            {"_cone_residual": one})}
         gc.collect()
-        jobs = in_turns(len(sides), repeat, lambda k, i: front_end(sides[k], docs[i + 1]))
+        jobs = in_turns(len(sides), repeat, lambda k, i: laps(front_end(sides[k], docs[i + 1])))
         for k, side_jobs in enumerate(jobs):
-            side_jobs = np.array(side_jobs)
-            out[k][cls]["us"] = {"shape_from_dict": float(np.median(side_jobs[:, 0])),
-                                 "validate_shape": float(np.median(side_jobs[:, 1])),
-                                 "job": float(np.median(side_jobs.sum(axis=1)))}
+            out[k][cls]["us"] = medians(side_jobs)
     return out
 
 
@@ -198,56 +235,35 @@ def pleat_pair(pc, p_pts, q_pts):
 
 
 def pleat_job(pc, p, q, tri):
-    """Pleat P onto Q over the fan and check it; return each step's time in us."""
-    t0 = time.perf_counter_ns()
+    """Pleat P onto Q over the fan and check it, one step each."""
     pe = pc.pleated_embedding(p, q, tri)
-    t1 = time.perf_counter_ns()
+    yield "pleated_embedding"
     pc.pleat_validity(pe)
-    t2 = time.perf_counter_ns()
+    yield "pleat_validity"
     pc.pleated_projection_chain(pe)
-    stamps = (t0, t1, t2, time.perf_counter_ns())
-    return {name: (hi - lo) / 1e3 for name, lo, hi in zip(PLEAT_STEPS, stamps, stamps[1:])}
+    yield "pleated_projection_chain"
 
 
-def counted_svd_pairs(pc, p, q, tri):
-    """The (stage, simplex) pairs one ``pleat_job`` hands to
-    ``restricted_singular_values``, from a wrapper: one per leading index of
-    its stacked source."""
-    lifting = sys.modules[pc.__name__ + ".lifting"]
-    f, count = lifting.restricted_singular_values, [0]
-
-    def wrapper(source, target):
-        count[0] += int(np.prod(np.shape(source)[:-2]))
-        return f(source, target)
-
-    lifting.restricted_singular_values = wrapper
-    try:
-        pleat_job(pc, p, q, tri)
-    finally:
-        lifting.restricted_singular_values = f
-    return count[0]
-
-
-def empty_caches(pc):
-    """Empty every ``lru_cache`` in the checkout's modules, as in a fresh process."""
-    prefix = pc.__name__ + "."
-    for mod in [m for name, m in sys.modules.items() if name.startswith(prefix)]:
-        for f in list(vars(mod).values()):
-            if callable(getattr(f, "cache_clear", None)):
-                f.cache_clear()
+def cold_steps(pc, p, q):
+    """``fan_triangulation`` on a first call and on a repeat, then
+    ``pleat_job`` on the first call's fan."""
+    tri = pc.fan_triangulation(p.polytope, 0)
+    yield "fan_first"
+    pc.fan_triangulation(p.polytope, 0)
+    yield "fan_repeat"
+    yield from pleat_job(pc, p, q, tri)
 
 
 def cold_job(pc, p, q):
-    """Time ``fan_triangulation`` on a first call after ``empty_caches`` and on a
-    repeat, and the first job (that first call, then ``pleat_job``); us."""
-    empty_caches(pc)
-    t0 = time.perf_counter_ns()
-    tri = pc.fan_triangulation(p.polytope, 0)
-    t1 = time.perf_counter_ns()
-    pc.fan_triangulation(p.polytope, 0)
-    first = (t1 - t0) / 1e3
-    return {"fan_first": first, "fan_repeat": (time.perf_counter_ns() - t1) / 1e3,
-            "first_job": first + sum(pleat_job(pc, p, q, tri).values())}
+    """The us of both fan calls of ``cold_steps`` and of its first job (the first
+    fan call and the pleat steps), every ``lru_cache`` of the checkout emptied."""
+    for mod in modules(pc):
+        for f in list(vars(mod).values()):
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+    us = laps(cold_steps(pc, p, q))
+    repeat = us.pop("fan_repeat")
+    return {"fan_first": us["fan_first"], "fan_repeat": repeat, "first_job": sum(us.values())}
 
 
 def chain_peak_bytes(pc, p, q, tri):
@@ -268,83 +284,47 @@ def bench_pleat(sides, n, repeat, seed):
     pairs = [[pleat_pair(pc, *pts) for pts in points] for pc in sides]
     out = []
     for pc, side_pairs in zip(sides, pairs):
-        pleat_job(pc, *side_pairs[0])  # warm-up: builds the polytope and its complex
-        out.append({"calls": {"restricted_svd_pairs": counted_svd_pairs(pc, *side_pairs[0])},
+        laps(pleat_job(pc, *side_pairs[0]))  # warm-up: builds the polytope and its complex
+        svd_pairs = {"restricted_singular_values":  # one per leading index of the source
+                     lambda source, target: int(np.prod(np.shape(source)[:-2]))}
+        calls = counted(pc, lambda: laps(pleat_job(pc, *side_pairs[0])), svd_pairs)
+        out.append({"calls": {"restricted_svd_pairs": calls["restricted_singular_values"]},
                     "peak_bytes": {"pleated_projection_chain":
                                    chain_peak_bytes(pc, *side_pairs[0])}})
     gc.collect()
-    jobs = in_turns(len(sides), repeat, lambda k, i: pleat_job(sides[k], *pairs[k][i + 1]))
+    jobs = in_turns(len(sides), repeat, lambda k, i: laps(pleat_job(sides[k], *pairs[k][i + 1])))
     colds = in_turns(len(sides), repeat, lambda k, i: cold_job(sides[k], *pairs[k][i + 1][:2]))
     for side_out, side_jobs, side_colds in zip(out, jobs, colds):
-        us = {name: float(np.median([j[name] for j in side_jobs])) for name in PLEAT_STEPS}
-        us["job"] = float(np.median([sum(j.values()) for j in side_jobs]))
-        us.update({name: float(np.median([c[name] for c in side_colds])) for name in COLD_STEPS})
-        side_out["us"] = us
+        side_out["us"] = {**medians(side_jobs), **medians(side_colds, job=False)}
     return out
 
 
-def timed_us(f):
-    t0 = time.perf_counter_ns()
-    f()
-    return (time.perf_counter_ns() - t0) / 1e3
+def cube_job(pc, p, q):
+    """The five entry points on (p, q), one step each."""
+    pc.classify(pc.induced_map(p, q))
+    yield "classify"
+    for name in ENTRY_POINTS[1:]:
+        getattr(pc, name)(p, q)
+        yield name
 
 
-def job(pc, p, q):
-    """Run the five entry points on (p, q); return each one's time in us."""
-    return [timed_us(f) for f in (lambda: pc.classify(pc.induced_map(p, q)),
-                                  lambda: pc.compare_order(p, q),
-                                  lambda: pc.scale_critical(p, q),
-                                  lambda: pc.delta_polytope(p, q),
-                                  lambda: pc.per_chain_deltas(p, q))]
-
-
-def counted_job(pc, p, q):
-    """Kernel call counts of one job, from wrappers on every module name of
-    the checkout that holds a kernel."""
-    counts = dict.fromkeys(KERNELS, 0)
-    patched = []
-    prefix = pc.__name__ + "."
-    for mod in [m for name, m in sys.modules.items() if name.startswith(prefix)]:
-        for name in KERNELS:
-            f = getattr(mod, name, None)
-            if f is None:
-                continue
-
-            def wrapper(*args, _f=f, _name=name, **kwargs):
-                counts[_name] += 1
-                return _f(*args, **kwargs)
-
-            patched.append((mod, name, f))
-            setattr(mod, name, wrapper)
-    try:
-        job(pc, p, q)
-    finally:
-        for mod, name, f in patched:
-            setattr(mod, name, f)
-    return counts
-
-
-def kernel_calls(pc, p, q):
-    """The four kernels on the chains of (p, q), as calls with no arguments."""
-    chains = sys.modules[pc.__name__ + ".barycentric"].chain_simplex_coords
-    affine = sys.modules[pc.__name__ + ".affine"]
+def kernel_inputs(pc, p, q):
+    """What ``kernel_job`` reuses: the complex, p, the chains of (p, q), their solve."""
     complex_ = pc.barycentric_complex(p.polytope)
-    src, tgt = chains(complex_, p), chains(complex_, q)
-    corr = affine.solve_correspondence(src, tgt)
-    return {"chain_build": lambda: chains(complex_, p),
-            "flatness": lambda: affine.degenerate(src),
-            "solve": lambda: affine.solve_correspondence(src, tgt),
-            "eigvalsh": corr.gram_eigenvalues}
+    src, tgt = (pc.barycentric.chain_simplex_coords(complex_, s) for s in (p, q))
+    return complex_, p, src, tgt, pc.affine.solve_correspondence(src, tgt)
 
 
-def in_turns(n_sides, repeat, step):
-    """``step(k, i)`` for every side k and i < repeat, the sides taking turns
-    for each i with the first side alternating; results per side, by i."""
-    out = [[] for _ in range(n_sides)]
-    for i in range(repeat):
-        for k in (range(n_sides) if i % 2 == 0 else reversed(range(n_sides))):
-            out[k].append(step(k, i))
-    return out
+def kernel_job(pc, complex_, p, src, tgt, corr):
+    """The four kernels on one pair's chains, one step each."""
+    pc.barycentric.chain_simplex_coords(complex_, p)
+    yield "chain_build"
+    pc.affine.degenerate(src)
+    yield "flatness"
+    pc.affine.solve_correspondence(src, tgt)
+    yield "solve"
+    corr.gram_eigenvalues()
+    yield "eigvalsh"
 
 
 def bench_cube(sides, d, repeat, seed):
@@ -355,24 +335,17 @@ def bench_cube(sides, d, repeat, seed):
         pairs.append([(projective_cube(pc, rng, d), projective_cube(pc, rng, d))
                       for _ in range(repeat + 2)])
     for pc, side_pairs in zip(sides, pairs):
-        job(pc, *side_pairs[0])  # warm-up: builds the polytope, its chains and complex
-    counts = [counted_job(pc, *side_pairs[1]) for pc, side_pairs in zip(sides, pairs)]
+        laps(cube_job(pc, *side_pairs[0]))  # warm-up: builds the polytope, its chains and complex
+    weights = dict.fromkeys(("chain_simplex_coords", "degenerate", "solve_correspondence"), one)
+    counts = [counted(pc, lambda: laps(cube_job(pc, *side_pairs[1])), weights)
+              for pc, side_pairs in zip(sides, pairs)]
     gc.collect()
-    jobs = in_turns(len(sides), repeat, lambda k, i: job(sides[k], *pairs[k][i + 2]))
-    calls = [kernel_calls(pc, *side_pairs[2]) for pc, side_pairs in zip(sides, pairs)]
-    kernels = in_turns(len(sides), repeat,
-                       lambda k, i: {name: timed_us(f) for name, f in calls[k].items()})
-    out = []
-    for pc, side_pairs, side_jobs, side_kernels, count in zip(sides, pairs, jobs, kernels,
-                                                              counts):
-        side_jobs = np.array(side_jobs)
-        us = {name: float(np.median(col)) for name, col in zip(ENTRY_POINTS, side_jobs.T)}
-        us["job"] = float(np.median(side_jobs.sum(axis=1)))
-        us.update({name: float(np.median([r[name] for r in side_kernels]))
-                   for name in side_kernels[0]})
-        chains = pc.barycentric_complex(side_pairs[0][0].polytope).simplex_count
-        out.append({"chains": chains, "us": us, "calls": count})
-    return out
+    jobs = in_turns(len(sides), repeat, lambda k, i: laps(cube_job(sides[k], *pairs[k][i + 2])))
+    inputs = [kernel_inputs(pc, *side_pairs[2]) for pc, side_pairs in zip(sides, pairs)]
+    kernels = in_turns(len(sides), repeat, lambda k, i: laps(kernel_job(sides[k], *inputs[k])))
+    return [{"chains": side_inputs[0].simplex_count, "calls": count,
+             "us": {**medians(side_jobs), **medians(side_kernels, job=False)}}
+            for side_inputs, side_jobs, side_kernels, count in zip(inputs, jobs, kernels, counts)]
 
 
 def provenance(src):

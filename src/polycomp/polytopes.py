@@ -156,14 +156,10 @@ def _build_polytope(d: int, n: int, facets: tuple) -> CombinatorialPolytope:
         else:
             dims[face] = d - sum(1 for f in facet_sets if face <= f)
     for face, k in dims.items():
-        if not 0 <= k <= d:
-            raise InconsistentLattice("face with dimension outside [0, d]")
         if len(face) < k + 1:
             raise InconsistentLattice("face with too few vertices for its dimension")
-    for f in closure:
-        for g in closure:
-            if f < g and dims[f] >= dims[g]:
-                raise InconsistentLattice("face inclusion does not increase dimension")
+        if k == 1 and len(face) != 2:
+            raise InconsistentLattice(f"1-face {tuple(sorted(face))} has more than two vertices")
 
     ordered = sorted(tuple(sorted(face)) for face in closure)
     face_dims = tuple(dims[frozenset(face)] for face in ordered)
@@ -500,8 +496,6 @@ def _polygon_cycle(polytope: CombinatorialPolytope, start: int) -> list[int]:
     for a, b in polytope.facets:
         neighbors[a].append(b)
         neighbors[b].append(a)
-    if any(len(nb) != 2 for nb in neighbors.values()):
-        raise ValueError("polytope is not an n-gon")
     cycle = [start, min(neighbors[start])]
     while True:
         prev, cur = cycle[-2], cycle[-1]

@@ -40,6 +40,8 @@ def brute_force_chains(polytope):
 def test_barycentre_singleton_and_edge(unit_square):
     assert np.allclose(barycentre([2], unit_square), [1.0, 1.0])
     assert np.allclose(barycentre([0, 1], unit_square), [0.5, 0.0])
+    with pytest.raises(ValueError, match="^face must be nonempty$"):
+        barycentre((), unit_square)
 
 
 def test_barycentre_body_of_published_triangle(triangle_pair):

@@ -416,6 +416,18 @@ def test_sequence_command(tmp_path):
     assert len(payload["delta_matrix"]) == 10
 
 
+def test_sequence_of_shape_files_matches_one_array_file(tmp_path, capsys):
+    from polycomp import cli
+
+    members = json.loads((DATA / "hexagons.json").read_text(encoding="utf-8"))
+    paths = [write_json(tmp_path / f"member{i}.json", doc) for i, doc in enumerate(members)]
+    assert cli.main(["sequence", *paths]) == 0
+    separate = capsys.readouterr().out
+    assert cli.main(["sequence", str(DATA / "hexagons.json")]) == 0
+    assert separate == capsys.readouterr().out
+    assert json.loads(separate)["count"] == len(members) > 1
+
+
 def test_help_mentions_schemas():
     proc = run_cli("--help")
     assert proc.returncode == 0
@@ -498,6 +510,29 @@ BAD_INPUTS = {
     "bool-rows": (["complete", "bool_rows.json"], "'rows'"),
     "bool-face": (["perturb", P_, V_, "--pair", '{"face": [true]}', '{"face": [0]}'], "'face'"),
     "bool-vertices": (["validate", "bool_vertices.json"], "'vertices[0]'"),
+    "zero-dimension": (["validate", "zero_dimension.json"],
+                       "'dimension' and 'vertex_count' must be positive"),
+    "triangulation-array": (["pleat", SQ, HALF, "--triangulation", "array.json"],
+                            "triangulation document must be a JSON object"),
+    "matrix-array": (["complete", "array.json"], "matrix document must be a JSON object"),
+    "embedding-array": (["chain", "array.json", "--base-dim", "1"],
+                        "embedding document must be a JSON object"),
+    "bool-simplex": (["pleat", SQ, HALF, "--triangulation", "bool_simplex.json"],
+                     "field 'simplices[0]' must list integers"),
+    "zero-rows": (["complete", "zero_rows.json"], "'rows' and 'cols' must be positive"),
+    "matrix-not-square": (["complete", "wide.json"], "matrix must be square"),
+    "embedding-index-out-of-range": (["chain", "far_simplex.json", "--base-dim", "1"],
+                                     "field 'simplices[0]' must list vertex indices in [0, 2)"),
+    "pair-invalid-json": (["perturb", P_, V_, "--pair", "{", '{"face": [0]}'],
+                          "--pair first point: invalid JSON"),
+    "pair-not-object": (["perturb", P_, V_, "--pair", '{"face": [0]}', "[0]"],
+                        "--pair second point: expected an object with 'face'"),
+    "velocity-shape": (["perturb", P_, "wide.json"], "matrix must be 3 x 2"),
+    "perturb-square-without-pair": (["perturb", SQ, "square_v.json"], "needs --pair"),
+    "fan-apex-not-int": (["pleat", SQ, HALF, "--triangulation", "fan:x"],
+                         "--triangulation: bad fan apex in 'fan:x'"),
+    "zero-base-dim": (["chain", str(DATA / "golden_pleat.json"), "--base-dim", "0"],
+                      "--base-dim must be between 1 and the ambient dimension"),
 }
 
 
@@ -519,6 +554,16 @@ def test_bad_input_exits_3_with_one_json_document(tmp_path, capsys, case):
     write_json(tmp_path / "bool_dimension.json", {"dimension": True, "vertex_count": 2,
                                                   "facets": [[0], [1]], "vertices": [[0], [1]]})
     write_json(tmp_path / "bool_rows.json", {"rows": True, "cols": 1, "data": [0.5]})
+    write_json(tmp_path / "zero_dimension.json", {"dimension": 0, "vertex_count": 1,
+                                                  "facets": [[0]], "vertices": [[]]})
+    write_json(tmp_path / "array.json", [])
+    write_json(tmp_path / "bool_simplex.json", {"simplices": [[0, 1, True], [0, 2, 3]]})
+    write_json(tmp_path / "zero_rows.json", {"rows": 0, "cols": 1, "data": []})
+    write_json(tmp_path / "wide.json", {"rows": 1, "cols": 2, "data": [0.5, 0.0]})
+    write_json(tmp_path / "far_simplex.json", {"ambient_dimension": 2,
+                                               "vertices": [[0.0, 0.0], [1.0, 0.0]],
+                                               "simplices": [[0, 2]]})
+    write_json(tmp_path / "square_v.json", {"rows": 4, "cols": 2, "data": [0.0] * 8})
     argv, field = BAD_INPUTS[case]
     argv = [str(tmp_path / a) if a.endswith(".json") and "/" not in a else a for a in argv]
     assert cli.main(argv) == 3

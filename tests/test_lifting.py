@@ -79,6 +79,15 @@ def test_symmetric_sqrt_not_psd():
         symmetric_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_symmetric_sqrt_and_completion_reject_bad_matrices():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        symmetric_sqrt(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+        symmetric_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        orthogonal_completion(np.full((2, 1), 0.5))
+
+
 def test_completion_three_four_five():
     comp = orthogonal_completion(np.array([[0.6]]))
     expected = np.array([[0.6, 0.8], [0.8, -0.6]])
@@ -482,6 +491,9 @@ def test_pleat_of_shapes_of_different_polytopes_is_a_mismatch(rng):
     with pytest.raises(PolytopeMismatch, match="^shapes realize different combinatorial "
                                                "polytopes$"):
         pleated_embedding(p, q, fan_triangulation(p.polytope, 0))
+    with pytest.raises(InconsistentLattice, match="^triangulation belongs to a different "
+                                                  "polytope$"):
+        pleated_embedding(p, p, fan_triangulation(q.polytope, 0))
 
 
 def test_pleat_errors_match_reference_loop(monkeypatch):

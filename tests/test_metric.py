@@ -68,6 +68,9 @@ def test_delta_simplex_diagonal():
     p = Shape(tri, src)
     q = Shape(tri, src @ np.diag([2.0, 1.0]).T)
     assert delta_simplex(p, q) == pytest.approx(np.log(4.0), abs=1e-12)
+    square = Shape(ngon_polytope(4), [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^delta_simplex applies to simplex shapes$"):
+        delta_simplex(square, square)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300])

@@ -108,6 +108,25 @@ def test_inconsistent_lattice():
         build_polytope(2, 3, [[0, 1], [1, 2]])  # too few facets for a 2-polytope
     with pytest.raises((InconsistentLattice, NotSimple)):
         build_polytope(3, 4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1]])
+    with pytest.raises(InconsistentLattice, match=r"^1-face \(0, 1, 2\) has more than two"):
+        build_polytope(2, 6, [[0, 1, 2], [1, 3], [0, 4], [2, 5], [3, 4, 5]])  # a 3-vertex edge
+    with pytest.raises(InconsistentLattice, match="^facets are not distinct$"):
+        build_polytope(2, 3, [[0, 1], [1, 2], [0, 2], [0, 1]])
+    with pytest.raises(InconsistentLattice, match="^vertex missing from every facet$"):
+        build_polytope(2, 4, [[0, 1], [1, 2], [2, 0]])
+    with pytest.raises(InconsistentLattice, match="^facets at vertex 0 do not isolate it$"):
+        build_polytope(2, 4, [[0, 1, 2], [0, 1, 3], [2, 3]])
+
+
+@pytest.mark.parametrize("d,n,facets,message", [
+    (0, 1, [[0]], "^dimension must be positive$"),
+    (2, 2, [[0, 1], [1, 0]], r"^a d-polytope needs at least d\+1 vertices$"),
+    (2, 3, [[0, 1], [1, 2], []], "^facets must be nonempty$"),
+    (2, 3, [[0, 1], [1, 2], [2, 3]], "^facet vertex index out of range$"),
+])
+def test_build_polytope_rejects_bad_arguments(d, n, facets, message):
+    with pytest.raises(ValueError, match=message):
+        build_polytope(d, n, facets)
 
 
 def test_validate_unit_square_strict(unit_square):
@@ -302,6 +321,17 @@ def test_triangulation_must_cover_vertices():
     poly = ngon_polytope(4)
     with pytest.raises(InconsistentLattice):
         triangulation(poly, [[0, 1, 2], [0, 1, 2]])
+    with pytest.raises(InconsistentLattice, match="^simplices do not cover all vertices$"):
+        triangulation(poly, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("simplices,message", [
+    ([[0, 0, 1], [0, 2, 3]], "must have d\\+1 distinct vertices$"),
+    ([[0, 1, 4], [0, 2, 3]], "has out-of-range vertices$"),
+])
+def test_triangulation_rejects_bad_simplices(simplices, message):
+    with pytest.raises(InconsistentLattice, match=message):
+        triangulation(ngon_polytope(4), simplices)
 
 
 # --- extreme-vertex test: Farkas certificate plus Lawson-Hanson NNLS --------
@@ -478,6 +508,13 @@ def test_validate_rejects_non_finite(unit_square):
 def test_shape_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="^coords must be finite$"):
         Shape(ngon_polytope(3), [[0.0, 0.0], [1.0, bad], [0.0, 1.0]])
+
+
+def test_shape_rejects_a_wrong_layout_and_an_unknown_mode():
+    with pytest.raises(ValueError, match=r"^coords must be 3 x 2, got \(2, 2\)$"):
+        Shape(ngon_polytope(3), [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="^mode must be 'strict' or 'weak'$"):
+        Shape(ngon_polytope(3), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], mode="x")
 
 
 def test_passes_follows_mode():

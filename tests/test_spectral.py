@@ -67,6 +67,8 @@ def test_affine_correspondence_singular():
     src = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(SingularSimplex):
         affine_correspondence(src, src)
+    with pytest.raises(ValueError, match="^simplices must be .* of equal shape$"):
+        affine_correspondence(src, src[:, :1])
 
 
 def test_oracle_spectrum(triangle_pair):
@@ -322,6 +324,18 @@ def test_perturbation_uniform_shrink_and_grow(rng):
     assert np.allclose(grow.symmetric_part, 2.0 * np.eye(2), atol=1e-10)
 
 
+def test_perturbation_rejects_bad_shapes_and_velocities(rng):
+    p = random_simplex_shape(rng, 2)
+    with pytest.raises(ValueError, match="^velocities must match the vertex coordinate layout$"):
+        perturbation_classify(p, p.coords[:2])
+    square = rhombus_shape()
+    with pytest.raises(ValueError, match="^perturbation analysis applies to simplex shapes$"):
+        perturbation_classify(square, square.coords)
+    flat = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(SingularSimplex, match="^simplex shape is affinely degenerate$"):
+        perturbation_classify(np.array(flat), np.zeros((3, 2)))
+
+
 def test_perturbation_rotation_boundary(rng):
     p = random_simplex_shape(rng, 2)
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -344,6 +358,10 @@ def test_distance_derivative_zero_velocity():
     x = PointOnShape(face=(0,))
     y = PointOnShape(face=(2, 3))
     assert distance_derivative(shape, v, x, y) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="^velocities must match the vertex coordinate layout$"):
+        distance_derivative(shape, v[:3], x, y)
+    with pytest.raises(ValueError, match="^weights must match the face's vertex count$"):
+        PointOnShape(face=(2, 3), weights=(1.0,)).resolve(shape.coords)
 
 
 def test_rhombus_flex_preserves_edges():

@@ -34,8 +34,9 @@ simplex) pairs handed to ``restricted_singular_values``.  It also records,
 each as a median over ``--repeat`` rounds that start with every ``lru_cache``
 of the checkout emptied, as in a fresh process: ``fan_triangulation``'s first
 call and a repeat of it, and the first job (that first fan call and the three
-steps).  And it records the ``tracemalloc`` peak of one
-``pleated_projection_chain`` call, in bytes.
+steps).  Each round is followed at once by the timed job on its pair, so a
+first job and a warm one see the same host speed.  And it records the
+``tracemalloc`` peak of one ``pleated_projection_chain`` call, in bytes.
 
 Calls are counted over one more job, with the functions wrapped wherever a
 module of the checkout holds them: counts, not formulas.
@@ -292,10 +293,14 @@ def bench_pleat(sides, n, repeat, seed):
                     "peak_bytes": {"pleated_projection_chain":
                                    chain_peak_bytes(pc, *side_pairs[0])}})
     gc.collect()
-    jobs = in_turns(len(sides), repeat, lambda k, i: laps(pleat_job(sides[k], *pairs[k][i + 1])))
-    colds = in_turns(len(sides), repeat, lambda k, i: cold_job(sides[k], *pairs[k][i + 1][:2]))
-    for side_out, side_jobs, side_colds in zip(out, jobs, colds):
-        side_out["us"] = {**medians(side_jobs), **medians(side_colds, job=False)}
+
+    def turn(k, i):  # a cold round, then a warm job on the same pair, under the same drift
+        p, q, tri = pairs[k][i + 1]
+        return cold_job(sides[k], p, q), laps(pleat_job(sides[k], p, q, tri))
+
+    for side_out, side_turns in zip(out, in_turns(len(sides), repeat, turn)):
+        colds, jobs = zip(*side_turns)
+        side_out["us"] = {**medians(jobs), **medians(colds, job=False)}
     return out
 
 

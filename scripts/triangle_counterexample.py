@@ -24,8 +24,8 @@ Q_COORDS = np.array([[3.452, 3.519], [4.696, 2.078], [4.393, 1.692]])
 
 def main():
     poly = simplex_polytope(2)
-    p = Shape(poly, P_COORDS, name="P")
-    q = Shape(poly, Q_COORDS, name="Q")
+    p = Shape(poly, P_COORDS)
+    q = Shape(poly, Q_COORDS)
 
     print("edge lengths (source -> target):")
     edges = edge_contraction_check(p, q)

@@ -104,18 +104,15 @@ def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
 class InducedMap:
     """The piecewise-linear map f: P -> Q as stacks of per-simplex affine pieces.
 
-    ``kind`` records the domain decomposition: "simplex" for the single
-    affine map of a simplex polytope, "barycentric" for chain simplices of
-    the subdivision, "triangulation" for a user-supplied vertex
-    triangulation.  ``maps`` holds the pieces as one stack, entry i on
-    simplex i; its arrays are read-only.  Maps compare and hash by identity.
+    ``maps`` holds the pieces as one stack, entry i on simplex i: the single
+    affine map of a simplex polytope, the chain simplices of the subdivision,
+    or the simplices of a vertex triangulation.  Its arrays are read-only.
+    Maps compare and hash by identity.
     """
 
     source: Shape
     target: Shape
-    kind: str
     maps: AffineCorrespondence  # arrays (t, d+1, d), (t, d+1, d+1), (t, d, d)
-    complex: BarycentricComplex | None = None
 
     @property
     def simplex_count(self) -> int:
@@ -165,8 +162,7 @@ def chain_stack(shape: Shape) -> ChainStack:
     return ChainStack(coords)
 
 
-def _stacked_map(p: Shape, q: Shape, kind: str, src: ChainStack, tgt: np.ndarray,
-                 describe, complex_: BarycentricComplex | None = None) -> InducedMap:
+def _stacked_map(p: Shape, q: Shape, src: ChainStack, tgt: np.ndarray, describe) -> InducedMap:
     if src.degenerate.any():
         exc = SingularSimplex("source simplex is affinely degenerate", int(src.degenerate.argmax()))
         raise DegenerateSimplex(describe(exc)) from exc
@@ -175,7 +171,7 @@ def _stacked_map(p: Shape, q: Shape, kind: str, src: ChainStack, tgt: np.ndarray
         raise NonFiniteResult("the map overflows: a piece's linear part is not finite")
     for a in (maps.source, maps.target, maps.matrix, maps.linear):
         a.setflags(write=False)
-    return InducedMap(p, q, kind, maps, complex_)
+    return InducedMap(p, q, maps)
 
 
 @lru_cache(maxsize=4)  # a request needs (P, Q), (Q, P) and (P, lambda Q)
@@ -190,12 +186,9 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
     metric entry points build and test each shape and solve each pair once.
     """
     require_same_polytope(p, q)
-    src, tgt = chain_stack(p), chain_stack(q).coords
-    if p.polytope.is_simplex:
-        return _stacked_map(p, q, "simplex", src, tgt, str)
-    return _stacked_map(p, q, "barycentric", src, tgt,
-                        lambda exc: f"chain {exc.index} is degenerate in the source",
-                        barycentric_complex(p.polytope))
+    describe = (str if p.polytope.is_simplex
+                else lambda exc: f"chain {exc.index} is degenerate in the source")
+    return _stacked_map(p, q, chain_stack(p), chain_stack(q).coords, describe)
 
 
 def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
@@ -206,7 +199,7 @@ def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
     idx = np.asarray(simplices, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] != p.polytope.dimension + 1:
         raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
-    return _stacked_map(p, q, "triangulation", ChainStack(p.coords[idx]), q.coords[idx],
+    return _stacked_map(p, q, ChainStack(p.coords[idx]), q.coords[idx],
                         lambda exc: f"simplex {tuple(idx[exc.index].tolist())} is degenerate "
                                     "in the source")
 

@@ -2,7 +2,7 @@
   shape          {"dimension": d, "vertex_count": N,
                   "facets": [[int, ...], ...],
                   "vertices": [[float, ...], ...],
-                  "mode": "strict"|"weak", "name": optional string}
+                  "mode": "strict"|"weak", "name": optional, ignored}
   triangulation  {"simplices": [[int, ...], ...]}   (polytope vertex indices)
   matrix         {"rows": r, "cols": c, "data": [row-major floats]}
   embedding      {"ambient_dimension": D, "vertices": [[float, ...], ...],
@@ -64,7 +64,6 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
     facets = _require(doc, path, "facets", list)
     vertices = _require(doc, path, "vertices", list)
     mode = doc.get("mode", "strict")
-    name = doc.get("name")
     if mode not in ("strict", "weak"):
         raise MalformedInput(f"{path}: field 'mode' must be 'strict' or 'weak'")
     if d < 1 or n < 1:
@@ -81,7 +80,7 @@ def shape_from_dict(doc: dict, path="<shape>") -> Shape:
         if not _finite_numbers(row, d):
             raise MalformedInput(f"{path}: field 'vertices[{i}]' must be {d} finite numbers")
     polytope = _build_polytope(d, n, tuple(map(tuple, facets)))  # entries are exact ints
-    return Shape(polytope, vertices, mode=mode, name=name)  # one conversion, in Shape
+    return Shape(polytope, vertices, mode=mode)  # one conversion, in Shape
 
 
 def load_shape(path) -> Shape:

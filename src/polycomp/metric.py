@@ -43,14 +43,14 @@ def _deltas(src: np.ndarray, tgt: np.ndarray, flags=None) -> np.ndarray:
 _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long requests
 
 
-def _pair_deltas(shapes, pairs, *, chains: bool = False) -> np.ndarray:
-    """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs`` (with
-    ``chains``, the (len(pairs), t) chain deltas; a simplex polytope otherwise
-    has one chain, its vertex map), from chain stacks built once per shape and
-    solved in blocks of about ``_BLOCK`` simplices.  Every shape a pair names
-    must realize the first pair's polytope: the first pair naming one that
-    does not raises ``PolytopeMismatch`` once the pairs before it are solved.
-    A degenerate chain raises as a per-pair ``delta_polytope`` loop would."""
+def _pair_deltas(shapes, pairs) -> np.ndarray:
+    """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs`` (a
+    simplex polytope has one chain, its vertex map), from chain stacks built
+    once per shape and solved in blocks of about ``_BLOCK`` simplices.  Every
+    shape a pair names must realize the first pair's polytope: the first pair
+    naming one that does not raises ``PolytopeMismatch`` once the pairs before
+    it are solved.  A degenerate chain raises as a per-pair ``delta_polytope``
+    loop would."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
         return np.zeros(0)
@@ -58,8 +58,7 @@ def _pair_deltas(shapes, pairs, *, chains: bool = False) -> np.ndarray:
     same = np.array([s.polytope == poly for s in shapes])
     mismatched = np.flatnonzero(~same[pairs].all(axis=1))
     rows = (np.cumsum(same) - 1)[pairs[:mismatched[0]] if mismatched.size else pairs]
-    one_chain = poly.is_simplex and not chains
-    coords = ((lambda s: s.coords[None]) if one_chain
+    coords = ((lambda s: s.coords[None]) if poly.is_simplex
               else partial(chain_simplex_coords, barycentric_complex(poly)))
     x = np.stack([coords(s) for s, ok in zip(shapes, same) if ok])  # (S, t, d+1, d)
     bad = degenerate(x)  # (S, t): each shape's chains tested once, gathered per pair
@@ -72,10 +71,9 @@ def _pair_deltas(shapes, pairs, *, chains: bool = False) -> np.ndarray:
             d = _deltas(src, tgt, (bad[block[:, 0]].ravel(), bad[block[:, 1]].ravel()))
         except SingularSimplex as exc:
             exc.index %= t  # the chain within its pair
-            raise DegenerateSimplex(str(exc) if one_chain
+            raise DegenerateSimplex(str(exc) if poly.is_simplex
                                     else f"chain {exc.index} is degenerate") from exc
-        d = d.reshape(-1, t)
-        out.append(d if chains else d.max(axis=1))
+        out.append(d.reshape(-1, t).max(axis=1))
     if mismatched.size:
         raise PolytopeMismatch("shapes realize different combinatorial polytopes")
     return np.concatenate(out)
@@ -91,28 +89,20 @@ def delta_simplex(p: Shape, q: Shape) -> float:
         raise exc.__cause__ from None
 
 
-def _map_deltas(p: Shape, q: Shape, chains: bool) -> np.ndarray:
-    """Deltas of the pieces of the memoised ``induced_map(p, q)`` (with ``chains``
-    on a simplex polytope, of its barycentric chains instead); a degenerate
-    piece in either shape raises through ``_pair_deltas``, as in a request."""
-    if (chains and p.polytope.is_simplex) or any(chain_stack(s).degenerate.any() for s in (p, q)):
-        return _pair_deltas((p, q), [(0, 1)], chains=chains)[0]
+def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
+    """Simplex distances over the pieces of the memoised ``induced_map(p, q)``:
+    its barycentric chain simplices, or the one vertex map of a simplex
+    polytope.  A degenerate piece in either shape raises through
+    ``_pair_deltas``, as in a request."""
+    if any(chain_stack(s).degenerate.any() for s in (p, q)):
+        return _pair_deltas((p, q), [(0, 1)])
     return _log_spread(induced_map(p, q).alphas)
 
 
-def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
-    """Simplex distances over corresponding barycentric chain simplices."""
-    return _map_deltas(p, q, chains=True)
-
-
 def delta_polytope(p: Shape, q: Shape) -> float:
-    """Compression distance between two polytope shapes.
-
-    Simplex polytopes use the single vertex-correspondence map directly;
-    the barycentric chains of a simplex all inherit that same map, so the
-    two computations agree.
-    """
-    return float(np.max(_map_deltas(p, q, chains=False)))
+    """Compression distance between two polytope shapes: the largest delta
+    over the pieces of the induced map."""
+    return float(np.max(per_chain_deltas(p, q)))
 
 
 @dataclass(frozen=True)
@@ -159,8 +149,6 @@ class SequenceReport:
     """Pairwise distance matrix of a shape sequence with Cauchy statistics."""
 
     delta_matrix: np.ndarray
-    window: int
-    eps: float
     cauchy: bool
     first_violation: tuple[int, int] | None
     limit_deltas: np.ndarray | None = None
@@ -182,7 +170,6 @@ def sequence_report(shapes, window: int, eps: float,
     cauchy = _cauchy_scan(n, window, eps, lambda i, j: delta[i, j])
     limit_deltas = None if limit is None else deltas[len(iu[0]):]
     conv = None if limit is None else _tail_converges(limit_deltas, eps)
-    return SequenceReport(delta_matrix=delta, window=window, eps=eps,
-                          cauchy=cauchy.cauchy,
+    return SequenceReport(delta_matrix=delta, cauchy=cauchy.cauchy,
                           first_violation=cauchy.first_violation,
                           limit_deltas=limit_deltas, converges=conv)

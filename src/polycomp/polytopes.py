@@ -13,7 +13,7 @@ adjacent facets may flatten to a common hyperplane).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,8 +42,10 @@ class CombinatorialPolytope:
     dimension: int
     vertex_count: int
     facets: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[int, ...], ...]
-    face_dims: tuple[int, ...]
+    # Derived from the facets, so left out of equality and hashing: an
+    # lru_cache keyed by a polytope hashes only its defining fields.
+    faces: tuple[tuple[int, ...], ...] = field(compare=False)
+    face_dims: tuple[int, ...] = field(compare=False)
 
     def faces_of_dim(self, k: int) -> list[tuple[int, ...]]:
         return [f for f, dk in zip(self.faces, self.face_dims) if dk == k]
@@ -206,7 +208,6 @@ class Shape:
     polytope: CombinatorialPolytope
     coords: np.ndarray
     mode: str = "strict"
-    name: str | None = None
 
     def __post_init__(self):
         coords = _checked_coords(self.polytope, np.array(self.coords, dtype=float), self.mode)
@@ -214,7 +215,7 @@ class Shape:
         object.__setattr__(self, "coords", coords)
 
     def scaled(self, factor: float) -> "Shape":
-        return Shape(self.polytope, self.coords * factor, self.mode, self.name)
+        return Shape(self.polytope, self.coords * factor, self.mode)
 
     def transformed(self, rotation=None, translation=None) -> "Shape":
         c = self.coords
@@ -222,7 +223,7 @@ class Shape:
             c = c @ np.asarray(rotation, float).T
         if translation is not None:
             c = c + np.asarray(translation, float)
-        return Shape(self.polytope, c, self.mode, self.name)
+        return Shape(self.polytope, c, self.mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,8 +424,9 @@ class Triangulation:
 
     polytope: CombinatorialPolytope
     simplices: tuple[tuple[int, ...], ...]
-    pairing_edges: tuple[tuple[int, int], ...]
-    is_tree: bool
+    # Derived from the simplices, so left out of equality and hashing.
+    pairing_edges: tuple[tuple[int, int], ...] = field(compare=False)
+    is_tree: bool = field(compare=False)
 
 
 def facet_adjacency(cells) -> tuple[tuple[int, int], ...]:

@@ -52,12 +52,16 @@ class SpectralSummary:
 
 
 def spectral_summary(m: InducedMap) -> SpectralSummary:
+    """The map's eigenvalues and their extremes; ``NonFiniteResult`` unless 0 < alpha_max < inf."""
     alphas = m.alphas
     tops = alphas[:, -1]
+    alpha_max = float(tops.max())
+    if not 0.0 < alpha_max < np.inf:
+        raise NonFiniteResult(f"alpha_max = {alpha_max} over- or underflows")
     return SpectralSummary(
         per_simplex=alphas,
         alpha_min=float(alphas[:, 0].min()),
-        alpha_max=float(tops.max()),
+        alpha_max=alpha_max,
         argmax_simplex=int(tops.argmax()),
     )
 
@@ -194,8 +198,6 @@ def scale_critical(p: Shape, q: Shape) -> CriticalRescale:
     ``NonFiniteResult`` unless 0 < alpha_max < inf.
     """
     s = spectral_summary(induced_map(p, q))
-    if not 0.0 < s.alpha_max < np.inf:
-        raise NonFiniteResult(f"alpha_max = {s.alpha_max} has no finite critical rescaling")
     lam = 1.0 / np.sqrt(s.alpha_max)
     scaled = q.scaled(lam)
     return CriticalRescale(lam=float(lam),
@@ -235,8 +237,6 @@ def compare_order(p: Shape, q: Shape, tol: float = DEFAULT_TOL) -> OrderResult:
 class Perturbation:
     """First-order analysis of a vertex-velocity field on a simplex shape."""
 
-    base: np.ndarray       # homogeneous vertex matrix, last row ones
-    direction: np.ndarray  # homogeneous velocity matrix, last row zeros
     symmetric_part: np.ndarray
     eigenvalues: np.ndarray
     infinitesimal_weak_compression: bool
@@ -265,8 +265,6 @@ def perturbation_classify(p: Shape | np.ndarray, velocities) -> Perturbation:
     sym = wbar + wbar.T
     eig = np.linalg.eigvalsh(sym)
     return Perturbation(
-        base=ph,
-        direction=vh,
         symmetric_part=sym,
         eigenvalues=eig,
         infinitesimal_weak_compression=bool(eig[-1] <= DEFAULT_TOL),

@@ -12,7 +12,7 @@ TRI_Q = np.array([[3.452, 3.519], [4.696, 2.078], [4.393, 1.692]])
 @pytest.fixture
 def triangle_pair():
     poly = simplex_polytope(2)
-    return Shape(poly, TRI_P, name="P"), Shape(poly, TRI_Q, name="Q")
+    return Shape(poly, TRI_P), Shape(poly, TRI_Q)
 
 
 @pytest.fixture

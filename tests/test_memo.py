@@ -52,7 +52,7 @@ def canon(v):
     if isinstance(v, (float, np.floating)):
         return float(v).hex()
     if isinstance(v, Shape):
-        return canon(v.coords), v.mode, v.name
+        return canon(v.coords), v.mode
     if dataclasses.is_dataclass(v):
         fields = tuple(canon(getattr(v, f.name)) for f in dataclasses.fields(v))
         # The witness is a cached property, not a field.
@@ -133,7 +133,7 @@ def test_degenerate_pairs_raise_on_every_call():
     assert induced_map(good, flat).target is flat  # a degenerate target still maps
     for p, q in ((flat, good), (good, flat)):
         with pytest.raises(DegenerateSimplex) as want:
-            metric._pair_deltas((p, q), [(0, 1)], chains=True)
+            metric._pair_deltas((p, q), [(0, 1)])
         for f in (delta_polytope, per_chain_deltas, delta_polytope, per_chain_deltas):
             with pytest.raises(DegenerateSimplex) as got:
                 f(p, q)

@@ -86,8 +86,11 @@ def test_delta_of_an_alpha_past_the_float_range_raises(unit_square, scale):
 
 
 def test_delta_polytope_matches_simplex(triangle_pair):
+    # A simplex polytope's one piece is its vertex map: one per-chain delta.
     p, q = triangle_pair
-    assert abs(delta_polytope(p, q) - delta_simplex(p, q)) <= 1e-12
+    deltas = per_chain_deltas(p, q)
+    assert deltas.shape == (1,)
+    assert float(deltas[0]).hex() == delta_polytope(p, q).hex() == delta_simplex(p, q).hex()
 
 
 def test_delta_square_vs_rectangle(unit_square):
@@ -497,10 +500,10 @@ def test_simplex_polytope_errors_name_the_side(triangle_pair):
         _, message, chain = assert_same_error(seq, q, DegenerateSimplex)
         assert (message, chain) == (f"{side} simplex is affinely degenerate", 0)
     assert assert_same_error([p, q], flat, DegenerateSimplex)[1].startswith("target")
-    # delta_simplex raises the bare SingularSimplex; per_chain_deltas names a chain
+    # delta_simplex raises the bare SingularSimplex; per_chain_deltas wraps it
     with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$"):
         delta_simplex(flat, p)
-    with pytest.raises(DegenerateSimplex, match=r"^chain \d+ is degenerate$"):
+    with pytest.raises(DegenerateSimplex, match="^source simplex is affinely degenerate$"):
         per_chain_deltas(flat, p)
 
 

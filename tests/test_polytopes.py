@@ -640,6 +640,9 @@ def test_build_polytope_shares_one_lattice_per_incidence():
     from_rows = build_polytope(2, 5, np.array(facets))
     assert build_polytope(2, 5, facets) is from_rows
     assert build_polytope(2, 5, tuple(tuple(f) for f in facets)) is from_rows
+    reordered = build_polytope(2, 5, facets[::-1])  # another cache key: an equal lattice
+    assert reordered is not from_rows
+    assert reordered == from_rows and hash(reordered) == hash(from_rows)
     assert all(type(v) is int for f in from_rows.facets for v in f)
     assert ngon_polytope(8) is ngon_polytope(8)
 
@@ -649,6 +652,8 @@ def test_shape_from_dict_shares_the_lattice_and_its_errors():
     doc = {"dimension": 2, "vertex_count": 5, "facets": facets,
            "vertices": [[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]]}
     assert shape_from_dict(doc).polytope is build_polytope(2, 5, np.array(facets))
+    named = shape_from_dict({**doc, "name": "P"})  # an optional field, read by nothing
+    assert named.coords.tobytes() == shape_from_dict(doc).coords.tobytes()
     for bad, error in (([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]], NotSimple),
                        ([[0, 1], [0, 1, 2], [2, 3], [3, 0]], InconsistentLattice)):
         n = max(map(max, bad)) + 1

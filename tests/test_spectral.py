@@ -280,6 +280,8 @@ def test_scale_critical_rejects_an_alpha_max_out_of_range(unit_square, p_scale, 
     p, q = unit_square.scaled(p_scale), unit_square.scaled(q_scale)
     with pytest.raises(NonFiniteResult):
         scale_critical(p, q)
+    with pytest.raises(NonFiniteResult):
+        classify(induced_map(p, q))
 
 
 def test_an_overflowing_map_raises_non_finite_result(unit_square):

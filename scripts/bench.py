@@ -35,8 +35,10 @@ each as a median over ``--repeat`` rounds that start with every ``lru_cache``
 of the checkout emptied, as in a fresh process: ``fan_triangulation``'s first
 call and a repeat of it, and the first job (that first fan call and the three
 steps).  Each round is followed at once by the timed job on its pair, so a
-first job and a warm one see the same host speed.  And it records the
-``tracemalloc`` peak of one ``pleated_projection_chain`` call, in bytes.
+first job and a warm one see the same host speed; ``cold_extra`` is the
+median over rounds of the first job's us minus its warm job's.  And it
+records the ``tracemalloc`` peak of one ``pleated_projection_chain`` call,
+in bytes.
 
 Calls are counted over one more job, with the functions wrapped wherever a
 module of the checkout holds them: counts, not formulas.
@@ -300,7 +302,9 @@ def bench_pleat(sides, n, repeat, seed):
 
     for side_out, side_turns in zip(out, in_turns(len(sides), repeat, turn)):
         colds, jobs = zip(*side_turns)
-        side_out["us"] = {**medians(jobs), **medians(colds, job=False)}
+        extra = [cold["first_job"] - sum(job.values()) for cold, job in side_turns]
+        side_out["us"] = {**medians(jobs), **medians(colds, job=False),
+                          "cold_extra": float(np.median(extra))}
     return out
 
 

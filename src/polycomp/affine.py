@@ -68,10 +68,14 @@ class AffineCorrespondence:
         xh = np.append(np.asarray(x, dtype=float), 1.0)
         return (self.matrix @ xh)[..., :-1]
 
-    @np.errstate(over="ignore")  # an overflowing Gram has NaN or inf eigenvalues
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram's eigenvalues read inf
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of linear^T linear, ascending (squared singular values)."""
-        return np.linalg.eigvalsh(np.swapaxes(self.linear, -1, -2) @ self.linear)
+        gram = np.swapaxes(self.linear, -1, -2) @ self.linear
+        if np.isfinite(gram).all():
+            return np.linalg.eigvalsh(gram)
+        finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
+        return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
 
 
 def affine_correspondence(source, target) -> AffineCorrespondence:

@@ -126,6 +126,17 @@ class InducedMap:
         return alphas
 
 
+class DerivedMap(InducedMap):
+    """A map whose ``alphas`` follow from another pair's on the shared chains; its
+    pieces are solved through the memoised ``induced_map`` when first read."""
+
+    def __init__(self, source: Shape, target: Shape, alphas: np.ndarray):
+        alphas.setflags(write=False)
+        self.__dict__.update(source=source, target=target, alphas=alphas)
+
+    maps = cached_property(lambda self: induced_map(self.source, self.target).maps)
+
+
 def require_same_polytope(p: Shape, q: Shape) -> None:
     """Raise ``PolytopeMismatch`` unless P and Q realize the same polytope."""
     if p.polytope != q.polytope:
@@ -153,7 +164,7 @@ class ChainStack:
         return flags
 
 
-@lru_cache(maxsize=4)  # a request needs P, Q and lambda Q
+@lru_cache(maxsize=4)  # a request needs P and Q, a rescaled witness also lambda Q
 def chain_stack(shape: Shape) -> ChainStack:
     """A shape's chain simplices, or its vertex simplex for a simplex polytope."""
     coords = (shape.coords[None] if shape.polytope.is_simplex
@@ -174,7 +185,7 @@ def _stacked_map(p: Shape, q: Shape, src: ChainStack, tgt: np.ndarray, describe)
     return InducedMap(p, q, maps)
 
 
-@lru_cache(maxsize=4)  # a request needs (P, Q), (Q, P) and (P, lambda Q)
+@lru_cache(maxsize=4)  # a request solves (P, Q), a witness read (Q, P) or (P, lambda Q)
 def induced_map(p: Shape, q: Shape) -> InducedMap:
     """Build the induced piecewise-linear map from P to Q.
 
@@ -183,7 +194,8 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
     Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.  The last few maps
     are memoised per (P, Q) (shapes key by identity), and each shape's pieces
     and their flatness flags per shape (``chain_stack``), so the spectral and
-    metric entry points build and test each shape and solve each pair once.
+    metric entry points build and test each shape and solve (P, Q) once; the
+    spectra of (Q, P) and (P, lambda Q) derive from that solve (``DerivedMap``).
     """
     require_same_polytope(p, q)
     describe = (str if p.polytope.is_simplex

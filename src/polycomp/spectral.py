@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .affine import DET_TOL, degenerate, homogeneous
-from .barycentric import InducedMap, induced_map, require_same_polytope
+from .barycentric import DerivedMap, InducedMap, chain_stack, induced_map, require_same_polytope
 from .errors import NonFiniteResult, SingularSimplex
 from .polytopes import Shape
 
@@ -194,14 +194,14 @@ def scale_critical(p: Shape, q: Shape) -> CriticalRescale:
     """Homothety factor making P -> lambda*Q a critical weak compression.
 
     lambda = 1/sqrt(global alpha_max), after which the rescaled map has
-    global alpha_max = 1 and an extremal pair of ratio 1.  Raises
-    ``NonFiniteResult`` unless 0 < alpha_max < inf.
+    global alpha_max = 1 (P -> Q's spectrum divided by it) and an extremal pair
+    of ratio 1.  Raises ``NonFiniteResult`` unless 0 < alpha_max < inf.
     """
-    s = spectral_summary(induced_map(p, q))
+    s = spectral_summary(m := induced_map(p, q))
     lam = 1.0 / np.sqrt(s.alpha_max)
     scaled = q.scaled(lam)
     return CriticalRescale(lam=float(lam),
-                           classification=classify(induced_map(p, scaled)),
+                           classification=classify(DerivedMap(p, scaled, m.alphas / s.alpha_max)),
                            scaled_target=scaled)
 
 
@@ -216,20 +216,18 @@ def compare_order(p: Shape, q: Shape, tol: float = DEFAULT_TOL) -> OrderResult:
     """Position of two shapes in the weak-compression partial order.
 
     "both" means the shapes are isometric: every singular value of every
-    per-simplex matrix equals 1 within tolerance.
+    per-simplex matrix equals 1 within tolerance.  Q -> P inverts P -> Q on
+    every chain, so its spectrum is the reciprocal one, in reverse order.
     """
-    forward = classify(induced_map(p, q), tol)
-    backward = classify(induced_map(q, p), tol)
-    fwd = forward.is_weak_compression
-    bwd = backward.is_weak_compression
-    if fwd and bwd:
-        relation = "both"
-    elif fwd:
-        relation = "P<=Q"
-    elif bwd:
-        relation = "Q<=P"
-    else:
-        relation = "incomparable"
+    forward = classify(m := induced_map(p, q), tol)
+    if chain_stack(q).degenerate.any():
+        induced_map(q, p)  # raises the DegenerateSimplex of a flat source
+    with np.errstate(divide="ignore", over="ignore"):  # an underflowed alpha gives inf
+        inverse = 1.0 / m.alphas[:, ::-1]
+    backward = classify(DerivedMap(q, p, inverse), tol)
+    weak = forward.is_weak_compression, backward.is_weak_compression
+    relation = {(True, True): "both", (True, False): "P<=Q", (False, True): "Q<=P"}.get(
+        weak, "incomparable")
     return OrderResult(relation=relation, forward=forward, backward=backward)
 
 

@@ -670,6 +670,28 @@ def test_unequal_scales_keep_the_cli_contract(tmp_path, capsys, name, p_scale, q
             assert (code, payload["error"]) == (2, "NonFiniteResult"), (argv[0], payload)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-154, 1e-150, 1e-100, 0.5, 1e100, 1e150, 1e154,
+                                   1e160])
+def test_scale_reaches_the_critical_homothety_at_any_scale(tmp_path, capsys, scale):
+    """Wherever ``scale`` returns, the rescaled map is critical: its deciding
+    chain reads alpha_max 1.0 exactly and the verdict is weak.  At 1e-160 the
+    solved rescaled map once read 1.0000111329412578, NotWeakCompression."""
+    from polycomp import cli
+
+    p = write_json(tmp_path / "P.json", square_doc())
+    q = write_json(tmp_path / "Q.json", square_doc(scale))
+    code = cli.main(["scale", p, q])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    if code:
+        assert (code, payload["error"]) == (2, "NonFiniteResult"), payload
+    else:
+        assert payload["verdict_after"] == "WeakCompressionNotStrict"
+        assert payload["alpha_max_after"] == 1.0
+    # alpha_max = scale^2 stays positive (subnormal at 1e-160) up to 1e154 and
+    # overflows at 1e160.
+    assert code == (2 if scale > 1e154 else 0)
+
+
 def test_non_finite_results_exit_2_with_one_json_document(tmp_path, capsys, monkeypatch):
     from polycomp import cli
 

@@ -1,6 +1,7 @@
 """Classification, extremal pairs, rescaling, order and perturbations."""
 
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from polycomp import (
     WEAK_COMPRESSION,
     NonFiniteResult,
     PointOnShape,
+    PolycompError,
     Shape,
     SingularSimplex,
     affine_correspondence,
@@ -30,8 +32,9 @@ from polycomp import (
     simplex_polytope,
     spectral_summary,
 )
-from polycomp import spectral
+from polycomp import barycentric, spectral
 from polycomp.io import load_shapes
+from test_chain_kernel import projective_cube
 from generators import (
     random_contraction,
     random_polygon_shape,
@@ -314,6 +317,81 @@ def test_compare_order_published_incomparable(triangle_pair):
     result = compare_order(p, q)
     assert result.relation == "incomparable"
     assert result.backward.summary.alpha_max == pytest.approx(inv_alpha_max, rel=1e-9)
+
+
+def solved_order(p, q, tol=spectral.DEFAULT_TOL):
+    """compare_order's relation from two explicit solves, (P, Q) and (Q, P)."""
+    weak = tuple(classify(induced_map(a, b), tol).is_weak_compression for a, b in ((p, q), (q, p)))
+    return {(True, True): "both", (True, False): "P<=Q", (False, True): "Q<=P"}.get(
+        weak, "incomparable")
+
+
+def derived_pairs():
+    rng = np.random.default_rng(2101)
+    for d in (2, 3, 4, 5):
+        for _ in range(3 if d < 5 else 1):
+            yield f"{d}-cube", projective_cube(rng, d), projective_cube(rng, d)
+    for n in (3, 5, 8, 11):
+        yield f"{n}-gon", random_polygon_shape(rng, n), random_polygon_shape(rng, n)
+
+
+@pytest.mark.parametrize("name,p,q", list(derived_pairs()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_derived_spectra_match_the_solved_ones(name, p, q):
+    # Q -> P inverts P -> Q on every chain, and P -> lambda Q is lambda times it.
+    order, rescale = compare_order(p, q), scale_critical(p, q)
+    backward = classify(induced_map(q, p))
+    scaled = classify(induced_map(p, q.scaled(rescale.lam)))
+    for got, want in ((order.backward, backward), (rescale.classification, scaled)):
+        # Per chain, relative to its largest alpha, as eigvalsh is accurate; the
+        # solve's own error grows with the chain's conditioning.
+        got_a, want_a = got.summary.per_simplex, want.summary.per_simplex
+        top, cond = want_a[:, -1:], want_a[:, -1:] / want_a[:, :1]
+        assert (np.abs(got_a - want_a) <= 1e-13 * np.sqrt(cond) * top).all()
+        assert got.verdict == want.verdict
+        assert got.edge_contracting == want.edge_contracting
+    assert order.relation == solved_order(p, q)
+    assert rescale.classification.summary.alpha_max == 1.0
+    # The witnesses solve the other pair on first read, as a solved map's would.
+    for got, want in ((order.backward, backward), (rescale.classification, scaled)):
+        assert got.witness.ratio == pytest.approx(want.witness.ratio, rel=1e-12)
+        assert got.map.maps.linear.tobytes() == want.map.maps.linear.tobytes()
+
+
+def test_derived_classifications_solve_nothing_until_the_witness_is_read(unit_square):
+    half = unit_square.scaled(0.5)
+    barycentric.induced_map.cache_clear()
+    order, rescale = compare_order(unit_square, half), scale_critical(unit_square, half)
+    assert barycentric.induced_map.cache_info().misses == 1
+    assert order.backward.witness.ratio == pytest.approx(2.0, rel=1e-15)
+    assert rescale.classification.witness.ratio == pytest.approx(1.0, rel=1e-15)
+    assert barycentric.induced_map.cache_info().misses == 3
+
+
+def outcome(f):
+    """f()'s result, or the type of the ``PolycompError`` or ``LinAlgError`` it raises."""
+    try:
+        return f()
+    except (PolycompError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("exponent", [100, 150, 154, 160])
+def test_derived_order_agrees_with_the_solve_at_far_scales(rng, unit_square, exponent):
+    shapes = [unit_square, random_polygon_shape(rng, 7), projective_cube(rng, 3),
+              projective_cube(rng, 4)]
+    for p in shapes:
+        for s in (10.0 ** exponent, 10.0 ** -exponent):
+            q = p.scaled(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = outcome(lambda: compare_order(p, q).relation)
+                rescale = outcome(lambda: scale_critical(p, q))
+            assert got == outcome(lambda: solved_order(p, q)), (s, p.polytope.vertex_count)
+            assert got in ("P<=Q", "Q<=P", NonFiniteResult)
+            if not isinstance(rescale, type):  # the rescale returned
+                assert rescale.classification.verdict == WEAK_COMPRESSION
+                assert rescale.classification.summary.alpha_max == 1.0
 
 
 def test_perturbation_uniform_shrink_and_grow(rng):

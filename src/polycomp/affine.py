@@ -72,8 +72,6 @@ class AffineCorrespondence:
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of linear^T linear, ascending (squared singular values)."""
         gram = np.swapaxes(self.linear, -1, -2) @ self.linear
-        if np.isfinite(gram).all():
-            return np.linalg.eigvalsh(gram)
         finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
         return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
 

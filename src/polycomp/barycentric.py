@@ -126,15 +126,20 @@ class InducedMap:
         return alphas
 
 
-class DerivedMap(InducedMap):
-    """A map whose ``alphas`` follow from another pair's on the shared chains; its
-    pieces are solved through the memoised ``induced_map`` when first read."""
+@dataclass(frozen=True, eq=False)
+class DerivedMap:
+    """P -> Q by ``alphas`` that follow from another pair's; ``maps`` is solved on first read."""
 
-    def __init__(self, source: Shape, target: Shape, alphas: np.ndarray):
-        alphas.setflags(write=False)
-        self.__dict__.update(source=source, target=target, alphas=alphas)
+    source: Shape
+    target: Shape
+    alphas: np.ndarray  # (t, d) ascending, made read-only
 
-    maps = cached_property(lambda self: induced_map(self.source, self.target).maps)
+    def __post_init__(self):
+        self.alphas.setflags(write=False)
+
+    @cached_property
+    def maps(self) -> AffineCorrespondence:  # the pieces, through the memoised induced_map
+        return induced_map(self.source, self.target).maps
 
 
 def require_same_polytope(p: Shape, q: Shape) -> None:
@@ -191,11 +196,10 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
 
     Barycentre naturality f(b(F)) = b(G) holds by construction: source and
     target simplex vertices are the barycentres of corresponding faces.
-    Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.  The last few maps
-    are memoised per (P, Q) (shapes key by identity), and each shape's pieces
-    and their flatness flags per shape (``chain_stack``), so the spectral and
-    metric entry points build and test each shape and solve (P, Q) once; the
-    spectra of (Q, P) and (P, lambda Q) derive from that solve (``DerivedMap``).
+    Raises ``PolytopeMismatch`` or ``DegenerateSimplex``.  The last few maps are memoised
+    per (P, Q) (shapes key by identity), and each shape's pieces and their flatness flags
+    per shape (``chain_stack``), so the spectral and metric entry points build and test
+    each shape and solve (P, Q) once; (Q, P) and (P, lambda Q) derive from it (``DerivedMap``).
     """
     require_same_polytope(p, q)
     describe = (str if p.polytope.is_simplex

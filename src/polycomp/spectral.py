@@ -51,7 +51,7 @@ class SpectralSummary:
     argmax_simplex: int
 
 
-def spectral_summary(m: InducedMap) -> SpectralSummary:
+def spectral_summary(m: InducedMap | DerivedMap) -> SpectralSummary:
     """The map's eigenvalues and their extremes; ``NonFiniteResult`` unless 0 < alpha_max < inf."""
     alphas = m.alphas
     tops = alphas[:, -1]
@@ -91,7 +91,7 @@ class Classification:
     verdict: str
     edge_contracting: bool
     summary: SpectralSummary
-    map: InducedMap
+    map: InducedMap | DerivedMap
 
     @cached_property
     def witness(self) -> ExtremalPair:
@@ -123,7 +123,7 @@ def edge_contraction_check(p: Shape, q: Shape,
     )
 
 
-def extremal_pair(m: InducedMap) -> ExtremalPair:
+def extremal_pair(m: InducedMap | DerivedMap) -> ExtremalPair:
     """Maximal-ratio pair on the simplex attaining the global alpha_max.
 
     The pair is anchored at a simplex vertex whenever the top right-singular
@@ -159,7 +159,7 @@ def extremal_pair(m: InducedMap) -> ExtremalPair:
     return ExtremalPair(x=x, y=y, ratio=ratio, simplex_index=s.argmax_simplex, anchor_vertex=k)
 
 
-def classify(m: InducedMap, tol: float = DEFAULT_TOL) -> Classification:
+def classify(m: InducedMap | DerivedMap, tol: float = DEFAULT_TOL) -> Classification:
     """Verdict from the global alpha_max over all simplices.
 
     Compression when alpha_max < 1 - tol on every simplex, weak (not
@@ -225,9 +225,8 @@ def compare_order(p: Shape, q: Shape, tol: float = DEFAULT_TOL) -> OrderResult:
     with np.errstate(divide="ignore", over="ignore"):  # an underflowed alpha gives inf
         inverse = 1.0 / m.alphas[:, ::-1]
     backward = classify(DerivedMap(q, p, inverse), tol)
-    weak = forward.is_weak_compression, backward.is_weak_compression
     relation = {(True, True): "both", (True, False): "P<=Q", (False, True): "Q<=P"}.get(
-        weak, "incomparable")
+        (forward.is_weak_compression, backward.is_weak_compression), "incomparable")
     return OrderResult(relation=relation, forward=forward, backward=backward)
 
 

@@ -1,5 +1,6 @@
 """Classification, extremal pairs, rescaling, order and perturbations."""
 
+import dataclasses
 import itertools
 import warnings
 from pathlib import Path
@@ -362,6 +363,10 @@ def test_derived_classifications_solve_nothing_until_the_witness_is_read(unit_sq
     half = unit_square.scaled(0.5)
     barycentric.induced_map.cache_clear()
     order, rescale = compare_order(unit_square, half), scale_critical(unit_square, half)
+    derived = order.backward.map
+    assert [f.name for f in dataclasses.fields(derived)] == ["source", "target", "alphas"]
+    repr(order), repr(rescale), dataclasses.replace(derived)  # generic reads solve nothing
+    assert not derived.alphas.flags.writeable
     assert barycentric.induced_map.cache_info().misses == 1
     assert order.backward.witness.ratio == pytest.approx(2.0, rel=1e-15)
     assert rescale.classification.witness.ratio == pytest.approx(1.0, rel=1e-15)

@@ -12,6 +12,7 @@ adjacent facets may flatten to a common hyperplane).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -28,6 +29,7 @@ from .errors import (
 # Dimensionless: lengths are divided by the shape's radius (see validate_shape).
 COORD_TOL = 1e-9
 FLAT_ANGLE_TOL = 1e-7
+_FLAT_COS = math.cos(FLAT_ANGLE_TOL)
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,15 @@ class CombinatorialPolytope:
         edges = np.array([(f[0], f[-1]) for f in self.faces_of_dim(1)], dtype=np.intp)
         edges.setflags(write=False)
         return edges
+
+    @cached_property
+    def vertex_neighbors(self) -> np.ndarray:
+        """Read-only (n, d) edge neighbours of each vertex, ascending (a vertex of
+        a simple polytope lies on d edges; build_polytope checks it)."""
+        ends = np.concatenate([self.edge_array, self.edge_array[:, ::-1]])
+        neighbors = ends[np.lexsort(ends.T[::-1]), 1].reshape(self.vertex_count, self.dimension)
+        neighbors.setflags(write=False)
+        return neighbors
 
 
 def _intersection_closure(facet_sets: list[frozenset], body: frozenset) -> set[frozenset]:
@@ -162,6 +173,10 @@ def _build_polytope(d: int, n: int, facets: tuple) -> CombinatorialPolytope:
             raise InconsistentLattice("face with too few vertices for its dimension")
         if k == 1 and len(face) != 2:
             raise InconsistentLattice(f"1-face {tuple(sorted(face))} has more than two vertices")
+    # The edges at v are the meets of d - 1 of its d facets, so at most d: all are there
+    # iff the n d edge ends are.
+    if 2 * sum(k == 1 for k in dims.values()) != n * d:
+        raise InconsistentLattice("some vertex lies on fewer than d edges")
 
     ordered = sorted(tuple(sorted(face)) for face in closure)
     face_dims = tuple(dims[frozenset(face)] for face in ordered)
@@ -270,31 +285,37 @@ def _certified_extreme(centered: np.ndarray, vertex_normals: np.ndarray,
     ``[c_v, 1]`` lies at least ``(u . c_v - top) / |(u, -top)|`` from their cone.
     """
     proj = vertex_normals @ centered.T
-    own = proj.diagonal().copy()
-    np.fill_diagonal(proj, -np.inf)
+    diagonal = proj.flat[::len(proj) + 1]  # a copy
+    proj.flat[::len(proj) + 1] = -np.inf
     top = proj.max(axis=1)
-    return own - top > tol * np.sqrt((vertex_normals ** 2).sum(axis=1) + top ** 2)
+    return diagonal - top > tol * np.sqrt(np.vecdot(vertex_normals, vertex_normals) + top * top)
 
 
-def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int) -> float:
+def _certified_nonextreme(lifted: np.ndarray, gram: np.ndarray, vertices: np.ndarray,
+                          neighbors: np.ndarray) -> np.ndarray:
+    """Vertices proven non-extreme, all at once: ``lifted[vertices[i]]`` is within
+    ``COORD_TOL`` of a nonnegative combination of the rows ``neighbors[i]``, its
+    projection onto their span.  Raises ``LinAlgError`` if those rows are dependent."""
+    w = np.linalg.solve(gram[neighbors[:, :, None], neighbors[:, None]],
+                        gram[neighbors, vertices[:, None], None])[..., 0]
+    gap = lifted[vertices] - (w[:, None] @ lifted[neighbors])[:, 0]
+    return (w.min(axis=1) >= 0) & (np.sqrt(np.vecdot(gap, gap)) <= COORD_TOL)
+
+
+def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int, start=()) -> float:
     """Distance from ``lifted[v]`` to the cone of the other rows: Lawson-Hanson
-    NNLS, passive sets solved through the Gram matrix.  The iterate stays
+    NNLS, passive sets solved through the Gram matrix, starting from the rows
+    ``start`` (kept if their solve is positive).  The iterate stays
     nonnegative, so the residual is an upper bound even if the loop ends early."""
     n = len(lifted)
-    gv, lam, passive = gram[v], np.zeros(n), []
+    gv, lam, passive = gram[v], np.zeros(n), list(start)
     grad_tol = 1e-12 * n * gram.diagonal().max()
     try:
         for _ in range(3 * n):
-            grad = gv - lam @ gram  # lifted @ (lifted[v] - lam @ lifted)
-            grad[passive + [v]] = -np.inf
-            j = grad.argmax()
-            if grad[j] <= grad_tol:
-                break
-            passive.append(j)
-            while True:
+            while passive:  # solve the passive set; step back while a weight is not positive
                 idx = np.array(passive, dtype=np.intp)
                 s = np.linalg.solve(gram[idx[:, None], idx], gv[idx])
-                if s.min(initial=np.inf) > 0:  # as all(): an emptied passive set is solved
+                if s.min() > 0:
                     lam[idx] = s
                     break
                 # Step toward s until the first coordinate hits zero; free it.
@@ -305,6 +326,12 @@ def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int) -> float:
                 step[neg[k]] = 0.0
                 lam[idx] = np.maximum(step, 0.0)
                 passive = idx[step > 0].tolist()
+            grad = gv - lam @ gram  # lifted @ (lifted[v] - lam @ lifted)
+            grad[passive + [v]] = -np.inf
+            j = grad.argmax()
+            if grad[j] <= grad_tol:
+                break
+            passive.append(j)
     except np.linalg.LinAlgError:
         pass
     return float(np.linalg.norm(lifted[v] - lam @ lifted))
@@ -324,16 +351,17 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     coords = _checked_coords(polytope, np.asarray(coords, dtype=float), mode)  # read, not written
     d = polytope.dimension
     n = polytope.vertex_count
-    centered = coords - coords.mean(axis=0)
+    centered = coords - np.add.reduce(coords, 0) / n  # coords.mean(axis=0), one call
     r = np.abs(centered).max()
-    unit = centered / (r or 1.0)  # radius 1: nothing below over- or underflows
+    unit_t = (centered / (r or 1.0)).T.copy()  # radius 1: nothing below over- or underflows
+    unit = unit_t.T  # (the n^2 steps below run on unit_t's n-long rows, not on d-long ones)
     tol = COORD_TOL * r  # the same test on lengths in the input's units
 
-    diff = unit[:, None, :] - unit[None, :, :]
-    sq = (diff * diff).sum(axis=-1)  # sqrt is monotone: the least square has the least root
-    np.fill_diagonal(sq, np.inf)
-    if np.sqrt(sq.min()) <= COORD_TOL:
-        i, j = np.unravel_index(np.argmin(np.sqrt(sq)), sq.shape)
+    diff = unit_t[:, :, None] - unit_t[:, None]
+    sq = np.add.reduce(diff * diff, 0)  # sqrt is monotone: the least square has the least root
+    sq.flat[::n + 1] = np.inf
+    i, j = divmod(int(sq.argmin()), n)
+    if math.sqrt(sq[i, j]) <= COORD_TOL:
         raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
     if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:  # rank below d
         raise DegenerateSpan("affine span of the vertices is below d")
@@ -345,21 +373,25 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     deficient = np.zeros(len(on_facet), dtype=bool)
     for rows, idx in groups:
         points = coords[idx]
-        c = centroids[rows] = points.mean(axis=1)
+        c = centroids[rows] = np.add.reduce(points, 1) / idx.shape[1]
         if d > 1:
             _, sv, vh = np.linalg.svd(points - c[:, None], full_matrices=True)
             normals[rows] = vh[:, -1]
             if idx.shape[1] >= d:
                 deficient[rows] = sv[:, d - 2] <= tol
 
-    # Signed distances of every vertex from every facet hyperplane, (F, n);
-    # orient each normal outward, with the non-facet vertices on the negative side.
-    signed = ((coords - centroids[:, None]) @ normals[:, :, None])[..., 0]
-    outward = np.where(np.where(on_facet, 0.0, signed).sum(axis=1) > 0, -1.0, 1.0)[:, None]
+    # Signed distances of every vertex from every facet hyperplane, (F, n), with the
+    # differences made one coordinate (n-long loops) at a time; orient each normal
+    # outward, with the non-facet vertices on the negative side.
+    offsets = np.empty((len(on_facet), n, d))
+    for k in range(d):
+        np.subtract(coords[:, k], centroids[:, k, None], out=offsets[..., k])
+    signed = (offsets @ normals[:, :, None])[..., 0]
+    outward = np.where(np.add.reduce(signed * ~on_facet, 1) > 0, -1.0, 1.0)[:, None]
     normals *= outward
     signed *= outward
     margins = -np.where(on_facet, -np.inf, signed).max(axis=1)
-    residuals = np.where(on_facet & (d > 1), np.abs(signed), 0.0).max(axis=1)
+    residuals = (np.abs(signed) * on_facet).max(axis=1)  # 0 if d = 1: a facet is its centroid
     residuals[deficient] = np.inf
     bad = (residuals > tol) | (margins < -tol)
     valid = not bad.any()
@@ -375,20 +407,28 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
             messages.append(f"vertices on both sides of facet {facet}")
 
     # Extreme iff [u_v, 1] is farther than COORD_TOL from the cone of the other
-    # lifted unit-radius points; the certificate settles most vertices, NNLS the rest.
+    # lifted unit-radius points.  The Farkas certificate proves most vertices
+    # extreme; a nonnegative combination of the edge neighbours' lifted points
+    # within COORD_TOL of [u_v, 1] proves v is not; NNLS settles the rest.
     extreme = _certified_extreme(unit, on_facet.T @ normals, COORD_TOL)
     if not extreme.all():
         lifted = np.hstack([unit, np.ones((n, 1))])
         gram = lifted @ lifted.T
-        for v in np.flatnonzero(~extreme):
-            extreme[v] = _cone_residual(lifted, gram, v) > COORD_TOL
+        open_ = np.flatnonzero(~extreme)
+        nbrs = polytope.vertex_neighbors[open_]
+        try:
+            settled = _certified_nonextreme(lifted, gram, open_, nbrs)
+        except np.linalg.LinAlgError:  # affinely dependent neighbours: NNLS alone decides
+            settled, nbrs = np.zeros(len(open_), dtype=bool), nbrs[:, :0]
+        for v, start in zip(open_[~settled], nbrs[~settled].tolist()):  # warm from the neighbours
+            extreme[v] = _cone_residual(lifted, gram, v, start) > COORD_TOL
     vertex_extreme = tuple(extreme.tolist())
 
     flat_pairs = ()
     if valid and d >= 2:
         i, j = ridge_pairs.T
-        cosang = np.clip((normals[i] * normals[j]).sum(axis=1), -1.0, 1.0)
-        flat = np.arccos(cosang) <= FLAT_ANGLE_TOL  # the normals' angle: pi minus the dihedral
+        # The normals' angle (pi minus the dihedral) is at most FLAT_ANGLE_TOL.
+        flat = np.vecdot(normals[i], normals[j]) >= _FLAT_COS
         flat_pairs = tuple(map(tuple, ridge_pairs[flat].tolist()))
 
     if not valid:
@@ -494,11 +534,8 @@ def triangulation(polytope: CombinatorialPolytope, simplices) -> Triangulation:
 
 
 def _polygon_cycle(polytope: CombinatorialPolytope, start: int) -> list[int]:
-    neighbors = {v: [] for v in range(polytope.vertex_count)}
-    for a, b in polytope.facets:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    cycle = [start, min(neighbors[start])]
+    neighbors = polytope.vertex_neighbors.tolist()
+    cycle = [start, neighbors[start][0]]
     while True:
         prev, cur = cycle[-2], cycle[-1]
         nxt = [v for v in neighbors[cur] if v != prev]

@@ -35,9 +35,10 @@ def assert_unchanged(before):
     assert [key for key, value in after.items() if value is not before[key]] == []
 
 
-def test_counted_counts_the_nnls_call_of_a_weak_octagon(bench):
-    # The weak octagon of the bench's n = 8 ladder: NNLS decides the moved vertex.
-    doc = bench.ngon_doc(np.random.default_rng([bench.SEED + 8, 1]), 8, "weak")
+def test_counted_counts_the_nnls_call_of_a_reflex_octagon(bench):
+    # The reflex octagon of the bench's n = 8 ladder: NNLS decides the moved
+    # vertex, which neither certificate settles.
+    doc = bench.ngon_doc(np.random.default_rng([bench.SEED + 8, 2]), 8, "reflex")
     before = attributes()
     counts = bench.counted(polycomp, lambda: bench.laps(bench.front_end(polycomp, doc)),
                            {"_cone_residual": bench.one})

@@ -31,6 +31,7 @@ from polycomp.polytopes import (
     COORD_TOL,
     FLAT_ANGLE_TOL,
     _certified_extreme,
+    _certified_nonextreme,
     _cone_residual,
     facet_adjacency,
 )
@@ -116,6 +117,9 @@ def test_inconsistent_lattice():
         build_polytope(2, 4, [[0, 1], [1, 2], [2, 0]])
     with pytest.raises(InconsistentLattice, match="^facets at vertex 0 do not isolate it$"):
         build_polytope(2, 4, [[0, 1, 2], [0, 1, 3], [2, 3]])
+    # Facets 034 and 012 at vertex 0 meet in vertex 0 alone, not in an edge.
+    with pytest.raises(InconsistentLattice, match="^some vertex lies on fewer than d edges$"):
+        build_polytope(3, 5, [[1, 2, 4], [2, 3, 4], [0, 3, 4], [0, 1, 3], [0, 1, 2]])
 
 
 @pytest.mark.parametrize("d,n,facets,message", [
@@ -426,6 +430,13 @@ def test_vertex_extreme_near_chord(offset, extreme):
     assert report.vertex_extreme == (True, extreme, True, True, True, True)
 
 
+def unit_lifted(coords):
+    """The lifted points [u_v, 1] at the unit radius validate_shape uses, and their Gram matrix."""
+    centered = coords - coords.mean(axis=0)
+    lifted = np.hstack([centered / np.abs(centered).max(), np.ones((len(coords), 1))])
+    return lifted, lifted @ lifted.T
+
+
 def test_cone_residual_matches_scipy_nnls():
     # The residual value, not only its threshold: lifted weak and reflex
     # n-gons at n = 16..32 and random clouds, at the unit radius validate_shape uses.
@@ -436,9 +447,7 @@ def test_cone_residual_matches_scipy_nnls():
     checked = 0
     for coords, k in cases:
         n = len(coords)
-        centered = coords - coords.mean(axis=0)
-        lifted = np.hstack([centered / np.abs(centered).max(), np.ones((n, 1))])
-        gram = lifted @ lifted.T
+        lifted, gram = unit_lifted(coords)
         got = np.array([_cone_residual(lifted, gram, v) for v in range(n)])
         want = np.array([nnls(np.delete(lifted, v, axis=0).T, lifted[v])[1] for v in range(n)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -467,6 +476,102 @@ def test_certificate_implies_nnls_extreme():
                 assert _cone_residual(lifted, gram, v) > tol
             certified += int(proven.sum())
     assert certified > 100
+
+
+def test_neighbour_certificate_implies_nnls_nonextreme():
+    # A nonnegative combination of other rows within COORD_TOL of lifted[v]
+    # bounds the cone distance, so NNLS finds v non-extreme too: with the edge
+    # neighbours validate_shape uses, and with random other rows.
+    rng = np.random.default_rng(16)
+    cases = [(poly, coords) for poly, coords, _ in hull_test_cases(seed=17)]
+    cases += [(ngon_polytope(n), ngon_of_class(rng, n, cls)[0])
+              for cls in ("weak", "reflex") for n in (16, 24, 32)]
+    # A vertex on the line of its neighbours but past one of them is extreme.
+    ring = np.array([[np.cos(t), np.sin(t)] for t in np.linspace(0, 2 * np.pi, 9)[:-1]])
+    ring[3] = ring[2] + 1.5 * (ring[4] - ring[2])
+    cases.append((ngon_polytope(8), ring))
+    for d in (3, 4):  # a vertex moved into the hull of its neighbours
+        poly, x = cube_polytope(d)
+        x = x + 0.02 * rng.standard_normal(x.shape)
+        x[0] = rng.dirichlet(np.ones(d)) @ x[poly.vertex_neighbors[0]]
+        cases.append((poly, x))
+    certified = 0
+    for poly, coords in cases:
+        lifted, gram = unit_lifted(coords)
+        n, d = coords.shape
+        vertices = np.arange(n)
+        others = np.array([rng.choice(np.delete(vertices, v), d, replace=False) for v in vertices])
+        for rows in (poly.vertex_neighbors, others):
+            proven = _certified_nonextreme(lifted, gram, vertices, rows)
+            for v in np.flatnonzero(proven):
+                assert _cone_residual(lifted, gram, v) <= COORD_TOL
+            certified += int(proven.sum())
+    assert certified >= 9  # the moved vertex of every weak n-gon and of both cubes
+
+
+def test_nnls_runs_only_where_neither_certificate_settles(monkeypatch):
+    seen, calls = {}, []
+
+    def farkas(*args):
+        proven = _certified_extreme(*args)
+        seen["extreme"] = proven.copy()  # validate_shape writes NNLS verdicts into it
+        return proven
+
+    def neighbours(lifted, gram, vertices, rows):
+        seen["open"], seen["settled"] = vertices, _certified_nonextreme(lifted, gram, vertices, rows)
+        return seen["settled"]
+
+    def nnls(lifted, gram, v, start=()):
+        calls.append(v)
+        return _cone_residual(lifted, gram, v, start)
+
+    for name, spy in (("_certified_extreme", farkas), ("_certified_nonextreme", neighbours),
+                      ("_cone_residual", nnls)):
+        monkeypatch.setattr(polytopes, name, spy)
+    rng = np.random.default_rng(18)
+    for n in (8, 16, 24, 32):
+        for cls in ("weak", "reflex"):
+            coords, k = ngon_of_class(rng, n, cls)
+            seen.clear()
+            calls.clear()
+            report = validate_shape(ngon_polytope(n), coords, "weak")
+            assert not report.vertex_extreme[k]
+            assert list(seen["open"]) == np.flatnonzero(~seen["extreme"]).tolist()
+            assert calls == seen["open"][~seen["settled"]].tolist()
+            if cls == "weak":  # the chord vertex is proven non-extreme without NNLS
+                assert calls == []
+            else:  # the reflex vertex is not on its neighbours' chord: NNLS decides it
+                assert k in calls and len(calls) < n
+
+
+def test_dependent_neighbours_leave_the_vertex_to_nnls(monkeypatch):
+    rng = np.random.default_rng(19)
+    coords, k = ngon_of_class(rng, 12, "weak")
+    lifted, gram = unit_lifted(coords)
+    with pytest.raises(np.linalg.LinAlgError):  # a repeated row: a singular system
+        _certified_nonextreme(lifted, gram, np.array([k]), np.array([[k - 1, k - 1]]))
+    want = validate_shape(ngon_polytope(12), coords, "weak").vertex_extreme
+    assert not want[k]
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(polytopes, "_certified_nonextreme", singular)
+    assert validate_shape(ngon_polytope(12), coords, "weak").vertex_extreme == want
+
+
+def test_vertex_neighbors_are_the_edge_neighbours():
+    n = 7
+    poly = ngon_polytope(n)
+    assert poly.vertex_neighbors.tolist() == [sorted([(v - 1) % n, (v + 1) % n]) for v in range(n)]
+    for d in (1, 3, 4):
+        poly = simplex_polytope(1) if d == 1 else cube_polytope(d)[0]
+        edges = {frozenset(e) for e in poly.edge_array.tolist()}
+        assert poly.vertex_neighbors.shape == (poly.vertex_count, d)
+        for v, row in enumerate(poly.vertex_neighbors.tolist()):
+            assert row == sorted(row) and all(frozenset((v, w)) in edges for w in row)
+    assert not poly.vertex_neighbors.flags.writeable
+    assert poly.vertex_neighbors is poly.vertex_neighbors
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -579,11 +684,24 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
     return verdict, extreme, tuple(flat), tuple(messages), residuals, margins
 
 
+def projective_cube(rng, d):
+    """The d-cube's lattice and an admissible projective image of it: the
+    hyperplane sent to infinity misses the cube, so the image is convex."""
+    poly, x = cube_polytope(d)
+    while True:
+        a = np.eye(d) + 0.25 * rng.standard_normal((d, d))
+        w = 0.15 * rng.standard_normal(d)
+        den = x @ w + 1.0
+        if den.min() > 0.4 and np.linalg.svd(a, compute_uv=False)[-1] > 0.3:
+            return poly, (x @ a.T + 0.1 * rng.standard_normal(d)) / den[:, None]
+
+
 def batched_validation_cases(seed=21):
     """(label, polytope, coords): n-gons of every class and random clouds;
     3- and 4-cubes exact, with two adjacent facets flattened, perturbed off
     coplanar, with a facet squashed onto a line, and random; a tetrahedron
-    and a segment; each at three coordinate scales."""
+    and a segment; n-gons of every class with n = 16, 24, 32 and a projective
+    4-cube; each at three coordinate scales."""
     rng = np.random.default_rng(seed)
     cases = []
     for cls in ("strict", "weak", "reflex"):
@@ -604,6 +722,12 @@ def batched_validation_cases(seed=21):
                   (f"cloud-{d}-cube", poly, rng.standard_normal(x.shape))]
     cases.append(("tetrahedron", simplex_polytope(3), rng.standard_normal((4, 3))))
     cases.append(("segment", simplex_polytope(1), np.array([[2.0], [-1.0]])))
+    # At the benchmark's sizes, from a second stream: the cases above keep their draws.
+    rng = np.random.default_rng([seed, 1])
+    for cls in ("strict", "weak", "reflex"):
+        for n in (16, 24, 32):
+            cases.append((f"{cls}-{n}-gon", ngon_polytope(n), ngon_of_class(rng, n, cls)[0]))
+    cases.append(("projective-4-cube", *projective_cube(rng, 4)))
     return [(f"{label}-x{scale:g}", poly, coords * scale)
             for label, poly, coords in cases for scale in (1e-3, 1.0, 1e3)]
 

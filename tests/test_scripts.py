@@ -48,9 +48,10 @@ def test_bench_records_times_and_counted_calls(tmp_path):
             assert sorted(cls["us"]) == ["job", "shape_from_dict", "validate_shape"]
             assert all(v > 0 for v in cls["us"].values())
         # The Farkas certificate settles every vertex of the strict octagon and
-        # all but the moved one of the others, which NNLS decides.
+        # all but the moved one of the others.  The neighbours' certificate
+        # proves the weak one's moved vertex non-extreme; NNLS decides the reflex one.
         assert {c: r["calls"]["_cone_residual"] for c, r in ngon.items()} == {
-            "strict": 0, "weak": 1, "reflex": 1}
+            "strict": 0, "weak": 0, "reflex": 1}
         pleat = run["pleats"]["8"]
         assert sorted(pleat["us"]) == ["cold_extra", "fan_first", "fan_repeat", "first_job",
                                        "job", "pleat_validity", "pleated_embedding",

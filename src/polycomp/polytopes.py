@@ -358,7 +358,8 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     tol = COORD_TOL * r  # the same test on lengths in the input's units
 
     diff = unit_t[:, :, None] - unit_t[:, None]
-    sq = np.add.reduce(diff * diff, 0)  # sqrt is monotone: the least square has the least root
+    diff *= diff
+    sq = np.add.reduce(diff, 0)  # sqrt is monotone: the least square has the least root
     sq.flat[::n + 1] = np.inf
     i, j = divmod(int(sq.argmin()), n)
     if math.sqrt(sq[i, j]) <= COORD_TOL:
@@ -387,7 +388,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     for k in range(d):
         np.subtract(coords[:, k], centroids[:, k, None], out=offsets[..., k])
     signed = (offsets @ normals[:, :, None])[..., 0]
-    outward = np.where(np.add.reduce(signed * ~on_facet, 1) > 0, -1.0, 1.0)[:, None]
+    outward = np.where(np.add.reduce(np.where(on_facet, 0.0, signed), 1) > 0, -1.0, 1.0)[:, None]
     normals *= outward
     signed *= outward
     margins = -np.where(on_facet, -np.inf, signed).max(axis=1)

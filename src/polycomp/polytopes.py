@@ -305,8 +305,8 @@ def _certified_nonextreme(lifted: np.ndarray, gram: np.ndarray, vertices: np.nda
 def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int, start=()) -> float:
     """Distance from ``lifted[v]`` to the cone of the other rows: Lawson-Hanson
     NNLS, passive sets solved through the Gram matrix, starting from the rows
-    ``start`` (kept if their solve is positive).  The iterate stays
-    nonnegative, so the residual is an upper bound even if the loop ends early."""
+    ``start`` if their solve is positive and from none otherwise.  The iterate
+    stays nonnegative, so the residual is an upper bound even if the loop ends early."""
     n = len(lifted)
     gv, lam, passive = gram[v], np.zeros(n), list(start)
     grad_tol = 1e-12 * n * gram.diagonal().max()

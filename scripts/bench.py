@@ -30,15 +30,16 @@ its fan from vertex 0 onto a second one, Q, scaled so that the fan map has
 alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
 ``pleated_projection_chain`` on the embedding.  The script records the median
 us of each over ``--repeat`` jobs, each on a fresh pair, and the (stage,
-simplex) pairs handed to ``restricted_singular_values``.  It also records,
-each as a median over ``--repeat`` rounds that start with every ``lru_cache``
-of the checkout emptied, as in a fresh process: ``fan_triangulation``'s first
-call and a repeat of it, and the first job (that first fan call and the three
-steps).  Each round is followed at once by the timed job on its pair, so a
-first job and a warm one see the same host speed; ``cold_extra`` is the
-median over rounds of the first job's us minus its warm job's.  And it
-records the ``tracemalloc`` peak of one ``pleated_projection_chain`` call,
-in bytes.
+simplex) pairs of the projection chain, counted where the checkout computes
+them: ``_pair_alphas``, or ``restricted_singular_values`` in a checkout
+without it.  It also records, each as a median over ``--repeat`` rounds that
+start with every ``lru_cache`` of the checkout emptied, as in a fresh
+process: ``fan_triangulation``'s first call and a repeat of it, and the first
+job (that first fan call and the three steps).  Each round is followed at
+once by the timed job on its pair, so a first job and a warm one see the
+same host speed; ``cold_extra`` is the median over rounds of the first job's
+us minus its warm job's.  And it records the ``tracemalloc`` peak of one
+``pleated_projection_chain`` call, in bytes.
 
 Calls are counted over one more job, with the functions wrapped wherever a
 module of the checkout holds them: counts, not formulas.
@@ -288,10 +289,12 @@ def bench_pleat(sides, n, repeat, seed):
     out = []
     for pc, side_pairs in zip(sides, pairs):
         laps(pleat_job(pc, *side_pairs[0]))  # warm-up: builds the polytope and its complex
-        svd_pairs = {"restricted_singular_values":  # one per leading index of the source
-                     lambda source, target: int(np.prod(np.shape(source)[:-2]))}
+        # One per leading index of the first argument, whichever kernel the side has:
+        # restricted SVDs of the stage pairs, or their frames in ``_pair_alphas``.
+        svd_pairs = dict.fromkeys(("restricted_singular_values", "_pair_alphas"),
+                                  lambda source, target: int(np.prod(np.shape(source)[:-2])))
         calls = counted(pc, lambda: laps(pleat_job(pc, *side_pairs[0])), svd_pairs)
-        out.append({"calls": {"restricted_svd_pairs": calls["restricted_singular_values"]},
+        out.append({"calls": {"restricted_svd_pairs": sum(calls.values())},
                     "peak_bytes": {"pleated_projection_chain":
                                    chain_peak_bytes(pc, *side_pairs[0])}})
     gc.collect()

@@ -118,7 +118,12 @@ def intrinsic_map(source, target) -> np.ndarray:
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
     e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
-    frame = np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2)  # row i: edge i in the frame
+    return frame_map(np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2), e_tgt)
+
+
+def frame_map(frame: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:
+    """``intrinsic_map`` from a (..., k, k) lower-triangular stack whose row i is source
+    edge i in the frame; raises ``SingularSimplex`` when a frame is ``_flat``."""
     bad = np.flatnonzero(_flat(frame, triangular=True))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
@@ -126,9 +131,6 @@ def intrinsic_map(source, target) -> np.ndarray:
 
 
 def restricted_singular_values(source, target) -> np.ndarray:
-    """Singular values, descending, of ``intrinsic_map(source, target)``.
-
-    Used to certify that dropping coordinates is a per-simplex weak
-    compression.  Raises ``SingularSimplex`` as ``intrinsic_map`` does.
-    """
+    """Singular values, descending, of ``intrinsic_map(source, target)``: the direct form
+    of ``projection_chain``'s stage alphas.  Raises as ``intrinsic_map`` does."""
     return np.linalg.svd(np.swapaxes(intrinsic_map(source, target), -1, -2), compute_uv=False)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import affine_correspondence, intrinsic_map, restricted_singular_values
+from .affine import affine_correspondence, frame_map, intrinsic_map
 from .barycentric import (
     barycentric_complex,
     chain_simplex_coords,
@@ -446,6 +446,12 @@ def _prefix_gram_tops(m: np.ndarray, first: int) -> np.ndarray:
     return np.concatenate(tops, axis=1).T
 
 
+def _pair_alphas(r_src: np.ndarray, r_tgt: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of X^T X, X = R_src^-T R_tgt^T, per pair of (P, k, k) stage frames."""
+    x = frame_map(np.swapaxes(r_src, -1, -2), np.swapaxes(r_tgt, -1, -2))
+    return np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)[..., -1]
+
+
 def projection_chain(coords: np.ndarray, d: int, simplices,
                      source: Shape | None = None,
                      target: Shape | None = None) -> ProjectionChain:
@@ -456,15 +462,17 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     to the simplex, hence always a weak compression) and from the original
     source shape when given.  The source is solved once; a stage's source
     alphas are the top eigenvalues of the Gram matrices of that map's column
-    prefix.  A simplex whose edges are zero past column c sees the same data,
-    up to zero padding, at every stage above c, so its previous-stage map is
-    computed once for all of them.  The source Grams and the computed
-    (stage, simplex) pairs go in blocks of about ``_CHAIN_BLOCK`` floats,
-    which bounds the peak memory.  ``simplices`` is any (t, k+1) array-like
-    of vertex indices, a read-only array too.  Raises ``ValueError`` unless
-    1 <= d <= the ambient dimension and ``simplices`` is such an array of
-    indices into ``coords``, and ``SingularSimplex`` for a degenerate source
-    simplex first, then for the first stage's; ``index`` names the simplex.
+    prefix.  Against the previous stage, each stage's edges are factored once
+    (R_c, the R-only QR of their first c columns), and the map from stage
+    c + 1 to c has the singular values of the k x k R_c R_{c+1}^-1; a simplex
+    whose edges are zero past column c computes that pair once for every
+    stage above.  The source Grams, the R_c and the pairs go in blocks of about
+    ``_CHAIN_BLOCK`` floats, which bounds the peak memory.  ``simplices`` is
+    any (t, k+1) array-like of vertex indices, a read-only array too.  Raises
+    ``ValueError`` unless 1 <= d <= the ambient dimension and ``simplices`` is
+    such an array of indices into ``coords``, and ``SingularSimplex`` for a
+    degenerate source simplex first, then for the first stage's; ``index``
+    names the simplex.
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
@@ -479,38 +487,38 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         raise ValueError(f"simplex vertex index out of range for {len(coords)} vertices")
     stack = coords[idx]
     base = stack if source is None else source.coords[idx]
-    src_map = intrinsic_map(base, stack)  # (t, k, D); a stage keeps its first dim columns
-    alphas_src = _prefix_gram_tops(src_map, d - 1)[::-1]  # (stages, t)
+    alphas_src = _prefix_gram_tops(intrinsic_map(base, stack), d - 1)[::-1]  # (stages, t)
+    edges = stack[:, 1:] - stack[:, :1]  # (t, k, D); a stage keeps its first dim columns
+    del stack, base  # the stages read only the edges: free the rest before the frames
 
     # Row s compares stage dims[s] with the stage above.  Simplex i's stages at
     # or above rep[i] all take row 0's pair, at min(D - 1, rep[i]); the pairs
     # run row by row, so the first one that fails is the per-stage loop's.
     dims = np.arange(big_d - 1, d - 1, -1)
-    used = (stack != stack[:, :1]).any(axis=1)  # (t, D): columns the edges use
+    used = (edges != 0.0).any(axis=1)  # (t, D): columns the edges use
     rep = np.maximum((used * np.arange(1, big_d + 1)).max(axis=1), d)
     computed = dims[:, None] < rep
     computed[:1] = True
     rows, simp = np.nonzero(computed)
     pair_dims = np.minimum(dims[rows], rep[simp])
-    alphas = np.empty(len(simp))
-    lo = 0
-    while lo < len(simp):  # a block's widths are at most its first row's dim + 1
-        hi = lo + max(1, _CHAIN_BLOCK // (idx.shape[1] * (dims[rows[lo]] + 1)))
-        block = pair_dims[lo:hi, None, None]
-        width = block.max()
-        part = stack[simp[lo:hi], :, :width + 1]
-        cols = np.arange(width + 1)
+    # frames[r, i]: R of simplex i's edges in their first D - r columns, if a pair reads it.
+    k = idx.shape[1] - 1
+    frame_rows, frame_simp = np.nonzero(np.arange(len(dims) + 1)[:, None] >= big_d - 1 - rep)
+    frames, step = np.zeros((len(dims) + 1, len(idx), k, k)), max(1, _CHAIN_BLOCK // (k * big_d))
+    for lo in range(0, len(frame_rows), step):
+        r, i = frame_rows[lo:lo + step], frame_simp[lo:lo + step]
+        w = big_d - r[0]  # no frame of the block is wider
+        part = np.where(np.arange(w) + r[:, None, None] < big_d, edges[i, :, :w], 0.0)
+        frames[r, i, :w] = np.linalg.qr(np.swapaxes(part, -1, -2), mode="r")
+    alphas, step = np.empty(computed.shape), max(1, _CHAIN_BLOCK // (2 * k * k))
+    for lo in range(0, len(simp), step):
+        r, i = big_d - 1 - pair_dims[lo:lo + step], simp[lo:lo + step]  # source frames
         try:
-            svals = restricted_singular_values(np.where(cols <= block, part, 0.0),
-                                               np.where(cols[:-1] < block, part[..., :-1], 0.0))
+            alphas[rows[lo:lo + step], i] = _pair_alphas(frames[r, i], frames[r + 1, i])
         except SingularSimplex as exc:
             exc.index = int(simp[lo + exc.index])  # the simplex, not its pair slot
             raise
-        alphas[lo:hi] = svals.max(axis=-1) ** 2
-        lo = hi
-    alphas_prev = np.empty(computed.shape)
-    alphas_prev[computed] = alphas
-    alphas_prev = np.where(computed, alphas_prev, alphas_prev[:1])
+    alphas_prev = np.where(computed, alphas, alphas[:1])
     stages = tuple(ProjectionStage(dim, coords[:, :dim], prev, src) for dim, prev, src
                    in zip(range(big_d, d - 1, -1), [None, *alphas_prev], alphas_src))
     final_residual = 0.0

@@ -48,14 +48,17 @@ def test_counted_counts_the_nnls_call_of_a_reflex_octagon(bench):
 
 def test_counted_restores_every_patched_attribute_when_run_raises(bench):
     before = attributes()
-    names = ("_cone_residual", "restricted_singular_values", "degenerate")
+    names = ("_cone_residual", "restricted_singular_values", "_pair_alphas", "degenerate")
 
     def run():
         patched = [key for key in before if key[1] in names
                    and getattr(sys.modules[key[0]], key[1]) is not before[key]]
-        # every module holding a name is patched: affine and lifting share one function
+        # the pleat ladder's pair counters, one per side of a parent/change comparison
         assert ("polycomp.affine", "restricted_singular_values") in patched
-        assert ("polycomp.lifting", "restricted_singular_values") in patched
+        assert ("polycomp.lifting", "_pair_alphas") in patched
+        # every module holding a name is patched: affine and barycentric share one function
+        assert ("polycomp.affine", "degenerate") in patched
+        assert ("polycomp.barycentric", "degenerate") in patched
         assert len(patched) == sum(key[1] in names for key in before)
         raise RuntimeError("stop")
 

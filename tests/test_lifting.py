@@ -868,20 +868,22 @@ def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch,
         assert exc.value.index == 2
 
 
-def pairs_per_block(monkeypatch, simplices, d, pairs):
-    """Make projection_chain compute 1 to ``pairs`` (stage, simplex) pairs per call."""
-    monkeypatch.setattr(lifting, "_CHAIN_BLOCK", pairs * len(simplices[0]) * (d + 1))
+def pairs_per_block(monkeypatch, simplices, pairs):
+    """Make projection_chain compute 1 to ``pairs`` (stage, simplex) pairs per call,
+    each of two k x k stage frames, and factor one frame per call."""
+    monkeypatch.setattr(lifting, "_CHAIN_BLOCK", pairs * 2 * (len(simplices[0]) - 1) ** 2)
 
 
 def computed_pairs(monkeypatch):
-    """Count the (stage, simplex) pairs projection_chain hands to the restricted SVD."""
+    """Count the (stage, simplex) pairs projection_chain hands to ``_pair_alphas``."""
     counted = []
+    pair_alphas = lifting._pair_alphas
 
-    def counting(source, target):
-        counted.append(len(source))
-        return restricted_singular_values(source, target)
+    def counting(r_src, r_tgt):
+        counted.append(len(r_src))
+        return pair_alphas(r_src, r_tgt)
 
-    monkeypatch.setattr(lifting, "restricted_singular_values", counting)
+    monkeypatch.setattr(lifting, "_pair_alphas", counting)
     return counted
 
 
@@ -904,7 +906,7 @@ def test_chain_reuse_matches_stage_loop(rng, monkeypatch, pairs):
     # Dense: every (stage, simplex) pair is computed.
     dense = rng.standard_normal((12, 6))
     simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
-    pairs_per_block(monkeypatch, simplices, 2, pairs)
+    pairs_per_block(monkeypatch, simplices, pairs)
     assert_chain_matches_loop(dense, 2, simplices, source)
     assert sum(counted) == 4 * 4 and max(counted) <= pairs
     # Zero tails: simplex 1 computes one pair for stage 4 and up, simplex 2 for
@@ -912,7 +914,7 @@ def test_chain_reuse_matches_stage_loop(rng, monkeypatch, pairs):
     # previous-stage alphas are all about 1; a segment's are not.
     for size, d, count in ((3, 2, 5 + 3 + 2 + 1), (2, 1, 6 + 4 + 3 + 2)):
         coords, simplices = zero_tail_embedding(rng, size)
-        pairs_per_block(monkeypatch, simplices, d, pairs)
+        pairs_per_block(monkeypatch, simplices, pairs)
         for base in (None, Shape(ngon_polytope(4 * size), rng.standard_normal((4 * size, 2)))):
             counted.clear()
             assert_chain_matches_loop(coords, d, simplices, base)
@@ -938,12 +940,36 @@ def test_chain_reuse_names_the_loops_simplex(rng, monkeypatch, pairs):
     coords[8] = coords[6] + [2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
     source = Shape(ngon_polytope(9), random_convex_polygon(rng, 9))
     simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    pairs_per_block(monkeypatch, simplices, 2, pairs)
+    pairs_per_block(monkeypatch, simplices, pairs)
     for got_simplices, index in ((simplices, 2), (simplices[:2], 1)):
         for chain in (projection_chain, reference_chain):
             with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
                 chain(coords, 2, got_simplices, source=source)
             assert exc.value.index == index
+
+
+@pytest.mark.parametrize("pairs", [None, 1, 3])
+def test_previous_stage_alphas_match_closed_forms(rng, monkeypatch, pairs):
+    """Against what the geometry fixes, with no solve or SVD of its own."""
+    # Dropping one coordinate of a k >= 2 plane keeps a direction of it, so a
+    # triangle's or tetrahedron's top alpha against the stage above is 1.
+    for pe in [pleated_polygon(rng, n, apex) for n, apex in [(5, 0), (9, 2), (12, 7)]] \
+            + [pleated_prism(rng)]:
+        if pairs is not None:
+            pairs_per_block(monkeypatch, pe.triangulation.simplices, pairs)
+        for stage in pleated_projection_chain(pe).stages[1:]:
+            np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, 1.0, rtol=0, atol=1e-10)
+    # A segment's edge e goes from stage c + 1 to stage c scaled by |e[:c]| / |e[:c+1]|.
+    coords, simplices = zero_tail_embedding(rng, 2)
+    if pairs is not None:
+        pairs_per_block(monkeypatch, simplices, pairs)
+    e = coords[1::2] - coords[::2]  # (4, 7): the edge of each segment
+    for stage in projection_chain(coords, 1, simplices).stages[1:]:
+        c = stage.ambient_dimension
+        want = (e[:, :c] ** 2).sum(axis=1) / (e[:, :c + 1] ** 2).sum(axis=1)
+        np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, want, rtol=0, atol=1e-12)
+        if c >= 4:  # segments 1-3 are constant past column 3: their reused pairs read 1
+            np.testing.assert_array_equal(want[1:], 1.0)
 
 
 def fold_triples(pe):

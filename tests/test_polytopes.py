@@ -340,7 +340,7 @@ def test_triangulation_rejects_bad_simplices(simplices, message):
 
 # --- extreme-vertex test: Farkas certificate plus Lawson-Hanson NNLS --------
 
-def cube_polytope(d):
+def cube_polytope_and_coords(d):
     verts = list(itertools.product((0, 1), repeat=d))
     facets = [[i for i, v in enumerate(verts) if v[k] == side]
               for k in range(d) for side in (0, 1)]
@@ -372,12 +372,12 @@ def hull_test_cases(seed=11):
             coords, k = ngon_of_class(rng, n, cls)
             yield ngon_polytope(n), coords, k if cls == "weak" else None
     for d in (3, 4):
-        poly, x = cube_polytope(d)
+        poly, x = cube_polytope_and_coords(d)
         for scale in (0.02, 0.3):
             yield poly, x + scale * rng.standard_normal(x.shape), None
     for n in (4, 7, 12):
         yield ngon_polytope(n), rng.standard_normal((n, 2)), None
-    poly, _ = cube_polytope(3)
+    poly, _ = cube_polytope_and_coords(3)
     for _ in range(4):
         yield poly, rng.standard_normal((8, 3)), None
 
@@ -491,7 +491,7 @@ def test_neighbour_certificate_implies_nnls_nonextreme():
     ring[3] = ring[2] + 1.5 * (ring[4] - ring[2])
     cases.append((ngon_polytope(8), ring))
     for d in (3, 4):  # a vertex moved into the hull of its neighbours
-        poly, x = cube_polytope(d)
+        poly, x = cube_polytope_and_coords(d)
         x = x + 0.02 * rng.standard_normal(x.shape)
         x[0] = rng.dirichlet(np.ones(d)) @ x[poly.vertex_neighbors[0]]
         cases.append((poly, x))
@@ -565,7 +565,7 @@ def test_vertex_neighbors_are_the_edge_neighbours():
     poly = ngon_polytope(n)
     assert poly.vertex_neighbors.tolist() == [sorted([(v - 1) % n, (v + 1) % n]) for v in range(n)]
     for d in (1, 3, 4):
-        poly = simplex_polytope(1) if d == 1 else cube_polytope(d)[0]
+        poly = simplex_polytope(1) if d == 1 else cube_polytope_and_coords(d)[0]
         edges = {frozenset(e) for e in poly.edge_array.tolist()}
         assert poly.vertex_neighbors.shape == (poly.vertex_count, d)
         for v, row in enumerate(poly.vertex_neighbors.tolist()):
@@ -687,7 +687,7 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
 def projective_cube(rng, d):
     """The d-cube's lattice and an admissible projective image of it: the
     hyperplane sent to infinity misses the cube, so the image is convex."""
-    poly, x = cube_polytope(d)
+    poly, x = cube_polytope_and_coords(d)
     while True:
         a = np.eye(d) + 0.25 * rng.standard_normal((d, d))
         w = 0.15 * rng.standard_normal(d)
@@ -710,7 +710,7 @@ def batched_validation_cases(seed=21):
     for n in (4, 7):
         cases.append((f"cloud-{n}-gon", ngon_polytope(n), rng.standard_normal((n, 2))))
     for d in (3, 4):
-        poly, x = cube_polytope(d)
+        poly, x = cube_polytope_and_coords(d)
         flat = x.copy()
         flat[(x[:, 0] > 0) & (x[:, 1] > 0), :2] = 0.0  # facets x0=+, x1=+ on x0+x1=0
         squashed = x.copy()

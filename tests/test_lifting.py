@@ -870,7 +870,7 @@ def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch,
 
 def pairs_per_block(monkeypatch, simplices, pairs):
     """Make projection_chain compute 1 to ``pairs`` (stage, simplex) pairs per call,
-    each of two k x k stage frames, and factor one frame per call."""
+    each reading two k x k stage frames; blocks this small factor one frame per QR."""
     monkeypatch.setattr(lifting, "_CHAIN_BLOCK", pairs * 2 * (len(simplices[0]) - 1) ** 2)
 
 

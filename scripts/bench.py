@@ -41,6 +41,20 @@ same host speed; ``cold_extra`` is the median over rounds of the first job's
 us minus its warm job's.  And it records the ``tracemalloc`` peak of one
 ``pleated_projection_chain`` call, in bytes.
 
+For each K of the sequence ladder, a job runs ``sequence_report(window=K/2,
+eps=0.1, limit)`` on a family of K octagons whose vertex k moves onto its
+neighbours' chord by halves, plus the weakly convex limit on the chord: all
+K(K-1)/2 member pairs and K limit pairs, 16 chains each.  The script records
+the median us of the job over ``--repeat`` jobs, each on a fresh family, and
+the median of each layer under it over ``--repeat`` runs on one family's
+request, all pairs in one block: the chain coordinates of every shape
+(``chain_coords``), their flatness flags (``flags``), then, where the checkout
+has the edge-form kernel, each shape's edge inverses (``edge_inverses``) and
+the pairs' linear parts from them (``linear``), or else the pairs' homogeneous
+solve (``linear``, with no ``edge_inverses``), and the Gram eigenvalues
+(``eigvalsh``).  It also counts the calls of ``chain_simplex_coords``,
+``degenerate``, ``solve_correspondence`` and ``linear_parts`` in a job.
+
 Calls are counted over one more job, with the functions wrapped wherever a
 module of the checkout holds them: counts, not formulas.
 
@@ -54,7 +68,7 @@ highest-numbered CPU it may use.
 Usage:
     python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5]
                              [--ngons 8 32 128] [--pleats 8 32 128]
-                             [--repeat N] [--out FILE]
+                             [--sequences 8 40] [--repeat N] [--out FILE]
 
 Each checkout's numbers go to ``runs[LABEL]`` of the JSON file ``--out``
 (LABEL defaults to the directory's name; with no ``--src``, this checkout
@@ -84,8 +98,8 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYOUT = "polycomp-bench/1"
-# The inputs of d come from SEED + d and those of a pleat n from SEED + 1000 + n,
-# the same on every side and run.
+# The inputs of d come from SEED + d, those of a pleat n from SEED + 1000 + n and
+# those of a sequence K from SEED + 2000 + K, the same on every side and run.
 SEED = 14
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
@@ -360,6 +374,85 @@ def bench_cube(sides, d, repeat, seed):
             for side_inputs, side_jobs, side_kernels, count in zip(inputs, jobs, kernels, counts)]
 
 
+def octagon_family(pc, rng, size):
+    """K = ``size`` octagons whose vertex k lies 2^-i of the way from its neighbours'
+    chord, i = 1..K, and the weakly convex limit with vertex k on the chord."""
+    base = ngon_points(rng, 8)
+    k = int(rng.integers(8))
+    flat = base[k - 1] + rng.uniform(0.35, 0.65) * (base[(k + 1) % 8] - base[k - 1])
+    poly = pc.ngon_polytope(8)
+
+    def member(tau, mode="strict"):
+        coords = base.copy()
+        coords[k] = flat + tau * (base[k] - flat)
+        return pc.Shape(poly, coords, mode=mode)
+
+    return [member(0.5**i) for i in range(1, size + 1)], member(0.0, "weak")
+
+
+def sequence_job(pc, seq, limit):
+    pc.sequence_report(seq, window=len(seq) // 2, eps=0.1, limit=limit)
+    yield "sequence_report"
+
+
+def request_pairs(size):
+    """The (i, j) pairs of a K = ``size`` request: the members', then each to the limit K."""
+    return np.concatenate([np.column_stack(np.triu_indices(size, k=1)),
+                           np.column_stack([np.arange(size), np.full(size, size)])])
+
+
+def sequence_layers(pc, complex_, shapes, pairs):
+    """The layers of one request's pair deltas, one step each, all pairs in one block."""
+    aff = pc.affine
+    if hasattr(aff, "linear_parts"):  # the edge-form kernel: one inverse per shape's chain
+        x = pc.barycentric.chain_simplex_coords(complex_, np.stack([s.coords for s in shapes]))
+        yield "chain_coords"
+        bad = aff.degenerate(x)
+        yield "flags"
+        e = aff.edges(x)
+        inv = aff.edge_inverses(e, bad)
+        yield "edge_inverses"
+        linear = aff.linear_parts(inv[pairs[:, 0]].reshape(-1, *e.shape[2:]),
+                                  e[pairs[:, 1]].reshape(-1, *e.shape[2:]))
+        yield "linear"
+        aff.gram_eigenvalues(linear)
+    else:  # one homogeneous solve per chain of every pair
+        x = np.stack([pc.barycentric.chain_simplex_coords(complex_, s) for s in shapes])
+        yield "chain_coords"
+        aff.degenerate(x)
+        yield "flags"
+        corr = aff.solve_correspondence(x[pairs[:, 0]].reshape(-1, *x.shape[2:]),
+                                        x[pairs[:, 1]].reshape(-1, *x.shape[2:]))
+        yield "linear"
+        corr.gram_eigenvalues()
+    yield "eigvalsh"
+
+
+def bench_sequence(sides, size, repeat, seed):
+    """One K of the sequence ladder for every side, on the same coordinates."""
+    families = []
+    for pc in sides:
+        rng = np.random.default_rng(seed)
+        families.append([octagon_family(pc, rng, size) for _ in range(repeat + 1)])
+    weights = dict.fromkeys(("chain_simplex_coords", "degenerate", "solve_correspondence",
+                             "linear_parts"), one)
+    counts = []
+    for pc, side_families in zip(sides, families):
+        laps(sequence_job(pc, *side_families[0]))  # warm-up: builds the polytope and its complex
+        counts.append(counted(pc, lambda: laps(sequence_job(pc, *side_families[0])), weights))
+    gc.collect()
+    jobs = in_turns(len(sides), repeat, lambda k, i: laps(sequence_job(sides[k],
+                                                                       *families[k][i + 1])))
+    pairs = request_pairs(size)
+    requests = [(pc.barycentric_complex(limit.polytope), seq + [limit], pairs)
+                for pc, ((seq, limit), *_) in zip(sides, families)]
+    layers = in_turns(len(sides), repeat, lambda k, i: laps(sequence_layers(sides[k],
+                                                                            *requests[k])))
+    return [{"pairs": len(pairs), "calls": count,
+             "us": {**medians(side_jobs, job=False), **medians(side_layers, job=False)}}
+            for side_jobs, side_layers, count in zip(jobs, layers, counts)]
+
+
 def provenance(src):
     digest = hashlib.sha256()
     for path in sorted((src / "src" / "polycomp").glob("*.py")):
@@ -402,14 +495,16 @@ def main(argv=None):
     ap.add_argument("--dims", type=int, nargs="+", default=[3, 4, 5])
     ap.add_argument("--ngons", type=int, nargs="+", default=[8, 32, 128])
     ap.add_argument("--pleats", type=int, nargs="+", default=[8, 32, 128])
+    ap.add_argument("--sequences", type=int, nargs="+", default=[8, 40])
     ap.add_argument("--repeat", type=int, default=30,
                     help="timed jobs, and calls of each kernel, per d and checkout")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
     if (args.repeat < 1 or any(d < 2 for d in args.dims)
-            or any(n < 4 for n in args.ngons + args.pleats)):
-        ap.error("--repeat must be at least 1, every --dims entry at least 2 "
-                 "and every --ngons and --pleats entry at least 4")
+            or any(n < 4 for n in args.ngons + args.pleats) or any(k < 1 for k in args.sequences)):
+        ap.error("--repeat must be at least 1, every --dims entry at least 2, "
+                 "every --ngons and --pleats entry at least 4 and every --sequences entry "
+                 "at least 1")
     srcs = args.src or [("change", ROOT)]
     labels = [label for label, _ in srcs]
     if len(set(labels)) != len(labels):
@@ -421,10 +516,13 @@ def main(argv=None):
     cubes = {str(d): bench_cube(sides, d, args.repeat, SEED + d) for d in args.dims}
     ngons = {str(n): bench_ngon(sides, n, args.repeat, SEED + n) for n in args.ngons}
     pleats = {str(n): bench_pleat(sides, n, args.repeat, SEED + 1000 + n) for n in args.pleats}
+    sequences = {str(k): bench_sequence(sides, k, args.repeat, SEED + 2000 + k)
+                 for k in args.sequences}
     doc = {"layout": LAYOUT, "machine": machine(), "repeat": args.repeat, "seed": SEED,
            "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()},
                             "ngons": {n: g[k] for n, g in ngons.items()},
-                            "pleats": {n: g[k] for n, g in pleats.items()}}
+                            "pleats": {n: g[k] for n, g in pleats.items()},
+                            "sequences": {n: g[k] for n, g in sequences.items()}}
                     for k, (label, src) in enumerate(srcs)}}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for label, run in doc["runs"].items():
@@ -441,6 +539,10 @@ def main(argv=None):
                   + " ".join(f"{k}={v:.0f}us" for k, v in pleat["us"].items())
                   + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}"
                   + f" chain_peak={pleat['peak_bytes']['pleated_projection_chain']}B")
+        for k, seq in run["sequences"].items():
+            print(f"{label} sequence K={k} pairs={seq['pairs']} "
+                  + " ".join(f"{name}={v:.0f}us" for name, v in seq["us"].items())
+                  + " " + " ".join(f"{name}={v}" for name, v in seq["calls"].items()))
 
 
 if __name__ == "__main__":

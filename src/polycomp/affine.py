@@ -1,10 +1,13 @@
-"""Homogeneous affine correspondences between simplices.
+"""Affine correspondences between simplices, in edge form.
 
-A d-simplex with vertices p_1..p_{d+1} is written as the (d+1)x(d+1) matrix
-whose columns are the vertices embedded in the hyperplane x_{d+1} = 1.  The
-affine map carrying one simplex onto another is then A = Q P^{-1}; dropping
-its last row and column leaves the d x d linear part used by every spectral
-criterion in this package, and all of it broadcasts over stacks of simplices.
+A d-simplex with vertices p_0..p_d is held by its edge matrix E, whose rows
+are the edges p_i - p_0.  The affine map carrying it onto a simplex with
+edge matrix F has the linear part A = (E^{-1} F)^T, and the shift
+q_0 - A p_0; the (d+1)x(d+1) homogeneous matrix is assembled from those two
+with an exact last row (0, .., 0, 1).  Every spectral criterion in this
+package reads the d x d linear part, through the eigenvalues of its Gram
+matrix A^T A, and all of it broadcasts over stacks of simplices, so a shape's
+edge inverses can be computed once and shared by every map out of it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,16 @@ def homogeneous(vertices: np.ndarray) -> np.ndarray:
     return np.concatenate([np.swapaxes(v, -1, -2), ones], axis=-2)
 
 
-def degenerate(vertices: np.ndarray) -> np.ndarray:
-    """Per simplex of a (..., d+1, d) stack: are its edges p_i - p_0 ``_flat``?
-    Free of position and scale."""
+def edges(vertices: np.ndarray) -> np.ndarray:
+    """The (..., d, d) edge matrices, rows p_i - p_0, of a (..., d+1, d) vertex stack."""
     v = np.asarray(vertices, dtype=float)
-    return _flat(v[..., 1:, :] - v[..., :1, :])
+    return v[..., 1:, :] - v[..., :1, :]
+
+
+def degenerate(vertices: np.ndarray) -> np.ndarray:
+    """Per simplex of a (..., d+1, d) stack: are its ``edges`` ``_flat``?
+    Free of position and scale."""
+    return _flat(edges(vertices))
 
 
 @np.errstate(over="ignore")  # an overflowing length takes the rescaling branch
@@ -68,12 +76,31 @@ class AffineCorrespondence:
         xh = np.append(np.asarray(x, dtype=float), 1.0)
         return (self.matrix @ xh)[..., :-1]
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram's eigenvalues read inf
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of linear^T linear, ascending (squared singular values)."""
-        gram = np.swapaxes(self.linear, -1, -2) @ self.linear
-        finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
-        return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
+        return gram_eigenvalues(self.linear)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram's eigenvalues read inf
+def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A^T A per (..., d, d) linear part A, ascending; inf where the Gram
+    is not finite.  The Gram is formed from a contiguous A^T, so a piece gets the same
+    bits in any stack, whatever the stack's layout."""
+    gram = np.ascontiguousarray(np.swapaxes(linear, -1, -2)) @ linear
+    finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
+    return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
+
+
+def edge_inverses(e: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """E^{-1} per (..., d, d) edge matrix; a matrix flagged in ``flat`` is replaced by
+    the identity first, so LAPACK never sees a singular one."""
+    return np.linalg.inv(np.where(flat[..., None, None], np.eye(e.shape[-1]), e))
+
+
+@np.errstate(over="ignore")  # an overflowing linear part reads inf; callers raise on it
+def linear_parts(inv_src: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:
+    """The linear parts (E^{-1} F)^T from source edge inverses and target edge matrices."""
+    return np.swapaxes(inv_src @ e_tgt, -1, -2)
 
 
 def affine_correspondence(source, target) -> AffineCorrespondence:
@@ -92,12 +119,16 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
     return solve_correspondence(src, tgt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # so does its shift
 def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorrespondence:
     """``affine_correspondence`` on float stacks already known to be nondegenerate."""
     d = src.shape[-1]
-    p = np.swapaxes(homogeneous(src), -1, -2)
-    matrix = np.swapaxes(np.linalg.solve(p, np.swapaxes(homogeneous(tgt), -1, -2)), -1, -2)
-    return AffineCorrespondence(src, tgt, matrix, np.ascontiguousarray(matrix[..., :d, :d]))
+    linear = linear_parts(np.linalg.inv(edges(src)), edges(tgt))
+    matrix = np.zeros(src.shape[:-2] + (d + 1, d + 1))
+    matrix[..., :d, :d] = linear
+    matrix[..., :d, d] = tgt[..., 0, :] - np.vecdot(linear, src[..., :1, :])
+    matrix[..., d, d] = 1.0
+    return AffineCorrespondence(src, tgt, matrix, linear)
 
 
 def intrinsic_map(source, target) -> np.ndarray:

@@ -148,12 +148,12 @@ def require_same_polytope(p: Shape, q: Shape) -> None:
         raise PolytopeMismatch("shapes realize different combinatorial polytopes")
 
 
-def chain_simplex_coords(complex_: BarycentricComplex, shape: Shape) -> np.ndarray:
-    """Vertex coordinates of every chain simplex: array (t, d+1, d)."""
+def chain_simplex_coords(complex_: BarycentricComplex, shape) -> np.ndarray:
+    """Vertex coordinates of every chain simplex, (..., t, d+1, d), of a shape or of
+    a (..., n, d) coordinate stack; a shape gets the same bits alone or in a stack."""
     inc = complex_.incidence
-    # einsum adds a face's vertices in index order, as ``barycentre`` does.
-    sums = np.einsum("fn,nd->fd", inc, shape.coords)
-    return (sums / inc.sum(axis=1, keepdims=True))[complex_.chain_faces]
+    sums = inc @ getattr(shape, "coords", shape)
+    return (sums / inc.sum(axis=1, keepdims=True))[..., complex_.chain_faces, :]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,33 +11,41 @@ completion behaviour of the metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .affine import degenerate, solve_correspondence
+from .affine import degenerate, edge_inverses, edges, gram_eigenvalues, linear_parts
 from .barycentric import barycentric_complex, chain_simplex_coords, chain_stack, induced_map
 from .errors import DegenerateSimplex, NonFiniteResult, PolytopeMismatch, SingularSimplex
 from .polytopes import Shape
 
+_TINY = np.finfo(float).tiny  # an alpha below the normal range has lost digits
 
-def _log_spread(alphas: np.ndarray) -> np.ndarray:
-    """ln(alpha_max / alpha_min) per row; ``NonFiniteResult`` if an alpha left (0, inf)."""
-    if not 0.0 < alphas.min() <= alphas.max() < np.inf:
-        raise NonFiniteResult("an eigenvalue of the map over- or underflows")
+
+def _log_spread(linear: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """ln(alpha_max / alpha_min) per piece from its linear part and Gram eigenvalues.
+    If an alpha leaves the normal range, they are recomputed from each linear part
+    divided by a power of two near its largest |entry|, which is exact and keeps the
+    ratio; ``NonFiniteResult`` if one still leaves (0, inf)."""
+    if not _TINY <= alphas.min() <= alphas.max() < np.inf:
+        exponent = np.frexp(np.abs(linear).max(axis=(-2, -1)))[1]
+        alphas = gram_eigenvalues(np.ldexp(linear, -exponent[:, None, None]))
+        if not 0.0 < alphas.min() <= alphas.max() < np.inf:
+            raise NonFiniteResult("an eigenvalue of the map over- or underflows")
     return np.log(alphas[:, -1] / alphas[:, 0])
 
 
-def _deltas(src: np.ndarray, tgt: np.ndarray, flags=None) -> np.ndarray:
-    """Simplex distances over (t, d+1, d) stacks; ``SingularSimplex`` names
-    the first simplex degenerate in either, the target winning a tie.
-    ``flags`` holds the ``degenerate`` flags of (src, tgt) if already known."""
-    bad_src, bad_tgt = (degenerate(src), degenerate(tgt)) if flags is None else flags
+def _deltas(inv_src: np.ndarray, e_tgt: np.ndarray, flags) -> np.ndarray:
+    """Simplex distances over (t, d, d) stacks of source edge inverses and target edge
+    matrices; ``SingularSimplex`` names the first simplex that the ``degenerate`` flags
+    (source, target) mark, the target winning a tie."""
+    bad_src, bad_tgt = flags
     bad = np.flatnonzero(bad_tgt | bad_src)
     if bad.size:
         side = "target" if bad_tgt[bad[0]] else "source"
         raise SingularSimplex(f"{side} simplex is affinely degenerate", int(bad[0]))
-    return _log_spread(solve_correspondence(src, tgt).gram_eigenvalues())
+    linear = linear_parts(inv_src, e_tgt)
+    return _log_spread(linear, gram_eigenvalues(linear))
 
 
 _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long requests
@@ -45,8 +53,9 @@ _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long re
 
 def _pair_deltas(shapes, pairs) -> np.ndarray:
     """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs`` (a
-    simplex polytope has one chain, its vertex map), from chain stacks built
-    once per shape and solved in blocks of about ``_BLOCK`` simplices.  Every
+    simplex polytope has one chain, its vertex map).  The chain simplices of all
+    shapes come from one stacked build; each shape's edges are tested and inverted
+    once, and the pairs gather them in blocks of about ``_BLOCK`` simplices.  Every
     shape a pair names must realize the first pair's polytope: the first pair
     naming one that does not raises ``PolytopeMismatch`` once the pairs before
     it are solved.  A degenerate chain raises as a per-pair ``delta_polytope``
@@ -58,22 +67,25 @@ def _pair_deltas(shapes, pairs) -> np.ndarray:
     same = np.array([s.polytope == poly for s in shapes])
     mismatched = np.flatnonzero(~same[pairs].all(axis=1))
     rows = (np.cumsum(same) - 1)[pairs[:mismatched[0]] if mismatched.size else pairs]
-    coords = ((lambda s: s.coords[None]) if poly.is_simplex
-              else partial(chain_simplex_coords, barycentric_complex(poly)))
-    x = np.stack([coords(s) for s, ok in zip(shapes, same) if ok])  # (S, t, d+1, d)
+    coords = np.stack([s.coords for s, ok in zip(shapes, same) if ok])  # (S, n, d)
+    x = (coords[:, None] if poly.is_simplex
+         else chain_simplex_coords(barycentric_complex(poly), coords))  # (S, t, d+1, d)
     bad = degenerate(x)  # (S, t): each shape's chains tested once, gathered per pair
-    t = x.shape[1]
+    e = edges(x)
+    inv = edge_inverses(e, bad)
+    t, d = bad.shape[1], poly.dimension
     step = max(1, _BLOCK // t)
     out = []
     for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
-        src, tgt = (x[block[:, side]].reshape(-1, *x.shape[2:]) for side in (0, 1))
+        src, tgt = block[:, 0], block[:, 1]
         try:
-            d = _deltas(src, tgt, (bad[block[:, 0]].ravel(), bad[block[:, 1]].ravel()))
+            delta = _deltas(inv[src].reshape(-1, d, d), e[tgt].reshape(-1, d, d),
+                            (bad[src].ravel(), bad[tgt].ravel()))
         except SingularSimplex as exc:
             exc.index %= t  # the chain within its pair
             raise DegenerateSimplex(str(exc) if poly.is_simplex
                                     else f"chain {exc.index} is degenerate") from exc
-        out.append(d.reshape(-1, t).max(axis=1))
+        out.append(delta.reshape(-1, t).max(axis=1))
     if mismatched.size:
         raise PolytopeMismatch("shapes realize different combinatorial polytopes")
     return np.concatenate(out)
@@ -96,7 +108,8 @@ def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
     ``_pair_deltas``, as in a request."""
     if any(chain_stack(s).degenerate.any() for s in (p, q)):
         return _pair_deltas((p, q), [(0, 1)])
-    return _log_spread(induced_map(p, q).alphas)
+    m = induced_map(p, q)
+    return _log_spread(m.maps.linear, m.alphas)
 
 
 def delta_polytope(p: Shape, q: Shape) -> float:
@@ -132,7 +145,7 @@ def converges_to(shapes, limit: Shape, eps: float) -> bool:
     down over the trailing quarter of the sequence."""
     shapes = list(shapes)
     n = len(shapes)
-    dists = _pair_deltas(shapes + [limit], np.c_[np.arange(n), np.full(n, n)])
+    dists = _pair_deltas(shapes + [limit], np.column_stack([np.arange(n), np.full(n, n)]))
     return _tail_converges(dists, eps)
 
 
@@ -161,8 +174,8 @@ def sequence_report(shapes, window: int, eps: float,
     n = len(shapes)
     iu = np.triu_indices(n, k=1)
     pairs = np.column_stack(iu)
-    if limit is not None:  # the limit pairs ride in the same stacked solve
-        pairs = np.r_[pairs, np.c_[np.arange(n), np.full(n, n)]]
+    if limit is not None:  # the limit pairs ride in the same stacked request
+        pairs = np.concatenate([pairs, np.column_stack([np.arange(n), np.full(n, n)])])
         shapes = shapes + [limit]
     deltas = _pair_deltas(shapes, pairs)
     delta = np.zeros((n, n))

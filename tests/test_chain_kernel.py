@@ -30,6 +30,7 @@ from polycomp import (
     spectral_summary,
     triangulation_map,
 )
+from polycomp.affine import degenerate, edge_inverses, edges
 from polycomp.barycentric import chain_simplex_coords
 from generators import random_convex_polygon
 from polycomp.metric import _deltas
@@ -72,6 +73,12 @@ def reference_spectra(p, q, simplices=None):
     return alphas, deltas
 
 
+def stacked_deltas(src, tgt):
+    """``metric._deltas`` on two (t, d+1, d) vertex stacks, from their flags and edges."""
+    flags = (degenerate(src), degenerate(tgt))
+    return _deltas(edge_inverses(edges(src), flags[0]), edges(tgt), flags)
+
+
 def first_degenerate(src, tgt, check_target):
     """First simplex whose loop reference raises, checking its target first."""
     for i, (s, t) in enumerate(zip(src, tgt)):
@@ -103,7 +110,7 @@ def test_stacked_kernel_matches_per_simplex_loop(name, p, q, simplices):
     assert m.simplex_count == len(want_alphas)
     np.testing.assert_allclose(spectral_summary(m).per_simplex, want_alphas, rtol=1e-12)
     deltas = (per_chain_deltas(p, q) if simplices is None
-              else _deltas(m.maps.source, m.maps.target))
+              else stacked_deltas(m.maps.source, m.maps.target))
     np.testing.assert_allclose(deltas, want_deltas, rtol=1e-12)
     src, tgt = reference_simplices(p, q, simplices)
     for i, (s, t) in enumerate(zip(src, tgt)):
@@ -146,7 +153,7 @@ def test_deltas_name_first_degenerate_side():
                        (early, good, "source"), (good, late, "target")):
         want = first_degenerate(*reference_simplices(p, q), check_target=True)
         with pytest.raises(SingularSimplex, match=f"^{side} simplex") as exc:
-            _deltas(chain_simplex_coords(complex_, p), chain_simplex_coords(complex_, q))
+            stacked_deltas(chain_simplex_coords(complex_, p), chain_simplex_coords(complex_, q))
         assert exc.value.index == want
 
 

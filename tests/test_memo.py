@@ -179,9 +179,10 @@ def test_one_job_solves_each_pair_once(monkeypatch):
         tested.append(v)
         return degenerate(v)
 
-    for mod in (barycentric, metric):
-        monkeypatch.setattr(mod, "solve_correspondence",
-                            counted("solve", mod.solve_correspondence))
+    # A pair's linear parts come from ``solve_correspondence`` in a map and from
+    # ``linear_parts`` in a metric request.
+    for mod, solve in ((barycentric, "solve_correspondence"), (metric, "linear_parts")):
+        monkeypatch.setattr(mod, solve, counted("solve", getattr(mod, solve)))
         monkeypatch.setattr(mod, "chain_simplex_coords",
                             counted("chains", mod.chain_simplex_coords))
     for mod in (affine, barycentric, metric):

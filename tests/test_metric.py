@@ -30,8 +30,9 @@ from polycomp import (
     spectral_summary,
     validate_shape,
 )
-from polycomp import metric
+from polycomp import barycentre, barycentric_complex, metric
 from polycomp.affine import degenerate
+from polycomp.barycentric import chain_simplex_coords
 from polycomp.io import load_shapes
 from generators import is_homothetic, random_polygon_shape, random_rotation, random_simplex_shape
 
@@ -73,16 +74,31 @@ def test_delta_simplex_diagonal():
         delta_simplex(square, square)
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e-300])
-def test_delta_of_an_alpha_past_the_float_range_raises(unit_square, scale):
-    # A homothety's delta is 0, but here its alphas over- or underflow; the
-    # memoised map and the stacked request path both say so.
-    q = unit_square.scaled(scale)
-    for delta in (lambda: delta_polytope(unit_square, q),
-                  lambda: metric._pair_deltas([unit_square, q], [(0, 1)])):
-        with pytest.raises(NonFiniteResult, match="^an eigenvalue of the map over- or "
-                                                  "underflows$"):
-            delta()
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_delta_far_from_the_unit_scale_keeps_its_value(unit_square, scale):
+    # The alphas of square -> square * scale (or of the 2x1 rectangle, or of a
+    # generic pentagon pair) over- or underflow, or are subnormal and short of
+    # digits, but their ratio is not: the memoised map and the stacked request
+    # path both divide the linear parts by a power of two first.
+    rng = np.random.default_rng(3)
+    rect = Shape(unit_square.polytope, unit_square.coords * [2.0, 1.0])
+    p, q = random_polygon_shape(rng, 5), random_polygon_shape(rng, 5)
+    for source, target, want in ((unit_square, unit_square, 0.0), (unit_square, rect, LN4),
+                                 (p, q, delta_polytope(p, q))):
+        far = target.scaled(scale)
+        for delta in (delta_polytope(source, far),
+                      float(metric._pair_deltas([source, far], [(0, 1)])[0])):
+            assert abs(delta - want) <= 1e-12
+
+
+def test_delta_of_a_non_finite_linear_part_raises(unit_square):
+    # Here the linear parts themselves (about 1e600) are not finite.
+    p, q = unit_square.scaled(1e-300), unit_square.scaled(1e300)
+    with pytest.raises(NonFiniteResult, match="^the map overflows: a piece's linear part "
+                                              "is not finite$"):
+        delta_polytope(p, q)
+    with pytest.raises(NonFiniteResult, match="^an eigenvalue of the map over- or underflows$"):
+        metric._pair_deltas([p, q], [(0, 1)])
 
 
 def test_delta_polytope_matches_simplex(triangle_pair):
@@ -425,6 +441,57 @@ def test_stacked_requests_match_per_pair_loop(name, seq, limit):
         assert converges_to(seq, limit, eps) == expected
 
 
+def oracle_chain_coords(shape):
+    """(t, d+1, d) chain simplices from ``barycentre``: the one vertex simplex of a
+    simplex polytope, else one per maximal chain of faces."""
+    if shape.polytope.is_simplex:
+        return shape.coords[None]
+    faces = shape.polytope.faces
+    return np.array([[barycentre(faces[f], shape) for f in chain]
+                     for chain in barycentric_complex(shape.polytope).chains])
+
+
+def hilbert_deltas(src, tgt):
+    """Per simplex of two (t, d+1, d) stacks, ln(lam_max / lam_min) of G_Q v = lam G_P v,
+    with G the Gram matrix of a simplex's edges (Hilbert's projective metric on
+    positive definite matrices), solved through a Cholesky factor L of G_P: the
+    eigenvalues of L^-1 G_Q L^-T.  Returns the deltas and the ratios lam_max / lam_min."""
+    ep, eq = src[:, 1:] - src[:, :1], tgt[:, 1:] - tgt[:, :1]
+    gp, gq = ep @ ep.transpose(0, 2, 1), eq @ eq.transpose(0, 2, 1)
+    low = np.linalg.cholesky(gp)
+    half = np.linalg.solve(low, gq)  # L^-1 G_Q, whose transpose is G_Q L^-T
+    lam = np.linalg.eigvalsh(np.linalg.solve(low, half.transpose(0, 2, 1)))
+    ratio = lam[:, -1] / lam[:, 0]
+    return np.log(ratio), ratio
+
+
+def oracle_cases():
+    rng = np.random.default_rng(2401)
+    for d in (2, 3, 4, 5):
+        *seq, limit = (random_simplex_shape(rng, d) for _ in range(7))
+        yield f"simplex-{d}", seq, limit
+    for name, seq, limit in sequence_cases():
+        if name != "simplex":
+            yield name, seq, limit
+
+
+@pytest.mark.parametrize("name,seq,limit", list(oracle_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_deltas_match_the_gram_eigenproblem_oracle(name, seq, limit):
+    # The oracle shares no code with the affine solve.  Alphas carry a relative
+    # error of about 1e-13 sqrt(alpha_max / alpha_min), so a delta, the log of
+    # their ratio, may be off by that much absolutely.
+    shapes, n = seq + [limit], len(seq)
+    x = [oracle_chain_coords(s) for s in shapes]
+    report = sequence_report(seq, window=n // 2, eps=0.1, limit=limit)
+    for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)] + [(i, n) for i in range(n)]:
+        want, ratio = hilbert_deltas(x[i], x[j])
+        got = per_chain_deltas(shapes[i], shapes[j])
+        assert (np.abs(got - want) <= 1e-13 * np.sqrt(ratio)).all()
+        pair = report.delta_matrix[i, j] if j < n else report.limit_deltas[i]
+        assert abs(pair - want.max()) <= 1e-13 * np.sqrt(ratio.max())
+
+
 def test_stacked_requests_on_empty_and_single_sequences(unit_square):
     assert sequence_report([], window=0, eps=0.1).delta_matrix.shape == (0, 0)
     report = sequence_report([unit_square], window=0, eps=0.1, limit=unit_square)
@@ -542,16 +609,30 @@ def test_gathered_degeneracy_flags_equal_per_pair_ones(monkeypatch):
     """Flags computed once per shape and gathered per pair match a per-pair test."""
     seq, limit = octagon_family(np.random.default_rng(11), 8)
     seq[3], seq[6] = collapsed(seq[3], 2, 1), collapsed(seq[6], 5, 4)
-    seen = []
+    shapes, n = seq + [limit], len(seq)
+    complex_ = barycentric_complex(limit.polytope)
+    pending, seen = [], []
 
-    def checked(src, tgt, flags):
-        for got, stack in zip(flags, (src, tgt)):
-            assert (got == degenerate(stack)).all()
+    def checked(inv_src, e_tgt, flags):
+        block = pending[:2]  # the next two pairs of the request
+        del pending[:2]
+        for got, side in zip(flags, (0, 1)):
+            want = [degenerate(chain_simplex_coords(complex_, shapes[pair[side]]))
+                    for pair in block]
+            assert (got == np.concatenate(want)).all()
         seen.append(np.concatenate(flags))
-        return real(src, tgt, flags)
+        return real(inv_src, e_tgt, flags)
 
     real = metric._deltas
-    monkeypatch.setattr(metric, "_deltas", checked)
-    monkeypatch.setattr(metric, "_BLOCK", 32)  # one pair per call
+    monkeypatch.setattr(metric, "_BLOCK", 32)  # two pairs of 16 octagon chains per call
+    to_limit = [(i, n) for i in range(n)]
+    with monkeypatch.context() as mp:
+        mp.setattr(metric, "_deltas", checked)
+        for request, pairs in (
+                (lambda: sequence_report(seq, window=2, eps=0.1, limit=limit),
+                 [(i, j) for i in range(n) for j in range(i + 1, n)] + to_limit),
+                (lambda: converges_to(seq, limit, 0.1), to_limit)):
+            pending[:] = pairs
+            assert outcome(request)[0] is DegenerateSimplex
     assert_same_error(seq, limit, DegenerateSimplex)
     assert any(f.any() for f in seen) and not all(f.any() for f in seen)

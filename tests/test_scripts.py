@@ -23,7 +23,7 @@ def test_bench_records_times_and_counted_calls(tmp_path):
     out = tmp_path / "bench.json"
     root = SCRIPTS.parent
     proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--dims", "3",
-                           "--ngons", "8", "--pleats", "8", "--repeat", "2",
+                           "--ngons", "8", "--pleats", "8", "--sequences", "8", "--repeat", "2",
                            "--src", f"first={root}", "--src", f"second={root}",
                            "--out", str(out)],
                           capture_output=True, text=True)
@@ -63,3 +63,12 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         # The 8-gon fan's 6 triangles over 13 stages: all 6 at the first drop, then
         # one per triangle at each lower stage that its edges reach past.
         assert pleat["calls"] == {"restricted_svd_pairs": 43}
+        sequence = run["sequences"]["8"]
+        assert sequence["pairs"] == 36  # 28 member pairs and 8 to the limit
+        assert sorted(sequence["us"]) == ["chain_coords", "edge_inverses", "eigvalsh", "flags",
+                                          "linear", "sequence_report"]
+        assert all(v > 0 for v in sequence["us"].values())
+        # One request: the chains of all nine shapes built and tested at once, and
+        # all 576 chain pairs (fewer than _BLOCK) in one block of linear parts.
+        assert sequence["calls"] == {"chain_simplex_coords": 1, "degenerate": 1,
+                                     "solve_correspondence": 0, "linear_parts": 1}

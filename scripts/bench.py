@@ -349,7 +349,7 @@ def kernel_job(pc, complex_, p, src, tgt, corr):
     yield "flatness"
     pc.affine.solve_correspondence(src, tgt)
     yield "solve"
-    corr.gram_eigenvalues()
+    pc.affine.gram_eigenvalues(corr.linear)
     yield "eigvalsh"
 
 
@@ -424,7 +424,7 @@ def sequence_layers(pc, complex_, shapes, pairs):
         corr = aff.solve_correspondence(x[pairs[:, 0]].reshape(-1, *x.shape[2:]),
                                         x[pairs[:, 1]].reshape(-1, *x.shape[2:]))
         yield "linear"
-        corr.gram_eigenvalues()
+        aff.gram_eigenvalues(corr.linear)
     yield "eigvalsh"
 
 

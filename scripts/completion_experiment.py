@@ -10,14 +10,7 @@ import sys
 
 import numpy as np
 
-from polycomp import (
-    Shape,
-    converges_to,
-    delta_polytope,
-    is_cauchy,
-    ngon_polytope,
-    validate_shape,
-)
+from polycomp import Shape, ngon_polytope, sequence_report, validate_shape
 
 
 def hexagon_family(steps):
@@ -39,15 +32,15 @@ def main():
     steps = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     seq, limit = hexagon_family(steps)
 
+    window, eps = steps // 2, 1e-3
+    report = sequence_report(seq, window=window, eps=eps, limit=limit)
     print(f"hexagon family, {steps} steps, vertex 1 flattening onto [v0, v2]")
     print("\ndistance to the weakly convex limit:")
-    for i, s in enumerate(seq, start=1):
-        print(f"  step {i:2d}: delta = {delta_polytope(s, limit):.3e}")
+    for i, delta in enumerate(report.limit_deltas, start=1):
+        print(f"  step {i:2d}: delta = {delta:.3e}")
 
-    window = steps // 2
-    cauchy = is_cauchy(seq, window=window, eps=0.05)
-    print(f"\nCauchy (window={window}, eps=0.05): {cauchy.cauchy}")
-    print(f"converges to the limit (eps=1e-3): {converges_to(seq, limit, eps=1e-3)}")
+    print(f"\nCauchy (window={window}, eps={eps:g}): {report.cauchy}")
+    print(f"converges to the limit (eps={eps:g}): {report.converges}")
 
     strict = validate_shape(limit.polytope, limit.coords, "strict")
     weak = validate_shape(limit.polytope, limit.coords, "weak")

@@ -47,10 +47,7 @@ from .lifting import (
 )
 from .metric import (
     SequenceReport,
-    converges_to,
     delta_polytope,
-    delta_simplex,
-    is_cauchy,
     per_chain_deltas,
     sequence_report,
 )

@@ -76,10 +76,6 @@ class AffineCorrespondence:
         xh = np.append(np.asarray(x, dtype=float), 1.0)
         return (self.matrix @ xh)[..., :-1]
 
-    def gram_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of linear^T linear, ascending (squared singular values)."""
-        return gram_eigenvalues(self.linear)
-
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram's eigenvalues read inf
 def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
@@ -89,6 +85,13 @@ def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
     gram = np.ascontiguousarray(np.swapaxes(linear, -1, -2)) @ linear
     finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
     return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
+
+
+def prescaled(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each (..., d, d) matrix divided by 2^k, and k, the ``frexp`` exponent of its largest
+    |entry|: exact, so its Gram eigenvalues scale by exactly 4^-k, the largest to about 1."""
+    k = np.frexp(np.abs(linear).max(axis=(-2, -1)))[1]
+    return np.ldexp(linear, -k[..., None, None]), k
 
 
 def edge_inverses(e: np.ndarray, flat: np.ndarray) -> np.ndarray:

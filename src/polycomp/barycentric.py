@@ -16,7 +16,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .affine import AffineCorrespondence, degenerate, homogeneous, solve_correspondence
+from .affine import (
+    AffineCorrespondence,
+    degenerate,
+    gram_eigenvalues,
+    homogeneous,
+    solve_correspondence,
+)
 from .errors import (
     DegenerateSimplex,
     NonFiniteResult,
@@ -121,7 +127,7 @@ class InducedMap:
     @cached_property
     def alphas(self) -> np.ndarray:
         """Eigenvalues of Abar^T Abar per simplex, (t, d) ascending; computed once, read-only."""
-        alphas = self.maps.gram_eigenvalues()
+        alphas = gram_eigenvalues(self.maps.linear)
         alphas.setflags(write=False)
         return alphas
 
@@ -156,6 +162,13 @@ def chain_simplex_coords(complex_: BarycentricComplex, shape) -> np.ndarray:
     return (sums / inc.sum(axis=1, keepdims=True))[..., complex_.chain_faces, :]
 
 
+def shape_pieces(polytope: CombinatorialPolytope, coords: np.ndarray) -> np.ndarray:
+    """The (..., t, d+1, d) pieces of a (..., n, d) realization of ``polytope``: a simplex
+    polytope's one piece is its vertex simplex, any other's are its chain simplices."""
+    return (coords[..., None, :, :] if polytope.is_simplex
+            else chain_simplex_coords(barycentric_complex(polytope), coords))
+
+
 @dataclass(frozen=True, eq=False)
 class ChainStack:
     """A shape's read-only (t, d+1, d) pieces; ``degenerate`` flags them on first read."""
@@ -171,9 +184,8 @@ class ChainStack:
 
 @lru_cache(maxsize=4)  # a request needs P and Q, a rescaled witness also lambda Q
 def chain_stack(shape: Shape) -> ChainStack:
-    """A shape's chain simplices, or its vertex simplex for a simplex polytope."""
-    coords = (shape.coords[None] if shape.polytope.is_simplex
-              else chain_simplex_coords(barycentric_complex(shape.polytope), shape))
+    """A shape's ``shape_pieces``, as one read-only stack."""
+    coords = shape_pieces(shape.polytope, shape.coords)
     coords.setflags(write=False)
     return ChainStack(coords)
 

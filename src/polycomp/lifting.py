@@ -22,11 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .affine import affine_correspondence, frame_map, intrinsic_map
-from .barycentric import (
-    barycentric_complex,
-    chain_simplex_coords,
-    triangulation_map,
-)
+from .barycentric import shape_pieces, triangulation_map
 from .errors import (
     InconsistentLattice,
     InfeasibleApex,
@@ -154,10 +150,8 @@ def _simplex_volume(coords: np.ndarray) -> float:
 
 
 def _shape_volume(shape: Shape) -> float:
-    """Volume of the realization, summed over barycentric chain simplices."""
-    if shape.polytope.is_simplex:
-        return _simplex_volume(shape.coords)
-    return _simplex_volume(chain_simplex_coords(barycentric_complex(shape.polytope), shape))
+    """Volume of the realization, summed over its pieces (``shape_pieces``)."""
+    return _simplex_volume(shape_pieces(shape.polytope, shape.coords))
 
 
 def _exponent(*arrays) -> int:

@@ -3,9 +3,9 @@
 For simplices the distance is ln(alpha_max / alpha_min) of the eigenvalues
 of Abar^T Abar; it vanishes exactly on homothety-plus-isometry classes.
 For general polytopes it is the maximum of the simplex distances over
-corresponding chain simplices of the barycentric subdivisions.  Cauchy and
-convergence checks over shape sequences provide finite evidence for the
-completion behaviour of the metric.
+corresponding chain simplices of the barycentric subdivisions.  The Cauchy and
+convergence verdicts of ``sequence_report`` over shape sequences provide finite
+evidence for the completion behaviour of the metric.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import degenerate, edge_inverses, edges, gram_eigenvalues, linear_parts
-from .barycentric import barycentric_complex, chain_simplex_coords, chain_stack, induced_map
+from .affine import degenerate, edge_inverses, edges, gram_eigenvalues, linear_parts, prescaled
+from .barycentric import chain_stack, induced_map, shape_pieces
 from .errors import DegenerateSimplex, NonFiniteResult, PolytopeMismatch, SingularSimplex
 from .polytopes import Shape
 
@@ -24,12 +24,10 @@ _TINY = np.finfo(float).tiny  # an alpha below the normal range has lost digits
 
 def _log_spread(linear: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """ln(alpha_max / alpha_min) per piece from its linear part and Gram eigenvalues.
-    If an alpha leaves the normal range, they are recomputed from each linear part
-    divided by a power of two near its largest |entry|, which is exact and keeps the
-    ratio; ``NonFiniteResult`` if one still leaves (0, inf)."""
+    If an alpha leaves the normal range, they are recomputed from the ``prescaled`` linear
+    parts, which keeps the ratio; ``NonFiniteResult`` if one still leaves (0, inf)."""
     if not _TINY <= alphas.min() <= alphas.max() < np.inf:
-        exponent = np.frexp(np.abs(linear).max(axis=(-2, -1)))[1]
-        alphas = gram_eigenvalues(np.ldexp(linear, -exponent[:, None, None]))
+        alphas = gram_eigenvalues(prescaled(linear)[0])
         if not 0.0 < alphas.min() <= alphas.max() < np.inf:
             raise NonFiniteResult("an eigenvalue of the map over- or underflows")
     return np.log(alphas[:, -1] / alphas[:, 0])
@@ -52,13 +50,12 @@ _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long re
 
 
 def _pair_deltas(shapes, pairs) -> np.ndarray:
-    """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs`` (a
-    simplex polytope has one chain, its vertex map).  The chain simplices of all
-    shapes come from one stacked build; each shape's edges are tested and inverted
-    once, and the pairs gather them in blocks of about ``_BLOCK`` simplices.  Every
-    shape a pair names must realize the first pair's polytope: the first pair
-    naming one that does not raises ``PolytopeMismatch`` once the pairs before
-    it are solved.  A degenerate chain raises as a per-pair ``delta_polytope``
+    """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs``.  The
+    ``shape_pieces`` of all shapes come from one stacked build; each shape's edges are
+    tested and inverted once, and the pairs gather them in blocks of about ``_BLOCK``
+    simplices.  Every shape a pair names must realize the first pair's polytope: the
+    first pair naming one that does not raises ``PolytopeMismatch`` once the pairs
+    before it are solved.  A degenerate piece raises as a per-pair ``delta_polytope``
     loop would."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
@@ -67,12 +64,9 @@ def _pair_deltas(shapes, pairs) -> np.ndarray:
     same = np.array([s.polytope == poly for s in shapes])
     mismatched = np.flatnonzero(~same[pairs].all(axis=1))
     rows = (np.cumsum(same) - 1)[pairs[:mismatched[0]] if mismatched.size else pairs]
-    coords = np.stack([s.coords for s, ok in zip(shapes, same) if ok])  # (S, n, d)
-    x = (coords[:, None] if poly.is_simplex
-         else chain_simplex_coords(barycentric_complex(poly), coords))  # (S, t, d+1, d)
+    x = shape_pieces(poly, np.stack([s.coords for s, ok in zip(shapes, same) if ok]))
     bad = degenerate(x)  # (S, t): each shape's chains tested once, gathered per pair
-    e = edges(x)
-    inv = edge_inverses(e, bad)
+    inv = edge_inverses(e := edges(x), bad)
     t, d = bad.shape[1], poly.dimension
     step = max(1, _BLOCK // t)
     out = []
@@ -91,21 +85,9 @@ def _pair_deltas(shapes, pairs) -> np.ndarray:
     return np.concatenate(out)
 
 
-def delta_simplex(p: Shape, q: Shape) -> float:
-    """Compression distance between two simplex shapes."""
-    if not p.polytope.is_simplex or not q.polytope.is_simplex:
-        raise ValueError("delta_simplex applies to simplex shapes")
-    try:
-        return delta_polytope(p, q)
-    except DegenerateSimplex as exc:
-        raise exc.__cause__ from None
-
-
 def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
-    """Simplex distances over the pieces of the memoised ``induced_map(p, q)``:
-    its barycentric chain simplices, or the one vertex map of a simplex
-    polytope.  A degenerate piece in either shape raises through
-    ``_pair_deltas``, as in a request."""
+    """Simplex distances over the ``shape_pieces`` of the memoised ``induced_map(p, q)``.
+    A degenerate piece in either shape raises through ``_pair_deltas``, as in a request."""
     if any(chain_stack(s).degenerate.any() for s in (p, q)):
         return _pair_deltas((p, q), [(0, 1)])
     m = induced_map(p, q)
@@ -119,47 +101,13 @@ def delta_polytope(p: Shape, q: Shape) -> float:
 
 
 @dataclass(frozen=True)
-class CauchyResult:
-    cauchy: bool
-    first_violation: tuple[int, int] | None
-
-
-def _cauchy_scan(n: int, window: int, eps: float, delta) -> CauchyResult:
-    """First pair i < j, both >= window, with delta(i, j) >= eps, in row order."""
-    for i in range(window, n):
-        for j in range(i + 1, n):
-            if delta(i, j) >= eps:
-                return CauchyResult(False, (i, j))
-    return CauchyResult(True, None)
-
-
-def is_cauchy(shapes, window: int, eps: float) -> CauchyResult:
-    """All pairs with both indices >= window must satisfy delta < eps."""
-    shapes = list(shapes)
-    return _cauchy_scan(len(shapes), window, eps,
-                        lambda i, j: delta_polytope(shapes[i], shapes[j]))
-
-
-def converges_to(shapes, limit: Shape, eps: float) -> bool:
-    """Distances to the limit must fall below eps and trend monotonically
-    down over the trailing quarter of the sequence."""
-    shapes = list(shapes)
-    n = len(shapes)
-    dists = _pair_deltas(shapes + [limit], np.column_stack([np.arange(n), np.full(n, n)]))
-    return _tail_converges(dists, eps)
-
-
-def _tail_converges(dists, eps: float) -> bool:
-    m = max(2, len(dists) // 4)
-    tail = dists[-m:]
-    if any(t >= eps for t in tail):
-        return False
-    return all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
-
-
-@dataclass(frozen=True)
 class SequenceReport:
-    """Pairwise distance matrix of a shape sequence with Cauchy statistics."""
+    """Pairwise distance matrix of a shape sequence with its Cauchy and convergence verdicts.
+
+    ``first_violation`` is the first pair (i, j) in row order with i >= window, j > i
+    and delta >= eps; ``cauchy`` holds when there is none.  Given a limit, ``converges``
+    holds when, over the trailing quarter (at least two) of ``limit_deltas``, every
+    distance is below eps and none exceeds the one before it by more than 1e-9."""
 
     delta_matrix: np.ndarray
     cauchy: bool
@@ -170,6 +118,7 @@ class SequenceReport:
 
 def sequence_report(shapes, window: int, eps: float,
                     limit: Shape | None = None) -> SequenceReport:
+    """The ``SequenceReport`` of a sequence (and its limit) from one stacked request."""
     shapes = list(shapes)
     n = len(shapes)
     iu = np.triu_indices(n, k=1)
@@ -180,9 +129,11 @@ def sequence_report(shapes, window: int, eps: float,
     deltas = _pair_deltas(shapes, pairs)
     delta = np.zeros((n, n))
     delta[iu] = delta[iu[::-1]] = deltas[:len(iu[0])]
-    cauchy = _cauchy_scan(n, window, eps, lambda i, j: delta[i, j])
-    limit_deltas = None if limit is None else deltas[len(iu[0]):]
-    conv = None if limit is None else _tail_converges(limit_deltas, eps)
-    return SequenceReport(delta_matrix=delta, cauchy=cauchy.cauchy,
-                          first_violation=cauchy.first_violation,
-                          limit_deltas=limit_deltas, converges=conv)
+    first = next(((i, j) for i in range(window, n) for j in range(i + 1, n)
+                  if delta[i, j] >= eps), None)
+    limit_deltas = converges = None
+    if limit is not None:
+        limit_deltas = deltas[len(iu[0]):]
+        tail = limit_deltas[-max(2, n // 4):]
+        converges = not (tail >= eps).any() and bool((tail[1:] <= tail[:-1] + 1e-9).all())
+    return SequenceReport(delta, first is None, first, limit_deltas, converges)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .affine import DET_TOL, degenerate, homogeneous
+from .affine import DET_TOL, degenerate, gram_eigenvalues, homogeneous, prescaled
 from .barycentric import DerivedMap, InducedMap, chain_stack, induced_map, require_same_polytope
 from .errors import NonFiniteResult, SingularSimplex
 from .polytopes import Shape
@@ -199,6 +199,9 @@ def scale_critical(p: Shape, q: Shape) -> CriticalRescale:
     """
     s = spectral_summary(m := induced_map(p, q))
     lam = 1.0 / np.sqrt(s.alpha_max)
+    if s.alpha_max < np.finfo(float).tiny:  # subnormal, short of digits: prescale each piece
+        linear, k = prescaled(m.maps.linear)
+        lam = 1.0 / np.ldexp(np.sqrt(gram_eigenvalues(linear)[:, -1]), k).max()
     scaled = q.scaled(lam)
     return CriticalRescale(lam=float(lam),
                            classification=classify(DerivedMap(p, scaled, m.alphas / s.alpha_max)),

@@ -16,15 +16,12 @@ from polycomp import (
     PointOnShape,
     Shape,
     classify,
-    converges_to,
     delta_polytope,
-    delta_simplex,
     distance_derivative,
     evaluate_map,
     extremal_pair,
     fan_triangulation,
     induced_map,
-    is_cauchy,
     lift_simplex,
     ngon_polytope,
     orthogonal_completion,
@@ -32,6 +29,7 @@ from polycomp import (
     pleated_embedding,
     pleated_projection_chain,
     scale_critical,
+    sequence_report,
     simplex_polytope,
     spectral_summary,
     validate_shape,
@@ -186,12 +184,12 @@ def test_criterion_4_metric_axioms():
                     for j in range(i + 1, 3):
                         assert not is_homothetic(shapes[i], shapes[j])
                         assert deltas[i, j] > 1e-10
-                # simplex consistency
+                # simplex consistency: the stacked request agrees with the pair path
+                matrix = sequence_report(shapes, window=0, eps=1.0).delta_matrix
                 for i in range(3):
                     for j in range(3):
                         if i != j:
-                            assert abs(deltas[i, j]
-                                       - delta_simplex(shapes[i], shapes[j])) <= 1e-12
+                            assert abs(deltas[i, j] - matrix[i, j]) <= 1e-12
 
 
 def test_criterion_5_critical_rescaling():
@@ -276,8 +274,8 @@ def test_criterion_8_completion_experiment():
         seq = [Shape(poly, member(2.0 ** -i)) for i in range(1, 21)]
         limit = Shape(poly, member(0.0), mode="weak")
 
-        assert is_cauchy(seq, window=10, eps=0.05).cauchy
-        assert converges_to(seq, limit, eps=1e-3)
+        assert sequence_report(seq, window=10, eps=0.05).cauchy
+        assert sequence_report(seq, window=10, eps=1e-3, limit=limit).converges
 
         strict_report = validate_shape(poly, limit.coords, "strict")
         weak_report = validate_shape(poly, limit.coords, "weak")

@@ -30,7 +30,7 @@ from polycomp import (
     spectral_summary,
     triangulation_map,
 )
-from polycomp.affine import degenerate, edge_inverses, edges
+from polycomp.affine import degenerate, edge_inverses, edges, gram_eigenvalues
 from polycomp.barycentric import chain_simplex_coords
 from generators import random_convex_polygon
 from polycomp.metric import _deltas
@@ -67,7 +67,7 @@ def reference_simplices(p, q, simplices=None):
 def reference_spectra(p, q, simplices=None):
     """Per-simplex alphas and deltas from the per-simplex loop."""
     src, tgt = reference_simplices(p, q, simplices)
-    alphas = np.array([affine_correspondence(s, t).gram_eigenvalues()
+    alphas = np.array([gram_eigenvalues(affine_correspondence(s, t).linear)
                        for s, t in zip(src, tgt)])
     deltas = np.array([np.log(a[-1] / a[0]) for a in alphas])
     return alphas, deltas

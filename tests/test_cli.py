@@ -674,8 +674,10 @@ def test_unequal_scales_keep_the_cli_contract(tmp_path, capsys, name, p_scale, q
                                    1e160])
 def test_scale_reaches_the_critical_homothety_at_any_scale(tmp_path, capsys, scale):
     """Wherever ``scale`` returns, the rescaled map is critical: its deciding
-    chain reads alpha_max 1.0 exactly and the verdict is weak.  At 1e-160 the
-    solved rescaled map once read 1.0000111329412578, NotWeakCompression."""
+    chain reads alpha_max 1.0 exactly, the verdict is weak and lambda undoes the
+    scale to the last bits.  At 1e-160 the solved rescaled map once read
+    1.0000111329412578, NotWeakCompression, and lambda, from a subnormal
+    alpha_max, was 5.6e-6 too large."""
     from polycomp import cli
 
     p = write_json(tmp_path / "P.json", square_doc())
@@ -687,6 +689,7 @@ def test_scale_reaches_the_critical_homothety_at_any_scale(tmp_path, capsys, sca
     else:
         assert payload["verdict_after"] == "WeakCompressionNotStrict"
         assert payload["alpha_max_after"] == 1.0
+        assert abs(payload["lambda"] * scale - 1.0) <= 2.0**-51
     # alpha_max = scale^2 stays positive (subnormal at 1e-160) up to 1e154 and
     # overflows at 1e160.
     assert code == (2 if scale > 1e154 else 0)

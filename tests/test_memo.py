@@ -180,11 +180,12 @@ def test_one_job_solves_each_pair_once(monkeypatch):
         return degenerate(v)
 
     # A pair's linear parts come from ``solve_correspondence`` in a map and from
-    # ``linear_parts`` in a metric request.
+    # ``linear_parts`` in a metric request; both build chains through ``shape_pieces``,
+    # which looks ``chain_simplex_coords`` up in ``barycentric``.
     for mod, solve in ((barycentric, "solve_correspondence"), (metric, "linear_parts")):
         monkeypatch.setattr(mod, solve, counted("solve", getattr(mod, solve)))
-        monkeypatch.setattr(mod, "chain_simplex_coords",
-                            counted("chains", mod.chain_simplex_coords))
+    monkeypatch.setattr(barycentric, "chain_simplex_coords",
+                        counted("chains", barycentric.chain_simplex_coords))
     for mod in (affine, barycentric, metric):
         monkeypatch.setattr(mod, "degenerate", counted("flat", flatness))
     for f in ENTRY_POINTS:

@@ -16,13 +16,9 @@ from polycomp import (
     PolycompError,
     PolytopeMismatch,
     Shape,
-    SingularSimplex,
     build_polytope,
-    converges_to,
     delta_polytope,
-    delta_simplex,
     induced_map,
-    is_cauchy,
     ngon_polytope,
     per_chain_deltas,
     sequence_report,
@@ -57,10 +53,10 @@ def oracle_delta_polytope(p, q):
 
 def test_delta_simplex_trivial(rng):
     p = random_simplex_shape(rng, 2)
-    assert delta_simplex(p, p) == pytest.approx(0.0, abs=1e-12)
+    assert delta_polytope(p, p) == pytest.approx(0.0, abs=1e-12)
     moved = p.scaled(3.7).transformed(rotation=random_rotation(rng, 2),
                                       translation=[1.0, -2.0])
-    assert delta_simplex(p, moved) == pytest.approx(0.0, abs=1e-10)
+    assert delta_polytope(p, moved) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_delta_simplex_diagonal():
@@ -68,10 +64,7 @@ def test_delta_simplex_diagonal():
     src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     p = Shape(tri, src)
     q = Shape(tri, src @ np.diag([2.0, 1.0]).T)
-    assert delta_simplex(p, q) == pytest.approx(np.log(4.0), abs=1e-12)
-    square = Shape(ngon_polytope(4), [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="^delta_simplex applies to simplex shapes$"):
-        delta_simplex(square, square)
+    assert delta_polytope(p, q) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
@@ -106,7 +99,7 @@ def test_delta_polytope_matches_simplex(triangle_pair):
     p, q = triangle_pair
     deltas = per_chain_deltas(p, q)
     assert deltas.shape == (1,)
-    assert float(deltas[0]).hex() == delta_polytope(p, q).hex() == delta_simplex(p, q).hex()
+    assert float(deltas[0]).hex() == delta_polytope(p, q).hex()
 
 
 def test_delta_square_vs_rectangle(unit_square):
@@ -131,7 +124,7 @@ def test_delta_symmetry_via_inverse(rng):
     for _ in range(10):
         p = random_simplex_shape(rng, 3)
         q = random_simplex_shape(rng, 3)
-        assert abs(delta_simplex(p, q) - delta_simplex(q, p)) <= 1e-10
+        assert abs(delta_polytope(p, q) - delta_polytope(q, p)) <= 1e-10
 
 
 def test_delta_homothety_isometry_invariance(rng):
@@ -301,7 +294,7 @@ def test_is_homothetic(rng):
 
 def test_is_cauchy_constant(unit_square):
     seq = [unit_square] * 8
-    assert is_cauchy(seq, window=2, eps=1e-12).cauchy
+    assert sequence_report(seq, window=2, eps=1e-12).cauchy
 
 
 def test_is_cauchy_shrinking_axis(rng):
@@ -313,7 +306,7 @@ def test_is_cauchy_shrinking_axis(rng):
     expected = 2 * abs(np.log((1 + 1 / n) / (1 + 1 / m)))
     got = delta_polytope(seq[n - 1], seq[m - 1])
     assert got == pytest.approx(expected, abs=1e-10)
-    assert is_cauchy(seq, window=20, eps=0.1).cauchy
+    assert sequence_report(seq, window=20, eps=0.1).cauchy
 
 
 def test_is_not_cauchy_diverging_axis(rng):
@@ -322,9 +315,29 @@ def test_is_not_cauchy_diverging_axis(rng):
     seq = [Shape(p0.polytope, p0.coords @ np.diag([float(n), 1.0]).T)
            for n in range(1, 21)]
     assert delta_polytope(seq[4], seq[9]) == pytest.approx(np.log(4.0), abs=1e-10)
-    result = is_cauchy(seq, window=10, eps=1.0)
+    result = sequence_report(seq, window=10, eps=1.0)
     assert not result.cauchy
     assert result.first_violation is not None
+
+
+def test_report_verdicts_follow_row_order_and_the_tail_tolerance(rng):
+    # P(x) = diag(e^x, 1) P_0 gives delta(P(x), P(y)) = 2|x - y|.  Row order finds
+    # (0, 3) before (1, 2), which a column-order scan would find first; the last
+    # step of the distances to the limit P(0) rises by 1e-6 (no convergence) or by
+    # 2e-10, within the 1e-9 the rule allows.
+    p0 = random_simplex_shape(rng, 2)
+
+    def member(x):
+        return Shape(p0.polytope, p0.coords @ np.diag([np.exp(x), 1.0]).T)
+
+    seq = [member(x) for x in (0.0, 0.1, -0.1, 1.0)]
+    report = sequence_report(seq, window=0, eps=0.3)
+    assert (report.cauchy, report.first_violation) == (False, (0, 3))
+    assert sequence_report(seq, window=1, eps=0.3).first_violation == (1, 2)
+    for rise, converges in ((1e-6, False), (2e-10, True)):
+        seq = [member(x) for x in (0.3, 0.2, 0.01, 0.01 + rise / 2)]
+        report = sequence_report(seq, window=0, eps=0.1, limit=p0)
+        assert report.converges is converges
 
 
 def hexagon_family(steps=20):
@@ -343,12 +356,12 @@ def hexagon_family(steps=20):
 
 
 def test_converges_constant(unit_square):
-    assert converges_to([unit_square] * 8, unit_square, eps=1e-9)
+    assert sequence_report([unit_square] * 8, window=0, eps=1e-9, limit=unit_square).converges
 
 
 def test_hexagon_family_converges_to_weak_limit():
     seq, limit = hexagon_family(12)
-    assert converges_to(seq, limit, eps=1e-2)
+    assert sequence_report(seq, window=0, eps=1e-2, limit=limit).converges
     strict_report = validate_shape(limit.polytope, limit.coords, "strict")
     weak_report = validate_shape(limit.polytope, limit.coords, "weak")
     assert strict_report.verdict != "strictly-convex"
@@ -359,7 +372,7 @@ def test_diverging_sequence_does_not_converge(rng):
     p0 = random_simplex_shape(rng, 2)
     seq = [Shape(p0.polytope, p0.coords @ np.diag([float(n), 1.0]).T)
            for n in range(1, 13)]
-    assert not converges_to(seq, p0, eps=1.0)
+    assert not sequence_report(seq, window=0, eps=1.0, limit=p0).converges
 
 
 def test_delta_rejects_degenerate_limit():
@@ -429,16 +442,26 @@ def sequence_cases():
 @pytest.mark.parametrize("name,seq,limit", list(sequence_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_stacked_requests_match_per_pair_loop(name, seq, limit):
+    # The verdicts follow from the loop's distances: the first violation is the first
+    # pair (i, j), i >= window and j > i, in row order with delta >= eps, and the
+    # sequence converges when the trailing quarter of its distances to the limit
+    # (at least two) is below eps and never rises by more than 1e-9.
     want, want_limit = loop_sequence(seq, limit)
-    report = sequence_report(seq, window=len(seq) // 2, eps=0.1, limit=limit)
-    assert (report.delta_matrix == want).all()
-    assert (report.limit_deltas == want_limit).all()
+    n = len(seq)
+    tail = want_limit[-max(2, n // 4):]
     assert (sequence_report(seq, window=2, eps=0.1).delta_matrix == want).all()
-    m = max(2, len(seq) // 4)
-    tail = want_limit[-m:]
-    for eps in (1e-3, 0.1, 10.0):
+    for window, eps in itertools.product((0, 2, n // 2), (1e-3, 0.1, 10.0)):
+        report = sequence_report(seq, window=window, eps=eps, limit=limit)
+        assert (report.delta_matrix == want).all()
+        assert (report.limit_deltas == want_limit).all()
+        violations = np.triu(want >= eps, k=1)
+        violations[:window] = False
+        hits = np.argwhere(violations)  # row-major, so in row order
+        first = tuple(hits[0].tolist()) if len(hits) else None
+        assert report.first_violation == first
+        assert report.cauchy is (first is None)
         expected = (tail < eps).all() and (np.diff(tail) <= 1e-9).all()
-        assert converges_to(seq, limit, eps) == expected
+        assert report.converges is bool(expected)
 
 
 def oracle_chain_coords(shape):
@@ -496,7 +519,7 @@ def test_stacked_requests_on_empty_and_single_sequences(unit_square):
     assert sequence_report([], window=0, eps=0.1).delta_matrix.shape == (0, 0)
     report = sequence_report([unit_square], window=0, eps=0.1, limit=unit_square)
     assert report.delta_matrix.shape == (1, 1) and report.limit_deltas.tolist() == [0.0]
-    assert converges_to([], unit_square, eps=0.1)
+    assert sequence_report([], window=0, eps=0.1, limit=unit_square).converges
 
 
 def outcome(f, *args, **kwargs):
@@ -518,8 +541,6 @@ def assert_same_error(seq, limit, expected_type):
     want = outcome(loop_sequence, seq, limit)
     assert isinstance(want, tuple) and want[0] is expected_type
     assert outcome(sequence_report, seq, window=2, eps=0.1, limit=limit) == want
-    assert outcome(converges_to, seq, limit, 0.1) == outcome(
-        lambda: [delta_polytope(s, limit) for s in seq])
     assert outcome(loop_axiom_suite, seq + [limit])[0] is expected_type
     return want
 
@@ -567,9 +588,6 @@ def test_simplex_polytope_errors_name_the_side(triangle_pair):
         _, message, chain = assert_same_error(seq, q, DegenerateSimplex)
         assert (message, chain) == (f"{side} simplex is affinely degenerate", 0)
     assert assert_same_error([p, q], flat, DegenerateSimplex)[1].startswith("target")
-    # delta_simplex raises the bare SingularSimplex; per_chain_deltas wraps it
-    with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$"):
-        delta_simplex(flat, p)
     with pytest.raises(DegenerateSimplex, match="^source simplex is affinely degenerate$"):
         per_chain_deltas(flat, p)
 
@@ -631,7 +649,7 @@ def test_gathered_degeneracy_flags_equal_per_pair_ones(monkeypatch):
         for request, pairs in (
                 (lambda: sequence_report(seq, window=2, eps=0.1, limit=limit),
                  [(i, j) for i in range(n) for j in range(i + 1, n)] + to_limit),
-                (lambda: converges_to(seq, limit, 0.1), to_limit)):
+                (lambda: metric._pair_deltas(shapes, to_limit), to_limit)):
             pending[:] = pairs
             assert outcome(request)[0] is DegenerateSimplex
     assert_same_error(seq, limit, DegenerateSimplex)

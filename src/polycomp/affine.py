@@ -2,12 +2,12 @@
 
 A d-simplex with vertices p_0..p_d is held by its edge matrix E, whose rows
 are the edges p_i - p_0.  The affine map carrying it onto a simplex with
-edge matrix F has the linear part A = (E^{-1} F)^T, and the shift
-q_0 - A p_0; the (d+1)x(d+1) homogeneous matrix is assembled from those two
-with an exact last row (0, .., 0, 1).  Every spectral criterion in this
-package reads the d x d linear part, through the eigenvalues of its Gram
-matrix A^T A, and all of it broadcasts over stacks of simplices, so a shape's
-edge inverses can be computed once and shared by every map out of it.
+edge matrix F has the linear part A = (E^{-1} F)^T; a piece is its two
+vertex arrays and that linear part, and it maps x to q_0 + A (x - p_0).
+Every spectral criterion in this package reads the d x d linear part,
+through the eigenvalues of its Gram matrix A^T A, and all of it broadcasts
+over stacks of simplices, so a shape's edge inverses can be computed once and
+shared by every map out of it.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ import numpy as np
 from .errors import SingularSimplex
 
 DET_TOL = 1e-12
-
-
-def homogeneous(vertices: np.ndarray) -> np.ndarray:
-    """Column matrices [[p_1 .. p_{d+1}], [1 .. 1]] of vertex arrays (..., d+1, d)."""
-    v = np.asarray(vertices, dtype=float)
-    ones = np.ones(v.shape[:-2] + (1, v.shape[-2]))
-    return np.concatenate([np.swapaxes(v, -1, -2), ones], axis=-2)
 
 
 def edges(vertices: np.ndarray) -> np.ndarray:
@@ -61,7 +54,6 @@ class AffineCorrespondence:
 
     source: np.ndarray  # (..., d+1, d) rows are vertices
     target: np.ndarray
-    matrix: np.ndarray  # (..., d+1, d+1) homogeneous map, last row (0,..,0,1)
     linear: np.ndarray  # (..., d, d) reduced matrix
 
     @property
@@ -69,12 +61,7 @@ class AffineCorrespondence:
         return self.source.shape[-1]
 
     def __getitem__(self, i) -> AffineCorrespondence:
-        return AffineCorrespondence(self.source[i], self.target[i], self.matrix[i],
-                                    self.linear[i])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        xh = np.append(np.asarray(x, dtype=float), 1.0)
-        return (self.matrix @ xh)[..., :-1]
+        return AffineCorrespondence(self.source[i], self.target[i], self.linear[i])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram's eigenvalues read inf
@@ -122,16 +109,10 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
     return solve_correspondence(src, tgt)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # so does its shift
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing inverse reads inf or nan
 def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorrespondence:
     """``affine_correspondence`` on float stacks already known to be nondegenerate."""
-    d = src.shape[-1]
-    linear = linear_parts(np.linalg.inv(edges(src)), edges(tgt))
-    matrix = np.zeros(src.shape[:-2] + (d + 1, d + 1))
-    matrix[..., :d, :d] = linear
-    matrix[..., :d, d] = tgt[..., 0, :] - np.vecdot(linear, src[..., :1, :])
-    matrix[..., d, d] = 1.0
-    return AffineCorrespondence(src, tgt, matrix, linear)
+    return AffineCorrespondence(src, tgt, linear_parts(np.linalg.inv(edges(src)), edges(tgt)))
 
 
 def intrinsic_map(source, target) -> np.ndarray:
@@ -150,9 +131,8 @@ def intrinsic_map(source, target) -> np.ndarray:
         raise ValueError("simplices must be (..., k+1, D) vertex arrays")
     if src.shape[-2] > src.shape[-1] + 1:  # more than D+1 points are affinely dependent
         raise SingularSimplex("source simplex is affinely degenerate", 0)
-    e_src = np.swapaxes(src[..., 1:, :] - src[..., :1, :], -1, -2)  # (..., D_s, k)
-    e_tgt = tgt[..., 1:, :] - tgt[..., :1, :]  # (..., k, D_t)
-    return frame_map(np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2), e_tgt)
+    e_src = np.swapaxes(edges(src), -1, -2)  # (..., D_s, k)
+    return frame_map(np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2), edges(tgt))
 
 
 def frame_map(frame: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:

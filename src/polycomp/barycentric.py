@@ -19,8 +19,8 @@ import numpy as np
 from .affine import (
     AffineCorrespondence,
     degenerate,
+    edges,
     gram_eigenvalues,
-    homogeneous,
     solve_correspondence,
 )
 from .errors import (
@@ -118,7 +118,7 @@ class InducedMap:
 
     source: Shape
     target: Shape
-    maps: AffineCorrespondence  # arrays (t, d+1, d), (t, d+1, d+1), (t, d, d)
+    maps: AffineCorrespondence  # source and target (t, d+1, d), linear (t, d, d)
 
     @property
     def simplex_count(self) -> int:
@@ -197,7 +197,7 @@ def _stacked_map(p: Shape, q: Shape, src: ChainStack, tgt: np.ndarray, describe)
     maps = solve_correspondence(src.coords, tgt)
     if not np.isfinite(maps.linear).all():
         raise NonFiniteResult("the map overflows: a piece's linear part is not finite")
-    for a in (maps.source, maps.target, maps.matrix, maps.linear):
+    for a in (maps.source, maps.target, maps.linear):
         a.setflags(write=False)
     return InducedMap(p, q, maps)
 
@@ -241,9 +241,9 @@ def evaluate_map(m: InducedMap, x) -> np.ndarray:
     simplex contains the point.
     """
     x = np.asarray(x, dtype=float)
-    ph = homogeneous(m.maps.source)
-    xh = np.broadcast_to(np.append(x, 1.0)[:, None], ph.shape[:-1] + (1,))
-    lam = np.linalg.solve(ph, xh)[..., 0]
+    src = m.maps.source
+    rest = np.linalg.solve(np.swapaxes(edges(src), -1, -2), (x - src[:, 0])[..., None])[..., 0]
+    lam = np.column_stack([1.0 - rest.sum(axis=1), rest])
     inside = np.flatnonzero(lam.min(axis=1) >= -BARY_TOL)
     if not inside.size:
         raise PointOutside(f"point {x.tolist()} lies in no simplex of the domain")

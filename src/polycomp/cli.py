@@ -32,7 +32,7 @@ from .lifting import (
     pleated_embedding,
     projection_chain,
 )
-from .metric import delta_polytope, per_chain_deltas, sequence_report
+from .metric import per_chain_deltas, sequence_report
 from .polytopes import Shape, fan_triangulation, is_tree, validate_shape
 from .spectral import (
     DEFAULT_TOL,
@@ -149,9 +149,10 @@ def cmd_edges(args):
 
 def cmd_distance(args):
     p, q = _checked_pair(args)
-    payload = {"delta": delta_polytope(p, q), "method": "simplex"}
+    per_chain = per_chain_deltas(p, q)
+    payload = {"delta": float(np.max(per_chain)), "method": "simplex"}
     if not p.polytope.is_simplex:
-        payload.update(method="barycentric", per_chain=per_chain_deltas(p, q).tolist())
+        payload.update(method="barycentric", per_chain=per_chain.tolist())
     summary = f"delta = {payload['delta']:.12g}"
     return payload, summary, 0
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import affine_correspondence, frame_map, intrinsic_map
+from .affine import affine_correspondence, edges, frame_map, intrinsic_map
 from .barycentric import shape_pieces, triangulation_map
 from .errors import (
     InconsistentLattice,
@@ -95,9 +95,7 @@ def orthogonal_completion(m: np.ndarray) -> OrthogonalCompletion:
         if len(cols) == 2 * d:
             break
         r = basis[i]
-        for c in cols:  # two passes of Gram-Schmidt for stability
-            r = r - np.dot(c, r) * c
-        for c in cols:
+        for c in cols + cols:  # two passes of Gram-Schmidt for stability
             r = r - np.dot(c, r) * c
         norm = np.linalg.norm(r)
         if norm > DEPENDENT_TOL:
@@ -145,8 +143,7 @@ class PleatedEmbedding:
 
 def _simplex_volume(coords: np.ndarray) -> float:
     """Total volume of a (..., d+1, d) stack of simplices."""
-    e = coords[..., 1:, :] - coords[..., :1, :]
-    return float(np.abs(np.linalg.det(e)).sum()) / math.factorial(coords.shape[-1])
+    return float(np.abs(np.linalg.det(edges(coords))).sum()) / math.factorial(coords.shape[-1])
 
 
 def _shape_volume(shape: Shape) -> float:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .affine import DET_TOL, degenerate, gram_eigenvalues, homogeneous, prescaled
+from .affine import DET_TOL, degenerate, edges, gram_eigenvalues, prescaled, solve_correspondence
 from .barycentric import DerivedMap, InducedMap, chain_stack, induced_map, require_same_polytope
 from .errors import NonFiniteResult, SingularSimplex
 from .polytopes import Shape
@@ -141,7 +141,8 @@ def extremal_pair(m: InducedMap | DerivedMap) -> ExtremalPair:
     # Barycentric velocity along u; along -u it is the exact negation.  In
     # units of 1/length: an entry below DET_TOL of the largest counts as zero.
     # The entries sum to 0, so entry k is negative when no other is below -zero.
-    lam_u = np.linalg.solve(homogeneous(corr.source), np.append(u, 0.0))
+    rest = np.linalg.solve(edges(corr.source).T, u)
+    lam_u = np.append(-rest.sum(), rest)
     zero = DET_TOL * np.abs(lam_u).max()
 
     k, sign = next(((k, sign) for k in range(d + 1) for sign in (1.0, -1.0)
@@ -155,7 +156,7 @@ def extremal_pair(m: InducedMap | DerivedMap) -> ExtremalPair:
         lo = max(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] > 0)
         hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
         x, y = centre + lo * u, centre + hi * u
-    ratio = float(_lengths(corr.apply(x) - corr.apply(y)) / _lengths(x - y))
+    ratio = float(_lengths(corr.linear @ (y - x)) / _lengths(y - x))
     return ExtremalPair(x=x, y=y, ratio=ratio, simplex_index=s.argmax_simplex, anchor_vertex=k)
 
 
@@ -258,10 +259,7 @@ def perturbation_classify(p: Shape | np.ndarray, velocities) -> Perturbation:
         raise ValueError("perturbation analysis applies to simplex shapes")
     if degenerate(coords):
         raise SingularSimplex("simplex shape is affinely degenerate")
-    ph = homogeneous(coords)
-    vh = np.vstack([vel.T, np.zeros(d + 1)])
-    w = np.linalg.solve(ph.T, vh.T).T  # V P^{-1}
-    wbar = w[:d, :d]
+    wbar = solve_correspondence(coords, vel).linear  # the velocity field's linear part
     sym = wbar + wbar.T
     eig = np.linalg.eigvalsh(sym)
     return Perturbation(

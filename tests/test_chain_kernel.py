@@ -186,8 +186,8 @@ def test_degenerate_triangulation_simplex_is_named_by_plain_ints(simplices):
 def reference_evaluate(m, x, tol=1e-9):
     for i in range(m.simplex_count):
         corr = m.maps[i]
-        lam = np.linalg.solve(np.vstack([corr.source.T, np.ones(len(corr.source))]),
-                              np.append(x, 1.0))
+        rest = np.linalg.solve((corr.source[1:] - corr.source[0]).T, x - corr.source[0])
+        lam = np.append(1.0 - rest.sum(), rest)
         if lam.min() >= -tol:
             lam = np.clip(lam, 0.0, None)
             return corr.target.T @ (lam / lam.sum())

@@ -187,6 +187,22 @@ def test_distance_homothety_is_zero(tmp_path):
     assert abs(json.loads(proc.stdout)["delta"]) <= 1e-10
 
 
+def test_distance_computes_the_chain_deltas_once(monkeypatch, capsys):
+    from polycomp import cli, metric
+
+    calls, log_spread = [], metric._log_spread
+
+    def counted(*args):
+        calls.append(args)
+        return log_spread(*args)
+
+    monkeypatch.setattr(metric, "_log_spread", counted)
+    assert cli.main(["distance", str(DATA / "square.json"), str(DATA / "square_half.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert payload["method"] == "barycentric" and payload["delta"] == max(payload["per_chain"])
+
+
 def test_order_command(tmp_path):
     a = write_json(tmp_path / "a.json", square_doc(1.0))
     b = write_json(tmp_path / "b.json", square_doc(0.5))

@@ -24,7 +24,7 @@ from polycomp import (
     spectral_summary,
 )
 from polycomp import affine, barycentric, metric, spectral
-from polycomp.affine import degenerate, homogeneous
+from polycomp.affine import degenerate
 from polycomp.barycentric import barycentric_complex, chain_simplex_coords, chain_stack
 from polycomp.io import load_shape
 from test_chain_kernel import SQUARE, projective_cube
@@ -86,7 +86,7 @@ def test_memoised_arrays_are_read_only():
     p, q = projective_cube(rng, 3), projective_cube(rng, 3)
     m = induced_map(p, q)
     c = classify(m)
-    arrays = (m.maps.source, m.maps.target, m.maps.matrix, m.maps.linear, m.alphas,
+    arrays = (m.maps.source, m.maps.target, m.maps.linear, m.alphas,
               c.summary.per_simplex, c.witness.x, c.witness.y)
     arrays += tuple(a for s in (p, q) for a in (chain_stack(s).coords, chain_stack(s).degenerate))
     for a in arrays:
@@ -210,16 +210,21 @@ def reference_extremal_pair(m):
     corr = m.maps[s.argmax_simplex]
     d = corr.dimension
     u = np.linalg.svd(corr.linear)[2][0]
-    p = homogeneous(corr.source)
+    e_t = (corr.source[1:] - corr.source[0]).T
+
+    def velocity(v):  # barycentric velocity along v; its entries sum to 0
+        rest = np.linalg.solve(e_t, v)
+        return np.append(-rest.sum(), rest)
+
     for k in range(d + 1):
         for sign in (1.0, -1.0):
-            lam_dot = np.linalg.solve(p, np.append(sign * u, 0.0))
+            lam_dot = velocity(sign * u)
             if np.delete(lam_dot, k).min() < -1e-12 * np.abs(lam_dot).max() or lam_dot[k] >= 0:
                 continue
             x = corr.source[k]
             return x, x + 1.0 / (-lam_dot[k]) * sign * u, k
     lam_c = np.full(d + 1, 1.0 / (d + 1))
-    lam_dot = np.linalg.solve(p, np.append(u, 0.0))
+    lam_dot = velocity(u)
     lo = max(-lam_c[i] / lam_dot[i] for i in range(d + 1) if lam_dot[i] > 0)
     hi = min(-lam_c[i] / lam_dot[i] for i in range(d + 1) if lam_dot[i] < 0)
     centre = corr.source.mean(axis=0)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from polycomp import (
     spectral_summary,
 )
 from polycomp import barycentric, spectral
-from polycomp.io import load_shapes
+from polycomp.io import load_matrix, load_shape, load_shapes
 from test_chain_kernel import projective_cube
 from generators import (
     random_contraction,
@@ -51,7 +52,7 @@ PAIR_ALPHA_MIN = 0.06081646276273039
 
 def oracle_spectrum(src, tgt):
     """Independent spectrum: edge-vector inverse + SVD instead of the
-    homogeneous-matrix + symmetric-eigensolver path used by the library."""
+    Gram matrix + symmetric-eigensolver path used by the library."""
     ep = (src[1:] - src[0]).T
     eq = (tgt[1:] - tgt[0]).T
     m = eq @ np.linalg.inv(ep)
@@ -249,6 +250,16 @@ def test_extremal_ratio_matches_alpha_max(rng):
                     w.x, m.maps[w.simplex_index].source[w.anchor_vertex])
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e8])
+def test_witness_ratio_keeps_its_digits_far_from_the_origin(triangle_pair, unit_square, offset):
+    # The ratio reads the linear part on y - x, so the offset of both shapes cancels nowhere.
+    sheared = unit_square.transformed(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    for p, q in (triangle_pair, (unit_square, sheared)):
+        m = induced_map(*(s.transformed(translation=[offset, offset]) for s in (p, q)))
+        ratio = extremal_pair(m).ratio
+        assert abs(ratio / np.sqrt(spectral_summary(m).alpha_max) - 1.0) <= 1e-15
+
+
 def test_extremal_pair_interior_chord_fallback():
     # midline directions of the regular tetrahedron avoid every vertex cone
     tet = simplex_polytope(3)
@@ -427,6 +438,47 @@ def test_perturbation_rotation_boundary(rng):
     result = perturbation_classify(p, p.coords @ j.T)
     assert np.abs(result.symmetric_part).max() <= 1e-10
     assert result.infinitesimal_weak_compression
+
+
+def exact_symmetric_part(coords, velocities):
+    """W + W^T for W = (E^{-1} F_v)^T, in exact rationals: E has rows p_i - p_0 and
+    F_v rows v_i - v_0; Gauss-Jordan elimination on [E | F_v] leaves E^{-1} F_v."""
+    rows = [[Fraction(a) - Fraction(b) for a, b in zip(r, first)]
+            for first, block in ((coords[0], coords[1:]), (velocities[0], velocities[1:]))
+            for r in block]
+    d = len(coords) - 1
+    m = [rows[i] + rows[d + i] for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(d):
+            if r != c:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    x = [row[d:] for row in m]
+    return [[x[i][j] + x[j][i] for j in range(d)] for i in range(d)]
+
+
+DYADIC_PERTURBATIONS = [
+    ([[0.0, 0.0], [1.0, 0.0], [0.5, 0.75]], [[0.25, -0.5], [-0.125, 0.0], [0.0, 0.375]]),
+    ([[0.5, -0.25], [3.0, 0.5], [-1.25, 2.0]], [[1.0, 0.5], [-0.75, 0.25], [0.125, -1.5]]),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.25, 1.0, 0.0], [0.5, 0.5, 0.75]],
+     [[0.125, 0.0, -0.5], [0.0, 0.25, 0.0], [-0.375, 0.0, 0.5], [0.25, -0.25, 0.125]]),
+    ([[1.0, 2.0, -1.0], [-0.5, 0.25, 1.5], [2.25, -1.0, 0.5], [0.0, 1.0, 3.0]],
+     [[0.5, 0.0, 0.25], [-1.0, 0.75, 0.0], [0.0, -0.5, 1.25], [0.375, 0.125, -0.25]]),
+]
+
+
+def test_perturbation_matches_an_exact_rational_oracle():
+    data = Path(__file__).parent / "data"
+    cases = DYADIC_PERTURBATIONS + [(load_shape(data / "P.json").coords.tolist(),
+                                     load_matrix(data / "V.json").tolist())]
+    for coords, velocities in cases:
+        got = perturbation_classify(np.array(coords), velocities).symmetric_part
+        want = exact_symmetric_part(coords, velocities)
+        scale = max(abs(w) for row in want for w in row)
+        err = max(abs(Fraction(float(g)) - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+        assert err <= Fraction(1e-15) * scale
 
 
 def rhombus_shape(a=2.0, b=1.0):

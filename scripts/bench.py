@@ -52,7 +52,8 @@ request, all pairs in one block: the chain coordinates of every shape
 has the edge-form kernel, each shape's edge inverses (``edge_inverses``) and
 the pairs' linear parts from them (``linear``), or else the pairs' homogeneous
 solve (``linear``, with no ``edge_inverses``), and the Gram eigenvalues
-(``eigvalsh``).  It also counts the calls of ``chain_simplex_coords``,
+(``eigvalsh``: the checkout's ``gram_eigenvalues``, a closed form for d = 2
+where it has one).  It also counts the calls of ``chain_simplex_coords``,
 ``degenerate``, ``solve_correspondence`` and ``linear_parts`` in a job.
 
 Calls are counted over one more job, with the functions wrapped wherever a

@@ -7,7 +7,8 @@ vertex arrays and that linear part, and it maps x to q_0 + A (x - p_0).
 Every spectral criterion in this package reads the d x d linear part,
 through the eigenvalues of its Gram matrix A^T A, and all of it broadcasts
 over stacks of simplices, so a shape's edge inverses can be computed once and
-shared by every map out of it.
+shared by every map out of it.  For d = 2 the determinant, the inverse and the
+Gram eigenvalues are closed forms, with no per-matrix LAPACK call.
 """
 
 from __future__ import annotations
@@ -43,8 +44,29 @@ def _flat(e: np.ndarray, triangular: bool = False) -> np.ndarray:
         size = np.abs(e).reshape(e.shape[:-2] + (-1,)).max(axis=-1)[..., None, None]
         e = e / np.where(size > 0, size, 1.0)  # each matrix's largest |entry| becomes 1
         long2 = np.vecdot(e, e).max(axis=-1)
-    det = np.diagonal(e, 0, -2, -1).prod(axis=-1) if triangular else np.linalg.det(e)
+    det = np.diagonal(e, 0, -2, -1).prod(axis=-1) if triangular else determinant(e)
     return np.abs(det) <= DET_TOL * long2 ** (e.shape[-1] / 2)
+
+
+def determinant(e: np.ndarray) -> np.ndarray:
+    """det per (..., d, d) matrix: ps - qr for d = 2, else an LU factorization."""
+    if e.shape[-1] != 2:
+        return np.linalg.det(e)
+    return e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a singular matrix reads inf/nan
+def _inverse(e: np.ndarray) -> np.ndarray:
+    """E^{-1} per (..., d, d) matrix.  For d = 2 it is the adjugate of the ``prescaled``
+    M = E / 2^k over det(M) 2^k, exact scalings that keep the determinant in range."""
+    if e.shape[-1] != 2:
+        return np.linalg.inv(e)
+    m, k = prescaled(e)
+    adj = np.empty_like(m)  # [[s, -q], [-r, p]] for M = [[p, q], [r, s]]
+    adj[..., 0, 0], adj[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    adj /= np.ldexp(determinant(m), k)[..., None, None]
+    return adj
 
 
 @dataclass(frozen=True)
@@ -66,9 +88,20 @@ class AffineCorrespondence:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram's eigenvalues read inf
 def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
-    """Eigenvalues of A^T A per (..., d, d) linear part A, ascending; inf where the Gram
-    is not finite.  The Gram is formed from a contiguous A^T, so a piece gets the same
-    bits in any stack, whatever the stack's layout."""
+    """Eigenvalues of A^T A per (..., d, d) linear part A, ascending; inf where they are
+    not finite.  For d = 2, A = [[p, q], [r, s]], they are sigma_1^2 and (det A / sigma_1)^2,
+    sigma_1 = (hypot(p + s, r - q) + hypot(p - s, r + q)) / 2: no Gram is formed, so each
+    is good to a few (1 + sigma_1 / sigma_2) ulps.  Otherwise the Gram is formed from a
+    contiguous A^T, so a piece gets the same bits in any stack, whatever its layout."""
+    if linear.shape[-1] == 2:
+        p, q, r, s = linear[..., 0, 0], linear[..., 0, 1], linear[..., 1, 0], linear[..., 1, 1]
+        top = (np.hypot(p + s, r - q) + np.hypot(p - s, r + q)) / 2
+        alphas = np.empty(top.shape + (2,))
+        np.square(determinant(linear) / top, out=alphas[..., 0])
+        np.square(top, out=alphas[..., 1])
+        np.fmin(alphas[..., 0], alphas[..., 1], out=alphas[..., 0])  # ascending; A = 0: 0/0 -> 0
+        alphas[~np.isfinite(alphas[..., 1])] = np.inf
+        return alphas
     gram = np.ascontiguousarray(np.swapaxes(linear, -1, -2)) @ linear
     finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
     return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
@@ -83,8 +116,8 @@ def prescaled(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def edge_inverses(e: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """E^{-1} per (..., d, d) edge matrix; a matrix flagged in ``flat`` is replaced by
-    the identity first, so LAPACK never sees a singular one."""
-    return np.linalg.inv(np.where(flat[..., None, None], np.eye(e.shape[-1]), e))
+    the identity first, so no singular one is inverted."""
+    return _inverse(np.where(flat[..., None, None], np.eye(e.shape[-1]), e))
 
 
 @np.errstate(over="ignore")  # an overflowing linear part reads inf; callers raise on it
@@ -112,7 +145,7 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing inverse reads inf or nan
 def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorrespondence:
     """``affine_correspondence`` on float stacks already known to be nondegenerate."""
-    return AffineCorrespondence(src, tgt, linear_parts(np.linalg.inv(edges(src)), edges(tgt)))
+    return AffineCorrespondence(src, tgt, linear_parts(_inverse(edges(src)), edges(tgt)))
 
 
 def intrinsic_map(source, target) -> np.ndarray:

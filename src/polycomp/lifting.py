@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import affine_correspondence, edges, frame_map, intrinsic_map
+from .affine import affine_correspondence, determinant, edges, frame_map, intrinsic_map
 from .barycentric import shape_pieces, triangulation_map
 from .errors import (
     InconsistentLattice,
@@ -143,7 +143,7 @@ class PleatedEmbedding:
 
 def _simplex_volume(coords: np.ndarray) -> float:
     """Total volume of a (..., d+1, d) stack of simplices."""
-    return float(np.abs(np.linalg.det(edges(coords))).sum()) / math.factorial(coords.shape[-1])
+    return float(np.abs(determinant(edges(coords))).sum()) / math.factorial(coords.shape[-1])
 
 
 def _shape_volume(shape: Shape) -> float:
@@ -433,14 +433,23 @@ def _prefix_gram_tops(m: np.ndarray, first: int) -> np.ndarray:
         cols = m[..., lo:lo + step]
         gram = np.cumsum(np.concatenate([gram[:, -1:], np.einsum("tic,tjc->tcij", cols, cols)],
                                         axis=1), axis=1)[:, -cols.shape[-1]:]
-        tops.append(np.linalg.eigvalsh(gram[:, max(0, first - lo):])[..., -1])
+        tops.append(_top_eigenvalue(gram[:, max(0, first - lo):]))
     return np.concatenate(tops, axis=1).T
 
 
 def _pair_alphas(r_src: np.ndarray, r_tgt: np.ndarray) -> np.ndarray:
     """Top eigenvalue of X^T X, X = R_src^-T R_tgt^T, per pair of (P, k, k) stage frames."""
     x = frame_map(np.swapaxes(r_src, -1, -2), np.swapaxes(r_tgt, -1, -2))
-    return np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)[..., -1]
+    return _top_eigenvalue(np.swapaxes(x, -1, -2) @ x)
+
+
+def _top_eigenvalue(gram: np.ndarray) -> np.ndarray:
+    """Top eigenvalue per (..., k, k) symmetric [[a, b], [b, c], ...]: for k = 2 in closed
+    form, (a + c)/2 + hypot((a - c)/2, b)."""
+    if gram.shape[-1] != 2:
+        return np.linalg.eigvalsh(gram)[..., -1]
+    a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
+    return (a + c) / 2 + np.hypot((a - c) / 2, b)
 
 
 def projection_chain(coords: np.ndarray, d: int, simplices,

@@ -367,7 +367,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:  # rank below d
         raise DegenerateSpan("affine span of the vertices is below d")
 
-    # Fit every facet hyperplane: one SVD per group of facets of equal size.
+    # Fit every facet hyperplane: one SVD per group of facets of equal size (d > 2).
     on_facet, groups, ridge_pairs = polytope.facet_arrays
     centroids = np.empty((len(on_facet), d))
     normals = np.ones((len(on_facet), d))
@@ -375,7 +375,12 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     for rows, idx in groups:
         points = coords[idx]
         c = centroids[rows] = np.add.reduce(points, 1) / idx.shape[1]
-        if d > 1:
+        if d == 2:  # an edge e: the unit perpendicular, and the SVD's sigma_0 = |e| / sqrt 2
+            e = points[:, 1] - points[:, 0]
+            length = np.hypot(e[:, 0], e[:, 1])
+            normals[rows] = e[:, ::-1] * [-1.0, 1.0] / length[:, None]
+            deficient[rows] = length / math.sqrt(2.0) <= tol
+        elif d > 1:
             _, sv, vh = np.linalg.svd(points - c[:, None], full_matrices=True)
             normals[rows] = vh[:, -1]
             if idx.shape[1] >= d:

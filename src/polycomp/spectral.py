@@ -149,14 +149,15 @@ def extremal_pair(m: InducedMap | DerivedMap) -> ExtremalPair:
                     if not np.delete(sign * lam_u, k).min() < -zero), (None, None))
     if k is not None:
         x = corr.source[k]
-        y = x + 1.0 / (-sign * lam_u[k]) * sign * u
+        y = x + (step := 1.0 / (-sign * lam_u[k]) * sign * u)
     else:  # No vertex cone contains +-u: take the maximal chord through the centre.
         centre = corr.source.mean(axis=0)
         lam_c = np.full(d + 1, 1.0 / (d + 1))
         lo = max(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] > 0)
         hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
-        x, y = centre + lo * u, centre + hi * u
-    ratio = float(_lengths(corr.linear @ (y - x)) / _lengths(y - x))
+        x, y, step = centre + lo * u, centre + hi * u, (hi - lo) * u
+    # The ratio reads the displacement as built, not y - x rounded at the offset's scale.
+    ratio = float(_lengths(corr.linear @ step) / _lengths(step))
     return ExtremalPair(x=x, y=y, ratio=ratio, simplex_index=s.argmax_simplex, anchor_vertex=k)
 
 

@@ -250,9 +250,10 @@ def test_extremal_ratio_matches_alpha_max(rng):
                     w.x, m.maps[w.simplex_index].source[w.anchor_vertex])
 
 
-@pytest.mark.parametrize("offset", [1e4, 1e8])
+@pytest.mark.parametrize("offset", [1e4, 1e8, 1e10, 1e12])
 def test_witness_ratio_keeps_its_digits_far_from_the_origin(triangle_pair, unit_square, offset):
-    # The ratio reads the linear part on y - x, so the offset of both shapes cancels nowhere.
+    # The ratio reads the linear part on the displacement it builds, not on y - x, so the
+    # offset of both shapes cancels nowhere.
     sheared = unit_square.transformed(np.array([[1.0, 0.5], [0.0, 1.0]]))
     for p, q in (triangle_pair, (unit_square, sheared)):
         m = induced_map(*(s.transformed(translation=[offset, offset]) for s in (p, q)))

@@ -106,10 +106,6 @@ def orthogonal_completion(m: np.ndarray) -> OrthogonalCompletion:
     return OrthogonalCompletion(M=m, A=a, B=u[:d, d:].copy(), C=u[d:, d:].copy(), U=u)
 
 
-def _simplex_coords(p) -> np.ndarray:
-    return p.coords if isinstance(p, Shape) else np.asarray(p, dtype=float)
-
-
 def lift_simplex(p, q) -> np.ndarray:
     """Isometric lift of simplex P into R^{2d} projecting onto Q.
 
@@ -117,13 +113,8 @@ def lift_simplex(p, q) -> np.ndarray:
     reproduce Q exactly and pairwise distances reproduce P because
     M^T M + A^T A = I.
     """
-    src = _simplex_coords(p)
-    tgt = _simplex_coords(q)
-    return _lift_rows(src, tgt, orthogonal_completion(affine_correspondence(src, tgt).linear).A)
-
-
-def _lift_rows(src: np.ndarray, tgt: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Rows (q_i, A (p_i - p_0)) of a simplex lifted by the block A of its map."""
+    src, tgt = (s.coords if isinstance(s, Shape) else np.asarray(s, dtype=float) for s in (p, q))
+    a = orthogonal_completion(affine_correspondence(src, tgt).linear).A
     return np.hstack([tgt, (src - src[0]) @ a.T])
 
 
@@ -165,17 +156,22 @@ class _PleatPlan:
 
     ``simplices`` is the (t, d+1) vertex array; simplex 0 is the root.  Each
     later breadth-first step places the ``apex`` (t-1,) of its simplex on the
-    ``shared`` (t-1, d) facet of its parent.  As ``(faces, ab)`` arrays for
-    ``_fold_angles``, ``fold_triples`` holds each pairing edge's facet with the
-    vertex off it on either side, ``ridge_triples`` (empty for d = 1) each
-    simplex's faces of size d-1 with the two vertices off them.  ``ridges``
-    lists each ridge face of two or more simplices, sorted, with those
+    ``shared`` (t-1, d) facet of its parent, sorted: its first vertex is u_0.
+    Past the first d, the embedding's ``columns`` (d + t-1,) that can be nonzero
+    are the root's block, then each step's first fresh one; ``order`` lists the
+    vertices, the last placed first.  As ``(faces, ab)``
+    arrays for ``_fold_angles``, ``fold_triples`` holds each pairing edge's
+    facet with the vertex off it on either side, ``ridge_triples`` (empty for
+    d = 1) each simplex's faces of size d-1 with the two vertices off them.
+    ``ridges`` lists each ridge face of two or more simplices, sorted, with those
     simplices and the rows of their triples among the folds, then ridges.
     """
 
     simplices: np.ndarray
     shared: np.ndarray
     apex: np.ndarray
+    columns: np.ndarray
+    order: np.ndarray
     fold_triples: tuple[np.ndarray, np.ndarray]
     ridge_triples: tuple[np.ndarray, np.ndarray]
     ridges: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
@@ -200,7 +196,7 @@ def _pleat_plan(tri: Triangulation) -> _PleatPlan:
         facet = set(simp) & set(simplices[parent_index])
         shared.append(sorted(facet))
         apex.append(next(v for v in simp if v not in facet))
-    d = tri.polytope.dimension
+    d, placed = tri.polytope.dimension, [*simplices[0], *apex]
     folds = []
     for i, j in tri.pairing_edges:
         facet = tuple(sorted(set(simplices[i]) & set(simplices[j])))
@@ -214,9 +210,10 @@ def _pleat_plan(tri: Triangulation) -> _PleatPlan:
                 ridges.setdefault(tau, []).append((si, len(folds) + len(wedges)))
                 wedges.append((tau, a, b))
     arrays = (np.array(simplices, dtype=np.intp), np.array(shared, dtype=np.intp).reshape(-1, d),
-              np.array(apex, dtype=np.intp), _triple_arrays(folds, d),
-              _triple_arrays(wedges, d - 1))
-    for a in itertools.chain(arrays[:3], *arrays[3:]):
+              np.array(apex, dtype=np.intp), np.r_[d:2 * d, 2 * d:d * (len(simplices) + 1):d],
+              np.array([*placed[::-1], *sorted(set(range(tri.polytope.vertex_count)) - {*placed})]),
+              _triple_arrays(folds, d), _triple_arrays(wedges, d - 1))
+    for a in itertools.chain(arrays[:5], *arrays[5:]):
         a.setflags(write=False)
     return _PleatPlan(
         *arrays,
@@ -225,26 +222,52 @@ def _pleat_plan(tri: Triangulation) -> _PleatPlan:
     )
 
 
+def _min_norm_solve(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x with H x = r per (..., k, k) H, by minimum norm: r / H, or 0 where H = 0, for k = 1."""
+    if h.shape[-1] == 1:
+        return np.divide(r, h[..., 0], out=np.zeros_like(r), where=h[..., 0] != 0.0)
+    return (np.linalg.pinv(h) @ r[..., None])[..., 0]
+
+
+def _apex_solve(pq_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each apex's weights gamma (t-1, d-1) and budgets (t-1, d) from its edges
+    e_i = v - u_i to the shared facet, a (2, t-1, d, d) stack of P's and Q's.
+    gamma solves H gamma = r (``_min_norm_solve``), with H the facet's defect
+    Gram <u_i - u_0, u_j - u_0> and r_i = <u_i - u_0, v - u_0>, each in P less
+    in Q.  Budget i, D_i - |sum_j gamma_j Y_j - Y_i|^2 for any gamma, is
+    evaluated as 2 <a, e_i> - |a|^2 in P less in Q, with a = v - u_0 -
+    sum_j gamma_j (u_j - u_0): its terms are of size |a| |e_i|, not |e_i|^2."""
+    facet = pq_edges[..., :1, :] - pq_edges[..., 1:, :]  # u_i - u_0, i >= 1
+    gram, r = facet @ np.swapaxes(facet, -1, -2), (facet @ pq_edges[..., 0, :, None])[..., 0]
+    gamma = _min_norm_solve(gram[0] - gram[1], r[0] - r[1])
+    a = pq_edges[..., 0, :] - (gamma[:, None, :] @ facet)[..., 0, :]
+    budgets = 2.0 * np.vecdot(a[..., None, :], pq_edges) - np.vecdot(a, a)[..., None]
+    return gamma, budgets[0] - budgets[1]
+
+
 def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbedding:
     """Pleated embedding of P in R^{d(t+1)} projecting onto Q.
 
-    The root simplex takes the rows (q_i, A (p_i - p_0)) of ``lift_simplex``
-    in the first 2d coordinates, with A = sqrt(I - M^T M) from the map M that
-    the triangulation's solve already holds.  Each subsequent simplex
-    (breadth-first over the pairing tree, children in index order) shares a
-    facet that is already placed; its apex takes Q's coordinates in the first
-    block, the middle coordinates solving the pairwise-difference system of
-    the d distance equations to the shared vertices, and the leftover budget
-    s = l^2 - |placed part|^2 as sqrt(s) in the first coordinate of the
-    simplex's fresh block.  The middle solution maximizes s over the affine
-    solution set (the closest point to the shared vertices' middle
-    coordinates), so s < 0 only when the input is not a weak compression
-    or the system is numerically inconsistent; both raise
-    ``InfeasibleApex``.  It runs on P and Q divided by a power of two that
-    brings their coordinates to size about 1, which is exact, so no squared
-    length over- or underflows at any scale.  The simplices, the order and
-    each step's shared facet and apex come from the triangulation's plan
-    (``_pleat_plan``), built on first use.
+    Every vertex takes Q's coordinates in the first d columns, and the root
+    simplex A (p_i - p_0) in the next d, with A = sqrt(I - M^T M) from the map M
+    that the triangulation's solve already holds.  Each later simplex
+    (breadth-first over the pairing tree, children in index order) puts its
+    apex v over the placed shared facet (u_0, ..., u_{d-1}): past the first d
+    columns, X_v = sum_i beta_i X_{u_i} + sqrt(s) e_z0, e_z0 the first column
+    of its fresh block.  The Y_i = X_{u_i} - X_{u_0} have the facet's defect
+    Gram H = P_f P_f^T - Q_f Q_f^T, so beta = (1 - sum gamma, gamma) and the
+    budgets s_i = D_i - |sum_j gamma_j Y_j - Y_i|^2 that the d distance
+    equations leave, D_i = |p_v - p_{u_i}|^2 - |q_v - q_{u_i}|^2, come from P
+    and Q alone (``_apex_solve``); s is the budget at the nearest facet vertex,
+    the least rounded.  The first apex in breadth-first order whose s_i spread
+    by more than ``APEX_TOL`` of its largest squared edge (an inconsistent
+    system), or else whose s is below -``CONTRACTION_TOL`` of it, raises
+    ``InfeasibleApex``.  One unit lower triangular system (I - B) X = F,
+    B[v, u_i] = beta_i, then places every apex.  It runs on P and Q divided by
+    a power of two that brings their coordinates to size about 1, which is
+    exact, so no squared length over- or underflows at any scale.  The
+    simplices, the order and each step's shared facet, apex and fresh column
+    come from the triangulation's plan (``_pleat_plan``), built on first use.
     """
     if tri.polytope != p.polytope:
         raise InconsistentLattice("triangulation belongs to a different polytope")
@@ -262,46 +285,33 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
     if not (m.alphas[:, -1] <= 1.0 + CONTRACTION_TOL).all():
         raise NotContraction("the map defined by the triangulation expands a pair")
 
-    d = p.polytope.dimension
-    big_d = d * (len(tri.simplices) + 1)
-    coords = np.zeros((p.polytope.vertex_count, big_d))
-
-    root = plan.simplices[0]
-    lin = m.maps.linear[0]
-    a = symmetric_sqrt(np.eye(d) - lin.T @ lin)
-    coords[root, : 2 * d] = _lift_rows(p.coords[root], q.coords[root], a)
-
-    # What P, Q and the tree fix for every step: the apex's squared P edges to
-    # the shared facet and the Q part of its distance equations.
-    shared, apex = plan.shared, plan.apex
-    p_edges = p.coords[apex, None] - p.coords[shared]
-    q_edges = q.coords[apex, None] - q.coords[shared]
-    lengths2 = np.vecdot(p_edges, p_edges)
-    scales = lengths2.max(axis=1).tolist()  # s and its spread are squared lengths
-    q_part = np.vecdot(q_edges, q_edges)
-    coords[apex, :d] = q.coords[apex]
-
-    for z0, v, facet, l2, qq, scale in zip(range(2 * d, big_d, d), apex, shared, lengths2,
-                                           q_part, scales):
-        mids = coords[facet, d:z0]
-        base = (qq + np.vecdot(mids, mids)) - l2
-        # Pairwise differences: 2 <w, mids_j - mids_0> = base_j - base_0.
-        a_mat = 2.0 * (mids[1:] - mids[0])
-        b_vec = base[1:] - base[0]
-        # Maximizing s over the affine solution set = projecting mids_0 onto it.
-        shift, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ mids[0], rcond=None)
-        w = mids[0] + shift
-        s_all = -(base - 2.0 * (mids @ w) + np.dot(w, w))
-        if s_all.max() - s_all.min() > APEX_TOL * scale:
+    d, shared, apex = p.polytope.dimension, plan.shared, plan.apex
+    pq = np.stack([p.coords, q.coords])
+    pq_edges = pq[:, apex, None] - pq[:, shared]  # (2, t-1, d, d): v - u_i in P and in Q
+    lengths2 = np.vecdot(pq_edges[0], pq_edges[0])
+    scales = lengths2.max(axis=1)  # s and its spread are squared lengths
+    gamma, budgets = _apex_solve(pq_edges)
+    s = budgets[np.arange(len(apex)), lengths2.argmin(axis=1)]
+    inconsistent = budgets.max(axis=1) - budgets.min(axis=1) > APEX_TOL * scales
+    failed = inconsistent | (s < -CONTRACTION_TOL * scales)
+    if failed.any():
+        j = int(failed.argmax())  # the first failing apex, its spread tested first
+        if inconsistent[j]:
             raise InfeasibleApex("distance system for the apex is inconsistent")
-        s = float(s_all.sum()) / len(s_all)  # np.mean's arithmetic
-        if s < -CONTRACTION_TOL * scale:
-            raise InfeasibleApex(f"negative residual budget, {s / scale:.3g} of the largest "
-                                 "squared edge")
-        coords[v, d:z0] = w
-        coords[v, z0] = math.sqrt(max(s, 0.0))
+        raise InfeasibleApex(f"negative residual budget, {s[j] / scales[j]:.3g} of the largest "
+                             "squared edge")
 
-    return PleatedEmbedding(ambient_dimension=big_d, coords=np.ldexp(coords, k),
+    n, root, lin = p.polytope.vertex_count, plan.simplices[0], m.maps.linear[0]
+    rhs = np.zeros((n, len(plan.columns)))  # F on the plan's columns; the others stay zero
+    rhs[root, :d] = (p.coords[root] - p.coords[root[0]]) @ symmetric_sqrt(np.eye(d) - lin.T @ lin)
+    rhs[apex, d + np.arange(len(apex))] = np.sqrt(np.maximum(s, 0.0))
+    weights = np.eye(n)  # I - B; upper triangular in the plan's order: no pivots, zeros stay exact
+    weights[apex[:, None], shared] = np.column_stack([gamma.sum(axis=1) - 1.0, -gamma])
+    coords, order = np.zeros((n, d * (len(plan.simplices) + 1))), plan.order
+    coords[:, :d] = q.coords
+    coords[order[:, None], plan.columns] = np.linalg.solve(weights[np.ix_(order, order)],
+                                                           rhs[order])
+    return PleatedEmbedding(ambient_dimension=coords.shape[1], coords=np.ldexp(coords, k),
                             triangulation=tri, source=source, target=target)
 
 

@@ -1,5 +1,6 @@
 """Orthogonal completions, simplex lifts, pleated embeddings, chains."""
 
+import collections
 import dataclasses
 import itertools
 import tracemalloc
@@ -258,10 +259,10 @@ def test_pleated_rejects_non_tree():
 
 
 def reference_pleat(p, q, tri):
-    """The pleated coordinates as the apex loop computed them before its P and
-    Q data moved out of the loop: the root by a fresh solve and orthogonal
-    completion, then per apex the shared facet, its squared P edges and the
-    distance equations to the placed vertices."""
+    """The pleated coordinates as a loop over the apexes places them: the root
+    by a fresh solve and orthogonal completion, then per apex the shared facet,
+    its squared P edges and the distance equations to the placed vertices,
+    solved by ``lstsq`` for the apex's middle coordinates."""
     if tri.polytope != p.polytope:
         raise InconsistentLattice("triangulation belongs to a different polytope")
     if not tri.is_tree:
@@ -358,14 +359,60 @@ def pleat_corpus(rng):
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**40, 2.0**-40, 1e150, 1e-150])
-def test_pleat_coordinates_match_reference_loop_bit_for_bit(rng, scale):
+def test_pleat_coordinates_match_reference_loop(rng, scale):
+    """The stacked placement agrees with the apex loop to 1e-10 of the largest
+    coordinate, leaves exactly the loop's zeros (the projection chain's reuse
+    reads them), and no pair of its points is farther from P's distance than
+    the loop's worst, or than 16 eps of the scale.  The zero pleat (Q = P) is
+    held to the last only: its root block sqrt(I - M^T M) is sqrt(eps)-level
+    noise in both, and differently so."""
+    eps = np.finfo(float).eps
     count = 0
     for p, q, tri in pleat_corpus(rng):
         p, q = p.scaled(scale), q.scaled(scale)
-        pe = pleated_embedding(p, q, tri)
-        np.testing.assert_array_equal(pe.coords, reference_pleat(p, q, tri))
+        got, want = pleated_embedding(p, q, tri).coords, reference_pleat(p, q, tri)
+        if not np.array_equal(p.coords, q.coords):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        idx = np.array(tri.simplices)
+        assert (isometry_residual(got[idx], p.coords[idx]).max()
+                <= max(isometry_residual(want[idx], p.coords[idx]).max(), 16 * eps * scale))
         count += 1
     assert count == 17 * 3 + 10 + 3
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_large_fan_pleats_stay_isometric(rng, n):
+    """Long fans of thin triangles keep every distance to a few ulps of the
+    polygon's size; the apex loop read up to 1.4e-12 of it at n = 256."""
+    for _ in range(3):
+        p, q, tri = fan_pair(rng, n)
+        idx = np.array(tri.simplices)
+        coords = pleated_embedding(p, q, tri).coords
+        assert isometry_residual(coords[idx], p.coords[idx]).max() <= 2e-14 * np.abs(p.coords).max()
+
+
+def test_pleat_makes_the_same_linalg_calls_on_any_fan(rng, monkeypatch):
+    """No per-apex loop: an 8-gon's pleat and a 32-gon's call np.linalg alike."""
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        f = getattr(np.linalg, name)
+        if callable(f) and not isinstance(f, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, f))
+    seen = []
+    for n in (8, 32):
+        p, q, tri = fan_pair(rng, n)
+        calls.clear()
+        pleated_embedding(p, q, tri)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] and seen[0] and "lstsq" not in seen[0]
 
 
 def triple_angles(coords, triples):
@@ -465,8 +512,11 @@ def test_plan_arrays_are_read_only_and_the_cache_is_bounded(rng):
     pe = pleated_prism(rng)
     plan = lifting._pleat_plan(pe.triangulation)
     assert lifting._pleat_plan(pe.triangulation) is plan
-    arrays = [plan.simplices, plan.shared, plan.apex, *plan.fold_triples, *plan.ridge_triples]
+    arrays = [plan.simplices, plan.shared, plan.apex, plan.columns, plan.order,
+              *plan.fold_triples, *plan.ridge_triples]
     assert plan.shared.shape == (2, 3) and plan.apex.shape == (2,)
+    assert plan.columns.tolist() == [3, 4, 5, 6, 9]  # the root's block, then two fresh ones
+    assert plan.order.tolist() == [*plan.apex[::-1].tolist(), *plan.simplices[0][::-1].tolist()]
     assert [a.shape for a in (*plan.fold_triples, *plan.ridge_triples)] == [
         (2, 3), (2, 2), (18, 2), (18, 2)]  # two pairing edges; 3 tetrahedra, 6 edges each
     for a in arrays:
@@ -502,21 +552,61 @@ def test_pleat_errors_match_reference_loop(monkeypatch):
     expanding = error_of(pleated_embedding, p, p.scaled(1.5), tri)
     assert expanding == error_of(reference_pleat, p, p.scaled(1.5), tri)
     assert expanding == (NotContraction, "the map defined by the triangulation expands a pair")
-    # On a weak compression both apex tests pass in exact arithmetic, so a solver
-    # that misses the solution stands in for a numerically failed system: on the
-    # pleated square the residuals then differ, and on the zero pleat they are
-    # equal and negative.
+    # On a weak compression both apex tests pass in exact arithmetic, so a solve
+    # that misses the solution stands in for a numerically failed system.  The
+    # loop's solver returns w = (10, 10) for the apex's middle coordinates, the
+    # stacked one a gamma off by 10: on the pleated square the budgets then
+    # differ.  On the zero pleat, H = 0 and gamma does not matter, while the
+    # loop's budgets all drop by |w|^2 = 200, so the stacked ones are dropped
+    # by as much.
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda a, b, rcond: (np.full(a.shape[1], 10.0), *lstsq(a, b, rcond)[1:]))
+    solve, apex_solve = lifting._min_norm_solve, lifting._apex_solve
+    monkeypatch.setattr(lifting, "_min_norm_solve", lambda h, r: solve(h, r) + 10.0)
     inconsistent = error_of(pleated_embedding, p, q, tri)
     assert inconsistent == error_of(reference_pleat, p, q, tri)
     assert inconsistent == (InfeasibleApex, "distance system for the apex is inconsistent")
+    monkeypatch.setattr(lifting, "_apex_solve",
+                        lambda pq_edges: (lambda g, s: (g, s - 200.0))(*apex_solve(pq_edges)))
     negative = error_of(pleated_embedding, p, p, tri)
     assert negative == error_of(reference_pleat, p, p, tri)
     # |w|^2 = 200 over a largest squared edge of 1/4: the prescaling halves the square.
     assert negative == (InfeasibleApex,
                         "negative residual budget, -800 of the largest squared edge")
+
+
+def test_first_failing_apex_raises_its_own_error(rng, monkeypatch):
+    """On a hexagon's fan, apex 1 (in breadth-first order) fails the budget test
+    and apex 2 the spread test: apex 1's error is raised, as the loop, which
+    stops at the first apex that fails, raises it.  An apex failing both tests
+    raises the spread one."""
+    p, q, tri = fan_pair(rng, 6)
+    solve, apex_solve = lifting._min_norm_solve, lifting._apex_solve
+
+    def missed(h, r):  # apex 2's gamma misses the solution
+        gamma = solve(h, r)
+        gamma[2] += 10.0
+        return gamma
+
+    def short(rows):  # these apexes' budgets drop by 100 of their largest squared edge
+        def faulty(pq_edges):
+            gamma, budgets = apex_solve(pq_edges)
+            budgets[rows] -= 100.0 * np.vecdot(pq_edges[0, rows], pq_edges[0, rows]).max(
+                axis=1, keepdims=True)
+            return gamma, budgets
+        return faulty
+
+    inconsistent = (InfeasibleApex, "distance system for the apex is inconsistent")
+    monkeypatch.setattr(lifting, "_min_norm_solve", missed)
+    assert error_of(pleated_embedding, p, q, tri) == inconsistent
+    monkeypatch.setattr(lifting, "_apex_solve", short([1]))
+    kind, message = error_of(pleated_embedding, p, q, tri)
+    head, tail = "negative residual budget, ", " of the largest squared edge"
+    assert kind is InfeasibleApex and message.startswith(head) and message.endswith(tail)
+    assert -100.0 <= float(message[len(head):-len(tail)]) <= -99.0
+    monkeypatch.setattr(lifting, "_apex_solve", short([2]))
+    assert error_of(pleated_embedding, p, q, tri) == inconsistent
 
 
 def test_projection_chain_square():

@@ -30,11 +30,17 @@ its fan from vertex 0 onto a second one, Q, scaled so that the fan map has
 alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
 ``pleated_projection_chain`` on the embedding.  The script records the median
 us of each over ``--repeat`` jobs, each on a fresh pair, and the (stage,
-simplex) pairs of the projection chain, counted where the checkout computes
-them: ``_pair_alphas``, or ``restricted_singular_values`` in a checkout
-without it.  It also records, each as a median over ``--repeat`` rounds that
-start with every ``lru_cache`` of the checkout emptied, as in a fresh
-process: ``fan_triangulation``'s first call and a repeat of it, and the first
+simplex) pairs of one ``pleated_projection_chain`` call, counted where the
+checkout computes them.  Where the chain reads every alpha from stage frames
+with ``gram_eigenvalues``, the pairs against the previous stage
+(``restricted_svd_pairs``) are the frames that ``edge_inverses`` inverts
+after the source's, and those against the source (``source_pairs``) the
+other ``gram_eigenvalues`` entries.  An older checkout counts the
+previous-stage pairs in ``_pair_alphas`` or, without it,
+``restricted_singular_values``, and no source pairs (null).  It also
+records, each as a median over ``--repeat`` rounds that start with every
+``lru_cache`` of the checkout emptied, as in a fresh process:
+``fan_triangulation``'s first call and a repeat of it, and the first
 job (that first fan call and the three steps).  Each round is followed at
 once by the timed job on its pair, so a first job and a warm one see the
 same host speed; ``cold_extra`` is the median over rounds of the first job's
@@ -296,6 +302,23 @@ def chain_peak_bytes(pc, p, q, tri):
         tracemalloc.stop()
 
 
+def chain_pairs(pc, p, q, tri):
+    """The (stage, simplex) pairs of one ``pleated_projection_chain`` call, against the
+    previous stage and, where the checkout's chain reads them from frames, the source."""
+    pe = pc.pleated_embedding(p, q, tri)
+    kernels = ("gram_eigenvalues", "edge_inverses", "_pair_alphas", "restricted_singular_values")
+
+    def lead(first, *rest):  # one per leading index of the first argument
+        return int(np.prod(np.shape(first)[:-2]))
+
+    calls = counted(pc, lambda: pc.pleated_projection_chain(pe), dict.fromkeys(kernels, lead))
+    if not calls["gram_eigenvalues"]:
+        previous = calls["_pair_alphas"] + calls["restricted_singular_values"]
+        return {"restricted_svd_pairs": previous, "source_pairs": None}
+    previous = calls["edge_inverses"] - len(pe.triangulation.simplices)
+    return {"restricted_svd_pairs": previous, "source_pairs": calls["gram_eigenvalues"] - previous}
+
+
 def bench_pleat(sides, n, repeat, seed):
     """One n of the pleat ladder for every side, on the same coordinates."""
     rng = np.random.default_rng(seed)
@@ -304,12 +327,7 @@ def bench_pleat(sides, n, repeat, seed):
     out = []
     for pc, side_pairs in zip(sides, pairs):
         laps(pleat_job(pc, *side_pairs[0]))  # warm-up: builds the polytope and its complex
-        # One per leading index of the first argument, whichever kernel the side has:
-        # restricted SVDs of the stage pairs, or their frames in ``_pair_alphas``.
-        svd_pairs = dict.fromkeys(("restricted_singular_values", "_pair_alphas"),
-                                  lambda source, target: int(np.prod(np.shape(source)[:-2])))
-        calls = counted(pc, lambda: laps(pleat_job(pc, *side_pairs[0])), svd_pairs)
-        out.append({"calls": {"restricted_svd_pairs": sum(calls.values())},
+        out.append({"calls": chain_pairs(pc, *side_pairs[0]),
                     "peak_bytes": {"pleated_projection_chain":
                                    chain_peak_bytes(pc, *side_pairs[0])}})
     gc.collect()
@@ -539,6 +557,7 @@ def main(argv=None):
             print(f"{label} pleat n={n} "
                   + " ".join(f"{k}={v:.0f}us" for k, v in pleat["us"].items())
                   + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}"
+                  + f" source_pairs={pleat['calls']['source_pairs']}"
                   + f" chain_peak={pleat['peak_bytes']['pleated_projection_chain']}B")
         for k, seq in run["sequences"].items():
             print(f"{label} sequence K={k} pairs={seq['pairs']} "

@@ -34,18 +34,16 @@ def degenerate(vertices: np.ndarray) -> np.ndarray:
     return _flat(edges(vertices))
 
 
-@np.errstate(over="ignore")  # an overflowing length takes the rescaling branch
-def _flat(e: np.ndarray, triangular: bool = False) -> np.ndarray:
-    """Per (..., d, d) edge matrix: is |det| <= DET_TOL once the rows are scaled
-    to a unit longest row?  A ``triangular`` stack's determinant is read as the
-    product of its diagonal instead of an LU factorization."""
+@np.errstate(over="ignore", invalid="ignore")  # overflow: rescaled; inf or nan: not flat
+def _flat(e: np.ndarray) -> np.ndarray:
+    """Per (..., d, d) edge matrix: is |det| <= DET_TOL once the rows are scaled to a unit
+    longest row?  det is ``determinant``'s: for a triangular 2 x 2, its diagonal's product."""
     long2 = np.vecdot(e, e).max(axis=-1)  # the longest row, squared
     if not 1e-40 < long2.min() <= long2.max() < 1e40:  # else |det| could over- or underflow
         size = np.abs(e).reshape(e.shape[:-2] + (-1,)).max(axis=-1)[..., None, None]
         e = e / np.where(size > 0, size, 1.0)  # each matrix's largest |entry| becomes 1
         long2 = np.vecdot(e, e).max(axis=-1)
-    det = np.diagonal(e, 0, -2, -1).prod(axis=-1) if triangular else determinant(e)
-    return np.abs(det) <= DET_TOL * long2 ** (e.shape[-1] / 2)
+    return np.abs(determinant(e)) <= DET_TOL * long2 ** (e.shape[-1] / 2)
 
 
 def determinant(e: np.ndarray) -> np.ndarray:
@@ -120,7 +118,7 @@ def edge_inverses(e: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return _inverse(np.where(flat[..., None, None], np.eye(e.shape[-1]), e))
 
 
-@np.errstate(over="ignore")  # an overflowing linear part reads inf; callers raise on it
+@np.errstate(over="ignore", invalid="ignore")  # it reads inf or nan; callers raise on it
 def linear_parts(inv_src: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:
     """The linear parts (E^{-1} F)^T from source edge inverses and target edge matrices."""
     return np.swapaxes(inv_src @ e_tgt, -1, -2)
@@ -164,17 +162,11 @@ def intrinsic_map(source, target) -> np.ndarray:
         raise ValueError("simplices must be (..., k+1, D) vertex arrays")
     if src.shape[-2] > src.shape[-1] + 1:  # more than D+1 points are affinely dependent
         raise SingularSimplex("source simplex is affinely degenerate", 0)
-    e_src = np.swapaxes(edges(src), -1, -2)  # (..., D_s, k)
-    return frame_map(np.swapaxes(np.linalg.qr(e_src, mode="r"), -1, -2), edges(tgt))
-
-
-def frame_map(frame: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:
-    """``intrinsic_map`` from a (..., k, k) lower-triangular stack whose row i is source
-    edge i in the frame; raises ``SingularSimplex`` when a frame is ``_flat``."""
-    bad = np.flatnonzero(_flat(frame, triangular=True))
+    frame = np.swapaxes(np.linalg.qr(np.swapaxes(edges(src), -1, -2), mode="r"), -1, -2)
+    bad = np.flatnonzero(_flat(frame))  # row i of the frame: source edge i in it
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
-    return np.linalg.solve(frame, e_tgt)
+    return np.linalg.solve(frame, edges(tgt))
 
 
 def restricted_singular_values(source, target) -> np.ndarray:

@@ -35,6 +35,7 @@ from .polytopes import CombinatorialPolytope, Shape, facet_adjacency
 BARY_TOL = 1e-9
 
 
+@np.errstate(over="ignore")  # a coordinate sum that overflows reads inf; callers raise on it
 def barycentre(face, shape: Shape) -> np.ndarray:
     """Arithmetic mean of a face's vertex coordinates."""
     idx = list(face)
@@ -154,6 +155,7 @@ def require_same_polytope(p: Shape, q: Shape) -> None:
         raise PolytopeMismatch("shapes realize different combinatorial polytopes")
 
 
+@np.errstate(over="ignore")  # a coordinate sum that overflows reads inf; callers raise on it
 def chain_simplex_coords(complex_: BarycentricComplex, shape) -> np.ndarray:
     """Vertex coordinates of every chain simplex, (..., t, d+1, d), of a shape or of
     a (..., n, d) coordinate stack; a shape gets the same bits alone or in a stack."""

@@ -21,7 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import affine_correspondence, determinant, edges, frame_map, intrinsic_map
+from .affine import (
+    _flat,
+    affine_correspondence,
+    determinant,
+    edge_inverses,
+    edges,
+    gram_eigenvalues,
+    linear_parts,
+)
 from .barycentric import shape_pieces, triangulation_map
 from .errors import (
     InconsistentLattice,
@@ -392,15 +400,10 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
     folds = [FacetFold(simplices=edge, shared_vertices=tuple(shared), dihedral=angle)
              for edge, shared, angle in zip(tri.pairing_edges, plan.fold_triples[0].tolist(),
                                             angles)]
-    ridge_reports = []
-    for tau, simplices, rows in plan.ridges:
-        total = sum(angles[row] for row in rows)
-        ridge_reports.append(RidgeAngles(
-            vertices=tau,
-            simplices=simplices,
-            angle_sum=float(total),
-            strictly_below_pi=bool(total < np.pi - 1e-9),
-        ))
+    sums = [(tau, simplices, float(sum(angles[row] for row in rows)))
+            for tau, simplices, rows in plan.ridges]
+    ridge_reports = [RidgeAngles(tau, simplices, total, total < np.pi - 1e-9)
+                     for tau, simplices, total in sums]
 
     idx = plan.simplices
     return PleatValidityReport(
@@ -431,35 +434,17 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
-def _prefix_gram_tops(m: np.ndarray, first: int) -> np.ndarray:
-    """Top eigenvalue of the Gram matrix of each column prefix of a (t, k, D)
-    stack, from ``first`` + 1 columns up: (D - first, t).  The Grams are
-    cumulative sums over column blocks of about ``_CHAIN_BLOCK`` floats, each
-    led by the running total, so every sum adds in column order."""
-    t, k, big_d = m.shape
-    step = max(1, _CHAIN_BLOCK // (t * k * k))
-    gram, tops = np.empty((t, 0, k, k)), []
-    for lo in range(0, big_d, step):
-        cols = m[..., lo:lo + step]
-        gram = np.cumsum(np.concatenate([gram[:, -1:], np.einsum("tic,tjc->tcij", cols, cols)],
-                                        axis=1), axis=1)[:, -cols.shape[-1]:]
-        tops.append(_top_eigenvalue(gram[:, max(0, first - lo):]))
-    return np.concatenate(tops, axis=1).T
-
-
-def _pair_alphas(r_src: np.ndarray, r_tgt: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of X^T X, X = R_src^-T R_tgt^T, per pair of (P, k, k) stage frames."""
-    x = frame_map(np.swapaxes(r_src, -1, -2), np.swapaxes(r_tgt, -1, -2))
-    return _top_eigenvalue(np.swapaxes(x, -1, -2) @ x)
-
-
-def _top_eigenvalue(gram: np.ndarray) -> np.ndarray:
-    """Top eigenvalue per (..., k, k) symmetric [[a, b], [b, c], ...]: for k = 2 in closed
-    form, (a + c)/2 + hypot((a - c)/2, b)."""
-    if gram.shape[-1] != 2:
-        return np.linalg.eigvalsh(gram)[..., -1]
-    a, b, c = gram[..., 0, 0], gram[..., 1, 0], gram[..., 1, 1]
-    return (a + c) / 2 + np.hypot((a - c) / 2, b)
+def _stage_pairs(top: np.ndarray, stages: int, step: int, pair) -> np.ndarray:
+    """(stages, t) alphas: ``pair(r, i)``, r = max(s, top[i]), at row s = 0 and each s > top[i],
+    row by row in blocks of ``step``; the rows between share row 0's frame and alpha."""
+    s = np.arange(stages)[:, None]
+    computed = (s > top) | (s == 0)
+    rows, simp = np.nonzero(computed)
+    alphas = np.empty(computed.shape)
+    for lo in range(0, len(rows), step):
+        r, i = rows[lo:lo + step], simp[lo:lo + step]
+        alphas[r, i] = pair(np.maximum(r, top[i]), i)
+    return np.where(computed, alphas, alphas[:1])
 
 
 def projection_chain(coords: np.ndarray, d: int, simplices,
@@ -469,20 +454,19 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
 
     Every stage records, per simplex, the top squared singular value of the
     affine map from the previous stage (an orthogonal projection restricted
-    to the simplex, hence always a weak compression) and from the original
-    source shape when given.  The source is solved once; a stage's source
-    alphas are the top eigenvalues of the Gram matrices of that map's column
-    prefix.  Against the previous stage, each stage's edges are factored once
-    (R_c, the R-only QR of their first c columns), and the map from stage
-    c + 1 to c has the singular values of the k x k R_c R_{c+1}^-1; a simplex
-    whose edges are zero past column c computes that pair once for every
-    stage above.  The source Grams, the R_c and the pairs go in blocks of about
-    ``_CHAIN_BLOCK`` floats, which bounds the peak memory.  ``simplices`` is
-    any (t, k+1) array-like of vertex indices, a read-only array too.  Raises
-    ``ValueError`` unless 1 <= d <= the ambient dimension and ``simplices`` is
-    such an array of indices into ``coords``, and ``SingularSimplex`` for a
-    degenerate source simplex first, then for the first stage's; ``index``
-    names the simplex.
+    to the simplex, hence always a weak compression) and from the source
+    shape, or else the first stage.  That map X, from the source edges in a
+    frame of their span, is solved once in edge form; stage c frames X's first
+    c columns by their R-only QR, R_c.  The top ``gram_eigenvalues`` of R_c is
+    the source alpha, and that of the linear part from R_{c+1}^T onto R_c^T
+    the previous-stage one.  A simplex whose edges are zero past column c
+    computes one of each for every stage above c.  The R_c and the pairs go in
+    blocks of about ``_CHAIN_BLOCK`` floats, which bounds the peak memory.
+    ``simplices`` is any (t, k+1) array-like of vertex indices, a read-only
+    array too.  Raises ``ValueError`` unless 1 <= d <= the ambient dimension,
+    ``simplices`` is such an array of indices into ``coords`` and ``source``
+    and ``target`` have a vertex per row of it; ``SingularSimplex`` for the
+    first degenerate source simplex, then for the first stage's, by ``index``.
     """
     coords = np.asarray(coords, dtype=float)
     big_d = coords.shape[1]
@@ -495,46 +479,49 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         raise ValueError("simplices must list at least one simplex")
     if idx.min() < 0 or idx.max() >= len(coords):
         raise ValueError(f"simplex vertex index out of range for {len(coords)} vertices")
-    stack = coords[idx]
-    base = stack if source is None else source.coords[idx]
-    alphas_src = _prefix_gram_tops(intrinsic_map(base, stack), d - 1)[::-1]  # (stages, t)
-    edges = stack[:, 1:] - stack[:, :1]  # (t, k, D); a stage keeps its first dim columns
-    del stack, base  # the stages read only the edges: free the rest before the frames
+    for name, shape in (("source", source), ("target", target)):
+        if shape is not None and len(shape.coords) != len(coords):
+            raise ValueError(f"{name} has {len(shape.coords)} vertices, coords has {len(coords)}")
+    (t, k), e_tgt = idx[:, 1:].shape, edges(coords[idx])  # (t, k, D)
+    src = e_tgt if source is None else edges(source.coords[idx])
+    if src.shape[-1] < k:  # more than D+1 points are affinely dependent
+        raise SingularSimplex("source simplex is affinely degenerate", 0)
+    if src.shape[-1] > k:  # the edges in an orthonormal frame of their span: R_src^T
+        src = np.swapaxes(np.linalg.qr(np.swapaxes(src, -1, -2), mode="r"), -1, -2)
+    flat = _flat(src)
+    if flat.any():
+        raise SingularSimplex("source simplex is affinely degenerate", int(flat.argmax()))
+    xt = linear_parts(edge_inverses(src, flat), e_tgt)  # (t, D, k): X^T
+    del e_tgt, src
 
-    # Row s compares stage dims[s] with the stage above.  Simplex i's stages at
-    # or above rep[i] all take row 0's pair, at min(D - 1, rep[i]); the pairs
-    # run row by row, so the first one that fails is the per-stage loop's.
-    dims = np.arange(big_d - 1, d - 1, -1)
-    used = (edges != 0.0).any(axis=1)  # (t, D): columns the edges use
-    rep = np.maximum((used * np.arange(1, big_d + 1)).max(axis=1), d)
-    computed = dims[:, None] < rep
-    computed[:1] = True
-    rows, simp = np.nonzero(computed)
-    pair_dims = np.minimum(dims[rows], rep[simp])
-    # frames[r, i]: R of simplex i's edges in their first D - r columns, if a pair reads it.
-    k = idx.shape[1] - 1
-    frame_rows, frame_simp = np.nonzero(np.arange(len(dims) + 1)[:, None] >= big_d - 1 - rep)
-    frames, step = np.zeros((len(dims) + 1, len(idx), k, k)), max(1, _CHAIN_BLOCK // (k * big_d))
+    # frames[r, i]: R_c^T of simplex i, c = D - r, if a pair reads it (c <= rep[i] + 1)
+    stages = big_d - d + 1
+    rep = np.maximum(((xt != 0.0).any(axis=2) * np.arange(1, big_d + 1)).max(axis=1), d)
+    frame_rows, frame_simp = np.nonzero(np.arange(stages)[:, None] >= big_d - 1 - rep)
+    frames, step = np.zeros((stages, t, k, k)), max(1, _CHAIN_BLOCK // (k * big_d))
     for lo in range(0, len(frame_rows), step):
         r, i = frame_rows[lo:lo + step], frame_simp[lo:lo + step]
         w = big_d - r[0]  # no frame of the block is wider
-        part = np.where(np.arange(w) + r[:, None, None] < big_d, edges[i, :, :w], 0.0)
-        frames[r, i, :w] = np.linalg.qr(np.swapaxes(part, -1, -2), mode="r")
-    alphas, step = np.empty(computed.shape), max(1, _CHAIN_BLOCK // (2 * k * k))
-    for lo in range(0, len(simp), step):
-        r, i = big_d - 1 - pair_dims[lo:lo + step], simp[lo:lo + step]  # source frames
-        try:
-            alphas[rows[lo:lo + step], i] = _pair_alphas(frames[r, i], frames[r + 1, i])
-        except SingularSimplex as exc:
-            exc.index = int(simp[lo + exc.index])  # the simplex, not its pair slot
-            raise
-    alphas_prev = np.where(computed, alphas, alphas[:1])
-    stages = tuple(ProjectionStage(dim, coords[:, :dim], prev, src) for dim, prev, src
-                   in zip(range(big_d, d - 1, -1), [None, *alphas_prev], alphas_src))
-    final_residual = 0.0
-    if target is not None:
-        final_residual = float(np.abs(stages[-1].coords - target.coords).max())
-    return ProjectionChain(stages=stages, final_residual=final_residual)
+        part = np.where(np.arange(w)[:, None] + r[:, None, None] < big_d, xt[i, :w], 0.0)
+        frames[r, i, :, :w] = np.swapaxes(np.linalg.qr(part, mode="r"), -1, -2)
+    del xt  # the pairs read only the frames
+
+    def previous(r, i):  # stage D - r - 1 from the wider stage D - r
+        flat = _flat(frames[r, i])
+        if flat.any():
+            raise SingularSimplex("source simplex is affinely degenerate", int(i[flat.argmax()]))
+        inv = edge_inverses(frames[r, i], flat)
+        return gram_eigenvalues(linear_parts(inv, frames[r + 1, i]))[..., -1]
+
+    # Row 0 holds every simplex's pair: the first previous-stage one to fail is the loop's.
+    step = max(1, _CHAIN_BLOCK // (2 * k * k))  # a pair reads two k x k matrices
+    alphas_src = _stage_pairs(big_d - rep, stages, step,
+                              lambda r, i: gram_eigenvalues(frames[r, i])[..., -1])
+    alphas_prev = _stage_pairs(big_d - 1 - rep, stages - 1, step, previous)
+    chain = tuple(ProjectionStage(dim, coords[:, :dim], prev, src) for dim, prev, src
+                  in zip(range(big_d, d - 1, -1), [None, *alphas_prev], alphas_src))
+    final = 0.0 if target is None else float(np.abs(coords[:, :d] - target.coords).max())
+    return ProjectionChain(stages=chain, final_residual=final)
 
 
 def pleated_projection_chain(pe: PleatedEmbedding) -> ProjectionChain:

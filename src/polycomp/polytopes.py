@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -346,11 +346,20 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     vertices, positive inward).  Raises ``DegenerateSpan`` if the affine
     span of the vertices is below d and ``DuplicateVertex`` if two vertex
     points coincide within tolerance.  Each test compares a length over the
-    radius r, the largest absolute centred coordinate, with ``COORD_TOL``.
+    radius r, the largest absolute centred coordinate, with ``COORD_TOL``
+    (near the float maximum, on the coordinates over 2^k, which is exact).
     """
     coords = _checked_coords(polytope, np.asarray(coords, dtype=float), mode)  # read, not written
     d = polytope.dimension
     n = polytope.vertex_count
+    size = np.abs(coords).max()
+    if size >= 2.0**1000 / n:  # a sum over the vertices could overflow: validate coords / 2^k
+        k = int(np.frexp(size)[1])
+        report = validate_shape(polytope, np.ldexp(coords, -k), mode)
+        residuals, margins = np.ldexp(report.residuals, k), np.ldexp(report.margins, k)
+        for a in (residuals, margins):
+            a.setflags(write=False)
+        return replace(report, residuals=residuals, margins=margins)
     centered = coords - np.add.reduce(coords, 0) / n  # coords.mean(axis=0), one call
     r = np.abs(centered).max()
     unit_t = (centered / (r or 1.0)).T.copy()  # radius 1: nothing below over- or underflows

@@ -48,14 +48,17 @@ def test_counted_counts_the_nnls_call_of_a_reflex_octagon(bench):
 
 def test_counted_restores_every_patched_attribute_when_run_raises(bench):
     before = attributes()
-    names = ("_cone_residual", "restricted_singular_values", "_pair_alphas", "degenerate")
+    # the pleat ladder's pair counters: this checkout's, and an older one's (_pair_alphas)
+    names = ("_cone_residual", "restricted_singular_values", "_pair_alphas", "gram_eigenvalues",
+             "edge_inverses", "degenerate")
 
     def run():
         patched = [key for key in before if key[1] in names
                    and getattr(sys.modules[key[0]], key[1]) is not before[key]]
-        # the pleat ladder's pair counters, one per side of a parent/change comparison
         assert ("polycomp.affine", "restricted_singular_values") in patched
-        assert ("polycomp.lifting", "_pair_alphas") in patched
+        assert ("polycomp.lifting", "gram_eigenvalues") in patched
+        assert ("polycomp.lifting", "edge_inverses") in patched
+        assert not any(key[1] == "_pair_alphas" for key in before)  # gone: nothing to patch
         # every module holding a name is patched: affine and barycentric share one function
         assert ("polycomp.affine", "degenerate") in patched
         assert ("polycomp.barycentric", "degenerate") in patched

@@ -686,6 +686,42 @@ def test_unequal_scales_keep_the_cli_contract(tmp_path, capsys, name, p_scale, q
             assert (code, payload["error"]) == (2, "NonFiniteResult"), (argv[0], payload)
 
 
+@pytest.mark.parametrize("scale", [1e308, -1e308, 1.7e308, -1.7e308])
+@pytest.mark.parametrize("name", ["square", "hexagons"])
+def test_shapes_near_the_float_maximum_keep_the_cli_contract(tmp_path, capsys, name, scale):
+    """Largest |coordinate| near the float maximum, where the coordinate sums
+    overflow: every command prints one strict JSON document and exits 0-3, and
+    the ones that read no map between two shapes' spectra succeed."""
+    from polycomp import cli
+
+    p, q, v, seq = scaled_pair_files(tmp_path, name, scale)
+    for argv in (["validate", p], ["subdivide", p], ["classify", p, q], ["edges", p, q],
+                 ["distance", p, q], ["order", p, q], ["scale", p, q], ["lift", p, q],
+                 ["pleat", p, q, "--triangulation", "fan:0"],
+                 ["perturb", p, v, "--pair", '{"face": [0]}', '{"face": [1]}'],
+                 ["sequence", seq, "--limit", p]):
+        code = cli.main(argv)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert code in (0, 1, 2, 3), (argv[0], payload)
+        if argv[0] in ("validate", "edges", "pleat"):
+            assert code == 0, (argv[0], payload)
+
+
+def test_chain_near_the_float_maximum_keeps_the_cli_contract(tmp_path, capsys):
+    """Two triangles with coordinates of 1e308: an edge's length overflows in the
+    stage frames, which reads as a non-finite result, not a LAPACK error."""
+    from polycomp import cli
+
+    doc = {"ambient_dimension": 3, "simplices": [[0, 1, 2], [0, 1, 3]],
+           "vertices": [[1e308, 0.0, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1e308],
+                        [1e308, 1e308, 0.0]]}
+    code = cli.main(["chain", write_json(tmp_path / "E.json", doc), "--base-dim", "2"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert code in (0, 1, 2, 3), payload
+    if code:
+        assert (code, payload["error"]) == (2, "NonFiniteResult"), payload
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e-154, 1e-150, 1e-100, 0.5, 1e100, 1e150, 1e154,
                                    1e160])
 def test_scale_reaches_the_critical_homothety_at_any_scale(tmp_path, capsys, scale):

@@ -1,4 +1,4 @@
-"""The d = 2 closed forms of ``affine`` and ``lifting`` against exact oracles.
+"""The d = 2 closed forms of ``affine`` against exact oracles.
 
 For A = [[p, q], [r, s]] the Gram eigenvalues alpha_min <= alpha_max are the roots
 of x^2 - T x + det(A)^2 with T = ||A||_F^2: alpha_min + alpha_max = ||A||_F^2 and
@@ -23,7 +23,6 @@ from polycomp.affine import (
     gram_eigenvalues,
     linear_parts,
 )
-from polycomp.lifting import _top_eigenvalue
 from polycomp.metric import _log_spread
 
 EPS = 2.0**-52
@@ -153,15 +152,3 @@ def test_determinant_matches_the_exact_one():
         p, q, r, s = (Fraction(float(x)) for x in e.ravel())
         size = abs(p * s) + abs(q * r)
         assert abs(Fraction(float(determinant(e))) - (p * s - q * r)) <= Fraction(2 * EPS) * size
-
-
-def test_top_eigenvalue_of_a_symmetric_pair_matches_the_exact_root():
-    rng = np.random.default_rng(32)
-    x = rng.standard_normal((100, 3, 2))
-    grams = np.swapaxes(x, -1, -2) @ x
-    for g, got in zip(grams, _top_eigenvalue(grams)):
-        a, b, c = (Fraction(float(v)) for v in (g[0, 0], g[1, 0], g[1, 1]))
-        with localcontext() as ctx:
-            ctx.prec = 50
-            want = (decimal(a + c) + decimal((a - c) ** 2 + 4 * b * b).sqrt()) / 2
-        assert abs(Decimal(float(got)) - want) <= Decimal(4 * EPS) * want

@@ -755,10 +755,8 @@ def triangular_stacks(rng):
 
 def test_triangular_flatness_matches_lu_determinant(rng):
     for e, want in triangular_stacks(rng):
-        got = affine._flat(e, triangular=True)
-        np.testing.assert_array_equal(got, affine._flat(e))
         if want is not None:
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(affine._flat(e), want)
 
 
 def test_intrinsic_map_names_the_simplex_the_lu_test_names(rng):
@@ -958,6 +956,44 @@ def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch,
         assert exc.value.index == 2
 
 
+@pytest.mark.parametrize("stages", [None, 1, 2])
+@pytest.mark.parametrize("short", [1, 2])
+def test_chain_names_the_first_flat_source_simplex(rng, monkeypatch, stages, short):
+    # Triangles in R^5 over a planar source on which triangles 1 and 2 are flat.
+    # Triangle ``short``'s edges are zero past column 1, so its one source pair
+    # stands for every stage; the other uses every column.  Triangle 1 is named,
+    # as the loop names it, whichever source pair a stacked call reaches first.
+    coords = rng.standard_normal((9, 5))
+    coords[3 * short:3 * short + 3, 2:] = 0.0
+    flat = random_convex_polygon(rng, 9)
+    flat[5] = 0.5 * (flat[3] + flat[4])
+    flat[8] = flat[6] + 2.0 * (flat[7] - flat[6])
+    simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    stages_per_block(monkeypatch, coords, simplices, stages)
+    for chain in (projection_chain, reference_chain):
+        with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+            chain(coords, 2, simplices, source=Shape(ngon_polytope(9), flat))
+        assert exc.value.index == 1
+
+
+def test_chain_rejects_a_source_below_the_simplex_dimension(rng):
+    # Tetrahedra over a planar source: four points in R^2 are affinely dependent.
+    coords = rng.standard_normal((8, 4))
+    source = Shape(ngon_polytope(8), random_convex_polygon(rng, 8))
+    for chain in (projection_chain, reference_chain):
+        with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+            chain(coords, 3, [[0, 1, 2, 3], [4, 5, 6, 7]], source=source)
+        assert exc.value.index == 0
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_chain_rejects_a_shape_of_another_vertex_count(rng, side, n):
+    shape = Shape(ngon_polytope(n), random_convex_polygon(rng, n))
+    with pytest.raises(ValueError, match=f"^{side} has {n} vertices, coords has 5$"):
+        projection_chain(rng.standard_normal((5, 3)), 2, [[0, 1, 2], [2, 3, 4]], **{side: shape})
+
+
 def pairs_per_block(monkeypatch, simplices, pairs):
     """Make projection_chain compute 1 to ``pairs`` (stage, simplex) pairs per call,
     each reading two k x k stage frames; blocks this small factor one frame per QR."""
@@ -965,15 +1001,23 @@ def pairs_per_block(monkeypatch, simplices, pairs):
 
 
 def computed_pairs(monkeypatch):
-    """Count the (stage, simplex) pairs projection_chain hands to ``_pair_alphas``."""
-    counted = []
-    pair_alphas = lifting._pair_alphas
+    """Count the (stage, simplex) pairs whose alphas projection_chain takes from
+    ``gram_eigenvalues``, per call: a previous-stage block hands it the linear parts
+    between two stage frames, a source block the stage frames themselves."""
+    counted = {"source": [], "previous": []}
+    parts = []
+    linear_parts, gram_eigenvalues = lifting.linear_parts, lifting.gram_eigenvalues
 
-    def counting(r_src, r_tgt):
-        counted.append(len(r_src))
-        return pair_alphas(r_src, r_tgt)
+    def solving(inv, e_tgt):
+        parts.append(linear_parts(inv, e_tgt))
+        return parts[-1]
 
-    monkeypatch.setattr(lifting, "_pair_alphas", counting)
+    def counting(linear):
+        counted["previous" if any(linear is x for x in parts) else "source"].append(len(linear))
+        return gram_eigenvalues(linear)
+
+    monkeypatch.setattr(lifting, "linear_parts", solving)
+    monkeypatch.setattr(lifting, "gram_eigenvalues", counting)
     return counted
 
 
@@ -998,17 +1042,21 @@ def test_chain_reuse_matches_stage_loop(rng, monkeypatch, pairs):
     simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
     pairs_per_block(monkeypatch, simplices, pairs)
     assert_chain_matches_loop(dense, 2, simplices, source)
-    assert sum(counted) == 4 * 4 and max(counted) <= pairs
-    # Zero tails: simplex 1 computes one pair for stage 4 and up, simplex 2 for
-    # stage 3 and up, simplex 3 for stage max(2, d) and up.  A triangle's
-    # previous-stage alphas are all about 1; a segment's are not.
-    for size, d, count in ((3, 2, 5 + 3 + 2 + 1), (2, 1, 6 + 4 + 3 + 2)):
+    assert sum(counted["previous"]) == 4 * 4 and max(counted["previous"]) <= pairs
+    assert sum(counted["source"]) == 4 * 5 and max(counted["source"]) <= pairs
+    # Zero tails: simplex 1 computes one pair of each kind for stage 4 and up,
+    # simplex 2 for stage 3 and up, simplex 3 for stage max(2, d) and up.  A
+    # triangle's previous-stage alphas are all about 1; a segment's are not.
+    for size, d, previous, src in ((3, 2, 5 + 3 + 2 + 1, 6 + 3 + 2 + 1),
+                                   (2, 1, 6 + 4 + 3 + 2, 7 + 4 + 3 + 2)):
         coords, simplices = zero_tail_embedding(rng, size)
         pairs_per_block(monkeypatch, simplices, pairs)
         for base in (None, Shape(ngon_polytope(4 * size), rng.standard_normal((4 * size, 2)))):
-            counted.clear()
+            counted["previous"].clear()
+            counted["source"].clear()
             assert_chain_matches_loop(coords, d, simplices, base)
-            assert sum(counted) == count and max(counted) <= pairs
+            assert sum(counted["previous"]) == previous and max(counted["previous"]) <= pairs
+            assert sum(counted["source"]) == src and max(counted["source"]) <= pairs
     # d == D: one stage and no previous-stage alphas.
     chain = projection_chain(coords, 7, simplices)
     assert [s.ambient_dimension for s in chain.stages] == [7]
@@ -1096,7 +1144,8 @@ def test_batched_fold_angles_match_single_face_loop(rng, monkeypatch):
 @pytest.mark.parametrize("n", [128, 192])
 def test_chain_peak_memory_is_bounded_on_large_fans(rng, n):
     # One stacked call over all 2n - 3 stages of this fan would allocate hundreds of
-    # MB; summing the source Grams block by block keeps n = 192 under the bound too.
+    # MB; factoring the frames and running the pairs block by block keeps n = 192
+    # under the bound too.
     poly = ngon_polytope(n)
     coords = random_convex_polygon(rng, n)
     pe = pleated_embedding(Shape(poly, coords), Shape(poly, 0.7 * coords),
@@ -1113,8 +1162,8 @@ def test_chain_peak_memory_is_bounded_on_large_fans(rng, n):
 
 @pytest.mark.parametrize("columns", [1, 2, 5])
 def test_source_gram_blocks_add_in_column_order(rng, monkeypatch, columns):
-    """Summing the source Grams over blocks of a few columns, running total
-    first, gives every stage's source alphas bit for bit."""
+    """Blocks of a few frames and source pairs each give every stage's source
+    alphas bit for bit."""
     pe = pleated_polygon(rng, 9, 2)
     want = pleated_projection_chain(pe)
     t, k = len(pe.triangulation.simplices), 2

@@ -595,6 +595,24 @@ def test_square_and_hexagons_validate_strictly_at_any_scale(unit_square, scale):
         assert report.verdict == "strictly-convex", report.messages
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_validate_reports_in_input_units_near_the_float_maximum(unit_square, sign):
+    """Coordinates of 2^1023 times the square's or a hexagon's, where sums over the
+    vertices overflow (the square's coordinates, the hexagon's signed distances): the
+    report is the one at scale 1, residuals and margins times 2^1023."""
+    shapes = [unit_square, *load_shapes(Path(__file__).parent / "data" / "hexagons.json")]
+    for s in shapes:
+        big = np.ldexp(sign * s.coords, 1023)
+        want = validate_shape(s.polytope, sign * s.coords, "weak")
+        got = validate_shape(s.polytope, big, "weak")
+        assert got.verdict == want.verdict == "strictly-convex", got.messages
+        assert (got.vertex_extreme, got.flat_facet_pairs, got.messages) == (
+            want.vertex_extreme, want.flat_facet_pairs, want.messages)
+        for a, b in ((got.residuals, want.residuals), (got.margins, want.margins)):
+            np.testing.assert_array_equal(a, np.ldexp(b, 1023))
+            assert not a.flags.writeable
+
+
 def test_vertex_extreme_translation_invariant():
     for poly, coords, _ in hull_test_cases(seed=14):
         report = validate_shape(poly, coords, "weak")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,19 +22,16 @@ from .barycentric import (
     barycentre,
     barycentric_complex,
     induced_map,
-    require_same_polytope,
 )
 from .errors import MalformedInput, NonFiniteResult, PolycompError
 from .lifting import (
-    isometry_residual,
-    lift_simplex,
     orthogonal_completion,
     pleat_validity,
     pleated_embedding,
     projection_chain,
 )
 from .metric import per_chain_deltas, sequence_report
-from .polytopes import Shape, fan_triangulation, is_tree, validate_shape
+from .polytopes import Shape, fan_triangulation, is_tree, triangulation, validate_shape
 from .spectral import (
     DEFAULT_TOL,
     PointOnShape,
@@ -72,18 +70,12 @@ def _checked_shape(path, label) -> Shape:
     return _require_valid(io.load_shape(path), f"{label} ({path})")
 
 
-def _checked_pair(args) -> tuple[Shape, Shape]:
-    return _checked_shape(args.source, "P"), _checked_shape(args.target, "Q")
-
-
-def _witness_dict(w) -> dict:
-    return {
-        "x": w.x.tolist(),
-        "y": w.y.tolist(),
-        "ratio": w.ratio,
-        "simplex_index": w.simplex_index,
-        "anchor_vertex": w.anchor_vertex,
-    }
+def _json_value(obj):
+    """``json.dumps`` hook: a numpy array or scalar as the JSON value of its ``tolist``.
+    A float64 is a ``float`` and never reaches it, so floats print as Python's."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def cmd_validate(args):
@@ -99,23 +91,21 @@ def cmd_subdivide(args):
     shape = _checked_shape(args.shape, "shape")
     complex_ = barycentric_complex(shape.polytope)
     faces = shape.polytope.faces
-    vertices = [barycentre(f, shape).tolist() for f in faces]
     t = complex_.simplex_count
     payload = {
         "dimension": shape.polytope.dimension,
         "chain_count": t,
-        "faces": [list(f) for f in faces],
-        "vertices": vertices,
-        "simplices": [list(c) for c in complex_.chains],
-        "adjacency": [list(e) for e in complex_.adjacency],
+        "faces": faces,
+        "vertices": [barycentre(f, shape) for f in faces],
+        "simplices": complex_.chains,
+        "adjacency": complex_.adjacency,
         "face_pairing_is_tree": is_tree(t, complex_.adjacency),
     }
     summary = f"{t} chain simplices over {len(faces)} faces"
     return payload, summary, 0
 
 
-def cmd_classify(args):
-    p, q = _checked_pair(args)
+def cmd_classify(p, q, args):
     result = classify(induced_map(p, q), tol=args.tol)
     payload = {
         "verdict": result.verdict,
@@ -124,20 +114,18 @@ def cmd_classify(args):
         "alpha_max": result.summary.alpha_max,
         "simplex_count": len(result.summary.per_simplex),
         "tol": args.tol,
-        "witness": _witness_dict(result.witness),
+        "witness": asdict(result.witness),
     }
     summary = (f"{result.verdict} (alpha_max={result.summary.alpha_max:.6g}, "
                f"edge_contracting={result.edge_contracting})")
     return payload, summary, 0
 
 
-def cmd_edges(args):
-    p, q = _checked_pair(args)
+def cmd_edges(p, q, args):
     report = edge_contraction_check(p, q)
     payload = {
         "edges": [
-            {"edge": list(e), "source_length": float(sl),
-             "target_length": float(tl), "ratio": float(r)}
+            {"edge": e, "source_length": sl, "target_length": tl, "ratio": r}
             for e, sl, tl, r in zip(report.edges, report.source_lengths,
                                     report.target_lengths, report.ratios)
         ],
@@ -147,18 +135,16 @@ def cmd_edges(args):
     return payload, summary, 0
 
 
-def cmd_distance(args):
-    p, q = _checked_pair(args)
+def cmd_distance(p, q, args):
     per_chain = per_chain_deltas(p, q)
-    payload = {"delta": float(np.max(per_chain)), "method": "simplex"}
+    payload = {"delta": per_chain.max(), "method": "simplex"}
     if not p.polytope.is_simplex:
-        payload.update(method="barycentric", per_chain=per_chain.tolist())
+        payload.update(method="barycentric", per_chain=per_chain)
     summary = f"delta = {payload['delta']:.12g}"
     return payload, summary, 0
 
 
-def cmd_order(args):
-    p, q = _checked_pair(args)
+def cmd_order(p, q, args):
     result = compare_order(p, q, tol=args.tol)
     payload = {
         "relation": result.relation,
@@ -170,14 +156,13 @@ def cmd_order(args):
     return payload, result.relation, 0
 
 
-def cmd_scale(args):
-    p, q = _checked_pair(args)
+def cmd_scale(p, q, args):
     result = scale_critical(p, q)
     payload = {
         "lambda": result.lam,
         "verdict_after": result.classification.verdict,
         "alpha_max_after": result.classification.summary.alpha_max,
-        "witness": _witness_dict(result.classification.witness),
+        "witness": asdict(result.classification.witness),
     }
     summary = f"lambda = {result.lam:.12g} -> {result.classification.verdict}"
     return payload, summary, 0
@@ -219,8 +204,8 @@ def cmd_perturb(args):
     if p.polytope.is_simplex:
         result = perturbation_classify(p, v)
         payload.update({
-            "eigenvalues": result.eigenvalues.tolist(),
-            "max_eigenvalue": float(result.eigenvalues[-1]),
+            "eigenvalues": result.eigenvalues,
+            "max_eigenvalue": result.eigenvalues[-1],
             "infinitesimal_weak_compression": result.infinitesimal_weak_compression,
         })
         summary_parts.append(
@@ -241,39 +226,35 @@ def cmd_complete(args):
     if m.shape[0] != m.shape[1]:
         raise MalformedInput(f"{args.matrix}: matrix must be square")
     comp = orthogonal_completion(m)
-    residual = float(np.abs(comp.U.T @ comp.U - np.eye(2 * m.shape[0])).max())
-    payload = {
-        "dimension": m.shape[0],
-        "M": comp.M.tolist(),
-        "A": comp.A.tolist(),
-        "B": comp.B.tolist(),
-        "C": comp.C.tolist(),
-        "U": comp.U.tolist(),
-        "orthogonality_residual": residual,
-    }
+    residual = np.abs(comp.U.T @ comp.U - np.eye(2 * m.shape[0])).max()
+    payload = {"dimension": m.shape[0], **asdict(comp), "orthogonality_residual": residual}
     return payload, f"orthogonality residual {residual:.3g}", 0
 
 
-def cmd_lift(args):
-    p, q = _checked_pair(args)
+def _pleat_payload(p, q, tri):
+    """The pleated embedding's payload, with its ``pleat_validity`` report."""
+    pe = pleated_embedding(p, q, tri)
+    report = pleat_validity(pe)
+    payload = {
+        "ambient_dimension": pe.ambient_dimension,
+        "vertices": pe.coords,
+        "simplices": tri.simplices,
+        "isometry_residual": report.max_isometry_residual,
+        "projection_residual": report.projection_residual,
+    }
+    return payload, report
+
+
+def cmd_lift(p, q, args):
     if not p.polytope.is_simplex:
         raise MalformedInput("lift applies to simplex shapes; use pleat for polytopes")
-    require_same_polytope(p, q)
-    lifted = lift_simplex(p, q)
     d = p.polytope.dimension
-    iso = isometry_residual(lifted, p.coords)
-    proj = float(np.abs(lifted[:, :d] - q.coords).max())
-    payload = {
-        **io.embedding_to_dict(2 * d, lifted, [list(range(d + 1))]),
-        "isometry_residual": iso,
-        "projection_residual": proj,
-    }
-    summary = f"lifted to R^{2 * d}; isometry residual {iso:.3g}"
+    payload, report = _pleat_payload(p, q, triangulation(p.polytope, [range(d + 1)]))
+    summary = f"lifted to R^{2 * d}; isometry residual {report.max_isometry_residual:.3g}"
     return payload, summary, 0
 
 
-def cmd_pleat(args):
-    p, q = _checked_pair(args)
+def cmd_pleat(p, q, args):
     spec = args.triangulation
     if spec.startswith("fan:"):
         try:
@@ -286,24 +267,17 @@ def cmd_pleat(args):
         tri = fan_triangulation(p.polytope, apex)
     else:
         tri = io.load_triangulation(spec, p.polytope)
-    pe = pleated_embedding(p, q, tri)
-    report = pleat_validity(pe)
-    payload = {
-        **io.embedding_to_dict(pe.ambient_dimension, pe.coords, tri.simplices),
-        "isometry_residual": report.max_isometry_residual,
-        "projection_residual": report.projection_residual,
-        "facet_folds": [
-            {"simplices": list(f.simplices), "shared": list(f.shared_vertices),
-             "dihedral": f.dihedral}
-            for f in report.facet_folds
-        ],
-        "ridge_angle_sums": [
-            {"vertices": list(r.vertices), "angle_sum": r.angle_sum,
-             "strictly_below_pi": r.strictly_below_pi}
-            for r in report.ridge_angle_sums
-        ],
-    }
-    summary = (f"pleated into R^{pe.ambient_dimension}; isometry residual "
+    payload, report = _pleat_payload(p, q, tri)
+    payload["facet_folds"] = [
+        {"simplices": f.simplices, "shared": f.shared_vertices, "dihedral": f.dihedral}
+        for f in report.facet_folds
+    ]
+    payload["ridge_angle_sums"] = [
+        {"vertices": r.vertices, "angle_sum": r.angle_sum,
+         "strictly_below_pi": r.strictly_below_pi}
+        for r in report.ridge_angle_sums
+    ]
+    summary = (f"pleated into R^{payload['ambient_dimension']}; isometry residual "
                f"{report.max_isometry_residual:.3g}")
     return payload, summary, 0
 
@@ -322,7 +296,7 @@ def cmd_chain(args):
         "base_dimension": d,
         "stages": [
             {"ambient_dimension": s.ambient_dimension,
-             "vertices": s.coords.tolist(),
+             "vertices": s.coords,
              "alpha_max_vs_prev": s.alpha_max_vs_prev}
             for s in chain.stages
         ],
@@ -349,12 +323,12 @@ def cmd_sequence(args):
         "count": len(shapes),
         "window": window,
         "eps": args.eps,
-        "delta_matrix": report.delta_matrix.tolist(),
+        "delta_matrix": report.delta_matrix,
         "cauchy": report.cauchy,
-        "first_violation": list(report.first_violation) if report.first_violation else None,
+        "first_violation": report.first_violation,
     }
     if limit is not None:
-        payload["limit_deltas"] = report.limit_deltas.tolist()
+        payload["limit_deltas"] = report.limit_deltas
         payload["converges"] = report.converges
     summary = f"cauchy={report.cauchy}"
     if report.converges is not None:
@@ -401,13 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("shape")
     sp.set_defaults(func=cmd_subdivide)
 
-    for name, func, extra_tol in (("classify", cmd_classify, True),
-                                  ("edges", cmd_edges, False),
-                                  ("distance", cmd_distance, False),
-                                  ("order", cmd_order, True),
-                                  ("scale", cmd_scale, False),
-                                  ("lift", cmd_lift, False)):
-        sp = sub.add_parser(name, help=f"{name} for a pair of shapes P, Q")
+    for name, func, extra_tol, text in (
+            ("classify", cmd_classify, True, None), ("edges", cmd_edges, False, None),
+            ("distance", cmd_distance, False, None), ("order", cmd_order, True, None),
+            ("scale", cmd_scale, False, None), ("lift", cmd_lift, False, None),
+            ("pleat", cmd_pleat, False, "pleated embedding over a tree triangulation")):
+        sp = sub.add_parser(name, help=text or f"{name} for a pair of shapes P, Q")
         sp.add_argument("source")
         sp.add_argument("target")
         if extra_tol:
@@ -415,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="strictness band around 1 (default %(default)s)",
                             type=_float_type(lambda t: 0 <= t < np.inf, "a finite number >= 0"))
         sp.set_defaults(func=func)
+    sp.add_argument("--triangulation", required=True,  # pleat's, the last of the loop
+                    help="triangulation file or fan:APEX for n-gons")
 
     sp = sub.add_parser("perturb", help="first-order analysis of a vertex velocity field")
     sp.add_argument("shape")
@@ -427,13 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("complete", help="orthogonal completion of a contraction")
     sp.add_argument("matrix")
     sp.set_defaults(func=cmd_complete)
-
-    sp = sub.add_parser("pleat", help="pleated embedding over a tree triangulation")
-    sp.add_argument("source")
-    sp.add_argument("target")
-    sp.add_argument("--triangulation", required=True,
-                    help="triangulation file or fan:APEX for n-gons")
-    sp.set_defaults(func=cmd_pleat)
 
     sp = sub.add_parser("chain", help="coordinate-dropping projection chain")
     sp.add_argument("embedding")
@@ -454,10 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        payload, summary, code = args.func(args)
+        # A pair subcommand's P, then Q, is loaded and validated here, for all of them.
+        pair = ((_checked_shape(args.source, "P"), _checked_shape(args.target, "Q"))
+                if "target" in args else ())
+        payload, summary, code = args.func(*pair, args)
         payload["command"] = args.command
         try:
-            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+            text = json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_value)
         except ValueError as exc:  # NaN and Infinity are not JSON
             raise NonFiniteResult(f"{args.command}: a result is not a finite number") from exc
     except PolycompError as exc:
@@ -465,7 +436,7 @@ def main(argv=None) -> int:
         if isinstance(exc, ValidationFailure):
             payload["report"] = exc.payload
         summary, code = str(exc), exc.exit_code
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True, default=_json_value)
     print(text)
     print(summary, file=sys.stderr)
     return code

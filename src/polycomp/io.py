@@ -125,14 +125,6 @@ def load_matrix(path) -> np.ndarray:
     return np.array(data, dtype=float).reshape(rows, cols)
 
 
-def embedding_to_dict(ambient_dimension: int, vertices: np.ndarray, simplices) -> dict:
-    return {
-        "ambient_dimension": int(ambient_dimension),
-        "vertices": np.asarray(vertices, dtype=float).tolist(),
-        "simplices": [list(map(int, s)) for s in simplices],
-    }
-
-
 def load_embedding(path) -> tuple[int, np.ndarray, list[list[int]]]:
     doc = _load_json(path)
     if not isinstance(doc, dict):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .affine import (
     _flat,
-    affine_correspondence,
     determinant,
     edge_inverses,
     edges,
@@ -39,7 +38,7 @@ from .errors import (
     NotTree,
     SingularSimplex,
 )
-from .polytopes import COORD_TOL, Shape, Triangulation, bfs_order
+from .polytopes import COORD_TOL, Shape, Triangulation, bfs_order, simplex_polytope, triangulation
 
 PSD_CLAMP = 1e-8
 CONTRACTION_TOL = 1e-9
@@ -91,12 +90,10 @@ def orthogonal_completion(m: np.ndarray) -> OrthogonalCompletion:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     d = m.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing Gram fails the test below
-        gram = m.T @ m
-    alpha_max = float(np.linalg.eigvalsh(gram)[-1])
+    alpha_max = float(gram_eigenvalues(m)[-1])  # inf where M^T M overflows
     if not alpha_max <= 1.0 + CONTRACTION_TOL:
         raise NotContraction(f"alpha_max = {alpha_max} is not at most 1")
-    a = symmetric_sqrt(np.eye(d) - gram)
+    a = symmetric_sqrt(np.eye(d) - m.T @ m)
     cols = [np.concatenate([m[:, i], a[:, i]]) for i in range(d)]
     basis = np.eye(2 * d)
     for i in range(2 * d):
@@ -115,15 +112,18 @@ def orthogonal_completion(m: np.ndarray) -> OrthogonalCompletion:
 
 
 def lift_simplex(p, q) -> np.ndarray:
-    """Isometric lift of simplex P into R^{2d} projecting onto Q.
+    """Isometric lift of simplex P into R^{2d} projecting onto Q: the pleated
+    embedding over its one simplex.  P and Q are shapes, or (d+1, d) arrays
+    taken as shapes of ``simplex_polytope(d)``.
 
     Vertex i receives (q_i, A (p_i - p_0)); the first d coordinates
     reproduce Q exactly and pairwise distances reproduce P because
     M^T M + A^T A = I.
     """
-    src, tgt = (s.coords if isinstance(s, Shape) else np.asarray(s, dtype=float) for s in (p, q))
-    a = orthogonal_completion(affine_correspondence(src, tgt).linear).A
-    return np.hstack([tgt, (src - src[0]) @ a.T])
+    p, q = (s if isinstance(s, Shape) else Shape(simplex_polytope(np.shape(s)[-1]), s)
+            for s in (p, q))
+    tri = triangulation(p.polytope, [range(p.polytope.dimension + 1)])
+    return pleated_embedding(p, q, tri).coords
 
 
 @dataclass(frozen=True)

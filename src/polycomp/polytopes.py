@@ -264,15 +264,16 @@ class ValidationReport:
         return self.is_strict if mode == "strict" else self.is_weak
 
     def to_dict(self) -> dict:
+        """The report as a JSON payload, one entry per facet; an infinite residual is null."""
         return {
             "verdict": self.verdict,
             "facets": [
-                {"facet": list(f), "margin": m, "residual": None if r == np.inf else r}
-                for f, r, m in zip(self.facets, self.residuals.tolist(), self.margins.tolist())
+                {"facet": f, "margin": m, "residual": None if r == np.inf else r}
+                for f, r, m in zip(self.facets, self.residuals, self.margins)
             ],
-            "vertex_extreme": list(self.vertex_extreme),
-            "flat_facet_pairs": [list(p) for p in self.flat_facet_pairs],
-            "messages": list(self.messages),
+            "vertex_extreme": self.vertex_extreme,
+            "flat_facet_pairs": self.flat_facet_pairs,
+            "messages": self.messages,
         }
 
 

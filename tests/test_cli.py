@@ -16,10 +16,32 @@ from hypothesis import strategies as st
 DATA = Path(__file__).parent / "data"
 
 
-def run_cli(*args, cwd=None):
-    proc = subprocess.run([sys.executable, "-m", "polycomp", *args],
-                          capture_output=True, text=True, cwd=cwd)
-    return proc
+def run_cli(*args):
+    """``polycomp *args`` run in this process, with its exit code, stdout and stderr."""
+    from polycomp import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return subprocess.CompletedProcess(["polycomp", *args], code, out.getvalue(), err.getvalue())
+
+
+def test_python_m_polycomp_runs_the_cli():
+    """The module entry point in a process of its own: a golden, byte for byte, and a
+    usage error, exit 3 with one JSON document."""
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "polycomp", *args],
+                              capture_output=True, text=True)
+
+    proc = run("classify", str(DATA / "P.json"), str(DATA / "Q.json"))
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "golden_classify.json").read_text(encoding="utf-8")
+    proc = run("bogus")
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == "MalformedInput"
 
 
 def write_json(path, doc):
@@ -172,6 +194,27 @@ def test_golden_validate_paths(name):
     assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
 
 
+PAIR_COMMANDS = {"classify": [], "edges": [], "distance": [], "order": [], "scale": [],
+                 "lift": [], "pleat": ["--triangulation", "fan:0"]}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
+def test_pair_commands_validate_p_then_q(tmp_path, name):
+    """Every pair subcommand loads and validates P before it reads Q: an invalid P
+    fails with Q's file missing, and a valid P with an invalid Q names Q."""
+    reflex = square_doc()
+    reflex["vertices"][2] = [0.2, 0.2]
+    bad = write_json(tmp_path / "reflex.json", reflex)
+    good = write_json(tmp_path / "square.json", square_doc())
+    for p, q, label in ((bad, str(tmp_path / "missing.json"), "P"), (good, bad, "Q")):
+        proc = run_cli(name, p, q, *PAIR_COMMANDS[name])
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert payload["error"] == "ValidationFailure"
+        assert payload["message"].startswith(f"{label} ({tmp_path}")
+        assert payload["report"]["verdict"] == "invalid"
+
+
 def test_classify_verdict_payload():
     proc = run_cli("classify", str(DATA / "P.json"), str(DATA / "Q.json"))
     payload = json.loads(proc.stdout)
@@ -227,12 +270,12 @@ def test_complete_rejects_expansion(tmp_path):
 
 
 def test_complete_rejects_an_overflowing_gram(tmp_path):
-    # M^T M overflows to a NaN spectrum: a NotContraction, not a numpy error.
+    # M^T M overflows, so its top eigenvalue reads inf: a NotContraction, not a numpy error.
     path = write_json(tmp_path / "m.json", {"rows": 2, "cols": 2, "data": [1e300, 0, 0, 1e-300]})
     proc = run_cli("complete", path)
     assert proc.returncode == 2
     assert json.loads(proc.stdout, parse_constant=reject_constant) == {
-        "error": "NotContraction", "message": "alpha_max = nan is not at most 1"}
+        "error": "NotContraction", "message": "alpha_max = inf is not at most 1"}
     assert "Traceback" not in proc.stderr
 
 

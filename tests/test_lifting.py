@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycomp import (
+    DegenerateSimplex,
     InconsistentLattice,
     InfeasibleApex,
     NotContraction,
@@ -45,8 +47,11 @@ from polycomp import lifting
 from polycomp import affine
 from polycomp.affine import DET_TOL, affine_correspondence, intrinsic_map
 from polycomp.barycentric import triangulation_map
+from polycomp.io import load_shape
 from polycomp.lifting import FacetFold, RidgeAngles, isometry_residual
 from polycomp.polytopes import COORD_TOL, bfs_order, facet_adjacency
+
+DATA = Path(__file__).parent / "data"
 
 
 def pairwise_distance_residual(lifted, source):
@@ -118,8 +123,8 @@ def test_completion_rejects_expansion():
 
 
 def test_completion_rejects_an_overflowing_gram():
-    # M^T M overflows, so its eigenvalues are NaN, which no bound admits.
-    with pytest.raises(NotContraction, match="^alpha_max = nan is not at most 1$"):
+    # M^T M overflows, so gram_eigenvalues reads its top eigenvalue as inf, which no bound admits.
+    with pytest.raises(NotContraction, match="^alpha_max = inf is not at most 1$"):
         orthogonal_completion(np.diag([1e300, 1e-300]))
 
 
@@ -164,8 +169,35 @@ def test_lift_random_critical_pairs(rng):
 
 def test_lift_rejects_expanding_pair(triangle_pair):
     p, q = triangle_pair
-    with pytest.raises(NotContraction):
+    with pytest.raises(NotContraction,
+                       match="^the map defined by the triangulation expands a pair$"):
         lift_simplex(p, q)
+
+
+def test_lift_rejects_a_degenerate_source():
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(DegenerateSimplex, match=r"^simplex \(0, 1, 2\) is degenerate"):
+        lift_simplex(flat, 0.5 * flat)
+
+
+def completion_lift(src, tgt):
+    """The simplex lift from the orthogonal completion: (q_i, A (p_i - p_0))."""
+    a = orthogonal_completion(affine_correspondence(src, tgt).linear).A
+    return np.hstack([tgt, (src - src[0]) @ a])
+
+
+def test_lift_is_the_completion_lift_bit_for_bit(rng):
+    """The one-simplex pleat places each vertex at the completion's lift to the
+    bit: on the CLI's P and P_small, and on critical pairs of each d = 1-5."""
+    p, q = (load_shape(DATA / name) for name in ("P.json", "P_small.json"))
+    assert np.array_equal(lift_simplex(p, q), completion_lift(p.coords, q.coords))
+    for d in range(1, 6):
+        poly = simplex_polytope(d)
+        for _ in range(40):
+            p = Shape(poly, random_simplex_coords(rng, d))
+            q = scale_critical(p, Shape(poly, random_simplex_coords(rng, d))).scaled_target
+            assert np.array_equal(lift_simplex(p, q), completion_lift(p.coords, q.coords))
+            assert np.array_equal(lift_simplex(p.coords, q.coords), lift_simplex(p, q))
 
 
 def test_projection_is_compression_cases(rng):

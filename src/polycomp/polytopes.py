@@ -201,19 +201,19 @@ def ngon_polytope(n: int) -> CombinatorialPolytope:
     return build_polytope(2, n, [[i, (i + 1) % n] for i in range(n)])
 
 
-def _checked_coords(polytope: CombinatorialPolytope, coords: np.ndarray,
-                    mode: str) -> np.ndarray:
-    """``coords`` after the checks every shape passes, in this order: one row of
-    ``dimension`` entries per vertex, a known mode, finite entries."""
+def _checked_coords(polytope: CombinatorialPolytope, coords: np.ndarray, mode: str):
+    """The largest absolute entry of ``coords``, after the checks every shape passes, in
+    this order: one row of ``dimension`` entries per vertex, a known mode, finite entries."""
     if coords.shape != (polytope.vertex_count, polytope.dimension):
         raise ValueError(
             f"coords must be {polytope.vertex_count} x {polytope.dimension}, got {coords.shape}"
         )
     if mode not in ("strict", "weak"):
         raise ValueError("mode must be 'strict' or 'weak'")
-    if not np.isfinite(coords).all():
+    size = np.abs(coords).max()
+    if not size < math.inf:  # a NaN entry makes the maximum NaN
         raise ValueError("coords must be finite")
-    return coords
+    return size
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +225,8 @@ class Shape:
     mode: str = "strict"
 
     def __post_init__(self):
-        coords = _checked_coords(self.polytope, np.array(self.coords, dtype=float), self.mode)
+        coords = np.array(self.coords, dtype=float)
+        _checked_coords(self.polytope, coords, self.mode)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -338,6 +339,28 @@ def _cone_residual(lifted: np.ndarray, gram: np.ndarray, v: int, start=()) -> fl
     return float(np.linalg.norm(lifted[v] - lam @ lifted))
 
 
+def _raise_on_duplicate(unit: np.ndarray) -> None:
+    """Raise ``DuplicateVertex`` naming the closest two rows of ``unit`` if they lie
+    within ``COORD_TOL`` of each other."""
+    n = len(unit)
+    unit_t = unit.T.copy()  # the n^2 steps run on n-long rows, not on d-long ones
+    diff = unit_t[:, :, None] - unit_t[:, None]
+    diff *= diff
+    sq = np.add.reduce(diff, 0)  # sqrt is monotone: the least square has the least root
+    sq.flat[::n + 1] = np.inf
+    i, j = divmod(int(sq.argmin()), n)
+    if math.sqrt(sq[i, j]) <= COORD_TOL:
+        raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
+
+
+def _flat_pairs(normals: np.ndarray, ridge_pairs: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The ridge pairs whose normals' angle (pi minus the dihedral) is at most
+    ``FLAT_ANGLE_TOL``."""
+    i, j = ridge_pairs.T
+    flat = np.vecdot(normals[i], normals[j]) >= _FLAT_COS
+    return tuple(map(tuple, ridge_pairs[flat].tolist()))
+
+
 def validate_shape(polytope: CombinatorialPolytope, coords,
                    mode: str = "strict") -> ValidationReport:
     """Check whether coordinates realize the polytope strictly or weakly.
@@ -349,11 +372,20 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     points coincide within tolerance.  Each test compares a length over the
     radius r, the largest absolute centred coordinate, with ``COORD_TOL``
     (near the float maximum, on the coordinates over 2^k, which is exact).
+
+    On a valid shape the least margin m settles three tests, with
+    tol = ``COORD_TOL`` r, since the d facets at a vertex meet only there:
+    if m > 3 tol, no two vertices lie within tol (one of them would leave a
+    facet at the other with a margin of at most 2 tol), so the n^2 duplicate
+    test is skipped; if m > 2 (2d - 1 + d sqrt(d + 1)) tol, the summed-normal
+    Farkas certificate holds at every vertex, so every vertex is extreme; if
+    m > 2 (3 tol + 4 sqrt(d) ``FLAT_ANGLE_TOL`` r), no ridge pair is flat.
+    Every other shape takes each test.
     """
-    coords = _checked_coords(polytope, np.asarray(coords, dtype=float), mode)  # read, not written
+    coords = np.asarray(coords, dtype=float)  # read, not written
+    size = _checked_coords(polytope, coords, mode)
     d = polytope.dimension
     n = polytope.vertex_count
-    size = np.abs(coords).max()
     if size >= 2.0**1000 / n:  # a sum over the vertices could overflow: validate coords / 2^k
         k = int(np.frexp(size)[1])
         report = validate_shape(polytope, np.ldexp(coords, -k), mode)
@@ -363,19 +395,8 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
         return replace(report, residuals=residuals, margins=margins)
     centered = coords - np.add.reduce(coords, 0) / n  # coords.mean(axis=0), one call
     r = np.abs(centered).max()
-    unit_t = (centered / (r or 1.0)).T.copy()  # radius 1: nothing below over- or underflows
-    unit = unit_t.T  # (the n^2 steps below run on unit_t's n-long rows, not on d-long ones)
+    unit = centered / (r or 1.0)  # radius 1: nothing below over- or underflows
     tol = COORD_TOL * r  # the same test on lengths in the input's units
-
-    diff = unit_t[:, :, None] - unit_t[:, None]
-    diff *= diff
-    sq = np.add.reduce(diff, 0)  # sqrt is monotone: the least square has the least root
-    sq.flat[::n + 1] = np.inf
-    i, j = divmod(int(sq.argmin()), n)
-    if math.sqrt(sq[i, j]) <= COORD_TOL:
-        raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
-    if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:  # rank below d
-        raise DegenerateSpan("affine span of the vertices is below d")
 
     # Fit every facet hyperplane: one SVD per group of facets of equal size (d > 2).
     on_facet, groups, ridge_pairs = polytope.facet_arrays
@@ -388,8 +409,9 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
         if d == 2:  # an edge e: the unit perpendicular, and the SVD's sigma_0 = |e| / sqrt 2
             e = points[:, 1] - points[:, 0]
             length = np.hypot(e[:, 0], e[:, 1])
-            normals[rows] = e[:, ::-1] * [-1.0, 1.0] / length[:, None]
             deficient[rows] = length / math.sqrt(2.0) <= tol
+            length += length == 0  # a zero edge gets the normal 0 / 1: the duplicate test raises
+            normals[rows] = e[:, ::-1] * [-1.0, 1.0] / length[:, None]
         elif d > 1:
             _, sv, vh = np.linalg.svd(points - c[:, None], full_matrices=True)
             normals[rows] = vh[:, -1]
@@ -403,17 +425,23 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     for k in range(d):
         np.subtract(coords[:, k], centroids[:, k, None], out=offsets[..., k])
     signed = (offsets @ normals[:, :, None])[..., 0]
-    outward = np.where(np.add.reduce(np.where(on_facet, 0.0, signed), 1) > 0, -1.0, 1.0)[:, None]
-    normals *= outward
-    signed *= outward
+    inward = (np.add.reduce(np.where(on_facet, 0.0, signed), 1) > 0)[:, None]
+    np.negative(normals, out=normals, where=inward)
+    np.negative(signed, out=signed, where=inward)
     margins = -np.where(on_facet, -np.inf, signed).max(axis=1)
     residuals = (np.abs(signed) * on_facet).max(axis=1)  # 0 if d = 1: a facet is its centroid
     residuals[deficient] = np.inf
-    bad = (residuals > tol) | (margins < -tol)
-    valid = not bad.any()
+    least = margins.min()
+    valid = residuals.max() <= tol and least >= -tol
+
+    if not (valid and least > 3 * tol):  # the least margin's bounds: see the docstring
+        _raise_on_duplicate(unit)
+    if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:  # rank below d
+        raise DegenerateSpan("affine span of the vertices is below d")
 
     messages = []
-    for k in () if valid else np.flatnonzero(bad):
+    bad = () if valid else np.flatnonzero((residuals > tol) | (margins < -tol))
+    for k in bad:
         facet = polytope.facets[k]
         if deficient[k]:
             messages.append(f"facet {facet} has deficient affine span")
@@ -426,30 +454,30 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     # lifted unit-radius points.  The Farkas certificate proves most vertices
     # extreme; a nonnegative combination of the edge neighbours' lifted points
     # within COORD_TOL of [u_v, 1] proves v is not; NNLS settles the rest.
-    extreme = _certified_extreme(unit, on_facet.T @ normals, COORD_TOL)
-    if not extreme.all():
-        lifted = np.hstack([unit, np.ones((n, 1))])
-        gram = lifted @ lifted.T
-        open_ = np.flatnonzero(~extreme)
-        nbrs = polytope.vertex_neighbors[open_]
-        try:
-            settled = _certified_nonextreme(lifted, gram, open_, nbrs)
-        except np.linalg.LinAlgError:  # affinely dependent neighbours: NNLS alone decides
-            settled, nbrs = np.zeros(len(open_), dtype=bool), nbrs[:, :0]
-        for v, start in zip(open_[~settled], nbrs[~settled].tolist()):  # warm from the neighbours
-            extreme[v] = _cone_residual(lifted, gram, v, start) > COORD_TOL
-    vertex_extreme = tuple(extreme.tolist())
+    if valid and least > 2 * (2 * d - 1 + d * math.sqrt(d + 1)) * tol:
+        vertex_extreme = (True,) * n
+    else:
+        extreme = _certified_extreme(unit, on_facet.T @ normals, COORD_TOL)
+        if not extreme.all():
+            lifted = np.hstack([unit, np.ones((n, 1))])
+            gram = lifted @ lifted.T
+            open_ = np.flatnonzero(~extreme)
+            nbrs = polytope.vertex_neighbors[open_]
+            try:
+                settled = _certified_nonextreme(lifted, gram, open_, nbrs)
+            except np.linalg.LinAlgError:  # affinely dependent neighbours: NNLS alone decides
+                settled, nbrs = np.zeros(len(open_), dtype=bool), nbrs[:, :0]
+            for v, start in zip(open_[~settled], nbrs[~settled].tolist()):  # warm from nbrs
+                extreme[v] = _cone_residual(lifted, gram, v, start) > COORD_TOL
+        vertex_extreme = tuple(extreme.tolist())
 
     flat_pairs = ()
-    if valid and d >= 2:
-        i, j = ridge_pairs.T
-        # The normals' angle (pi minus the dihedral) is at most FLAT_ANGLE_TOL.
-        flat = np.vecdot(normals[i], normals[j]) >= _FLAT_COS
-        flat_pairs = tuple(map(tuple, ridge_pairs[flat].tolist()))
+    if valid and d >= 2 and not least > 2 * (3 * tol + 4 * math.sqrt(d) * FLAT_ANGLE_TOL * r):
+        flat_pairs = _flat_pairs(normals, ridge_pairs)
 
     if not valid:
         verdict = "invalid"
-    elif (margins > tol).all() and all(vertex_extreme):
+    elif least > tol and all(vertex_extreme):
         verdict = "strictly-convex"
     else:
         verdict = "weakly-convex"

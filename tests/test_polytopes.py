@@ -1,6 +1,8 @@
 """Face lattices, shape validation, fans and face-pairing graphs."""
 
+import functools
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from polycomp import (
     DegenerateSpan,
     DuplicateVertex,
     InconsistentLattice,
+    MalformedInput,
     NotSimple,
     Shape,
     barycentric_complex,
@@ -649,14 +652,12 @@ def test_passes_follows_mode():
 
 # --- batched facet fits against the per-facet loop ---------------------------
 
-def reference_validate(poly, coords, mode, tol=COORD_TOL):
-    """The per-facet loop that validate_shape batches: one SVD fit per facet,
-    vertex_extreme from NNLS alone, lengths over the radius r.  Returns
-    (verdict, vertex_extreme, flat_facet_pairs, messages, residuals, margins)."""
+def reference_fits(poly, coords, tol=COORD_TOL):
+    """One SVD fit per facet, lengths over the radius r: (residuals, margins,
+    outward normals, r)."""
     n, d = coords.shape
-    centered = coords - coords.mean(axis=0)
-    r = np.abs(centered).max()
-    residuals, margins, normals, messages = [], [], [], []
+    r = np.abs(coords - coords.mean(axis=0)).max()
+    residuals, margins, normals = [], [], []
     for facet in poly.facets:
         points = coords[list(facet)]
         c = points.mean(axis=0)
@@ -671,18 +672,40 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
         signed = (coords[rest] - c) @ normal
         if signed.sum() > 0:
             normal, signed = -normal, -signed
-        margin = float(-signed.max())
+        residuals.append(residual)
+        margins.append(float(-signed.max()))
+        normals.append(normal)
+    return residuals, margins, normals, r
+
+
+def reference_validate(poly, coords, mode, tol=COORD_TOL):
+    """The per-facet loop that validate_shape batches, running every test: the
+    n^2 duplicate test, the rank, one SVD fit per facet, vertex_extreme from NNLS
+    alone and every ridge pair's angle, lengths over the radius r.  Raises
+    DuplicateVertex or DegenerateSpan; else returns (verdict, vertex_extreme,
+    flat_facet_pairs, messages, residuals, margins)."""
+    n, d = coords.shape
+    centered = coords - coords.mean(axis=0)
+    r = np.abs(centered).max()
+    unit = centered / (r or 1.0)
+    dist = np.linalg.norm(unit[:, None] - unit[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    i, j = sorted(np.unravel_index(int(dist.argmin()), dist.shape))
+    if dist[i, j] <= tol:
+        raise DuplicateVertex(f"vertices {i} and {j} coincide")
+    if np.linalg.svd(unit, compute_uv=False)[d - 1] <= tol:
+        raise DegenerateSpan("affine span of the vertices is below d")
+    residuals, margins, normals, _ = reference_fits(poly, coords, tol)
+    messages = []
+    for facet, residual, margin in zip(poly.facets, residuals, margins):
         if residual == np.inf:
             messages.append(f"facet {facet} has deficient affine span")
         elif residual > tol * r:
             messages.append(f"facet {facet} vertices are not coplanar")
         if margin < -tol * r:
             messages.append(f"vertices on both sides of facet {facet}")
-        residuals.append(residual)
-        margins.append(margin)
-        normals.append(normal)
     valid = not messages
-    lifted = np.hstack([centered / r, np.ones((n, 1))])
+    lifted = np.hstack([unit, np.ones((n, 1))])
     gram = lifted @ lifted.T
     extreme = tuple(_cone_residual(lifted, gram, v) > tol for v in range(n))
     flat = []
@@ -750,18 +773,153 @@ def batched_validation_cases(seed=21):
             for label, poly, coords in cases for scale in (1e-3, 1.0, 1e3)]
 
 
-@pytest.mark.parametrize("label,poly,coords", batched_validation_cases(),
+# --- the least margin's three bounds ------------------------------------------
+
+def margin_bounds(d):
+    """The least margins over r past which validate_shape skips the duplicate
+    test, the Farkas certificate and the flat-pair test, in that order."""
+    return (3 * COORD_TOL, 2 * (2 * d - 1 + d * np.sqrt(d + 1)) * COORD_TOL,
+            2 * (3 * COORD_TOL + 4 * np.sqrt(d) * FLAT_ANGLE_TOL))
+
+
+def wedge(d, eps):
+    """The d-cube's lattice as {0 <= x_k <= 1 for k < d - 1, 0 <= x_(d-1) <= eps +
+    mean(x_k)}: convex, every facet planar, vertices 0 and 1 eps apart, and its
+    least margin a fixed multiple of eps."""
+    poly, x = cube_polytope_and_coords(d)
+    x = x + 0.5
+    x[:, -1] *= eps + x[:, :-1].mean(axis=1)
+    return poly, x
+
+
+def folded_cube(d, h):
+    """The d-cube [0, 1]^d with its vertices at x_0 = x_1 = 1 moved to x_0 = x_1 =
+    (1 + h) / 2: at h = 0 the facets x_0 = 1 and x_1 = 1 lie on one hyperplane, and
+    their normals' angle grows with h.  Returns the two facets' indices too."""
+    poly, x = cube_polytope_and_coords(d)
+    x = x + 0.5
+    pair = [poly.facets.index(tuple(np.flatnonzero(x[:, k] == 1).tolist())) for k in (0, 1)]
+    x[(x[:, 0] == 1) & (x[:, 1] == 1), :2] = (1 + h) / 2
+    return poly, x, pair
+
+
+def solve_increasing(f, target):
+    """x in [0, 1] with f(x) = target, by bisection, for f increasing through target."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < target else (lo, mid)
+    return (lo + hi) / 2
+
+
+def least_margin_over_r(poly, coords):
+    _, margins, _, r = reference_fits(poly, coords)
+    return min(margins) / r
+
+
+def wedge_at_margin(d, target):
+    """The wedge whose least margin over r is ``target``."""
+    return wedge(d, solve_increasing(lambda e: least_margin_over_r(*wedge(d, e)), target))
+
+
+def folded_cube_at_angle(d, angle):
+    """The folded cube whose two folded facets' normals make ``angle`` (measured
+    by the chord between them, accurate at small angles)."""
+    def measured(h):
+        poly, coords, (i, j) = folded_cube(d, h)
+        normals = reference_fits(poly, coords)[2]
+        return 2 * np.arcsin(np.linalg.norm(normals[i] - normals[j]) / 2)
+    return folded_cube(d, solve_increasing(measured, angle))[:2]
+
+
+@functools.lru_cache(maxsize=1)
+def bound_cases():
+    """(label, polytope, coords) at each bound, for d = 2, 3 and 4: a wedge whose
+    vertices 0 and 1 are tol (1 -+ 1e-3) apart, wedges whose least margins are
+    each of the three bounds times (1 -+ 1e-3), and a cube folded until two facets'
+    normals make FLAT_ANGLE_TOL (1 -+ 0.25): the cos test resolves an angle that
+    small to about 1%."""
+    cases = []
+    for d in (2, 3, 4):
+        for side, f in (("below", 1 - 1e-3), ("above", 1 + 1e-3)):
+            eps = f * COORD_TOL
+            for _ in range(3):  # the radius moves with eps, by about eps
+                x = wedge(d, eps)[1]
+                eps = f * COORD_TOL * np.abs(x - x.mean(axis=0)).max()
+            cases.append((f"pair-at-tol-{side}-{d}-wedge", *wedge(d, eps)))
+            for name, bound in zip(("duplicate", "farkas", "flat"), margin_bounds(d)):
+                cases.append((f"margin-at-{name}-bound-{side}-{d}-wedge",
+                              *wedge_at_margin(d, f * bound)))
+        for side, f in (("below", 1 - 0.25), ("above", 1 + 0.25)):
+            cases.append((f"angle-at-flat-tol-{side}-{d}-cube",
+                          *folded_cube_at_angle(d, f * FLAT_ANGLE_TOL)))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("label,poly,coords", batched_validation_cases() + list(bound_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_batched_validate_matches_per_facet_loop(label, poly, coords):
     for mode in ("strict", "weak"):
+        try:
+            verdict, extreme, flat, messages, residuals, margins = reference_validate(
+                poly, coords, mode)
+        except (DuplicateVertex, DegenerateSpan) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                validate_shape(poly, coords, mode)
+            continue
         report = validate_shape(poly, coords, mode)
-        verdict, extreme, flat, messages, residuals, margins = reference_validate(
-            poly, coords, mode)
         assert (report.verdict, report.vertex_extreme, report.flat_facet_pairs,
                 report.messages) == (verdict, extreme, flat, messages)
         atol = 1e-12 * np.abs(coords).max()
         np.testing.assert_allclose(report.residuals, residuals, rtol=0, atol=atol)
         np.testing.assert_allclose(report.margins, margins, rtol=0, atol=atol)
+
+
+def spy_on_settled_tests(monkeypatch):
+    """Record the calls of the three tests that the least margin can settle."""
+    calls = []
+    for name in ("_raise_on_duplicate", "_certified_extreme", "_flat_pairs"):
+        def spy(*args, _name=name, _f=getattr(polytopes, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(polytopes, name, spy)
+    return calls
+
+
+def test_each_test_is_skipped_only_past_its_bound(monkeypatch):
+    calls = spy_on_settled_tests(monkeypatch)
+    names = ("duplicate", "farkas", "flat")
+    checked = 0
+    for label, poly, coords in bound_cases():
+        if not label.startswith("margin-at-"):
+            continue
+        name, side = label.split("-")[2], label.split("-")[4]
+        k = names.index(name)
+        calls.clear()
+        validate_shape(poly, coords, "strict")
+        want = [j > k or (j == k and side == "below") for j in range(3)]
+        got = [f in calls for f in ("_raise_on_duplicate", "_certified_extreme", "_flat_pairs")]
+        assert got == want, label
+        checked += 1
+    assert checked == 18
+
+
+def test_wide_strict_shapes_skip_the_farkas_certificate(monkeypatch):
+    calls = spy_on_settled_tests(monkeypatch)
+    rng = np.random.default_rng(22)
+    n = 16
+    regular = np.array([[np.cos(2 * np.pi * k / n), np.sin(2 * np.pi * k / n)] for k in range(n)])
+    poly4, cube4 = cube_polytope_and_coords(4)
+    for poly, coords in ((ngon_polytope(n), regular), (poly4, cube4)):
+        calls.clear()
+        assert validate_shape(poly, coords, "strict").verdict == "strictly-convex"
+        assert calls == []
+    for cls in ("weak", "reflex"):
+        for n in (8, 16, 32):
+            calls.clear()
+            coords, k = ngon_of_class(rng, n, cls)
+            assert not validate_shape(ngon_polytope(n), coords, "weak").vertex_extreme[k]
+            assert "_certified_extreme" in calls and "_raise_on_duplicate" in calls
 
 
 def test_batched_validation_cases_cover_every_outcome():
@@ -805,6 +963,72 @@ def test_shape_from_dict_shares_the_lattice_and_its_errors():
         with pytest.raises(error) as want:
             build_polytope(2, n, bad)
         assert str(got.value) == str(want.value)
+
+
+SQUARE_DOC = {"dimension": 2, "vertex_count": 4, "facets": [[0, 1], [1, 2], [2, 3], [3, 0]],
+              "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]}
+FLOAT_MAX_INT = int(sys.float_info.max)  # the float maximum, exactly
+
+
+def square_doc_with(field, i, value, k=None):
+    """SQUARE_DOC with ``doc[field][i]``, or its entry ``k``, set to ``value``."""
+    doc = {**SQUARE_DOC, field: [list(row) for row in SQUARE_DOC[field]]}
+    if k is None:
+        doc[field][i] = value
+    else:
+        doc[field][i][k] = value
+    return doc
+
+
+VERTEX_ROW_MESSAGE = "<shape>: field 'vertices[2]' must be 2 finite numbers"
+FACET_ROW_MESSAGE = "<shape>: field 'facets[1]' must list vertex indices in [0, 4)"
+
+
+@pytest.mark.parametrize("field,value,k,message", [
+    ("vertices", True, 1, VERTEX_ROW_MESSAGE),
+    ("vertices", "1.0", 1, VERTEX_ROW_MESSAGE),
+    ("vertices", None, 1, VERTEX_ROW_MESSAGE),
+    ("vertices", float("nan"), 1, VERTEX_ROW_MESSAGE),
+    ("vertices", float("inf"), 1, VERTEX_ROW_MESSAGE),
+    ("vertices", -float("inf"), 1, VERTEX_ROW_MESSAGE),
+    ("vertices", FLOAT_MAX_INT + 1, 1, VERTEX_ROW_MESSAGE),
+    ("vertices", -FLOAT_MAX_INT - 1, 1, VERTEX_ROW_MESSAGE),
+    ("vertices", [1.0], None, VERTEX_ROW_MESSAGE),
+    ("vertices", [1.0, 1.0, 1.0], None, VERTEX_ROW_MESSAGE),
+    ("vertices", {"x": 1.0}, None, VERTEX_ROW_MESSAGE),
+    ("vertices", 1.0, None, VERTEX_ROW_MESSAGE),
+    ("facets", [1, True], None, FACET_ROW_MESSAGE),
+    ("facets", [1, 4], None, FACET_ROW_MESSAGE),
+    ("facets", [-1, 2], None, FACET_ROW_MESSAGE),
+    ("facets", [1.0, 2], None, FACET_ROW_MESSAGE),
+    ("facets", [], None, FACET_ROW_MESSAGE),
+    ("facets", "12", None, FACET_ROW_MESSAGE),
+], ids=lambda v: repr(v)[:24])
+def test_shape_from_dict_names_the_bad_row(field, value, k, message):
+    i = 2 if field == "vertices" else 1
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+        shape_from_dict(square_doc_with(field, i, value, k))
+
+
+def test_shape_from_dict_names_the_first_bad_row_and_facets_first():
+    doc = square_doc_with("vertices", 3, [0.0, float("nan")])
+    doc["vertices"][1] = [0.0, None]
+    with pytest.raises(MalformedInput, match=r"'vertices\[1\]'"):
+        shape_from_dict(doc)
+    doc["facets"] = [[0, 1], [1, 2], [2, 4], [3, 0]]
+    with pytest.raises(MalformedInput, match=r"'facets\[2\]'"):
+        shape_from_dict(doc)
+
+
+def test_shape_from_dict_accepts_numbers_up_to_the_float_maximum():
+    for value in (FLOAT_MAX_INT, -FLOAT_MAX_INT, sys.float_info.max, 3):
+        shape = shape_from_dict(square_doc_with("vertices", 2, value, 1))
+        assert shape.coords[2, 1] == float(value)
+    # Finite rows whose sum overflows, and np.float64 entries, are accepted too.
+    huge = shape_from_dict(square_doc_with("vertices", 2, [1e308, 1e308]))
+    assert huge.coords[2].tolist() == [1e308, 1e308]
+    doc = {**SQUARE_DOC, "vertices": [[np.float64(x) for x in row] for row in SQUARE_DOC["vertices"]]}
+    assert shape_from_dict(doc).coords.tolist() == SQUARE_DOC["vertices"]
 
 
 def test_build_polytope_raises_on_every_call():

@@ -11,9 +11,11 @@ that order, as one client would.  The script records, in microseconds:
 - the median of each entry point and of the whole job over ``--repeat``
   jobs, each on a fresh pair;
 - the median of each kernel under them over ``--repeat`` calls on one
-  pair's chains: the chain build (``chain_simplex_coords``), the flatness
-  pass (``degenerate``), the solve (``solve_correspondence``) and the
-  eigenvalues (``gram_eigenvalues``, one ``eigvalsh`` of the Gram stack);
+  pair's chains: the cold build of the d-cube's barycentric complex
+  (``barycentric_complex.__wrapped__``, past its cache), the chain build
+  (``chain_simplex_coords``), the flatness pass (``degenerate``), the solve
+  (``solve_correspondence``) and the eigenvalues (``gram_eigenvalues``, one
+  ``eigvalsh`` of the Gram stack);
 
 and the calls of ``chain_simplex_coords``, ``degenerate`` and
 ``solve_correspondence``.
@@ -361,7 +363,9 @@ def kernel_inputs(pc, p, q):
 
 
 def kernel_job(pc, complex_, p, src, tgt, corr):
-    """The four kernels on one pair's chains, one step each."""
+    """The complex built cold and the four kernels on one pair's chains, one step each."""
+    pc.barycentric.barycentric_complex.__wrapped__(p.polytope)
+    yield "complex_build"
     pc.barycentric.chain_simplex_coords(complex_, p)
     yield "chain_build"
     pc.affine.degenerate(src)

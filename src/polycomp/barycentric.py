@@ -21,6 +21,7 @@ from .affine import (
     degenerate,
     edges,
     gram_eigenvalues,
+    prescaled,
     solve_correspondence,
 )
 from .errors import (
@@ -35,13 +36,13 @@ from .polytopes import CombinatorialPolytope, Shape, facet_adjacency
 BARY_TOL = 1e-9
 
 
-@np.errstate(over="ignore")  # a coordinate sum that overflows reads inf; callers raise on it
 def barycentre(face, shape: Shape) -> np.ndarray:
-    """Arithmetic mean of a face's vertex coordinates."""
+    """Mean of a face's vertex coordinates, summed over 2^k (exact), so no sum overflows."""
     idx = list(face)
     if not idx:
         raise ValueError("face must be nonempty")
-    return shape.coords[idx].mean(axis=0)
+    rows, k = prescaled(shape.coords[idx])
+    return np.ldexp(rows.mean(axis=0), k)
 
 
 @dataclass(frozen=True)
@@ -49,62 +50,46 @@ class BarycentricComplex:
     """Maximal chains of faces and their adjacency (shared d of d+1 faces)."""
 
     polytope: CombinatorialPolytope
-    chains: tuple[tuple[int, ...], ...]  # face indices, dimensions 0..d
-    # Read-only: ``chains`` as a (t, d+1) array, and the 0/1 face-by-vertex
-    # incidence matrix of ``polytope.faces``.
+    # Read-only: the (t, d+1) chains' face indices, dimensions 0..d, and the 0/1
+    # face-by-vertex incidence matrix of ``polytope.faces``.
     chain_faces: np.ndarray = field(compare=False, repr=False)
     incidence: np.ndarray = field(compare=False, repr=False)
 
     @property
     def simplex_count(self) -> int:
-        return len(self.chains)
+        return len(self.chain_faces)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, int], ...]:
         """Pairs of chains that share d of their d+1 faces; built when first read."""
-        return facet_adjacency(self.chains)
+        return facet_adjacency(self.chain_faces.tolist())
 
 
 @lru_cache(maxsize=32)
 def barycentric_complex(polytope: CombinatorialPolytope) -> BarycentricComplex:
-    """Enumerate all maximal chains of the face lattice, deterministically.
+    """Enumerate all maximal chains of the face lattice, one dimension at a time.
 
-    Chains are emitted in lexicographic order of their face-index tuples.
-    Adjacent chains differ in exactly one face.  The result is cached per
+    Level k extends each chain by every k-face holding all of its last face's
+    vertices, in face order, so the chains come in lexicographic order of their
+    rows.  Adjacent chains differ in exactly one face.  The result is cached per
     polytope (equal polytopes share it), so its arrays are read-only.
     """
-    d = polytope.dimension
-    by_dim = [[] for _ in range(d + 1)]
-    for i, k in enumerate(polytope.face_dims):
-        if 0 <= k <= d:
-            by_dim[k].append(i)
-    face_sets = [frozenset(f) for f in polytope.faces]
-
-    chains = []
-
-    def extend(chain, level):
-        if level > d:
-            chains.append(tuple(chain))
-            return
-        cur = face_sets[chain[-1]]
-        for j in by_dim[level]:
-            if cur < face_sets[j]:
-                chain.append(j)
-                extend(chain, level + 1)
-                chain.pop()
-
-    for i in by_dim[0]:
-        extend([i], 1)
-
-    chain_faces = np.array(chains, dtype=np.intp)
     faces = polytope.faces
-    sizes = [len(f) for f in faces]
+    sizes = np.fromiter(map(len, faces), np.intp, len(faces))
     incidence = np.zeros((len(faces), polytope.vertex_count))
     incidence[np.repeat(np.arange(len(faces)), sizes),
-              np.fromiter(itertools.chain.from_iterable(faces), np.intp, sum(sizes))] = 1.0
+              np.fromiter(itertools.chain.from_iterable(faces), np.intp, sizes.sum())] = 1.0
+    dims = np.array(polytope.face_dims)
+    chain_faces = np.flatnonzero(dims == 0)[:, None]
+    for k in range(1, polytope.dimension + 1):
+        level = np.flatnonzero(dims == k)
+        contains = incidence @ incidence[level].T == sizes[:, None]  # exact counts of 0/1
+        rows, cols = np.nonzero(contains[chain_faces[:, -1]])
+        chain_faces = chain_faces[rows]  # frees the shorter chains before stacking the longer
+        chain_faces = np.column_stack([chain_faces, level[cols]])
     for a in (chain_faces, incidence):
         a.setflags(write=False)
-    return BarycentricComplex(polytope, tuple(chains), chain_faces, incidence)
+    return BarycentricComplex(polytope, chain_faces, incidence)
 
 
 @dataclass(frozen=True, eq=False)

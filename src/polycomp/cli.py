@@ -97,7 +97,7 @@ def cmd_subdivide(args):
         "chain_count": t,
         "faces": faces,
         "vertices": [barycentre(f, shape) for f in faces],
-        "simplices": complex_.chains,
+        "simplices": complex_.chain_faces,
         "adjacency": complex_.adjacency,
         "face_pairing_is_tree": is_tree(t, complex_.adjacency),
     }

@@ -482,8 +482,10 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     for name, shape in (("source", source), ("target", target)):
         if shape is not None and len(shape.coords) != len(coords):
             raise ValueError(f"{name} has {len(shape.coords)} vertices, coords has {len(coords)}")
-    (t, k), e_tgt = idx[:, 1:].shape, edges(coords[idx])  # (t, k, D)
-    src = e_tgt if source is None else edges(source.coords[idx])
+    # Every alpha is a ratio of lengths: take the edges divided by one power of two (exact).
+    e = _exponent(coords, coords if source is None else source.coords)
+    (t, k), e_tgt = idx[:, 1:].shape, edges(np.ldexp(coords, -e)[idx])  # (t, k, D)
+    src = e_tgt if source is None else edges(np.ldexp(source.coords, -e)[idx])
     if src.shape[-1] < k:  # more than D+1 points are affinely dependent
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     if src.shape[-1] > k:  # the edges in an orthonormal frame of their span: R_src^T

@@ -56,29 +56,20 @@ class CombinatorialPolytope:
     def is_simplex(self) -> bool:
         return self.vertex_count == self.dimension + 1
 
-    def facet_pairs_sharing_ridge(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of facet indices whose intersection is a (d-2)-face."""
-        face_set = {f: d for f, d in zip(self.faces, self.face_dims)}
-        pairs = []
-        for i in range(len(self.facets)):
-            for j in range(i + 1, len(self.facets)):
-                common = tuple(sorted(set(self.facets[i]) & set(self.facets[j])))
-                if common and face_set.get(common) == self.dimension - 2:
-                    pairs.append((i, j))
-        return tuple(pairs)
-
     @cached_property
     def facet_arrays(self) -> tuple[np.ndarray, tuple, np.ndarray]:
         """Read-only arrays for batched facet work: the (F, n) facet-vertex
         incidence mask, ``(rows, vertices)`` groups of the facets with equal
         vertex counts (facet indices ``(m,)`` and their vertices ``(m, size)``)
-        and the ``(P, 2)`` facet pairs sharing a ridge."""
+        and the ``(P, 2)`` facet pairs sharing a ridge: those sharing a vertex v,
+        as a third facet G at v through their meet would hold the edge that the
+        other d - 1 facets at v cut out, which ``build_polytope`` checks they alone hold."""
         on_facet = np.array([[v in f for v in range(self.vertex_count)] for f in self.facets])
         sizes = on_facet.sum(axis=1)
         # sorted(set()), not np.unique, which imports numpy.ma: slow in a cold CLI call
         rows = [np.flatnonzero(sizes == s) for s in sorted(set(sizes.tolist()))]
         groups = tuple((r, np.array([self.facets[i] for i in r])) for r in rows)
-        ridge_pairs = np.array(self.facet_pairs_sharing_ridge(), dtype=int).reshape(-1, 2)
+        ridge_pairs = np.argwhere(np.triu(on_facet @ on_facet.T, 1))
         for a in (on_facet, ridge_pairs, *(a for g in groups for a in g)):
             a.setflags(write=False)
         return on_facet, groups, ridge_pairs
@@ -516,11 +507,11 @@ class Triangulation:
 def facet_adjacency(cells) -> tuple[tuple[int, int], ...]:
     """Sorted pairs (i, j), i < j, of cells that agree in all entries but one.
 
-    Each cell (a tuple in a canonical entry order) is keyed on itself minus
+    Each cell (a sequence in a canonical entry order) is keyed on itself minus
     one entry and joined to every earlier cell with that key.
     """
     earlier, edges = {}, []
-    for j, cell in enumerate(cells):
+    for j, cell in enumerate(map(tuple, cells)):
         for k in range(len(cell)):
             group = earlier.setdefault(cell[:k] + cell[k + 1:], [])
             edges.extend((i, j) for i in group)

@@ -13,6 +13,7 @@ from polycomp import (
     Shape,
     barycentre,
     barycentric_complex,
+    build_polytope,
     evaluate_map,
     induced_map,
     ngon_polytope,
@@ -51,26 +52,35 @@ def test_barycentre_body_of_published_triangle(triangle_pair):
     assert np.allclose(b, [1.7843333333333333, 0.7396666666666667], atol=1e-12)
 
 
+CUBE3 = build_polytope(3, 8, [[v for v in range(8) if (v >> k) & 1 == side]
+                              for k in range(3) for side in (0, 1)])
+PRISM = build_polytope(3, 6, [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [0, 2, 5, 3]])
+
+
 @pytest.mark.parametrize("polytope,expected", [
     (simplex_polytope(2), 6),
     (ngon_polytope(4), 8),
     (simplex_polytope(3), 24),
+    (ngon_polytope(5), 10),
+    (CUBE3, 48),
+    (PRISM, 36),
 ])
 def test_chain_counts(polytope, expected):
     complex_ = barycentric_complex(polytope)
     assert complex_.simplex_count == expected
-    assert set(complex_.chains) == brute_force_chains(polytope)
+    # Row for row: the chains come in lexicographic order of their face indices.
+    assert complex_.chain_faces.tolist() == [list(c) for c in sorted(brute_force_chains(polytope))]
 
 
 def test_chain_structure():
     complex_ = barycentric_complex(ngon_polytope(5))
     poly = complex_.polytope
-    for chain in complex_.chains:
+    for chain in complex_.chain_faces.tolist():
         dims = [poly.face_dims[i] for i in chain]
         assert dims == [0, 1, 2]
         assert set(poly.faces[chain[0]]) < set(poly.faces[chain[1]])
     for i, j in complex_.adjacency:
-        assert len(set(complex_.chains[i]) & set(complex_.chains[j])) == 2
+        assert len(set(complex_.chain_faces[i]) & set(complex_.chain_faces[j])) == 2
 
 
 def test_induced_map_identity(unit_square):
@@ -187,7 +197,7 @@ def test_continuity_on_shared_facets(rng):
     complex_ = barycentric_complex(p.polytope)
     samples_per_pair = 1000 // max(1, len(complex_.adjacency))
     for i, j in complex_.adjacency:
-        ci, cj = complex_.chains[i], complex_.chains[j]
+        ci, cj = complex_.chain_faces[i].tolist(), complex_.chain_faces[j].tolist()
         shared = [f for f in ci if f in cj]
         pts = np.stack([barycentre(p.polytope.faces[f], p) for f in shared])
         w = rng.dirichlet(np.ones(len(shared)), size=samples_per_pair)

@@ -59,7 +59,7 @@ def reference_simplices(p, q, simplices=None):
         return ([p.coords[list(s)] for s in simplices],
                 [q.coords[list(s)] for s in simplices])
     faces = p.polytope.faces
-    chains = barycentric_complex(p.polytope).chains
+    chains = barycentric_complex(p.polytope).chain_faces
     return tuple([np.array([barycentre(faces[f], shape) for f in chain]) for chain in chains]
                  for shape in (p, q))
 
@@ -222,7 +222,7 @@ def test_complex_is_cached_read_only_and_shared():
             arr[0, 0] = 1
     assert a.chain_faces.shape == (a.simplex_count, 3)
     shape = Shape(ngon_polytope(6), random_convex_polygon(np.random.default_rng(3), 6))
-    want = np.array([[barycentre(a.polytope.faces[f], shape) for f in c] for c in a.chains])
+    want = np.array([[barycentre(a.polytope.faces[f], shape) for f in c] for c in a.chain_faces])
     np.testing.assert_allclose(chain_simplex_coords(a, shape), want, rtol=1e-15, atol=1e-15)
 
 
@@ -244,7 +244,7 @@ def test_complex_adjacency_on_first_read_and_scattered_incidence(rng, kind, size
         shape = Shape(simplex_polytope(size), rng.standard_normal((size + 1, size)))
     complex_ = barycentric_complex.__wrapped__(shape.polytope)  # a fresh, uncached build
     assert "adjacency" not in vars(complex_)
-    assert complex_.adjacency == facet_adjacency(complex_.chains)
+    assert complex_.adjacency == facet_adjacency(complex_.chain_faces.tolist())
     assert complex_.adjacency is complex_.adjacency
     np.testing.assert_array_equal(complex_.incidence, isin_incidence(shape.polytope))
     assert complex_.incidence.dtype == np.float64

@@ -746,23 +746,31 @@ def test_shapes_near_the_float_maximum_keep_the_cli_contract(tmp_path, capsys, n
         code = cli.main(argv)
         payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert code in (0, 1, 2, 3), (argv[0], payload)
-        if argv[0] in ("validate", "edges", "pleat"):
+        if argv[0] in ("validate", "subdivide", "edges", "pleat"):
             assert code == 0, (argv[0], payload)
 
 
 def test_chain_near_the_float_maximum_keeps_the_cli_contract(tmp_path, capsys):
-    """Two triangles with coordinates of 1e308: an edge's length overflows in the
-    stage frames, which reads as a non-finite result, not a LAPACK error."""
+    """Two triangles with coordinates of 1e308, where an edge's length would
+    overflow: the alphas are ratios, so they read as those of the same file
+    divided by 2^1000, and the stages keep the input's coordinates."""
     from polycomp import cli
 
     doc = {"ambient_dimension": 3, "simplices": [[0, 1, 2], [0, 1, 3]],
            "vertices": [[1e308, 0.0, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1e308],
                         [1e308, 1e308, 0.0]]}
-    code = cli.main(["chain", write_json(tmp_path / "E.json", doc), "--base-dim", "2"])
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
-    assert code in (0, 1, 2, 3), payload
-    if code:
-        assert (code, payload["error"]) == (2, "NonFiniteResult"), payload
+    small = dict(doc, vertices=np.ldexp(doc["vertices"], -1000).tolist())
+
+    def run(name, d):
+        code = cli.main(["chain", write_json(tmp_path / name, d), "--base-dim", "2"])
+        return code, json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+
+    (code, payload), (small_code, small_payload) = run("E.json", doc), run("e.json", small)
+    assert (code, small_code) == (0, 0), payload
+    assert payload["max_alpha_vs_prev"] == small_payload["max_alpha_vs_prev"] == 1.0
+    assert ([s["alpha_max_vs_prev"] for s in payload["stages"]]
+            == [s["alpha_max_vs_prev"] for s in small_payload["stages"]])
+    assert payload["stages"][0]["vertices"] == doc["vertices"]
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-154, 1e-150, 1e-100, 0.5, 1e100, 1e150, 1e154,

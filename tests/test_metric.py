@@ -42,7 +42,7 @@ def oracle_delta_polytope(p, q):
 
     complex_ = barycentric_complex(p.polytope)
     worst = 0.0
-    for chain in complex_.chains:
+    for chain in complex_.chain_faces:
         src = np.stack([barycentre(p.polytope.faces[f], p) for f in chain])
         tgt = np.stack([barycentre(p.polytope.faces[f], q) for f in chain])
         m = (tgt[1:] - tgt[0]).T @ np.linalg.inv((src[1:] - src[0]).T)
@@ -471,7 +471,7 @@ def oracle_chain_coords(shape):
         return shape.coords[None]
     faces = shape.polytope.faces
     return np.array([[barycentre(faces[f], shape) for f in chain]
-                     for chain in barycentric_complex(shape.polytope).chains])
+                     for chain in barycentric_complex(shape.polytope).chain_faces])
 
 
 def hilbert_deltas(src, tgt):

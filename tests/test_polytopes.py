@@ -287,7 +287,7 @@ def adjacency_cases():
                  + [(f"{n}-gon", ngon_polytope(n)) for n in range(3, 21)]
                  + [(f"cube{d}", cube_polytope(d)) for d in range(2, 5)])
     for name, poly in polytopes:
-        yield f"chains-{name}", barycentric_complex(poly).chains
+        yield f"chains-{name}", tuple(map(tuple, barycentric_complex(poly).chain_faces.tolist()))
     for n in range(3, 21):
         for apex in sorted({0, n // 2}):
             yield f"fan-{n}-gon-{apex}", fan_triangulation(ngon_polytope(n), apex).simplices
@@ -678,6 +678,29 @@ def reference_fits(poly, coords, tol=COORD_TOL):
     return residuals, margins, normals, r
 
 
+def facet_pairs_sharing_ridge(poly):
+    """Pairs of facet indices whose intersection is a (d-2)-face, by set intersection."""
+    face_set = dict(zip(poly.faces, poly.face_dims))
+    return [(i, j) for i, j in itertools.combinations(range(len(poly.facets)), 2)
+            if face_set.get(tuple(sorted(set(poly.facets[i]) & set(poly.facets[j]))))
+            == poly.dimension - 2]
+
+
+@pytest.mark.parametrize("poly", [simplex_polytope(d) for d in (1, 2, 3, 4)]
+                         + [ngon_polytope(n) for n in (3, 4, 5, 8, 13)]
+                         + [cube_polytope(3), cube_polytope(4),
+                            build_polytope(3, 6, [[0, 1, 2], [3, 4, 5], [0, 1, 4, 3],
+                                                  [1, 2, 5, 4], [0, 2, 5, 3]])],
+                         ids=[f"simplex{d}" for d in (1, 2, 3, 4)]
+                         + [f"{n}-gon" for n in (3, 4, 5, 8, 13)] + ["cube3", "cube4", "prism"])
+def test_ridge_pairs_are_the_facet_pairs_meeting_in_a_ridge(poly):
+    """The facet pairs that share a vertex are, in a simple polytope, those whose
+    meet is a (d-2)-face, in the same order."""
+    ridge_pairs = poly.facet_arrays[2]
+    assert ridge_pairs.shape[1] == 2
+    assert list(map(tuple, ridge_pairs.tolist())) == facet_pairs_sharing_ridge(poly)
+
+
 def reference_validate(poly, coords, mode, tol=COORD_TOL):
     """The per-facet loop that validate_shape batches, running every test: the
     n^2 duplicate test, the rank, one SVD fit per facet, vertex_extreme from NNLS
@@ -710,7 +733,7 @@ def reference_validate(poly, coords, mode, tol=COORD_TOL):
     extreme = tuple(_cone_residual(lifted, gram, v) > tol for v in range(n))
     flat = []
     if valid and d >= 2:
-        for i, j in poly.facet_pairs_sharing_ridge():
+        for i, j in facet_pairs_sharing_ridge(poly):
             cosang = float(np.clip(np.dot(normals[i], normals[j]), -1.0, 1.0))
             if abs(np.pi - (np.pi - np.arccos(cosang))) <= FLAT_ANGLE_TOL:
                 flat.append((i, j))

@@ -35,7 +35,8 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         assert cube["chains"] == 48  # 3! chains at each of the 3-cube's 8 vertices
         assert sorted(cube["us"]) == sorted(
             ["classify", "compare_order", "scale_critical", "delta_polytope",
-             "per_chain_deltas", "job", "chain_build", "flatness", "solve", "eigvalsh"])
+             "per_chain_deltas", "job", "complex_build", "chain_build", "flatness", "solve",
+             "eigvalsh"])
         assert all(v > 0 for v in cube["us"].values())
         # The calls one job makes, as counted by the wrappers: the chains of P
         # and Q built and tested once each, and (P, Q) solved once; the spectra

@@ -8,11 +8,13 @@ Every spectral criterion in this package reads the d x d linear part,
 through the eigenvalues of its Gram matrix A^T A, and all of it broadcasts
 over stacks of simplices, so a shape's edge inverses can be computed once and
 shared by every map out of it.  For d = 2 the determinant, the inverse and the
-Gram eigenvalues are closed forms, with no per-matrix LAPACK call.
+Gram eigenvalues are closed forms, with no per-matrix LAPACK call; for d = 4 the
+determinant and the inverse are, as a Laplace expansion in complementary 2 x 2 minors.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +49,70 @@ def _flat(e: np.ndarray) -> np.ndarray:
 
 
 def determinant(e: np.ndarray) -> np.ndarray:
-    """det per (..., d, d) matrix: ps - qr for d = 2, else an LU factorization."""
+    """det per (..., d, d) matrix: ps - qr for d = 2, a Laplace expansion in 2 x 2 minors
+    for d = 4 (``_laplace4``), else an LU factorization."""
+    if e.shape[-1] == 4:
+        return _laplace4(_entries4(e))[1].reshape(e.shape[:-2])
     if e.shape[-1] != 2:
         return np.linalg.det(e)
     return e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
 
 
+# The column pairs of the 2 x 2 minors of a 4 x 4 matrix M; pair 5 - k is pair k's complement.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Entry 4 i + j is M[i, j].  On pair k = (a, b), minor k of rows (0, 1) and minor 6 + k
+# of rows (2, 3) are M[r, a] M[r + 1, b] - M[r, b] M[r + 1, a], r = 0 and 2.
+_MINOR_TERMS = np.array([[4 * r + a, 4 * r + 4 + b, 4 * r + b, 4 * r + 4 + a]
+                         for r in (0, 2) for a, b in _PAIRS]).T
+
+
+def _cofactor_terms() -> tuple[np.ndarray, np.ndarray]:
+    """(3, 16) tables of the three terms of each cofactor C_ij, in the adjugate's order
+    (entry 4 j + i).  Along the other row r of i's pair of rows, (-1)^(i + j) C_ij =
+    sum_t (-1)^t M[r, l_t] m_t over the columns l_0 < l_1 < l_2 other than j, m_t the
+    minor of the other pair of rows on the complement of the pair {j, l_t}."""
+    entries, minors = np.empty((2, 3, 16), dtype=np.intp)
+    for i, j in itertools.product(range(4), repeat=2):
+        for t, l in enumerate(c for c in range(4) if c != j):
+            entries[t, 4 * j + i] = 4 * (i ^ 1) + l
+            minors[t, 4 * j + i] = (11 if i < 2 else 5) - _PAIRS.index(tuple(sorted((j, l))))
+    return entries, minors
+
+
+_COFACTOR_ENTRIES, _COFACTOR_MINORS = _cofactor_terms()
+_COFACTOR_SIGNS = np.array([(-1.0) ** (k // 4 + k % 4) for k in range(16)])[:, None]
+
+
+def _entries4(e: np.ndarray) -> np.ndarray:
+    """The (16, n) contiguous copy of a (..., 4, 4) stack of n matrices, entry 4 i + j
+    first: always a copy, which ``_inverse`` scales in place."""
+    return e.reshape(-1, 16).T.copy()
+
+
+def _laplace4(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The twelve 2 x 2 minors (``_MINOR_TERMS``) and the determinant, the Laplace
+    expansion along rows (0, 1), sum_k +-s_k c_(5-k), of (16, n) entries."""
+    a, b, c, d = (f.take(i, 0) for i in _MINOR_TERMS)
+    minors = a * b - c * d
+    p = minors[:6] * minors[:5:-1]
+    return minors, (p[0] - p[1] + p[2]) + (p[3] - p[4] + p[5])
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a singular matrix reads inf/nan
 def _inverse(e: np.ndarray) -> np.ndarray:
-    """E^{-1} per (..., d, d) matrix.  For d = 2 it is the adjugate of the ``prescaled``
-    M = E / 2^k over det(M) 2^k, exact scalings that keep the determinant in range."""
+    """E^{-1} per (..., d, d) matrix.  For d = 2 and d = 4 it is the adjugate of the
+    ``prescaled`` M = E / 2^k over det(M) 2^k, exact scalings that keep the determinant
+    in range; a 4 x 4 cofactor is three entries times complementary minors."""
+    if e.shape[-1] == 4:
+        f = _entries4(e)
+        k = np.frexp(np.abs(f).max(axis=0))[1]  # ``prescaled``, on the entries-first copy
+        np.ldexp(f, -k, out=f)
+        minors, det = _laplace4(f)
+        t0, t1, t2 = (f.take(i, 0) * minors.take(j, 0)
+                      for i, j in zip(_COFACTOR_ENTRIES, _COFACTOR_MINORS))
+        adj = t0 - t1 + t2
+        adj /= _COFACTOR_SIGNS * np.ldexp(det, k)
+        return np.ascontiguousarray(adj.T).reshape(e.shape)
     if e.shape[-1] != 2:
         return np.linalg.inv(e)
     m, k = prescaled(e)

@@ -344,6 +344,12 @@ def _raise_on_duplicate(unit: np.ndarray) -> None:
         raise DuplicateVertex(f"vertices {min(i, j)} and {max(i, j)} coincide")
 
 
+def _raise_on_low_rank(unit: np.ndarray, d: int) -> None:
+    """Raise ``DegenerateSpan`` if the d-th singular value of ``unit`` is at most ``COORD_TOL``."""
+    if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:
+        raise DegenerateSpan("affine span of the vertices is below d")
+
+
 def _flat_pairs(normals: np.ndarray, ridge_pairs: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The ridge pairs whose normals' angle (pi minus the dihedral) is at most
     ``FLAT_ANGLE_TOL``."""
@@ -371,7 +377,12 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     test is skipped; if m > 2 (2d - 1 + d sqrt(d + 1)) tol, the summed-normal
     Farkas certificate holds at every vertex, so every vertex is extreme; if
     m > 2 (3 tol + 4 sqrt(d) ``FLAT_ANGLE_TOL`` r), no ridge pair is flat.
-    Every other shape takes each test.
+    For d = 2 the Farkas bound also settles the rank test: every edge line has
+    the other vertices at least m inside, so the cycle is its convex hull, whose
+    width, attained across an edge, is at least m; so the centred coordinates'
+    sigma_2 is at least m / sqrt 2 > tol.  (For d >= 3 a bound would need the
+    conditioning of the normals at a vertex, not m alone.)  Every other shape
+    takes each test.
     """
     coords = np.asarray(coords, dtype=float)  # read, not written
     size = _checked_coords(polytope, coords, mode)
@@ -425,10 +436,11 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     least = margins.min()
     valid = residuals.max() <= tol and least >= -tol
 
+    wide = valid and least > 2 * (2 * d - 1 + d * math.sqrt(d + 1)) * tol  # the Farkas bound
     if not (valid and least > 3 * tol):  # the least margin's bounds: see the docstring
         _raise_on_duplicate(unit)
-    if np.linalg.svd(unit, compute_uv=False)[d - 1] <= COORD_TOL:  # rank below d
-        raise DegenerateSpan("affine span of the vertices is below d")
+    if not (d == 2 and wide):
+        _raise_on_low_rank(unit, d)
 
     messages = []
     bad = () if valid else np.flatnonzero((residuals > tol) | (margins < -tol))
@@ -445,7 +457,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     # lifted unit-radius points.  The Farkas certificate proves most vertices
     # extreme; a nonnegative combination of the edge neighbours' lifted points
     # within COORD_TOL of [u_v, 1] proves v is not; NNLS settles the rest.
-    if valid and least > 2 * (2 * d - 1 + d * math.sqrt(d + 1)) * tol:
+    if wide:
         vertex_extreme = (True,) * n
     else:
         extreme = _certified_extreme(unit, on_facet.T @ normals, COORD_TOL)

@@ -12,7 +12,7 @@ of simplex shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +39,16 @@ def _lengths(v: np.ndarray) -> np.ndarray:
     k = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
     w = np.ldexp(v, -k)
     return np.ldexp(np.sqrt(np.vecdot(w, w)), k[..., 0])
+
+
+@lru_cache(maxsize=4)  # a request reads P and Q, a rescale also lambda Q
+def _edge_lengths(shape: Shape) -> np.ndarray:
+    """``_lengths`` of a shape's 1-faces, in ``edge_array`` order, as one read-only array
+    per shape (shapes key by identity)."""
+    edges = shape.polytope.edge_array
+    lengths = _lengths(shape.coords[edges[:, 0]] - shape.coords[edges[:, 1]])
+    lengths.setflags(write=False)
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -108,14 +118,14 @@ class Classification:
 
 def edge_contraction_check(p: Shape, q: Shape,
                            tol: float = DEFAULT_TOL) -> EdgeContractionReport:
-    """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j} of the shared polytope."""
+    """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j} of the shared
+    polytope, from each shape's cached ``_edge_lengths``."""
     require_same_polytope(p, q)
-    edges = p.polytope.edge_array
-    src, tgt = _lengths(np.stack([c[edges[:, 0]] - c[edges[:, 1]] for c in (p.coords, q.coords)]))
+    src, tgt = _edge_lengths(p), _edge_lengths(q)
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
         ratios = tgt / src
     return EdgeContractionReport(
-        edges=tuple(map(tuple, edges.tolist())),
+        edges=tuple(map(tuple, p.polytope.edge_array.tolist())),
         source_lengths=src,
         target_lengths=tgt,
         ratios=ratios,

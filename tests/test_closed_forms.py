@@ -1,4 +1,4 @@
-"""The d = 2 closed forms of ``affine`` against exact oracles.
+"""The d = 2 and d = 4 closed forms of ``affine`` against exact oracles and LAPACK.
 
 For A = [[p, q], [r, s]] the Gram eigenvalues alpha_min <= alpha_max are the roots
 of x^2 - T x + det(A)^2 with T = ||A||_F^2: alpha_min + alpha_max = ||A||_F^2 and
@@ -7,6 +7,7 @@ of the input doubles.  The oracle takes the roots and the log of their ratio in
 50-digit ``decimal``, so it shares no code with the closed forms, nor with LAPACK.
 The bounds are in units of eps = 2^-52 and grow with kappa = sigma_1 / sigma_2,
 the condition of the smaller singular value; a Gram eigensolver's grow with kappa^2.
+The d = 4 determinant and inverse are checked against exact rational elimination.
 """
 
 from decimal import Decimal, localcontext
@@ -15,7 +16,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polycomp import (
+    Shape,
+    barycentric,
+    classify,
+    compare_order,
+    delta_polytope,
+    induced_map,
+    scale_critical,
+)
+from polycomp import affine
 from polycomp.affine import (
+    DET_TOL,
     affine_correspondence,
     determinant,
     edge_inverses,
@@ -24,6 +36,7 @@ from polycomp.affine import (
     linear_parts,
 )
 from polycomp.metric import _log_spread
+from test_chain_kernel import projective_cube
 
 EPS = 2.0**-52
 
@@ -152,3 +165,192 @@ def test_determinant_matches_the_exact_one():
         p, q, r, s = (Fraction(float(x)) for x in e.ravel())
         size = abs(p * s) + abs(q * r)
         assert abs(Fraction(float(determinant(e))) - (p * s - q * r)) <= Fraction(2 * EPS) * size
+
+
+# d = 4: the determinant and the inverse as a Laplace expansion in 2 x 2 minors.
+# Each cofactor and the determinant is a short sum of products of the entries, so
+# their errors are a few eps times the products of the row norms they involve.
+# Over H = prod |row_i| / |det| >= 1, the Hadamard ratio, the inverse is good to a
+# few eps H normwise; LU's is good to a few eps kappa.  H <= kappa when one
+# singular value is small, as on a nearly flat simplex, but up to about kappa^3
+# when several are.
+
+
+def exact_det4(m):
+    """det of a 4 x 4 float matrix as a Fraction, by exact elimination."""
+    return exact_solve4(m)[0]
+
+
+def exact_solve4(m):
+    """det and E^{-1} of a nonsingular 4 x 4 float matrix as Fractions: Gauss-Jordan."""
+    a = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j)) for j in range(4)]
+         for i, row in enumerate(np.asarray(m))]
+    det = Fraction(1)
+    for c in range(4):
+        p = next((r for r in range(c, 4) if a[r][c] != 0), None)
+        if p is None:
+            return Fraction(0), None
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det *= a[c][c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(4):
+            if r != c and a[r][c] != 0:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return det, [row[4:] for row in a]
+
+
+def orthogonal4(rng):
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    return q * np.sign(np.diag(r))
+
+
+def conditioned_stacks(rng, count=60):
+    """(name, stack) of U diag(sigma) V^T with kappa = sigma_1 / sigma_4 log-uniform up
+    to 1e8: one small singular value, log-uniform ones, and geometric ones."""
+    kappas = 10.0 ** rng.uniform(0, 8, count)
+    spectra = {
+        "one-small": [[1.0, *rng.uniform(0.3, 1.0, 2), 1 / k] for k in kappas],
+        "log-uniform": [[1.0, *k ** -rng.uniform(0, 1, 2), 1 / k] for k in kappas],
+        "geometric": [k ** -np.linspace(0, 1, 4) for k in kappas],
+    }
+    for name, sigmas in spectra.items():
+        yield name, np.array([orthogonal4(rng) @ np.diag(s) @ orthogonal4(rng) for s in sigmas])
+
+
+def test_4x4_determinant_and_inverse_match_the_exact_ones():
+    rng = np.random.default_rng(33)
+    for name, stack in conditioned_stacks(rng):
+        dets, invs = determinant(stack), edge_inverses(stack, np.zeros(len(stack), dtype=bool))
+        for m, det, inv in zip(stack, dets, invs):
+            want_det, want_inv = exact_solve4(m)
+            rows = float(np.prod(np.linalg.norm(m, axis=1)))
+            assert abs(Fraction(float(det)) - want_det) <= Fraction(4 * EPS * rows), name
+            want = np.array([[float(w) for w in row] for row in want_inv])
+            hadamard, kappa = rows / abs(float(want_det)), float(np.linalg.cond(m))
+            error = np.linalg.norm(inv - want, 2) / np.linalg.norm(want, 2)
+            assert error <= 4 * EPS * hadamard, name
+            if name == "one-small":
+                assert error <= 4 * EPS * kappa
+            # LAPACK's inverse, to the sum of both bounds.
+            lapack = np.linalg.inv(m)
+            bound = 4 * EPS * (hadamard + kappa) * np.linalg.norm(lapack, 2)
+            assert np.linalg.norm(inv - lapack, 2) <= bound
+
+
+def test_4x4_forms_keep_their_bits_alone_and_in_any_stack():
+    rng = np.random.default_rng(34)
+    stack = rng.standard_normal((3, 5, 4, 4))
+    dets, invs = determinant(stack), edge_inverses(stack, np.zeros((3, 5), dtype=bool))
+    assert invs.flags.c_contiguous and not np.shares_memory(invs, stack)
+    for i, j in ((0, 0), (1, 3), (2, 4)):
+        m = stack[i, j].copy()
+        assert determinant(m).tobytes() == dets[i, j].tobytes()
+        assert affine._inverse(m).tobytes() == invs[i, j].tobytes()
+        assert m.tobytes() == stack[i, j].tobytes()  # the input is not scaled in place
+        assert determinant(np.swapaxes(stack, -1, -2)[i, j]) == determinant(m.T)
+
+
+def lapack_flat(e):
+    """``_flat`` as it reads with LAPACK's determinant."""
+    e = np.asarray(e, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        long2 = np.vecdot(e, e).max(axis=-1)
+        if not 1e-40 < long2.min() <= long2.max() < 1e40:
+            size = np.abs(e).reshape(e.shape[:-2] + (-1,)).max(axis=-1)[..., None, None]
+            e = e / np.where(size > 0, size, 1.0)
+            long2 = np.vecdot(e, e).max(axis=-1)
+        return np.abs(np.linalg.det(e)) <= DET_TOL * long2 ** 2
+
+
+def test_4x4_flatness_at_the_bound_matches_lapack():
+    # Rows 1-3 are shorter than row 0, and row 3 is a combination of rows 0-2 moved
+    # along their cofactor vector until det is +-DET_TOL (1 -+ 1e-3) |row 0|^4.  The
+    # exact determinant lands within 2.5e-4 of that, so it decides each side.
+    rng = np.random.default_rng(35)
+    stack, want = [], []
+    for ratio in np.resize([1 - 1e-3, 1 + 1e-3], 80):
+        m = rng.standard_normal((4, 4))
+        m *= [[1.0], [0.5], [0.5], [0.5]] / np.linalg.norm(m, axis=1, keepdims=True)
+        m[3] = rng.uniform(-0.3, 0.3, 3) @ m[:3]
+        normal = np.array([float(exact_det4(np.vstack([m[:3], row]))) for row in np.eye(4)])
+        target = rng.choice([-1.0, 1.0]) * ratio * DET_TOL * float(m[0] @ m[0]) ** 2
+        m[3] += (target - float(exact_det4(m))) * normal / (normal @ normal)
+        exact = abs(exact_det4(m)) / (Fraction(DET_TOL) * sum(Fraction(x) ** 2 for x in m[0]) ** 2)
+        assert abs(exact - Fraction(ratio)) <= Fraction(1, 4000)
+        stack.append(m)
+        want.append(exact <= 1)
+    stack = np.array(stack)
+    for scale in (1.0, 2.0**-600, 2.0**600, 1e-300, 1e300):
+        assert affine._flat(stack * scale).tolist() == want
+        assert lapack_flat(stack * scale).tolist() == want
+
+
+def test_4x4_zero_nan_and_inf_rows_are_flagged_as_with_lapack():
+    rng = np.random.default_rng(36)
+    stack = np.repeat(rng.standard_normal((1, 4, 4)), 9, axis=0)
+    stack[1, 2] = 0.0
+    stack[2] = 0.0
+    stack[3, 1, 2] = np.nan
+    stack[4, 0] = np.nan
+    stack[5, 3, 0] = np.inf
+    stack[6, 2] = -np.inf
+    stack[7, 1] = stack[7, 0]
+    stack[8, 0, 0] = 1e300  # |det| / |row 0|^4 is about 1e-900: flat
+    got = affine._flat(stack)
+    assert got.tolist() == lapack_flat(stack).tolist()
+    assert got.tolist() == [False, True, True, False, False, False, False, True, True]
+
+
+def unit_scaled(*shapes):
+    """The shapes' coordinates over the power of two above P's largest |entry|: exact."""
+    k = np.frexp(np.abs(shapes[0].coords).max())[1]
+    return [Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in shapes]
+
+
+def test_4x4_kernel_alphas_keep_their_bits_at_far_scales():
+    # 2^k scales every chain exactly, and the prescaled adjugate undoes it exactly; a
+    # scale of 1e+-300 rounds the coordinates, whose power-of-two image is then the
+    # unscaled pair, and its alphas stay within 1e-12 of the unit pair's.
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        p, q = projective_cube(rng, 4), projective_cube(rng, 4)
+        want = induced_map(p, q).alphas
+        for scale in (2.0**-600, 2.0**600, 1e-300, 1e300):
+            far = induced_map(p.scaled(scale), q.scaled(scale)).alphas
+            if scale in (1e-300, 1e300):
+                unit = induced_map(*unit_scaled(p.scaled(scale), q.scaled(scale)))
+                assert far.tobytes() == unit.alphas.tobytes()
+                np.testing.assert_allclose(far, want, rtol=1e-12, atol=0)
+            else:
+                assert far.tobytes() == want.tobytes()
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def lapack_inverse(e):
+    return np.linalg.inv(e)
+
+
+def entry_point_values(p, q):
+    """The floats that classify, compare_order, scale_critical and delta_polytope report."""
+    c, order, rescale = classify(induced_map(p, q)), compare_order(p, q), scale_critical(p, q)
+    return ([c.summary.alpha_min, c.summary.alpha_max, rescale.lam, delta_polytope(p, q),
+             order.backward.summary.alpha_min, order.backward.summary.alpha_max,
+             rescale.classification.summary.alpha_max],
+            [c.verdict, order.relation, rescale.classification.verdict])
+
+
+def test_4x4_entry_points_match_a_lapack_reference(monkeypatch):
+    rng = np.random.default_rng(38)
+    pairs = [(projective_cube(rng, 4), projective_cube(rng, 4)) for _ in range(20)]
+    closed = [entry_point_values(p, q) for p, q in pairs]
+    monkeypatch.setattr(affine, "determinant", np.linalg.det)
+    monkeypatch.setattr(affine, "_inverse", lapack_inverse)
+    barycentric.induced_map.cache_clear()
+    barycentric.chain_stack.cache_clear()
+    for (p, q), (values, verdicts) in zip(pairs, closed):
+        want_values, want_verdicts = entry_point_values(p, q)
+        assert verdicts == want_verdicts
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+    barycentric.induced_map.cache_clear()
+    barycentric.chain_stack.cache_clear()

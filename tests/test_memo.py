@@ -1,7 +1,7 @@
 """The memoised induced map and chain stacks: one solve per (P, Q) pair and
-one chain build and flatness test per shape, shared by the spectral and
-metric entry points, with the same values and errors as uncached calls;
-the extremal pair is computed only when read."""
+one chain build, flatness test and edge-length array per shape, shared by
+the spectral and metric entry points, with the same values and errors as
+uncached calls; the extremal pair is computed only when read."""
 
 import dataclasses
 from pathlib import Path
@@ -43,6 +43,7 @@ ENTRY_POINTS = (
 def clear_memo():
     barycentric.induced_map.cache_clear()
     barycentric.chain_stack.cache_clear()
+    spectral._edge_lengths.cache_clear()
 
 
 def canon(v):
@@ -106,6 +107,7 @@ def test_memo_stays_bounded():
         delta_polytope(p, q)
     assert barycentric.induced_map.cache_info().currsize <= 4
     assert barycentric.chain_stack.cache_info().currsize <= 4
+    assert spectral._edge_lengths.cache_info().currsize <= 4
 
 
 def test_witness_is_computed_once_and_only_when_read(monkeypatch):

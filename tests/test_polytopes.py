@@ -945,6 +945,36 @@ def test_wide_strict_shapes_skip_the_farkas_certificate(monkeypatch):
             assert "_certified_extreme" in calls and "_raise_on_duplicate" in calls
 
 
+def test_the_rank_test_is_skipped_only_on_wide_polygons(monkeypatch):
+    # For d = 2 a least margin past the Farkas bound bounds sigma_2 below; for d >= 3
+    # the rank test always runs.
+    calls, rank_test = [], polytopes._raise_on_low_rank
+    monkeypatch.setattr(polytopes, "_raise_on_low_rank",
+                        lambda *args: calls.append(1) or rank_test(*args))
+    checked = 0
+    for label, poly, coords in bound_cases():
+        if label.startswith("margin-at-farkas-"):
+            calls.clear()
+            validate_shape(poly, coords, "strict")
+            d, side = poly.dimension, label.split("-")[4]
+            assert calls == ([] if d == 2 and side == "above" else [1]), label
+            checked += 1
+    assert checked == 6
+    regular = [[np.cos(2 * np.pi * k / 16), np.sin(2 * np.pi * k / 16)] for k in range(16)]
+    for poly, coords in ((ngon_polytope(16), regular), cube_polytope_and_coords(4)):
+        calls.clear()
+        assert validate_shape(poly, coords, "strict").verdict == "strictly-convex"
+        assert calls == ([] if poly.dimension == 2 else [1])
+
+
+def test_a_duplicate_vertex_raises_before_a_degenerate_span():
+    collinear = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(DuplicateVertex):
+        validate_shape(ngon_polytope(4), collinear, "weak")
+    with pytest.raises(DegenerateSpan):
+        validate_shape(ngon_polytope(4), collinear[1:] + [[3.0, 0.0]], "weak")
+
+
 def test_batched_validation_cases_cover_every_outcome():
     seen = set()
     for _, poly, coords in batched_validation_cases():

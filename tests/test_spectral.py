@@ -212,6 +212,62 @@ def test_lengths_direct_branch_matches_the_rescale(rng):
         assert spectral._lengths(v).tobytes() == rescaled.tobytes()
 
 
+def stacked_edge_check(p, q):
+    """Lengths and ratios as one ``_lengths`` call over both shapes' stacked edges."""
+    edges = p.polytope.edge_array
+    src, tgt = spectral._lengths(np.stack([s.coords[edges[:, 0]] - s.coords[edges[:, 1]]
+                                           for s in (p, q)]))
+    with np.errstate(over="ignore"):
+        return src, tgt, tgt / src
+
+
+def test_cached_edge_lengths_match_the_stacked_form(rng):
+    # Per shape, the lengths take the direct branch or the rescale on their own;
+    # either way they keep the bits of the stacked call, even beside a far scale.
+    for poly in (ngon_polytope(7), cube_polytope(3), cube_polytope(4)):
+        d, n = poly.dimension, poly.vertex_count
+        for p_scale, q_scale in itertools.product((1e-300, 1.0, 1e300), repeat=2):
+            p = Shape(poly, rng.standard_normal((n, d)) * p_scale, mode="weak")
+            q = Shape(poly, rng.standard_normal((n, d)) * q_scale, mode="weak")
+            report = edge_contraction_check(p, q)
+            got = (report.source_lengths, report.target_lengths, report.ratios)
+            for a, b in zip(got, stacked_edge_check(p, q)):
+                assert a.tobytes() == b.tobytes(), (p_scale, q_scale)
+
+
+def test_edge_lengths_are_cached_per_shape_and_read_only(rng):
+    spectral._edge_lengths.cache_clear()
+    poly = cube_polytope(4)
+    p, q = (Shape(poly, rng.standard_normal((16, 4)), mode="weak") for _ in range(2))
+    first, again = edge_contraction_check(p, q), edge_contraction_check(q, p)
+    assert first.source_lengths is again.target_lengths is spectral._edge_lengths(p)
+    assert first.target_lengths is again.source_lengths is spectral._edge_lengths(q)
+    for a in (first.source_lengths, first.target_lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert spectral._edge_lengths.cache_info().misses == 2
+
+
+def test_a_job_computes_three_length_arrays(monkeypatch):
+    # classify, both directions of compare_order and scale_critical read P, Q and
+    # lambda Q: lambda Q gets its own lengths, and no shape's are computed twice.
+    rng = np.random.default_rng(33)
+    p, q = projective_cube(rng, 4), projective_cube(rng, 4)
+    spectral._edge_lengths.cache_clear()
+    rows = []
+    monkeypatch.setattr(spectral, "_lengths",
+                        lambda v, _f=spectral._lengths: rows.append(len(v)) or _f(v))
+    classify(induced_map(p, q))
+    compare_order(p, q)
+    r = scale_critical(p, q)
+    assert rows == [32] * 3
+    lengths = spectral._edge_lengths(r.scaled_target)
+    assert lengths is not spectral._edge_lengths(q)
+    assert lengths.tobytes() == stacked_edge_check(p, r.scaled_target)[1].tobytes()
+    assert r.classification.edge_contracting == bool((lengths / spectral._edge_lengths(p)
+                                                      < 1.0 - spectral.DEFAULT_TOL).all())
+
+
 def test_extremal_pair_identity_and_diag(unit_square):
     w = extremal_pair(induced_map(unit_square, unit_square))
     assert w.ratio == pytest.approx(1.0, abs=1e-12)

@@ -17,8 +17,8 @@ that order, as one client would.  The script records, in microseconds:
   (``solve_correspondence``) and the eigenvalues (``gram_eigenvalues``, one
   ``eigvalsh`` of the Gram stack);
 
-and the calls of ``chain_simplex_coords``, ``degenerate`` and
-``solve_correspondence``.
+and the calls of ``chain_simplex_coords``, ``_flat`` (the flatness test, on
+edge matrices) and ``linear_parts`` (the solve, from edge inverses).
 
 For each n of the n-gon ladder and each class (strictly convex; weakly
 convex, one vertex on its neighbours' chord; reflex, one vertex pulled inside
@@ -67,6 +67,18 @@ where it has one).  It also counts the calls of ``chain_simplex_coords``,
 Calls are counted over one more job, with the functions wrapped wherever a
 module of the checkout holds them: counts, not formulas.
 
+For each subcommand in ``--cli`` (default: all), run with the arguments of its
+golden in tests/data, the script makes ``--cli-calls`` cold ``python -m
+polycomp`` calls per checkout, the checkouts taking turns, each in a fresh
+process with ``PYTHONDONTWRITEBYTECODE=1``, so polycomp is compiled from
+source unless the checkout holds a ``__pycache__`` (recorded as
+``bytecode_cached``).  It records the median wall time of a call, in seconds,
+whether every call printed the golden byte for byte, and, from a quarter as
+many calls under ``-X importtime``, the median of polycomp's own import time
+(the self times of ``polycomp`` and its modules), of numpy's cumulative import
+time, and the polycomp modules a call imports.  As a baseline it records the
+median wall time of ``python -c pass`` and of ``python -c "import numpy"``.
+
 Every ``--src`` checkout is imported into this one process under its own
 package name, and the checkouts take turns job by job and call by call, on
 the same inputs, with the first side alternating.  So a parent commit and a
@@ -77,11 +89,12 @@ highest-numbered CPU it may use.
 Usage:
     python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5]
                              [--ngons 8 32 128] [--pleats 8 32 128]
-                             [--sequences 8 40] [--repeat N] [--out FILE]
+                             [--sequences 8 40] [--repeat N] [--cli SUB ...]
+                             [--cli-calls N] [--out FILE]
 
 Each checkout's numbers go to ``runs[LABEL]`` of the JSON file ``--out``
 (LABEL defaults to the directory's name; with no ``--src``, this checkout
-is timed as ``change``).  Example:
+is timed as ``change``), the CLI baseline to ``cli_baseline``.  Example:
 
     python3 scripts/bench.py --src parent=../parent --src change=. --out BENCH.json
 """
@@ -106,6 +119,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 LAYOUT = "polycomp-bench/1"
 # The inputs of d come from SEED + d, those of a pleat n from SEED + 1000 + n and
 # those of a sequence K from SEED + 2000 + K, the same on every side and run.
@@ -113,11 +127,29 @@ SEED = 14
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
 NGON_CLASSES = ("strict", "weak", "reflex")
+# The arguments of each subcommand's golden, as in tests/test_cli.py; a ``.json``
+# argument names a file in tests/data.
+CLI_CASES = {
+    "validate": ["P.json"],
+    "subdivide": ["square.json"],
+    "classify": ["P.json", "Q.json"],
+    "edges": ["P.json", "Q.json"],
+    "distance": ["P.json", "Q.json"],
+    "order": ["square.json", "square_half.json"],
+    "scale": ["P.json", "Q.json"],
+    "lift": ["P.json", "P_small.json"],
+    "pleat": ["square.json", "square_half.json", "--triangulation", "fan:0"],
+    "chain": ["golden_pleat.json", "--base-dim", "2"],
+    "complete": ["M.json"],
+    "perturb": ["P.json", "V.json", "--pair", '{"face": [0]}',
+                '{"face": [1, 2], "weights": [0.25, 0.75]}'],
+    "sequence": ["hexagons.json", "--limit", "hexagon_flat.json", "--eps", "0.05"],
+}
 
 
 def load_checkout(src: Path, index: int):
     """The checkout's ``src/polycomp``, imported as the package ``polycomp_<index>``
-    with its ``io`` module."""
+    with its ``io`` module and every module that holds a public name."""
     name = f"polycomp_{index}"
     init = src / "src" / "polycomp" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
@@ -126,6 +158,8 @@ def load_checkout(src: Path, index: int):
     sys.modules[name] = pc
     spec.loader.exec_module(pc)
     importlib.import_module(name + ".io")
+    for public in getattr(pc, "__all__", ()):  # loads each module ``counted`` patches
+        getattr(pc, public)
     return pc
 
 
@@ -385,7 +419,7 @@ def bench_cube(sides, d, repeat, seed):
                       for _ in range(repeat + 2)])
     for pc, side_pairs in zip(sides, pairs):
         laps(cube_job(pc, *side_pairs[0]))  # warm-up: builds the polytope, its chains and complex
-    weights = dict.fromkeys(("chain_simplex_coords", "degenerate", "solve_correspondence"), one)
+    weights = dict.fromkeys(("chain_simplex_coords", "_flat", "linear_parts"), one)
     counts = [counted(pc, lambda: laps(cube_job(pc, *side_pairs[1])), weights)
               for pc, side_pairs in zip(sides, pairs)]
     gc.collect()
@@ -476,6 +510,59 @@ def bench_sequence(sides, size, repeat, seed):
             for side_jobs, side_layers, count in zip(jobs, layers, counts)]
 
 
+def wall_s(cmd, env):
+    """The wall time of one call of ``cmd`` in tests/data, in seconds, and its process."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=DATA, env=env, capture_output=True)
+    return time.perf_counter() - t0, proc
+
+
+def import_times(stderr: bytes):
+    """From ``-X importtime`` lines: the summed self us of polycomp and its modules,
+    numpy's cumulative us, and the polycomp modules imported."""
+    own, numpy_us, names = 0, 0, []
+    for line in stderr.decode().splitlines():
+        if not line.startswith("import time:") or "|" not in line:
+            continue
+        self_us, cumulative, name = (part.strip() for part in line[12:].split("|"))
+        if name == "polycomp" or name.startswith("polycomp."):
+            own += int(self_us)
+            names.append(name)
+        elif name == "numpy":
+            numpy_us = int(cumulative)
+    return own, numpy_us, sorted(names)
+
+
+def bench_cli(srcs, subs, calls):
+    """Cold ``python -m polycomp`` calls of each subcommand in ``subs``, the checkouts
+    taking turns call by call."""
+    envs = [{**os.environ, "PYTHONPATH": str(src / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+            for src in srcs]
+    out = [{} for _ in srcs]
+    for sub in subs:
+        cmd = ["-m", "polycomp", sub, *CLI_CASES[sub]]
+        golden = (DATA / f"golden_{sub}.json").read_bytes()
+        timed = in_turns(len(srcs), calls,
+                         lambda k, i: wall_s([sys.executable, *cmd], envs[k]))
+        traced = in_turns(len(srcs), max(1, calls // 4),
+                          lambda k, i: wall_s([sys.executable, "-X", "importtime", *cmd],
+                                              envs[k])[1])
+        for k, (side_timed, side_traced) in enumerate(zip(timed, traced)):
+            times = [import_times(proc.stderr) for proc in side_traced]
+            out[k][sub] = {
+                "s": float(np.median([wall for wall, _ in side_timed])),
+                "calls": calls,
+                "golden": all(proc.stdout == golden for _, proc in side_timed),
+                "polycomp_import_s": float(np.median([own for own, _, _ in times])) / 1e6,
+                "numpy_import_s": float(np.median([num for _, num, _ in times])) / 1e6,
+                "modules": times[0][2],
+            }
+    baseline = {name: float(np.median([wall_s([sys.executable, "-c", code], envs[0])[0]
+                                       for _ in range(calls)]))
+                for name, code in (("python_s", "pass"), ("numpy_s", "import numpy"))}
+    return out, baseline
+
+
 def provenance(src):
     digest = hashlib.sha256()
     for path in sorted((src / "src" / "polycomp").glob("*.py")):
@@ -486,7 +573,8 @@ def provenance(src):
             capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
-    return {"commit": commit, "src_digest": digest.hexdigest()[:16]}
+    return {"commit": commit, "src_digest": digest.hexdigest()[:16],
+            "bytecode_cached": (src / "src" / "polycomp" / "__pycache__").exists()}
 
 
 def machine():
@@ -521,13 +609,17 @@ def main(argv=None):
     ap.add_argument("--sequences", type=int, nargs="+", default=[8, 40])
     ap.add_argument("--repeat", type=int, default=30,
                     help="timed jobs, and calls of each kernel, per d and checkout")
+    ap.add_argument("--cli", nargs="+", choices=sorted(CLI_CASES), default=list(CLI_CASES),
+                    metavar="SUB", help="subcommands timed cold (default: all)")
+    ap.add_argument("--cli-calls", type=int, default=40,
+                    help="cold calls of each subcommand per checkout")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
-    if (args.repeat < 1 or any(d < 2 for d in args.dims)
+    if (args.repeat < 1 or args.cli_calls < 1 or any(d < 2 for d in args.dims)
             or any(n < 4 for n in args.ngons + args.pleats) or any(k < 1 for k in args.sequences)):
-        ap.error("--repeat must be at least 1, every --dims entry at least 2, "
-                 "every --ngons and --pleats entry at least 4 and every --sequences entry "
-                 "at least 1")
+        ap.error("--repeat must be at least 1, --cli-calls at least 1, every --dims entry "
+                 "at least 2, every --ngons and --pleats entry at least 4 and every "
+                 "--sequences entry at least 1")
     srcs = args.src or [("change", ROOT)]
     labels = [label for label, _ in srcs]
     if len(set(labels)) != len(labels):
@@ -541,12 +633,15 @@ def main(argv=None):
     pleats = {str(n): bench_pleat(sides, n, args.repeat, SEED + 1000 + n) for n in args.pleats}
     sequences = {str(k): bench_sequence(sides, k, args.repeat, SEED + 2000 + k)
                  for k in args.sequences}
+    cli, baseline = bench_cli([src for _, src in srcs], args.cli, args.cli_calls)
     doc = {"layout": LAYOUT, "machine": machine(), "repeat": args.repeat, "seed": SEED,
            "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()},
                             "ngons": {n: g[k] for n, g in ngons.items()},
                             "pleats": {n: g[k] for n, g in pleats.items()},
-                            "sequences": {n: g[k] for n, g in sequences.items()}}
-                    for k, (label, src) in enumerate(srcs)}}
+                            "sequences": {n: g[k] for n, g in sequences.items()},
+                            "cli": cli[k]}
+                    for k, (label, src) in enumerate(srcs)},
+           "cli_baseline": baseline}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for label, run in doc["runs"].items():
         for d, cube in run["cubes"].items():
@@ -567,6 +662,10 @@ def main(argv=None):
             print(f"{label} sequence K={k} pairs={seq['pairs']} "
                   + " ".join(f"{name}={v:.0f}us" for name, v in seq["us"].items())
                   + " " + " ".join(f"{name}={v}" for name, v in seq["calls"].items()))
+        for sub, row in run["cli"].items():
+            print(f"{label} cli {sub} {row['s'] * 1e3:.1f}ms golden={row['golden']} "
+                  f"polycomp_import={row['polycomp_import_s'] * 1e3:.1f}ms "
+                  f"modules={len(row['modules'])}")
 
 
 if __name__ == "__main__":

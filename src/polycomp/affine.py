@@ -201,31 +201,3 @@ def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorresponden
     """``affine_correspondence`` on float stacks already known to be nondegenerate."""
     return AffineCorrespondence(src, tgt, linear_parts(_inverse(edges(src)), edges(tgt)))
 
-
-def intrinsic_map(source, target) -> np.ndarray:
-    """Affine maps between k-simplices in mixed dimensions, in intrinsic coordinates.
-
-    Source and target are (..., k+1, D_s) and (..., k+1, D_t) stacks.  Each
-    source simplex may live in a higher-dimensional space than its own
-    affine hull; row i of the returned (..., k, D_t) map is the image of the
-    i-th vector of an orthonormal frame of that hull (from the QR of the
-    source edges).  Raises ``SingularSimplex`` when a source simplex is
-    ``degenerate``, tested on its edges in that frame; ``index`` names the first.
-    """
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if src.ndim < 2 or tgt.ndim < 2:
-        raise ValueError("simplices must be (..., k+1, D) vertex arrays")
-    if src.shape[-2] > src.shape[-1] + 1:  # more than D+1 points are affinely dependent
-        raise SingularSimplex("source simplex is affinely degenerate", 0)
-    frame = np.swapaxes(np.linalg.qr(np.swapaxes(edges(src), -1, -2), mode="r"), -1, -2)
-    bad = np.flatnonzero(_flat(frame))  # row i of the frame: source edge i in it
-    if bad.size:
-        raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
-    return np.linalg.solve(frame, edges(tgt))
-
-
-def restricted_singular_values(source, target) -> np.ndarray:
-    """Singular values, descending, of ``intrinsic_map(source, target)``: the direct form
-    of ``projection_chain``'s stage alphas.  Raises as ``intrinsic_map`` does."""
-    return np.linalg.svd(np.swapaxes(intrinsic_map(source, target), -1, -2), compute_uv=False)

@@ -18,11 +18,12 @@ import numpy as np
 
 from .affine import (
     AffineCorrespondence,
-    degenerate,
+    _flat,
+    _inverse,
     edges,
     gram_eigenvalues,
+    linear_parts,
     prescaled,
-    solve_correspondence,
 )
 from .errors import (
     DegenerateSimplex,
@@ -158,13 +159,21 @@ def shape_pieces(polytope: CombinatorialPolytope, coords: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class ChainStack:
-    """A shape's read-only (t, d+1, d) pieces; ``degenerate`` flags them on first read."""
+    """A shape's read-only (t, d+1, d) pieces; their ``edges``, and the ``degenerate``
+    flags read from them, are taken on first read, read-only too."""
 
     coords: np.ndarray
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan edges: not flat; maps raise
+    def edges(self) -> np.ndarray:
+        e = edges(self.coords)
+        e.setflags(write=False)
+        return e
+
+    @cached_property
     def degenerate(self) -> np.ndarray:
-        flags = degenerate(self.coords)
+        flags = _flat(self.edges)
         flags.setflags(write=False)
         return flags
 
@@ -177,11 +186,13 @@ def chain_stack(shape: Shape) -> ChainStack:
     return ChainStack(coords)
 
 
-def _stacked_map(p: Shape, q: Shape, src: ChainStack, tgt: np.ndarray, describe) -> InducedMap:
+def _stacked_map(p: Shape, q: Shape, src: ChainStack, tgt: ChainStack, describe) -> InducedMap:
     if src.degenerate.any():
         exc = SingularSimplex("source simplex is affinely degenerate", int(src.degenerate.argmax()))
         raise DegenerateSimplex(describe(exc)) from exc
-    maps = solve_correspondence(src.coords, tgt)
+    # ``solve_correspondence`` on the stacks' own edges
+    maps = AffineCorrespondence(src.coords, tgt.coords,
+                                linear_parts(_inverse(src.edges), tgt.edges))
     if not np.isfinite(maps.linear).all():
         raise NonFiniteResult("the map overflows: a piece's linear part is not finite")
     for a in (maps.source, maps.target, maps.linear):
@@ -203,7 +214,7 @@ def induced_map(p: Shape, q: Shape) -> InducedMap:
     require_same_polytope(p, q)
     describe = (str if p.polytope.is_simplex
                 else lambda exc: f"chain {exc.index} is degenerate in the source")
-    return _stacked_map(p, q, chain_stack(p), chain_stack(q).coords, describe)
+    return _stacked_map(p, q, chain_stack(p), chain_stack(q), describe)
 
 
 def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
@@ -214,7 +225,7 @@ def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
     idx = np.asarray(simplices, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] != p.polytope.dimension + 1:
         raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
-    return _stacked_map(p, q, ChainStack(p.coords[idx]), q.coords[idx],
+    return _stacked_map(p, q, ChainStack(p.coords[idx]), ChainStack(q.coords[idx]),
                         lambda exc: f"simplex {tuple(idx[exc.index].tolist())} is degenerate "
                                     "in the source")
 

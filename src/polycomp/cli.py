@@ -17,31 +17,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import io
-from .barycentric import (
-    BARY_TOL,
-    barycentre,
-    barycentric_complex,
-    induced_map,
-)
 from .errors import MalformedInput, NonFiniteResult, PolycompError
-from .lifting import (
-    orthogonal_completion,
-    pleat_validity,
-    pleated_embedding,
-    projection_chain,
-)
-from .metric import per_chain_deltas, sequence_report
-from .polytopes import Shape, fan_triangulation, is_tree, triangulation, validate_shape
-from .spectral import (
-    DEFAULT_TOL,
-    PointOnShape,
-    classify,
-    compare_order,
-    distance_derivative,
-    edge_contraction_check,
-    perturbation_classify,
-    scale_critical,
-)
+from .polytopes import DEFAULT_TOL, Shape, fan_triangulation, is_tree, triangulation, validate_shape
+
+# Each subcommand imports the modules it runs in its ``cmd_*`` function, so a call
+# loads only those.
 
 EXIT_CODES = """\
 exit codes: 0 success, 1 validation failure, 2 numerical failure (singular
@@ -88,6 +68,7 @@ def cmd_validate(args):
 
 
 def cmd_subdivide(args):
+    from .barycentric import barycentre, barycentric_complex
     shape = _checked_shape(args.shape, "shape")
     complex_ = barycentric_complex(shape.polytope)
     faces = shape.polytope.faces
@@ -106,6 +87,8 @@ def cmd_subdivide(args):
 
 
 def cmd_classify(p, q, args):
+    from .barycentric import induced_map
+    from .spectral import classify
     result = classify(induced_map(p, q), tol=args.tol)
     payload = {
         "verdict": result.verdict,
@@ -122,6 +105,7 @@ def cmd_classify(p, q, args):
 
 
 def cmd_edges(p, q, args):
+    from .spectral import edge_contraction_check
     report = edge_contraction_check(p, q)
     payload = {
         "edges": [
@@ -136,6 +120,7 @@ def cmd_edges(p, q, args):
 
 
 def cmd_distance(p, q, args):
+    from .metric import per_chain_deltas
     per_chain = per_chain_deltas(p, q)
     payload = {"delta": per_chain.max(), "method": "simplex"}
     if not p.polytope.is_simplex:
@@ -145,6 +130,7 @@ def cmd_distance(p, q, args):
 
 
 def cmd_order(p, q, args):
+    from .spectral import compare_order
     result = compare_order(p, q, tol=args.tol)
     payload = {
         "relation": result.relation,
@@ -157,6 +143,7 @@ def cmd_order(p, q, args):
 
 
 def cmd_scale(p, q, args):
+    from .spectral import scale_critical
     result = scale_critical(p, q)
     payload = {
         "lambda": result.lam,
@@ -168,7 +155,9 @@ def cmd_scale(p, q, args):
     return payload, summary, 0
 
 
-def _parse_point(text, label, n: int) -> PointOnShape:
+def _parse_point(text, label, n: int):
+    from .barycentric import BARY_TOL
+    from .spectral import PointOnShape
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,6 +182,7 @@ def _parse_point(text, label, n: int) -> PointOnShape:
 
 
 def cmd_perturb(args):
+    from .spectral import distance_derivative, perturbation_classify
     p = _checked_shape(args.shape, "P")
     v = io.load_matrix(args.direction)
     if v.shape != p.coords.shape:
@@ -222,6 +212,7 @@ def cmd_perturb(args):
 
 
 def cmd_complete(args):
+    from .lifting import orthogonal_completion
     m = io.load_matrix(args.matrix)
     if m.shape[0] != m.shape[1]:
         raise MalformedInput(f"{args.matrix}: matrix must be square")
@@ -233,6 +224,7 @@ def cmd_complete(args):
 
 def _pleat_payload(p, q, tri):
     """The pleated embedding's payload, with its ``pleat_validity`` report."""
+    from .lifting import pleat_validity, pleated_embedding
     pe = pleated_embedding(p, q, tri)
     report = pleat_validity(pe)
     payload = {
@@ -283,6 +275,7 @@ def cmd_pleat(p, q, args):
 
 
 def cmd_chain(args):
+    from .lifting import projection_chain
     big_d, coords, simplices = io.load_embedding(args.embedding)
     d = args.base_dim
     if not 1 <= d <= big_d:
@@ -307,6 +300,7 @@ def cmd_chain(args):
 
 
 def cmd_sequence(args):
+    from .metric import sequence_report
     paths = args.shapes
     if len(paths) == 1:
         shapes = io.load_shapes(paths[0])

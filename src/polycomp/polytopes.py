@@ -28,6 +28,9 @@ from .errors import (
 
 # Dimensionless: lengths are divided by the shape's radius (see validate_shape).
 COORD_TOL = 1e-9
+# The strictness band around 1 of spectral's verdicts, kept here so that the CLI's
+# parser reads it without importing spectral.
+DEFAULT_TOL = 1e-9
 FLAT_ANGLE_TOL = 1e-7
 _FLAT_COS = math.cos(FLAT_ANGLE_TOL)
 

@@ -19,9 +19,7 @@ import numpy as np
 from .affine import DET_TOL, degenerate, edges, gram_eigenvalues, prescaled, solve_correspondence
 from .barycentric import DerivedMap, InducedMap, chain_stack, induced_map, require_same_polytope
 from .errors import NonFiniteResult, SingularSimplex
-from .polytopes import Shape
-
-DEFAULT_TOL = 1e-9
+from .polytopes import DEFAULT_TOL, Shape
 
 COMPRESSION = "Compression"
 WEAK_COMPRESSION = "WeakCompressionNotStrict"

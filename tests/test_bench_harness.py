@@ -9,6 +9,8 @@ import pytest
 
 import polycomp
 import polycomp.io  # noqa: F401  (the bench's front end reads polycomp.io)
+import polycomp.lifting  # noqa: F401  (counted patches only the modules imported so far)
+import polycomp.spectral  # noqa: F401
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "bench.py"
 
@@ -48,20 +50,22 @@ def test_counted_counts_the_nnls_call_of_a_reflex_octagon(bench):
 
 def test_counted_restores_every_patched_attribute_when_run_raises(bench):
     before = attributes()
-    # the pleat ladder's pair counters: this checkout's, and an older one's (_pair_alphas)
+    # the pleat ladder's pair counters: this checkout's, and older ones' (_pair_alphas,
+    # restricted_singular_values)
     names = ("_cone_residual", "restricted_singular_values", "_pair_alphas", "gram_eigenvalues",
              "edge_inverses", "degenerate")
 
     def run():
         patched = [key for key in before if key[1] in names
                    and getattr(sys.modules[key[0]], key[1]) is not before[key]]
-        assert ("polycomp.affine", "restricted_singular_values") in patched
         assert ("polycomp.lifting", "gram_eigenvalues") in patched
         assert ("polycomp.lifting", "edge_inverses") in patched
-        assert not any(key[1] == "_pair_alphas" for key in before)  # gone: nothing to patch
-        # every module holding a name is patched: affine and barycentric share one function
+        # gone from this checkout (the second moved into the tests): nothing to patch
+        assert not any(key[1] in ("_pair_alphas", "restricted_singular_values")
+                       for key in before)
+        # every module holding a name is patched: affine and spectral share one function
         assert ("polycomp.affine", "degenerate") in patched
-        assert ("polycomp.barycentric", "degenerate") in patched
+        assert ("polycomp.spectral", "degenerate") in patched
         assert len(patched) == sum(key[1] in names for key in before)
         raise RuntimeError("stop")
 

@@ -177,26 +177,32 @@ def test_one_job_solves_each_pair_once(monkeypatch):
             return f(*args)
         return wrapper
 
-    def flatness(v):
-        tested.append(v)
-        return degenerate(v)
+    def flatness(test):
+        def wrapper(v):
+            tested.append(v)
+            return test(v)
+        return wrapper
 
-    # A pair's linear parts come from ``solve_correspondence`` in a map and from
-    # ``linear_parts`` in a metric request; both build chains through ``shape_pieces``,
-    # which looks ``chain_simplex_coords`` up in ``barycentric``.
-    for mod, solve in ((barycentric, "solve_correspondence"), (metric, "linear_parts")):
-        monkeypatch.setattr(mod, solve, counted("solve", getattr(mod, solve)))
+    # A pair's linear parts come from ``linear_parts``, in a map and in a metric
+    # request; both build chains through ``shape_pieces``, which looks
+    # ``chain_simplex_coords`` up in ``barycentric``.  A chain stack's flags are
+    # ``_flat`` of its edges; a vertex stack's are ``degenerate``.
+    for mod in (barycentric, metric):
+        monkeypatch.setattr(mod, "linear_parts", counted("solve", mod.linear_parts))
     monkeypatch.setattr(barycentric, "chain_simplex_coords",
                         counted("chains", barycentric.chain_simplex_coords))
-    for mod in (affine, barycentric, metric):
-        monkeypatch.setattr(mod, "degenerate", counted("flat", flatness))
+    monkeypatch.setattr(barycentric, "_flat", counted("flat", flatness(affine._flat)))
+    for mod in (affine, barycentric):
+        monkeypatch.setattr(mod, "edges", counted("edges", mod.edges))
+    for mod in (affine, metric):
+        monkeypatch.setattr(mod, "degenerate", counted("flat", flatness(degenerate)))
     for f in ENTRY_POINTS:
         f(p, q)
     # One solve of (P, Q) over the chains of two shapes, and the flatness of P
-    # and Q, tested once each: the spectra of (Q, P) and (P, lambda Q) derive
-    # from (P, Q), and no witness is read.
-    assert sorted(calls) == ["chains"] * 2 + ["flat"] * 2 + ["solve"]
-    assert [v is chain_stack(s).coords for v, s in zip(tested, (p, q))] == [True, True]
+    # and Q, tested once each on edges taken once each: the spectra of (Q, P)
+    # and (P, lambda Q) derive from (P, Q), and no witness is read.
+    assert sorted(calls) == ["chains"] * 2 + ["edges"] * 2 + ["flat"] * 2 + ["solve"]
+    assert [v is chain_stack(s).edges for v, s in zip(tested, (p, q))] == [True, True]
 
 
 def test_shapes_compare_and_hash_by_identity(unit_square):

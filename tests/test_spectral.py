@@ -362,6 +362,18 @@ def test_an_overflowing_map_raises_non_finite_result(unit_square):
         classify(induced_map(unit_square.scaled(1e-160), unit_square.scaled(1e160)))
 
 
+def test_a_triangulation_map_whose_source_edges_overflow_raises_non_finite_result():
+    # Edges of 3.4e308: the source's flags and its solve read the same (inf) edges.
+    poly = ngon_polytope(5)
+    small = np.array([[1.0, 0.0], [-1, -1], [-1, -0.5], [-1, 0.5], [-1, 1]])
+    big = small * np.array([1.7e308, 1e308])
+    p, q = Shape(poly, big), Shape(poly, small)
+    for f in (induced_map, lambda p, q: barycentric.triangulation_map(
+            p, q, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])):
+        with pytest.raises(NonFiniteResult, match="^the map overflows"):
+            f(p, q)
+
+
 def test_compare_order_homothety(unit_square):
     half = unit_square.scaled(0.5)
     assert compare_order(unit_square, half).relation == "P<=Q"

@@ -68,10 +68,10 @@ def test_classify_imports_neither_lifting_nor_metric():
     assert not modules & {"polycomp.lifting", "polycomp.metric"}
 
 
-def test_pleat_does_not_import_metric():
+def test_pleat_imports_neither_metric_nor_spectral():
     modules = loaded("pleat", "square.json", "square_half.json", "--triangulation", "fan:0")
     assert "polycomp.lifting" in modules
-    assert "polycomp.metric" not in modules
+    assert not modules & {"polycomp.metric", "polycomp.spectral"}
 
 
 def test_import_polycomp_imports_no_submodule():

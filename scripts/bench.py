@@ -68,7 +68,7 @@ Calls are counted over one more job, with the functions wrapped wherever a
 module of the checkout holds them: counts, not formulas.
 
 For each subcommand in ``--cli`` (default: all), run with the arguments of its
-golden in tests/data, the script makes ``--cli-calls`` cold ``python -m
+golden in tests/golden_runs.py, the script makes 2 x ``--repeat`` cold ``python -m
 polycomp`` calls per checkout, the checkouts taking turns, each in a fresh
 process with ``PYTHONDONTWRITEBYTECODE=1``, so polycomp is compiled from
 source unless the checkout holds a ``__pycache__`` (recorded as
@@ -90,7 +90,7 @@ Usage:
     python3 scripts/bench.py [--src [LABEL=]DIR ...] [--dims 3 4 5]
                              [--ngons 8 32 128] [--pleats 8 32 128]
                              [--sequences 8 40] [--repeat N] [--cli SUB ...]
-                             [--cli-calls N] [--out FILE]
+                             [--out FILE]
 
 Each checkout's numbers go to ``runs[LABEL]`` of the JSON file ``--out``
 (LABEL defaults to the directory's name; with no ``--src``, this checkout
@@ -103,6 +103,7 @@ import argparse
 import gc
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -127,24 +128,17 @@ SEED = 14
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
 NGON_CLASSES = ("strict", "weak", "reflex")
-# The arguments of each subcommand's golden, as in tests/test_cli.py; a ``.json``
-# argument names a file in tests/data.
-CLI_CASES = {
-    "validate": ["P.json"],
-    "subdivide": ["square.json"],
-    "classify": ["P.json", "Q.json"],
-    "edges": ["P.json", "Q.json"],
-    "distance": ["P.json", "Q.json"],
-    "order": ["square.json", "square_half.json"],
-    "scale": ["P.json", "Q.json"],
-    "lift": ["P.json", "P_small.json"],
-    "pleat": ["square.json", "square_half.json", "--triangulation", "fan:0"],
-    "chain": ["golden_pleat.json", "--base-dim", "2"],
-    "complete": ["M.json"],
-    "perturb": ["P.json", "V.json", "--pair", '{"face": [0]}',
-                '{"face": [1, 2], "weights": [0.25, 0.75]}'],
-    "sequence": ["hexagons.json", "--limit", "hexagon_flat.json", "--eps", "0.05"],
-}
+
+
+def load_golden_runs():
+    """tests/golden_runs.py: the arguments of each subcommand's golden."""
+    spec = importlib.util.spec_from_file_location("golden_runs", ROOT / "tests" / "golden_runs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = load_golden_runs()
 
 
 def load_checkout(src: Path, index: int):
@@ -393,10 +387,18 @@ def kernel_inputs(pc, p, q):
     """What ``kernel_job`` reuses: the complex, p, the chains of (p, q), their solve."""
     complex_ = pc.barycentric_complex(p.polytope)
     src, tgt = (pc.barycentric.chain_simplex_coords(complex_, s) for s in (p, q))
-    return complex_, p, src, tgt, pc.affine.solve_correspondence(src, tgt)
+    return complex_, p, src, tgt, solve(pc.affine, src, tgt)
 
 
-def kernel_job(pc, complex_, p, src, tgt, corr):
+def solve(aff, src, tgt):
+    """The linear parts of the maps between two vertex stacks by ``solve_correspondence``,
+    which takes their edge stacks, or, in older checkouts, the vertex stacks."""
+    if "e_src" in inspect.signature(aff.solve_correspondence).parameters:
+        return aff.solve_correspondence(aff.edges(src), aff.edges(tgt))
+    return aff.solve_correspondence(src, tgt).linear
+
+
+def kernel_job(pc, complex_, p, src, tgt, linear):
     """The complex built cold and the four kernels on one pair's chains, one step each."""
     pc.barycentric.barycentric_complex.__wrapped__(p.polytope)
     yield "complex_build"
@@ -404,9 +406,9 @@ def kernel_job(pc, complex_, p, src, tgt, corr):
     yield "chain_build"
     pc.affine.degenerate(src)
     yield "flatness"
-    pc.affine.solve_correspondence(src, tgt)
+    solve(pc.affine, src, tgt)
     yield "solve"
-    pc.affine.gram_eigenvalues(corr.linear)
+    pc.affine.gram_eigenvalues(linear)
     yield "eigvalsh"
 
 
@@ -540,7 +542,7 @@ def bench_cli(srcs, subs, calls):
             for src in srcs]
     out = [{} for _ in srcs]
     for sub in subs:
-        cmd = ["-m", "polycomp", sub, *CLI_CASES[sub]]
+        cmd = ["-m", "polycomp", sub, *GOLDEN.golden_args(sub)]
         golden = (DATA / f"golden_{sub}.json").read_bytes()
         timed = in_turns(len(srcs), calls,
                          lambda k, i: wall_s([sys.executable, *cmd], envs[k]))
@@ -608,18 +610,17 @@ def main(argv=None):
     ap.add_argument("--pleats", type=int, nargs="+", default=[8, 32, 128])
     ap.add_argument("--sequences", type=int, nargs="+", default=[8, 40])
     ap.add_argument("--repeat", type=int, default=30,
-                    help="timed jobs, and calls of each kernel, per d and checkout")
-    ap.add_argument("--cli", nargs="+", choices=sorted(CLI_CASES), default=list(CLI_CASES),
-                    metavar="SUB", help="subcommands timed cold (default: all)")
-    ap.add_argument("--cli-calls", type=int, default=40,
-                    help="cold calls of each subcommand per checkout")
+                    help="timed jobs, and calls of each kernel, per d and checkout; "
+                         "twice as many cold calls of each subcommand")
+    ap.add_argument("--cli", nargs="+", choices=sorted(GOLDEN.GOLDEN_RUNS),
+                    default=list(GOLDEN.GOLDEN_RUNS), metavar="SUB",
+                    help="subcommands timed cold (default: all)")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
-    if (args.repeat < 1 or args.cli_calls < 1 or any(d < 2 for d in args.dims)
+    if (args.repeat < 1 or any(d < 2 for d in args.dims)
             or any(n < 4 for n in args.ngons + args.pleats) or any(k < 1 for k in args.sequences)):
-        ap.error("--repeat must be at least 1, --cli-calls at least 1, every --dims entry "
-                 "at least 2, every --ngons and --pleats entry at least 4 and every "
-                 "--sequences entry at least 1")
+        ap.error("--repeat must be at least 1, every --dims entry at least 2, every --ngons "
+                 "and --pleats entry at least 4 and every --sequences entry at least 1")
     srcs = args.src or [("change", ROOT)]
     labels = [label for label, _ in srcs]
     if len(set(labels)) != len(labels):
@@ -633,7 +634,7 @@ def main(argv=None):
     pleats = {str(n): bench_pleat(sides, n, args.repeat, SEED + 1000 + n) for n in args.pleats}
     sequences = {str(k): bench_sequence(sides, k, args.repeat, SEED + 2000 + k)
                  for k in args.sequences}
-    cli, baseline = bench_cli([src for _, src in srcs], args.cli, args.cli_calls)
+    cli, baseline = bench_cli([src for _, src in srcs], args.cli, 2 * args.repeat)
     doc = {"layout": LAYOUT, "machine": machine(), "repeat": args.repeat, "seed": SEED,
            "runs": {label: {**provenance(src), "cubes": {d: c[k] for d, c in cubes.items()},
                             "ngons": {n: g[k] for n, g in ngons.items()},

@@ -193,11 +193,12 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
     bad = np.flatnonzero(degenerate(src))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
-    return solve_correspondence(src, tgt)
+    return AffineCorrespondence(src, tgt, solve_correspondence(edges(src), edges(tgt)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing inverse reads inf or nan
-def solve_correspondence(src: np.ndarray, tgt: np.ndarray) -> AffineCorrespondence:
-    """``affine_correspondence`` on float stacks already known to be nondegenerate."""
-    return AffineCorrespondence(src, tgt, linear_parts(_inverse(edges(src)), edges(tgt)))
+def solve_correspondence(e_src: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:
+    """The linear parts (E^{-1} F)^T of the maps between simplex stacks with edge matrices
+    E = ``e_src`` and F = ``e_tgt``, the sources already known to be nondegenerate."""
+    return linear_parts(_inverse(e_src), e_tgt)
 

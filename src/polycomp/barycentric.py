@@ -19,11 +19,10 @@ import numpy as np
 from .affine import (
     AffineCorrespondence,
     _flat,
-    _inverse,
     edges,
     gram_eigenvalues,
-    linear_parts,
     prescaled,
+    solve_correspondence,
 )
 from .errors import (
     DegenerateSimplex,
@@ -190,9 +189,7 @@ def _stacked_map(p: Shape, q: Shape, src: ChainStack, tgt: ChainStack, describe)
     if src.degenerate.any():
         exc = SingularSimplex("source simplex is affinely degenerate", int(src.degenerate.argmax()))
         raise DegenerateSimplex(describe(exc)) from exc
-    # ``solve_correspondence`` on the stacks' own edges
-    maps = AffineCorrespondence(src.coords, tgt.coords,
-                                linear_parts(_inverse(src.edges), tgt.edges))
+    maps = AffineCorrespondence(src.coords, tgt.coords, solve_correspondence(src.edges, tgt.edges))
     if not np.isfinite(maps.linear).all():
         raise NonFiniteResult("the map overflows: a piece's linear part is not finite")
     for a in (maps.source, maps.target, maps.linear):

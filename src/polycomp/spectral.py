@@ -268,7 +268,7 @@ def perturbation_classify(p: Shape | np.ndarray, velocities) -> Perturbation:
         raise ValueError("perturbation analysis applies to simplex shapes")
     if degenerate(coords):
         raise SingularSimplex("simplex shape is affinely degenerate")
-    wbar = solve_correspondence(coords, vel).linear  # the velocity field's linear part
+    wbar = solve_correspondence(edges(coords), edges(vel))  # the velocity field's linear part
     sym = wbar + wbar.T
     eig = np.linalg.eigvalsh(sym)
     return Perturbation(

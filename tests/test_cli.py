@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_runs import GOLDEN_RUNS, golden_args
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -142,37 +144,23 @@ def test_schema_error_names_field(tmp_path):
     assert "facets" in json.loads(proc.stdout)["message"]
 
 
-@pytest.mark.parametrize("name", ["classify", "edges", "distance", "scale"])
+PIPELINE = ["classify", "edges", "distance", "scale"]
+
+
+@pytest.mark.parametrize("name", PIPELINE)
 def test_golden_counterexample_pipeline(name):
-    proc = run_cli(name, str(DATA / "P.json"), str(DATA / "Q.json"))
+    proc = run_cli(name, *golden_args(name))
     assert proc.returncode == 0
     golden = (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
     assert proc.stdout == golden
     # byte-stable across runs
-    again = run_cli(name, str(DATA / "P.json"), str(DATA / "Q.json"))
+    again = run_cli(name, *golden_args(name))
     assert again.stdout == proc.stdout
 
 
-# Argument lists of the subcommands the P/Q pipeline above does not reach; a
-# ``.json`` argument names a file in tests/data.  ``chain`` reads the pleat golden.
-GOLDEN_RUNS = {
-    "validate": ["P.json"],
-    "subdivide": ["square.json"],
-    "order": ["square.json", "square_half.json"],
-    "lift": ["P.json", "P_small.json"],
-    "pleat": ["square.json", "square_half.json", "--triangulation", "fan:0"],
-    "chain": ["golden_pleat.json", "--base-dim", "2"],
-    "complete": ["M.json"],
-    "perturb": ["P.json", "V.json", "--pair", '{"face": [0]}',
-                '{"face": [1, 2], "weights": [0.25, 0.75]}'],
-    "sequence": ["hexagons.json", "--limit", "hexagon_flat.json", "--eps", "0.05"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_RUNS) - set(PIPELINE)))
 def test_golden_subcommand(name):
-    args = [str(DATA / a) if a.endswith(".json") else a for a in GOLDEN_RUNS[name]]
-    proc = run_cli(name, *args)
+    proc = run_cli(name, *golden_args(name))
     assert proc.returncode == 0
     assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
 

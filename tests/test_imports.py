@@ -4,9 +4,8 @@ so that no earlier import leaks into the case."""
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-DATA = Path(__file__).parent / "data"
+from golden_runs import golden_args
 
 # The package's public names, by the module that defines each.
 EXPORTS = {
@@ -48,28 +47,28 @@ def fresh(code, *args):
     return json.loads(proc.stdout)
 
 
-def loaded(*args):
-    """The polycomp modules that ``polycomp *args`` imports; it must exit 0.  A ``.json``
-    argument names a file in tests/data."""
-    code, modules = fresh(LOADED, *(str(DATA / a) if a.endswith(".json") else a for a in args))
+def loaded(name):
+    """The polycomp modules that subcommand ``name`` imports on its golden's arguments;
+    it must exit 0."""
+    code, modules = fresh(LOADED, name, *golden_args(name))
     assert code == 0
     return set(modules)
 
 
 def test_sequence_imports_neither_lifting_nor_spectral():
-    modules = loaded("sequence", "hexagons.json", "--limit", "hexagon_flat.json")
+    modules = loaded("sequence")
     assert "polycomp.metric" in modules
     assert not modules & {"polycomp.lifting", "polycomp.spectral"}
 
 
 def test_classify_imports_neither_lifting_nor_metric():
-    modules = loaded("classify", "P.json", "Q.json")
+    modules = loaded("classify")
     assert "polycomp.spectral" in modules
     assert not modules & {"polycomp.lifting", "polycomp.metric"}
 
 
 def test_pleat_imports_neither_metric_nor_spectral():
-    modules = loaded("pleat", "square.json", "square_half.json", "--triangulation", "fan:0")
+    modules = loaded("pleat")
     assert "polycomp.lifting" in modules
     assert not modules & {"polycomp.metric", "polycomp.spectral"}
 

@@ -183,12 +183,13 @@ def test_one_job_solves_each_pair_once(monkeypatch):
             return test(v)
         return wrapper
 
-    # A pair's linear parts come from ``linear_parts``, in a map and in a metric
-    # request; both build chains through ``shape_pieces``, which looks
-    # ``chain_simplex_coords`` up in ``barycentric``.  A chain stack's flags are
-    # ``_flat`` of its edges; a vertex stack's are ``degenerate``.
-    for mod in (barycentric, metric):
-        monkeypatch.setattr(mod, "linear_parts", counted("solve", mod.linear_parts))
+    # A pair's linear parts come from ``solve_correspondence`` in a map and from
+    # ``linear_parts`` in a metric request; both build chains through
+    # ``shape_pieces``, which looks ``chain_simplex_coords`` up in ``barycentric``.
+    # A chain stack's flags are ``_flat`` of its edges; a vertex stack's are ``degenerate``.
+    monkeypatch.setattr(barycentric, "solve_correspondence",
+                        counted("solve", barycentric.solve_correspondence))
+    monkeypatch.setattr(metric, "linear_parts", counted("solve", metric.linear_parts))
     monkeypatch.setattr(barycentric, "chain_simplex_coords",
                         counted("chains", barycentric.chain_simplex_coords))
     monkeypatch.setattr(barycentric, "_flat", counted("flat", flatness(affine._flat)))

@@ -24,7 +24,7 @@ def test_bench_records_times_and_counted_calls(tmp_path):
     root = SCRIPTS.parent
     proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--dims", "3",
                            "--ngons", "8", "--pleats", "8", "--sequences", "8", "--repeat", "2",
-                           "--cli", "sequence", "validate", "--cli-calls", "1",
+                           "--cli", "sequence", "validate",
                            "--src", f"first={root}", "--src", f"second={root}",
                            "--out", str(out)],
                           capture_output=True, text=True)
@@ -75,11 +75,11 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         # all 576 chain pairs (fewer than _BLOCK) in one block of linear parts.
         assert sequence["calls"] == {"chain_simplex_coords": 1, "degenerate": 1,
                                      "solve_correspondence": 0, "linear_parts": 1}
-        # One cold call per subcommand, golden byte for byte, importing only the
-        # modules it runs.
+        # Four cold calls per subcommand (twice --repeat), golden byte for byte,
+        # importing only the modules it runs.
         cli = run["cli"]
         assert sorted(cli) == ["sequence", "validate"]
-        assert all(row["calls"] == 1 and row["golden"] and row["s"] > 0
+        assert all(row["calls"] == 4 and row["golden"] and row["s"] > 0
                    and 0 < row["polycomp_import_s"] < row["s"] for row in cli.values())
         assert cli["validate"]["modules"] == ["polycomp", "polycomp.cli", "polycomp.errors",
                                               "polycomp.io", "polycomp.polytopes"]

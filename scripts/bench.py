@@ -31,7 +31,8 @@ For each n of the pleat ladder, a job pleats a strictly convex n-gon P over
 its fan from vertex 0 onto a second one, Q, scaled so that the fan map has
 alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
 ``pleated_projection_chain`` on the embedding.  The script records the median
-us of each over ``--repeat`` jobs, each on a fresh pair, and the (stage,
+us of each over ``--repeat`` jobs, each on a fresh pair, the calls of one job
+to ``np.linalg.qr``, ``eigh`` and ``svd`` (``LINALG``), and the (stage,
 simplex) pairs of one ``pleated_projection_chain`` call, counted where the
 checkout computes them.  Where the chain reads every alpha from stage frames
 with ``gram_eigenvalues``, the pairs against the previous stage
@@ -65,7 +66,8 @@ where it has one).  It also counts the calls of ``chain_simplex_coords``,
 ``degenerate``, ``solve_correspondence`` and ``linear_parts`` in a job.
 
 Calls are counted over one more job, with the functions wrapped wherever a
-module of the checkout holds them: counts, not formulas.
+module of the checkout holds them (``np.linalg`` itself for ``LINALG``):
+counts, not formulas.
 
 For each subcommand in ``--cli`` (default: all), run with the arguments of its
 golden in tests/golden_runs.py, the script makes 2 x ``--repeat`` cold ``python -m
@@ -125,6 +127,9 @@ LAYOUT = "polycomp-bench/1"
 # The inputs of d come from SEED + d, those of a pleat n from SEED + 1000 + n and
 # those of a sequence K from SEED + 2000 + K, the same on every side and run.
 SEED = 14
+# The np.linalg functions whose calls a pleat job makes through ``np.linalg`` are counted
+# (numpy's calls among its own functions, such as ``pinv``'s ``svd``, are not seen).
+LINALG = ("qr", "eigh", "svd")
 ENTRY_POINTS = ("classify", "compare_order", "scale_critical", "delta_polytope",
                 "per_chain_deltas")
 NGON_CLASSES = ("strict", "weak", "reflex")
@@ -167,13 +172,13 @@ def one(*args, **kwargs):  # the weight in ``counted`` of any call
     return 1
 
 
-def counted(pc, run, weights):
+def counted(pc, run, weights, mods=None):
     """Call ``run()`` with each function named in ``weights`` wrapped wherever a
-    module of the checkout holds it; return the count of each, which a call
-    raises by ``weights[name](*args)``.  Every patched attribute is restored,
-    also when ``run`` raises."""
+    module of the checkout holds it, or else one of ``mods``; return the count of
+    each, which a call raises by ``weights[name](*args)``.  Every patched attribute
+    is restored, also when ``run`` raises."""
     counts = dict.fromkeys(weights, 0)
-    patched = [(mod, name, getattr(mod, name)) for mod in modules(pc) for name in weights
+    patched = [(mod, name, getattr(mod, name)) for mod in mods or modules(pc) for name in weights
                if hasattr(mod, name)]
     try:
         for mod, name, f in patched:
@@ -357,7 +362,9 @@ def bench_pleat(sides, n, repeat, seed):
     out = []
     for pc, side_pairs in zip(sides, pairs):
         laps(pleat_job(pc, *side_pairs[0]))  # warm-up: builds the polytope and its complex
-        out.append({"calls": chain_pairs(pc, *side_pairs[0]),
+        linalg = counted(pc, lambda: laps(pleat_job(pc, *side_pairs[0])),
+                         dict.fromkeys(LINALG, one), mods=[np.linalg])
+        out.append({"calls": {**chain_pairs(pc, *side_pairs[0]), **linalg},
                     "peak_bytes": {"pleated_projection_chain":
                                    chain_peak_bytes(pc, *side_pairs[0])}})
     gc.collect()
@@ -658,6 +665,7 @@ def main(argv=None):
                   + " ".join(f"{k}={v:.0f}us" for k, v in pleat["us"].items())
                   + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}"
                   + f" source_pairs={pleat['calls']['source_pairs']}"
+                  + "".join(f" {name}={pleat['calls'][name]}" for name in LINALG)
                   + f" chain_peak={pleat['peak_bytes']['pleated_projection_chain']}B")
         for k, seq in run["sequences"].items():
             print(f"{label} sequence K={k} pairs={seq['pairs']} "

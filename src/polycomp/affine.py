@@ -146,7 +146,9 @@ def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
     not finite.  For d = 2, A = [[p, q], [r, s]], they are sigma_1^2 and (det A / sigma_1)^2,
     sigma_1 = (hypot(p + s, r - q) + hypot(p - s, r + q)) / 2: no Gram is formed, so each
     is good to a few (1 + sigma_1 / sigma_2) ulps.  Otherwise the Gram is formed from a
-    contiguous A^T, so a piece gets the same bits in any stack, whatever its layout."""
+    contiguous A^T, so a piece gets the same bits in any stack, whatever its layout, and
+    one ``eigvalsh`` takes the stack as it is, or, where a Gram is not finite, with those
+    Grams replaced by zeros."""
     if linear.shape[-1] == 2:
         p, q, r, s = linear[..., 0, 0], linear[..., 0, 1], linear[..., 1, 0], linear[..., 1, 1]
         top = (np.hypot(p + s, r - q) + np.hypot(p - s, r + q)) / 2
@@ -157,6 +159,8 @@ def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
         alphas[~np.isfinite(alphas[..., 1])] = np.inf
         return alphas
     gram = np.ascontiguousarray(np.swapaxes(linear, -1, -2)) @ linear
+    if np.isfinite(gram).all():
+        return np.linalg.eigvalsh(gram)
     finite = np.isfinite(gram).all(axis=(-2, -1))[..., None]  # else LAPACK may not converge
     return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
 

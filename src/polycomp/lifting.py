@@ -47,20 +47,45 @@ APEX_TOL = 1e-7  # spread of an apex's budget over its largest squared edge
 _CHAIN_BLOCK = 1 << 17  # floats per stage block of projection_chain: bounds its peak memory
 
 
+def _eigh2(s: np.ndarray) -> tuple[tuple[float, float], float, float]:
+    """The eigenvalues a + b tan theta and c - b tan theta of a symmetric 2 x 2
+    S = [[a, b], [b, c]], with eigenvectors (cos theta, sin theta) and (-sin theta,
+    cos theta), and cos theta, sin theta: theta = atan2(+-b, h + |delta|) in [-pi/4,
+    pi/4], 2 delta = a - c, h = hypot(delta, b), +-b signed as delta.  A diagonal S
+    gives its own entries and theta = 0."""
+    (a, b0), (b1, c) = s.tolist()
+    b, delta = (b0 + b1) / 2.0, (a - c) / 2.0
+    h, sb = math.hypot(delta, b), (b if delta >= 0.0 else -b)
+    tan = sb / (h + abs(delta)) if h else 0.0
+    theta = math.atan2(sb, h + abs(delta))
+    return (a + b * tan, c - b * tan), math.cos(theta), math.sin(theta)
+
+
 def symmetric_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root via eigendecomposition: ``_eigh2``'s closed form for
+    2 x 2, with no LAPACK call, ``eigh`` otherwise.
 
     Eigenvalues in [-1e-8, 0) are clamped to zero; anything lower raises
-    ``NotPSD``.
+    ``NotPSD``.  Raises ``ValueError`` unless S is square, finite and symmetric.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(s).all():
+        raise ValueError("matrix must be finite")
     if np.abs(s - s.T).max() > 1e-10 * max(1.0, np.abs(s).max()):
         raise ValueError("matrix must be symmetric")
-    eig, vec = np.linalg.eigh((s + s.T) / 2.0)
-    if eig.min() < -PSD_CLAMP:
-        raise NotPSD(f"eigenvalue {eig.min()} below -{PSD_CLAMP}")
+    if s.shape[0] == 2:
+        eig, cos, sin = _eigh2(s)
+    else:
+        eig, vec = np.linalg.eigh((s + s.T) / 2.0)
+    if min(eig) < -PSD_CLAMP:
+        raise NotPSD(f"eigenvalue {min(eig)} below -{PSD_CLAMP}")
+    if s.shape[0] == 2:  # ru u u^T + rv v v^T
+        ru, rv = (math.sqrt(max(x, 0.0)) for x in eig)
+        off = (ru - rv) * cos * sin
+        return np.array([[ru * cos * cos + rv * sin * sin, off],
+                         [off, ru * sin * sin + rv * cos * cos]])
     root = vec @ np.diag(np.sqrt(np.clip(eig, 0.0, None))) @ vec.T
     return (root + root.T) / 2.0
 
@@ -323,12 +348,21 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
                             triangulation=tri, source=source, target=target)
 
 
+@lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``np.triu_indices(n, 1)``: every pair i < j of n points."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def isometry_residual(lifted, source) -> float | np.ndarray:
     """Largest change of a pairwise distance between corresponding points, per
     point set of a (..., k+1, D) stack; a float for a single set."""
     k = _exponent(lifted, source)
     lifted, source = np.ldexp(lifted, -k), np.ldexp(source, -k)  # exact
-    i, j = np.triu_indices(source.shape[-2], 1)
+    i, j = _pair_indices(source.shape[-2])
     res = np.abs(np.linalg.norm(lifted[..., i, :] - lifted[..., j, :], axis=-1)
                  - np.linalg.norm(source[..., i, :] - source[..., j, :], axis=-1)
                  ).max(axis=-1, initial=0.0)
@@ -339,14 +373,19 @@ def isometry_residual(lifted, source) -> float | np.ndarray:
 def _fold_angles(coords: np.ndarray, faces: np.ndarray, ab: np.ndarray) -> np.ndarray:
     """Per ``(face, a, b)`` triple, a row of the (g, size) ``faces`` and (g, 2)
     ``ab``, the angle at the face between a and b orthogonal to its span (pi =
-    flat), on ``coords`` divided to size about 1; one stacked QR."""
+    flat), on ``coords`` divided to size about 1.  The faces' edges from their
+    first vertex get an orthonormal basis from one stacked ``_gram_schmidt``, run
+    once more on its columns for two or more edges."""
     if not len(faces):
         return np.empty(0)
     base = coords[faces[:, :1]]  # (g, 1, D)
     r = coords[ab] - base  # (g, 2, D): ra, rb
     if faces.shape[1] > 1:
-        qmat = np.linalg.qr(np.swapaxes(coords[faces[:, 1:]] - base, -1, -2))[0]
-        r = r - (r @ qmat) @ np.swapaxes(qmat, -1, -2)
+        basis = np.swapaxes(coords[faces[:, 1:]] - base, -1, -2)  # (g, D, size-1)
+        for _ in range(min(2, basis.shape[-1])):
+            norms = np.diagonal(_gram_schmidt(basis), axis1=-2, axis2=-1)
+        basis /= np.where(norms > 0.0, norms, 1.0)[..., None, :]  # orthonormal
+        r -= (r @ basis) @ np.swapaxes(basis, -1, -2)
     norms = np.linalg.norm(r, axis=-1)
     cosang = (r[:, 0] * r[:, 1]).sum(axis=-1) / (norms[:, 0] * norms[:, 1])
     return np.arccos(np.clip(cosang, -1.0, 1.0))
@@ -434,6 +473,38 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
+def _dot_rows(x: np.ndarray, y: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum_w x y per row of two (b, w) arrays, first term to last.  ``np.einsum`` adds
+    whole w-slices in turn where the b rows lie side by side in memory; in any other
+    layout it may pair up terms, so there an in-place ``np.add.accumulate`` sums the
+    products in ``tmp``."""
+    if x.ndim > 1 and x.strides[-2] == x.itemsize != x.strides[-1]:
+        return np.einsum("...w,...w->...", x, y)
+    return np.add.accumulate(np.multiply(x, y, out=tmp), axis=-1, out=tmp)[..., -1].copy()
+
+
+def _gram_schmidt(a: np.ndarray) -> np.ndarray:
+    """R of a = QR per (..., w, k) matrix by modified Gram-Schmidt, r_jj >= 0; in place,
+    a's columns become those of Q diag(r_jj) (a zero column stays zero).  R is backward
+    stable as Householder's is (Bjorck and Paige, SIAM J. Matrix Anal. Appl. 13, 1992);
+    the columns lose orthogonality with the condition number, and a second call restores
+    it.  Every sum runs over the w rows in order (``_dot_rows``), so zero rows past a
+    matrix's last leave its bits alone in any stack."""
+    k = a.shape[-1]
+    r = np.zeros(a.shape[:-2] + (k, k))
+    tmp = np.empty_like(a[..., 0])  # one scratch column, laid out as a's
+    for i in range(k):
+        col = a[..., i]
+        norm2 = _dot_rows(col, col, tmp)
+        r[..., i, i] = np.sqrt(norm2)
+        for j in range(i + 1, k):
+            dot, nonzero = _dot_rows(col, a[..., j], tmp), norm2 > 0.0
+            np.divide(dot, r[..., i, i], out=r[..., i, j], where=nonzero)
+            scale = np.divide(dot, norm2, out=np.zeros_like(dot), where=nonzero)
+            a[..., j] -= np.einsum("...w,...->...w", col, scale, out=tmp)  # no broadcast buffer
+    return r
+
+
 def _stage_pairs(top: np.ndarray, stages: int, step: int, pair) -> np.ndarray:
     """(stages, t) alphas: ``pair(r, i)``, r = max(s, top[i]), at row s = 0 and each s > top[i],
     row by row in blocks of ``step``; the rows between share row 0's frame and alpha."""
@@ -456,12 +527,17 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     affine map from the previous stage (an orthogonal projection restricted
     to the simplex, hence always a weak compression) and from the source
     shape, or else the first stage.  That map X, from the source edges in a
-    frame of their span, is solved once in edge form; stage c frames X's first
-    c columns by their R-only QR, R_c.  The top ``gram_eigenvalues`` of R_c is
-    the source alpha, and that of the linear part from R_{c+1}^T onto R_c^T
-    the previous-stage one.  A simplex whose edges are zero past column c
-    computes one of each for every stage above c.  The R_c and the pairs go in
-    blocks of about ``_CHAIN_BLOCK`` floats, which bounds the peak memory.
+    frame of their span (R of ``_gram_schmidt`` when the source has more than k
+    dimensions), is solved once in edge form; stage c frames X's first c
+    columns by the R of their ``_gram_schmidt``, R_c.  The top
+    ``gram_eigenvalues`` of R_c is the source alpha, and that of the linear
+    part from R_{c+1}^T onto R_c^T the previous-stage one.  A simplex whose
+    edges are zero past column c computes one of each for every stage above c.
+    The R_c and the pairs go in blocks of about ``_CHAIN_BLOCK`` floats, which
+    bounds the peak memory; a block of R_c is one gathered (k, w, b) array,
+    its columns' rows laid out frames last, zeroed past each frame's c rows
+    and orthogonalized in place, and its sums add row after row, so R_c has
+    the same bits in any block.
     ``simplices`` is any (t, k+1) array-like of vertex indices, a read-only
     array too.  Raises ``ValueError`` unless 1 <= d <= the ambient dimension,
     ``simplices`` is such an array of indices into ``coords`` and ``source``
@@ -485,11 +561,11 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     # Every alpha is a ratio of lengths: take the edges divided by one power of two (exact).
     e = _exponent(coords, coords if source is None else source.coords)
     (t, k), e_tgt = idx[:, 1:].shape, edges(np.ldexp(coords, -e)[idx])  # (t, k, D)
-    src = e_tgt if source is None else edges(np.ldexp(source.coords, -e)[idx])
+    src = edges(np.ldexp(coords if source is None else source.coords, -e)[idx])
     if src.shape[-1] < k:  # more than D+1 points are affinely dependent
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     if src.shape[-1] > k:  # the edges in an orthonormal frame of their span: R_src^T
-        src = np.swapaxes(np.linalg.qr(np.swapaxes(src, -1, -2), mode="r"), -1, -2)
+        src = np.swapaxes(_gram_schmidt(np.swapaxes(src, -1, -2)), -1, -2)
     flat = _flat(src)
     if flat.any():
         raise SingularSimplex("source simplex is affinely degenerate", int(flat.argmax()))
@@ -501,12 +577,18 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     rep = np.maximum(((xt != 0.0).any(axis=2) * np.arange(1, big_d + 1)).max(axis=1), d)
     frame_rows, frame_simp = np.nonzero(np.arange(stages)[:, None] >= big_d - 1 - rep)
     frames, step = np.zeros((stages, t, k, k)), max(1, _CHAIN_BLOCK // (k * big_d))
+    columns = np.ascontiguousarray(np.transpose(xt, (2, 1, 0)))  # (k, D, t): frames last
+    del xt  # the frames read only the columns, and the pairs only the frames
     for lo in range(0, len(frame_rows), step):
         r, i = frame_rows[lo:lo + step], frame_simp[lo:lo + step]
         w = big_d - r[0]  # no frame of the block is wider
-        part = np.where(np.arange(w)[:, None] + r[:, None, None] < big_d, xt[i, :w], 0.0)
-        frames[r, i, :, :w] = np.swapaxes(np.linalg.qr(part, mode="r"), -1, -2)
-    del xt  # the pairs read only the frames
+        past = np.arange(w)[:, None] >= big_d - r  # each frame's rows past its D - r
+        part = np.empty((k, w, len(i)))
+        for j in range(k):  # the first w rows of each column; "clip" takes unbuffered
+            np.take(columns[j, :w], i, axis=1, out=part[j], mode="clip")
+        np.copyto(part, 0.0, where=past)
+        frames[r, i] = np.swapaxes(_gram_schmidt(part.T), -1, -2)
+    del columns, part, past
 
     def previous(r, i):  # stage D - r - 1 from the wider stage D - r
         flat = _flat(frames[r, i])

@@ -8,7 +8,12 @@ of the input doubles.  The oracle takes the roots and the log of their ratio in
 The bounds are in units of eps = 2^-52 and grow with kappa = sigma_1 / sigma_2,
 the condition of the smaller singular value; a Gram eigensolver's grow with kappa^2.
 The d = 4 determinant and inverse are checked against exact rational elimination.
+The pleat path's own closed forms, ``lifting``'s stacked Gram-Schmidt R and 2 x 2
+square root, are checked against 50-digit Cholesky factors and roots of the exact
+rational input, under the bounds that LAPACK's QR and ``eigh`` meet on the same inputs.
 """
+
+import warnings
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -25,7 +30,8 @@ from polycomp import (
     induced_map,
     scale_critical,
 )
-from polycomp import affine
+from polycomp import NotPSD, affine, symmetric_sqrt
+from polycomp.lifting import PSD_CLAMP, _gram_schmidt
 from polycomp.affine import (
     DET_TOL,
     affine_correspondence,
@@ -354,3 +360,172 @@ def test_4x4_entry_points_match_a_lapack_reference(monkeypatch):
         np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
     barycentric.induced_map.cache_clear()
     barycentric.chain_stack.cache_clear()
+
+
+def test_an_overflowing_gram_reads_inf_and_leaves_its_neighbours_bits():
+    rng = np.random.default_rng(39)
+    stack = rng.standard_normal((5, 3, 3))
+    alone = [gram_eigenvalues(a) for a in stack]
+    stack[2, 1, 0] = 1e200  # its Gram overflows to inf
+    alphas = gram_eigenvalues(stack)
+    assert np.isinf(alphas[2]).all()
+    for i in (0, 1, 3, 4):
+        np.testing.assert_array_equal(alphas[i], alone[i])
+        np.testing.assert_array_equal(alphas[i], np.linalg.eigvalsh(stack[i].T @ stack[i]))
+
+
+def exact_r(a):
+    """R of a = QR for a (w, k) float matrix, r_jj >= 0, as 50-digit Decimals: the
+    Cholesky factor of its exact Gram, with a zero row for a zero column."""
+    cols = [[Fraction(float(x)) for x in a[:, j]] for j in range(a.shape[1])]
+    k = len(cols)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        gram = [[decimal(sum(x * y for x, y in zip(ci, cj))) for cj in cols] for ci in cols]
+        r = [[Decimal(0)] * k for _ in range(k)]
+        for j in range(k):
+            rest = gram[j][j] - sum(r[i][j] ** 2 for i in range(j))
+            r[j][j] = rest.sqrt() if rest > 0 else Decimal(0)
+            for m in range(j + 1, k):
+                if r[j][j]:
+                    r[j][m] = (gram[j][m] - sum(r[i][j] * r[i][m] for i in range(j))) / r[j][j]
+        return r
+
+
+def frame_cases(rng, k):
+    """(w, k) frames with singular values from 1 down to 1e-4 and 1e-8 of the largest,
+    at several sizes and scales, then frames with a zero column."""
+    for flatness in (1.0, 1e-4, 1e-8):
+        for w in (k, k + 2, 12, 40):
+            u = np.linalg.qr(rng.standard_normal((w, k)))[0]
+            v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            yield (u * np.geomspace(1.0, flatness, k)) @ v.T * 10.0 ** rng.integers(-3, 4)
+    for zero in range(k):
+        a = rng.standard_normal((7, k))
+        a[:, zero] = 0.0
+        yield a
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_schmidt_r_is_as_close_to_the_exact_one_as_lapacks(k):
+    """Every entry within 4 eps ||A||_F of the exact R, the bound LAPACK's R (rows
+    signed to a nonnegative diagonal) meets on the same frames; a zero column gives
+    a zero row and column, and the frames come out orthogonal."""
+    rng = np.random.default_rng(40 + k)
+    for a in frame_cases(rng, k):
+        want = exact_r(a)
+        bound = Decimal(4 * EPS * float(np.linalg.norm(a)))
+        frame = a.copy()
+        got = _gram_schmidt(frame[None])[0]
+        lapack = np.linalg.qr(a, mode="r")
+        lapack *= np.where(np.diagonal(lapack) < 0, -1.0, 1.0)[:, None]
+        zero = ~a.any(axis=0)
+        # LAPACK's R of a frame with a zero column is another R of it, not the one here
+        for r in (got,) if zero.any() else (got, lapack):
+            assert max(abs(Decimal(float(r[i][j])) - want[i][j])
+                       for i in range(k) for j in range(k)) <= bound, (a, r)
+        assert (np.tril(got, -1) == 0.0).all() and (np.diagonal(got) >= 0.0).all()
+        assert (got[zero] == 0.0).all() and (got[:, zero][zero] == 0.0).all()
+        assert (frame[:, zero] == 0.0).all()
+        if zero.all():
+            continue
+        # the columns are Q diag(r_jj): orthogonal to within the flatness of the frame
+        q = frame[:, ~zero] / np.diagonal(got)[~zero]
+        kappa = np.linalg.cond(a[:, ~zero])
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 64 * EPS * kappa
+
+
+def test_gram_schmidt_keeps_a_frames_bits_in_any_block():
+    """Frames laid out as the chain's blocks, (k, w, b) with zero rows past each
+    frame's own, give each frame the bits it gets alone at its own width."""
+    rng = np.random.default_rng(44)
+    widths = rng.integers(2, 30, 9)
+    frames = [rng.standard_normal((w, 2)) for w in widths]
+    alone = [_gram_schmidt(np.ascontiguousarray(f.T)[:, :, None].T)[0] for f in frames]
+    for group in (range(9), range(3, 5), range(0, 9, 4)):
+        w = max(widths[i] for i in group)
+        block = np.zeros((2, w, len(group)))
+        for col, i in enumerate(group):
+            block[:, :widths[i], col] = frames[i].T
+        for col, r in enumerate(_gram_schmidt(block.T)):
+            np.testing.assert_array_equal(r, alone[list(group)[col]])
+
+
+def exact_sqrt2(s):
+    """The PSD square root of a symmetric 2 x 2 float matrix (the mean of its two
+    off-diagonal entries) as 50-digit Decimals: (S + sqrt(det S) I) / sqrt(tr S +
+    2 sqrt(det S)), zero for S = 0."""
+    a, c = Fraction(float(s[0, 0])), Fraction(float(s[1, 1]))
+    b = (Fraction(float(s[0, 1])) + Fraction(float(s[1, 0]))) / 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root_det = decimal(a * c - b * b).sqrt()
+        scale = (decimal(a + c) + 2 * root_det).sqrt()
+        if not scale:
+            return [[Decimal(0)] * 2 for _ in range(2)]
+        return [[(decimal(x) + (root_det if i == j else 0)) / scale
+                 for j, x in enumerate(row)] for i, row in enumerate(((a, b), (b, c)))]
+
+
+def eigh_sqrt(s):
+    eig, vec = np.linalg.eigh(s)
+    root = vec @ np.diag(np.sqrt(np.clip(eig, 0.0, None))) @ vec.T
+    return (root + root.T) / 2.0
+
+
+def root_error(root, want):
+    return max(abs(Decimal(float(root[i, j])) - want[i][j]) for i in range(2) for j in range(2))
+
+
+def sqrt_cases(rng):
+    for _ in range(60):
+        g = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-3, 4)
+        yield g.T @ g
+    for _ in range(20):
+        yield np.diag(rng.uniform(0.0, 2.0, 2) * 10.0 ** rng.integers(-3, 4))
+    for v in ([3.0, 4.0], [1.0, 1.0], [0.0, 2.0], [5.0, -12.0], [0.6, 0.8]):
+        yield np.outer(v, v)  # singular, with exact entries
+    yield np.zeros((2, 2))
+
+
+def test_2x2_square_root_is_as_close_to_the_exact_one_as_eighs():
+    """Every entry within 4 eps (|sqrt S| + |S| / (sqrt lambda_min + sqrt(4 eps |S|)))
+    of the exact root (|.| the largest |entry|), the bound that eigh's root meets on the
+    same inputs: an error of 4 eps |S| in an eigenvalue moves its root by that much;
+    a diagonal S gives the correctly rounded roots of its entries."""
+    for s in sqrt_cases(np.random.default_rng(45)):
+        want = exact_sqrt2(s)
+        root = symmetric_sqrt(s)
+        size = float(np.abs(s).max())
+        lam = max(float(np.linalg.eigvalsh(s)[0]), 0.0)
+        bound = 4 * EPS * (max(abs(float(x)) for row in want for x in row)
+                           + (size / (np.sqrt(lam) + np.sqrt(4 * EPS * size)) if size else 0.0))
+        for r in (root, eigh_sqrt(s)):
+            assert root_error(r, want) <= Decimal(bound), (s, r)
+        np.testing.assert_array_equal(root, root.T)
+        if not s[0, 1]:
+            np.testing.assert_array_equal(root, np.diag(np.sqrt(np.diagonal(s))))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2])
+def test_2x2_square_root_clamps_to_the_psd_bound_and_no_further(theta):
+    rot = rotation(theta)
+    for factor, raises in ((1 - 1e-3, False), (1 + 1e-3, True)):
+        s = rot @ np.diag([1.0, -PSD_CLAMP * factor]) @ rot.T
+        if raises:
+            with pytest.raises(NotPSD):
+                symmetric_sqrt(s)
+        else:
+            want = rot @ np.diag([1.0, 0.0]) @ rot.T
+            np.testing.assert_allclose(symmetric_sqrt(s), want, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_square_root_of_a_non_finite_matrix_is_a_value_error(size, bad):
+    s = np.eye(size)
+    s[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            symmetric_sqrt(s)

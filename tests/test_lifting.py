@@ -477,6 +477,25 @@ def test_pleat_makes_the_same_linalg_calls_on_any_fan(rng, monkeypatch):
     assert seen[0] == seen[1] and seen[0] and "lstsq" not in seen[0]
 
 
+def test_pleat_job_calls_no_qr_or_eigh(rng, monkeypatch):
+    """A d = 2 fan pleat, its checks and its chain run no QR, eigh or SVD of
+    np.linalg, and a d = 3 pleat no QR: the frames and fold bases are stacked
+    Gram-Schmidt, the 2 x 2 root a closed form."""
+    calls = collections.Counter()
+    for name in ("qr", "eigh", "svd"):
+        def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for p, q, tri in (fan_pair(rng, 16), fan_pair(rng, 3), prism_pair(rng)):
+        calls.clear()
+        pe = pleated_embedding(p, q, tri)
+        pleat_validity(pe)
+        pleated_projection_chain(pe)
+        # a d = 3 pleat's one eigh is the root of its 3 x 3 I - M^T M
+        assert calls == ({} if p.polytope.dimension == 2 else {"eigh": 1})
+
+
 def triple_angles(coords, triples):
     """``_fold_angles`` of a list of ``(face, a, b)`` triples whose faces have
     one size, as a list."""

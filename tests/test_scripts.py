@@ -64,8 +64,10 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         # The 8-gon fan's 6 triangles over 13 stages: all 6 at the first drop, then
         # one per triangle at each lower stage that its edges reach past.  No edge
         # reaches the last column, so each triangle has as many source pairs: one
-        # at each stage that its edges reach, and one for all the stages above.
-        assert pleat["calls"] == {"restricted_svd_pairs": 43, "source_pairs": 43}
+        # at each stage that its edges reach, and one for all the stages above.  The
+        # d = 2 pleat job calls no QR, eigh or SVD of np.linalg.
+        assert pleat["calls"] == {"restricted_svd_pairs": 43, "source_pairs": 43,
+                                  "qr": 0, "eigh": 0, "svd": 0}
         sequence = run["sequences"]["8"]
         assert sequence["pairs"] == 36  # 28 member pairs and 8 to the limit
         assert sorted(sequence["us"]) == ["chain_coords", "edge_inverses", "eigvalsh", "flags",

@@ -474,31 +474,33 @@ class ProjectionChain:
 
 
 def _dot_rows(x: np.ndarray, y: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """sum_w x y per row of two (b, w) arrays, first term to last.  ``np.einsum`` adds
-    whole w-slices in turn where the b rows lie side by side in memory; in any other
-    layout it may pair up terms, so there an in-place ``np.add.accumulate`` sums the
-    products in ``tmp``."""
-    if x.ndim > 1 and x.strides[-2] == x.itemsize != x.strides[-1]:
-        return np.einsum("...w,...w->...", x, y)
+    """sum_w x y per row of two (..., w) arrays, first term to last: ``np.multiply`` into
+    ``tmp``, then ``np.add.accumulate`` in place.  No step fuses a product into a sum, so
+    the bits are those of this order on any platform and in any layout."""
     return np.add.accumulate(np.multiply(x, y, out=tmp), axis=-1, out=tmp)[..., -1].copy()
 
 
-def _gram_schmidt(a: np.ndarray) -> np.ndarray:
+def _gram_schmidt(a: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """R of a = QR per (..., w, k) matrix by modified Gram-Schmidt, r_jj >= 0; in place,
     a's columns become those of Q diag(r_jj) (a zero column stays zero).  R is backward
     stable as Householder's is (Bjorck and Paige, SIAM J. Matrix Anal. Appl. 13, 1992);
     the columns lose orthogonality with the condition number, and a second call restores
     it.  Every sum runs over the w rows in order (``_dot_rows``), so zero rows past a
-    matrix's last leave its bits alone in any stack."""
+    matrix's last leave its bits alone in any stack.  ``first``, (..., k), may hold the
+    first step's sums a_0 . a_j as ``_dot_rows`` gives them, read from elsewhere."""
     k = a.shape[-1]
     r = np.zeros(a.shape[:-2] + (k, k))
     tmp = np.empty_like(a[..., 0])  # one scratch column, laid out as a's
     for i in range(k):
         col = a[..., i]
-        norm2 = _dot_rows(col, col, tmp)
+        if i or first is None:  # sums[..., j - i] = a_i . a_j, before this step's updates
+            sums = np.stack([_dot_rows(col, a[..., j], tmp) for j in range(i, k)], axis=-1)
+        else:
+            sums = first
+        norm2 = sums[..., 0]
         r[..., i, i] = np.sqrt(norm2)
         for j in range(i + 1, k):
-            dot, nonzero = _dot_rows(col, a[..., j], tmp), norm2 > 0.0
+            dot, nonzero = sums[..., j - i], norm2 > 0.0
             np.divide(dot, r[..., i, i], out=r[..., i, j], where=nonzero)
             scale = np.divide(dot, norm2, out=np.zeros_like(dot), where=nonzero)
             a[..., j] -= np.einsum("...w,...->...w", col, scale, out=tmp)  # no broadcast buffer
@@ -537,7 +539,8 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     bounds the peak memory; a block of R_c is one gathered (k, w, b) array,
     its columns' rows laid out frames last, zeroed past each frame's c rows
     and orthogonalized in place, and its sums add row after row, so R_c has
-    the same bits in any block.
+    the same bits in any block.  The first Gram-Schmidt step's sums of R_c
+    are running sums over a simplex's rows, taken once for all its stages.
     ``simplices`` is any (t, k+1) array-like of vertex indices, a read-only
     array too.  Raises ``ValueError`` unless 1 <= d <= the ambient dimension,
     ``simplices`` is such an array of indices into ``coords`` and ``source``
@@ -579,6 +582,9 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     frames, step = np.zeros((stages, t, k, k)), max(1, _CHAIN_BLOCK // (k * big_d))
     columns = np.ascontiguousarray(np.transpose(xt, (2, 1, 0)))  # (k, D, t): frames last
     del xt  # the frames read only the columns, and the pairs only the frames
+    # The first step's sums of R_c are those of the first c rows: a running sum per simplex.
+    prefix = np.multiply(columns[:1], columns)
+    np.add.accumulate(prefix, axis=1, out=prefix)
     for lo in range(0, len(frame_rows), step):
         r, i = frame_rows[lo:lo + step], frame_simp[lo:lo + step]
         w = big_d - r[0]  # no frame of the block is wider
@@ -587,8 +593,9 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         for j in range(k):  # the first w rows of each column; "clip" takes unbuffered
             np.take(columns[j, :w], i, axis=1, out=part[j], mode="clip")
         np.copyto(part, 0.0, where=past)
-        frames[r, i] = np.swapaxes(_gram_schmidt(part.T), -1, -2)
-    del columns, part, past
+        first = prefix[:, big_d - 1 - r, i].T
+        frames[r, i] = np.swapaxes(_gram_schmidt(part.T, first), -1, -2)
+    del columns, prefix, part, past
 
     def previous(r, i):  # stage D - r - 1 from the wider stage D - r
         flat = _flat(frames[r, i])

@@ -32,15 +32,12 @@ its fan from vertex 0 onto a second one, Q, scaled so that the fan map has
 alpha_max 0.81: ``pleated_embedding``, then ``pleat_validity`` and
 ``pleated_projection_chain`` on the embedding.  The script records the median
 us of each over ``--repeat`` jobs, each on a fresh pair, the calls of one job
-to ``np.linalg.qr``, ``eigh`` and ``svd`` (``LINALG``), and the (stage,
-simplex) pairs of one ``pleated_projection_chain`` call, counted where the
-checkout computes them.  Where the chain reads every alpha from stage frames
-with ``gram_eigenvalues``, the pairs against the previous stage
-(``restricted_svd_pairs``) are the frames that ``edge_inverses`` inverts
-after the source's, and those against the source (``source_pairs``) the
-other ``gram_eigenvalues`` entries.  An older checkout counts the
-previous-stage pairs in ``_pair_alphas`` or, without it,
-``restricted_singular_values``, and no source pairs (null).  It also
+to ``np.linalg.qr``, ``eigh`` and ``svd`` (``LINALG``), and the work of one
+``pleated_projection_chain`` call: the (stage, simplex) pairs whose maps it
+solves (``solved_pairs``, the leading sizes of its ``linear_parts`` calls:
+one per simplex from the source, plus one per pair solved against the
+previous stage) and the stage frames it factors (``stage_frames``, those of
+its ``_gram_schmidt`` calls).  A checkout without these names counts 0.  It also
 records, each as a median over ``--repeat`` rounds that start with every
 ``lru_cache`` of the checkout emptied, as in a fresh process:
 ``fan_triangulation``'s first call and a repeat of it, and the first
@@ -338,20 +335,16 @@ def chain_peak_bytes(pc, p, q, tri):
 
 
 def chain_pairs(pc, p, q, tri):
-    """The (stage, simplex) pairs of one ``pleated_projection_chain`` call, against the
-    previous stage and, where the checkout's chain reads them from frames, the source."""
+    """The (stage, simplex) pairs one ``pleated_projection_chain`` call solves and the
+    stage frames it factors, where the checkout's chain calls them by these names."""
     pe = pc.pleated_embedding(p, q, tri)
-    kernels = ("gram_eigenvalues", "edge_inverses", "_pair_alphas", "restricted_singular_values")
 
     def lead(first, *rest):  # one per leading index of the first argument
         return int(np.prod(np.shape(first)[:-2]))
 
-    calls = counted(pc, lambda: pc.pleated_projection_chain(pe), dict.fromkeys(kernels, lead))
-    if not calls["gram_eigenvalues"]:
-        previous = calls["_pair_alphas"] + calls["restricted_singular_values"]
-        return {"restricted_svd_pairs": previous, "source_pairs": None}
-    previous = calls["edge_inverses"] - len(pe.triangulation.simplices)
-    return {"restricted_svd_pairs": previous, "source_pairs": calls["gram_eigenvalues"] - previous}
+    calls = counted(pc, lambda: pc.pleated_projection_chain(pe),
+                    dict.fromkeys(("linear_parts", "_gram_schmidt"), lead))
+    return {"solved_pairs": calls["linear_parts"], "stage_frames": calls["_gram_schmidt"]}
 
 
 def bench_pleat(sides, n, repeat, seed):
@@ -663,8 +656,8 @@ def main(argv=None):
         for n, pleat in run["pleats"].items():
             print(f"{label} pleat n={n} "
                   + " ".join(f"{k}={v:.0f}us" for k, v in pleat["us"].items())
-                  + f" svd_pairs={pleat['calls']['restricted_svd_pairs']}"
-                  + f" source_pairs={pleat['calls']['source_pairs']}"
+                  + f" solved_pairs={pleat['calls']['solved_pairs']}"
+                  + f" stage_frames={pleat['calls']['stage_frames']}"
                   + "".join(f" {name}={pleat['calls'][name]}" for name in LINALG)
                   + f" chain_peak={pleat['peak_bytes']['pleated_projection_chain']}B")
         for k, seq in run["sequences"].items():

@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .affine import (
+    DET_TOL,
     _flat,
     determinant,
     edge_inverses,
@@ -44,7 +45,6 @@ PSD_CLAMP = 1e-8
 CONTRACTION_TOL = 1e-9
 DEPENDENT_TOL = 1e-8
 APEX_TOL = 1e-7  # spread of an apex's budget over its largest squared edge
-_CHAIN_BLOCK = 1 << 17  # floats per stage block of projection_chain: bounds its peak memory
 
 
 def _eigh2(s: np.ndarray) -> tuple[tuple[float, float], float, float]:
@@ -473,28 +473,23 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
-def _dot_rows(x: np.ndarray, y: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """sum_w x y per row of two (..., w) arrays, first term to last: ``np.multiply`` into
-    ``tmp``, then ``np.add.accumulate`` in place.  No step fuses a product into a sum, so
-    the bits are those of this order on any platform and in any layout."""
-    return np.add.accumulate(np.multiply(x, y, out=tmp), axis=-1, out=tmp)[..., -1].copy()
-
-
 def _gram_schmidt(a: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """R of a = QR per (..., w, k) matrix by modified Gram-Schmidt, r_jj >= 0; in place,
     a's columns become those of Q diag(r_jj) (a zero column stays zero).  R is backward
     stable as Householder's is (Bjorck and Paige, SIAM J. Matrix Anal. Appl. 13, 1992);
     the columns lose orthogonality with the condition number, and a second call restores
-    it.  Every sum runs over the w rows in order (``_dot_rows``), so zero rows past a
-    matrix's last leave its bits alone in any stack.  ``first``, (..., k), may hold the
-    first step's sums a_0 . a_j as ``_dot_rows`` gives them, read from elsewhere."""
+    it.  Every sum runs over the w rows in order, ``np.multiply`` then ``np.add.accumulate``,
+    with no step fusing a product into a sum, so its bits are those of this order on any
+    platform and in any layout, and zero rows past a matrix's last leave them alone in
+    any stack.  ``first``, (..., k), may hold the first step's sums a_0 . a_j, so summed."""
     k = a.shape[-1]
     r = np.zeros(a.shape[:-2] + (k, k))
     tmp = np.empty_like(a[..., 0])  # one scratch column, laid out as a's
     for i in range(k):
         col = a[..., i]
         if i or first is None:  # sums[..., j - i] = a_i . a_j, before this step's updates
-            sums = np.stack([_dot_rows(col, a[..., j], tmp) for j in range(i, k)], axis=-1)
+            sums = np.stack([np.add.accumulate(np.multiply(col, a[..., j], out=tmp), axis=-1,
+                                               out=tmp)[..., -1].copy() for j in range(i, k)], -1)
         else:
             sums = first
         norm2 = sums[..., 0]
@@ -507,19 +502,31 @@ def _gram_schmidt(a: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     return r
 
 
-def _stage_pairs(top: np.ndarray, stages: int, step: int, pair) -> np.ndarray:
-    """(stages, t) alphas: ``pair(r, i)``, r = max(s, top[i]), at row s = 0 and each s > top[i],
-    row by row in blocks of ``step``; the rows between share row 0's frame and alpha."""
-    s = np.arange(stages)[:, None]
-    computed = (s > top) | (s == 0)
-    rows, simp = np.nonzero(computed)
-    alphas = np.empty(computed.shape)
-    for lo in range(0, len(rows), step):
-        r, i = rows[lo:lo + step], simp[lo:lo + step]
-        alphas[r, i] = pair(np.maximum(r, top[i]), i)
-    return np.where(computed, alphas, alphas[:1])
+def _sure_not_flat(g: np.ndarray, rows: int) -> np.ndarray:
+    """Per (..., k, k) Gram G of at most ``rows`` rows, summed as ``projection_chain`` sums
+    them: does det G certainly pass 16 DET_TOL^2 L^k, L = max_j G_jj?  The computed entries
+    are within gamma_rows sqrt(G_ii G_jj), so each of the k! Leibniz products is within
+    (1 + gamma_rows)^k - 1 of H = prod_j G_jj, and the computed det within k! gamma_N H,
+    N = k (rows + 1) + k!: below the margin 4 k! N u H taken on the computed H (u the unit
+    roundoff, gamma_n = n u / (1 - n u)).  Then the frame R of the rows has |det R| above
+    2.8 DET_TOL L^(k/2), which leaves R's own backward error, O(rows k u) of its top
+    singular value, room to pass ``_flat``.  Only for k <= 4 and G_jj in [1e-30, 1e30],
+    where no product overflows and an underflow's error is far below the margin."""
+    k, size = g.shape[-1], math.factorial(g.shape[-1])
+    if k > 4:
+        return np.zeros(g.shape[:-2], dtype=bool)
+    det, diag = 0.0, [g[..., j, j] for j in range(k)]
+    for p in itertools.permutations(range(k)):
+        term = reduce(np.multiply, [g[..., i, j] for i, j in enumerate(p)])
+        odd = sum(a > b for a, b in itertools.combinations(p, 2)) % 2
+        det = det - term if odd else det + term
+    margin = 4 * size * (k * (rows + 1) + size) * (np.finfo(float).eps / 2)
+    long2, least = reduce(np.maximum, diag), reduce(np.minimum, diag)
+    return ((det - margin * reduce(np.multiply, diag) > 16 * DET_TOL ** 2 * long2 ** k)
+            & (least >= 1e-30) & (long2 <= 1e30))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing map's alphas read inf
 def projection_chain(coords: np.ndarray, d: int, simplices,
                      source: Shape | None = None,
                      target: Shape | None = None) -> ProjectionChain:
@@ -530,24 +537,27 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     to the simplex, hence always a weak compression) and from the source
     shape, or else the first stage.  That map X, from the source edges in a
     frame of their span (R of ``_gram_schmidt`` when the source has more than k
-    dimensions), is solved once in edge form; stage c frames X's first c
-    columns by the R of their ``_gram_schmidt``, R_c.  The top
-    ``gram_eigenvalues`` of R_c is the source alpha, and that of the linear
-    part from R_{c+1}^T onto R_c^T the previous-stage one.  A simplex whose
-    edges are zero past column c computes one of each for every stage above c.
-    The R_c and the pairs go in blocks of about ``_CHAIN_BLOCK`` floats, which
-    bounds the peak memory; a block of R_c is one gathered (k, w, b) array,
-    its columns' rows laid out frames last, zeroed past each frame's c rows
-    and orthogonalized in place, and its sums add row after row, so R_c has
-    the same bits in any block.  The first Gram-Schmidt step's sums of R_c
-    are running sums over a simplex's rows, taken once for all its stages.
-    ``simplices`` is any (t, k+1) array-like of vertex indices, a read-only
-    array too.  Raises ``ValueError`` unless 1 <= d <= the ambient dimension,
-    ``simplices`` is such an array of indices into ``coords`` and ``source``
-    and ``target`` have a vertex per row of it; ``SingularSimplex`` for the
-    first degenerate source simplex, then for the first stage's, by ``index``.
+    dimensions), is solved once in edge form.  Stage c keeps X's first c rows,
+    whose Gram G_c is a running sum of their outer products (``np.multiply``,
+    then ``np.add.accumulate``: no product fuses into a sum).  The source alpha
+    is lambda_max(G_c), inf where G_c is not finite: (a + c) / 2 + hypot((a - c)
+    / 2, b) of [[a, b], [b, c]] for k = 2, a sum of nonnegative terms good to a
+    few ulps, else ``eigvalsh``'s.  The previous-stage alpha is exactly 1 for
+    k >= 2: dropping coordinate c + 1 fixes the directions of the stage's k-plane
+    with x_{c+1} = 0, which span k - 1 >= 1 dimensions or more.  For a segment
+    it is G_c / G_{c+1}.  A stage above R^d is flat where ``_flat`` of the R_c^T
+    of its rows is: ``_sure_not_flat`` clears most from det G_c, and
+    ``_gram_schmidt`` frames the rest, stage by stage.  ``simplices`` is any
+    (t, k+1) array-like of vertex indices, a read-only array too.  Raises
+    ``ValueError`` unless ``coords`` is a finite 2-D array, 1 <= d <= its
+    ambient dimension, ``simplices`` is such an array of indices into ``coords``
+    and ``source`` and ``target`` have a vertex per row of it;
+    ``SingularSimplex`` for the first degenerate source simplex, then for the
+    first stage's, by ``index``.
     """
     coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or not np.isfinite(coords).all():
+        raise ValueError("coords must be a finite 2-D array")
     big_d = coords.shape[1]
     if not 1 <= d <= big_d:
         raise ValueError(f"base dimension must be between 1 and the ambient dimension {big_d}")
@@ -575,42 +585,27 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     xt = linear_parts(edge_inverses(src, flat), e_tgt)  # (t, D, k): X^T
     del e_tgt, src
 
-    # frames[r, i]: R_c^T of simplex i, c = D - r, if a pair reads it (c <= rep[i] + 1)
-    stages = big_d - d + 1
-    rep = np.maximum(((xt != 0.0).any(axis=2) * np.arange(1, big_d + 1)).max(axis=1), d)
-    frame_rows, frame_simp = np.nonzero(np.arange(stages)[:, None] >= big_d - 1 - rep)
-    frames, step = np.zeros((stages, t, k, k)), max(1, _CHAIN_BLOCK // (k * big_d))
-    columns = np.ascontiguousarray(np.transpose(xt, (2, 1, 0)))  # (k, D, t): frames last
-    del xt  # the frames read only the columns, and the pairs only the frames
-    # The first step's sums of R_c are those of the first c rows: a running sum per simplex.
-    prefix = np.multiply(columns[:1], columns)
-    np.add.accumulate(prefix, axis=1, out=prefix)
-    for lo in range(0, len(frame_rows), step):
-        r, i = frame_rows[lo:lo + step], frame_simp[lo:lo + step]
-        w = big_d - r[0]  # no frame of the block is wider
-        past = np.arange(w)[:, None] >= big_d - r  # each frame's rows past its D - r
-        part = np.empty((k, w, len(i)))
-        for j in range(k):  # the first w rows of each column; "clip" takes unbuffered
-            np.take(columns[j, :w], i, axis=1, out=part[j], mode="clip")
-        np.copyto(part, 0.0, where=past)
-        first = prefix[:, big_d - 1 - r, i].T
-        frames[r, i] = np.swapaxes(_gram_schmidt(part.T, first), -1, -2)
-    del columns, prefix, part, past
-
-    def previous(r, i):  # stage D - r - 1 from the wider stage D - r
-        flat = _flat(frames[r, i])
+    rows = xt.transpose(1, 0, 2)[..., None]  # (D, t, k, 1): X's rows
+    gram = np.multiply(rows, np.swapaxes(rows, -1, -2))
+    np.add.accumulate(gram, axis=0, out=gram)  # gram[c - 1] = G_c
+    gram = gram[d - 1:][::-1]  # stage by stage from R^D: stage r keeps D - r rows
+    sure = _sure_not_flat(gram[:-1], big_d)
+    for r in np.flatnonzero(~sure.all(axis=1)):  # the first flat (stage, simplex) raises
+        i = np.flatnonzero(~sure[r])
+        flat = _flat(np.swapaxes(_gram_schmidt(xt[i, :big_d - r], gram[r, i, 0]), -1, -2))
         if flat.any():
             raise SingularSimplex("source simplex is affinely degenerate", int(i[flat.argmax()]))
-        inv = edge_inverses(frames[r, i], flat)
-        return gram_eigenvalues(linear_parts(inv, frames[r + 1, i]))[..., -1]
-
-    # Row 0 holds every simplex's pair: the first previous-stage one to fail is the loop's.
-    step = max(1, _CHAIN_BLOCK // (2 * k * k))  # a pair reads two k x k matrices
-    alphas_src = _stage_pairs(big_d - rep, stages, step,
-                              lambda r, i: gram_eigenvalues(frames[r, i])[..., -1])
-    alphas_prev = _stage_pairs(big_d - 1 - rep, stages - 1, step, previous)
-    chain = tuple(ProjectionStage(dim, coords[:, :dim], prev, src) for dim, prev, src
-                  in zip(range(big_d, d - 1, -1), [None, *alphas_prev], alphas_src))
+    if k == 2:  # nan only where G_c is not finite
+        a, b, c = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+        alphas = np.fmin((a + c) / 2 + np.hypot((a - c) / 2, b), np.inf)
+    else:  # LAPACK may not converge on a non-finite matrix
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        top = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, 0.0))[..., -1]
+        alphas = np.where(finite, top, np.inf)  # (stages, t)
+    # G_c / G_{c+1} for a segment, where inf / inf (an overflowing pair) reads inf
+    prev = np.fmin(alphas[1:] / alphas[:-1], np.inf) if k == 1 else np.ones((len(alphas) - 1, t))
+    chain = tuple(ProjectionStage(dim, coords[:, :dim], p, s) for dim, p, s
+                  in zip(range(big_d, d - 1, -1), [None, *prev], alphas))
     final = 0.0 if target is None else float(np.abs(coords[:, :d] - target.coords).max())
     return ProjectionChain(stages=chain, final_residual=final)
 

@@ -165,19 +165,22 @@ def test_golden_subcommand(name):
     assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
 
 
-# ``validate`` runs beyond the convex P.json: the flat hexagon (weakly convex, one
-# non-extreme vertex settled by NNLS, flat pair [0, 2], margins at rounding level)
-# and a reflex pentagon (exit 1, with messages and a non-extreme vertex).
-VALIDATE_GOLDENS = {
-    "validate_flat": ("hexagon_flat.json", 0),
-    "validate_reflex": ("pentagon_reflex.json", 1),
+# Goldens beyond one per subcommand: ``validate`` on the flat hexagon (weakly convex,
+# one non-extreme vertex settled by NNLS, flat pair [0, 2], margins at rounding level)
+# and on a reflex pentagon (exit 1, with messages and a non-extreme vertex); ``chain``
+# on dyadic segments in R^5 whose edges have power-of-two lengths, so each
+# previous-stage alpha is the correctly rounded ratio G_c / G_{c+1} of exact sums.
+EXTRA_GOLDENS = {
+    "validate_flat": (["validate", "hexagon_flat.json"], 0),
+    "validate_reflex": (["validate", "pentagon_reflex.json"], 1),
+    "chain_segments": (["chain", "segments.json", "--base-dim", "1"], 0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(VALIDATE_GOLDENS))
-def test_golden_validate_paths(name):
-    shape, code = VALIDATE_GOLDENS[name]
-    proc = run_cli("validate", str(DATA / shape))
+@pytest.mark.parametrize("name", sorted(EXTRA_GOLDENS))
+def test_extra_goldens(name):
+    args, code = EXTRA_GOLDENS[name]
+    proc = run_cli(*(str(DATA / a) if a.endswith(".json") else a for a in args))
     assert proc.returncode == code
     assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
 

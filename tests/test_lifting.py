@@ -3,7 +3,10 @@
 import collections
 import dataclasses
 import itertools
+import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +49,7 @@ from polycomp import lifting
 from polycomp import affine
 from polycomp.affine import DET_TOL, affine_correspondence, edges
 from polycomp.barycentric import triangulation_map
-from polycomp.io import load_shape
+from polycomp.io import load_shape, shape_from_dict
 from polycomp.lifting import FacetFold, RidgeAngles, isometry_residual
 from polycomp.polytopes import COORD_TOL, bfs_order, facet_adjacency
 
@@ -965,11 +968,17 @@ def pleated_prism(rng):
     return pleated_embedding(*prism_pair(rng))
 
 
-def stages_per_block(monkeypatch, coords, simplices, stages):
-    """Make projection_chain stack ``stages`` stages per call (None: the default)."""
-    if stages is not None:
-        size = np.array(simplices).size * coords.shape[1]
-        monkeypatch.setattr(lifting, "_CHAIN_BLOCK", stages * size)
+SURE_NOT_FLAT = lifting._sure_not_flat
+
+
+def fall_back(monkeypatch, every):
+    """Make projection_chain frame every ``every``-th (stage, simplex) by ``_gram_schmidt``,
+    in row-major order, whatever its certificate says (None: the certificate alone)."""
+    def thinned(gram, rows):
+        sure = SURE_NOT_FLAT(gram, rows)
+        sure.flat[::every] = False
+        return sure
+    monkeypatch.setattr(lifting, "_sure_not_flat", SURE_NOT_FLAT if every is None else thinned)
 
 
 def assert_chain_matches_loop(coords, d, simplices, source=None):
@@ -985,28 +994,28 @@ def assert_chain_matches_loop(coords, d, simplices, source=None):
             np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, prev, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("stages", [None, 1, 4])
-def test_stacked_chain_matches_stage_loop_on_fans(rng, monkeypatch, stages):
+@pytest.mark.parametrize("every", [None, 1, 4])
+def test_stacked_chain_matches_stage_loop_on_fans(rng, monkeypatch, every):
     for n, apex in [(5, 0), (9, 2), (12, 7)]:
         pe = pleated_polygon(rng, n, apex)
         simplices = pe.triangulation.simplices
-        stages_per_block(monkeypatch, pe.coords, simplices, stages)
+        fall_back(monkeypatch, every)
         assert_chain_matches_loop(pe.coords, 2, simplices, pe.source)
         assert_chain_matches_loop(pe.coords, 2, simplices)
 
 
-@pytest.mark.parametrize("stages", [None, 1, 3])
-def test_stacked_chain_matches_stage_loop_on_prism(rng, monkeypatch, stages):
+@pytest.mark.parametrize("every", [None, 1, 3])
+def test_stacked_chain_matches_stage_loop_on_prism(rng, monkeypatch, every):
     pe = pleated_prism(rng)
     assert pe.ambient_dimension == 12
     simplices = pe.triangulation.simplices
-    stages_per_block(monkeypatch, pe.coords, simplices, stages)
+    fall_back(monkeypatch, every)
     assert_chain_matches_loop(pe.coords, 3, simplices, pe.source)
     assert_chain_matches_loop(pe.coords, 3, simplices)
 
 
-@pytest.mark.parametrize("stages", [None, 1, 2])
-def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch, stages):
+@pytest.mark.parametrize("every", [None, 1, 2])
+def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch, every):
     # Triangles in R^5 down to R^2.  Triangle 1 spans a plane only through
     # coordinate 4, so its previous stage is degenerate from the R^3 stage on
     # (source R^4); triangle 3 only through coordinate 3 (from the R^2 stage
@@ -1018,7 +1027,7 @@ def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch,
     coords[10] = coords[9] + [0.0, 1.0, 0.0, 1.0, 0.0]
     coords[11] = coords[9] + [0.0, 3.0, 0.0, 0.0, 0.0]
     simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
-    stages_per_block(monkeypatch, coords, simplices, stages)
+    fall_back(monkeypatch, every)
     for chain in (projection_chain, reference_chain):
         with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
             chain(coords, 2, simplices)
@@ -1037,20 +1046,20 @@ def test_stacked_chain_names_simplex_degenerate_at_lower_stage(rng, monkeypatch,
         assert exc.value.index == 2
 
 
-@pytest.mark.parametrize("stages", [None, 1, 2])
+@pytest.mark.parametrize("every", [None, 1, 2])
 @pytest.mark.parametrize("short", [1, 2])
-def test_chain_names_the_first_flat_source_simplex(rng, monkeypatch, stages, short):
+def test_chain_names_the_first_flat_source_simplex(rng, monkeypatch, every, short):
     # Triangles in R^5 over a planar source on which triangles 1 and 2 are flat.
-    # Triangle ``short``'s edges are zero past column 1, so its one source pair
-    # stands for every stage; the other uses every column.  Triangle 1 is named,
-    # as the loop names it, whichever source pair a stacked call reaches first.
+    # Triangle ``short``'s edges are zero past column 1, so its Gram is the same
+    # at every stage; the other uses every column.  Triangle 1 is named, as the
+    # loop names it, before any stage is framed.
     coords = rng.standard_normal((9, 5))
     coords[3 * short:3 * short + 3, 2:] = 0.0
     flat = random_convex_polygon(rng, 9)
     flat[5] = 0.5 * (flat[3] + flat[4])
     flat[8] = flat[6] + 2.0 * (flat[7] - flat[6])
     simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    stages_per_block(monkeypatch, coords, simplices, stages)
+    fall_back(monkeypatch, every)
     for chain in (projection_chain, reference_chain):
         with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
             chain(coords, 2, simplices, source=Shape(ngon_polytope(9), flat))
@@ -1075,30 +1084,16 @@ def test_chain_rejects_a_shape_of_another_vertex_count(rng, side, n):
         projection_chain(rng.standard_normal((5, 3)), 2, [[0, 1, 2], [2, 3, 4]], **{side: shape})
 
 
-def pairs_per_block(monkeypatch, simplices, pairs):
-    """Make projection_chain compute 1 to ``pairs`` (stage, simplex) pairs per call,
-    each reading two k x k stage frames; blocks this small factor one frame per QR."""
-    monkeypatch.setattr(lifting, "_CHAIN_BLOCK", pairs * 2 * (len(simplices[0]) - 1) ** 2)
-
-
-def computed_pairs(monkeypatch):
-    """Count the (stage, simplex) pairs whose alphas projection_chain takes from
-    ``gram_eigenvalues``, per call: a previous-stage block hands it the linear parts
-    between two stage frames, a source block the stage frames themselves."""
-    counted = {"source": [], "previous": []}
-    parts = []
-    linear_parts, gram_eigenvalues = lifting.linear_parts, lifting.gram_eigenvalues
-
-    def solving(inv, e_tgt):
-        parts.append(linear_parts(inv, e_tgt))
-        return parts[-1]
-
-    def counting(linear):
-        counted["previous" if any(linear is x for x in parts) else "source"].append(len(linear))
-        return gram_eigenvalues(linear)
-
-    monkeypatch.setattr(lifting, "linear_parts", solving)
-    monkeypatch.setattr(lifting, "gram_eigenvalues", counting)
+def chain_work(monkeypatch):
+    """The leading sizes of projection_chain's ``linear_parts`` calls (one per solved
+    stack of maps), ``_gram_schmidt`` calls (one per stack of frames: a source's framed
+    edges, or the stage frames its certificate leaves) and ``gram_eigenvalues`` calls."""
+    counted = {"linear_parts": [], "_gram_schmidt": [], "gram_eigenvalues": []}
+    for name in counted:
+        def spy(*args, _f=getattr(lifting, name), _name=name):
+            counted[_name].append(len(args[0]))
+            return _f(*args)
+        monkeypatch.setattr(lifting, name, spy)
     return counted
 
 
@@ -1116,28 +1111,34 @@ def zero_tail_embedding(rng, size):
 
 @pytest.mark.parametrize("pairs", [1, 2, 3])
 def test_chain_reuse_matches_stage_loop(rng, monkeypatch, pairs):
-    source = Shape(ngon_polytope(12), rng.standard_normal((12, 2)))
-    counted = computed_pairs(monkeypatch)
-    # Dense: every (stage, simplex) pair is computed.
-    dense = rng.standard_normal((12, 6))
-    simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
-    pairs_per_block(monkeypatch, simplices, pairs)
-    assert_chain_matches_loop(dense, 2, simplices, source)
-    assert sum(counted["previous"]) == 4 * 4 and max(counted["previous"]) <= pairs
-    assert sum(counted["source"]) == 4 * 5 and max(counted["source"]) <= pairs
-    # Zero tails: simplex 1 computes one pair of each kind for stage 4 and up,
-    # simplex 2 for stage 3 and up, simplex 3 for stage max(2, d) and up.  A
-    # triangle's previous-stage alphas are all about 1; a segment's are not.
-    for size, d, previous, src in ((3, 2, 5 + 3 + 2 + 1, 6 + 3 + 2 + 1),
-                                   (2, 1, 6 + 4 + 3 + 2, 7 + 4 + 3 + 2)):
-        coords, simplices = zero_tail_embedding(rng, size)
-        pairs_per_block(monkeypatch, simplices, pairs)
-        for base in (None, Shape(ngon_polytope(4 * size), rng.standard_normal((4 * size, 2)))):
-            counted["previous"].clear()
-            counted["source"].clear()
+    """A chain solves its maps once, and no stage against the one above: every alpha
+    comes from running sums.  Stage frames are factored only where the certificate
+    leaves them, here every ``pairs``-th (stage, simplex), one call per stage."""
+    counted = chain_work(monkeypatch)
+
+    def check(coords, d, simplices, base, frames):
+        for every in (None, pairs):
+            fall_back(monkeypatch, every)
+            for calls in counted.values():
+                calls.clear()
             assert_chain_matches_loop(coords, d, simplices, base)
-            assert sum(counted["previous"]) == previous and max(counted["previous"]) <= pairs
-            assert sum(counted["source"]) == src and max(counted["source"]) <= pairs
+            framed = counted["_gram_schmidt"][base is None or d == 1:]  # past the source's
+            assert counted["linear_parts"] == [len(simplices)]
+            assert counted["gram_eigenvalues"] == []
+            if every is None:  # the certificate passes every frame of these
+                assert framed == []
+            else:
+                assert sum(framed) == -(-frames // pairs) and len(framed) == frames // 4
+
+    source = Shape(ngon_polytope(12), rng.standard_normal((12, 2)))
+    simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    check(rng.standard_normal((12, 6)), 2, simplices, source, 4 * 4)
+    # Zero tails: a simplex's Gram stops changing past its last nonzero column,
+    # and its alphas and frames are those of the dense loop all the same.
+    for size, d in ((3, 2), (2, 1)):
+        coords, simplices = zero_tail_embedding(rng, size)
+        for base in (None, Shape(ngon_polytope(4 * size), rng.standard_normal((4 * size, 2)))):
+            check(coords, d, simplices, base, 4 * (7 - d))
     # d == D: one stage and no previous-stage alphas.
     chain = projection_chain(coords, 7, simplices)
     assert [s.ambient_dimension for s in chain.stages] == [7]
@@ -1148,10 +1149,10 @@ def test_chain_reuse_matches_stage_loop(rng, monkeypatch, pairs):
 @pytest.mark.parametrize("pairs", [1, 2, 3])
 def test_chain_reuse_names_the_loops_simplex(rng, monkeypatch, pairs):
     # Triangles in R^7 down to R^2 over a nondegenerate planar source.
-    # Triangle 2 is collinear and uses only columns 0-2, so its one computed
-    # pair (stage 3) stands for every stage from 6 down and fails first.
-    # Triangle 1 spans its plane only through column 5 and fails at stage 4,
-    # which a pair order by stage alone would reach first.
+    # Triangle 2 is collinear and uses only columns 0-2, so it is flat at
+    # every stage from 6 down and fails first.  Triangle 1 spans its plane
+    # only through column 5 and fails at stage 4, which an order by simplex
+    # alone would reach first.
     coords = rng.standard_normal((9, 7))
     coords[4] = coords[3] + [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
     coords[5] = coords[3] + [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -1159,7 +1160,7 @@ def test_chain_reuse_names_the_loops_simplex(rng, monkeypatch, pairs):
     coords[8] = coords[6] + [2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
     source = Shape(ngon_polytope(9), random_convex_polygon(rng, 9))
     simplices = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    pairs_per_block(monkeypatch, simplices, pairs)
+    fall_back(monkeypatch, pairs)
     for got_simplices, index in ((simplices, 2), (simplices[:2], 1)):
         for chain in (projection_chain, reference_chain):
             with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
@@ -1172,23 +1173,21 @@ def test_previous_stage_alphas_match_closed_forms(rng, monkeypatch, pairs):
     """Against what the geometry fixes, with no solve or SVD of its own."""
     # Dropping one coordinate of a k >= 2 plane keeps a direction of it, so a
     # triangle's or tetrahedron's top alpha against the stage above is 1.
+    fall_back(monkeypatch, pairs)
     for pe in [pleated_polygon(rng, n, apex) for n, apex in [(5, 0), (9, 2), (12, 7)]] \
             + [pleated_prism(rng)]:
-        if pairs is not None:
-            pairs_per_block(monkeypatch, pe.triangulation.simplices, pairs)
         for stage in pleated_projection_chain(pe).stages[1:]:
-            np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, 1.0, rtol=0, atol=1e-10)
+            assert (stage.per_simplex_alpha_vs_prev == 1.0).all()
     # A segment's edge e goes from stage c + 1 to stage c scaled by |e[:c]| / |e[:c+1]|.
     coords, simplices = zero_tail_embedding(rng, 2)
-    if pairs is not None:
-        pairs_per_block(monkeypatch, simplices, pairs)
     e = coords[1::2] - coords[::2]  # (4, 7): the edge of each segment
     for stage in projection_chain(coords, 1, simplices).stages[1:]:
         c = stage.ambient_dimension
         want = (e[:, :c] ** 2).sum(axis=1) / (e[:, :c + 1] ** 2).sum(axis=1)
         np.testing.assert_allclose(stage.per_simplex_alpha_vs_prev, want, rtol=0, atol=1e-12)
-        if c >= 4:  # segments 1-3 are constant past column 3: their reused pairs read 1
+        if c >= 4:  # segments 1-3 are constant past column 3: their alphas read 1
             np.testing.assert_array_equal(want[1:], 1.0)
+            np.testing.assert_array_equal(stage.per_simplex_alpha_vs_prev[1:], 1.0)
 
 
 def fold_triples(pe):
@@ -1224,9 +1223,9 @@ def test_batched_fold_angles_match_single_face_loop(rng, monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 192])
 def test_chain_peak_memory_is_bounded_on_large_fans(rng, n):
-    # One stacked call over all 2n - 3 stages of this fan would allocate hundreds of
-    # MB; factoring the frames and running the pairs block by block keeps n = 192
-    # under the bound too.
+    # One stage frame per (stage, simplex) of this fan, all 2n - 3 stages at once,
+    # would take hundreds of MB; the running Gram sums hold O(k^2 D t) floats, so
+    # n = 192 stays under the bound too.
     poly = ngon_polytope(n)
     coords = random_convex_polygon(rng, n)
     pe = pleated_embedding(Shape(poly, coords), Shape(poly, 0.7 * coords),
@@ -1242,13 +1241,162 @@ def test_chain_peak_memory_is_bounded_on_large_fans(rng, n):
 
 
 @pytest.mark.parametrize("columns", [1, 2, 5])
-def test_source_gram_blocks_add_in_column_order(rng, monkeypatch, columns):
-    """Blocks of a few frames and source pairs each give every stage's source
-    alphas bit for bit."""
+def test_source_gram_blocks_add_in_column_order(rng, columns):
+    """Each simplex's Gram sums add its own rows in column order, so chains over
+    ``columns`` simplices at a time give every stage's source alphas bit for bit."""
     pe = pleated_polygon(rng, 9, 2)
     want = pleated_projection_chain(pe)
-    t, k = len(pe.triangulation.simplices), 2
-    monkeypatch.setattr(lifting, "_CHAIN_BLOCK", columns * t * k * k)
-    for stage, expected in zip(pleated_projection_chain(pe).stages, want.stages):
-        np.testing.assert_array_equal(stage.per_simplex_alpha_vs_source,
-                                      expected.per_simplex_alpha_vs_source)
+    simplices = pe.triangulation.simplices
+    for lo in range(0, len(simplices), columns):
+        got = projection_chain(pe.coords, 2, simplices[lo:lo + columns], pe.source, pe.target)
+        for stage, expected in zip(got.stages, want.stages):
+            np.testing.assert_array_equal(stage.per_simplex_alpha_vs_source,
+                                          expected.per_simplex_alpha_vs_source[lo:lo + columns])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_chain_rejects_non_finite_coords(rng, bad):
+    coords = rng.standard_normal((5, 3))
+    coords[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match="^coords must be a finite 2-D array$"):
+            projection_chain(coords, 2, [[0, 1, 2], [2, 3, 4]])
+
+
+@pytest.mark.parametrize("coords", [np.arange(5.0), np.zeros((5, 3, 2)), 1.0])
+def test_projection_chain_rejects_coords_that_are_not_2d(coords):
+    with pytest.raises(ValueError, match="^coords must be a finite 2-D array$"):
+        projection_chain(coords, 1, [[0, 1]])
+
+
+# Exact oracle: dyadic embeddings over sources whose edge inverses are dyadic, so
+# X and every Gram sum are exact floats and only the alpha itself rounds.
+
+
+def fraction_det(m):
+    return sum(math.prod(m[i][p[i]] for i in range(len(m)))
+               * (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+               for p in itertools.permutations(range(len(m))))
+
+
+def exact_top_eigenvalue(g):
+    """lambda_max of a symmetric PSD matrix of Fractions: its entry for 1 x 1, else by
+    bisection to 2^-90 of its trace: x is above it iff every leading minor of x I - G
+    is positive (Sylvester)."""
+    k = len(g)
+    if k == 1:
+        return g[0][0]
+    lo, hi = Fraction(0), sum(g[i][i] for i in range(k)) + 1
+    for _ in range(90):
+        x = (lo + hi) / 2
+        m = [[(x if i == j else 0) - g[i][j] for j in range(k)] for i in range(k)]
+        if all(fraction_det([row[:n] for row in m[:n]]) > 0 for n in range(1, k + 1)):
+            hi = x
+        else:
+            lo = x
+    return (lo + hi) / 2
+
+
+def exact_chain(coords, source, d):
+    """The source alphas and the Grams G_c, stage by stage from R^D, of the one simplex
+    of ``projection_chain(coords, d, [range(k + 1)], source)``, in Fractions."""
+    f = [[Fraction(x) for x in row] for row in coords.tolist()]
+    e = [[Fraction(x) for x in row] for row in source.tolist()]
+    k, big_d = len(e) - 1, len(f[0])
+    src = [[e[i][j] - e[0][j] for j in range(k)] for i in range(1, k + 1)]
+    tgt = [[f[i][j] - f[0][j] for j in range(big_d)] for i in range(1, k + 1)]
+    det = fraction_det(src)
+    inv = [[fraction_det([[src[r][c] for c in range(k) if c != i] for r in range(k) if r != j])
+            * (-1) ** (i + j) / det for j in range(k)] for i in range(k)]
+    x = [[sum(inv[i][j] * tgt[j][w] for j in range(k)) for w in range(big_d)] for i in range(k)]
+    grams = [[[sum(x[i][w] * x[j][w] for w in range(c)) for j in range(k)] for i in range(k)]
+             for c in range(big_d, d - 1, -1)]
+    return [exact_top_eigenvalue(g) for g in grams], grams
+
+
+def ulps(got, exact):
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_alphas_match_an_exact_oracle(rng, k):
+    """Source alphas against exact rational ones: k = 1 exactly, k = 2 (the top root
+    of x^2 - (a + c) x + (a c - b^2)) and k = 3 to a few ulps; previous-stage alphas
+    exactly 1 for k >= 2 and, for a segment, the correctly rounded G_c / G_{c+1}.  The
+    source's edges are lower triangular with diagonal 1/2, so its inverse is dyadic."""
+    edges_k = np.tril(rng.integers(-2, 3, (k, k)) / 4.0, -1) + np.eye(k) / 2  # det 2^-k
+    source = np.vstack([np.zeros(k), edges_k])
+    worst = 0
+    for _ in range(4):
+        coords = rng.integers(-16, 17, (k + 1, 6)) / 8.0
+        chain = projection_chain(coords, k, [list(range(k + 1))],
+                                 source=Shape(simplex_polytope(k), source))
+        want, grams = exact_chain(coords, source, k)
+        for stage, exact in zip(chain.stages, want):
+            worst = max(worst, ulps(stage.per_simplex_alpha_vs_source[0], exact))
+        for stage, above, below in zip(chain.stages[1:], grams, grams[1:]):
+            if k == 1:
+                assert stage.per_simplex_alpha_vs_prev[0] == float(below[0][0] / above[0][0])
+            else:
+                assert stage.per_simplex_alpha_vs_prev[0] == 1.0
+    assert worst <= {1: 0, 2: 2, 3: 12}[k]  # k = 3: eigvalsh's, 7.7 ulps at most in 60 draws
+
+
+# Flatness band: triangles (0, f1, f2) in R^3 over the planar unit triangle, f1 = (1, 0, 0)
+# and f2 = (1, 0, s).  The R^3 stage's Gram [[1, 1], [1, 1 + s^2]] has det s^2 and its
+# frame |det R| = s, so s <= DET_TOL is flat; at D = 3 rows, ``_sure_not_flat``'s margin is
+# 80 u for det G ~ s^2 (k = 2: 4 k! (k (D + 1) + k!) u).
+MARGIN = 80 * np.finfo(float).eps / 2
+BAND = {"outside": 1e-3, "just outside": math.sqrt(1.25 * MARGIN),
+        "just inside": math.sqrt(0.8 * MARGIN), "inside": 1e-10, "just not flat": 2 * DET_TOL,
+        "flat": DET_TOL / 2}
+
+
+def band_chain(names):
+    coords = np.zeros((3 * len(names), 3))
+    coords[1::3] = [1.0, 0.0, 0.0]
+    coords[2::3] = [[1.0, 0.0, BAND[name]] for name in names]
+    source = Shape(ngon_polytope(len(coords)), np.tile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                                       (len(names), 1)))
+    return coords, np.arange(len(coords)).reshape(-1, 3).tolist(), source
+
+
+def test_certificate_band_falls_back_to_the_loops_frames(monkeypatch):
+    names = ["outside", "just outside", "just inside", "inside", "just not flat"]
+    coords, simplices, source = band_chain(names)
+    counted = chain_work(monkeypatch)
+    assert_chain_matches_loop(coords, 2, simplices, source)
+    assert counted["_gram_schmidt"] == [3]  # the R^3 stage's three frames in the band
+    sure = lifting._sure_not_flat(np.array([[[1.0, 1.0], [1.0, 1.0 + BAND[name] ** 2]]
+                                            for name in names]), 3)
+    assert sure.tolist() == [True, True, False, False, False]
+    for stage in projection_chain(coords, 2, simplices, source=source).stages[1:]:
+        assert (stage.per_simplex_alpha_vs_prev == 1.0).all()
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_certificate_band_names_the_loops_flat_simplex(position):
+    names = ["outside", "just inside", "just not flat", "inside"]
+    names.insert(position, "flat")
+    coords, simplices, source = band_chain(names + ["flat"])
+    for chain in (projection_chain, reference_chain):
+        with pytest.raises(SingularSimplex, match="^source simplex is affinely degenerate$") as exc:
+            chain(coords, 2, simplices, source=source)
+        assert exc.value.index == position
+
+
+def test_certificate_frames_nothing_on_perfbench_fans(monkeypatch):
+    """perfbench's pleat-ngon inputs (n-gons, n 12-20, Q scaled to alpha_max 0.81 under
+    the fan from vertex 0): each chain solves its maps once, and the certificate passes
+    every stage frame."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    counted, sizes = chain_work(monkeypatch), []
+    for index in range(30):
+        doc = gen.make("pleat-ngon", 5, 1, index)
+        p, q = shape_from_dict(doc["P"]), shape_from_dict(doc["Q"])
+        pleated_projection_chain(pleated_embedding(p, q, fan_triangulation(p.polytope, 0)))
+        sizes.append(doc["triangles"])
+    assert counted["linear_parts"] == sizes and counted["_gram_schmidt"] == []

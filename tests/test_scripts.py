@@ -61,12 +61,11 @@ def test_bench_records_times_and_counted_calls(tmp_path):
         assert all(v > 0 for k, v in pleat["us"].items() if k != "cold_extra")
         assert pleat["us"]["first_job"] > pleat["us"]["fan_first"]
         assert pleat["peak_bytes"]["pleated_projection_chain"] > 0
-        # The 8-gon fan's 6 triangles over 13 stages: all 6 at the first drop, then
-        # one per triangle at each lower stage that its edges reach past.  No edge
-        # reaches the last column, so each triangle has as many source pairs: one
-        # at each stage that its edges reach, and one for all the stages above.  The
-        # d = 2 pleat job calls no QR, eigh or SVD of np.linalg.
-        assert pleat["calls"] == {"restricted_svd_pairs": 43, "source_pairs": 43,
+        # The 8-gon fan's chain solves its 6 triangles' maps once, no stage against
+        # the one above, and its certificate passes the 6 frames of each of the 12
+        # stages above R^2, so none is factored.  The d = 2 pleat job calls no QR,
+        # eigh or SVD of np.linalg.
+        assert pleat["calls"] == {"solved_pairs": 6, "stage_frames": 0,
                                   "qr": 0, "eigh": 0, "svd": 0}
         sequence = run["sequences"]["8"]
         assert sequence["pairs"] == 36  # 28 member pairs and 8 to the limit

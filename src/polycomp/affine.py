@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSimplex
+from .polytopes import split_scale
 
 DET_TOL = 1e-12
 
@@ -39,7 +40,8 @@ def degenerate(vertices: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # overflow: rescaled; inf or nan: not flat
 def _flat(e: np.ndarray) -> np.ndarray:
     """Per (..., d, d) edge matrix: is |det| <= DET_TOL once the rows are scaled to a unit
-    longest row?  det is ``determinant``'s: for a triangular 2 x 2, its diagonal's product."""
+    longest row?  det is ``determinant``'s: for a triangular 2 x 2, its diagonal's product.
+    A shape's pieces are of mantissa size; raw stacks (``degenerate``) may be of any scale."""
     long2 = np.vecdot(e, e).max(axis=-1)  # the longest row, squared
     if not 1e-40 < long2.min() <= long2.max() < 1e40:  # else |det| could over- or underflow
         size = np.abs(e).reshape(e.shape[:-2] + (-1,)).max(axis=-1)[..., None, None]
@@ -85,7 +87,7 @@ _COFACTOR_SIGNS = np.array([(-1.0) ** (k // 4 + k % 4) for k in range(16)])[:, N
 
 def _entries4(e: np.ndarray) -> np.ndarray:
     """The (16, n) contiguous copy of a (..., 4, 4) stack of n matrices, entry 4 i + j
-    first: always a copy, which ``_inverse`` scales in place."""
+    first."""
     return e.reshape(-1, 16).T.copy()
 
 
@@ -100,22 +102,22 @@ def _laplace4(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a singular matrix reads inf/nan
 def _inverse(e: np.ndarray) -> np.ndarray:
-    """E^{-1} per (..., d, d) matrix.  For d = 2 and d = 4 it is the adjugate of the
-    ``prescaled`` M = E / 2^k over det(M) 2^k, exact scalings that keep the determinant
-    in range; a 4 x 4 cofactor is three entries times complementary minors."""
+    """E^{-1} per (..., d, d) matrix.  For d = 2 and d = 4 it is the adjugate over the
+    determinant; a 4 x 4 cofactor is three entries times complementary minors.  A 2 x 2
+    is first divided by the power of two above its largest |entry| (exact), so that a raw
+    stack given to ``edge_inverses`` keeps its determinant in range at any scale."""
     if e.shape[-1] == 4:
         f = _entries4(e)
-        k = np.frexp(np.abs(f).max(axis=0))[1]  # ``prescaled``, on the entries-first copy
-        np.ldexp(f, -k, out=f)
         minors, det = _laplace4(f)
         t0, t1, t2 = (f.take(i, 0) * minors.take(j, 0)
                       for i, j in zip(_COFACTOR_ENTRIES, _COFACTOR_MINORS))
         adj = t0 - t1 + t2
-        adj /= _COFACTOR_SIGNS * np.ldexp(det, k)
+        adj /= _COFACTOR_SIGNS * det
         return np.ascontiguousarray(adj.T).reshape(e.shape)
     if e.shape[-1] != 2:
         return np.linalg.inv(e)
-    m, k = prescaled(e)
+    k = np.frexp(np.abs(e).max(axis=(-2, -1)))[1]
+    m = np.ldexp(e, -k[..., None, None])
     adj = np.empty_like(m)  # [[s, -q], [-r, p]] for M = [[p, q], [r, s]]
     adj[..., 0, 0], adj[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
     adj[..., 0, 1], adj[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
@@ -165,13 +167,6 @@ def gram_eigenvalues(linear: np.ndarray) -> np.ndarray:
     return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], gram, 0.0)), np.inf)
 
 
-def prescaled(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each (..., d, d) matrix divided by 2^k, and k, the ``frexp`` exponent of its largest
-    |entry|: exact, so its Gram eigenvalues scale by exactly 4^-k, the largest to about 1."""
-    k = np.frexp(np.abs(linear).max(axis=(-2, -1)))[1]
-    return np.ldexp(linear, -k[..., None, None]), k
-
-
 def edge_inverses(e: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """E^{-1} per (..., d, d) edge matrix; a matrix flagged in ``flat`` is replaced by
     the identity first, so no singular one is inverted."""
@@ -184,8 +179,10 @@ def linear_parts(inv_src: np.ndarray, e_tgt: np.ndarray) -> np.ndarray:
     return np.swapaxes(inv_src @ e_tgt, -1, -2)
 
 
+@np.errstate(over="ignore")  # a linear part past the float range reads inf
 def affine_correspondence(source, target) -> AffineCorrespondence:
-    """Affine maps taking each source simplex of a (..., d+1, d) stack onto its target.
+    """Affine maps taking each source simplex of a (..., d+1, d) stack onto its target,
+    solved between the stacks' ``split_scale`` mantissas, as a shape's are.
 
     Raises ``SingularSimplex`` when a source simplex is ``degenerate``;
     ``index`` names the first.
@@ -197,7 +194,9 @@ def affine_correspondence(source, target) -> AffineCorrespondence:
     bad = np.flatnonzero(degenerate(src))
     if bad.size:
         raise SingularSimplex("source simplex is affinely degenerate", int(bad[0]))
-    return AffineCorrespondence(src, tgt, solve_correspondence(edges(src), edges(tgt)))
+    (src_m, k_src), (tgt_m, k_tgt) = split_scale(src), split_scale(tgt)
+    linear = solve_correspondence(edges(src_m), edges(tgt_m))
+    return AffineCorrespondence(src, tgt, np.ldexp(linear, k_tgt - k_src))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing inverse reads inf or nan

@@ -21,7 +21,6 @@ from .affine import (
     _flat,
     edges,
     gram_eigenvalues,
-    prescaled,
     solve_correspondence,
 )
 from .errors import (
@@ -37,12 +36,11 @@ BARY_TOL = 1e-9
 
 
 def barycentre(face, shape: Shape) -> np.ndarray:
-    """Mean of a face's vertex coordinates, summed over 2^k (exact), so no sum overflows."""
+    """Mean of a face's vertex coordinates, taken on the shape's mantissas."""
     idx = list(face)
     if not idx:
         raise ValueError("face must be nonempty")
-    rows, k = prescaled(shape.coords[idx])
-    return np.ldexp(rows.mean(axis=0), k)
+    return np.ldexp(shape.mantissas[idx].mean(axis=0), shape.exponent)
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,9 @@ class InducedMap:
 
     ``maps`` holds the pieces as one stack, entry i on simplex i: the single
     affine map of a simplex polytope, the chain simplices of the subdivision,
-    or the simplices of a vertex triangulation.  Its arrays are read-only.
-    Maps compare and hash by identity.
+    or the simplices of a vertex triangulation.  The pieces map P's mantissas
+    to Q's (``Shape``), so a linear part is 2^(k_P - k_Q) times f's.  Its arrays
+    are read-only.  Maps compare and hash by identity.
     """
 
     source: Shape
@@ -111,9 +110,17 @@ class InducedMap:
         return len(self.maps.linear)
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the pieces' Gram matrices, (t, d) ascending; computed once, read-only."""
+        spectrum = gram_eigenvalues(self.maps.linear)
+        spectrum.setflags(write=False)
+        return spectrum
+
+    @cached_property
+    @np.errstate(over="ignore")  # alphas past the float range read inf
     def alphas(self) -> np.ndarray:
-        """Eigenvalues of Abar^T Abar per simplex, (t, d) ascending; computed once, read-only."""
-        alphas = gram_eigenvalues(self.maps.linear)
+        """Eigenvalues of Abar^T Abar per simplex, ``spectrum`` times 4^(k_Q - k_P); read-only."""
+        alphas = np.ldexp(self.spectrum, 2 * (self.target.exponent - self.source.exponent))
         alphas.setflags(write=False)
         return alphas
 
@@ -164,7 +171,6 @@ class ChainStack:
     coords: np.ndarray
 
     @cached_property
-    @np.errstate(over="ignore", invalid="ignore")  # inf or nan edges: not flat; maps raise
     def edges(self) -> np.ndarray:
         e = edges(self.coords)
         e.setflags(write=False)
@@ -179,8 +185,8 @@ class ChainStack:
 
 @lru_cache(maxsize=4)  # a request needs P and Q, a rescaled witness also lambda Q
 def chain_stack(shape: Shape) -> ChainStack:
-    """A shape's ``shape_pieces``, as one read-only stack."""
-    coords = shape_pieces(shape.polytope, shape.coords)
+    """A shape's ``shape_pieces`` on its mantissas, as one read-only stack."""
+    coords = shape_pieces(shape.polytope, shape.mantissas)
     coords.setflags(write=False)
     return ChainStack(coords)
 
@@ -222,7 +228,7 @@ def triangulation_map(p: Shape, q: Shape, simplices) -> InducedMap:
     idx = np.asarray(simplices, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] != p.polytope.dimension + 1:
         raise ValueError("simplices must be (d+1) x d vertex arrays of equal shape")
-    return _stacked_map(p, q, ChainStack(p.coords[idx]), ChainStack(q.coords[idx]),
+    return _stacked_map(p, q, ChainStack(p.mantissas[idx]), ChainStack(q.mantissas[idx]),
                         lambda exc: f"simplex {tuple(idx[exc.index].tolist())} is degenerate "
                                     "in the source")
 
@@ -236,11 +242,11 @@ def evaluate_map(m: InducedMap, x) -> np.ndarray:
     simplex contains the point.
     """
     x = np.asarray(x, dtype=float)
-    src = m.maps.source
-    rest = np.linalg.solve(np.swapaxes(edges(src), -1, -2), (x - src[:, 0])[..., None])[..., 0]
+    src, y = m.maps.source, np.ldexp(x, -m.source.exponent)  # the pieces read mantissas
+    rest = np.linalg.solve(np.swapaxes(edges(src), -1, -2), (y - src[:, 0])[..., None])[..., 0]
     lam = np.column_stack([1.0 - rest.sum(axis=1), rest])
     inside = np.flatnonzero(lam.min(axis=1) >= -BARY_TOL)
     if not inside.size:
         raise PointOutside(f"point {x.tolist()} lies in no simplex of the domain")
     lam = np.clip(lam[inside[0]], 0.0, None)
-    return m.maps.target[inside[0]].T @ (lam / lam.sum())
+    return np.ldexp(m.maps.target[inside[0]].T @ (lam / lam.sum()), m.target.exponent)

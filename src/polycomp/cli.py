@@ -4,13 +4,14 @@ Every subcommand prints exactly one JSON document on stdout (keys sorted,
 floats in shortest round-trip form, no timestamps) and a short human
 summary on stderr.  Exit codes: 0 success, otherwise the ``exit_code`` of
 the error raised: 1 validation failure, 2 numerical failure, 3 malformed
-input or usage error.
+input or usage error, or a result that cannot be written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -25,7 +26,8 @@ from .polytopes import DEFAULT_TOL, Shape, fan_triangulation, is_tree, triangula
 
 EXIT_CODES = """\
 exit codes: 0 success, 1 validation failure, 2 numerical failure (singular
-simplex, not a contraction, infeasible apex, non-finite result), 3 malformed input.
+simplex, not a contraction, infeasible apex, non-finite result), 3 malformed input,
+or stdout cannot be written (a closed pipe, a full disk).
 """
 
 
@@ -431,7 +433,13 @@ def main(argv=None) -> int:
             payload["report"] = exc.payload
         summary, code = str(exc), exc.exit_code
         text = json.dumps(payload, sort_keys=True, default=_json_value)
-    print(text)
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:  # stdout becomes the null device, so the exit's flush prints nothing
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        summary, code = f"cannot write the result to stdout: {exc}", 3
     print(summary, file=sys.stderr)
     return code
 

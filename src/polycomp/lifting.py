@@ -30,7 +30,7 @@ from .affine import (
     gram_eigenvalues,
     linear_parts,
 )
-from .barycentric import shape_pieces, triangulation_map
+from .barycentric import chain_stack, triangulation_map
 from .errors import (
     InconsistentLattice,
     InfeasibleApex,
@@ -39,7 +39,8 @@ from .errors import (
     NotTree,
     SingularSimplex,
 )
-from .polytopes import COORD_TOL, Shape, Triangulation, bfs_order, simplex_polytope, triangulation
+from .polytopes import (COORD_TOL, Shape, Triangulation, bfs_order, simplex_polytope,
+                        split_scale, triangulation)
 
 PSD_CLAMP = 1e-8
 CONTRACTION_TOL = 1e-9
@@ -165,23 +166,6 @@ class PleatedEmbedding:
         return self.coords[list(self.triangulation.simplices[index])]
 
 
-def _simplex_volume(coords: np.ndarray) -> float:
-    """Total volume of a (..., d+1, d) stack of simplices."""
-    return float(np.abs(determinant(edges(coords))).sum()) / math.factorial(coords.shape[-1])
-
-
-def _shape_volume(shape: Shape) -> float:
-    """Volume of the realization, summed over its pieces (``shape_pieces``)."""
-    return _simplex_volume(shape_pieces(shape.polytope, shape.coords))
-
-
-def _exponent(*arrays) -> int:
-    """The k with every |entry| of the arrays below 2^k, the largest at least 2^(k-1).
-    Dividing by 2^k is exact, so a result computed on the quotients scales back
-    bit for bit, and no square of a length over- or underflows."""
-    return int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
-
-
 @dataclass(frozen=True)
 class _PleatPlan:
     """What the pleat path reads of a tree triangulation, which fixes all of it;
@@ -296,10 +280,10 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
     by more than ``APEX_TOL`` of its largest squared edge (an inconsistent
     system), or else whose s is below -``CONTRACTION_TOL`` of it, raises
     ``InfeasibleApex``.  One unit lower triangular system (I - B) X = F,
-    B[v, u_i] = beta_i, then places every apex.  It runs on P and Q divided by
-    a power of two that brings their coordinates to size about 1, which is
-    exact, so no squared length over- or underflows at any scale.  The
-    simplices, the order and each step's shared facet, apex and fresh column
+    B[v, u_i] = beta_i, then places every apex.  The map reads the shapes'
+    mantissas, and the placement runs on P and Q over 2^k, k the larger of their
+    exponents, which is exact, so no squared length over- or underflows at any
+    scale.  The simplices, the order and each step's shared facet, apex and fresh column
     come from the triangulation's plan (``_pleat_plan``), built on first use.
     """
     if tri.polytope != p.polytope:
@@ -307,19 +291,17 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
     if not tri.is_tree:
         raise NotTree("face-pairing graph of the triangulation is not a tree")
     plan = _pleat_plan(tri)
-    k = _exponent(p.coords, q.coords)
-    source, target = p, q  # the embedding keeps the given shapes
-    p, q = (Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in (p, q))
     m = triangulation_map(p, q, plan.simplices)
-    vol = _simplex_volume(m.maps.source)
-    vol_p = _shape_volume(p)
+    # d! times the volume of the triangulation and of P's own pieces, on P's mantissas
+    vol, vol_p = (np.abs(determinant(e)).sum() for e in (edges(m.maps.source),
+                                                         chain_stack(p).edges))
     if abs(vol - vol_p) > COORD_TOL * vol_p:
         raise InconsistentLattice("simplices do not tile the source shape")
     if not (m.alphas[:, -1] <= 1.0 + CONTRACTION_TOL).all():
         raise NotContraction("the map defined by the triangulation expands a pair")
 
-    d, shared, apex = p.polytope.dimension, plan.shared, plan.apex
-    pq = np.stack([p.coords, q.coords])
+    d, shared, apex, k = p.polytope.dimension, plan.shared, plan.apex, max(p.exponent, q.exponent)
+    pq = np.ldexp(np.stack([p.coords, q.coords]), -k)
     pq_edges = pq[:, apex, None] - pq[:, shared]  # (2, t-1, d, d): v - u_i in P and in Q
     lengths2 = np.vecdot(pq_edges[0], pq_edges[0])
     scales = lengths2.max(axis=1)  # s and its spread are squared lengths
@@ -334,18 +316,19 @@ def pleated_embedding(p: Shape, q: Shape, tri: Triangulation) -> PleatedEmbeddin
         raise InfeasibleApex(f"negative residual budget, {s[j] / scales[j]:.3g} of the largest "
                              "squared edge")
 
-    n, root, lin = p.polytope.vertex_count, plan.simplices[0], m.maps.linear[0]
+    n, root = p.polytope.vertex_count, plan.simplices[0]
+    lin = np.ldexp(m.maps.linear[0], q.exponent - p.exponent)  # the root piece's, P -> Q
     rhs = np.zeros((n, len(plan.columns)))  # F on the plan's columns; the others stay zero
-    rhs[root, :d] = (p.coords[root] - p.coords[root[0]]) @ symmetric_sqrt(np.eye(d) - lin.T @ lin)
+    rhs[root, :d] = (pq[0, root] - pq[0, root[0]]) @ symmetric_sqrt(np.eye(d) - lin.T @ lin)
     rhs[apex, d + np.arange(len(apex))] = np.sqrt(np.maximum(s, 0.0))
     weights = np.eye(n)  # I - B; upper triangular in the plan's order: no pivots, zeros stay exact
     weights[apex[:, None], shared] = np.column_stack([gamma.sum(axis=1) - 1.0, -gamma])
     coords, order = np.zeros((n, d * (len(plan.simplices) + 1))), plan.order
-    coords[:, :d] = q.coords
+    coords[:, :d] = pq[1]
     coords[order[:, None], plan.columns] = np.linalg.solve(weights[np.ix_(order, order)],
                                                            rhs[order])
     return PleatedEmbedding(ambient_dimension=coords.shape[1], coords=np.ldexp(coords, k),
-                            triangulation=tri, source=source, target=target)
+                            triangulation=tri, source=p, target=q)
 
 
 @lru_cache(maxsize=8)
@@ -359,14 +342,12 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def isometry_residual(lifted, source) -> float | np.ndarray:
     """Largest change of a pairwise distance between corresponding points, per
-    point set of a (..., k+1, D) stack; a float for a single set."""
-    k = _exponent(lifted, source)
-    lifted, source = np.ldexp(lifted, -k), np.ldexp(source, -k)  # exact
+    point set of a (..., k+1, D) stack; a float for a single set.  No squared
+    distance may overflow: ``pleat_validity`` passes coordinates over a power of two."""
     i, j = _pair_indices(source.shape[-2])
     res = np.abs(np.linalg.norm(lifted[..., i, :] - lifted[..., j, :], axis=-1)
                  - np.linalg.norm(source[..., i, :] - source[..., j, :], axis=-1)
                  ).max(axis=-1, initial=0.0)
-    res = np.ldexp(res, k)
     return float(res) if res.ndim == 0 else res
 
 
@@ -433,7 +414,9 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
     plan = _pleat_plan(tri)
 
     projection_residual = float(np.abs(pe.coords[:, :d] - pe.target.coords).max())
-    coords = np.ldexp(pe.coords, -_exponent(pe.coords))  # exact, and angles are scale-free
+    # Over 2^k, exact: the coordinates are Q's or within P's diameter of 0, so no squared
+    # distance overflows, and the angles are scale-free.
+    coords = np.ldexp(pe.coords, -(k := max(p.exponent, pe.target.exponent)))
     angles = np.concatenate([_fold_angles(coords, *plan.fold_triples),
                              _fold_angles(coords, *plan.ridge_triples)]).tolist()
     folds = [FacetFold(simplices=edge, shared_vertices=tuple(shared), dihedral=angle)
@@ -446,7 +429,7 @@ def pleat_validity(pe: PleatedEmbedding) -> PleatValidityReport:
 
     idx = plan.simplices
     return PleatValidityReport(
-        isometry_residuals=isometry_residual(pe.coords[idx], p.coords[idx]),
+        isometry_residuals=np.ldexp(isometry_residual(coords[idx], np.ldexp(p.coords[idx], -k)), k),
         projection_residual=projection_residual,
         facet_folds=tuple(folds),
         ridge_angle_sums=tuple(ridge_reports),
@@ -548,7 +531,9 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     it is G_c / G_{c+1}.  A stage above R^d is flat where ``_flat`` of the R_c^T
     of its rows is: ``_sure_not_flat`` clears most from det G_c, and
     ``_gram_schmidt`` frames the rest, stage by stage.  ``simplices`` is any
-    (t, k+1) array-like of vertex indices, a read-only array too.  Raises
+    (t, k+1) array-like of vertex indices, a read-only array too.  X maps the
+    source's mantissas to those of ``coords`` (``split_scale``), so no edge over-
+    or underflows at any scale; its alphas are then brought to the given units.  Raises
     ``ValueError`` unless ``coords`` is a finite 2-D array, 1 <= d <= its
     ambient dimension, ``simplices`` is such an array of indices into ``coords``
     and ``source`` and ``target`` have a vertex per row of it;
@@ -571,10 +556,10 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     for name, shape in (("source", source), ("target", target)):
         if shape is not None and len(shape.coords) != len(coords):
             raise ValueError(f"{name} has {len(shape.coords)} vertices, coords has {len(coords)}")
-    # Every alpha is a ratio of lengths: take the edges divided by one power of two (exact).
-    e = _exponent(coords, coords if source is None else source.coords)
-    (t, k), e_tgt = idx[:, 1:].shape, edges(np.ldexp(coords, -e)[idx])  # (t, k, D)
-    src = edges(np.ldexp(coords if source is None else source.coords, -e)[idx])
+    # The map X runs between mantissas; its alphas are brought back by 4^(exp - src_exp).
+    mantissas, exp = split_scale(coords)
+    src, src_exp = (mantissas, exp) if source is None else (source.mantissas, source.exponent)
+    (t, k), e_tgt, src = idx[:, 1:].shape, edges(mantissas[idx]), edges(src[idx])  # (t, k, D)
     if src.shape[-1] < k:  # more than D+1 points are affinely dependent
         raise SingularSimplex("source simplex is affinely degenerate", 0)
     if src.shape[-1] > k:  # the edges in an orthonormal frame of their span: R_src^T
@@ -604,6 +589,7 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
         alphas = np.where(finite, top, np.inf)  # (stages, t)
     # G_c / G_{c+1} for a segment, where inf / inf (an overflowing pair) reads inf
     prev = np.fmin(alphas[1:] / alphas[:-1], np.inf) if k == 1 else np.ones((len(alphas) - 1, t))
+    alphas = np.ldexp(alphas, 2 * (exp - src_exp))
     chain = tuple(ProjectionStage(dim, coords[:, :dim], p, s) for dim, p, s
                   in zip(range(big_d, d - 1, -1), [None, *prev], alphas))
     final = 0.0 if target is None else float(np.abs(coords[:, :d] - target.coords).max())

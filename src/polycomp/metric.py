@@ -14,22 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import degenerate, edge_inverses, edges, gram_eigenvalues, linear_parts, prescaled
+from .affine import degenerate, edge_inverses, edges, gram_eigenvalues, linear_parts
 from .barycentric import chain_stack, induced_map, shape_pieces
 from .errors import DegenerateSimplex, NonFiniteResult, PolytopeMismatch, SingularSimplex
 from .polytopes import Shape
 
-_TINY = np.finfo(float).tiny  # an alpha below the normal range has lost digits
 
-
-def _log_spread(linear: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """ln(alpha_max / alpha_min) per piece from its linear part and Gram eigenvalues.
-    If an alpha leaves the normal range, they are recomputed from the ``prescaled`` linear
-    parts, which keeps the ratio; ``NonFiniteResult`` if one still leaves (0, inf)."""
-    if not _TINY <= alphas.min() <= alphas.max() < np.inf:
-        alphas = gram_eigenvalues(prescaled(linear)[0])
-        if not 0.0 < alphas.min() <= alphas.max() < np.inf:
-            raise NonFiniteResult("an eigenvalue of the map over- or underflows")
+def _log_spread(alphas: np.ndarray) -> np.ndarray:
+    """ln(alpha_max / alpha_min) per piece from the Gram eigenvalues of a map between
+    mantissas, which keeps the ratio; ``NonFiniteResult`` if one leaves (0, inf)."""
+    if not 0.0 < alphas.min() <= alphas.max() < np.inf:
+        raise NonFiniteResult("an eigenvalue of the map over- or underflows")
     return np.log(alphas[:, -1] / alphas[:, 0])
 
 
@@ -42,8 +37,7 @@ def _deltas(inv_src: np.ndarray, e_tgt: np.ndarray, flags) -> np.ndarray:
     if bad.size:
         side = "target" if bad_tgt[bad[0]] else "source"
         raise SingularSimplex(f"{side} simplex is affinely degenerate", int(bad[0]))
-    linear = linear_parts(inv_src, e_tgt)
-    return _log_spread(linear, gram_eigenvalues(linear))
+    return _log_spread(gram_eigenvalues(linear_parts(inv_src, e_tgt)))
 
 
 _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long requests
@@ -51,11 +45,11 @@ _BLOCK = 4096  # chain simplices per _deltas call: bounds peak memory on long re
 
 def _pair_deltas(shapes, pairs) -> np.ndarray:
     """Per-pair deltas of shapes[i] -> shapes[j] over (i, j) in ``pairs``.  The
-    ``shape_pieces`` of all shapes come from one stacked build; each shape's edges are
-    tested and inverted once, and the pairs gather them in blocks of about ``_BLOCK``
-    simplices.  Every shape a pair names must realize the first pair's polytope: the
-    first pair naming one that does not raises ``PolytopeMismatch`` once the pairs
-    before it are solved.  A degenerate piece raises as a per-pair ``delta_polytope``
+    ``shape_pieces`` of all shapes' mantissas come from one stacked build; each shape's
+    edges are tested and inverted once, and the pairs gather them in blocks of about
+    ``_BLOCK`` simplices.  Every shape a pair names must realize the first pair's
+    polytope: the first pair naming one that does not raises ``PolytopeMismatch`` once
+    the pairs before it are solved.  A degenerate piece raises as a per-pair ``delta_polytope``
     loop would."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
@@ -64,7 +58,7 @@ def _pair_deltas(shapes, pairs) -> np.ndarray:
     same = np.array([s.polytope == poly for s in shapes])
     mismatched = np.flatnonzero(~same[pairs].all(axis=1))
     rows = (np.cumsum(same) - 1)[pairs[:mismatched[0]] if mismatched.size else pairs]
-    x = shape_pieces(poly, np.stack([s.coords for s, ok in zip(shapes, same) if ok]))
+    x = shape_pieces(poly, np.stack([s.mantissas for s, ok in zip(shapes, same) if ok]))
     bad = degenerate(x)  # (S, t): each shape's chains tested once, gathered per pair
     inv = edge_inverses(e := edges(x), bad)
     t, d = bad.shape[1], poly.dimension
@@ -90,8 +84,7 @@ def per_chain_deltas(p: Shape, q: Shape) -> np.ndarray:
     A degenerate piece in either shape raises through ``_pair_deltas``, as in a request."""
     if any(chain_stack(s).degenerate.any() for s in (p, q)):
         return _pair_deltas((p, q), [(0, 1)])
-    m = induced_map(p, q)
-    return _log_spread(m.maps.linear, m.alphas)
+    return _log_spread(induced_map(p, q).spectrum)
 
 
 def delta_polytope(p: Shape, q: Shape) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -210,19 +210,35 @@ def _checked_coords(polytope: CombinatorialPolytope, coords: np.ndarray, mode: s
     return size
 
 
+def split_scale(coords: np.ndarray, size=None) -> tuple[np.ndarray, int]:
+    """The mantissas coords / 2^k, whose largest |entry| (``size``, if given) is in [1/2, 1),
+    and the ``frexp`` exponent k (0 for all zeros or none): exact unless an entry is about
+    2^1022 below the largest, so a result computed on them scales back bit for bit."""
+    k = math.frexp(np.abs(coords).max(initial=0.0) if size is None else size)[1]
+    return np.ldexp(coords, -k), k
+
+
 @dataclass(frozen=True, eq=False)
 class Shape:
-    """Coordinates of a realization of a combinatorial polytope in R^d; compares by identity."""
+    """Coordinates of a realization of a combinatorial polytope in R^d; compares by identity.
+
+    ``coords`` are kept as given, ``mantissas`` are coords / 2^``exponent`` (``split_scale``),
+    both read-only.  Every solve reads the mantissas, where no sum or square over- or
+    underflows, and brings its result to the given units by one exact power of two: a map
+    P -> Q's linear part by 2^(k_Q - k_P), its alphas by the square, the metric by none."""
 
     polytope: CombinatorialPolytope
     coords: np.ndarray
     mode: str = "strict"
+    mantissas: np.ndarray = field(init=False, repr=False)
+    exponent: int = field(init=False, repr=False)
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=float)
-        _checked_coords(self.polytope, coords, self.mode)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+        mantissas, exponent = split_scale(coords, _checked_coords(self.polytope, coords, self.mode))
+        for a in (coords, mantissas):
+            a.setflags(write=False)
+        self.__dict__.update(coords=coords, mantissas=mantissas, exponent=exponent)  # past frozen
 
     def scaled(self, factor: float) -> "Shape":
         return Shape(self.polytope, self.coords * factor, self.mode)
@@ -370,8 +386,8 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     vertices, positive inward).  Raises ``DegenerateSpan`` if the affine
     span of the vertices is below d and ``DuplicateVertex`` if two vertex
     points coincide within tolerance.  Each test compares a length over the
-    radius r, the largest absolute centred coordinate, with ``COORD_TOL``
-    (near the float maximum, on the coordinates over 2^k, which is exact).
+    radius r, the largest absolute centred coordinate, with ``COORD_TOL``, all on the
+    coordinates' ``split_scale`` mantissas; residuals and margins are brought back by 2^k.
 
     On a valid shape the least margin m settles three tests, with
     tol = ``COORD_TOL`` r, since the d facets at a vertex meet only there:
@@ -388,16 +404,9 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
     takes each test.
     """
     coords = np.asarray(coords, dtype=float)  # read, not written
-    size = _checked_coords(polytope, coords, mode)
+    coords, exponent = split_scale(coords, _checked_coords(polytope, coords, mode))
     d = polytope.dimension
     n = polytope.vertex_count
-    if size >= 2.0**1000 / n:  # a sum over the vertices could overflow: validate coords / 2^k
-        k = int(np.frexp(size)[1])
-        report = validate_shape(polytope, np.ldexp(coords, -k), mode)
-        residuals, margins = np.ldexp(report.residuals, k), np.ldexp(report.margins, k)
-        for a in (residuals, margins):
-            a.setflags(write=False)
-        return replace(report, residuals=residuals, margins=margins)
     centered = coords - np.add.reduce(coords, 0) / n  # coords.mean(axis=0), one call
     r = np.abs(centered).max()
     unit = centered / (r or 1.0)  # radius 1: nothing below over- or underflows
@@ -492,6 +501,7 @@ def validate_shape(polytope: CombinatorialPolytope, coords,
         messages.append("shape is only weakly convex")
 
     for a in (residuals, margins):
+        np.ldexp(a, exponent, out=a)  # in the given units
         a.setflags(write=False)
     return ValidationReport(
         verdict=verdict,

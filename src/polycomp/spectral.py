@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .affine import DET_TOL, degenerate, edges, gram_eigenvalues, prescaled, solve_correspondence
+from .affine import DET_TOL, affine_correspondence, degenerate, edges
 from .barycentric import DerivedMap, InducedMap, chain_stack, induced_map, require_same_polytope
 from .errors import NonFiniteResult, SingularSimplex
 from .polytopes import DEFAULT_TOL, Shape
@@ -27,24 +27,16 @@ NOT_WEAK_COMPRESSION = "NotWeakCompression"
 
 
 def _lengths(v: np.ndarray) -> np.ndarray:
-    """Row norms sqrt(v . v), to the bit wherever the squares neither over- nor
-    underflow, and finite at any scale.  With every |entry| at most 2^400 and
-    every sum of squares at least 2^-800 that is sqrt(v . v) itself (a square
-    that underflows lies below its sum's last bit); otherwise each row is first
-    divided by the power of two above its largest |entry|, which is exact."""
-    if np.abs(v).max() <= 2.0 ** 400 and (s := np.vecdot(v, v)).min() >= 2.0 ** -800:
-        return np.sqrt(s)
-    k = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
-    w = np.ldexp(v, -k)
-    return np.ldexp(np.sqrt(np.vecdot(w, w)), k[..., 0])
+    """Row norms sqrt(v . v) of rows of mantissa size, where no square over- or underflows."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 @lru_cache(maxsize=4)  # a request reads P and Q, a rescale also lambda Q
 def _edge_lengths(shape: Shape) -> np.ndarray:
-    """``_lengths`` of a shape's 1-faces, in ``edge_array`` order, as one read-only array
-    per shape (shapes key by identity)."""
-    edges = shape.polytope.edge_array
-    lengths = _lengths(shape.coords[edges[:, 0]] - shape.coords[edges[:, 1]])
+    """The lengths of a shape's 1-faces, in ``edge_array`` order, from its mantissas, as one
+    read-only array per shape (shapes key by identity)."""
+    edges, m = shape.polytope.edge_array, shape.mantissas
+    lengths = np.ldexp(_lengths(m[edges[:, 0]] - m[edges[:, 1]]), shape.exponent)
     lengths.setflags(write=False)
     return lengths
 
@@ -139,7 +131,7 @@ def extremal_pair(m: InducedMap | DerivedMap) -> ExtremalPair:
     the lowest-index such vertex wins.  In dimension >= 3 no vertex may
     admit the direction, in which case the full chord through the simplex
     barycentre is returned instead.  Either way the realized ratio equals
-    sqrt(alpha_max).
+    sqrt(alpha_max).  It is found on the mantissa piece, then brought to the given units.
     """
     s = spectral_summary(m)
     corr = m.maps[s.argmax_simplex]
@@ -165,8 +157,10 @@ def extremal_pair(m: InducedMap | DerivedMap) -> ExtremalPair:
         hi = min(-lam_c[i] / lam_u[i] for i in range(d + 1) if lam_u[i] < 0)
         x, y, step = centre + lo * u, centre + hi * u, (hi - lo) * u
     # The ratio reads the displacement as built, not y - x rounded at the offset's scale.
-    ratio = float(_lengths(corr.linear @ step) / _lengths(step))
-    return ExtremalPair(x=x, y=y, ratio=ratio, simplex_index=s.argmax_simplex, anchor_vertex=k)
+    kp, kq = m.source.exponent, m.target.exponent
+    ratio = float(np.ldexp(_lengths(corr.linear @ step) / _lengths(step), kq - kp))
+    return ExtremalPair(x=np.ldexp(x, kp), y=np.ldexp(y, kp), ratio=ratio,
+                        simplex_index=s.argmax_simplex, anchor_vertex=k)
 
 
 def classify(m: InducedMap | DerivedMap, tol: float = DEFAULT_TOL) -> Classification:
@@ -205,14 +199,16 @@ def scale_critical(p: Shape, q: Shape) -> CriticalRescale:
 
     lambda = 1/sqrt(global alpha_max), after which the rescaled map has
     global alpha_max = 1 (P -> Q's spectrum divided by it) and an extremal pair
-    of ratio 1.  Raises ``NonFiniteResult`` unless 0 < alpha_max < inf.
+    of ratio 1.  It is 2^(k_P - k_Q) / sqrt(max ``spectrum``), so it keeps every
+    digit where alpha_max is subnormal.  Raises ``NonFiniteResult`` unless
+    0 < alpha_max < inf and lambda Q is finite.
     """
     s = spectral_summary(m := induced_map(p, q))
-    lam = 1.0 / np.sqrt(s.alpha_max)
-    if s.alpha_max < np.finfo(float).tiny:  # subnormal, short of digits: prescale each piece
-        linear, k = prescaled(m.maps.linear)
-        lam = 1.0 / np.ldexp(np.sqrt(gram_eigenvalues(linear)[:, -1]), k).max()
-    scaled = q.scaled(lam)
+    lam = np.ldexp(1.0 / np.sqrt(m.spectrum[:, -1].max()), p.exponent - q.exponent)
+    with np.errstate(over="ignore"):  # lambda Q past the float range is no shape
+        if not np.isfinite(coords := q.coords * lam).all():
+            raise NonFiniteResult(f"lambda Q overflows (lambda = {lam})")
+    scaled = Shape(q.polytope, coords, q.mode)
     return CriticalRescale(lam=float(lam),
                            classification=classify(DerivedMap(p, scaled, m.alphas / s.alpha_max)),
                            scaled_target=scaled)
@@ -259,7 +255,7 @@ def perturbation_classify(p: Shape | np.ndarray, velocities) -> Perturbation:
     V P^{-1} is negative semidefinite.  ``velocities`` has one row per
     vertex, matching the coordinate layout of the shape.
     """
-    coords = p.coords if isinstance(p, Shape) else np.asarray(p, dtype=float)
+    coords = np.asarray(getattr(p, "coords", p), dtype=float)
     vel = np.asarray(velocities, dtype=float)
     if vel.shape != coords.shape:
         raise ValueError("velocities must match the vertex coordinate layout")
@@ -268,7 +264,7 @@ def perturbation_classify(p: Shape | np.ndarray, velocities) -> Perturbation:
         raise ValueError("perturbation analysis applies to simplex shapes")
     if degenerate(coords):
         raise SingularSimplex("simplex shape is affinely degenerate")
-    wbar = solve_correspondence(edges(coords), edges(vel))  # the velocity field's linear part
+    wbar = affine_correspondence(coords, vel).linear  # the velocity field's linear part
     sym = wbar + wbar.T
     eig = np.linalg.eigvalsh(sym)
     return Perturbation(
@@ -300,13 +296,14 @@ class PointOnShape:
 
 
 def distance_derivative(shape: Shape, velocities, x: PointOnShape, y: PointOnShape) -> float:
-    """Central finite difference, step 1e-6, of t -> ||x(t) - y(t)|| at t = 0."""
+    """Central finite difference, step 1e-6, of t -> ||x(t) - y(t)|| at t = 0, on the
+    shape's mantissas and the velocities over the same power of two."""
     vel = np.asarray(velocities, dtype=float)
     if vel.shape != shape.coords.shape:
         raise ValueError("velocities must match the vertex coordinate layout")
 
     def gap(t: float) -> float:
-        coords = shape.coords + t * vel
-        return float(_lengths(x.resolve(coords) - y.resolve(coords)))
+        coords = shape.mantissas + t * np.ldexp(vel, -shape.exponent)
+        return _lengths(x.resolve(coords) - y.resolve(coords))
 
-    return (gap(1e-6) - gap(-1e-6)) / 2e-6
+    return float(np.ldexp((gap(1e-6) - gap(-1e-6)) / 2e-6, shape.exponent))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from polycomp.affine import AffineCorrespondence
 from polycomp.polytopes import Shape, ngon_polytope, simplex_polytope
 
 
@@ -76,6 +77,14 @@ def random_convex_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_polygon_shape(rng: np.random.Generator, n: int) -> Shape:
     return Shape(ngon_polytope(n), random_convex_polygon(rng, n))
+
+
+def given_piece(m, i: int) -> AffineCorrespondence:
+    """Piece i of an induced map in the shapes' given units: ``m.maps`` holds the
+    pieces between their mantissas."""
+    corr, kp, kq = m.maps[i], m.source.exponent, m.target.exponent
+    return AffineCorrespondence(np.ldexp(corr.source, kp), np.ldexp(corr.target, kq),
+                                np.ldexp(corr.linear, kq - kp))
 
 
 def is_homothetic(p: Shape, q: Shape, tol: float = 1e-9) -> bool:

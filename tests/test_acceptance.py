@@ -35,6 +35,7 @@ from polycomp import (
     validate_shape,
 )
 from generators import (
+    given_piece,
     is_homothetic,
     random_contraction,
     random_convex_polygon,
@@ -205,8 +206,8 @@ def test_criterion_5_critical_rescaling():
             assert 1.0 - 1e-9 <= summary.alpha_max <= 1.0 + 1e-9
             witness = result.classification.witness
             assert witness.anchor_vertex is not None  # vertex-anchored in 2d
-            anchored = induced_map(p, result.scaled_target) \
-                .maps[witness.simplex_index].source[witness.anchor_vertex]
+            anchored = given_piece(induced_map(p, result.scaled_target),
+                                   witness.simplex_index).source[witness.anchor_vertex]
             assert np.array_equal(witness.x, anchored)
             assert witness.ratio == pytest.approx(1.0, abs=1e-9)
 

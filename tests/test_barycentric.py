@@ -20,6 +20,7 @@ from polycomp import (
     simplex_polytope,
 )
 from polycomp.affine import degenerate
+from generators import given_piece
 
 
 def brute_force_chains(polytope):
@@ -95,7 +96,7 @@ def test_induced_map_identity(unit_square):
 def test_induced_map_homothety(unit_square):
     m = induced_map(unit_square, unit_square.scaled(2.0))
     for i in range(m.simplex_count):
-        corr = m.maps[i]
+        corr = given_piece(m, i)
         assert np.allclose(corr.linear, 2.0 * np.eye(2), atol=1e-12)
 
 

@@ -32,7 +32,7 @@ from polycomp import (
 )
 from polycomp.affine import degenerate, edge_inverses, edges, gram_eigenvalues
 from polycomp.barycentric import chain_simplex_coords
-from generators import random_convex_polygon
+from generators import given_piece, random_convex_polygon
 from polycomp.metric import _deltas
 from polycomp.polytopes import facet_adjacency
 
@@ -114,7 +114,7 @@ def test_stacked_kernel_matches_per_simplex_loop(name, p, q, simplices):
     np.testing.assert_allclose(deltas, want_deltas, rtol=1e-12)
     src, tgt = reference_simplices(p, q, simplices)
     for i, (s, t) in enumerate(zip(src, tgt)):
-        corr = m.maps[i]
+        corr = given_piece(m, i)
         np.testing.assert_allclose(corr.source, s, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(corr.target, t, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(corr.linear, affine_correspondence(s, t).linear,
@@ -185,7 +185,7 @@ def test_degenerate_triangulation_simplex_is_named_by_plain_ints(simplices):
 
 def reference_evaluate(m, x, tol=1e-9):
     for i in range(m.simplex_count):
-        corr = m.maps[i]
+        corr = given_piece(m, i)
         rest = np.linalg.solve((corr.source[1:] - corr.source[0]).T, x - corr.source[0])
         lam = np.append(1.0 - rest.sum(), rest)
         if lam.min() >= -tol:
@@ -201,7 +201,8 @@ def test_evaluate_map_matches_linear_scan():
     q = Shape(poly, random_convex_polygon(rng, 7))
     m = induced_map(p, q)
     # Chain vertices lie on shared faces, where several simplices accept them.
-    points = list(m.maps.source.reshape(-1, 2)) + list(rng.uniform(-0.6, 0.6, (200, 2)))
+    points = (list(np.ldexp(m.maps.source, p.exponent).reshape(-1, 2))
+              + list(rng.uniform(-0.6, 0.6, (200, 2))))
     for x in points:
         try:
             want = reference_evaluate(m, x)

@@ -42,6 +42,7 @@ from polycomp.affine import (
     linear_parts,
 )
 from polycomp.metric import _log_spread
+from polycomp.polytopes import split_scale
 from test_chain_kernel import projective_cube
 
 EPS = 2.0**-52
@@ -97,7 +98,7 @@ def spectra_cases():
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_gram_eigenvalues_match_the_exact_oracle(name, stack):
     alphas = gram_eigenvalues(stack)
-    deltas = _log_spread(stack, alphas)
+    deltas = _log_spread(alphas)
     assert (alphas[:, 0] <= alphas[:, 1]).all()
     for a, got, delta in zip(stack, alphas, deltas):
         assert_spectrum(a, got, delta)
@@ -127,9 +128,11 @@ def test_far_scales_sit_next_to_normal_maps_in_one_stack():
     assert 0.0 < alphas[2, 0] <= alphas[2, 1] < np.finfo(float).tiny  # subnormal
     for i in (0, 1, 5):
         assert_spectrum(stack[i], alphas[i])
-    # The log spread rescales every map exactly, so the far ones keep their digits.
+    # A delta reads maps between mantissas: a far map over a power of two (exact),
+    # whose alphas, in the normal range, keep their digits.
     keep = [0, 1, 2, 3, 5]
-    for a, delta in zip(stack[keep], _log_spread(stack[keep], alphas[keep])):
+    unit = np.stack([split_scale(a)[0] for a in stack[keep]])
+    for a, delta in zip(stack[keep], _log_spread(gram_eigenvalues(unit))):
         assert_spectrum(a, delta=delta)
 
 
@@ -310,14 +313,14 @@ def test_4x4_zero_nan_and_inf_rows_are_flagged_as_with_lapack():
 
 def unit_scaled(*shapes):
     """The shapes' coordinates over the power of two above P's largest |entry|: exact."""
-    k = np.frexp(np.abs(shapes[0].coords).max())[1]
+    k = split_scale(shapes[0].coords)[1]
     return [Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in shapes]
 
 
 def test_4x4_kernel_alphas_keep_their_bits_at_far_scales():
-    # 2^k scales every chain exactly, and the prescaled adjugate undoes it exactly; a
-    # scale of 1e+-300 rounds the coordinates, whose power-of-two image is then the
-    # unscaled pair, and its alphas stay within 1e-12 of the unit pair's.
+    # 2^k leaves the shapes' mantissas as they were, so the chains and their solve are
+    # the unscaled pair's; a scale of 1e+-300 rounds the coordinates, whose power-of-two
+    # image is then the unscaled pair, and its alphas stay within 1e-12 of the unit pair's.
     rng = np.random.default_rng(37)
     for _ in range(3):
         p, q = projective_cube(rng, 4), projective_cube(rng, 4)

@@ -48,10 +48,10 @@ from generators import (
 from polycomp import lifting
 from polycomp import affine
 from polycomp.affine import DET_TOL, affine_correspondence, edges
-from polycomp.barycentric import triangulation_map
+from polycomp.barycentric import shape_pieces, triangulation_map
 from polycomp.io import load_shape, shape_from_dict
 from polycomp.lifting import FacetFold, RidgeAngles, isometry_residual
-from polycomp.polytopes import COORD_TOL, bfs_order, facet_adjacency
+from polycomp.polytopes import COORD_TOL, bfs_order, facet_adjacency, split_scale
 
 DATA = Path(__file__).parent / "data"
 
@@ -332,11 +332,11 @@ def reference_pleat(p, q, tri):
         raise InconsistentLattice("triangulation belongs to a different polytope")
     if not tri.is_tree:
         raise NotTree("face-pairing graph of the triangulation is not a tree")
-    k = lifting._exponent(p.coords, q.coords)
+    k = max(p.exponent, q.exponent)
     p, q = (Shape(s.polytope, np.ldexp(s.coords, -k), s.mode) for s in (p, q))
     m = triangulation_map(p, q, tri.simplices)
-    vol = lifting._simplex_volume(m.maps.source)
-    vol_p = lifting._shape_volume(p)
+    vol, vol_p = (np.abs(np.linalg.det(edges(x))).sum()  # d! times the volumes
+                  for x in (p.coords[np.array(tri.simplices)], shape_pieces(p.polytope, p.coords)))
     if abs(vol - vol_p) > COORD_TOL * vol_p:
         raise InconsistentLattice("simplices do not tile the source shape")
     if not (m.alphas[:, -1] <= 1.0 + lifting.CONTRACTION_TOL).all():
@@ -525,7 +525,7 @@ def reference_validity(pe):
             for a, b in itertools.combinations(s, 2):
                 wedges.append((tuple(v for v in s if v not in (a, b)), a, b))
                 owners.append(si)
-    coords = np.ldexp(pe.coords, -lifting._exponent(pe.coords))
+    coords = split_scale(pe.coords)[0]
     folds = tuple(FacetFold((i, j), shared, angle) for (i, j), (shared, _, _), angle
                   in zip(tri.pairing_edges, triples, triple_angles(coords, triples)))
     ridges = {}

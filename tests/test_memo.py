@@ -26,6 +26,7 @@ from polycomp import (
 from polycomp import affine, barycentric, metric, spectral
 from polycomp.affine import degenerate
 from polycomp.barycentric import barycentric_complex, chain_simplex_coords, chain_stack
+from generators import given_piece
 from polycomp.io import load_shape
 from test_chain_kernel import SQUARE, projective_cube
 
@@ -216,7 +217,7 @@ def test_shapes_compare_and_hash_by_identity(unit_square):
 def reference_extremal_pair(m):
     """(x, y, anchor) from one solve per vertex and sign, then one for the chord."""
     s = spectral_summary(m)
-    corr = m.maps[s.argmax_simplex]
+    corr = given_piece(m, s.argmax_simplex)
     d = corr.dimension
     u = np.linalg.svd(corr.linear)[2][0]
     e_t = (corr.source[1:] - corr.source[0]).T

@@ -38,6 +38,7 @@ from polycomp import barycentric, spectral
 from polycomp.io import load_matrix, load_shape, load_shapes
 from test_chain_kernel import projective_cube
 from generators import (
+    given_piece,
     random_contraction,
     random_polygon_shape,
     random_rotation,
@@ -199,31 +200,20 @@ def test_edge_lengths_match_per_edge_norm(rng):
     assert poly.edge_array is poly.edge_array
 
 
-def test_lengths_direct_branch_matches_the_rescale(rng):
-    # Where no square over- or underflows, sqrt(v . v) is already the bits of
-    # the power-of-two rescale.  The rows times 2^shift, with the largest |entry|
-    # lifted to 2^899, go through the rescale, which scales exactly.  Rows mix
-    # entries 30 decades apart.
-    for scale in 10.0 ** np.arange(-80, 101, 10):
-        v = rng.standard_normal((2, 40, 4)) * scale * 10.0 ** rng.uniform(-30, 0, (2, 40, 4))
-        assert np.abs(v).max() <= 2.0 ** 400 and np.vecdot(v, v).min() >= 2.0 ** -800
-        shift = 900 - int(np.frexp(np.abs(v).max())[1])
-        rescaled = np.ldexp(spectral._lengths(np.ldexp(v, shift)), -shift)
-        assert spectral._lengths(v).tobytes() == rescaled.tobytes()
-
-
 def stacked_edge_check(p, q):
-    """Lengths and ratios as one ``_lengths`` call over both shapes' stacked edges."""
+    """Lengths and ratios as one ``_lengths`` call over both shapes' stacked mantissa
+    edges, each brought back by its shape's power of two."""
     edges = p.polytope.edge_array
-    src, tgt = spectral._lengths(np.stack([s.coords[edges[:, 0]] - s.coords[edges[:, 1]]
-                                           for s in (p, q)]))
+    lengths = spectral._lengths(np.stack([s.mantissas[edges[:, 0]] - s.mantissas[edges[:, 1]]
+                                          for s in (p, q)]))
+    src, tgt = (np.ldexp(a, s.exponent) for a, s in zip(lengths, (p, q)))
     with np.errstate(over="ignore"):
         return src, tgt, tgt / src
 
 
 def test_cached_edge_lengths_match_the_stacked_form(rng):
-    # Per shape, the lengths take the direct branch or the rescale on their own;
-    # either way they keep the bits of the stacked call, even beside a far scale.
+    # Per shape, the lengths are read on its mantissas; they keep the bits of the
+    # stacked call, even beside a far scale.
     for poly in (ngon_polytope(7), cube_polytope(3), cube_polytope(4)):
         d, n = poly.dimension, poly.vertex_count
         for p_scale, q_scale in itertools.product((1e-300, 1.0, 1e300), repeat=2):
@@ -303,7 +293,7 @@ def test_extremal_ratio_matches_alpha_max(rng):
                 assert w.anchor_vertex is not None
             if w.anchor_vertex is not None:
                 assert np.array_equal(
-                    w.x, m.maps[w.simplex_index].source[w.anchor_vertex])
+                    w.x, given_piece(m, w.simplex_index).source[w.anchor_vertex])
 
 
 @pytest.mark.parametrize("offset", [1e4, 1e8, 1e10, 1e12])
@@ -356,22 +346,35 @@ def test_scale_critical_rejects_an_alpha_max_out_of_range(unit_square, p_scale, 
         classify(induced_map(p, q))
 
 
+def test_a_critical_rescale_past_the_float_maximum_raises_non_finite_result():
+    # lambda = 5/3 takes Q, here up to 1.1e308, past the float maximum.
+    p, q = (load_shape(Path(__file__).parent / "data" / f).scaled(1.7e308 / 4)
+            for f in ("P.json", "P_small.json"))
+    with pytest.raises(NonFiniteResult, match=r"^lambda Q overflows \(lambda = 1\.66"):
+        scale_critical(p, q)
+
+
 def test_an_overflowing_map_raises_non_finite_result(unit_square):
-    with pytest.raises(NonFiniteResult, match="^the map overflows: a piece's linear part "
-                                              "is not finite$"):
-        classify(induced_map(unit_square.scaled(1e-160), unit_square.scaled(1e160)))
+    # The pieces between mantissas are the identity; the map's alphas, 1e640, are not.
+    m = induced_map(unit_square.scaled(1e-160), unit_square.scaled(1e160))
+    assert np.isfinite(m.maps.linear).all() and np.isinf(m.alphas).all()
+    with pytest.raises(NonFiniteResult, match="^alpha_max = inf over- or underflows$"):
+        classify(m)
 
 
 def test_a_triangulation_map_whose_source_edges_overflow_raises_non_finite_result():
-    # Edges of 3.4e308: the source's flags and its solve read the same (inf) edges.
+    # Edges of 3.4e308 in the given units: the pieces read the mantissas, so both maps
+    # are built, and their alphas, about 1e-616, underflow when read.
     poly = ngon_polytope(5)
     small = np.array([[1.0, 0.0], [-1, -1], [-1, -0.5], [-1, 0.5], [-1, 1]])
     big = small * np.array([1.7e308, 1e308])
     p, q = Shape(poly, big), Shape(poly, small)
     for f in (induced_map, lambda p, q: barycentric.triangulation_map(
             p, q, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])):
-        with pytest.raises(NonFiniteResult, match="^the map overflows"):
-            f(p, q)
+        m = f(p, q)
+        assert np.isfinite(m.maps.linear).all() and (m.alphas == 0.0).all()
+        with pytest.raises(NonFiniteResult, match="^alpha_max = 0.0 over- or underflows$"):
+            classify(m)
 
 
 def test_compare_order_homothety(unit_square):

@@ -133,7 +133,7 @@ NGON_CLASSES = ("strict", "weak", "reflex")
 
 
 def load_golden_runs():
-    """tests/golden_runs.py: the arguments of each subcommand's golden."""
+    """tests/golden_runs.py: the golden runs, one per subcommand among them."""
     spec = importlib.util.spec_from_file_location("golden_runs", ROOT / "tests" / "golden_runs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -386,7 +386,7 @@ def cube_job(pc, p, q):
 def kernel_inputs(pc, p, q):
     """What ``kernel_job`` reuses: the complex, p, the chains of (p, q), their solve."""
     complex_ = pc.barycentric_complex(p.polytope)
-    src, tgt = (pc.barycentric.chain_simplex_coords(complex_, s) for s in (p, q))
+    src, tgt = (pc.barycentric.chain_simplex_coords(complex_, s.coords) for s in (p, q))
     return complex_, p, src, tgt, solve(pc.affine, src, tgt)
 
 
@@ -402,7 +402,7 @@ def kernel_job(pc, complex_, p, src, tgt, linear):
     """The complex built cold and the four kernels on one pair's chains, one step each."""
     pc.barycentric.barycentric_complex.__wrapped__(p.polytope)
     yield "complex_build"
-    pc.barycentric.chain_simplex_coords(complex_, p)
+    pc.barycentric.chain_simplex_coords(complex_, p.coords)
     yield "chain_build"
     pc.affine.degenerate(src)
     yield "flatness"
@@ -476,7 +476,7 @@ def sequence_layers(pc, complex_, shapes, pairs):
         yield "linear"
         aff.gram_eigenvalues(linear)
     else:  # one homogeneous solve per chain of every pair
-        x = np.stack([pc.barycentric.chain_simplex_coords(complex_, s) for s in shapes])
+        x = np.stack([pc.barycentric.chain_simplex_coords(complex_, s.coords) for s in shapes])
         yield "chain_coords"
         aff.degenerate(x)
         yield "flags"
@@ -542,8 +542,8 @@ def bench_cli(srcs, subs, calls):
             for src in srcs]
     out = [{} for _ in srcs]
     for sub in subs:
-        cmd = ["-m", "polycomp", sub, *GOLDEN.golden_args(sub)]
-        golden = (DATA / f"golden_{sub}.json").read_bytes()
+        cmd = ["-m", "polycomp", *GOLDEN.golden_args(sub)]
+        golden = (DATA / GOLDEN.GOLDEN_RUNS[sub][0]).read_bytes()
         timed = in_turns(len(srcs), calls,
                          lambda k, i: wall_s([sys.executable, *cmd], envs[k]))
         traced = in_turns(len(srcs), max(1, calls // 4),
@@ -612,8 +612,8 @@ def main(argv=None):
     ap.add_argument("--repeat", type=int, default=30,
                     help="timed jobs, and calls of each kernel, per d and checkout; "
                          "twice as many cold calls of each subcommand")
-    ap.add_argument("--cli", nargs="+", choices=sorted(GOLDEN.GOLDEN_RUNS),
-                    default=list(GOLDEN.GOLDEN_RUNS), metavar="SUB",
+    ap.add_argument("--cli", nargs="+", choices=sorted(GOLDEN.SUBCOMMANDS),
+                    default=GOLDEN.SUBCOMMANDS, metavar="SUB",
                     help="subcommands timed cold (default: all)")
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)

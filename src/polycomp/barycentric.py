@@ -148,11 +148,11 @@ def require_same_polytope(p: Shape, q: Shape) -> None:
 
 
 @np.errstate(over="ignore")  # a coordinate sum that overflows reads inf; callers raise on it
-def chain_simplex_coords(complex_: BarycentricComplex, shape) -> np.ndarray:
-    """Vertex coordinates of every chain simplex, (..., t, d+1, d), of a shape or of
-    a (..., n, d) coordinate stack; a shape gets the same bits alone or in a stack."""
+def chain_simplex_coords(complex_: BarycentricComplex, coords: np.ndarray) -> np.ndarray:
+    """Vertex coordinates of every chain simplex, (..., t, d+1, d), of a (..., n, d)
+    coordinate stack; a realization gets the same bits alone or in a stack."""
     inc = complex_.incidence
-    sums = inc @ getattr(shape, "coords", shape)
+    sums = inc @ coords
     return (sums / inc.sum(axis=1, keepdims=True))[..., complex_.chain_faces, :]
 
 

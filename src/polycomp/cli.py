@@ -160,10 +160,7 @@ def cmd_scale(p, q, args):
 def _parse_point(text, label, n: int):
     from .barycentric import BARY_TOL
     from .spectral import PointOnShape
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"--pair {label}: invalid JSON ({exc})") from exc
+    doc = io.parse_json(text, f"--pair {label}")
     if not isinstance(doc, dict) or "face" not in doc:
         raise MalformedInput(f"--pair {label}: expected an object with 'face'")
     face = doc["face"]

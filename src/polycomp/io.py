@@ -28,22 +28,28 @@ from .polytopes import CombinatorialPolytope, Shape, Triangulation, _build_polyt
 _MAX = sys.float_info.max
 
 
+def parse_json(text: str, where) -> object:
+    """``json.loads(text)``; invalid JSON, nesting past the recursion limit and an int
+    past Python's digit limit each raise ``MalformedInput`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedInput(f"{where}: invalid JSON ({exc})") from exc
+
+
 def _load_json(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"{path}: cannot read file ({exc})") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path}: invalid JSON ({exc})") from exc
+    return parse_json(text, path)
 
 
-def _require(doc: dict, path, field: str, kind=None):
+def _require(doc: dict, path, field: str, kind: type):
     if field not in doc:
         raise MalformedInput(f"{path}: missing field '{field}'")
     value = doc[field]
-    if kind is not None and not (type(value) is int if kind is int else isinstance(value, kind)):
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise MalformedInput(f"{path}: field '{field}' has the wrong type")
     return value
 

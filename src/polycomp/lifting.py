@@ -456,7 +456,7 @@ class ProjectionChain:
     final_residual: float  # distance of the last stage to the target shape
 
 
-def _gram_schmidt(a: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+def _gram_schmidt(a: np.ndarray) -> np.ndarray:
     """R of a = QR per (..., w, k) matrix by modified Gram-Schmidt, r_jj >= 0; in place,
     a's columns become those of Q diag(r_jj) (a zero column stays zero).  R is backward
     stable as Householder's is (Bjorck and Paige, SIAM J. Matrix Anal. Appl. 13, 1992);
@@ -464,17 +464,15 @@ def _gram_schmidt(a: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     it.  Every sum runs over the w rows in order, ``np.multiply`` then ``np.add.accumulate``,
     with no step fusing a product into a sum, so its bits are those of this order on any
     platform and in any layout, and zero rows past a matrix's last leave them alone in
-    any stack.  ``first``, (..., k), may hold the first step's sums a_0 . a_j, so summed."""
+    any stack."""
     k = a.shape[-1]
     r = np.zeros(a.shape[:-2] + (k, k))
     tmp = np.empty_like(a[..., 0])  # one scratch column, laid out as a's
     for i in range(k):
         col = a[..., i]
-        if i or first is None:  # sums[..., j - i] = a_i . a_j, before this step's updates
-            sums = np.stack([np.add.accumulate(np.multiply(col, a[..., j], out=tmp), axis=-1,
-                                               out=tmp)[..., -1].copy() for j in range(i, k)], -1)
-        else:
-            sums = first
+        # sums[..., j - i] = a_i . a_j, before this step's updates
+        sums = np.stack([np.add.accumulate(np.multiply(col, a[..., j], out=tmp), axis=-1,
+                                           out=tmp)[..., -1].copy() for j in range(i, k)], -1)
         norm2 = sums[..., 0]
         r[..., i, i] = np.sqrt(norm2)
         for j in range(i + 1, k):
@@ -577,7 +575,7 @@ def projection_chain(coords: np.ndarray, d: int, simplices,
     sure = _sure_not_flat(gram[:-1], big_d)
     for r in np.flatnonzero(~sure.all(axis=1)):  # the first flat (stage, simplex) raises
         i = np.flatnonzero(~sure[r])
-        flat = _flat(np.swapaxes(_gram_schmidt(xt[i, :big_d - r], gram[r, i, 0]), -1, -2))
+        flat = _flat(np.swapaxes(_gram_schmidt(xt[i, :big_d - r]), -1, -2))
         if flat.any():
             raise SingularSimplex("source simplex is affinely degenerate", int(i[flat.argmax()]))
     if k == 2:  # nan only where G_c is not finite

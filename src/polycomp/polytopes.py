@@ -607,14 +607,13 @@ def _polygon_cycle(polytope: CombinatorialPolytope, start: int) -> list[int]:
     return cycle
 
 
-def fan_triangulation(polytope_or_shape, apex: int) -> Triangulation:
+def fan_triangulation(polytope: CombinatorialPolytope, apex: int) -> Triangulation:
     """Fan a convex n-gon from one vertex: n-2 triangles, pairing graph a path.
 
     The result is frozen, so it is cached and shared per (polytope, apex), as
     ``build_polytope``'s lattices are.  Errors are not cached.
     """
-    return _fan_triangulation(getattr(polytope_or_shape, "polytope", polytope_or_shape),
-                              operator.index(apex))
+    return _fan_triangulation(polytope, operator.index(apex))
 
 
 @lru_cache(maxsize=32)

@@ -12,7 +12,7 @@ of simplex shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -29,16 +29,6 @@ NOT_WEAK_COMPRESSION = "NotWeakCompression"
 def _lengths(v: np.ndarray) -> np.ndarray:
     """Row norms sqrt(v . v) of rows of mantissa size, where no square over- or underflows."""
     return np.sqrt(np.vecdot(v, v))
-
-
-@lru_cache(maxsize=4)  # a request reads P and Q, a rescale also lambda Q
-def _edge_lengths(shape: Shape) -> np.ndarray:
-    """The lengths of a shape's 1-faces, in ``edge_array`` order, from its mantissas, as one
-    read-only array per shape (shapes key by identity)."""
-    edges, m = shape.polytope.edge_array, shape.mantissas
-    lengths = np.ldexp(_lengths(m[edges[:, 0]] - m[edges[:, 1]]), shape.exponent)
-    lengths.setflags(write=False)
-    return lengths
 
 
 @dataclass(frozen=True)
@@ -89,9 +79,14 @@ class EdgeContractionReport:
 @dataclass(frozen=True)
 class Classification:
     verdict: str
-    edge_contracting: bool
     summary: SpectralSummary
     map: InducedMap | DerivedMap
+    tol: float  # the strictness band the verdict was taken with
+
+    @cached_property
+    def edge_contracting(self) -> bool:
+        """Does every edge shrink by more than ``tol``?  Computed on first read."""
+        return edge_contraction_check(self.map.source, self.map.target, self.tol).all_contracting
 
     @cached_property
     def witness(self) -> ExtremalPair:
@@ -109,9 +104,10 @@ class Classification:
 def edge_contraction_check(p: Shape, q: Shape,
                            tol: float = DEFAULT_TOL) -> EdgeContractionReport:
     """Length ratio ||q_i - q_j|| / ||p_i - p_j|| for every 1-face {i, j} of the shared
-    polytope, from each shape's cached ``_edge_lengths``."""
+    polytope, each length read on its shape's mantissas."""
     require_same_polytope(p, q)
-    src, tgt = _edge_lengths(p), _edge_lengths(q)
+    e0, e1 = p.polytope.edge_array.T
+    src, tgt = (np.ldexp(_lengths(s.mantissas[e0] - s.mantissas[e1]), s.exponent) for s in (p, q))
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
         ratios = tgt / src
     return EdgeContractionReport(
@@ -178,13 +174,7 @@ def classify(m: InducedMap | DerivedMap, tol: float = DEFAULT_TOL) -> Classifica
         verdict = WEAK_COMPRESSION
     else:
         verdict = NOT_WEAK_COMPRESSION
-    edges = edge_contraction_check(m.source, m.target, tol)
-    return Classification(
-        verdict=verdict,
-        edge_contracting=edges.all_contracting,
-        summary=s,
-        map=m,
-    )
+    return Classification(verdict=verdict, summary=s, map=m, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,8 @@ def test_deltas_name_first_degenerate_side():
                        (early, good, "source"), (good, late, "target")):
         want = first_degenerate(*reference_simplices(p, q), check_target=True)
         with pytest.raises(SingularSimplex, match=f"^{side} simplex") as exc:
-            stacked_deltas(chain_simplex_coords(complex_, p), chain_simplex_coords(complex_, q))
+            stacked_deltas(chain_simplex_coords(complex_, p.coords),
+                           chain_simplex_coords(complex_, q.coords))
         assert exc.value.index == want
 
 
@@ -224,7 +225,7 @@ def test_complex_is_cached_read_only_and_shared():
     assert a.chain_faces.shape == (a.simplex_count, 3)
     shape = Shape(ngon_polytope(6), random_convex_polygon(np.random.default_rng(3), 6))
     want = np.array([[barycentre(a.polytope.faces[f], shape) for f in c] for c in a.chain_faces])
-    np.testing.assert_allclose(chain_simplex_coords(a, shape), want, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(chain_simplex_coords(a, shape.coords), want, rtol=1e-15, atol=1e-15)
 
 
 def isin_incidence(polytope):
@@ -250,5 +251,5 @@ def test_complex_adjacency_on_first_read_and_scattered_incidence(rng, kind, size
     np.testing.assert_array_equal(complex_.incidence, isin_incidence(shape.polytope))
     assert complex_.incidence.dtype == np.float64
     old = dataclasses.replace(complex_, incidence=isin_incidence(shape.polytope))
-    np.testing.assert_array_equal(chain_simplex_coords(complex_, shape),
-                                  chain_simplex_coords(old, shape))
+    np.testing.assert_array_equal(chain_simplex_coords(complex_, shape.coords),
+                                  chain_simplex_coords(old, shape.coords))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden_runs import GOLDEN_RUNS, golden_args
+from golden_runs import GOLDEN_RUNS, SUBCOMMANDS, golden_args
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,50 +175,32 @@ def test_schema_error_names_field(tmp_path):
 PIPELINE = ["classify", "edges", "distance", "scale"]
 
 
+def golden_run(name):
+    """Run ``name`` of ``GOLDEN_RUNS`` in process; it must print its golden byte for byte
+    and exit with its code."""
+    golden, _, code = GOLDEN_RUNS[name]
+    proc = run_cli(*golden_args(name))
+    assert proc.returncode == code
+    assert proc.stdout == (DATA / golden).read_text(encoding="utf-8")
+    return proc
+
+
 @pytest.mark.parametrize("name", PIPELINE)
 def test_golden_counterexample_pipeline(name):
-    proc = run_cli(name, *golden_args(name))
-    assert proc.returncode == 0
-    golden = (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
-    assert proc.stdout == golden
+    proc = golden_run(name)
     # byte-stable across runs
-    again = run_cli(name, *golden_args(name))
+    again = run_cli(*golden_args(name))
     assert again.stdout == proc.stdout
 
 
-@pytest.mark.parametrize("name", sorted(set(GOLDEN_RUNS) - set(PIPELINE)))
+@pytest.mark.parametrize("name", sorted(set(SUBCOMMANDS) - set(PIPELINE)))
 def test_golden_subcommand(name):
-    proc = run_cli(name, *golden_args(name))
-    assert proc.returncode == 0
-    assert proc.stdout == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
+    golden_run(name)
 
 
-# Goldens beyond one per subcommand: ``validate`` on the flat hexagon (weakly convex,
-# one non-extreme vertex settled by NNLS, flat pair [0, 2], margins at rounding level)
-# and on a reflex pentagon (exit 1, with messages and a non-extreme vertex); ``chain``
-# on dyadic segments in R^5 whose edges have power-of-two lengths, so each
-# previous-stage alpha is the correctly rounded ratio G_c / G_{c+1} of exact sums.
-# name: (golden file, arguments, exit code).  The far-scale runs print the goldens of
-# the same shapes unscaled: the metric and the order are scale-free, and a power of two
-# scales exactly.
-EXTRA_GOLDENS = {
-    "validate_flat": ("golden_validate_flat.json", ["validate", "hexagon_flat.json"], 0),
-    "validate_reflex": ("golden_validate_reflex.json", ["validate", "pentagon_reflex.json"], 1),
-    "chain_segments": ("golden_chain_segments.json",
-                       ["chain", "segments.json", "--base-dim", "1"], 0),
-    "distance_far": ("golden_distance.json",
-                     ["distance", "P_x2pow600.json", "Q_x2pow-600.json"], 0),
-    "order_far": ("golden_order.json",
-                  ["order", "square_x2pow1023.json", "square_half_x2pow1023.json"], 0),
-}
-
-
-@pytest.mark.parametrize("name", sorted(EXTRA_GOLDENS))
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_RUNS) - set(SUBCOMMANDS)))
 def test_extra_goldens(name):
-    golden, args, code = EXTRA_GOLDENS[name]
-    proc = run_cli(*(str(DATA / a) if a.endswith(".json") else a for a in args))
-    assert proc.returncode == code
-    assert proc.stdout == (DATA / golden).read_text(encoding="utf-8")
+    golden_run(name)
 
 
 PAIR_COMMANDS = {"classify": [], "edges": [], "distance": [], "order": [], "scale": [],
@@ -552,6 +534,11 @@ def cube_doc(scale):
 
 
 SQ, HALF, P_, V_ = (str(DATA / f) for f in ("square.json", "square_half.json", "P.json", "V.json"))
+# Text that is not UTF-8, JSON nested 5,000 deep and an int past Python's 4,300-digit limit,
+# written to files of these names and given as --pair text (as the interpreter decodes it).
+UNPARSABLE = {"not_utf8.json": b"\xff\xfe{}", "deep.json": b"[" * 5000 + b"]" * 5000,
+              "long_int.json": b'{"face": [' + b"1" * 4301 + b"]}"}
+NOT_UTF8, DEEP, LONG_INT = map(os.fsdecode, UNPARSABLE.values())
 
 # Inputs that used to exit 2 with empty stdout, print NaN, give a wrong answer or
 # end in a traceback: (argv, a piece of the message naming the bad field).
@@ -613,6 +600,15 @@ BAD_INPUTS = {
                           "--pair first point: invalid JSON"),
     "pair-not-object": (["perturb", P_, V_, "--pair", '{"face": [0]}', "[0]"],
                         "--pair second point: expected an object with 'face'"),
+    "file-not-utf8": (["validate", "not_utf8.json"], "not_utf8.json: cannot read file"),
+    "file-deep": (["sequence", "deep.json"], "deep.json: invalid JSON"),
+    "file-long-int": (["order", SQ, "long_int.json"], "long_int.json: invalid JSON"),
+    "pair-not-utf8": (["perturb", P_, V_, "--pair", NOT_UTF8, '{"face": [0]}'],
+                      "--pair first point: invalid JSON"),
+    "pair-deep": (["perturb", P_, V_, "--pair", '{"face": [0]}', DEEP],
+                  "--pair second point: invalid JSON"),
+    "pair-long-int": (["perturb", P_, V_, "--pair", LONG_INT, '{"face": [0]}'],
+                      "--pair first point: invalid JSON"),
     "velocity-shape": (["perturb", P_, "wide.json"], "matrix must be 3 x 2"),
     "perturb-square-without-pair": (["perturb", SQ, "square_v.json"], "needs --pair"),
     "fan-apex-not-int": (["pleat", SQ, HALF, "--triangulation", "fan:x"],
@@ -650,6 +646,8 @@ def test_bad_input_exits_3_with_one_json_document(tmp_path, capsys, case):
                                                "vertices": [[0.0, 0.0], [1.0, 0.0]],
                                                "simplices": [[0, 2]]})
     write_json(tmp_path / "square_v.json", {"rows": 4, "cols": 2, "data": [0.0] * 8})
+    for name, text in UNPARSABLE.items():
+        (tmp_path / name).write_bytes(text)
     argv, field = BAD_INPUTS[case]
     argv = [str(tmp_path / a) if a.endswith(".json") and "/" not in a else a for a in argv]
     assert cli.main(argv) == 3

@@ -454,22 +454,6 @@ def test_gram_schmidt_keeps_a_frames_bits_in_any_block():
             np.testing.assert_array_equal(r, alone[list(group)[col]])
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_gram_schmidt_reads_its_first_sums_from_running_sums(k):
-    """Running sums of a_0 a_j down each column, read at a frame's last row, are the
-    first step's sums: given as ``first``, R and the columns keep their bits."""
-    rng = np.random.default_rng(45 + k)
-    widths = rng.integers(1, 30, 9)
-    columns = rng.standard_normal((k, 30, 9))  # (k, D, t), as the chain lays them out
-    running = np.add.accumulate(columns[:1] * columns, axis=1)
-    block = np.where(np.arange(30)[:, None] < widths, columns, 0.0)
-    want_block, got_block = block.copy(), block.copy()
-    want = _gram_schmidt(want_block.T)
-    got = _gram_schmidt(got_block.T, running[:, widths - 1, np.arange(9)].T)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_block, want_block)
-
-
 def exact_sqrt2(s):
     """The PSD square root of a symmetric 2 x 2 float matrix (the mean of its two
     off-diagonal entries) as 50-digit Decimals: (S + sqrt(det S) I) / sqrt(tr S +

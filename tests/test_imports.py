@@ -50,7 +50,7 @@ def fresh(code, *args):
 def loaded(name):
     """The polycomp modules that subcommand ``name`` imports on its golden's arguments;
     it must exit 0."""
-    code, modules = fresh(LOADED, name, *golden_args(name))
+    code, modules = fresh(LOADED, *golden_args(name))
     assert code == 0
     return set(modules)
 

@@ -1,7 +1,7 @@
 """The memoised induced map and chain stacks: one solve per (P, Q) pair and
-one chain build, flatness test and edge-length array per shape, shared by
-the spectral and metric entry points, with the same values and errors as
-uncached calls; the extremal pair is computed only when read."""
+one chain build and flatness test per shape, shared by the spectral and metric
+entry points, with the same values and errors as uncached calls; the extremal
+pair and the edge check are computed only when read."""
 
 import dataclasses
 from pathlib import Path
@@ -44,7 +44,6 @@ ENTRY_POINTS = (
 def clear_memo():
     barycentric.induced_map.cache_clear()
     barycentric.chain_stack.cache_clear()
-    spectral._edge_lengths.cache_clear()
 
 
 def canon(v):
@@ -57,8 +56,9 @@ def canon(v):
         return canon(v.coords), v.mode
     if dataclasses.is_dataclass(v):
         fields = tuple(canon(getattr(v, f.name)) for f in dataclasses.fields(v))
-        # The witness is a cached property, not a field.
-        return fields + (canon(v.witness),) if isinstance(v, Classification) else fields
+        # The witness and the edge check are cached properties, not fields.
+        extra = (canon(v.witness), v.edge_contracting) if isinstance(v, Classification) else ()
+        return fields + extra
     if isinstance(v, (list, tuple)):
         return tuple(canon(x) for x in v)
     return v
@@ -108,7 +108,6 @@ def test_memo_stays_bounded():
         delta_polytope(p, q)
     assert barycentric.induced_map.cache_info().currsize <= 4
     assert barycentric.chain_stack.cache_info().currsize <= 4
-    assert spectral._edge_lengths.cache_info().currsize <= 4
 
 
 def test_witness_is_computed_once_and_only_when_read(monkeypatch):
@@ -122,6 +121,22 @@ def test_witness_is_computed_once_and_only_when_read(monkeypatch):
     assert calls == []
     assert c.witness is c.witness
     assert calls == [c.map]
+
+
+def test_edge_check_runs_once_and_only_when_read(monkeypatch):
+    rng = np.random.default_rng(9)
+    p, q = projective_cube(rng, 3), projective_cube(rng, 3)
+    calls = []
+    monkeypatch.setattr(spectral, "edge_contraction_check",
+                        lambda *a, _f=spectral.edge_contraction_check: calls.append(a) or _f(*a))
+    order, rescale = compare_order(p, q), scale_critical(p, q)
+    c = classify(induced_map(p, q))
+    assert calls == []
+    assert c.edge_contracting is c.edge_contracting
+    assert calls == [(p, q, c.tol)]
+    for other in (order.forward, order.backward, rescale.classification):
+        assert other.edge_contracting is other.edge_contracting
+    assert calls[1:] == [(p, q, c.tol), (q, p, c.tol), (p, rescale.scaled_target, c.tol)]
 
 
 def test_degenerate_pairs_raise_on_every_call():
@@ -145,7 +160,7 @@ def test_degenerate_pairs_raise_on_every_call():
     # compare_order and scale_critical, each after another entry point warmed
     # the memo, name the first flat chain, found here without the memo.
     first = int(np.flatnonzero(degenerate(chain_simplex_coords(barycentric_complex(poly),
-                                                               flat)))[0])
+                                                               flat.coords)))[0])
     clear_memo()
     lam = scale_critical(good, flat).lam  # a flat target is rescaled, not rejected
     for warm in ENTRY_POINTS:

@@ -632,7 +632,7 @@ def test_gathered_degeneracy_flags_equal_per_pair_ones(monkeypatch):
         block = pending[:2]  # the next two pairs of the request
         del pending[:2]
         for got, side in zip(flags, (0, 1)):
-            want = [degenerate(chain_simplex_coords(complex_, shapes[pair[side]]))
+            want = [degenerate(chain_simplex_coords(complex_, shapes[pair[side]].coords))
                     for pair in block]
             assert (got == np.concatenate(want)).all()
         seen.append(np.concatenate(flags))

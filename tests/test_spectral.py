@@ -225,37 +225,22 @@ def test_cached_edge_lengths_match_the_stacked_form(rng):
                 assert a.tobytes() == b.tobytes(), (p_scale, q_scale)
 
 
-def test_edge_lengths_are_cached_per_shape_and_read_only(rng):
-    spectral._edge_lengths.cache_clear()
-    poly = cube_polytope(4)
-    p, q = (Shape(poly, rng.standard_normal((16, 4)), mode="weak") for _ in range(2))
-    first, again = edge_contraction_check(p, q), edge_contraction_check(q, p)
-    assert first.source_lengths is again.target_lengths is spectral._edge_lengths(p)
-    assert first.target_lengths is again.source_lengths is spectral._edge_lengths(q)
-    for a in (first.source_lengths, first.target_lengths):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
-    assert spectral._edge_lengths.cache_info().misses == 2
+def test_edge_contracting_reads_the_tol_it_was_classified_with(unit_square):
+    # Every edge of the square shrinks to 0.9: contracting within the default band,
+    # not within a band of 0.25.
+    small = unit_square.scaled(0.9)
+    assert classify(induced_map(unit_square, small)).edge_contracting
+    wide = classify(induced_map(unit_square, small), tol=0.25)
+    assert wide.tol == 0.25 and not wide.edge_contracting
+    assert not compare_order(unit_square, small, tol=0.25).forward.edge_contracting
 
 
-def test_a_job_computes_three_length_arrays(monkeypatch):
-    # classify, both directions of compare_order and scale_critical read P, Q and
-    # lambda Q: lambda Q gets its own lengths, and no shape's are computed twice.
+def test_a_rescaled_classification_checks_the_edges_of_lambda_q():
     rng = np.random.default_rng(33)
     p, q = projective_cube(rng, 4), projective_cube(rng, 4)
-    spectral._edge_lengths.cache_clear()
-    rows = []
-    monkeypatch.setattr(spectral, "_lengths",
-                        lambda v, _f=spectral._lengths: rows.append(len(v)) or _f(v))
-    classify(induced_map(p, q))
-    compare_order(p, q)
     r = scale_critical(p, q)
-    assert rows == [32] * 3
-    lengths = spectral._edge_lengths(r.scaled_target)
-    assert lengths is not spectral._edge_lengths(q)
-    assert lengths.tobytes() == stacked_edge_check(p, r.scaled_target)[1].tobytes()
-    assert r.classification.edge_contracting == bool((lengths / spectral._edge_lengths(p)
-                                                      < 1.0 - spectral.DEFAULT_TOL).all())
+    ratios = stacked_edge_check(p, r.scaled_target)[2]
+    assert r.classification.edge_contracting == bool((ratios < 1.0 - r.classification.tol).all())
 
 
 def test_extremal_pair_identity_and_diag(unit_square):
